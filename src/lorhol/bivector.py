@@ -66,16 +66,6 @@ def canonical_span_basis(vectors, tol: float = SVD_TOL) -> np.ndarray:
     return arr
 
 
-def _in_span(basis: np.ndarray, vec: np.ndarray, tol: float = 1e-8) -> bool:
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        return True
-    if basis.size == 0:
-        return False
-    coeff, *_ = np.linalg.lstsq(basis.T, vec, rcond=None)
-    return np.linalg.norm(basis.T @ coeff - vec) <= tol * norm
-
-
 @dataclass
 class Bivector:
     """Antisymmetric (2,0) tensor at a point with its metric context."""

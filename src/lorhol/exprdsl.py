@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -55,14 +54,55 @@ class DomainError(ExprError):
 
 
 # ---------------------------------------------------------------------------
-# AST
+# AST (hash-consed)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# Every node ever built, keyed by (class, *fields); children are keyed by
+# identity.  Append-only: an interned node lives as long as the process,
+# so a node's identity stands for its structure.  Filled with
+# dict.setdefault, so threads racing to build one structure still get
+# one node.
+_NODES: dict[tuple, "Expr"] = {}
+
+
 class Expr:
-    """Immutable expression node.  Use the module-level smart constructors
-    (or the operator overloads) rather than instantiating subclasses, so
-    constant folding and the trivial identities are applied uniformly."""
+    """Immutable, hash-consed expression node.
+
+    Building a node returns the one node of that structure, so structural
+    equality is identity: ``==`` is ``is`` and the hash is the identity
+    hash, both O(1) however large the shared DAG below the node.  Use the
+    module-level smart constructors (or the operator overloads) rather
+    than instantiating subclasses, so constant folding and the trivial
+    identities are applied uniformly."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            if len(fields) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes fields {cls._fields}")
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, fields):
+                object.__setattr__(node, name, value)
+            node = _NODES.setdefault(key, node)
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copies and unpickled nodes go through __new__, so are interned
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({inner})"
 
     def __str__(self) -> str:
         return to_string(self)
@@ -98,73 +138,65 @@ class Expr:
         return neg(self)
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: Fraction
+    __slots__ = _fields = ("value",)
+
+    def __new__(cls, value):
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        return Expr.__new__(cls, value)
 
 
-@dataclass(frozen=True)
 class Coord(Expr):
-    name: str
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
 class Param(Expr):
-    name: str
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = _fields = ("arg",)
 
 
-@dataclass(frozen=True)
 class Add(Expr):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = _fields = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Sub(Expr):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = _fields = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = _fields = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Div(Expr):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = _fields = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: Fraction
+    __slots__ = _fields = ("base", "exponent")
+
+    def __new__(cls, base, exponent):
+        if type(exponent) is not Fraction:
+            exponent = Fraction(exponent)
+        return Expr.__new__(cls, base, exponent)
 
 
-@dataclass(frozen=True)
 class Fn(Expr):
-    name: str  # one of exp, ln, sin, cos (sqrt canonicalises to Pow)
-    arg: Expr
+    __slots__ = _fields = ("name", "arg")  # exp, ln, sin, cos (sqrt is Pow)
 
 
-ZERO = Const(Fraction(0))
-ONE = Const(Fraction(1))
+ZERO = Const(0)
+ONE = Const(1)
 
 
 def _as_expr(x) -> Expr:
     if isinstance(x, Expr):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Const(Fraction(x))
-    if isinstance(x, float):
-        return Const(Fraction(x))
+    if isinstance(x, (int, float, Fraction)):
+        return Const(x)
     raise TypeError(f"cannot coerce {x!r} to Expr")
 
 
@@ -173,7 +205,7 @@ def _as_expr(x) -> Expr:
 # ---------------------------------------------------------------------------
 
 def const(v) -> Const:
-    return Const(Fraction(v))
+    return Const(v)
 
 
 def coord(name: str) -> Coord:
@@ -184,16 +216,12 @@ def param(name: str) -> Param:
     return Param(name)
 
 
-def _is_const(e: Expr, v=None) -> bool:
-    return isinstance(e, Const) and (v is None or e.value == v)
-
-
 def add(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value + b.value)
-    if _is_const(a, 0):
+    if a is ZERO:
         return b
-    if _is_const(b, 0):
+    if b is ZERO:
         return a
     return Add(a, b)
 
@@ -201,9 +229,9 @@ def add(a: Expr, b: Expr) -> Expr:
 def sub(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value - b.value)
-    if _is_const(b, 0):
+    if b is ZERO:
         return a
-    if _is_const(a, 0):
+    if a is ZERO:
         return neg(b)
     return Sub(a, b)
 
@@ -211,11 +239,11 @@ def sub(a: Expr, b: Expr) -> Expr:
 def mul(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value * b.value)
-    if _is_const(a, 0) or _is_const(b, 0):
+    if a is ZERO or b is ZERO:
         return ZERO
-    if _is_const(a, 1):
+    if a is ONE:
         return b
-    if _is_const(b, 1):
+    if b is ONE:
         return a
     return Mul(a, b)
 
@@ -223,7 +251,7 @@ def mul(a: Expr, b: Expr) -> Expr:
 def div(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const) and b.value != 0:
         return Const(a.value / b.value)
-    if _is_const(b, 1):
+    if b is ONE:
         return a
     return Div(a, b)
 
@@ -283,17 +311,22 @@ def fn(name: str, arg: Expr) -> Expr:
 # Differentiation
 # ---------------------------------------------------------------------------
 
+# coordinate -> {node: derivative}.  Interned nodes are never freed, so
+# entries stay valid across calls, and each derivative of a shared
+# subtree is taken once per process.
+_DERIVATIVES: dict[str, dict[Expr, Expr]] = {}
+
+
 def differentiate(e: Expr, var: str) -> Expr:
     """Exact partial derivative of ``e`` with respect to the coordinate
     named ``var``.  Total on the grammar; never approximates.
 
-    Derivatives of shared subtrees are computed once per call (the trees
-    produced by repeated differentiation are heavily shared DAGs)."""
-    memo: dict[int, Expr] = {}
-    keep: list[Expr] = []  # pin ids for the duration of the walk
+    Derivatives of shared subtrees are computed once (the trees produced
+    by repeated differentiation are heavily shared DAGs)."""
+    memo = _DERIVATIVES.setdefault(var, {})
 
     def d(node: Expr) -> Expr:
-        got = memo.get(id(node))
+        got = memo.get(node)
         if got is not None:
             return got
         if isinstance(node, (Const, Param)):
@@ -317,7 +350,7 @@ def differentiate(e: Expr, var: str) -> Expr:
         elif isinstance(node, Fn):
             inner = d(node.arg)
             if node.name == "exp":
-                out = mul(Fn("exp", node.arg), inner)
+                out = mul(node, inner)
             elif node.name == "ln":
                 out = div(inner, node.arg)
             elif node.name == "sin":
@@ -328,8 +361,7 @@ def differentiate(e: Expr, var: str) -> Expr:
                 raise ExprError(f"cannot differentiate {node.name!r}")
         else:
             raise ExprError(f"cannot differentiate node {type(node).__name__}")
-        memo[id(node)] = out
-        keep.append(node)
+        memo[node] = out
         return out
 
     return d(e)
@@ -339,9 +371,13 @@ def free_symbols(e: Expr) -> tuple[set[str], set[str]]:
     """Return (coordinate names, parameter names) referenced by ``e``."""
     coords: set[str] = set()
     params: set[str] = set()
+    seen: set[Expr] = set()
     stack = [e]
     while stack:
         n = stack.pop()
+        if n in seen:
+            continue
+        seen.add(n)
         if isinstance(n, Coord):
             coords.add(n.name)
         elif isinstance(n, Param):
@@ -704,71 +740,49 @@ _COMPILE_GLOBALS = {
 }
 
 
+_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
 class _Emitter:
-    """Emits straight-line code with structural subexpression sharing.
-    Keys are built from the children's keys, so interning is linear in
-    the DAG size regardless of how often subtrees are shared."""
+    """Emits straight-line code with one variable per distinct node.
+    Nodes are interned, so keying by node shares every common
+    subexpression, and each lookup is O(1)."""
 
     def __init__(self, names: Mapping[str, str]):
         self.names = names
         self.lines: list[str] = []
-        self.by_key: dict[tuple, str] = {}
-        self.by_id: dict[int, tuple] = {}
-        self.keep: list[Expr] = []
-
-    def _fresh(self, key: tuple, rhs: str) -> str:
-        var = f"_t{len(self.by_key)}"
-        self.by_key[key] = var
-        self.lines.append(f"    {var} = {rhs}")
-        return var
+        self.var: dict[Expr, str] = {}
 
     def ref(self, e: Expr) -> str:
-        key = self.key(e)
-        return self.by_key[key]
-
-    def key(self, e: Expr) -> tuple:
-        got = self.by_id.get(id(e))
+        got = self.var.get(e)
         if got is not None:
             return got
         if isinstance(e, Const):
-            k = ("k", e.value)
-            if k not in self.by_key:
-                self.by_key[k] = repr(float(e.value))
+            out = repr(float(e.value))
         elif isinstance(e, (Coord, Param)):
-            k = ("n", e.name)
-            if k not in self.by_key:
-                self.by_key[k] = self.names[e.name]
-        elif isinstance(e, Neg):
-            k = ("neg", self.key(e.arg))
-            if k not in self.by_key:
-                self._fresh(k, f"-{self.by_key[k[1]]}")
-        elif isinstance(e, (Add, Sub, Mul, Div)):
-            op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(e)]
-            kl, kr = self.key(e.lhs), self.key(e.rhs)
-            k = (op, kl, kr)
-            if k not in self.by_key:
-                self._fresh(k, f"{self.by_key[kl]} {op} {self.by_key[kr]}")
-        elif isinstance(e, Pow):
-            kb = self.key(e.base)
-            k = ("pow", kb, e.exponent)
-            if k not in self.by_key:
-                base = self.by_key[kb]
-                if e.exponent == Fraction(1, 2):
-                    self._fresh(k, f"_sqrt({base})")
-                elif e.exponent.denominator == 1:
-                    self._fresh(k, f"{base} ** ({e.exponent.numerator})")
-                else:
-                    self._fresh(k, f"{base} ** ({float(e.exponent)!r})")
-        elif isinstance(e, Fn):
-            ka = self.key(e.arg)
-            k = ("fn", e.name, ka)
-            if k not in self.by_key:
-                self._fresh(k, f"_{e.name}({self.by_key[ka]})")
+            out = self.names[e.name]
         else:
-            raise ExprError(f"cannot compile node {type(e).__name__}")
-        self.by_id[id(e)] = k
-        self.keep.append(e)
-        return k
+            if isinstance(e, Neg):
+                rhs = f"-{self.ref(e.arg)}"
+            elif isinstance(e, (Add, Sub, Mul, Div)):
+                lhs = self.ref(e.lhs)
+                rhs = f"{lhs} {_BINARY_OPS[type(e)]} {self.ref(e.rhs)}"
+            elif isinstance(e, Pow):
+                base = self.ref(e.base)
+                if e.exponent == Fraction(1, 2):
+                    rhs = f"_sqrt({base})"
+                elif e.exponent.denominator == 1:
+                    rhs = f"{base} ** ({e.exponent.numerator})"
+                else:
+                    rhs = f"{base} ** ({float(e.exponent)!r})"
+            elif isinstance(e, Fn):
+                rhs = f"_{e.name}({self.ref(e.arg)})"
+            else:
+                raise ExprError(f"cannot compile node {type(e).__name__}")
+            out = f"_t{len(self.var)}"
+            self.lines.append(f"    {out} = {rhs}")
+        self.var[e] = out
+        return out
 
 
 def compile_program(exprs: Sequence[Expr], coords: Sequence[str],

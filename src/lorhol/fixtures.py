@@ -163,13 +163,10 @@ def fixture_r10_r13(eps1: int, eps2: int, c: float = 1.0, c2: float = 0.0,
          ["0", "0", "0", f"{fexpr}*{sy}"]],
         params, constraints=["z", bracket], sample_box=box,
         name=f"cylinder-{eps1}-{eps2}-partner")
-    context = "timelike" if eps1 == -1 else "spacelike"
     labels = ("R4", "R13") if eps1 == -1 else ("R4", "R6", "R10")
-    bundle = FixtureBundle(f"cylinder-{eps1}-{eps2}", g, pair, chi, gp,
-                           expected_class="D", expected_theta_sign=None,
-                           expected_holonomy=labels)
-    object.__setattr__(bundle, "constant_direction_character", context)
-    return bundle
+    return FixtureBundle(f"cylinder-{eps1}-{eps2}", g, pair, chi, gp,
+                         expected_class="D", expected_theta_sign=None,
+                         expected_holonomy=labels)
 
 
 def fixture_r9_r14(b: str = "1 + u^2", f: str = "x*y", phi: float = 1.0,

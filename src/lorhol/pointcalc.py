@@ -258,19 +258,18 @@ class _OneFormTable:
 
 class _Bound:
     """Table plus the parameter values of one spec; call sites keep the
-    two-argument evaluate(points, order) shape."""
+    two-argument evaluate(points, order) shape.  A metric's bound table
+    also carries the compiled domain constraints (None if it has none)."""
 
-    __slots__ = ("table", "values")
+    __slots__ = ("table", "values", "constraints")
 
-    def __init__(self, table, values):
+    def __init__(self, table, values, constraints=None):
         self.table = table
         self.values = values
+        self.constraints = constraints
 
     def evaluate(self, points, order: int = 0) -> np.ndarray:
         return self.table.evaluate(points, self.values, order)
-
-    def _symbolic(self, order: int) -> dict:
-        return self.table._symbolic(order)
 
 
 @lru_cache(maxsize=256)
@@ -290,15 +289,16 @@ def _values(spec: MetricSpec) -> tuple:
     return tuple(spec.params.values[n] for n in spec.params.names())
 
 
+@lru_cache(maxsize=256)
 def _metric_table(spec: MetricSpec) -> _Bound:
-    # object-level memo: the geodesic loop calls this once per step and
-    # must not rehash (potentially huge) expression trees
-    bound = spec.__dict__.get("_bound_table")
-    if bound is None:
-        table = _sym_table_cached(spec.g, spec.coords, spec.params.names())
-        bound = _Bound(table, _values(spec))
-        object.__setattr__(spec, "_bound_table", bound)
-    return bound
+    # the one per-spec memo: the geodesic loop calls this (directly and
+    # through admissible_mask) on every RK4 stage; a spec hashes in time
+    # independent of its expression sizes (nodes hash by identity)
+    pnames = spec.params.names()
+    table = _sym_table_cached(spec.g, spec.coords, pnames)
+    constraints = (compile_program(spec.constraints, spec.coords, pnames)
+                   if spec.constraints else None)
+    return _Bound(table, _values(spec), constraints)
 
 
 def _sym2_table(spec: MetricSpec, comps: tuple) -> _Bound:
@@ -313,25 +313,9 @@ def _oneform_table(spec: MetricSpec, comps: tuple) -> _Bound:
     return _Bound(table, _values(spec))
 
 
-@lru_cache(maxsize=256)
-def _constraint_prog(constraints: tuple, coords: tuple, pnames: tuple):
-    return compile_program(constraints, coords, pnames)
-
-
-def _constraint_fn(spec: MetricSpec):
-    bound = spec.__dict__.get("_bound_constraints")
-    if bound is None:
-        prog = _constraint_prog(spec.constraints, spec.coords,
-                                spec.params.names())
-        values = _values(spec)
-        bound = lambda pts: prog(pts, values)  # noqa: E731
-        object.__setattr__(spec, "_bound_constraints", bound)
-    return bound
-
-
 def _diagnose_point(spec: MetricSpec, point, max_order: int = 2) -> None:
     """Re-evaluate with the safe evaluator to produce a precise error."""
-    table = _metric_table(spec)
+    table = _metric_table(spec).table
     exprs = list(spec.all_exprs())
     for k in range(1, max_order + 1):
         exprs.extend(table._symbolic(k).values())
@@ -345,8 +329,9 @@ def admissible_mask(spec: MetricSpec, points: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     mask = np.all(np.isfinite(pts), axis=1)
     if spec.constraints:
+        bound = _metric_table(spec)
         with np.errstate(all="ignore"):
-            vals = _constraint_fn(spec)(pts)
+            vals = bound.constraints(pts, bound.values)
         mask &= np.all(np.isfinite(vals) & (vals > 0.0), axis=0)
     return mask
 

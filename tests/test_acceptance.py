@@ -104,7 +104,6 @@ def test_criterion_4_classifier_oracle(acceptance_log):
     with criterion(acceptance_log, 4, "synthetic classifier oracle"):
         t0 = time.monotonic()
         rng = np.random.default_rng(4242)
-        d_shapes = [(0, 1), (0, 1), (1, 2)]  # placeholder replaced below
         for i in range(200):
             lam = random_lorentz(rng)
             l, n, x, y = null_tetrad(lam)

@@ -1,4 +1,7 @@
+import itertools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -6,10 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lorhol.exprdsl import (
-    Const, Coord, DomainError, Fn, Mul, Param, ParseError, Pow,
-    UnknownIdentifierError, add, compile_exprs, differentiate, eval_expr,
-    fn, free_symbols, mul, neg, parse_expr, pow_, sub, to_string,
+    Add, Const, Coord, DomainError, Fn, Mul, Param, ParseError, Pow,
+    UnknownIdentifierError, add, compile_exprs, compile_program, const,
+    coord, differentiate, eval_expr, fn, free_symbols, mul, neg, param,
+    parse_expr, pow_, sub, to_string,
 )
+from lorhol.fixtures import named_fixture
+from lorhol.pointcalc import sample_points
+from lorhol.projective import invert_pair
 
 COORDS = ("u", "v", "x", "y")
 PARAMS = ("b0", "f0", "kappa", "xi")
@@ -96,6 +103,92 @@ class TestDifferentiate:
 
     def test_other_coordinate_is_zero(self):
         assert differentiate(p("u^2"), "x") == Const(Fraction(0))
+
+
+class TestInterning:
+    def test_equal_structures_are_one_node(self):
+        built = [
+            p("b0*sqrt(v) + 1"),
+            add(mul(param("b0"), fn("sqrt", coord("v"))), const(1)),
+            Add(Mul(Param("b0"), Pow(Coord("v"), Fraction(1, 2))), Const(1)),
+            differentiate(p("b0*sqrt(v)*u + u"), "u"),
+        ]
+        assert all(e is built[0] for e in built)
+
+    def test_payloads_are_coerced_to_fraction(self):
+        assert Const(1) is Const(Fraction(1)) is Const(1.0)
+        assert Pow(Coord("v"), 2) is Pow(Coord("v"), Fraction(2))
+        assert type(Const(3).value) is Fraction
+        assert type(Pow(Coord("v"), 2).exponent) is Fraction
+
+    def test_nodes_are_immutable(self):
+        e = p("u*v")
+        with pytest.raises(AttributeError):
+            e.lhs = Coord("x")
+
+    def test_concurrent_construction_gives_one_node(self):
+        # threads racing to intern the same fresh structures must all get
+        # the same nodes (the table is filled with dict.setdefault)
+        names = [f"t{i}" for i in range(200)]
+
+        def build():
+            return [differentiate(p("sin(u*v) + u^3/(v + 2)"), "u")
+                    + mul(Param(n), Coord("u")) for n in names]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(build) for _ in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        for got in results:
+            assert all(a is b for a, b in zip(got, results[0]))
+        assert len(results[0]) == len(names)
+
+    def test_self_squared_dag(self):
+        # e_{k+1} = e_k*e_k + u: 49 distinct nodes, 2^48 tree paths
+        def build():
+            e = Coord("u")
+            for _ in range(48):
+                e = add(mul(e, e), Coord("u"))
+            return e
+
+        e = build()
+        assert hash(e) == hash(build()) and e == build()
+        assert free_symbols(e) == ({"u"}, set())
+        de = differentiate(e, "u")
+        u = 0.2
+        val, dval = u, 1.0
+        for _ in range(48):
+            val, dval = val * val + u, (dval * val + val * dval) + 1.0
+        got = compile_exprs([e, de], COORDS)(np.array([[u, 0.0, 0.0, 0.0]]))
+        assert got[:, 0] == pytest.approx([val, dval], rel=1e-12)
+
+
+def test_compiled_partner_table_matches_tree_walk():
+    # The order-3 table of the r11 derived partner (what `holonomy
+    # --order 1` compiles) is a large shared DAG; check the emitted code
+    # against the tree-walking evaluator on a fixed subset of entries.
+    spec = invert_pair(named_fixture("r11").pair).partner
+    table = []
+    for a in range(4):
+        for b in range(a, 4):
+            for m in itertools.combinations_with_replacement(range(4), 3):
+                e = spec.g[a][b]
+                for c in m:
+                    e = differentiate(e, spec.coords[c])
+                table.append(e)
+    names = spec.params.names()
+    prog = compile_program(table, spec.coords, names)
+    point = sample_points(spec, 1, seed=3)[0]
+    got = prog(point[None, :], [spec.params[n] for n in names])[:, 0]
+    refs = {k: eval_expr(table[k], point, spec.coords, spec.params)
+            for k in range(0, len(table), 9)}
+    assert sum(ref != 0.0 for ref in refs.values()) >= 10
+    for k, ref in refs.items():
+        assert got[k] == pytest.approx(ref, rel=1e-10), k
 
 
 class TestEval:
