@@ -467,7 +467,8 @@ def geodesic_check(metric_path, metric2_path, trials, steps, horizon, seed,
     report = make_report(
         "geodesic-check",
         {"metric": _digest(metric_path), "metric2": _digest(metric2_path)},
-        seed, {"geo_tol": geo_tol}, body, passed=rep.score < geo_tol)
+        seed, {"geo_tol": geo_tol}, body,
+        passed=rep.scored > 0 and rep.score < geo_tol)
     emit(report, as_json, out)
     _finish(report)
 

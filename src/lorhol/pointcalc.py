@@ -3,7 +3,8 @@
 All coordinate derivatives of the metric are taken symbolically (exact),
 then every tensor (Christoffels, curvature, covariant derivatives) is
 assembled numerically at sample points with numpy.  Finite differences
-never appear outside the test oracles.
+never appear outside the test oracles.  Jets come from one table per
+field, and one compiled call returns its derivative orders 0..k.
 
 Index conventions, fixed throughout the package:
 
@@ -32,8 +33,7 @@ __all__ = [
     "SignatureError", "AdmissibilityError", "metric_spec", "frame_at",
     "signature_at", "weyl_conformal_at", "cov_deriv_riemann_at",
     "cov_deriv_sym2_at", "sample_points", "christoffel_batch",
-    "sym2_cov_deriv_batch", "oneform_cov_deriv_batch", "eval_sym2_batch",
-    "eval_oneform_batch",
+    "require_valid", "cov_deriv_batch", "eval_field_batch",
 ]
 
 DIM = 4
@@ -140,125 +140,80 @@ def metric_spec(coords: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
-# Symbolic derivative tables with compiled scatter evaluation
+# Symbolic jet tables with compiled scatter evaluation
 # ---------------------------------------------------------------------------
 
-class _SymArrayTable:
-    """Evaluates a symmetric (0,2) expression field and its coordinate
-    derivatives, batched over points.  Order-k output has shape
-    (n, 4, 4) + (4,)*k with derivative indices trailing.  Parameter
-    values are call-time arguments, so structurally equal fields share
-    one compiled program across parameter draws."""
+class _JetTable:
+    """Evaluates an expression field and its coordinate derivatives,
+    batched over points.  The rank comes from the nesting of ``comps``:
+    four Exprs are a covector, a 4x4 tuple a symmetric (0,2) tensor (its
+    upper triangle is read).  The order-k array has shape
+    (n,) + (4,)*rank + (4,)*k with derivative indices trailing, and
+    orders 0..k come from one compiled program, so they share
+    subexpressions.  Parameter values are call-time arguments, so
+    structurally equal fields share one program across parameter draws."""
 
-    def __init__(self, comps: Mapping[tuple[int, int], Expr],
-                 coords: Sequence[str], param_names: Sequence[str]):
+    def __init__(self, comps: tuple, coords: Sequence[str],
+                 param_names: Sequence[str]):
         self.coords = tuple(coords)
         self.param_names = tuple(param_names)
-        self._sym: dict[int, dict] = {
-            0: {(a, b, ()): comps[(a, b)]
-                for a in range(DIM) for b in range(a, DIM)}}
+        if isinstance(comps[0], Expr):
+            self.rank = 1
+            base = {(a,): comps[a] for a in range(DIM)}
+        else:
+            self.rank = 2
+            base = {(a, b): comps[a][b]
+                    for a in range(DIM) for b in range(a, DIM)}
+        # keys (field slots, sorted derivative slots)
+        self._sym: dict[int, dict] = {0: {(f, ()): e for f, e in base.items()}}
         self._evaluators: dict[int, tuple] = {}
 
     def _symbolic(self, order: int) -> dict:
         while order not in self._sym:
-            k = max(self._sym) + 1
-            cur = {}
-            for (a, b, m), e in self._sym[k - 1].items():
-                for c in range(m[-1] if m else 0, DIM):
-                    cur[(a, b, m + (c,))] = differentiate(e, self.coords[c])
-            self._sym[k] = cur
+            k = len(self._sym)
+            self._sym[k] = {(f, m + (c,)): differentiate(e, self.coords[c])
+                            for (f, m), e in self._sym[k - 1].items()
+                            for c in range(m[-1] if m else 0, DIM)}
         return self._sym[order]
 
     def _evaluator(self, order: int):
-        if order in self._evaluators:
-            return self._evaluators[order]
-        table = self._symbolic(order)
-        keys = sorted(table.keys())
-        exprs = [table[k] for k in keys]
+        ev = self._evaluators.get(order)
+        if ev is not None:
+            return ev
+        exprs, scatters = [], []
+        for k in range(order + 1):
+            table = self._symbolic(k)
+            shape = (DIM,) * (self.rank + k)
+            positions, sources = [], []
+            for f, m in sorted(table):
+                for full in {p + q for p in itertools.permutations(f)
+                             for q in itertools.permutations(m)}:
+                    positions.append(np.ravel_multi_index(full, shape))
+                    sources.append(len(exprs))
+                exprs.append(table[(f, m)])
+            scatters.append((np.asarray(positions), np.asarray(sources),
+                             shape))
         f = compile_program(exprs, self.coords, self.param_names)
-        shape = (DIM, DIM) + (DIM,) * order
-        positions, sources = [], []
-        strides = np.cumprod((1,) + shape[::-1][:-1])[::-1]
-        for idx, (a, b, m) in enumerate(keys):
-            seen = set()
-            for (p, q) in ((a, b), (b, a)):
-                for perm in itertools.permutations(m):
-                    full = (p, q) + perm
-                    if full in seen:
-                        continue
-                    seen.add(full)
-                    positions.append(int(np.dot(full, strides)))
-                    sources.append(idx)
-        ev = (f, np.asarray(positions), np.asarray(sources), shape)
-        self._evaluators[order] = ev
+        ev = self._evaluators[order] = (f, scatters)
         return ev
 
-    def evaluate(self, points: np.ndarray, values, order: int) -> np.ndarray:
-        f, positions, sources, shape = self._evaluator(order)
+    def evaluate(self, points, values, order: int) -> tuple:
+        """The arrays of orders 0..order at the points."""
+        f, scatters = self._evaluator(order)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         vals = f(pts, values)  # (n_exprs, n)
         n = pts.shape[0]
-        out = np.zeros((n, int(np.prod(shape))))
-        out[:, positions] = vals[sources].T
-        return out.reshape((n,) + shape)
-
-
-class _OneFormTable:
-    """Same as _SymArrayTable for a covector field; order-k output shape
-    (n, 4) + (4,)*k."""
-
-    def __init__(self, comps: Sequence[Expr], coords, param_names):
-        self.coords = tuple(coords)
-        self.param_names = tuple(param_names)
-        self._sym = {0: {(a, ()): comps[a] for a in range(DIM)}}
-        self._evaluators: dict[int, tuple] = {}
-
-    def _symbolic(self, order: int) -> dict:
-        while order not in self._sym:
-            k = max(self._sym) + 1
-            cur = {}
-            for (a, m), e in self._sym[k - 1].items():
-                for c in range(m[-1] if m else 0, DIM):
-                    cur[(a, m + (c,))] = differentiate(e, self.coords[c])
-            self._sym[k] = cur
-        return self._sym[order]
-
-    def _evaluator(self, order: int):
-        if order in self._evaluators:
-            return self._evaluators[order]
-        table = self._symbolic(order)
-        keys = sorted(table.keys())
-        exprs = [table[k] for k in keys]
-        f = compile_program(exprs, self.coords, self.param_names)
-        shape = (DIM,) + (DIM,) * order
-        strides = np.cumprod((1,) + shape[::-1][:-1])[::-1]
-        positions, sources = [], []
-        for idx, (a, m) in enumerate(keys):
-            seen = set()
-            for perm in itertools.permutations(m):
-                full = (a,) + perm
-                if full in seen:
-                    continue
-                seen.add(full)
-                positions.append(int(np.dot(full, strides)))
-                sources.append(idx)
-        ev = (f, np.asarray(positions), np.asarray(sources), shape)
-        self._evaluators[order] = ev
-        return ev
-
-    def evaluate(self, points, values, order: int) -> np.ndarray:
-        f, positions, sources, shape = self._evaluator(order)
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = f(pts, values)
-        n = pts.shape[0]
-        out = np.zeros((n, int(np.prod(shape))))
-        out[:, positions] = vals[sources].T
-        return out.reshape((n,) + shape)
+        jets = []
+        for positions, sources, shape in scatters:
+            out = np.zeros((n, DIM ** len(shape)))
+            out[:, positions] = vals[sources].T
+            jets.append(out.reshape((n,) + shape))
+        return tuple(jets)
 
 
 class _Bound:
-    """Table plus the parameter values of one spec; call sites keep the
-    two-argument evaluate(points, order) shape.  A metric's bound table
+    """Table plus the parameter values of one spec; evaluate(points,
+    order) returns the jets of orders 0..order.  A metric's bound table
     also carries the compiled domain constraints (None if it has none)."""
 
     __slots__ = ("table", "values", "constraints")
@@ -268,21 +223,13 @@ class _Bound:
         self.values = values
         self.constraints = constraints
 
-    def evaluate(self, points, order: int = 0) -> np.ndarray:
+    def evaluate(self, points, order: int = 0) -> tuple:
         return self.table.evaluate(points, self.values, order)
 
 
-@lru_cache(maxsize=256)
-def _sym_table_cached(comps: tuple, coords: tuple,
-                      pnames: tuple) -> _SymArrayTable:
-    cd = {(a, b): comps[a][b] for a in range(DIM) for b in range(a, DIM)}
-    return _SymArrayTable(cd, coords, pnames)
-
-
-@lru_cache(maxsize=256)
-def _oneform_table_cached(comps: tuple, coords: tuple,
-                          pnames: tuple) -> _OneFormTable:
-    return _OneFormTable(comps, coords, pnames)
+@lru_cache(maxsize=512)
+def _jet_table(comps: tuple, coords: tuple, pnames: tuple) -> _JetTable:
+    return _JetTable(comps, coords, pnames)
 
 
 def _values(spec: MetricSpec) -> tuple:
@@ -295,22 +242,16 @@ def _metric_table(spec: MetricSpec) -> _Bound:
     # through admissible_mask) on every RK4 stage; a spec hashes in time
     # independent of its expression sizes (nodes hash by identity)
     pnames = spec.params.names()
-    table = _sym_table_cached(spec.g, spec.coords, pnames)
+    table = _jet_table(spec.g, spec.coords, pnames)
     constraints = (compile_program(spec.constraints, spec.coords, pnames)
                    if spec.constraints else None)
     return _Bound(table, _values(spec), constraints)
 
 
-def _sym2_table(spec: MetricSpec, comps: tuple) -> _Bound:
-    table = _sym_table_cached(tuple(map(tuple, comps)), spec.coords,
-                              spec.params.names())
-    return _Bound(table, _values(spec))
-
-
-def _oneform_table(spec: MetricSpec, comps: tuple) -> _Bound:
-    table = _oneform_table_cached(tuple(comps), spec.coords,
-                                  spec.params.names())
-    return _Bound(table, _values(spec))
+def _field_table(spec: MetricSpec, comps) -> _Bound:
+    comps = tuple(c if isinstance(c, Expr) else tuple(c) for c in comps)
+    return _Bound(_jet_table(comps, spec.coords, spec.params.names()),
+                  _values(spec))
 
 
 def _diagnose_point(spec: MetricSpec, point, max_order: int = 2) -> None:
@@ -376,54 +317,73 @@ def _gamma_terms(g, dg):
     return ginv, s, gamma
 
 
-def christoffel_batch(spec: MetricSpec, points: np.ndarray):
-    """Return (g, ginv, gamma) batched over points; used by the geodesic
-    integrator and the covariant-derivative helpers."""
-    table = _metric_table(spec)
+def _valid_rows(jets) -> np.ndarray:
+    """Rows of a batch of metric jets (g, dg, ...) that are all finite and
+    whose g passes the determinant test of frame_at."""
+    n = len(jets[0])
+    ok = np.ones(n, dtype=bool)
+    for j in jets:
+        ok &= np.all(np.isfinite(j.reshape(n, -1)), axis=1)
+    g = np.where(ok[:, None, None], jets[0], np.eye(DIM))
+    gmax = np.max(np.abs(g), axis=(1, 2))
+    ok &= (np.abs(np.linalg.det(g))
+           > DEGENERACY_TOL * np.maximum(gmax, 1e-300) ** 4)
+    return ok
+
+
+def _raise_invalid(spec: MetricSpec, point, jets) -> None:
+    """Raise for a point whose batch-of-one jets failed _valid_rows."""
+    if not all(np.all(np.isfinite(j)) for j in jets):
+        _diagnose_point(spec, point, max_order=len(jets) - 1)
+    det = float(np.linalg.det(jets[0][0]))
+    raise DegenerateMetricError(
+        f"det g = {det:.3e} at {np.asarray(point, float).tolist()}")
+
+
+def christoffel_batch(spec: MetricSpec, points):
+    """Return (gamma, ok): gamma[n,a,b,c] = Gamma^a_bc batched over points,
+    and ok marks the rows with finite jets and a non-degenerate g.  Bad
+    rows hold the flat placeholder gamma = 0; domain constraints are not
+    checked here."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    g = table.evaluate(pts, 0)
-    dg = table.evaluate(pts, 1)
-    if not np.all(np.isfinite(g)) or not np.all(np.isfinite(dg)):
-        flat = np.all(np.isfinite(g.reshape(len(pts), -1)), axis=1)
-        flat &= np.all(np.isfinite(dg.reshape(len(pts), -1)), axis=1)
-        bad = np.where(~flat)[0]
-        _diagnose_point(spec, pts[bad[0] if len(bad) else 0], max_order=1)
-    ginv, _, gamma = _gamma_terms(g, dg)
-    return g, ginv, gamma
+    g, dg = _metric_table(spec).evaluate(pts, 1)
+    ok = _valid_rows((g, dg))
+    if not ok.all():
+        g[~ok] = np.eye(DIM)
+        dg[~ok] = 0.0
+    return _gamma_terms(g, dg)[2], ok
 
 
-def eval_sym2_batch(spec: MetricSpec, comps, points) -> np.ndarray:
-    return _sym2_table(spec, tuple(map(tuple, comps))).evaluate(points, 0)
+def require_valid(spec: MetricSpec, points, ok) -> None:
+    """Raise for the first row that christoffel_batch flagged in ``ok``:
+    the precise domain error for non-finite jets, DegenerateMetricError
+    for a degenerate g."""
+    if not np.all(ok):
+        point = np.atleast_2d(np.asarray(points, float))[np.argmin(ok)]
+        _raise_invalid(spec, point,
+                       _metric_table(spec).evaluate(point[None, :], 1))
 
 
-def eval_oneform_batch(spec: MetricSpec, comps, points) -> np.ndarray:
-    return _oneform_table(spec, tuple(comps)).evaluate(points, 0)
+def eval_field_batch(spec: MetricSpec, comps, points) -> np.ndarray:
+    """Values of a covector or symmetric (0,2) expression field, batched."""
+    return _field_table(spec, comps).evaluate(points, 0)[0]
 
 
-def sym2_cov_deriv_batch(spec: MetricSpec, comps, points):
-    """Covariant derivative T_ab;c of a symmetric (0,2) expression field,
-    batched; returns (T, covT) with covT shape (n,4,4,4), c trailing."""
-    table = _sym2_table(spec, tuple(map(tuple, comps)))
+def cov_deriv_batch(spec: MetricSpec, comps, points):
+    """Covariant derivative of a covector (w_a;b) or symmetric (0,2)
+    (T_ab;c) expression field, batched; returns (field, covariant
+    derivative) with the derivative index trailing."""
+    bound = _field_table(spec, comps)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    t = table.evaluate(pts, 0)
-    dt = table.evaluate(pts, 1)
-    _, _, gamma = christoffel_batch(spec, pts)
+    t, dt = bound.evaluate(pts, 1)
+    gamma, ok = christoffel_batch(spec, pts)
+    require_valid(spec, pts, ok)
+    if bound.table.rank == 1:
+        return t, dt - np.einsum("neab,ne->nab", gamma, t)
     cov = (dt
            - np.einsum("neca,neb->nabc", gamma, t)
            - np.einsum("necb,nae->nabc", gamma, t))
     return t, cov
-
-
-def oneform_cov_deriv_batch(spec: MetricSpec, comps, points):
-    """Covariant derivative w_a;b of a covector expression field, batched;
-    returns (w, covw) with covw shape (n,4,4), b trailing."""
-    table = _oneform_table(spec, tuple(comps))
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    w = table.evaluate(pts, 0)
-    dw = table.evaluate(pts, 1)
-    _, _, gamma = christoffel_batch(spec, pts)
-    cov = dw - np.einsum("neab,ne->nab", gamma, w)
-    return w, cov
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +408,7 @@ class PointFrame:
         self.dg = dg
         self._sign = float(curvature_sign)
         self._riem_ud = riem_ud
-        self._cache: dict[str, np.ndarray] = {}
+        self._cache: dict = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -518,63 +478,55 @@ class PointFrame:
 
     # -- derivative tensors (need a backing spec) ------------------------------
 
-    def _derivative_pack(self, order: int):
+    def _stack(self, order: int) -> dict:
+        """The frame's batch-of-one derivative stack, extended to ``order``
+        (3 or 4); each stage is assembled once per frame."""
         if self.spec is None or self.point is None:
             raise MetricError("synthetic frame carries no derivative data")
-        key = f"pack{order}"
-
-        def build():
-            table = _metric_table(self.spec)
-            pts = self.point[None, :]
-            return tuple(table.evaluate(pts, k)[0] for k in range(order + 1))
-        return self._get(key, build)
+        jets = _metric_table(self.spec).evaluate(self.point[None, :], order)
+        return _riemann_derivative_stack(
+            jets, self._sign, self._cache.setdefault("stack", {}))
 
     @property
     def cov_riemann(self) -> np.ndarray:
         """R^a_bcd;e with the covariant index trailing."""
-        return self._get("cov_riemann", self._build_cov_riemann)
-
-    def _build_cov_riemann(self):
-        g, dg, d2g, d3g = self._derivative_pack(3)
-        arrs = _riemann_derivative_stack(g, dg, d2g, d3g, sign=self._sign)
-        self._cache.setdefault("_stack1", arrs)
-        return arrs["covR"]
+        return self._get("cov_riemann", lambda: self._stack(3)["covR"][0])
 
     @property
     def cov2_riemann(self) -> np.ndarray:
         """R^a_bcd;e;f, second covariant derivative (trailing f)."""
-        def build():
-            g, dg, d2g, d3g, d4g = self._derivative_pack(4)
-            arrs = _riemann_derivative_stack(g, dg, d2g, d3g, d4g,
-                                             sign=self._sign)
-            return arrs["cov2R"]
-        return self._get("cov2_riemann", build)
+        return self._get("cov2_riemann", lambda: self._stack(4)["cov2R"][0])
 
 
-def _riemann_derivative_stack(g, dg, d2g, d3g=None, d4g=None, sign=1.0):
-    """Assemble Riemann and its covariant derivatives from metric jets.
+def _riemann_derivative_stack(jets, sign=1.0, stack=None) -> dict:
+    """Assemble Riemann and its covariant derivatives from batched metric
+    jets (g, dg, d2g[, d3g[, d4g]]).
 
-    Returns dict with gamma, dGamma, R (R^a_bcd), and when the jets allow,
-    dR, covR, cov2R.  ``sign`` flips the Christoffel-to-Riemann sign for
-    the convention-pinning test; production code always uses +1.
+    Fills ``stack`` (a new dict if None) with gamma, dGamma, R (R^a_bcd)
+    and, when the jets allow, dR, covR and cov2R, plus the intermediates
+    the next order needs; stages already in ``stack`` are reused, so a
+    frame's order-3 result is extended, not rebuilt.  ``sign`` flips the
+    Christoffel-to-Riemann sign for the convention-pinning test;
+    production code always uses +1.
     """
-    b = (g.ndim == 3)
-    if not b:  # promote to batch of one
-        g, dg, d2g = g[None], dg[None], d2g[None]
-        d3g = None if d3g is None else d3g[None]
-        d4g = None if d4g is None else d4g[None]
-    ginv, s, gamma = _gamma_terms(g, dg)
-    ds = d2g.transpose(0, 1, 3, 2, 4) + d2g - d2g.transpose(0, 3, 1, 2, 4)
-    dginv = -np.einsum("nam,nbp,nmpe->nabe", ginv, ginv, dg)
-    dgamma = 0.5 * (np.einsum("nade,ndbc->nabce", dginv, s)
-                    + np.einsum("nad,ndbce->nabce", ginv, ds))
-    riem = (dgamma.transpose(0, 1, 2, 4, 3) - dgamma
-            + np.einsum("nace,nebd->nabcd", gamma, gamma)
-            - np.einsum("nade,nebc->nabcd", gamma, gamma))
-    riem = sign * riem
-    out = {"ginv": ginv, "gamma": gamma, "dgamma": dgamma, "R": riem}
+    out = {} if stack is None else stack
+    g, dg, d2g = jets[:3]
+    if "R" not in out:
+        ginv, s, gamma = _gamma_terms(g, dg)
+        ds = d2g.transpose(0, 1, 3, 2, 4) + d2g - d2g.transpose(0, 3, 1, 2, 4)
+        dginv = -np.einsum("nam,nbp,nmpe->nabe", ginv, ginv, dg)
+        dgamma = 0.5 * (np.einsum("nade,ndbc->nabce", dginv, s)
+                        + np.einsum("nad,ndbce->nabce", ginv, ds))
+        riem = (dgamma.transpose(0, 1, 2, 4, 3) - dgamma
+                + np.einsum("nace,nebd->nabcd", gamma, gamma)
+                - np.einsum("nade,nebc->nabcd", gamma, gamma))
+        out.update({"ginv": ginv, "s": s, "ds": ds, "dginv": dginv,
+                    "gamma": gamma, "dgamma": dgamma, "R": sign * riem})
+    ginv, s, ds, dginv = out["ginv"], out["s"], out["ds"], out["dginv"]
+    gamma, dgamma, riem = out["gamma"], out["dgamma"], out["R"]
 
-    if d3g is not None:
+    if len(jets) > 3 and "covR" not in out:
+        d3g = jets[3]
         d2s = (d3g.transpose(0, 1, 3, 2, 4, 5) + d3g
                - d3g.transpose(0, 3, 1, 2, 4, 5))
         d2ginv = -(np.einsum("namf,nbp,nmpe->nabef", dginv, ginv, dg)
@@ -596,13 +548,14 @@ def _riemann_derivative_stack(g, dg, d2g, d3g=None, d4g=None, sign=1.0):
                 - np.einsum("nmeb,namcd->nabcde", gamma, riem)
                 - np.einsum("nmec,nabmd->nabcde", gamma, riem)
                 - np.einsum("nmed,nabcm->nabcde", gamma, riem))
-        out.update({"dR": driem, "covR": covr,
-                    "d2gamma": d2gamma, "d2ginv": d2ginv})
+        out.update({"d2s": d2s, "d2ginv": d2ginv, "d2gamma": d2gamma,
+                    "dR": driem, "covR": covr})
 
-    if d4g is not None:
+    if len(jets) > 4 and "cov2R" not in out:
+        d3g, d4g = jets[3], jets[4]
         d3s = (d4g.transpose(0, 1, 3, 2, 4, 5, 6) + d4g
                - d4g.transpose(0, 3, 1, 2, 4, 5, 6))
-        d2ginv = out["d2ginv"]
+        d2s, d2ginv, d2gamma = out["d2s"], out["d2ginv"], out["d2gamma"]
         d3ginv = -(np.einsum("namfh,nbp,nmpe->nabefh", d2ginv, ginv, dg)
                    + np.einsum("namf,nbph,nmpe->nabefh", dginv, dginv, dg)
                    + np.einsum("namf,nbp,nmpeh->nabefh", dginv, ginv, d2g)
@@ -612,49 +565,41 @@ def _riemann_derivative_stack(g, dg, d2g, d3g=None, d4g=None, sign=1.0):
                    + np.einsum("namh,nbp,nmpef->nabefh", dginv, ginv, d2g)
                    + np.einsum("nam,nbph,nmpef->nabefh", ginv, dginv, d2g)
                    + np.einsum("nam,nbp,nmpefh->nabefh", ginv, ginv, d3g))
-        d2gamma = out["d2gamma"]
-        d2s_ = (d3g.transpose(0, 1, 3, 2, 4, 5) + d3g
-                - d3g.transpose(0, 3, 1, 2, 4, 5))
         d3gamma = 0.5 * (np.einsum("nadefh,ndbc->nabcefh", d3ginv, s)
                          + np.einsum("nadef,ndbch->nabcefh", d2ginv, ds)
                          + np.einsum("nadeh,ndbcf->nabcefh", d2ginv, ds)
-                         + np.einsum("nade,ndbcfh->nabcefh", dginv, d2s_)
+                         + np.einsum("nade,ndbcfh->nabcefh", dginv, d2s)
                          + np.einsum("nadfh,ndbce->nabcefh", d2ginv, ds)
-                         + np.einsum("nadf,ndbceh->nabcefh", dginv, d2s_)
-                         + np.einsum("nadh,ndbcef->nabcefh", dginv, d2s_)
+                         + np.einsum("nadf,ndbceh->nabcefh", dginv, d2s)
+                         + np.einsum("nadh,ndbcef->nabcefh", dginv, d2s)
                          + np.einsum("nad,ndbcefh->nabcefh", ginv, d3s))
-        dgamma_ = out["dgamma"]
         d2riem = (d3gamma.transpose(0, 1, 2, 4, 3, 5, 6)
                   - d3gamma
                   + np.einsum("nacmef,nmbd->nabcdef", d2gamma, gamma)
-                  + np.einsum("nacme,nmbdf->nabcdef", dgamma_, dgamma_)
-                  + np.einsum("nacmf,nmbde->nabcdef", dgamma_, dgamma_)
+                  + np.einsum("nacme,nmbdf->nabcdef", dgamma, dgamma)
+                  + np.einsum("nacmf,nmbde->nabcdef", dgamma, dgamma)
                   + np.einsum("nacm,nmbdef->nabcdef", gamma, d2gamma)
                   - np.einsum("nadmef,nmbc->nabcdef", d2gamma, gamma)
-                  - np.einsum("nadme,nmbcf->nabcdef", dgamma_, dgamma_)
-                  - np.einsum("nadmf,nmbce->nabcdef", dgamma_, dgamma_)
+                  - np.einsum("nadme,nmbcf->nabcdef", dgamma, dgamma)
+                  - np.einsum("nadmf,nmbce->nabcdef", dgamma, dgamma)
                   - np.einsum("nadm,nmbcef->nabcdef", gamma, d2gamma))
         d2riem = sign * d2riem
         driem, covr = out["dR"], out["covR"]
         dcovr = (d2riem
-                 + np.einsum("naemf,nmbcd->nabcdef", dgamma_, riem)
+                 + np.einsum("naemf,nmbcd->nabcdef", dgamma, riem)
                  + np.einsum("naem,nmbcdf->nabcdef", gamma, driem)
-                 - np.einsum("nmebf,namcd->nabcdef", dgamma_, riem)
+                 - np.einsum("nmebf,namcd->nabcdef", dgamma, riem)
                  - np.einsum("nmeb,namcdf->nabcdef", gamma, driem)
-                 - np.einsum("nmecf,nabmd->nabcdef", dgamma_, riem)
+                 - np.einsum("nmecf,nabmd->nabcdef", dgamma, riem)
                  - np.einsum("nmec,nabmdf->nabcdef", gamma, driem)
-                 - np.einsum("nmedf,nabcm->nabcdef", dgamma_, riem)
+                 - np.einsum("nmedf,nabcm->nabcdef", dgamma, riem)
                  - np.einsum("nmed,nabcmf->nabcdef", gamma, driem))
-        cov2r = (dcovr
-                 + np.einsum("nafm,nmbcde->nabcdef", gamma, covr)
-                 - np.einsum("nmfb,namcde->nabcdef", gamma, covr)
-                 - np.einsum("nmfc,nabmde->nabcdef", gamma, covr)
-                 - np.einsum("nmfd,nabcme->nabcdef", gamma, covr)
-                 - np.einsum("nmfe,nabcdm->nabcdef", gamma, covr))
-        out["cov2R"] = cov2r
-
-    if not b:
-        out = {k: v[0] for k, v in out.items()}
+        out["cov2R"] = (dcovr
+                        + np.einsum("nafm,nmbcde->nabcdef", gamma, covr)
+                        - np.einsum("nmfb,namcde->nabcdef", gamma, covr)
+                        - np.einsum("nmfc,nabmde->nabcdef", gamma, covr)
+                        - np.einsum("nmfd,nabcme->nabcdef", gamma, covr)
+                        - np.einsum("nmfe,nabcdm->nabcdef", gamma, covr))
     return out
 
 
@@ -673,10 +618,10 @@ def _signature_signs(g: np.ndarray):
 def signature_at(spec: MetricSpec, point) -> tuple[int, ...]:
     """Sorted eigenvalue signs of g at the point; Lorentz iff (-1,1,1,1)."""
     check_admissible(spec, point)
-    g = _metric_table(spec).evaluate(np.asarray(point, float)[None, :], 0)[0]
+    (g,) = _metric_table(spec).evaluate(np.asarray(point, float)[None, :], 0)
     if not np.all(np.isfinite(g)):
         _diagnose_point(spec, point, max_order=0)
-    return _signature_signs(g)
+    return _signature_signs(g[0])
 
 
 def frame_at(spec: MetricSpec, point, *, require_lorentz: bool = True,
@@ -690,26 +635,19 @@ def frame_at(spec: MetricSpec, point, *, require_lorentz: bool = True,
     if point.shape != (DIM,):
         raise MetricError("point must have 4 coordinates")
     check_admissible(spec, point)
-    table = _metric_table(spec)
-    pts = point[None, :]
-    g = table.evaluate(pts, 0)[0]
-    dg = table.evaluate(pts, 1)[0]
-    d2g = table.evaluate(pts, 2)[0]
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(dg))
-            and np.all(np.isfinite(d2g))):
-        _diagnose_point(spec, point)
-    gmax = float(np.max(np.abs(g)))
-    det = float(np.linalg.det(g))
-    if abs(det) <= DEGENERACY_TOL * max(gmax, 1e-300) ** 4:
-        raise DegenerateMetricError(f"det g = {det:.3e} at {point.tolist()}")
+    jets = _metric_table(spec).evaluate(point[None, :], 2)
+    if not _valid_rows(jets)[0]:
+        _raise_invalid(spec, point, jets)
+    g, dg = jets[0][0], jets[1][0]
     if require_lorentz:
         signs = _signature_signs(g)
         if signs != (-1, 1, 1, 1):
             raise SignatureError(f"signature {signs} is not Lorentz")
-    arrs = _riemann_derivative_stack(g, dg, d2g, sign=_curvature_sign)
-    frame = PointFrame(g, arrs["R"], point=point, spec=spec,
-                       gamma=arrs["gamma"], dg=dg,
+    stack = _riemann_derivative_stack(jets, _curvature_sign)
+    frame = PointFrame(g, stack["R"][0], point=point, spec=spec,
+                       gamma=stack["gamma"][0], dg=dg,
                        curvature_sign=_curvature_sign)
+    frame._cache["stack"] = stack
     return frame
 
 
@@ -731,5 +669,5 @@ def cov_deriv_sym2_at(spec: MetricSpec, field, point) -> np.ndarray:
             if comps[a][b_] != comps[b_][a]:
                 raise MetricError("field must be symmetric")
     check_admissible(spec, point)
-    _, cov = sym2_cov_deriv_batch(spec, comps, np.asarray(point, float)[None, :])
+    _, cov = cov_deriv_batch(spec, comps, np.asarray(point, float)[None, :])
     return cov[0]

@@ -24,9 +24,9 @@ from .exprdsl import (
     sub,
 )
 from .pointcalc import (
-    DIM, MetricSpec, PointFrame, admissible_mask, christoffel_batch,
-    eval_oneform_batch, eval_sym2_batch, frame_at, metric_spec,
-    oneform_cov_deriv_batch, sample_points, sym2_cov_deriv_batch,
+    DIM, MetricSpec, PointFrame, _field_table, admissible_mask,
+    christoffel_batch, cov_deriv_batch, eval_field_batch, frame_at,
+    metric_spec, require_valid, sample_points,
 )
 
 __all__ = [
@@ -137,14 +137,12 @@ def check_pair_wellformed(pair: SinyukovPair, points,
             if pair.a[i][j] != pair.a[j][i]:
                 raise InversionError("a must be symmetric")
     pts = np.atleast_2d(np.asarray(points, float))
-    a_vals = eval_sym2_batch(spec, pair.a, pts)
+    a_vals = eval_field_batch(spec, pair.a, pts)
     dets = np.linalg.det(a_vals)
     amax = np.max(np.abs(a_vals), axis=(1, 2))
     if np.any(np.abs(dets) <= 1e-12 * np.maximum(amax, 1e-300) ** 4):
         raise InversionError("a is degenerate at a sample point")
-    lam = pair.lam_exprs()
-    from .pointcalc import _oneform_table
-    dlam = _oneform_table(spec, tuple(lam)).evaluate(pts, 1)
+    _, dlam = _field_table(spec, pair.lam_exprs()).evaluate(pts, 1)
     curl = dlam - dlam.transpose(0, 2, 1)
     scale = max(1.0, float(np.max(np.abs(dlam))))
     if float(np.max(np.abs(curl))) > tol * scale:
@@ -164,9 +162,9 @@ def sinyukov_residual(pair: SinyukovPair, points) -> float:
     pts = pts[ok]
     if not len(pts):
         raise InversionError("no admissible points supplied")
-    a_vals, cov = sym2_cov_deriv_batch(spec, pair.a, pts)
-    lam = eval_oneform_batch(spec, pair.lam_exprs(), pts)
-    g = eval_sym2_batch(spec, spec.g, pts)
+    a_vals, cov = cov_deriv_batch(spec, pair.a, pts)
+    lam = eval_field_batch(spec, pair.lam_exprs(), pts)
+    g = eval_field_batch(spec, spec.g, pts)
     rhs = (np.einsum("nac,nb->nabc", g, lam)
            + np.einsum("nbc,na->nabc", g, lam))
     amax = max(float(np.max(np.abs(a_vals))), 1e-300)
@@ -179,8 +177,10 @@ def psi_from_connections(g_spec: MetricSpec, gp_spec: MetricSpec,
     if gp_spec.coords != g_spec.coords:
         raise InversionError("metrics must share coordinates")
     pts = np.atleast_2d(np.asarray(points, float))
-    _, _, gamma = christoffel_batch(g_spec, pts)
-    _, _, gamma_p = christoffel_batch(gp_spec, pts)
+    gamma, ok = christoffel_batch(g_spec, pts)
+    require_valid(g_spec, pts, ok)
+    gamma_p, ok = christoffel_batch(gp_spec, pts)
+    require_valid(gp_spec, pts, ok)
     return (np.einsum("naba->nb", gamma_p) - np.einsum("naba->nb", gamma)) / 5.0
 
 
@@ -189,11 +189,11 @@ def projective_residual(g_spec: MetricSpec, gp_spec: MetricSpec, psi,
     """Residual of g'_ab;c = 2 g'_ab psi_c + g'_ac psi_b + g'_bc psi_a,
     the semicolon derivative taken with the connection of g."""
     pts = np.atleast_2d(np.asarray(points, float))
-    gp_vals, cov = sym2_cov_deriv_batch(g_spec, gp_spec.g, pts)
+    gp_vals, cov = cov_deriv_batch(g_spec, gp_spec.g, pts)
     if isinstance(psi, np.ndarray):
         psi_vals = psi
     else:
-        psi_vals = eval_oneform_batch(g_spec, tuple(psi), pts)
+        psi_vals = eval_field_batch(g_spec, tuple(psi), pts)
     rhs = (2.0 * np.einsum("nab,nc->nabc", gp_vals, psi_vals)
            + np.einsum("nac,nb->nabc", gp_vals, psi_vals)
            + np.einsum("nbc,na->nabc", gp_vals, psi_vals))
@@ -207,7 +207,7 @@ def curvature_relation_residual(g_spec: MetricSpec, gp_spec: MetricSpec,
     and its Ricci contraction R'_ab = R_ab - 3 psi_ab, where
     psi_ab = psi_a;b - psi_a psi_b."""
     pts = np.atleast_2d(np.asarray(points, float))
-    psi_vals, cov_psi = oneform_cov_deriv_batch(g_spec, tuple(psi), pts)
+    psi_vals, cov_psi = cov_deriv_batch(g_spec, tuple(psi), pts)
     psi_ab = cov_psi - np.einsum("na,nb->nab", psi_vals, psi_vals)
     delta = np.eye(4)
     worst14 = worst_ric = 0.0
@@ -277,8 +277,8 @@ def invert_pair(pair: SinyukovPair, points=None, seed: int = 7,
     adjg = sym_adjugate4(spec.g)
 
     # constant sign of det a / det g on the (connected) sample domain
-    a0 = eval_sym2_batch(spec, pair.a, pts[:1])[0]
-    g0 = eval_sym2_batch(spec, spec.g, pts[:1])[0]
+    a0 = eval_field_batch(spec, pair.a, pts[:1])[0]
+    g0 = eval_field_batch(spec, spec.g, pts[:1])[0]
     s = 1.0 if np.linalg.det(a0) / np.linalg.det(g0) > 0 else -1.0
     sgn = const(int(s))
 
@@ -314,8 +314,8 @@ def invert_pair(pair: SinyukovPair, points=None, seed: int = 7,
 
     # consistency: d(chi) = psi at the sample points
     dchi = tuple(differentiate(chi, c) for c in spec.coords)
-    dchi_vals = eval_oneform_batch(spec, dchi, pts)
-    psi_vals = eval_oneform_batch(spec, psi, pts)
+    dchi_vals = eval_field_batch(spec, dchi, pts)
+    psi_vals = eval_field_batch(spec, psi, pts)
     scale = max(1.0, float(np.max(np.abs(psi_vals))))
     worst = float(np.max(np.abs(dchi_vals - psi_vals)))
     if worst > tol * scale:
@@ -328,8 +328,8 @@ def invert_pair(pair: SinyukovPair, points=None, seed: int = 7,
 
 def _assert_aux_connection(spec, pair, psi_vals, pts, tol: float = 1e-8):
     """nabla'' a = 0 for Gamma''^a_bc = Gamma^a_bc - psi^a g_bc."""
-    a_vals, cov = sym2_cov_deriv_batch(spec, pair.a, pts)
-    g = eval_sym2_batch(spec, spec.g, pts)
+    a_vals, cov = cov_deriv_batch(spec, pair.a, pts)
+    g = eval_field_batch(spec, spec.g, pts)
     ginv = np.linalg.inv(g)
     psi_up = np.einsum("nab,nb->na", ginv, psi_vals)
     corr = (np.einsum("ne,nca,neb->nabc", psi_up, g, a_vals)
@@ -350,13 +350,13 @@ def lemma1_checks(g_spec: MetricSpec, pair: SinyukovPair, points):
     (b) residual of lam_d R^d_abc, (c) residual of the theorem-1 form
     a_ae R^e_bcd + a_be R^e_acd.  Returns (c, res_a, res_b, res_c)."""
     pts = np.atleast_2d(np.asarray(points, float))
-    lam_vals, cov_lam = oneform_cov_deriv_batch(g_spec, pair.lam_exprs(), pts)
-    g = eval_sym2_batch(g_spec, g_spec.g, pts)
+    lam_vals, cov_lam = cov_deriv_batch(g_spec, pair.lam_exprs(), pts)
+    g = eval_field_batch(g_spec, g_spec.g, pts)
     c_fit = (float(np.sum(cov_lam * g)) / float(np.sum(g * g)))
     res_a = float(np.max(np.abs(cov_lam - c_fit * g)))
     res_a /= max(1.0, float(np.max(np.abs(cov_lam))))
 
-    a_vals = eval_sym2_batch(g_spec, pair.a, pts)
+    a_vals = eval_field_batch(g_spec, pair.a, pts)
     res_b = res_c = 0.0
     scale_b = scale_c = 1.0
     for k, pt in enumerate(pts):
@@ -384,27 +384,7 @@ class GeodesicReport:
     trials: int
     steps: int
     truncated: list[int] = field(default_factory=list)  # trial -> step
-
-
-def _gamma_masked(spec: MetricSpec, pts: np.ndarray):
-    """Christoffels with a per-row validity mask instead of raising."""
-    from .pointcalc import _metric_table
-    table = _metric_table(spec)
-    ok = admissible_mask(spec, pts)
-    g = table.evaluate(pts, 0)
-    dg = table.evaluate(pts, 1)
-    flat_ok = (np.all(np.isfinite(g.reshape(len(pts), -1)), axis=1)
-               & np.all(np.isfinite(dg.reshape(len(pts), -1)), axis=1))
-    ok = ok & flat_ok
-    g[~ok] = np.eye(4)  # placeholder, masked out by callers
-    dg[~ok] = 0.0
-    dets = np.abs(np.linalg.det(g))
-    ok &= dets > 1e-12 * np.maximum(np.max(np.abs(g), axis=(1, 2)), 1e-300) ** 4
-    g[~ok] = np.eye(4)
-    ginv = np.linalg.inv(g)
-    s = dg.transpose(0, 1, 3, 2) + dg - dg.transpose(0, 3, 1, 2)
-    gamma = 0.5 * np.einsum("nad,ndbc->nabc", ginv, s)
-    return gamma, ok
+    scored: int = 0  # (trial, step) pairs that entered the score
 
 
 def pregeodesic_check(g_spec: MetricSpec, gp_spec: MetricSpec,
@@ -418,6 +398,8 @@ def pregeodesic_check(g_spec: MetricSpec, gp_spec: MetricSpec,
     xdd^a = -Gamma^a_bc xd^b xd^c; the score is the Euclideanised norm of
     A' ^ xd over (|A'| |xd| + machine epsilon), maximised over trials and
     steps.  Projectively related pairs give A' parallel to xd exactly.
+    A trajectory is truncated where either metric's Christoffels are
+    invalid or the point leaves either metric's domain.
     """
     if gp_spec.coords != g_spec.coords:
         raise InversionError("metrics must share coordinates")
@@ -434,20 +416,26 @@ def pregeodesic_check(g_spec: MetricSpec, gp_spec: MetricSpec,
     active = np.ones(trials, dtype=bool)
     truncated: dict[int, int] = {}
     score = 0.0
+    scored = 0
     eps = np.finfo(float).eps
 
     def acc(gamma, vel):
         return -np.einsum("nabc,nb,nc->na", gamma, vel, vel)
 
+    def christoffel(spec, pts):
+        gamma, ok = christoffel_batch(spec, pts)
+        return gamma, ok & admissible_mask(spec, pts)
+
     for step in range(steps):
-        gamma, ok = _gamma_masked(g_spec, x)
-        gamma_p, ok_p = _gamma_masked(gp_spec, x)
+        gamma, ok = christoffel(g_spec, x)
+        gamma_p, ok_p = christoffel(gp_spec, x)
         newly_dead = active & ~(ok & ok_p)
         for idx in np.where(newly_dead)[0]:
             truncated[int(idx)] = step
         active &= ok & ok_p
         if not np.any(active):
             break
+        scored += int(np.count_nonzero(active))
         a_prime = acc(gamma_p - gamma, v) * -1.0  # (Gamma' - Gamma) v v
         wedge = (np.einsum("na,nb->nab", a_prime, v)
                  - np.einsum("na,nb->nab", a_prime, v).transpose(0, 2, 1))
@@ -459,11 +447,11 @@ def pregeodesic_check(g_spec: MetricSpec, gp_spec: MetricSpec,
 
         # RK4 on (x, v)
         k1x, k1v = v, acc(gamma, v)
-        g2, ok2 = _gamma_masked(g_spec, x + 0.5 * h * k1x)
+        g2, ok2 = christoffel(g_spec, x + 0.5 * h * k1x)
         k2x, k2v = v + 0.5 * h * k1v, acc(g2, v + 0.5 * h * k1v)
-        g3, ok3 = _gamma_masked(g_spec, x + 0.5 * h * k2x)
+        g3, ok3 = christoffel(g_spec, x + 0.5 * h * k2x)
         k3x, k3v = v + 0.5 * h * k2v, acc(g3, v + 0.5 * h * k2v)
-        g4, ok4 = _gamma_masked(g_spec, x + h * k3x)
+        g4, ok4 = christoffel(g_spec, x + h * k3x)
         k4x, k4v = v + h * k3v, acc(g4, v + h * k3v)
         stage_ok = ok2 & ok3 & ok4
         newly_dead = active & ~stage_ok
@@ -475,4 +463,4 @@ def pregeodesic_check(g_spec: MetricSpec, gp_spec: MetricSpec,
         v = np.where(upd, v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v), v)
 
     return GeodesicReport(score, trials, steps,
-                          sorted(truncated.items()))
+                          sorted(truncated.items()), scored)

@@ -16,7 +16,7 @@ from lorhol.fixtures import (
 )
 from lorhol.holonomy import TYPE_DIMENSIONS, holonomy_survey, identify_type
 from lorhol.pointcalc import (
-    PointFrame, eval_oneform_batch, eval_sym2_batch, frame_at, metric_spec,
+    PointFrame, eval_field_batch, frame_at, metric_spec,
     sample_points,
 )
 from lorhol.projective import (
@@ -46,8 +46,8 @@ def chi_partner_match(bundle, pts, tol_chi=1e-9, tol_gp=1e-8):
     chi_want = np.array([eval_expr(bundle.expected_chi, p, coords, params)
                          for p in pts])
     assert np.max(np.abs(chi_got - chi_want)) < tol_chi
-    gp_got = eval_sym2_batch(bundle.g, pp.partner.g, pts)
-    gp_want = eval_sym2_batch(bundle.g, bundle.expected_partner.g, pts)
+    gp_got = eval_field_batch(bundle.g, pp.partner.g, pts)
+    gp_want = eval_field_batch(bundle.g, bundle.expected_partner.g, pts)
     scale = max(1.0, float(np.max(np.abs(gp_want))))
     assert np.max(np.abs(gp_got - gp_want)) < tol_gp * scale
     return pp

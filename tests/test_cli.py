@@ -196,6 +196,44 @@ class TestGeodesicCheck:
         assert rep2["score"] > 1e-2
 
 
+class TestDegenerateSecondMetric:
+    """A second metric that is degenerate at the sample points: a zero
+    row, or g_yy = 1e-30 u next to O(1) entries."""
+
+    @pytest.fixture(params=["zero-row", "tiny-gyy"])
+    def degenerate(self, request, emitted, tmp_path):
+        files = emitted("r9")
+        data = json.loads(open(files["g"]).read())
+        if request.param == "zero-row":
+            data["metric"][3] = ["0", "0", "0", "0"]
+        else:
+            data["metric"][3][3] = "1e-30*u"
+        path = tmp_path / f"{request.param}.json"
+        path.write_text(json.dumps(data))
+        return files, str(path)
+
+    def test_auto_psi_reports_degenerate_metric(self, runner, degenerate):
+        files, bad = degenerate
+        res, report = run_json(runner, ["projective-check", "-m", files["g"],
+                                        "-M", bad, "--auto-psi",
+                                        "--samples", "4"])
+        assert res.exit_code == 2 and report is None
+        assert res.output.startswith("error: det g = ")
+        assert " at [" in res.output
+
+    def test_geodesic_check_fails_when_nothing_is_scored(self, runner,
+                                                         degenerate):
+        files, bad = degenerate
+        res, report = run_json(runner, ["geodesic-check", "-m", files["g"],
+                                        "-M", bad, "--trials", "3",
+                                        "--steps", "10", "--horizon", "0.1"])
+        assert res.exit_code == 1
+        assert report["score"] == 0.0
+        assert report["aggregate"]["verdict"] == "fail"
+        assert report["truncated"] == [{"trial": t, "step": 0}
+                                       for t in range(3)]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
         ["classify", "--samples", "6"],

@@ -10,7 +10,7 @@ from lorhol.fixtures import (
 )
 from lorhol.holonomy import holonomy_survey
 from lorhol.pointcalc import (
-    eval_oneform_batch, eval_sym2_batch, frame_at, sample_points,
+    eval_field_batch, frame_at, sample_points,
     signature_at,
 )
 from lorhol.projective import invert_pair, sinyukov_residual
@@ -25,8 +25,8 @@ def bundle_closes(bundle, n=40, seed=11, tol_chi=1e-9, tol_gp=1e-8):
     chi_want = np.array([eval_expr(bundle.expected_chi, p, bundle.g.coords,
                                    bundle.g.params) for p in pts])
     assert np.max(np.abs(chi_got - chi_want)) < tol_chi
-    gp_got = eval_sym2_batch(bundle.g, pp.partner.g, pts)
-    gp_want = eval_sym2_batch(bundle.g, bundle.expected_partner.g, pts)
+    gp_got = eval_field_batch(bundle.g, pp.partner.g, pts)
+    gp_want = eval_field_batch(bundle.g, bundle.expected_partner.g, pts)
     scale = max(1.0, float(np.max(np.abs(gp_want))))
     assert np.max(np.abs(gp_got - gp_want)) < tol_gp * scale
 
@@ -62,18 +62,18 @@ class TestWaveband:
     def test_c_zero_lambda_is_constant_multiple_of_null_direction(self):
         b = fixture_r11(c=0.0, e1=1.0, e2=0.0)
         pts = sample_points(b.g, 10, seed=2)
-        lam = eval_oneform_batch(b.g, b.pair.lam, pts)
+        lam = eval_field_batch(b.g, b.pair.lam, pts)
         np.testing.assert_allclose(lam[:, 0], 1.0)  # du component
         assert np.max(np.abs(lam[:, 1:])) == 0.0
 
     def test_all_deformations_off_gives_identity_pair(self):
         b = fixture_r11(c=0.0, e1=0.0, e2=0.0)
         pts = sample_points(b.g, 5, seed=2)
-        a_vals = eval_sym2_batch(b.g, b.pair.a, pts)
-        g_vals = eval_sym2_batch(b.g, b.g.g, pts)
+        a_vals = eval_field_batch(b.g, b.pair.a, pts)
+        g_vals = eval_field_batch(b.g, b.g.g, pts)
         assert np.max(np.abs(a_vals - g_vals)) == 0.0
         pp = invert_pair(b.pair, pts)
-        gp = eval_sym2_batch(b.g, pp.partner.g, pts)
+        gp = eval_field_batch(b.g, pp.partner.g, pts)
         assert np.max(np.abs(gp - g_vals)) < 1e-12
 
 
@@ -87,8 +87,8 @@ class TestCylinder:
     def test_all_deformations_off_gives_identity_pair(self):
         b = fixture_r10_r13(-1, 1, c=0.0, c2=0.0, c3=0.0)
         pts = sample_points(b.g, 5, seed=2)
-        a_vals = eval_sym2_batch(b.g, b.pair.a, pts)
-        g_vals = eval_sym2_batch(b.g, b.g.g, pts)
+        a_vals = eval_field_batch(b.g, b.pair.a, pts)
+        g_vals = eval_field_batch(b.g, b.g.g, pts)
         assert np.max(np.abs(a_vals - g_vals)) == 0.0
 
     def test_both_plus_uses_lorentz_sector(self):

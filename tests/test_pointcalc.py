@@ -259,13 +259,13 @@ class TestCurvatureSignConvention:
         # curvature relation closing on the fixture pairs; flipping it
         # must break the round trip loudly
         from lorhol.fixtures import named_fixture
-        from lorhol.pointcalc import oneform_cov_deriv_batch
+        from lorhol.pointcalc import cov_deriv_batch
         from lorhol.projective import invert_pair
 
         bundle = named_fixture("r9")
         pts = sample_points(bundle.g, 5, seed=2)
         pp = invert_pair(bundle.pair, pts)
-        psi_vals, cov_psi = oneform_cov_deriv_batch(bundle.g, pp.psi, pts)
+        psi_vals, cov_psi = cov_deriv_batch(bundle.g, pp.psi, pts)
         psi_ab = cov_psi - np.einsum("na,nb->nab", psi_vals, psi_vals)
         delta = np.eye(4)
         worst = {}
@@ -296,3 +296,99 @@ class TestCurvatureSignConvention:
                 + np.einsum("mdef,abcm->abcdef", r, r))
         scale = max(1.0, np.max(np.abs(want)))
         assert np.max(np.abs(comm - want)) < 1e-8 * scale
+
+
+class TestChristoffelKernel:
+    # rows: good, non-finite jets (sqrt of a negative v), inadmissible
+    # (u < 0, jets finite), degenerate (g_xx = x^2 = 0), good again
+    PTS = np.array([[1.0, 1.0, 0.5, 0.2], [1.0, -1.0, 0.5, 0.2],
+                    [-1.0, 1.0, 0.5, 0.2], [1.0, 1.0, 0.0, 0.2],
+                    [0.7, 1.3, -0.4, 0.1]])
+
+    @staticmethod
+    def spec():
+        return metric_spec(UVXY, [["-1 - u^2"], ["0", "1"],
+                                  ["0", "0", "x^2"],
+                                  ["0", "0", "0", "sqrt(v)*exp(y)"]],
+                           constraints=["u"])
+
+    def test_mask_flags_exactly_the_bad_rows(self):
+        from lorhol.pointcalc import _metric_table, admissible_mask, \
+            christoffel_batch
+        spec = self.spec()
+        gamma, ok = christoffel_batch(spec, self.PTS)
+        assert ok.tolist() == [True, False, True, False, True]
+        assert (ok & admissible_mask(spec, self.PTS)).tolist() == [
+            True, False, False, False, True]
+        assert np.all(gamma[~ok] == 0.0)
+        # the Christoffel formula assembled as before the kernel merge,
+        # on the rows with valid jets: equal bit for bit
+        good = self.PTS[ok]
+        g, dg = _metric_table(spec).evaluate(good, 1)
+        ginv = np.linalg.inv(g)
+        s = dg.transpose(0, 1, 3, 2) + dg - dg.transpose(0, 3, 1, 2)
+        want = 0.5 * np.einsum("nad,ndbc->nabc", ginv, s)
+        assert np.array_equal(gamma[ok], want)
+
+    def test_raising_helper_reports_first_bad_row(self):
+        from lorhol.pointcalc import christoffel_batch, require_valid
+        spec = self.spec()
+        gamma, ok = christoffel_batch(spec, self.PTS)
+        with pytest.raises(DomainError):
+            require_valid(spec, self.PTS, ok)
+        pts = self.PTS[[0, 3, 1]]
+        gamma, ok = christoffel_batch(spec, pts)
+        with pytest.raises(DegenerateMetricError,
+                           match=r"det g = 0\.000e\+00 at \[1\.0, 1\.0, 0\.0, 0\.2\]"):
+            require_valid(spec, pts, ok)
+        # inadmissible but finite and non-degenerate: no error
+        pts = self.PTS[[0, 2, 4]]
+        gamma, ok = christoffel_batch(spec, pts)
+        require_valid(spec, pts, ok)
+
+    def test_cov_deriv_raises_on_degenerate_metric(self):
+        from lorhol.pointcalc import cov_deriv_batch
+        spec = self.spec()
+        with pytest.raises(DegenerateMetricError, match="det g = "):
+            cov_deriv_batch(spec, spec.g, self.PTS[[0, 3]])
+
+
+def _eval_once(e, point, spec, memo):
+    """eval_expr of ``e`` with each shared subexpression walked once: a
+    node's children enter as constants holding their values, which is
+    exact because a float round-trips through Fraction."""
+    from lorhol.exprdsl import Const, Expr, eval_expr
+    if e not in memo:
+        fields = [Const(_eval_once(f, point, spec, memo))
+                  if isinstance(f, Expr) else f
+                  for f in (getattr(e, n) for n in e._fields)]
+        memo[e] = eval_expr(type(e)(*fields), point, spec.coords,
+                            spec.params)
+    return memo[e]
+
+
+@pytest.mark.parametrize("field", ["a", "lam"])
+def test_jet_table_scatter_matches_derivative_chains(field):
+    # every index permutation of orders 0..3 against eval_expr of
+    # differentiate applied in that permutation's order
+    from lorhol.exprdsl import differentiate
+    from lorhol.fixtures import named_fixture
+    from lorhol.pointcalc import _field_table
+
+    pair = named_fixture("r9").pair
+    spec = pair.base
+    comps = pair.a if field == "a" else pair.lam_exprs()
+    rank = 2 if field == "a" else 1
+    point = sample_points(spec, 1, seed=5)
+    jets = _field_table(spec, comps).evaluate(point, 3)
+    assert len(jets) == 4
+    memo = {}
+    for order, arr in enumerate(jets):
+        assert arr.shape == (1,) + (4,) * (rank + order)
+        for idx in np.ndindex(arr.shape[1:]):
+            e = comps[idx[0]] if rank == 1 else comps[idx[0]][idx[1]]
+            for c in idx[rank:]:
+                e = differentiate(e, spec.coords[c])
+            want = _eval_once(e, point[0], spec, memo)
+            assert arr[(0,) + idx] == pytest.approx(want, rel=1e-12,
+                                                    abs=1e-12), idx

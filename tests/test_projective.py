@@ -4,7 +4,7 @@ import pytest
 from lorhol.exprdsl import eval_expr, parse_expr
 from lorhol.fixtures import fixture_minkowski, fixture_r9_r14, named_fixture
 from lorhol.pointcalc import (
-    eval_oneform_batch, eval_sym2_batch, frame_at, metric_spec,
+    eval_field_batch, frame_at, metric_spec,
     sample_points,
 )
 from lorhol.projective import (
@@ -34,7 +34,7 @@ class TestLambdaFromTrace:
         b = fixture_minkowski()
         lam = lambda_from_trace(SinyukovPair(b.g, b.g.g, None))
         pts = pts_for(b, 5)
-        vals = eval_oneform_batch(b.g, lam, pts)
+        vals = eval_field_batch(b.g, lam, pts)
         assert np.max(np.abs(vals)) == 0.0
 
     def test_waveband_matches_paper_closed_form(self, waveband):
@@ -42,8 +42,8 @@ class TestLambdaFromTrace:
         lam = lambda_from_trace(
             SinyukovPair(waveband.g, waveband.pair.a, None))
         pts = pts_for(waveband, 10)
-        got = eval_oneform_batch(waveband.g, lam, pts)
-        want = eval_oneform_batch(waveband.g, waveband.pair.lam, pts)
+        got = eval_field_batch(waveband.g, lam, pts)
+        want = eval_field_batch(waveband.g, waveband.pair.lam, pts)
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_appendix_trace_lambda_closes_residual(self, appendix):
@@ -84,11 +84,11 @@ class TestInvertPair:
         b = fixture_minkowski()
         pp = invert_pair(b.pair, pts_for(b, 10))
         pts = pts_for(b, 10)
-        assert np.max(np.abs(eval_oneform_batch(b.g, pp.psi, pts))) < 1e-14
+        assert np.max(np.abs(eval_field_batch(b.g, pp.psi, pts))) < 1e-14
         chi_vals = [eval_expr(pp.chi, p, b.g.coords, b.g.params) for p in pts]
         assert np.max(np.abs(chi_vals)) < 1e-14
-        gp = eval_sym2_batch(b.g, pp.partner.g, pts)
-        g = eval_sym2_batch(b.g, b.g.g, pts)
+        gp = eval_field_batch(b.g, pp.partner.g, pts)
+        g = eval_field_batch(b.g, b.g.g, pts)
         assert np.max(np.abs(gp - g)) < 1e-14
 
     def test_constant_conformal_pair(self):
@@ -110,8 +110,8 @@ class TestInvertPair:
         pp = invert_pair(pair, pts)
         chi = eval_expr(pp.chi, pts[0], coords, spec.params)
         assert chi == pytest.approx(-2 * np.log(phi), rel=1e-12)
-        gp = eval_sym2_batch(spec, pp.partner.g, pts)
-        g = eval_sym2_batch(spec, spec.g, pts)
+        gp = eval_field_batch(spec, pp.partner.g, pts)
+        g = eval_field_batch(spec, spec.g, pts)
         assert np.max(np.abs(gp - phi ** -5 * g)) < 1e-12
 
     def test_appendix_reproduces_expected_closed_forms(self, appendix):
@@ -123,8 +123,8 @@ class TestInvertPair:
                                        appendix.g.coords, appendix.g.params)
                              for p in pts])
         assert np.max(np.abs(chi_got - chi_want)) < 1e-9
-        gp_got = eval_sym2_batch(appendix.g, pp.partner.g, pts)
-        gp_want = eval_sym2_batch(appendix.g, appendix.expected_partner.g, pts)
+        gp_got = eval_field_batch(appendix.g, pp.partner.g, pts)
+        gp_want = eval_field_batch(appendix.g, appendix.expected_partner.g, pts)
         scale = np.max(np.abs(gp_want))
         assert np.max(np.abs(gp_got - gp_want)) < 1e-8 * scale
 
@@ -135,16 +135,16 @@ class TestInvertPair:
         pp = invert_pair(appendix.pair, pts)
         chi_vals = np.array([eval_expr(pp.chi, p, appendix.g.coords,
                                        appendix.g.params) for p in pts])
-        gp = eval_sym2_batch(appendix.g, pp.partner.g, pts)
-        g = eval_sym2_batch(appendix.g, appendix.g.g, pts)
-        a_want = eval_sym2_batch(appendix.g, appendix.pair.a, pts)
+        gp = eval_field_batch(appendix.g, pp.partner.g, pts)
+        g = eval_field_batch(appendix.g, appendix.g.g, pts)
+        a_want = eval_field_batch(appendix.g, appendix.pair.a, pts)
         gp_up = np.linalg.inv(gp)
         a_got = np.exp(2 * chi_vals)[:, None, None] * np.einsum(
             "ncd,nac,nbd->nab", gp_up, g, g)
         assert np.max(np.abs(a_got - a_want)) < 1e-9 * np.max(np.abs(a_want))
-        lam_want = eval_oneform_batch(appendix.g, appendix.pair.lam_exprs(),
+        lam_want = eval_field_batch(appendix.g, appendix.pair.lam_exprs(),
                                       pts)
-        psi_vals = eval_oneform_batch(appendix.g, pp.psi, pts)
+        psi_vals = eval_field_batch(appendix.g, pp.psi, pts)
         psi_up = np.einsum("nbc,nc->nb", np.linalg.inv(g), psi_vals)
         lam_got = -np.einsum("nab,nb->na", a_got, psi_up)
         scale = max(1.0, float(np.max(np.abs(lam_want))))
@@ -178,7 +178,7 @@ class TestPsiFromConnections:
         pts = pts_for(bundle, 20)
         pp = invert_pair(bundle.pair, pts)
         got = psi_from_connections(bundle.g, pp.partner, pts)
-        want = eval_oneform_batch(bundle.g, pp.psi, pts)
+        want = eval_field_batch(bundle.g, pp.psi, pts)
         assert np.max(np.abs(got - want)) < 1e-9
 
     def test_constant_conformal_gives_zero(self):
@@ -315,3 +315,19 @@ class TestPregeodesic:
         rep = pregeodesic_check(b.g, b.g, trials=8, steps=300, horizon=3.0,
                                 seed=3, box=wide)
         assert rep.truncated  # at least one trial left v > 0
+
+    def test_scored_pairs_counted(self, appendix):
+        rep = pregeodesic_check(appendix.g, appendix.g, trials=3, steps=20,
+                                horizon=0.1, seed=7)
+        assert not rep.truncated and rep.scored == 3 * 20
+        # a second metric with a zero row is degenerate at every start
+        # point: every trial stops at step 0 and nothing is scored
+        rows = [list(r[:i + 1]) for i, r in enumerate(appendix.g.g)]
+        rows[3] = ["0"] * 4
+        flat_y = metric_spec(appendix.g.coords, rows,
+                             params=appendix.g.params,
+                             sample_box=appendix.g.sample_box)
+        rep = pregeodesic_check(appendix.g, flat_y, trials=3, steps=20,
+                                horizon=0.1, seed=7)
+        assert rep.scored == 0 and rep.score == 0.0
+        assert rep.truncated == [(0, 0), (1, 0), (2, 0)]
