@@ -7,7 +7,9 @@ against the ``src/`` of the checkout that holds this script:
 
     derive-partner; classify, holonomy --order 0/1/2 on g and on the
     derived partner; projective-check with -a and with --auto-psi;
-    weyl-projective; sinyukov-check; a short geodesic-check.
+    weyl-projective; sinyukov-check; a short geodesic-check of g
+    against the partner and against itself, and a long one (20 trials x
+    400 steps) of g against the partner.
 
 Every line reads ``name stdout-sha256 stderr-sha256 exit file-sha256``
 (the file digest is the written partner file, or ``-``).  Paths are
@@ -51,9 +53,15 @@ def commands(fixture: str, seed: int):
     yield ("weyl-projective", ["weyl-projective", "-m", g, "-M", partner,
                                *s], None)
     yield ("sinyukov-check", ["sinyukov-check", "-m", g, "-a", a, *s], None)
+    short = ["--trials", "4", "--steps", "50", "--horizon", "0.1"]
     yield ("geodesic-check", ["geodesic-check", "-m", g, "-M", partner,
-                              "--trials", "4", "--steps", "50",
-                              "--horizon", "0.1", *s], None)
+                              *short, *s], None)
+    yield ("geodesic-check:self", ["geodesic-check", "-m", g, "-M", g,
+                                   *short, *s], None)
+    # long enough that trajectories leave the domain and truncate
+    yield ("geodesic-check:long", ["geodesic-check", "-m", g, "-M", partner,
+                                   "--trials", "20", "--steps", "400",
+                                   "--horizon", "2", *s], None)
 
 
 def main() -> int:

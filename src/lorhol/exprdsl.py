@@ -789,17 +789,19 @@ def compile_program(exprs: Sequence[Expr], coords: Sequence[str],
                     param_names: Sequence[str]):
     """Compile expressions into one vectorised evaluator with parameters
     passed at call time: f(points (n,4), values (len(param_names),))
-    returns (len(exprs), n).  Domain violations surface as non-finite
-    entries; callers wanting precise errors fall back on eval_expr."""
+    returns (len(exprs), n).  The emitted code writes each expression's
+    row straight into the preallocated result.  Domain violations surface
+    as non-finite entries; callers wanting precise errors fall back on
+    eval_expr."""
     names = {c: f"_c{i}" for i, c in enumerate(coords)}
     names.update({p: f"_p{i}" for i, p in enumerate(param_names)})
     em = _Emitter(names)
     outs = [em.ref(e) for e in exprs]
-    args = [f"_c{i}" for i in range(len(coords))]
+    em.lines += [f"    _out[{k}] = {v}" for k, v in enumerate(outs)]
+    args = ["_out"] + [f"_c{i}" for i in range(len(coords))]
     args += [f"_p{i}" for i in range(len(param_names))]
-    src = "def _f({}):\n{}\n    return [{}]\n".format(
-        ", ".join(args), "\n".join(em.lines) or "    pass",
-        ", ".join(outs))
+    src = "def _f({}):\n{}\n".format(
+        ", ".join(args), "\n".join(em.lines) or "    pass")
     namespace = dict(_COMPILE_GLOBALS)
     exec(compile(src, "<lorhol-expr>", "exec"), namespace)  # noqa: S102
     f = namespace["_f"]
@@ -808,12 +810,10 @@ def compile_program(exprs: Sequence[Expr], coords: Sequence[str],
 
     def evaluate(points: np.ndarray, param_values=()) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.empty((n_exprs, pts.shape[0]), dtype=float)
         cols = [pts[:, i] for i in range(n_coords)]
         with np.errstate(all="ignore"):
-            vals = f(*cols, *[float(v) for v in param_values])
-        out = np.empty((n_exprs, pts.shape[0]), dtype=float)
-        for k, v in enumerate(vals):
-            out[k] = v
+            f(out, *cols, *[float(v) for v in param_values])
         return out
 
     return evaluate

@@ -150,8 +150,10 @@ class _JetTable:
     upper triangle is read).  The order-k array has shape
     (n,) + (4,)*rank + (4,)*k with derivative indices trailing, and
     orders 0..k come from one compiled program, so they share
-    subexpressions.  Parameter values are call-time arguments, so
-    structurally equal fields share one program across parameter draws."""
+    subexpressions; extra expressions (a metric's domain constraints) can
+    ride in the same program.  Parameter values are call-time arguments,
+    so structurally equal fields share one program across parameter
+    draws."""
 
     def __init__(self, comps: tuple, coords: Sequence[str],
                  param_names: Sequence[str]):
@@ -176,39 +178,38 @@ class _JetTable:
                             for c in range(m[-1] if m else 0, DIM)}
         return self._sym[order]
 
-    def _evaluator(self, order: int):
-        ev = self._evaluators.get(order)
+    def _evaluator(self, order: int, extra: tuple):
+        ev = self._evaluators.get((order, extra))
         if ev is not None:
             return ev
-        exprs, scatters = [], []
+        exprs, gathers = [], []
         for k in range(order + 1):
             table = self._symbolic(k)
             shape = (DIM,) * (self.rank + k)
-            positions, sources = [], []
+            # index[flat position] = the expression filling it; the
+            # permutations cover every position
+            index = np.empty(DIM ** len(shape), dtype=np.intp)
             for f, m in sorted(table):
                 for full in {p + q for p in itertools.permutations(f)
                              for q in itertools.permutations(m)}:
-                    positions.append(np.ravel_multi_index(full, shape))
-                    sources.append(len(exprs))
+                    index[np.ravel_multi_index(full, shape)] = len(exprs)
                 exprs.append(table[(f, m)])
-            scatters.append((np.asarray(positions), np.asarray(sources),
-                             shape))
-        f = compile_program(exprs, self.coords, self.param_names)
-        ev = self._evaluators[order] = (f, scatters)
+            gathers.append((index, shape))
+        f = compile_program(exprs + list(extra), self.coords,
+                            self.param_names)
+        ev = self._evaluators[(order, extra)] = (f, gathers)
         return ev
 
-    def evaluate(self, points, values, order: int) -> tuple:
-        """The arrays of orders 0..order at the points."""
-        f, scatters = self._evaluator(order)
+    def evaluate(self, points, values, order: int, extra: tuple = ()):
+        """(jets, vals): the arrays of orders 0..order at the points, and
+        the compiled (n_exprs, n) block whose last len(extra) rows are the
+        extra expressions' values."""
+        f, gathers = self._evaluator(order, extra)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = f(pts, values)  # (n_exprs, n)
+        vals = f(pts, values)
         n = pts.shape[0]
-        jets = []
-        for positions, sources, shape in scatters:
-            out = np.zeros((n, DIM ** len(shape)))
-            out[:, positions] = vals[sources].T
-            jets.append(out.reshape((n,) + shape))
-        return tuple(jets)
+        return tuple(vals[index].T.reshape((n,) + shape)
+                     for index, shape in gathers), vals
 
 
 class _Bound:
@@ -224,7 +225,7 @@ class _Bound:
         self.constraints = constraints
 
     def evaluate(self, points, order: int = 0) -> tuple:
-        return self.table.evaluate(points, self.values, order)
+        return self.table.evaluate(points, self.values, order)[0]
 
 
 @lru_cache(maxsize=512)
@@ -238,9 +239,9 @@ def _values(spec: MetricSpec) -> tuple:
 
 @lru_cache(maxsize=256)
 def _metric_table(spec: MetricSpec) -> _Bound:
-    # the one per-spec memo: the geodesic loop calls this (directly and
-    # through admissible_mask) on every RK4 stage; a spec hashes in time
-    # independent of its expression sizes (nodes hash by identity)
+    # the one per-spec memo: the geodesic loop calls this on every RK4
+    # stage; a spec hashes in time independent of its expression sizes
+    # (nodes hash by identity)
     pnames = spec.params.names()
     table = _jet_table(spec.g, spec.coords, pnames)
     constraints = (compile_program(spec.constraints, spec.coords, pnames)
@@ -317,18 +318,21 @@ def _gamma_terms(g, dg):
     return ginv, s, gamma
 
 
-def _valid_rows(jets) -> np.ndarray:
+def _valid_rows(jets, finite=None) -> np.ndarray:
     """Rows of a batch of metric jets (g, dg, ...) that are all finite and
-    whose g passes the determinant test of frame_at."""
-    n = len(jets[0])
-    ok = np.ones(n, dtype=bool)
-    for j in jets:
-        ok &= np.all(np.isfinite(j.reshape(n, -1)), axis=1)
-    g = np.where(ok[:, None, None], jets[0], np.eye(DIM))
-    gmax = np.max(np.abs(g), axis=(1, 2))
-    ok &= (np.abs(np.linalg.det(g))
-           > DEGENERACY_TOL * np.maximum(gmax, 1e-300) ** 4)
-    return ok
+    whose g passes the determinant test of frame_at.  ``finite`` is the
+    rows' finiteness if the caller has it already."""
+    if finite is None:
+        n = len(jets[0])
+        finite = np.ones(n, dtype=bool)
+        for j in jets:
+            finite &= np.all(np.isfinite(j.reshape(n, -1)), axis=1)
+    gmax = np.max(np.abs(jets[0]), axis=(1, 2))
+    # rows that are not finite are masked by ``finite``; an overflowing
+    # det or scale is inf and decides as it would unmuted
+    with np.errstate(over="ignore", invalid="ignore"):
+        return finite & (np.abs(np.linalg.det(jets[0]))
+                         > DEGENERACY_TOL * np.maximum(gmax, 1e-300) ** 4)
 
 
 def _raise_invalid(spec: MetricSpec, point, jets) -> None:
@@ -341,17 +345,24 @@ def _raise_invalid(spec: MetricSpec, point, jets) -> None:
 
 
 def christoffel_batch(spec: MetricSpec, points):
-    """Return (gamma, ok): gamma[n,a,b,c] = Gamma^a_bc batched over points,
-    and ok marks the rows with finite jets and a non-degenerate g.  Bad
-    rows hold the flat placeholder gamma = 0; domain constraints are not
-    checked here."""
+    """Return (gamma, ok, admissible): gamma[n,a,b,c] = Gamma^a_bc batched
+    over points, ok marks the rows with finite jets and a non-degenerate
+    g, and admissible the rows that admissible_mask accepts.  Rows not ok
+    hold the flat placeholder gamma = 0.  One compiled call evaluates the
+    jets and the domain constraints."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    g, dg = _metric_table(spec).evaluate(pts, 1)
-    ok = _valid_rows((g, dg))
+    bound = _metric_table(spec)
+    (g, dg), vals = bound.table.evaluate(pts, bound.values, 1,
+                                         spec.constraints)
+    finite = np.isfinite(vals)
+    m = len(vals) - len(spec.constraints)
+    admissible = (np.isfinite(pts).all(axis=1)
+                  & (finite[m:] & (vals[m:] > 0.0)).all(axis=0))
+    ok = _valid_rows((g, dg), finite[:m].all(axis=0))
     if not ok.all():
         g[~ok] = np.eye(DIM)
         dg[~ok] = 0.0
-    return _gamma_terms(g, dg)[2], ok
+    return _gamma_terms(g, dg)[2], ok, admissible
 
 
 def require_valid(spec: MetricSpec, points, ok) -> None:
@@ -376,7 +387,7 @@ def cov_deriv_batch(spec: MetricSpec, comps, points):
     bound = _field_table(spec, comps)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     t, dt = bound.evaluate(pts, 1)
-    gamma, ok = christoffel_batch(spec, pts)
+    gamma, ok, _ = christoffel_batch(spec, pts)
     require_valid(spec, pts, ok)
     if bound.table.rank == 1:
         return t, dt - np.einsum("neab,ne->nab", gamma, t)

@@ -177,9 +177,9 @@ def psi_from_connections(g_spec: MetricSpec, gp_spec: MetricSpec,
     if gp_spec.coords != g_spec.coords:
         raise InversionError("metrics must share coordinates")
     pts = np.atleast_2d(np.asarray(points, float))
-    gamma, ok = christoffel_batch(g_spec, pts)
+    gamma, ok, _ = christoffel_batch(g_spec, pts)
     require_valid(g_spec, pts, ok)
-    gamma_p, ok = christoffel_batch(gp_spec, pts)
+    gamma_p, ok, _ = christoffel_batch(gp_spec, pts)
     require_valid(gp_spec, pts, ok)
     return (np.einsum("naba->nb", gamma_p) - np.einsum("naba->nb", gamma)) / 5.0
 
@@ -383,7 +383,8 @@ class GeodesicReport:
     score: float
     trials: int
     steps: int
-    truncated: list[int] = field(default_factory=list)  # trial -> step
+    # (trial, step) pairs, by trial: where each truncated trajectory stopped
+    truncated: list[tuple[int, int]] = field(default_factory=list)
     scored: int = 0  # (trial, step) pairs that entered the score
 
 
@@ -422,17 +423,14 @@ def pregeodesic_check(g_spec: MetricSpec, gp_spec: MetricSpec,
     def acc(gamma, vel):
         return -np.einsum("nabc,nb,nc->na", gamma, vel, vel)
 
-    def christoffel(spec, pts):
-        gamma, ok = christoffel_batch(spec, pts)
-        return gamma, ok & admissible_mask(spec, pts)
-
     for step in range(steps):
-        gamma, ok = christoffel(g_spec, x)
-        gamma_p, ok_p = christoffel(gp_spec, x)
-        newly_dead = active & ~(ok & ok_p)
+        gamma, ok, inside = christoffel_batch(g_spec, x)
+        gamma_p, ok_p, inside_p = christoffel_batch(gp_spec, x)
+        live = ok & inside & ok_p & inside_p
+        newly_dead = active & ~live
         for idx in np.where(newly_dead)[0]:
             truncated[int(idx)] = step
-        active &= ok & ok_p
+        active &= live
         if not np.any(active):
             break
         scored += int(np.count_nonzero(active))
@@ -447,13 +445,13 @@ def pregeodesic_check(g_spec: MetricSpec, gp_spec: MetricSpec,
 
         # RK4 on (x, v)
         k1x, k1v = v, acc(gamma, v)
-        g2, ok2 = christoffel(g_spec, x + 0.5 * h * k1x)
+        g2, ok2, in2 = christoffel_batch(g_spec, x + 0.5 * h * k1x)
         k2x, k2v = v + 0.5 * h * k1v, acc(g2, v + 0.5 * h * k1v)
-        g3, ok3 = christoffel(g_spec, x + 0.5 * h * k2x)
+        g3, ok3, in3 = christoffel_batch(g_spec, x + 0.5 * h * k2x)
         k3x, k3v = v + 0.5 * h * k2v, acc(g3, v + 0.5 * h * k2v)
-        g4, ok4 = christoffel(g_spec, x + h * k3x)
+        g4, ok4, in4 = christoffel_batch(g_spec, x + h * k3x)
         k4x, k4v = v + h * k3v, acc(g4, v + h * k3v)
-        stage_ok = ok2 & ok3 & ok4
+        stage_ok = ok2 & in2 & ok3 & in3 & ok4 & in4
         newly_dead = active & ~stage_ok
         for idx in np.where(newly_dead)[0]:
             truncated[int(idx)] = step

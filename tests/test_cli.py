@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -194,6 +195,23 @@ class TestGeodesicCheck:
                                        "--steps", "50", "--horizon", "0.3"])
         assert res2.exit_code == 1
         assert rep2["score"] > 1e-2
+
+
+    def test_long_run_keeps_stderr_empty(self, runner, emitted, tmp_path):
+        # the determinant test overflows on these r11 trajectories; no
+        # numpy warning may reach the user's stderr
+        files = emitted("r11")
+        partner = str(tmp_path / "partner.json")
+        runner.invoke(main, ["derive-partner", "-m", files["g"], "-a",
+                             files["a"], "-o", partner])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res, report = run_json(runner, [
+                "geodesic-check", "-m", files["g"], "-M", partner,
+                "--steps", "400", "--horizon", "2", "--seed", "1"])
+        assert res.exit_code == 0, res.output
+        assert res.stderr == ""
+        assert report["truncated"]
 
 
 class TestDegenerateSecondMetric:

@@ -191,6 +191,59 @@ def test_compiled_partner_table_matches_tree_walk():
         assert got[k] == pytest.approx(ref, rel=1e-10), k
 
 
+class TestCompiledWrites:
+    """The emitted code writes each output row into the preallocated
+    result; every output kind must land in its own row."""
+
+    PTS = np.array([[1.0, 2.0, 0.5, -0.3], [4.0, 0.5, -1.0, 2.0],
+                    [0.25, 3.0, 0.0, 1.0]])
+    ENV = {"b0": 1.5, "xi": -0.25}
+
+    def check(self, exprs, pts):
+        names = tuple(sorted(self.ENV))
+        got = compile_program(exprs, COORDS, names)(
+            pts, [self.ENV[n] for n in names])
+        assert got.shape == (len(exprs), len(pts))
+        for k, e in enumerate(exprs):
+            for i, point in enumerate(pts):
+                ref = eval_expr(e, point, COORDS, self.ENV)
+                assert got[k, i] == pytest.approx(ref, rel=1e-14, abs=0)
+        return got
+
+    def test_constant_output(self):
+        got = self.check([p("u*v"), const(Fraction(5, 2)), p("x")], self.PTS)
+        assert np.all(got[1] == 2.5)
+
+    def test_bare_coordinate_output(self):
+        got = self.check([coord("v"), p("u + y"), coord("y")], self.PTS)
+        assert np.array_equal(got[0], self.PTS[:, 1])
+        assert np.array_equal(got[2], self.PTS[:, 3])
+
+    def test_bare_parameter_output(self):
+        got = self.check([param("xi"), p("b0*u"), param("b0")], self.PTS)
+        assert np.all(got[0] == -0.25) and np.all(got[2] == 1.5)
+
+    def test_shared_node_in_two_slots(self):
+        e = p("exp(x)*sqrt(v) + b0")
+        got = self.check([e, p("u"), e], self.PTS)
+        assert np.array_equal(got[0], got[2])
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_small_batches(self, n):
+        exprs = [p("u^2 + b0*v"), const(3), coord("x"), param("xi")]
+        got = self.check(exprs, self.PTS[:n])
+        assert got.shape == (4, n)
+
+    def test_domain_violation_reads_nan(self):
+        e = p("sqrt(u)")
+        pts = np.array([[-1.0, 1.0, 0.0, 0.0], [4.0, 1.0, 0.0, 0.0]])
+        got = compile_program([e, p("v")], COORDS, ())(pts)
+        assert np.isnan(got[0, 0]) and got[0, 1] == 2.0
+        assert np.all(got[1] == 1.0)
+        with pytest.raises(DomainError):
+            eval_expr(e, pts[0], COORDS, {})
+
+
 class TestEval:
     def test_arithmetic(self):
         assert ev(p("2*u*v"), (1.0, 3.0, 0.0, 0.0)) == pytest.approx(6.0)

@@ -316,7 +316,7 @@ class TestChristoffelKernel:
         from lorhol.pointcalc import _metric_table, admissible_mask, \
             christoffel_batch
         spec = self.spec()
-        gamma, ok = christoffel_batch(spec, self.PTS)
+        gamma, ok, _ = christoffel_batch(spec, self.PTS)
         assert ok.tolist() == [True, False, True, False, True]
         assert (ok & admissible_mask(spec, self.PTS)).tolist() == [
             True, False, False, False, True]
@@ -330,20 +330,36 @@ class TestChristoffelKernel:
         want = 0.5 * np.einsum("nad,ndbc->nabc", ginv, s)
         assert np.array_equal(gamma[ok], want)
 
+    def test_admissible_mask_matches_the_standalone_one(self):
+        from lorhol.pointcalc import admissible_mask, christoffel_batch
+        spec = self.spec()
+        # a box straddling u = 0 (the constraint), v = 0 (non-finite
+        # jets) and x = 0 (degenerate g), plus non-finite points
+        rng = np.random.default_rng(11)
+        pts = rng.uniform([-1, -1, -1, -1], [1, 2, 1, 1], size=(200, 4))
+        pts[[3, 50, 120]] = [[np.nan, 1, 1, 0], [np.inf, 1, 1, 0],
+                             [1, 1, -np.inf, 0]]
+        for batch in (self.PTS, pts):
+            _, ok, admissible = christoffel_batch(spec, batch)
+            want = admissible_mask(spec, batch)
+            assert admissible.tolist() == want.tolist()
+        assert 0 < np.count_nonzero(admissible) < len(pts)
+        assert 0 < np.count_nonzero(ok & admissible) < len(pts)
+
     def test_raising_helper_reports_first_bad_row(self):
         from lorhol.pointcalc import christoffel_batch, require_valid
         spec = self.spec()
-        gamma, ok = christoffel_batch(spec, self.PTS)
+        gamma, ok, _ = christoffel_batch(spec, self.PTS)
         with pytest.raises(DomainError):
             require_valid(spec, self.PTS, ok)
         pts = self.PTS[[0, 3, 1]]
-        gamma, ok = christoffel_batch(spec, pts)
+        gamma, ok, _ = christoffel_batch(spec, pts)
         with pytest.raises(DegenerateMetricError,
                            match=r"det g = 0\.000e\+00 at \[1\.0, 1\.0, 0\.0, 0\.2\]"):
             require_valid(spec, pts, ok)
         # inadmissible but finite and non-degenerate: no error
         pts = self.PTS[[0, 2, 4]]
-        gamma, ok = christoffel_batch(spec, pts)
+        gamma, ok, _ = christoffel_batch(spec, pts)
         require_valid(spec, pts, ok)
 
     def test_cov_deriv_raises_on_degenerate_metric(self):

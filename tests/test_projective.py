@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -331,3 +333,95 @@ class TestPregeodesic:
                                 horizon=0.1, seed=7)
         assert rep.scored == 0 and rep.score == 0.0
         assert rep.truncated == [(0, 0), (1, 0), (2, 0)]
+
+
+def _reference_pregeodesic(g_spec, gp_spec, trials, steps, horizon, seed,
+                           box=None):
+    """The RK4 pre-geodesic loop with each Christoffel evaluation composed
+    from the separate pieces: metric jets, the validity test, the Gamma
+    formula, and the standalone admissibility mask."""
+    from lorhol.pointcalc import (
+        DIM, _gamma_terms, _metric_table, _valid_rows, admissible_mask,
+    )
+
+    def christoffel(spec, pts):
+        g, dg = _metric_table(spec).evaluate(pts, 1)
+        ok = _valid_rows((g, dg))
+        g[~ok] = np.eye(DIM)
+        dg[~ok] = 0.0
+        return _gamma_terms(g, dg)[2], ok & admissible_mask(spec, pts)
+
+    def acc(gamma, vel):
+        return -np.einsum("nabc,nb,nc->na", gamma, vel, vel)
+
+    x = sample_points(g_spec, trials, seed=seed, box=box)
+    rng = np.random.default_rng(seed + 1)
+    v = rng.normal(size=(trials, DIM))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    h = float(horizon) / steps
+    active = np.ones(trials, dtype=bool)
+    truncated, score, scored = {}, 0.0, 0
+    eps = np.finfo(float).eps
+    for step in range(steps):
+        gamma, ok = christoffel(g_spec, x)
+        gamma_p, ok_p = christoffel(gp_spec, x)
+        for idx in np.where(active & ~(ok & ok_p))[0]:
+            truncated[int(idx)] = step
+        active &= ok & ok_p
+        if not np.any(active):
+            break
+        scored += int(np.count_nonzero(active))
+        a_prime = acc(gamma_p - gamma, v) * -1.0
+        wedge = (np.einsum("na,nb->nab", a_prime, v)
+                 - np.einsum("na,nb->nab", a_prime, v).transpose(0, 2, 1))
+        num = np.linalg.norm(wedge.reshape(trials, -1), axis=1) / np.sqrt(2.0)
+        den = (np.linalg.norm(a_prime, axis=1) * np.linalg.norm(v, axis=1)
+               + eps)
+        score = max(score, float(np.max(np.where(active, num / den, 0.0))))
+        k1x, k1v = v, acc(gamma, v)
+        g2, ok2 = christoffel(g_spec, x + 0.5 * h * k1x)
+        k2x, k2v = v + 0.5 * h * k1v, acc(g2, v + 0.5 * h * k1v)
+        g3, ok3 = christoffel(g_spec, x + 0.5 * h * k2x)
+        k3x, k3v = v + 0.5 * h * k2v, acc(g3, v + 0.5 * h * k2v)
+        g4, ok4 = christoffel(g_spec, x + h * k3x)
+        k4x, k4v = v + h * k3v, acc(g4, v + h * k3v)
+        for idx in np.where(active & ~(ok2 & ok3 & ok4))[0]:
+            truncated[int(idx)] = step
+        active &= ok2 & ok3 & ok4
+        upd = active[:, None]
+        x = np.where(upd, x + (h / 6) * (k1x + 2 * k2x + 2 * k3x + k4x), x)
+        v = np.where(upd, v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v), v)
+    return score, sorted(truncated.items()), scored
+
+
+class TestFusedStage:
+    """pregeodesic_check makes one christoffel_batch call per metric and
+    RK4 stage; its reports must equal the composed reference exactly."""
+
+    def test_r9_partner_matches_reference(self, appendix):
+        partner = invert_pair(appendix.pair).partner
+        rep = pregeodesic_check(appendix.g, partner, trials=20, steps=400,
+                                horizon=2.0, seed=1)
+        assert rep.truncated  # trajectories leave the domain
+        assert (rep.score, rep.truncated, rep.scored) == \
+            _reference_pregeodesic(appendix.g, partner, 20, 400, 2.0, 1)
+
+    def test_kernel_spec_matches_reference(self):
+        from test_pointcalc import TestChristoffelKernel
+        spec = TestChristoffelKernel.spec()
+        box = ((0.05, 0.5), (0.05, 0.5), (-0.3, 0.3), (-0.5, 0.5))
+        rep = pregeodesic_check(spec, spec, trials=12, steps=200,
+                                horizon=2.0, seed=4, box=box)
+        assert 0 < len(rep.truncated) < 12
+        assert (rep.score, rep.truncated, rep.scored) == \
+            _reference_pregeodesic(spec, spec, 12, 200, 2.0, 4, box=box)
+
+    def test_long_r11_run_emits_no_warnings(self, waveband):
+        # the determinant test overflows along these trajectories; the
+        # overflow must decide as before without reaching the user
+        partner = invert_pair(waveband.pair).partner
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = pregeodesic_check(waveband.g, partner, trials=20,
+                                    steps=400, horizon=2.0, seed=1)
+        assert rep.truncated and rep.scored > 0
