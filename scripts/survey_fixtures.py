@@ -12,7 +12,7 @@ import numpy as np
 from lorhol.curvclass import classify_curvature
 from lorhol.fixtures import FIXTURE_NAMES, named_fixture
 from lorhol.holonomy import holonomy_survey
-from lorhol.pointcalc import frame_at, sample_points
+from lorhol.pointcalc import frames_at, sample_points
 from lorhol.projective import invert_pair, projective_residual, \
     psi_from_connections, sinyukov_residual
 
@@ -31,7 +31,7 @@ def main():
         t0 = time.time()
         bundle = named_fixture(name)
         pts = sample_points(bundle.g, args.samples, seed=args.seed)
-        tags = {classify_curvature(frame_at(bundle.g, p)).tag for p in pts}
+        tags = {classify_curvature(fr).tag for fr in frames_at(bundle.g, pts)}
         hol = holonomy_survey(bundle.g, samples=min(args.samples, 16),
                               seed=args.seed)
         siny = sinyukov_residual(bundle.pair, pts)

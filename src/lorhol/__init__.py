@@ -7,7 +7,8 @@ from .exprdsl import (
 )
 from .pointcalc import (
     MetricSpec, PointFrame, cov_deriv_riemann_at, cov_deriv_sym2_at,
-    frame_at, metric_spec, sample_points, signature_at, weyl_conformal_at,
+    frame_at, frames_at, metric_spec, sample_points, signature_at,
+    weyl_conformal_at,
 )
 from .bivector import (
     Bivector, BivectorClass, classify_bivector, curvature_map_matrix,

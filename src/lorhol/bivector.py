@@ -39,29 +39,33 @@ def canonical_span_basis(vectors, tol: float = SVD_TOL) -> np.ndarray:
     """Deterministic basis of span(rows): reduced row echelon form with
     lexicographic pivoting, pivots scaled to 1.  Shared by every module
     that must return reproducible subspace bases."""
-    rows = np.atleast_2d(np.asarray(vectors, dtype=float)).copy()
+    rows = np.atleast_2d(np.asarray(vectors, dtype=float))
     if rows.size == 0:
         return rows.reshape(0, rows.shape[-1] if rows.ndim > 1 else 0)
-    scale = np.max(np.abs(rows))
+    scale = np.abs(rows).max()
     if scale == 0.0:
         return np.empty((0, rows.shape[1]))
     m, n = rows.shape
-    out = []
-    col = 0
+    # one array: pivot rows stay in place, are reduced like the others and
+    # are masked out of the search for the next pivot
     work = rows / scale
-    while col < n and len(out) < m:
+    used = np.zeros(m, dtype=bool)
+    order = []
+    col = 0
+    while col < n and len(order) < m:
         pivots = np.abs(work[:, col])
-        i = int(np.argmax(pivots))
+        pivots[used] = -1.0
+        i = int(pivots.argmax())
         if pivots[i] > tol:
             row = work[i] / work[i, col]
-            work = np.delete(work, i, axis=0)
-            work = work - np.outer(work[:, col], row)
-            out = [r - r[col] * row for r in out]
-            out.append(row)
+            work -= work[:, col, None] * row
+            work[i] = row
+            used[i] = True
+            order.append(i)
         col += 1
-    if not out:
+    if not order:
         return np.empty((0, n))
-    arr = np.array(out)
+    arr = work[order]
     arr[np.abs(arr) <= tol] = 0.0  # sub-pivot noise in skipped columns
     return arr
 

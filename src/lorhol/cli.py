@@ -32,7 +32,7 @@ from .curvclass import ClassificationError, classify_curvature
 from .exprdsl import DomainError, ExprError, ParseError, to_string
 from .holonomy import holonomy_survey
 from .pointcalc import (
-    MetricError, MetricSpec, frame_at, metric_spec, sample_points,
+    MetricError, MetricSpec, frames_at, metric_spec, sample_points,
 )
 from .projective import (
     InversionError, SinyukovPair, invert_pair, pregeodesic_check,
@@ -228,7 +228,8 @@ _pair_opt = click.option("-a", "--sinyukov", "pair_path", required=True,
                          type=click.Path(exists=True))
 _point_opt = click.option("-p", "--point", default=None,
                           help="comma-separated coordinates")
-_samples_opt = click.option("--samples", default=32, show_default=True)
+_samples_opt = click.option("--samples", default=32, show_default=True,
+                            type=click.IntRange(min=1))
 _seed_opt = click.option("--seed", default=None, type=int,
                          help="sampling seed (default 7, or LORHOL_SEED)")
 _json_opt = click.option("--json", "as_json", is_flag=True)
@@ -252,9 +253,9 @@ def classify(metric_path, point, samples, seed, svd_tol, as_json, out):
     pts = _points_for(spec, point, samples, seed)
     per_point = []
     tags = set()
-    for pt in pts:
-        rep = classify_curvature(frame_at(spec, pt), tol=svd_tol)
-        entry = {"point": list(pt), "class": rep.tag,
+    for fr in frames_at(spec, pts):
+        rep = classify_curvature(fr, tol=svd_tol)
+        entry = {"point": list(fr.point), "class": rep.tag,
                  "kernel_dim": len(rep.kernel), "range_dim": rep.range_dim,
                  "margin": rep.margin}
         if rep.tag == "D":

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bivector import Bivector, canonical_span_basis, classify_bivector
-from .pointcalc import MetricSpec, PointFrame, frame_at, sample_points
+from .pointcalc import (
+    MetricSpec, PointFrame, frame_at, frames_at, sample_points,
+)
 
 __all__ = [
     "HolonomyAlgebraReport", "HolonomySurveyReport", "ihol_generators",
@@ -23,6 +25,7 @@ __all__ = [
 ]
 
 SPAN_TOL = 1e-8
+_PAIRS = np.triu_indices(4, 1)  # the six (c, d) with c < d
 
 TYPE_DIMENSIONS = {
     "R1": 0, "R2": 1, "R3": 1, "R4": 1, "R5": 1, "R6": 2, "R7": 2, "R8": 2,
@@ -65,26 +68,18 @@ def ihol_generators(spec: MetricSpec, point, derivative_order: int = 1,
     if derivative_order not in (0, 1, 2):
         raise ValueError("derivative_order must be 0, 1 or 2")
     fr = frame or frame_at(spec, point)
-    out = []
     r = fr.riem_ud
     scale = max(float(np.max(np.abs(r))), 1e-300)
-    for c in range(4):
-        for d in range(c + 1, 4):
-            out.append(r[:, :, c, d])
+    tensors = [r]
     if derivative_order >= 1:
-        cr = fr.cov_riemann
-        for c in range(4):
-            for d in range(c + 1, 4):
-                for e in range(4):
-                    out.append(cr[:, :, c, d, e])
+        tensors.append(fr.cov_riemann)
     if derivative_order >= 2:
-        c2 = fr.cov2_riemann
-        for c in range(4):
-            for d in range(c + 1, 4):
-                for e in range(4):
-                    for f in range(4):
-                        out.append(c2[:, :, c, d, e, f])
-    return [m for m in out if np.max(np.abs(m)) > 1e-13 * scale]
+        tensors.append(fr.cov2_riemann)
+    # R^a_b[cd](;e(;f)) for c < d, in (c, d, e, f) row-major order
+    gens = np.concatenate([np.moveaxis(t[:, :, _PAIRS[0], _PAIRS[1]],
+                                       (0, 1), (-2, -1)).reshape(-1, 4, 4)
+                           for t in tensors])
+    return list(gens[np.max(np.abs(gens), axis=(1, 2)) > 1e-13 * scale])
 
 
 def _check_skew(m: np.ndarray, g: np.ndarray, tol: float = 1e-8) -> bool:
@@ -194,34 +189,27 @@ def recurrent_directions(basis, frame: PointFrame,
     mats = [np.asarray(m, float) / max(np.max(np.abs(m)), 1e-300)
             for m in basis]
     rng = np.random.default_rng(20090629)  # fixed: reports are deterministic
-    candidates = []
     combos = [np.mean(mats, axis=0)] + list(mats)
     for _ in range(3):
         w = rng.normal(size=len(mats))
         combos.append(sum(c * m for c, m in zip(w, mats)))
-    for m in combos:
-        vals, vecs = np.linalg.eig(m)
-        for i, lam in enumerate(vals):
-            if abs(lam.imag) > 1e-8:
-                continue
-            v = vecs[:, i].real
-            nrm = np.linalg.norm(v)
-            if nrm < 1e-12:
-                continue
-            candidates.append(v / nrm)
+    vals, vecs = np.linalg.eig(np.array(combos))
+    # real eigenvectors, combo by combo, as unit rows; the norms, products
+    # and residuals use np.linalg.norm's dot-product arithmetic
+    cand = np.swapaxes(vecs.real, 1, 2)[np.abs(vals.imag) <= 1e-8]
+    nrm = np.sqrt(_rowdot(cand, cand))
+    big = nrm >= 1e-12
+    cand = cand[big] / nrm[big, None]
+    # verify every candidate against every basis element at once
+    stack = np.array(mats)
+    mv = (stack @ cand[:, None, :, None])[..., 0]  # (candidate, element, 4)
+    mu = _rowdot(cand[:, None, :], mv)  # v is unit
+    off = mv - mu[..., None] * cand[:, None, :]
+    bound = tol * np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
+    eigen = (~np.any(np.sqrt(_rowdot(off, off)) > bound, axis=1)
+             & (np.max(np.abs(mu), axis=1) > tol))
     found = []
-    for v in candidates:
-        mus = []
-        ok = True
-        for m in mats:
-            mv = m @ v
-            mu = float(v @ mv)  # v is unit
-            if np.linalg.norm(mv - mu * v) > tol * max(1.0, np.max(np.abs(m))):
-                ok = False
-                break
-            mus.append(mu)
-        if not ok or max(abs(mu) for mu in mus) <= tol:
-            continue
+    for v in cand[eigen]:
         if _causal_character(v, frame.g) != "null":
             continue  # numerically impossible for exact eigen-directions
         k = int(np.argmax(np.abs(v) > 1e-8))
@@ -229,6 +217,11 @@ def recurrent_directions(basis, frame: PointFrame,
         if not any(np.linalg.norm(v - u) < 1e-6 for u in found):
             found.append(v)
     return found
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the last axes, computed as a 1-D ``a @ b`` is."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _derived_algebra(basis, tol: float = SPAN_TOL) -> np.ndarray:
@@ -430,12 +423,11 @@ def holonomy_survey(spec: MetricSpec, samples: int = 32, seed: int = 7,
     pts = sample_points(spec, samples, seed=seed, box=box)
     per_point = []
     best: HolonomyAlgebraReport | None = None
-    for pt in pts:
-        fr = frame_at(spec, pt)
-        gens = ihol_generators(spec, pt, derivative_order, frame=fr)
+    for fr in frames_at(spec, pts, derivative_order + 2):
+        gens = ihol_generators(spec, fr.point, derivative_order, frame=fr)
         basis = close_algebra(gens, fr, tol)
         rep = identify_type(basis, fr, tol)
-        per_point.append((pt, rep.label, rep.dimension))
+        per_point.append((fr.point, rep.label, rep.dimension))
         if best is None or _better(rep, best):
             best = rep
     labels = {lab for _, lab, _ in per_point}

@@ -31,9 +31,10 @@ from .exprdsl import (
 __all__ = [
     "MetricSpec", "PointFrame", "MetricError", "DegenerateMetricError",
     "SignatureError", "AdmissibilityError", "metric_spec", "frame_at",
-    "signature_at", "weyl_conformal_at", "cov_deriv_riemann_at",
-    "cov_deriv_sym2_at", "sample_points", "christoffel_batch",
-    "require_valid", "cov_deriv_batch", "eval_field_batch",
+    "frames_at", "signature_at", "weyl_conformal_at",
+    "cov_deriv_riemann_at", "cov_deriv_sym2_at", "sample_points",
+    "christoffel_batch", "require_valid", "cov_deriv_batch",
+    "eval_field_batch",
 ]
 
 DIM = 4
@@ -278,15 +279,21 @@ def admissible_mask(spec: MetricSpec, points: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _inadmissible(point) -> AdmissibilityError:
+    return AdmissibilityError(
+        f"point {list(map(float, point))} violates the domain constraints")
+
+
 def check_admissible(spec: MetricSpec, point) -> None:
     if not admissible_mask(spec, np.asarray(point, float)[None, :])[0]:
-        raise AdmissibilityError(
-            f"point {list(map(float, point))} violates the domain constraints")
+        raise _inadmissible(point)
 
 
 def sample_points(spec: MetricSpec, n: int, seed: int = 7,
                   box=None) -> np.ndarray:
     """Uniform admissible points from the sample box (rejection sampling)."""
+    if n < 1:
+        raise MetricError(f"need at least one sample point, got {n}")
     box = box or spec.sample_box
     if box is None:
         raise MetricError("no sample box declared")
@@ -326,7 +333,7 @@ def _valid_rows(jets, finite=None) -> np.ndarray:
         n = len(jets[0])
         finite = np.ones(n, dtype=bool)
         for j in jets:
-            finite &= np.all(np.isfinite(j.reshape(n, -1)), axis=1)
+            finite &= np.all(np.isfinite(j), axis=tuple(range(1, j.ndim)))
     gmax = np.max(np.abs(jets[0]), axis=(1, 2))
     # rows that are not finite are masked by ``finite``; an overflowing
     # det or scale is inf and decides as it would unmuted
@@ -404,8 +411,8 @@ def cov_deriv_batch(spec: MetricSpec, comps, points):
 class PointFrame:
     """All metric-derived tensors of one metric at one point, cached.
 
-    Built by frame_at (full, with derivative access) or synthetically from
-    raw g/Riemann arrays for classifier oracles.
+    Built by frame_at / frames_at (full, with derivative access) or
+    synthetically from raw g/Riemann arrays for classifier oracles.
     """
 
     def __init__(self, g, riem_ud=None, *, point=None, spec=None,
@@ -645,21 +652,55 @@ def frame_at(spec: MetricSpec, point, *, require_lorentz: bool = True,
     point = np.asarray(point, dtype=float)
     if point.shape != (DIM,):
         raise MetricError("point must have 4 coordinates")
-    check_admissible(spec, point)
-    jets = _metric_table(spec).evaluate(point[None, :], 2)
-    if not _valid_rows(jets)[0]:
-        _raise_invalid(spec, point, jets)
-    g, dg = jets[0][0], jets[1][0]
-    if require_lorentz:
-        signs = _signature_signs(g)
-        if signs != (-1, 1, 1, 1):
-            raise SignatureError(f"signature {signs} is not Lorentz")
-    stack = _riemann_derivative_stack(jets, _curvature_sign)
-    frame = PointFrame(g, stack["R"][0], point=point, spec=spec,
-                       gamma=stack["gamma"][0], dg=dg,
-                       curvature_sign=_curvature_sign)
-    frame._cache["stack"] = stack
-    return frame
+    return next(frames_at(spec, point[None, :],
+                          require_lorentz=require_lorentz,
+                          _curvature_sign=_curvature_sign))
+
+
+def frames_at(spec: MetricSpec, points, order: int = 2, *,
+              require_lorentz: bool = True, _curvature_sign: float = 1.0):
+    """Yield the tensor frame of ``spec`` at each of ``points`` (n, 4), in
+    point order.
+
+    ``order`` is the highest metric derivative the caller will use: 2 for
+    Riemann, 3 for R^a_bcd;e, 4 for R^a_bcd;e;f.  One compiled call
+    evaluates the jets of every point up to order min(order, 3), and one
+    batched derivative stack assembles Riemann (and R^a_bcd;e from order
+    3) for all of them; each frame holds row views of it, and
+    cov2_riemann extends a frame's rows on its own (a batched order-4
+    stack costs more memory than it saves time).  Nothing is raised
+    before iteration reaches a bad row; there the exception frame_at
+    raises for that point is raised, checked in frame_at's order:
+    admissibility, finite jets, determinant, signature.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != DIM:
+        raise MetricError("points must have 4 coordinates")
+    admissible = admissible_mask(spec, pts)
+    jets = _metric_table(spec).evaluate(pts, min(max(order, 2), 3))
+    ok = admissible & _valid_rows(jets[:3])
+    # iteration stops at the first bad row, so the stack covers the rows
+    # before it
+    n = len(pts) if ok.all() else int(np.argmin(ok))
+    stack = _riemann_derivative_stack(tuple(j[:n] for j in jets),
+                                      _curvature_sign)
+    for i in range(n):
+        g = jets[0][i]
+        if require_lorentz:
+            signs = _signature_signs(g)
+            if signs != (-1, 1, 1, 1):
+                raise SignatureError(f"signature {signs} is not Lorentz")
+        frame = PointFrame(g, stack["R"][i], point=pts[i], spec=spec,
+                           gamma=stack["gamma"][i], dg=jets[1][i],
+                           curvature_sign=_curvature_sign)
+        frame._cache["stack"] = {k: v[i:i + 1] for k, v in stack.items()}
+        if "covR" in stack:
+            frame._cache["cov_riemann"] = stack["covR"][i]
+        yield frame
+    if n < len(pts):
+        if not admissible[n]:
+            raise _inadmissible(pts[n])
+        _raise_invalid(spec, pts[n], tuple(j[n:n + 1] for j in jets[:3]))
 
 
 def weyl_conformal_at(frame: PointFrame) -> np.ndarray:

@@ -25,7 +25,7 @@ from .exprdsl import (
 )
 from .pointcalc import (
     DIM, MetricSpec, PointFrame, _field_table, admissible_mask,
-    christoffel_batch, cov_deriv_batch, eval_field_batch, frame_at,
+    christoffel_batch, cov_deriv_batch, eval_field_batch, frames_at,
     metric_spec, require_valid, sample_points,
 )
 
@@ -212,10 +212,8 @@ def curvature_relation_residual(g_spec: MetricSpec, gp_spec: MetricSpec,
     delta = np.eye(4)
     worst14 = worst_ric = 0.0
     scale14 = scale_ric = 1.0
-    for k, pt in enumerate(pts):
-        fr = frame_at(g_spec, pt)
-        fr_p = frame_at(gp_spec, pt)
-        pab = psi_ab[k]
+    for pab, fr, fr_p in zip(psi_ab, frames_at(g_spec, pts),
+                             frames_at(gp_spec, pts)):
         rel = (fr_p.riem_ud - fr.riem_ud
                - np.einsum("ad,bc->abcd", delta, pab)
                + np.einsum("ac,bd->abcd", delta, pab))
@@ -243,9 +241,9 @@ def weyl_projective_equal(g_spec: MetricSpec, gp_spec: MetricSpec,
     metrics over the points (equal when projectively related)."""
     pts = np.atleast_2d(np.asarray(points, float))
     worst, scale = 0.0, 1.0
-    for pt in pts:
-        w = weyl_projective_at(frame_at(g_spec, pt))
-        wp = weyl_projective_at(frame_at(gp_spec, pt))
+    for fr, fr_p in zip(frames_at(g_spec, pts), frames_at(gp_spec, pts)):
+        w = weyl_projective_at(fr)
+        wp = weyl_projective_at(fr_p)
         worst = max(worst, float(np.max(np.abs(w - wp))))
         scale = max(scale, float(np.max(np.abs(w))))
     return worst / scale
@@ -359,8 +357,7 @@ def lemma1_checks(g_spec: MetricSpec, pair: SinyukovPair, points):
     a_vals = eval_field_batch(g_spec, pair.a, pts)
     res_b = res_c = 0.0
     scale_b = scale_c = 1.0
-    for k, pt in enumerate(pts):
-        fr = frame_at(g_spec, pt)
+    for k, fr in enumerate(frames_at(g_spec, pts)):
         rd = fr.riem_dddd  # lam_d R^d_abc = lam^d R_dabc with lam^d = ginv lam
         lam_up = fr.ginv @ lam_vals[k]
         res_b = max(res_b, float(np.max(np.abs(

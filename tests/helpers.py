@@ -1,5 +1,7 @@
 """Shared fixtures: Minkowski frames, random Lorentz transforms, null
 tetrads and synthetic curvature tensors for the classifier oracles."""
+from functools import lru_cache
+
 import numpy as np
 
 from lorhol.pointcalc import PointFrame
@@ -75,3 +77,12 @@ def synthetic_class_b(l, n, x, y, alpha: float = 1.0,
     riem = (alpha * np.einsum("ab,cd->abcd", f, f)
             + beta * np.einsum("ab,cd->abcd", fs, fs))
     return PointFrame.synthetic(ETA, riem)
+
+
+@lru_cache(maxsize=None)
+def fixture_spec(name: str, partner: bool = False):
+    """A shipped fixture's metric, or the partner derived from its pair."""
+    from lorhol.fixtures import named_fixture
+    from lorhol.projective import invert_pair
+    bundle = named_fixture(name)
+    return invert_pair(bundle.pair).partner if partner else bundle.g

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lorhol.bivector import (
     Bivector, canonical_span_basis, classify_bivector, curvature_map_matrix,
@@ -191,3 +193,71 @@ def test_canonical_span_basis_deterministic():
     b2 = canonical_span_basis(rows[::-1])
     assert b1.shape == (2, 3)
     assert np.max(np.abs(b1 - b2)) < 1e-12
+
+
+def _span_basis_reference(vectors, tol=1e-9):
+    """canonical_span_basis as it was written with np.delete/np.outer and
+    a list of finished rows: the reference for the one-array version."""
+    rows = np.atleast_2d(np.asarray(vectors, dtype=float)).copy()
+    if rows.size == 0:
+        return rows.reshape(0, rows.shape[-1] if rows.ndim > 1 else 0)
+    scale = np.max(np.abs(rows))
+    if scale == 0.0:
+        return np.empty((0, rows.shape[1]))
+    m, n = rows.shape
+    out = []
+    col = 0
+    work = rows / scale
+    while col < n and len(out) < m:
+        pivots = np.abs(work[:, col])
+        i = int(np.argmax(pivots))
+        if pivots[i] > tol:
+            row = work[i] / work[i, col]
+            work = np.delete(work, i, axis=0)
+            work = work - np.outer(work[:, col], row)
+            out = [r - r[col] * row for r in out]
+            out.append(row)
+        col += 1
+    if not out:
+        return np.empty((0, n))
+    arr = np.array(out)
+    arr[np.abs(arr) <= tol] = 0.0
+    return arr
+
+
+@st.composite
+def span_inputs(draw):
+    """Rows at magnitudes 1e-12..1e12, with duplicate, negated (exact
+    pivot ties), zero and dependent rows mixed in."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 16))
+    mant = draw(hnp.arrays(np.float64, (m, n),
+                           elements=st.floats(-1.0, 1.0, width=32)))
+    exp = draw(hnp.arrays(np.int64, (m, n), elements=st.integers(-12, 12)))
+    rows = mant * 10.0 ** exp
+    for i in range(1, m):
+        j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+        kind = draw(st.sampled_from(["keep", "dup", "neg", "zero", "comb",
+                                     "tie"]))
+        if kind == "dup":
+            rows[i] = rows[j]
+        elif kind == "neg":
+            rows[i] = -rows[j]
+        elif kind == "zero":
+            rows[i] = 0.0
+        elif kind == "comb":
+            rows[i] = 3.0 * rows[j] - 0.5 * rows[k]
+        elif kind == "tie":
+            c = draw(st.integers(0, n - 1))
+            rows[i, c] = -rows[j, c]
+    tol = draw(st.sampled_from([1e-9, 1e-8, 1e-6]))
+    return rows, tol
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(span_inputs())
+def test_canonical_span_basis_matches_reference_bitwise(case):
+    rows, tol = case
+    got = canonical_span_basis(rows, tol)
+    want = _span_basis_reference(rows, tol)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

@@ -105,6 +105,22 @@ class TestHolonomy:
         assert report["label"] == "R1"
 
 
+class TestSampleCount:
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["classify", "holonomy",
+                                         "weyl-projective"])
+    def test_counts_below_one_are_usage_errors(self, runner, emitted,
+                                               command, samples):
+        files = emitted("r9")
+        args = [command, "-m", files["g"], "--samples", samples]
+        if command == "weyl-projective":
+            args += ["-M", files["g"]]
+        res = runner.invoke(main, args + ["--json"])
+        assert res.exit_code == 2, res.output
+        assert "Invalid value for '--samples'" in res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 class TestSinyukovAndPartner:
     def test_sinyukov_check_passes(self, runner, emitted):
         files = emitted("r9")

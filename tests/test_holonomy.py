@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lorhol.holonomy import (
     TYPE_DIMENSIONS, close_algebra, constant_directions, holonomy_survey,
@@ -326,3 +327,117 @@ class TestOrderTwo:
         d2 = len(canonical_span_basis([m.reshape(-1) / np.max(np.abs(m))
                                        for m in g2]))
         assert d2 == d12 >= d1
+
+
+def _recurrent_reference(basis, frame, tol=1e-8):
+    """recurrent_directions as it was written, one eig per combination and
+    one candidate against one basis element at a time: the reference for
+    the stacked version."""
+    from lorhol.holonomy import _causal_character
+    if not len(basis):
+        return []
+    mats = [np.asarray(m, float) / max(np.max(np.abs(m)), 1e-300)
+            for m in basis]
+    rng = np.random.default_rng(20090629)
+    candidates = []
+    combos = [np.mean(mats, axis=0)] + list(mats)
+    for _ in range(3):
+        w = rng.normal(size=len(mats))
+        combos.append(sum(c * m for c, m in zip(w, mats)))
+    for m in combos:
+        vals, vecs = np.linalg.eig(m)
+        for i, lam in enumerate(vals):
+            if abs(lam.imag) > 1e-8:
+                continue
+            v = vecs[:, i].real
+            nrm = np.linalg.norm(v)
+            if nrm < 1e-12:
+                continue
+            candidates.append(v / nrm)
+    found = []
+    for v in candidates:
+        mus = []
+        ok = True
+        for m in mats:
+            mv = m @ v
+            mu = float(v @ mv)
+            if np.linalg.norm(mv - mu * v) > tol * max(1.0, np.max(np.abs(m))):
+                ok = False
+                break
+            mus.append(mu)
+        if not ok or max(abs(mu) for mu in mus) <= tol:
+            continue
+        if _causal_character(v, frame.g) != "null":
+            continue
+        k = int(np.argmax(np.abs(v) > 1e-8))
+        v = v * np.sign(v[k])
+        if not any(np.linalg.norm(v - u) < 1e-6 for u in found):
+            found.append(v)
+    return found
+
+
+def _generators_reference(fr, derivative_order):
+    """ihol_generators' per-slice loop, kept as the reference."""
+    r = fr.riem_ud
+    scale = max(float(np.max(np.abs(r))), 1e-300)
+    out = [r[:, :, c, d] for c in range(4) for d in range(c + 1, 4)]
+    if derivative_order >= 1:
+        out += [fr.cov_riemann[:, :, c, d, e] for c in range(4)
+                for d in range(c + 1, 4) for e in range(4)]
+    if derivative_order >= 2:
+        out += [fr.cov2_riemann[:, :, c, d, e, f] for c in range(4)
+                for d in range(c + 1, 4) for e in range(4) for f in range(4)]
+    return [m for m in out if np.max(np.abs(m)) > 1e-13 * scale]
+
+
+SURVEYED = [(name, partner) for name in ("minkowski", "r11", "r10", "r13",
+                                         "r9", "r14", "r9-b0")
+            for partner in (False, True)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(SURVEYED), st.integers(0, 1), st.integers(0, 99),
+       st.randoms(use_true_random=False),
+       st.lists(st.integers(-6, 6), min_size=6, max_size=6))
+def test_stacked_kernels_match_reference_loops(which, order, seed, rnd,
+                                               exps):
+    from helpers import fixture_spec
+    from lorhol.pointcalc import frames_at
+    spec = fixture_spec(*which)
+    for fr in frames_at(spec, sample_points(spec, 2, seed=seed), order + 2):
+        gens = ihol_generators(spec, fr.point, order, frame=fr)
+        want = _generators_reference(fr, order)
+        assert [m.tobytes() for m in gens] == [m.tobytes() for m in want]
+        try:
+            basis = close_algebra(gens, fr)
+        except ValueError:
+            continue  # the partner closure defect at order 1
+        # the surveyed basis; reordered and rescaled; and in a random
+        # chart (M -> A M A^-1, g -> A^-T g A^-1), where its directions
+        # are no longer coordinate axes
+        a = np.eye(4) + 0.3 * np.random.default_rng(seed).normal(size=(4, 4))
+        ainv = np.linalg.inv(a)
+        moved = PointFrame(ainv.T @ fr.g @ ainv)
+        for b, frame in ((basis, fr),
+                         ([m * 10.0 ** e for m, e in
+                           zip(rnd.sample(basis, len(basis)), exps)], fr),
+                         ([a @ m @ ainv for m in basis], moved)):
+            got = recurrent_directions(b, frame)
+            ref = _recurrent_reference(b, frame)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in ref]
+
+
+def test_stacked_recurrent_directions_on_r14_survey():
+    # a fixture whose surveyed algebras carry a recurrent null direction
+    from helpers import fixture_spec
+    from lorhol.pointcalc import frames_at
+    spec = fixture_spec("r14")
+    seen = 0
+    for fr in frames_at(spec, sample_points(spec, 4, seed=1), 3):
+        basis = close_algebra(ihol_generators(spec, fr.point, 1, frame=fr),
+                              fr)
+        got = recurrent_directions(basis, fr)
+        assert [v.tobytes() for v in got] == [
+            v.tobytes() for v in _recurrent_reference(basis, fr)]
+        seen += len(got)
+    assert seen > 0

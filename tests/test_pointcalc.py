@@ -3,7 +3,7 @@ import pytest
 
 from lorhol.exprdsl import DomainError, parse_expr
 from lorhol.pointcalc import (
-    AdmissibilityError, DegenerateMetricError, SignatureError,
+    AdmissibilityError, DegenerateMetricError, MetricError, SignatureError,
     cov_deriv_riemann_at, cov_deriv_sym2_at, frame_at, metric_spec,
     sample_points, signature_at, weyl_conformal_at,
 )
@@ -408,3 +408,79 @@ def test_jet_table_scatter_matches_derivative_chains(field):
             want = _eval_once(e, point[0], spec, memo)
             assert arr[(0,) + idx] == pytest.approx(want, rel=1e-12,
                                                     abs=1e-12), idx
+
+
+class TestFramesAt:
+    @pytest.mark.parametrize("partner", [False, True])
+    @pytest.mark.parametrize("name", ["minkowski", "r11", "r10", "r13", "r9",
+                                      "r14", "r9-b0"])
+    def test_batch_equals_frame_at_bitwise(self, name, partner):
+        from helpers import fixture_spec
+        from lorhol.pointcalc import frames_at
+        spec = fixture_spec(name, partner)
+        pts = sample_points(spec, 16, seed=4)
+        singles = [frame_at(spec, p) for p in pts]
+        for order in (2, 3, 4):
+            frames = list(frames_at(spec, pts, order))
+            assert len(frames) == len(pts)
+            for fr, one in zip(frames, singles):
+                assert fr.point is not None and np.array_equal(fr.point,
+                                                               one.point)
+                for attr in ("g", "dg", "gamma", "riem_ud", "cov_riemann",
+                             "cov2_riemann"):
+                    got, want = getattr(fr, attr), getattr(one, attr)
+                    assert got.shape == want.shape, (order, attr)
+                    assert got.tobytes() == want.tobytes(), (order, attr)
+
+    # g = diag(-1, t, 1, sqrt(x)) on y > 0; each bad point with the
+    # exception and message frame_at raises there
+    GOOD = [[1.0, 1.0, 1.0, 0.0], [0.5, 2.0, 0.3, 0.7]]
+    BAD = {"inadmissible": ([1.0, 1.0, -1.0, 0.0], AdmissibilityError,
+                            "point [1.0, 1.0, -1.0, 0.0] violates the "
+                            "domain constraints"),
+           "non-finite": ([1.0, -1.0, 1.0, 0.0], DomainError,
+                          "fractional power of a negative value in "
+                          "`sqrt(x)`"),
+           "degenerate": ([0.0, 1.0, 1.0, 0.0], DegenerateMetricError,
+                          "det g = 0.000e+00 at [0.0, 1.0, 1.0, 0.0]"),
+           "non-Lorentz": ([-1.0, 1.0, 1.0, 0.0], SignatureError,
+                           "signature (-1, -1, 1, 1) is not Lorentz")}
+
+    @staticmethod
+    def bad_spec():
+        return metric_spec(("t", "x", "y", "z"),
+                           [["-1"], ["0", "t"], ["0", "0", "1"],
+                            ["0", "0", "0", "sqrt(x)"]],
+                           constraints=["y"])
+
+    @pytest.mark.parametrize("kind", list(BAD))
+    def test_first_bad_row_raises_what_frame_at_raises(self, kind):
+        from lorhol.pointcalc import frames_at
+        spec = self.bad_spec()
+        point, error, message = self.BAD[kind]
+        with pytest.raises(error) as single:
+            frame_at(spec, point)
+        assert type(single.value) is error and str(single.value) == message
+        # every kind of bad row follows the first one
+        later = [p for k, (p, _, _) in self.BAD.items() if k != kind]
+        pts = np.array(self.GOOD + [point] + later + self.GOOD)
+        frames = frames_at(spec, pts)
+        for p in self.GOOD:
+            fr = next(frames)
+            assert fr.riem_ud.tobytes() == frame_at(spec, p).riem_ud.tobytes()
+        with pytest.raises(error) as batched:
+            next(frames)
+        assert type(batched.value) is error and str(batched.value) == message
+
+    def test_empty_batch_and_bad_shape(self):
+        from lorhol.pointcalc import frames_at
+        spec = self.bad_spec()
+        assert list(frames_at(spec, np.empty((0, 4)))) == []
+        with pytest.raises(MetricError, match="4 coordinates"):
+            next(frames_at(spec, np.ones((2, 3))))
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_sample_points_rejects_counts_below_one(n):
+    with pytest.raises(MetricError, match="at least one sample point"):
+        sample_points(waveband(), n)
