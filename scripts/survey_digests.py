@@ -1,21 +1,26 @@
 #!/usr/bin/env python3
-"""Digest in-process holonomy surveys, one sha256 line each.
+"""Digest in-process holonomy surveys, two sha256 digests a line.
 
-Each line reads ``spec:o<order>:s<seed> sha256``, followed by the
-exception class when the survey raised.
+Each line reads ``spec:o<order>:s<seed> full-sha256 label-sha256``,
+followed by the exception class when the survey raised.
 
 The in-process counterpart of ``report_digests.py``: for every listed
-fixture and the partner derived from its Sinyukov pair, each order and
-each seed, run ``holonomy_survey`` and hash everything it returns: the
-label and mixed-types flag, every per-point entry (point bytes, label,
-dimension), and the representative's dimension, basis bytes, constant
-directions with their characters, recurrent directions, omega,
-realizability and diagnostics.  A survey that raises is hashed by its
-exception class and message.  The CLI report omits the basis, so this is
-the byte-identity check for the closure path: two checkouts that survey
-alike print the same lines, and the check is a ``diff`` of their outputs.
-Uses only the standard library and lorhol from the ``src/`` of the
-checkout that holds this script.
+fixture and the partner derived from its Sinyukov pair, orders 0-2 on
+both, and each seed, run ``holonomy_survey``.  The full digest hashes
+everything it returns: the label and mixed-types flag, every per-point
+entry (point bytes, label, dimension), and the representative's
+dimension, basis bytes, constant directions with their characters,
+recurrent directions, omega, realizability and diagnostics.  The CLI
+report omits the basis, so this is the byte-identity check for the
+closure path.  The label-only digest hashes just the label, the
+mixed-types flag, each point's label and dimension, the
+representative's dimension, the characters of its constant directions
+and the number of its recurrent directions; it survives a change of
+basis representation.  A survey that raises is hashed, in both, by its
+exception class and message.  Two checkouts that survey alike print the
+same lines, and the check is a ``diff`` of their outputs.  Uses only the
+standard library and lorhol from the ``src/`` of the checkout that holds
+this script.
 
 Usage: python scripts/survey_digests.py [--fixtures r9 r11 ...]
            [--seeds 0 1 2 3 4 5] [--samples 12]
@@ -31,38 +36,46 @@ from lorhol.fixtures import FIXTURE_NAMES, named_fixture  # noqa: E402
 from lorhol.holonomy import holonomy_survey  # noqa: E402
 from lorhol.projective import invert_pair  # noqa: E402
 
-BASE_ORDERS = (0, 1, 2)
-PARTNER_ORDERS = (0, 1)
+ORDERS = (0, 1, 2)
 
 
 def survey_digest(spec, samples: int, seed: int, order: int) -> str:
-    """The digest, followed by the exception class if the survey raised."""
-    h = hashlib.sha256()
+    """The full and label-only digests, followed by the exception class
+    if the survey raised."""
+    full, labels = hashlib.sha256(), hashlib.sha256()
+    both = (full, labels)
 
-    def put(*items):
-        for x in items:
-            h.update(x.tobytes() if hasattr(x, "tobytes") else repr(x).encode())
-            h.update(b"|")
+    def put(*items, into=(full,)):
+        for h in into:
+            for x in items:
+                h.update(x.tobytes() if hasattr(x, "tobytes")
+                         else repr(x).encode())
+                h.update(b"|")
 
     try:
         rep = holonomy_survey(spec, samples=samples, seed=seed,
                               derivative_order=order)
     except Exception as exc:  # noqa: BLE001  the error is the result
-        put("raised", type(exc).__name__, str(exc))
-        return f"{h.hexdigest()} {type(exc).__name__}"
-    put("label", rep.label, rep.mixed_types)
+        put("raised", type(exc).__name__, str(exc), into=both)
+        return (f"{full.hexdigest()} {labels.hexdigest()} "
+                f"{type(exc).__name__}")
+    put("label", rep.label, rep.mixed_types, into=both)
     for point, label, dim in rep.per_point:
-        put(point, label, dim)
+        put(point)
+        put(label, dim, into=both)
     r = rep.representative
-    put("representative", r.dimension, r.label, len(r.basis))
+    put("representative", r.dimension, into=both)
+    put(r.label, len(r.basis))
     for m in r.basis:
         put(m)
     for v, character in r.constant:
-        put(v, character)
+        put(v)
+        put(character, into=both)
+    put("recurrent", len(r.recurrent), into=(labels,))
     for v in r.recurrent:
         put(v)
     put(r.omega, r.realizable, sorted(r.diagnostics.items()))
-    return h.hexdigest()
+    return f"{full.hexdigest()} {labels.hexdigest()}"
 
 
 def main() -> int:
@@ -74,10 +87,8 @@ def main() -> int:
     for name in args.fixtures:
         bundle = named_fixture(name)
         partner = invert_pair(bundle.pair).partner
-        for label, spec, orders in ((name, bundle.g, BASE_ORDERS),
-                                    (f"{name}-partner", partner,
-                                     PARTNER_ORDERS)):
-            for order in orders:
+        for label, spec in ((name, bundle.g), (f"{name}-partner", partner)):
+            for order in ORDERS:
                 for seed in args.seeds:
                     print(f"{label}:o{order}:s{seed} "
                           f"{survey_digest(spec, args.samples, seed, order)}",

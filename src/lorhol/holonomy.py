@@ -3,9 +3,12 @@ against the fifteen-type subalgebra taxonomy of the Lorentz algebra.
 
 Generators at a point are the matrices R^a_bcd X^c Y^d (plus covariant
 derivative contractions at higher order); their bracket closure is a
-subalgebra of so(g(m)).  Identification keys on dimension, the common
-annihilated directions with their causal character, and for the two
-3-dimensional types with trivial annihilator on a Pfaffian discriminant.
+subalgebra of so(g(m)).  Closure and identification work in the six
+components w_ab (a < b) of each matrix's lowered form g.m, so every span
+stays inside the 6-dimensional so(1,3).  Identification keys on
+dimension, the common annihilated directions with their causal
+character, and for the two 3-dimensional types with trivial annihilator
+on a Pfaffian discriminant.
 """
 from __future__ import annotations
 
@@ -82,69 +85,68 @@ def ihol_generators(spec: MetricSpec, point, derivative_order: int = 1,
     return list(gens[np.max(np.abs(gens), axis=(1, 2)) > 1e-13 * scale])
 
 
-def _check_skew(m: np.ndarray, g: np.ndarray, tol: float = 1e-8) -> bool:
-    gm = g @ m
-    return np.max(np.abs(gm + gm.T)) <= tol * max(1.0, np.max(np.abs(gm)))
-
-
-def lie_bracket(f: np.ndarray, h: np.ndarray,
-                frame: PointFrame | None = None) -> np.ndarray:
-    """Matrix commutator FG - GF of two (1,1) bivector matrices.
-
-    When a frame is supplied both arguments and the result are verified
-    skew-self-adjoint with respect to its metric.
-    """
+def lie_bracket(f: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Matrix commutator FH - HF of two (1,1) bivector matrices."""
     f, h = np.asarray(f, float), np.asarray(h, float)
-    out = f @ h - h @ f
-    if frame is not None:
-        for m in (f, h, out):
-            if not _check_skew(m, frame.g):
-                raise ValueError("bracket arguments are not skew-self-adjoint "
-                                 "for this metric (mixed metric contexts?)")
-    return out
+    return f @ h - h @ f
 
 
-def _mixed_to_vec(m: np.ndarray) -> np.ndarray:
-    return m.reshape(-1)
+def _to_six(mats, g: np.ndarray):
+    """Each (1,1) matrix m as the six w_ab (a < b) of the antisymmetric
+    part of W = g.m, with max|W + W^T| / max|W|, its distance from so(g)."""
+    w = g @ np.asarray(mats, float).reshape(-1, 4, 4)
+    wt = np.swapaxes(w, 1, 2)
+    sym = np.max(np.abs(w + wt), axis=(1, 2)) / np.maximum(
+        np.max(np.abs(w), axis=(1, 2)), 1e-300)
+    return 0.5 * (w - wt)[:, _PAIRS[0], _PAIRS[1]], sym
+
+
+def _from_six(six: np.ndarray) -> np.ndarray:
+    """The antisymmetric 4x4 W of each row of six components."""
+    w = np.zeros((len(six), 4, 4))
+    w[:, _PAIRS[0], _PAIRS[1]] = six
+    return w - np.swapaxes(w, 1, 2)
+
+
+def _brackets(six: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """Six components of g.[M_i, M_j], i < j, for the rows' M = g^-1 W.
+
+    One stacked block P - P^T with P = W_i g^-1 W_j, which is exactly
+    antisymmetric.  It is divided by max|g^-1| max|W|, so that it stays
+    commensurate with the rows whatever the metric's scale.
+    """
+    w = _from_six(six)
+    i, j = np.triu_indices(len(w), 1)
+    p = w[i] @ ginv @ w[j]
+    p /= np.max(np.abs(ginv)) * np.max(np.abs(six))
+    return (p - np.swapaxes(p, 1, 2))[:, _PAIRS[0], _PAIRS[1]]
+
+
+def _reduce(rows: np.ndarray, rref: np.ndarray) -> np.ndarray:
+    """The rows modulo the span of canonical_span_basis rows: zero in the
+    pivot columns, which are exactly the identity columns of the RREF."""
+    piv = (rref == 1.0) & (np.count_nonzero(rref, axis=0) == 1)
+    return rows - rows[:, np.argmax(piv, axis=1)] @ rref
 
 
 def close_algebra(generators, frame: PointFrame,
                   tol: float = SPAN_TOL) -> list[np.ndarray]:
     """Smallest bracket-closed span containing the generators.
 
-    The returned basis is deterministic: reduced row echelon form of the
-    span with lexicographic pivoting, rows as 16-component matrices.
+    The span lives in so(g) as the six coordinates w_ab (a < b) of each
+    generator's g.m, kept at their raw magnitude, so it cannot exceed
+    dimension 6.  The returned basis is deterministic: reduced row
+    echelon form in those coordinates with lexicographic pivoting,
+    returned as the (1,1) matrices g^-1 W.
     """
-    rows = []
-    for m in generators:
-        nrm = np.max(np.abs(m))
-        if nrm > 0:
-            rows.append(_mixed_to_vec(np.asarray(m, float)) / nrm)
-    basis = canonical_span_basis(rows, tol) if rows else np.empty((0, 16))
-    while True:
-        mats = [v.reshape(4, 4) for v in basis]
-        added = False
-        new_rows = list(basis)
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                br = lie_bracket(mats[i], mats[j])
-                nrm = np.max(np.abs(br))
-                if nrm <= 1e-12:
-                    continue
-                cand = canonical_span_basis(
-                    np.vstack([basis, _mixed_to_vec(br) / nrm]), tol)
-                if len(cand) > len(basis):
-                    new_rows.append(_mixed_to_vec(br) / nrm)
-                    basis = canonical_span_basis(np.array(new_rows), tol)
-                    added = True
-        if not added or len(basis) >= 6:
-            basis = canonical_span_basis(np.array(new_rows), tol)
+    basis = canonical_span_basis(_to_six(generators, frame.g)[0], tol)
+    while 1 < len(basis) < 6:
+        grown = canonical_span_basis(
+            np.vstack([basis, _brackets(basis, frame.ginv)]), tol)
+        if len(grown) == len(basis):
             break
-    if len(basis) > 6:
-        raise ValueError(
-            f"closure dimension {len(basis)} exceeds the Lorentz algebra; "
-            "generators do not share a metric context")
-    return [v.reshape(4, 4) for v in basis]
+        basis = grown
+    return list(frame.ginv @ _from_six(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +216,7 @@ def recurrent_directions(basis, frame: PointFrame,
             continue  # numerically impossible for exact eigen-directions
         k = int(np.argmax(np.abs(v) > 1e-8))
         v = v * np.sign(v[k])
+        v[np.abs(v) <= 1e-12] = 0.0  # round-off, as +0.0 after the flip
         if not any(np.linalg.norm(v - u) < 1e-6 for u in found):
             found.append(v)
     return found
@@ -222,17 +225,6 @@ def recurrent_directions(basis, frame: PointFrame,
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of the last axes, computed as a 1-D ``a @ b`` is."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _derived_algebra(basis, tol: float = SPAN_TOL) -> np.ndarray:
-    rows = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            br = lie_bracket(basis[i], basis[j])
-            nrm = np.max(np.abs(br))
-            if nrm > 1e-12:
-                rows.append(_mixed_to_vec(br) / nrm)
-    return canonical_span_basis(rows, tol) if rows else np.empty((0, 16))
 
 
 def _mixed_to_bivector(m: np.ndarray, frame: PointFrame) -> Bivector:
@@ -253,7 +245,7 @@ def _adapted_null_tetrad(l: np.ndarray, frame: PointFrame):
         for q in rest:
             v = v - float(v @ g @ q) * q
         nrm2 = float(v @ g @ v)
-        if nrm2 > 1e-8:
+        if nrm2 > 1e-8 * float(np.max(np.abs(g))):
             rest.append(v / np.sqrt(nrm2))
         if len(rest) == 2:
             break
@@ -270,39 +262,27 @@ def _project_biv(w: Bivector, p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(pq_low * w.comps)) / denom
 
 
-def _r9_r12_discriminant(basis, frame: PointFrame, tol: float):
+def _r9_r12_discriminant(span: np.ndarray, frame: PointFrame, tol: float):
     """For a 3-dim algebra with trivial annihilator: the derived algebra is
     2-dim; the Pfaffian of any complement representative modulo it is zero
-    for R9 and nonzero for R12 (then omega is extracted)."""
-    derived = _derived_algebra(basis)
+    for R9 and nonzero for R12 (then omega is extracted).  The span and
+    the derived algebra are RREF rows of six components."""
+    derived = canonical_span_basis(_brackets(span, frame.ginv), tol)
     if len(derived) != 2:
         return None
-    # representative outside the derived algebra, reduced modulo it
-    rep = None
-    for m in basis:
-        v = _mixed_to_vec(m) / max(np.max(np.abs(m)), 1e-300)
-        red = v.copy()
-        for row in derived:
-            # derived rows are RREF rows whose pivot (first entry above
-            # noise) is exactly 1
-            above = np.abs(row) > 1e-7 * max(np.max(np.abs(row)), 1e-300)
-            if not np.any(above):
-                continue
-            pivcol = int(np.argmax(above))
-            red = red - red[pivcol] * row
-        if np.max(np.abs(red)) > 10 * tol:
-            rep = red.reshape(4, 4)
-            break
-    if rep is None:
+    # the first span row outside the derived algebra, reduced modulo it
+    red = _reduce(span, derived)
+    outside = np.max(np.abs(red), axis=1) > 10 * tol
+    if not np.any(outside):
         return None
+    rep = frame.ginv @ _from_six(red[outside][:1])[0]
     w = _mixed_to_bivector(rep, frame)
     pf = w.pfaffian
     smax = float(np.linalg.svd(w.comps, compute_uv=False)[0])
     if abs(pf) <= 1e-7 * smax ** 2:
         return ("R9", None)
     # omega: common annihilator of the derived algebra gives the null l
-    dmats = [row.reshape(4, 4) for row in derived]
-    anns = constant_directions(dmats, frame, tol)
+    anns = constant_directions(frame.ginv @ _from_six(derived), frame, tol)
     nulls = [v for v, ch in anns if ch == "null"]
     if len(anns) != 1 or not nulls:
         return None
@@ -325,12 +305,13 @@ def identify_type(basis, frame: PointFrame,
     with diagnostics instead of guessing."""
     basis = [np.asarray(m, float) for m in basis]
     diags: dict = {}
-    for m in basis:
-        if not _check_skew(m, frame.g):
-            return HolonomyAlgebraReport(
-                len(basis), basis, "unrecognized", [], [],
-                diagnostics={"reason": "basis not skew-self-adjoint"})
-    closure_resid = _closure_residual(basis, tol)
+    six, sym = _to_six(basis, frame.g)
+    if np.any(sym > tol):
+        return HolonomyAlgebraReport(
+            len(basis), basis, "unrecognized", [], [],
+            diagnostics={"reason": "basis not skew-self-adjoint"})
+    span = canonical_span_basis(six, tol)
+    closure_resid = _closure_residual(span, frame.ginv, tol)
     if closure_resid is not None:
         return HolonomyAlgebraReport(
             len(basis), basis, "unrecognized", [], [],
@@ -365,7 +346,7 @@ def identify_type(basis, frame: PointFrame,
             label = {"spacelike": "R10", "null": "R11",
                      "timelike": "R13"}.get(chars[0], "unrecognized")
         elif len(const) == 0:
-            got = _r9_r12_discriminant(basis, frame, tol)
+            got = _r9_r12_discriminant(span, frame, tol)
             if got is not None:
                 label, omega = got
             else:
@@ -385,24 +366,13 @@ def identify_type(basis, frame: PointFrame,
         realizable=(label != "R5"), diagnostics=diags)
 
 
-def _closure_residual(basis, tol: float):
-    if len(basis) < 2:
+def _closure_residual(span: np.ndarray, ginv: np.ndarray, tol: float):
+    """Largest part of a bracket of the RREF rows outside their span, or
+    None when the span is bracket-closed."""
+    if len(span) < 2:
         return None
-    rows = np.array([_mixed_to_vec(m) / max(np.max(np.abs(m)), 1e-300)
-                     for m in basis])
-    span = canonical_span_basis(rows, tol)
-    worst = 0.0
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            br = lie_bracket(basis[i], basis[j])
-            nrm = np.max(np.abs(br))
-            if nrm <= 1e-12:
-                continue
-            aug = canonical_span_basis(
-                np.vstack([span, _mixed_to_vec(br) / nrm]), max(tol, 1e-6))
-            if len(aug) > len(span):
-                worst = max(worst, nrm)
-    return worst if worst > 0 else None
+    resid = float(np.max(np.abs(_reduce(_brackets(span, ginv), span))))
+    return resid if resid > max(tol, 1e-6) * np.max(np.abs(span)) else None
 
 
 # ---------------------------------------------------------------------------

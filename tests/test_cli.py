@@ -104,6 +104,19 @@ class TestHolonomy:
         assert res.exit_code == 0
         assert report["label"] == "R1"
 
+    def test_partner_order1_closes(self, runner, emitted, tmp_path):
+        # the derived r9 partner's order-1 closure used to exceed so(1,3)
+        # and exit 2
+        files = emitted("r9")
+        partner = str(tmp_path / "partner.json")
+        res = runner.invoke(main, ["derive-partner", "-m", files["g"], "-a",
+                                   files["a"], "-o", partner])
+        assert res.exit_code == 0, res.output
+        res, report = run_json(runner, ["holonomy", "-m", partner,
+                                        "--order", "1", "--seed", "1"])
+        assert res.exit_code == 0, res.output
+        assert report["label"] != "unrecognized"
+
 
 class TestSampleCount:
     @pytest.mark.parametrize("samples", ["0", "-3"])

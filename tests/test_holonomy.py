@@ -63,26 +63,20 @@ class TestLieBracket:
     def test_ln_lx_gives_lx(self):
         fr = minkowski_frame()
         l, n, x, y = null_tetrad()
-        br = lie_bracket(mixed(l, n, fr), mixed(l, x, fr), fr)
+        br = lie_bracket(mixed(l, n, fr), mixed(l, x, fr))
         assert np.max(np.abs(br - mixed(l, x, fr))) < 1e-12
 
     def test_null_rotations_commute(self):
         fr = minkowski_frame()
         l, n, x, y = null_tetrad()
-        br = lie_bracket(mixed(l, x, fr), mixed(l, y, fr), fr)
+        br = lie_bracket(mixed(l, x, fr), mixed(l, y, fr))
         assert np.max(np.abs(br)) < 1e-12
 
     def test_self_bracket_zero(self):
         fr = minkowski_frame()
         l, n, x, y = null_tetrad()
         assert np.max(np.abs(lie_bracket(mixed(l, n, fr),
-                                         mixed(l, n, fr), fr))) == 0.0
-
-    def test_mixed_context_rejected(self):
-        fr = minkowski_frame()
-        bad = np.diag([1.0, 2.0, 3.0, 4.0])  # not skew-self-adjoint
-        with pytest.raises(ValueError):
-            lie_bracket(bad, mixed(*null_tetrad()[:2], fr), fr)
+                                         mixed(l, n, fr)))) == 0.0
 
 
 class TestCloseAlgebra:
@@ -101,6 +95,19 @@ class TestCloseAlgebra:
 
     def test_empty(self):
         assert close_algebra([], minkowski_frame()) == []
+
+    @pytest.mark.parametrize("c", [1e-9, 1.0, 1e9])
+    def test_metric_scale_leaves_closure_and_label(self, c):
+        # g -> c g scales each table generator by c, so the closed
+        # algebra and its label must not depend on c (the 1-dim labels
+        # are left out: classify_bivector's null test is not scale-free)
+        fr = PointFrame.synthetic(c * ETA, np.zeros((4, 4, 4, 4)))
+        for label in sorted(TYPE_DIMENSIONS)[1:]:
+            gens = table1_basis(label, fr)
+            basis = close_algebra(gens[:2] if label == "R13" else gens, fr)
+            assert len(basis) == TYPE_DIMENSIONS[label], label
+            if len(basis) > 1:
+                assert identify_type(basis, fr).label == label
 
     def test_closure_invariant(self):
         fr = minkowski_frame()
@@ -164,6 +171,16 @@ class TestIdentifyType:
             rep_el = base[0] + a * base[1] + b_ * base[2]
             rep = identify_type([rep_el, base[1], base[2]], fr)
             assert rep.label == "R9"
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-9])
+    def test_non_skew_basis_rejected_at_any_scale(self, scale):
+        # the symmetric part is measured relative to each element, so a
+        # small non-skew matrix is caught as surely as a large one
+        fr = minkowski_frame()
+        bad = scale * np.diag([1.0, 2.0, 3.0, 4.0])
+        rep = identify_type([bad], fr)
+        assert rep.label == "unrecognized"
+        assert rep.diagnostics["reason"] == "basis not skew-self-adjoint"
 
     def test_unrecognized_dim3_bad_annihilator(self):
         # {x^y, x^z} closes to so(3) = R13; feeding a NON-closed pair must
@@ -371,6 +388,7 @@ def _recurrent_reference(basis, frame, tol=1e-8):
             continue
         k = int(np.argmax(np.abs(v) > 1e-8))
         v = v * np.sign(v[k])
+        v[np.abs(v) <= 1e-12] = 0.0
         if not any(np.linalg.norm(v - u) < 1e-6 for u in found):
             found.append(v)
     return found
@@ -408,10 +426,7 @@ def test_stacked_kernels_match_reference_loops(which, order, seed, rnd,
         gens = ihol_generators(spec, fr.point, order, frame=fr)
         want = _generators_reference(fr, order)
         assert [m.tobytes() for m in gens] == [m.tobytes() for m in want]
-        try:
-            basis = close_algebra(gens, fr)
-        except ValueError:
-            continue  # the partner closure defect at order 1
+        basis = close_algebra(gens, fr)
         # the surveyed basis; reordered and rescaled; and in a random
         # chart (M -> A M A^-1, g -> A^-T g A^-1), where its directions
         # are no longer coordinate axes
@@ -441,3 +456,27 @@ def test_stacked_recurrent_directions_on_r14_survey():
             v.tobytes() for v in _recurrent_reference(basis, fr)]
         seen += len(got)
     assert seen > 0
+
+
+def test_partner_surveys_close_and_grow_with_order():
+    # the derived partners' round-off generators once spanned spurious
+    # directions outside so(g) and the closure raised; every partner must
+    # now give one valid label at all points, and at each sampled point
+    # the order-k algebra contains the order-(k-1) one, so its dimension
+    # never drops
+    from lorhol.fixtures import FIXTURE_NAMES
+    from helpers import fixture_spec
+    for name in FIXTURE_NAMES:
+        spec = fixture_spec(name, True)
+        for seed in (1, 2):
+            dims = None
+            for order in (0, 1, 2):
+                rep = holonomy_survey(spec, samples=4, seed=seed,
+                                      derivative_order=order)
+                assert rep.label != "unrecognized" and not rep.mixed_types, (
+                    name, seed, order, rep.per_point)
+                now = [d for _, _, d in rep.per_point]
+                if dims is not None:
+                    assert all(b >= a for a, b in zip(dims, now)), (
+                        name, seed, order, dims, now)
+                dims = now
