@@ -196,19 +196,20 @@ def classify_bivector(F: Bivector, tol: float = SVD_TOL) -> BivectorClass:
     """Tag F as zero / simple-{timelike,spacelike,null} / non-simple.
 
     Simplicity is the vanishing of the Pfaffian at scaled tolerance; the
-    causal character of a simple F is the sign of theta = F_ab F^ab.
-    For a non-simple F the canonical pair (G timelike, H spacelike,
-    H proportional to *G) is returned.
+    causal character of a simple F is the sign of theta = F_ab F^ab,
+    null when |theta| is within tol of its Cauchy-Schwarz bound
+    |F_ab| |F^ab|.  For a non-simple F the canonical pair (G timelike,
+    H spacelike, H proportional to *G) is returned.  Every test compares
+    quantities of equal weight in g, so the class is unchanged under
+    g -> c g.
     """
-    s = np.linalg.svd(F.comps, compute_uv=False)
-    smax = float(s[0])
-    if smax <= 1e-14 * max(1.0, float(np.max(np.abs(F.frame.g)))):
+    if np.max(np.abs(F.mixed)) <= 1e-14:
         return BivectorClass("zero", 0.0)
+    smax = float(np.linalg.svd(F.comps, compute_uv=False)[0])
     theta = F.theta
-    gscale = float(np.linalg.norm(F.frame.g, 2) * np.linalg.norm(F.frame.ginv, 2))
     if abs(F.pfaffian) <= tol * smax ** 2:
         p, q = _blade_from_svd(F, tol)
-        if abs(theta) <= tol * gscale * smax ** 2:
+        if abs(theta) <= tol * np.linalg.norm(F.lowered) * F.norm():
             tag = "simple-null"
         elif theta < 0:
             tag = "simple-timelike"

@@ -287,6 +287,7 @@ def holonomy(metric_path, samples, seed, order, as_json, out):
                           derivative_order=order)
     body = {
         "label": rep.label,
+        "derivative_order": order,
         "dimension": rep.representative.dimension,
         "mixed_types": rep.mixed_types,
         "caveat": rep.caveat,

@@ -34,6 +34,9 @@ TYPE_DIMENSIONS = {
     "R1": 0, "R2": 1, "R3": 1, "R4": 1, "R5": 1, "R6": 2, "R7": 2, "R8": 2,
     "R9": 3, "R10": 3, "R11": 3, "R12": 3, "R13": 3, "R14": 4, "R15": 6,
 }
+# the 2- and 3-dim types with one constant direction, by its character
+_BY_CONSTANT = {2: {"spacelike": "R6", "null": "R8"},
+                3: {"spacelike": "R10", "null": "R11", "timelike": "R13"}}
 
 
 @dataclass
@@ -303,6 +306,15 @@ def identify_type(basis, frame: PointFrame,
     """Identify a bracket-closed span of bivector matrices against the
     taxonomy.  Structure that fits no type is labelled "unrecognized"
     with diagnostics instead of guessing."""
+    return _complete(_decide(basis, frame, tol), frame, tol)
+
+
+def _decide(basis, frame: PointFrame, tol: float) -> HolonomyAlgebraReport:
+    """identify_type's label, from only the probes its dimension's rule
+    reads: the bivector class at dimension 1, the constant directions at
+    dimensions 2 and 3 (then the R9/R12 discriminant when there are
+    none), the recurrent directions at dimension 4.  A probe the rule
+    did not read is left as None."""
     basis = [np.asarray(m, float) for m in basis]
     diags: dict = {}
     six, sym = _to_six(basis, frame.g)
@@ -318,9 +330,7 @@ def identify_type(basis, frame: PointFrame,
             diagnostics={"reason": "basis not bracket-closed",
                          "residual": closure_resid})
     dim = len(basis)
-    const = constant_directions(basis, frame, tol)
-    recur = recurrent_directions(basis, frame)
-    omega = None
+    const = recur = omega = None
     label = "unrecognized"
     if dim == 0:
         label = "R1"
@@ -333,27 +343,22 @@ def identify_type(basis, frame: PointFrame,
         if label == "R5":
             g_t, h_s = cls.pair
             omega = float(np.sqrt(h_s.theta / -g_t.theta))
-    elif dim == 2:
+    elif dim in (2, 3):
+        const = constant_directions(basis, frame, tol)
         chars = [ch for _, ch in const]
-        if len(const) == 1:
-            label = {"spacelike": "R6", "null": "R8"}.get(chars[0],
-                                                          "unrecognized")
-        elif len(const) == 0:
+        if len(chars) == 1:
+            label = _BY_CONSTANT[dim].get(chars[0], "unrecognized")
+        elif not chars and dim == 2:
             label = "R7"
-    elif dim == 3:
-        chars = [ch for _, ch in const]
-        if len(const) == 1:
-            label = {"spacelike": "R10", "null": "R11",
-                     "timelike": "R13"}.get(chars[0], "unrecognized")
-        elif len(const) == 0:
+        elif not chars:
             got = _r9_r12_discriminant(span, frame, tol)
             if got is not None:
                 label, omega = got
             else:
                 diags["reason"] = "dim-3 discriminant failed"
     elif dim == 4:
-        if recur and all(_causal_character(v, frame.g) == "null"
-                         for v in recur):
+        recur = recurrent_directions(basis, frame)
+        if recur:
             label = "R14"
         else:
             diags["reason"] = "dim-4 algebra without a null eigen-direction"
@@ -364,6 +369,16 @@ def identify_type(basis, frame: PointFrame,
     return HolonomyAlgebraReport(
         dim, basis, label, const, recur, omega,
         realizable=(label != "R5"), diagnostics=diags)
+
+
+def _complete(rep: HolonomyAlgebraReport, frame: PointFrame,
+              tol: float) -> HolonomyAlgebraReport:
+    """Fill in the probes _decide left as None."""
+    if rep.constant is None:
+        rep.constant = constant_directions(rep.basis, frame, tol)
+    if rep.recurrent is None:
+        rep.recurrent = recurrent_directions(rep.basis, frame)
+    return rep
 
 
 def _closure_residual(span: np.ndarray, ginv: np.ndarray, tol: float):
@@ -384,25 +399,30 @@ def holonomy_survey(spec: MetricSpec, samples: int = 32, seed: int = 7,
                     tol: float = SPAN_TOL) -> HolonomySurveyReport:
     """Identify the infinitesimal holonomy algebra over sampled points.
 
-    Each point is closed and identified in its own frame (the matrices at
+    Each point is closed and labelled in its own frame (the matrices at
     different points are skew-self-adjoint for different g(m), so a naive
     cross-point union of chart components is not an algebra and is not
-    attempted).  The aggregate label is the maximal-dimension per-point
-    identification; disagreements are flagged.
+    attempted); its per-point entry carries the label and dimension only.
+    The representative is the first point of maximal dimension,
+    preferring a recognised label, and its label is the survey's; only
+    the representative carries constant and recurrent directions, omega
+    and diagnostics, as identify_type reports them at that point.
+    Disagreeing per-point labels are flagged.
     """
     pts = sample_points(spec, samples, seed=seed, box=box)
     per_point = []
-    best: HolonomyAlgebraReport | None = None
+    best = None  # (decision, frame)
     for fr in frames_at(spec, pts, derivative_order + 2):
         gens = ihol_generators(spec, fr.point, derivative_order, frame=fr)
-        basis = close_algebra(gens, fr, tol)
-        rep = identify_type(basis, fr, tol)
+        rep = _decide(close_algebra(gens, fr, tol), fr, tol)
         per_point.append((fr.point, rep.label, rep.dimension))
-        if best is None or _better(rep, best):
-            best = rep
+        if best is None or _better(rep, best[0]):
+            best = rep, fr
     labels = {lab for _, lab, _ in per_point}
     mixed = len(labels) > 1
-    return HolonomySurveyReport(best.label, best, per_point, mixed)
+    representative = _complete(*best, tol)
+    return HolonomySurveyReport(representative.label, representative,
+                                per_point, mixed)
 
 
 def _better(a: HolonomyAlgebraReport, b: HolonomyAlgebraReport) -> bool:

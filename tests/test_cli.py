@@ -117,6 +117,20 @@ class TestHolonomy:
         assert res.exit_code == 0, res.output
         assert report["label"] != "unrecognized"
 
+    def test_report_records_derivative_order(self, runner, emitted):
+        # flat space gives the same algebra at every order, so the order
+        # key is all that tells the two reports apart
+        files = emitted("minkowski")
+        reports = []
+        for order in ("0", "1"):
+            res, report = run_json(runner, ["holonomy", "-m", files["g"],
+                                            "--samples", "4", "--order",
+                                            order])
+            assert res.exit_code == 0, res.output
+            reports.append(report)
+        assert [r.pop("derivative_order") for r in reports] == [0, 1]
+        assert reports[0] == reports[1]
+
 
 class TestSampleCount:
     @pytest.mark.parametrize("samples", ["0", "-3"])

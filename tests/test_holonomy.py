@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,15 +101,13 @@ class TestCloseAlgebra:
     @pytest.mark.parametrize("c", [1e-9, 1.0, 1e9])
     def test_metric_scale_leaves_closure_and_label(self, c):
         # g -> c g scales each table generator by c, so the closed
-        # algebra and its label must not depend on c (the 1-dim labels
-        # are left out: classify_bivector's null test is not scale-free)
+        # algebra and its label must not depend on c
         fr = PointFrame.synthetic(c * ETA, np.zeros((4, 4, 4, 4)))
         for label in sorted(TYPE_DIMENSIONS)[1:]:
             gens = table1_basis(label, fr)
             basis = close_algebra(gens[:2] if label == "R13" else gens, fr)
             assert len(basis) == TYPE_DIMENSIONS[label], label
-            if len(basis) > 1:
-                assert identify_type(basis, fr).label == label
+            assert identify_type(basis, fr).label == label
 
     def test_closure_invariant(self):
         fr = minkowski_frame()
@@ -125,13 +125,20 @@ class TestIdentifyType:
     @pytest.mark.parametrize("label", sorted(TYPE_DIMENSIONS)[1:])  # skip R1
     def test_table_bases_identify(self, label):
         fr = minkowski_frame()
-        rep = identify_type(table1_basis(label, fr), fr)
+        basis = table1_basis(label, fr)
+        rep = identify_type(basis, fr)
         assert rep.label == label
         assert rep.dimension == TYPE_DIMENSIONS[label]
+        # both probes are reported, whichever the label was decided on
+        assert [(v.tobytes(), ch) for v, ch in rep.constant] == [
+            (v.tobytes(), ch) for v, ch in constant_directions(basis, fr)]
+        assert [v.tobytes() for v in rep.recurrent] == [
+            v.tobytes() for v in recurrent_directions(basis, fr)]
 
     def test_r1_trivial(self):
         rep = identify_type([], minkowski_frame())
         assert rep.label == "R1"
+        assert len(rep.constant) == 4 and rep.recurrent == []
 
     def test_r5_flagged_non_realizable(self):
         fr = minkowski_frame()
@@ -460,23 +467,54 @@ def test_stacked_recurrent_directions_on_r14_survey():
 
 def test_partner_surveys_close_and_grow_with_order():
     # the derived partners' round-off generators once spanned spurious
-    # directions outside so(g) and the closure raised; every partner must
-    # now give one valid label at all points, and at each sampled point
-    # the order-k algebra contains the order-(k-1) one, so its dimension
-    # never drops
+    # directions outside so(g) and the closure raised; every fixture and
+    # partner must now give one valid label at all points, and at each
+    # sampled point the order-k algebra contains the order-(k-1) one, so
+    # its dimension never drops
     from lorhol.fixtures import FIXTURE_NAMES
     from helpers import fixture_spec
-    for name in FIXTURE_NAMES:
-        spec = fixture_spec(name, True)
+    for name, partner in itertools.product(FIXTURE_NAMES, (False, True)):
+        spec = fixture_spec(name, partner)
         for seed in (1, 2):
             dims = None
             for order in (0, 1, 2):
                 rep = holonomy_survey(spec, samples=4, seed=seed,
                                       derivative_order=order)
                 assert rep.label != "unrecognized" and not rep.mixed_types, (
-                    name, seed, order, rep.per_point)
+                    name, partner, seed, order, rep.per_point)
                 now = [d for _, _, d in rep.per_point]
                 if dims is not None:
                     assert all(b >= a for a, b in zip(dims, now)), (
-                        name, seed, order, dims, now)
+                        name, partner, seed, order, dims, now)
                 dims = now
+
+
+def _report_bytes(rep):
+    return (rep.dimension, rep.label, [m.tobytes() for m in rep.basis],
+            [(v.tobytes(), ch) for v, ch in rep.constant],
+            [v.tobytes() for v in rep.recurrent], rep.omega, rep.realizable,
+            sorted(rep.diagnostics.items()))
+
+
+@pytest.mark.parametrize("name, partner, order", [
+    ("r14", False, 1), ("r9", False, 1), ("r10", False, 1),
+    ("r9", True, 0)])
+def test_survey_matches_identify_type_at_every_point(name, partner, order):
+    # the survey labels each point from the probes its dimension needs and
+    # builds the full report for the representative alone; both must be
+    # what identify_type gives at those points
+    from helpers import fixture_spec
+    from lorhol.pointcalc import frames_at
+    spec = fixture_spec(name, partner)
+    rep = holonomy_survey(spec, samples=6, seed=1, derivative_order=order)
+    pts = sample_points(spec, 6, seed=1)
+    full = [identify_type(close_algebra(
+        ihol_generators(spec, fr.point, order, frame=fr), fr), fr)
+        for fr in frames_at(spec, pts, order + 2)]
+    assert np.array_equal([pt for pt, _, _ in rep.per_point], pts)
+    assert [(lab, dim) for _, lab, dim in rep.per_point] == [
+        (r.label, r.dimension) for r in full]
+    top = max(r.dimension for r in full)
+    first = [r for r in full if r.dimension == top]
+    first = ([r for r in first if r.label != "unrecognized"] or first)[0]
+    assert _report_bytes(rep.representative) == _report_bytes(first)
