@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Digest in-process holonomy surveys, two sha256 digests a line.
+"""Digest in-process holonomy surveys and curvature classifications.
 
-Each line reads ``spec:o<order>:s<seed> full-sha256 label-sha256``,
-followed by the exception class when the survey raised.
+Each survey line reads ``spec:o<order>:s<seed> full-sha256
+label-sha256``, each classification line ``spec:classify:s<seed>
+sha256``; either is followed by the exception class when a call raised.
 
 The in-process counterpart of ``report_digests.py``: for every listed
 fixture and the partner derived from its Sinyukov pair, orders 0-2 on
@@ -17,10 +18,22 @@ mixed-types flag, each point's label and dimension, the
 representative's dimension, the characters of its constant directions
 and the number of its recurrent directions; it survives a change of
 basis representation.  A survey that raises is hashed, in both, by its
-exception class and message.  Two checkouts that survey alike print the
-same lines, and the check is a ``diff`` of their outputs.  Uses only the
-standard library and lorhol from the ``src/`` of the checkout that holds
-this script.
+exception class and message.
+
+The classification digest covers, at each of the same sampled points
+of every listed fixture and partner, every field of
+``classify_curvature``: the tag, kernel bytes, range bivector
+components, margin, the class-D bivector with its class, theta and
+blade or canonical pair, the class-C direction and the class-B dual
+pair; and the basis bytes of ``solve_theorem1``.  The CLI report shows
+only dimensions, margin and theta, so this is the byte-identity check
+for the rank and kernel decisions.  A call that raises is hashed by its
+exception class and message, and the point's remaining calls still run.
+
+Two checkouts that survey and classify alike print the same lines, and
+the check is a ``diff`` of their outputs.  Uses only the standard
+library and lorhol from the ``src/`` of the checkout that holds this
+script.
 
 Usage: python scripts/survey_digests.py [--fixtures r9 r11 ...]
            [--seeds 0 1 2 3 4 5] [--samples 12]
@@ -32,11 +45,63 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from lorhol.curvclass import classify_curvature, solve_theorem1  # noqa: E402
 from lorhol.fixtures import FIXTURE_NAMES, named_fixture  # noqa: E402
 from lorhol.holonomy import holonomy_survey  # noqa: E402
+from lorhol.pointcalc import frames_at, sample_points  # noqa: E402
 from lorhol.projective import invert_pair  # noqa: E402
 
 ORDERS = (0, 1, 2)
+
+
+def _put(h, *items):
+    for x in items:
+        h.update(x.tobytes() if hasattr(x, "tobytes") else repr(x).encode())
+        h.update(b"|")
+
+
+def classify_digest(spec, samples: int, seed: int) -> str:
+    """The digest of every classify_curvature and solve_theorem1 result
+    at the sampled points, followed by the class of the last exception
+    if any call raised."""
+    h = hashlib.sha256()
+    raised = []
+
+    def attempt(fn, *args):
+        try:
+            return fn(*args)
+        except Exception as exc:  # noqa: BLE001  the error is the result
+            _put(h, "raised", type(exc).__name__, str(exc))
+            raised.append(type(exc).__name__)
+            return None
+
+    def bivectors(*fs):
+        for f in fs:
+            _put(h, None if f is None else f.comps)
+
+    def classify(fr):
+        _put(h, "point", fr.point)
+        rep = attempt(classify_curvature, fr)
+        if rep is not None:
+            _put(h, rep.tag, rep.kernel, rep.range_dim, rep.margin,
+                 len(rep.range_basis))
+            bivectors(*rep.range_basis, rep.simple_f)
+            fc = rep.f_class
+            if fc is not None:
+                _put(h, fc.tag, fc.theta, *(fc.blade or ()))
+                bivectors(*(fc.pair or ()))
+            _put(h, rep.direction)
+            bivectors(*(rep.dual_pair or ()))
+        got = attempt(solve_theorem1, fr)
+        if got is not None:
+            _put(h, "theorem1", got[0])
+
+    def run():
+        for fr in frames_at(spec, sample_points(spec, samples, seed=seed)):
+            classify(fr)
+
+    attempt(run)
+    return " ".join([h.hexdigest(), *raised[-1:]])
 
 
 def survey_digest(spec, samples: int, seed: int, order: int) -> str:
@@ -47,10 +112,7 @@ def survey_digest(spec, samples: int, seed: int, order: int) -> str:
 
     def put(*items, into=(full,)):
         for h in into:
-            for x in items:
-                h.update(x.tobytes() if hasattr(x, "tobytes")
-                         else repr(x).encode())
-                h.update(b"|")
+            _put(h, *items)
 
     try:
         rep = holonomy_survey(spec, samples=samples, seed=seed,
@@ -93,6 +155,10 @@ def main() -> int:
                     print(f"{label}:o{order}:s{seed} "
                           f"{survey_digest(spec, args.samples, seed, order)}",
                           flush=True)
+            for seed in args.seeds:
+                print(f"{label}:classify:s{seed} "
+                      f"{classify_digest(spec, args.samples, seed)}",
+                      flush=True)
     return 0
 
 

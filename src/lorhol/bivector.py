@@ -6,6 +6,7 @@ together with the PointFrame supplying the metric for index moves.  The
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,24 +16,39 @@ from .pointcalc import PointFrame
 __all__ = [
     "BASIS_PAIRS", "Bivector", "BivectorClass", "CurvatureMap",
     "hodge_dual", "classify_bivector", "curvature_map_matrix",
-    "from_six", "to_six", "wedge", "canonical_span_basis", "SVD_TOL",
+    "from_six", "to_six", "antisym_from_six", "BASIS_INDEX", "wedge",
+    "canonical_span_basis", "svd_rank", "null_basis", "SVD_TOL",
 ]
 
 BASIS_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# the same pairs as (rows, cols) index arrays, np.triu_indices(4, 1)
+BASIS_INDEX = tuple(np.array(ix) for ix in zip(*BASIS_PAIRS))
 SVD_TOL = 1e-9
 
-# Levi-Civita symbol, epsilon[0,1,2,3] = +1
+# Levi-Civita symbol, epsilon[0,1,2,3] = +1: the parity of each permutation
 _LC = np.zeros((4, 4, 4, 4))
-for _perm, _sign in [
-        ((0, 1, 2, 3), 1), ((0, 1, 3, 2), -1), ((0, 2, 1, 3), -1),
-        ((0, 2, 3, 1), 1), ((0, 3, 1, 2), 1), ((0, 3, 2, 1), -1),
-        ((1, 0, 2, 3), -1), ((1, 0, 3, 2), 1), ((1, 2, 0, 3), 1),
-        ((1, 2, 3, 0), -1), ((1, 3, 0, 2), -1), ((1, 3, 2, 0), 1),
-        ((2, 0, 1, 3), 1), ((2, 0, 3, 1), -1), ((2, 1, 0, 3), -1),
-        ((2, 1, 3, 0), 1), ((2, 3, 0, 1), 1), ((2, 3, 1, 0), -1),
-        ((3, 0, 1, 2), -1), ((3, 0, 2, 1), 1), ((3, 1, 0, 2), 1),
-        ((3, 1, 2, 0), -1), ((3, 2, 0, 1), -1), ((3, 2, 1, 0), 1)]:
-    _LC[_perm] = _sign
+for _perm in itertools.permutations(range(4)):
+    _LC[_perm] = (-1) ** sum(i > j for i, j in
+                             itertools.combinations(_perm, 2))
+
+
+def svd_rank(a, tol: float = SVD_TOL):
+    """Numerical rank of ``a`` with its full SVD: (rank, u, s, vt).
+
+    The rank is the number of singular values above tol * s_max (Golub &
+    Van Loan's rule); a zero or empty matrix has rank 0.  Every rank
+    decision of the package is made here."""
+    u, s, vt = np.linalg.svd(a)
+    smax = float(s[0]) if s.size and s[0] > 0 else 0.0
+    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
+    return rank, u, s, vt
+
+
+def null_basis(a, tol: float = SVD_TOL) -> np.ndarray:
+    """Canonical basis (see canonical_span_basis) of the numerical null
+    space of ``a``: the right singular vectors past svd_rank's rank."""
+    rank, _, _, vt = svd_rank(a, tol)
+    return canonical_span_basis(vt[rank:], tol)
 
 
 def canonical_span_basis(vectors, tol: float = SVD_TOL) -> np.ndarray:
@@ -131,16 +147,24 @@ def wedge(p, q, frame: PointFrame) -> Bivector:
 
 
 def to_six(F: Bivector | np.ndarray) -> np.ndarray:
+    """The six components F[a, b], a < b in BASIS_PAIRS order, of a
+    bivector or of the trailing 4x4 axes of an array."""
     comps = F.comps if isinstance(F, Bivector) else np.asarray(F, float)
-    return np.array([comps[a, b] for a, b in BASIS_PAIRS])
+    return comps[..., BASIS_INDEX[0], BASIS_INDEX[1]]
+
+
+def antisym_from_six(six) -> np.ndarray:
+    """The antisymmetric 4x4 array with the six components ``six`` (in
+    BASIS_PAIRS order) above the diagonal, batched over leading axes."""
+    six = np.asarray(six, float)
+    w = np.zeros(six.shape[:-1] + (4, 4))
+    w[..., BASIS_INDEX[0], BASIS_INDEX[1]] = six
+    w[..., BASIS_INDEX[1], BASIS_INDEX[0]] = -six
+    return w
 
 
 def from_six(v, frame: PointFrame) -> Bivector:
-    comps = np.zeros((4, 4))
-    for k, (a, b) in enumerate(BASIS_PAIRS):
-        comps[a, b] = v[k]
-        comps[b, a] = -v[k]
-    return Bivector(comps, frame)
+    return Bivector(antisym_from_six(v), frame)
 
 
 def hodge_dual(F: Bivector, orientation: float = 1.0) -> Bivector:
@@ -234,19 +258,11 @@ class CurvatureMap:
 
 def curvature_map_matrix(frame: PointFrame, tol: float = SVD_TOL) -> CurvatureMap:
     ruu = np.einsum("be,aecd->abcd", frame.ginv, frame.riem_ud)
-    m = np.empty((6, 6))
-    for i, (a, b) in enumerate(BASIS_PAIRS):
-        for j, (c, d) in enumerate(BASIS_PAIRS):
-            m[i, j] = 2.0 * ruu[a, b, c, d]
-    u, s, vt = np.linalg.svd(m)
-    smax = float(s[0]) if s[0] > 0 else 0.0
-    if smax == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tol * smax))
-    kern = canonical_span_basis(vt[rank:], tol) if rank < 6 else np.empty((0, 6))
-    rng = canonical_span_basis(u[:, :rank].T, tol) if rank else np.empty((0, 6))
-    margin = float(s[rank] / smax) if (smax > 0 and rank < 6) else 0.0
+    m = 2.0 * to_six(ruu[BASIS_INDEX])
+    rank, u, s, vt = svd_rank(m, tol)
+    kern = canonical_span_basis(vt[rank:], tol)
+    rng = canonical_span_basis(u[:, :rank].T, tol)
+    margin = float(s[rank] / s[0]) if (s[0] > 0 and rank < 6) else 0.0
     return CurvatureMap(
         matrix=m,
         rank=rank,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -45,10 +44,6 @@ FILE_VERSION = 1
 DEFAULT_SEED = 7
 
 USAGE_ERROR, CHECK_FAILED = 2, 1
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("LORHOL_SEED", DEFAULT_SEED))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +225,10 @@ _point_opt = click.option("-p", "--point", default=None,
                           help="comma-separated coordinates")
 _samples_opt = click.option("--samples", default=32, show_default=True,
                             type=click.IntRange(min=1))
-_seed_opt = click.option("--seed", default=None, type=int,
-                         help="sampling seed (default 7, or LORHOL_SEED)")
+_seed_opt = click.option("--seed", default=DEFAULT_SEED, type=int,
+                         envvar="LORHOL_SEED", show_default=True,
+                         help="sampling seed (env LORHOL_SEED overrides "
+                              "the default)")
 _json_opt = click.option("--json", "as_json", is_flag=True)
 _out_opt = click.option("-o", "--out", default=None,
                         help="also write the JSON report here")
@@ -248,7 +245,6 @@ _out_opt = click.option("-o", "--out", default=None,
 @_guard
 def classify(metric_path, point, samples, seed, svd_tol, as_json, out):
     """Pointwise curvature class (A/B/C/D/O) of a metric."""
-    seed = _default_seed() if seed is None else seed
     spec = load_metric_file(metric_path)
     pts = _points_for(spec, point, samples, seed)
     per_point = []
@@ -281,7 +277,6 @@ def classify(metric_path, point, samples, seed, svd_tol, as_json, out):
 @_guard
 def holonomy(metric_path, samples, seed, order, as_json, out):
     """Infinitesimal holonomy algebra type over sampled points."""
-    seed = _default_seed() if seed is None else seed
     spec = load_metric_file(metric_path)
     rep = holonomy_survey(spec, samples=samples, seed=seed,
                           derivative_order=order)
@@ -318,7 +313,6 @@ def holonomy(metric_path, samples, seed, order, as_json, out):
 @_guard
 def sinyukov_check(metric_path, pair_path, samples, seed, tol, as_json, out):
     """Residual of Sinyukov's equation for a candidate (a, lambda)."""
-    seed = _default_seed() if seed is None else seed
     spec = load_metric_file(metric_path)
     pair = load_pair_file(pair_path, spec)
     pts = sample_points(spec, samples, seed=seed)
@@ -344,7 +338,6 @@ def sinyukov_check(metric_path, pair_path, samples, seed, tol, as_json, out):
 @_guard
 def derive_partner(metric_path, pair_path, samples, seed, tol, out, as_json):
     """Invert (a, lambda) and write the projectively related metric g'."""
-    seed = _default_seed() if seed is None else seed
     spec = load_metric_file(metric_path)
     pair = load_pair_file(pair_path, spec)
     pts = sample_points(spec, samples, seed=seed)
@@ -384,7 +377,6 @@ def derive_partner(metric_path, pair_path, samples, seed, tol, out, as_json):
 def projective_check(metric_path, metric2_path, pair_path, auto_psi, samples,
                      seed, tol, as_json, out):
     """Verify that two metrics are projectively related."""
-    seed = _default_seed() if seed is None else seed
     spec = load_metric_file(metric_path)
     spec2 = load_metric_file(metric2_path)
     pts = sample_points(spec, samples, seed=seed)
@@ -429,7 +421,6 @@ def projective_check(metric_path, metric2_path, pair_path, auto_psi, samples,
 def weyl_projective(metric_path, metric2_path, samples, seed, tol, as_json,
                     out):
     """Compare the Weyl projective tensors of two metrics."""
-    seed = _default_seed() if seed is None else seed
     spec = load_metric_file(metric_path)
     spec2 = load_metric_file(metric2_path)
     pts = sample_points(spec, samples, seed=seed)
@@ -458,7 +449,6 @@ def geodesic_check(metric_path, metric2_path, trials, steps, horizon, seed,
                    geo_tol, as_json, out):
     """Score whether the second metric shares the first one's geodesic
     paths (pre-geodesic deviation along integrated trajectories)."""
-    seed = _default_seed() if seed is None else seed
     spec = load_metric_file(metric_path)
     spec2 = load_metric_file(metric2_path)
     rep = pregeodesic_check(spec, spec2, trials=trials, steps=steps,

@@ -18,7 +18,8 @@ import numpy as np
 
 from .bivector import (
     SVD_TOL, Bivector, BivectorClass, canonical_span_basis,
-    classify_bivector, curvature_map_matrix, from_six, hodge_dual, to_six,
+    classify_bivector, curvature_map_matrix, hodge_dual, null_basis,
+    svd_rank, to_six,
 )
 from .pointcalc import PointFrame
 
@@ -27,7 +28,8 @@ __all__ = [
     "classify_curvature", "solve_theorem1", "riemann_is_zero",
 ]
 
-_SYM_PAIRS = tuple((a, b) for a in range(4) for b in range(a, 4))
+# the ten components h[a, b], a <= b, of a symmetric 4x4 tensor
+_SYM_INDEX = np.triu_indices(4)
 
 
 class ClassificationError(Exception):
@@ -57,12 +59,9 @@ def riemann_is_zero(frame: PointFrame, tol: float = 1e-10) -> bool:
 def kernel_vectors(frame: PointFrame, tol: float = SVD_TOL) -> np.ndarray:
     """Orthonormal basis of the solution space of R_{abcd} k^d = 0."""
     a = frame.riem_dddd.reshape(64, 4)
-    u, s, vt = np.linalg.svd(a)
-    smax = float(s[0]) if s.size and s[0] > 0 else 0.0
-    if smax == 0.0:
+    if not np.any(a):
         return np.eye(4)
-    rank = int(np.sum(s > tol * smax))
-    basis = canonical_span_basis(vt[rank:], tol)
+    basis = null_basis(a, tol)
     # orthonormalise the canonical rows (Gram-Schmidt keeps determinism)
     out = []
     for row in basis:
@@ -174,17 +173,11 @@ def solve_theorem1(frame: PointFrame, tol: float = SVD_TOL):
     """
     r = frame.riem_ud
     cols = []
-    for (m, n) in _SYM_PAIRS:
-        h = np.zeros((4, 4))
-        h[m, n] = h[n, m] = 1.0
+    for h in _sym_from_vec(np.eye(10)):
         t = np.einsum("ae,ebcd->abcd", h, r) + np.einsum("be,eacd->abcd", h, r)
         cols.append(t.reshape(-1))
     a = np.array(cols).T  # 256 x 10 (rows beyond the 60 independent are dupes)
-    u, s, vt = np.linalg.svd(a)
-    smax = float(s[0]) if s.size and s[0] > 0 else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
-    null = canonical_span_basis(vt[rank:], tol) if rank < 10 else np.empty((0, 10))
-    basis = np.array([_sym_from_vec(v) for v in null])
+    basis = _sym_from_vec(null_basis(a, tol))
 
     report = classify_curvature(frame, tol)
     expected = {"A": 1, "B": 2, "C": 2, "D": 4, "O": 10}[report.tag]
@@ -197,14 +190,16 @@ def solve_theorem1(frame: PointFrame, tol: float = SVD_TOL):
 
 
 def _sym_from_vec(v):
-    h = np.zeros((4, 4))
-    for k, (m, n) in enumerate(_SYM_PAIRS):
-        h[m, n] = h[n, m] = v[k]
+    """The symmetric 4x4 tensor of each row of ten components."""
+    v = np.asarray(v, float)
+    h = np.zeros(v.shape[:-1] + (4, 4))
+    h[..., _SYM_INDEX[0], _SYM_INDEX[1]] = v
+    h[..., _SYM_INDEX[1], _SYM_INDEX[0]] = v
     return h
 
 
 def _sym_to_vec(h):
-    return np.array([h[m, n] for (m, n) in _SYM_PAIRS])
+    return h[..., _SYM_INDEX[0], _SYM_INDEX[1]]
 
 
 def _check_canonical_span(frame, report, basis, tol):
@@ -229,7 +224,7 @@ def _check_canonical_span(frame, report, basis, tol):
         span_mats = [g, 0.5 * (sym + sym.T)]
     elif report.tag == "O":
         return
-    span = canonical_span_basis([_sym_to_vec(m) for m in span_mats], tol)
+    span = canonical_span_basis(_sym_to_vec(np.array(span_mats)), tol)
     for h in basis:
         aug = canonical_span_basis(np.vstack([span, _sym_to_vec(h)]),
                                    max(tol, 1e-7))
@@ -242,6 +237,5 @@ def _check_canonical_span(frame, report, basis, tol):
 def _orthogonal_complement(frame, vectors):
     """g-orthogonal complement of the span of the given vectors."""
     a = vectors @ frame.g  # rows: v_a = g(v, .)
-    _, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > 1e-10 * s[0]))
+    rank, _, _, vt = svd_rank(a, 1e-10)
     return canonical_span_basis(vt[rank:])

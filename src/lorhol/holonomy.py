@@ -16,7 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bivector import Bivector, canonical_span_basis, classify_bivector
+from .bivector import (
+    BASIS_INDEX, Bivector, antisym_from_six, canonical_span_basis,
+    classify_bivector, null_basis, to_six,
+)
 from .pointcalc import (
     MetricSpec, PointFrame, frame_at, frames_at, sample_points,
 )
@@ -28,7 +31,6 @@ __all__ = [
 ]
 
 SPAN_TOL = 1e-8
-_PAIRS = np.triu_indices(4, 1)  # the six (c, d) with c < d
 
 TYPE_DIMENSIONS = {
     "R1": 0, "R2": 1, "R3": 1, "R4": 1, "R5": 1, "R6": 2, "R7": 2, "R8": 2,
@@ -82,9 +84,8 @@ def ihol_generators(spec: MetricSpec, point, derivative_order: int = 1,
     if derivative_order >= 2:
         tensors.append(fr.cov2_riemann)
     # R^a_b[cd](;e(;f)) for c < d, in (c, d, e, f) row-major order
-    gens = np.concatenate([np.moveaxis(t[:, :, _PAIRS[0], _PAIRS[1]],
-                                       (0, 1), (-2, -1)).reshape(-1, 4, 4)
-                           for t in tensors])
+    gens = np.concatenate([np.moveaxis(t, (0, 1), (-2, -1))[BASIS_INDEX]
+                           .reshape(-1, 4, 4) for t in tensors])
     return list(gens[np.max(np.abs(gens), axis=(1, 2)) > 1e-13 * scale])
 
 
@@ -101,14 +102,7 @@ def _to_six(mats, g: np.ndarray):
     wt = np.swapaxes(w, 1, 2)
     sym = np.max(np.abs(w + wt), axis=(1, 2)) / np.maximum(
         np.max(np.abs(w), axis=(1, 2)), 1e-300)
-    return 0.5 * (w - wt)[:, _PAIRS[0], _PAIRS[1]], sym
-
-
-def _from_six(six: np.ndarray) -> np.ndarray:
-    """The antisymmetric 4x4 W of each row of six components."""
-    w = np.zeros((len(six), 4, 4))
-    w[:, _PAIRS[0], _PAIRS[1]] = six
-    return w - np.swapaxes(w, 1, 2)
+    return 0.5 * to_six(w - wt), sym
 
 
 def _brackets(six: np.ndarray, ginv: np.ndarray) -> np.ndarray:
@@ -118,11 +112,11 @@ def _brackets(six: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     antisymmetric.  It is divided by max|g^-1| max|W|, so that it stays
     commensurate with the rows whatever the metric's scale.
     """
-    w = _from_six(six)
+    w = antisym_from_six(six)
     i, j = np.triu_indices(len(w), 1)
     p = w[i] @ ginv @ w[j]
     p /= np.max(np.abs(ginv)) * np.max(np.abs(six))
-    return (p - np.swapaxes(p, 1, 2))[:, _PAIRS[0], _PAIRS[1]]
+    return to_six(p - np.swapaxes(p, 1, 2))
 
 
 def _reduce(rows: np.ndarray, rref: np.ndarray) -> np.ndarray:
@@ -149,7 +143,7 @@ def close_algebra(generators, frame: PointFrame,
         if len(grown) == len(basis):
             break
         basis = grown
-    return list(frame.ginv @ _from_six(basis))
+    return list(frame.ginv @ antisym_from_six(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +167,8 @@ def constant_directions(basis, frame: PointFrame,
                 for i in range(4)]
     stack = np.vstack([np.asarray(m, float)
                        / max(np.max(np.abs(m)), 1e-300) for m in basis])
-    _, s, vt = np.linalg.svd(stack)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
-    null = canonical_span_basis(vt[rank:], tol) if rank < 4 else []
     return [(v / np.linalg.norm(v), _causal_character(v, frame.g))
-            for v in null]
+            for v in null_basis(stack, tol)]
 
 
 def recurrent_directions(basis, frame: PointFrame,
@@ -278,14 +268,15 @@ def _r9_r12_discriminant(span: np.ndarray, frame: PointFrame, tol: float):
     outside = np.max(np.abs(red), axis=1) > 10 * tol
     if not np.any(outside):
         return None
-    rep = frame.ginv @ _from_six(red[outside][:1])[0]
+    rep = frame.ginv @ antisym_from_six(red[outside][0])
     w = _mixed_to_bivector(rep, frame)
     pf = w.pfaffian
     smax = float(np.linalg.svd(w.comps, compute_uv=False)[0])
     if abs(pf) <= 1e-7 * smax ** 2:
         return ("R9", None)
     # omega: common annihilator of the derived algebra gives the null l
-    anns = constant_directions(frame.ginv @ _from_six(derived), frame, tol)
+    anns = constant_directions(frame.ginv @ antisym_from_six(derived), frame,
+                               tol)
     nulls = [v for v, ch in anns if ch == "null"]
     if len(anns) != 1 or not nulls:
         return None

@@ -215,15 +215,13 @@ class _JetTable:
 
 class _Bound:
     """Table plus the parameter values of one spec; evaluate(points,
-    order) returns the jets of orders 0..order.  A metric's bound table
-    also carries the compiled domain constraints (None if it has none)."""
+    order) returns the jets of orders 0..order."""
 
-    __slots__ = ("table", "values", "constraints")
+    __slots__ = ("table", "values")
 
-    def __init__(self, table, values, constraints=None):
+    def __init__(self, table, values):
         self.table = table
         self.values = values
-        self.constraints = constraints
 
     def evaluate(self, points, order: int = 0) -> tuple:
         return self.table.evaluate(points, self.values, order)[0]
@@ -243,11 +241,7 @@ def _metric_table(spec: MetricSpec) -> _Bound:
     # the one per-spec memo: the geodesic loop calls this on every RK4
     # stage; a spec hashes in time independent of its expression sizes
     # (nodes hash by identity)
-    pnames = spec.params.names()
-    table = _jet_table(spec.g, spec.coords, pnames)
-    constraints = (compile_program(spec.constraints, spec.coords, pnames)
-                   if spec.constraints else None)
-    return _Bound(table, _values(spec), constraints)
+    return _field_table(spec, spec.g)
 
 
 def _field_table(spec: MetricSpec, comps) -> _Bound:
@@ -268,15 +262,28 @@ def _diagnose_point(spec: MetricSpec, point, max_order: int = 2) -> None:
         f"non-finite tensor assembly at {np.asarray(point).tolist()}")
 
 
-def admissible_mask(spec: MetricSpec, points: np.ndarray) -> np.ndarray:
+def _metric_jets(spec: MetricSpec, points, order: int):
+    """(jets, finite, admissible) at points (n, 4): the metric jets of
+    orders 0..order, the rows where all of them are finite, and the rows
+    with finite coordinates at which every domain constraint evaluates
+    finite and > 0.  One compiled call evaluates the jets and
+    spec.constraints."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    mask = np.all(np.isfinite(pts), axis=1)
-    if spec.constraints:
-        bound = _metric_table(spec)
-        with np.errstate(all="ignore"):
-            vals = bound.constraints(pts, bound.values)
-        mask &= np.all(np.isfinite(vals) & (vals > 0.0), axis=0)
-    return mask
+    bound = _metric_table(spec)
+    jets, vals = bound.table.evaluate(pts, bound.values, order,
+                                      spec.constraints)
+    finite = np.isfinite(vals)
+    m = len(vals) - len(spec.constraints)
+    admissible = (np.isfinite(pts).all(axis=1)
+                  & (finite[m:] & (vals[m:] > 0.0)).all(axis=0))
+    return jets, finite[:m].all(axis=0), admissible
+
+
+def admissible_mask(spec: MetricSpec, points: np.ndarray) -> np.ndarray:
+    """Rows of ``points`` with finite coordinates at which every domain
+    constraint evaluates finite and > 0; the constraints are evaluated
+    in the compiled call that also evaluates g."""
+    return _metric_jets(spec, points, 0)[2]
 
 
 def _inadmissible(point) -> AdmissibilityError:
@@ -355,17 +362,10 @@ def christoffel_batch(spec: MetricSpec, points):
     """Return (gamma, ok, admissible): gamma[n,a,b,c] = Gamma^a_bc batched
     over points, ok marks the rows with finite jets and a non-degenerate
     g, and admissible the rows that admissible_mask accepts.  Rows not ok
-    hold the flat placeholder gamma = 0.  One compiled call evaluates the
-    jets and the domain constraints."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    bound = _metric_table(spec)
-    (g, dg), vals = bound.table.evaluate(pts, bound.values, 1,
-                                         spec.constraints)
-    finite = np.isfinite(vals)
-    m = len(vals) - len(spec.constraints)
-    admissible = (np.isfinite(pts).all(axis=1)
-                  & (finite[m:] & (vals[m:] > 0.0)).all(axis=0))
-    ok = _valid_rows((g, dg), finite[:m].all(axis=0))
+    hold the flat placeholder gamma = 0.  The jets and the domain
+    constraints come from one compiled call (_metric_jets)."""
+    (g, dg), finite, admissible = _metric_jets(spec, points, 1)
+    ok = _valid_rows((g, dg), finite)
     if not ok.all():
         g[~ok] = np.eye(DIM)
         dg[~ok] = 0.0
@@ -378,8 +378,7 @@ def require_valid(spec: MetricSpec, points, ok) -> None:
     for a degenerate g."""
     if not np.all(ok):
         point = np.atleast_2d(np.asarray(points, float))[np.argmin(ok)]
-        _raise_invalid(spec, point,
-                       _metric_table(spec).evaluate(point[None, :], 1))
+        _raise_invalid(spec, point, _metric_jets(spec, point[None, :], 1)[0])
 
 
 def eval_field_batch(spec: MetricSpec, comps, points) -> np.ndarray:
@@ -416,7 +415,7 @@ class PointFrame:
     """
 
     def __init__(self, g, riem_ud=None, *, point=None, spec=None,
-                 gamma=None, dg=None, curvature_sign=1.0):
+                 gamma=None, dg=None):
         self.spec = spec
         self.point = None if point is None else np.asarray(point, float)
         self.g = np.asarray(g, float)
@@ -424,7 +423,6 @@ class PointFrame:
         self.detg = float(np.linalg.det(self.g))
         self.gamma = gamma
         self.dg = dg
-        self._sign = float(curvature_sign)
         self._riem_ud = riem_ud
         self._cache: dict = {}
 
@@ -501,9 +499,9 @@ class PointFrame:
         (3 or 4); each stage is assembled once per frame."""
         if self.spec is None or self.point is None:
             raise MetricError("synthetic frame carries no derivative data")
-        jets = _metric_table(self.spec).evaluate(self.point[None, :], order)
-        return _riemann_derivative_stack(
-            jets, self._sign, self._cache.setdefault("stack", {}))
+        jets = _metric_jets(self.spec, self.point[None, :], order)[0]
+        return _riemann_derivative_stack(jets,
+                                         self._cache.setdefault("stack", {}))
 
     @property
     def cov_riemann(self) -> np.ndarray:
@@ -516,16 +514,14 @@ class PointFrame:
         return self._get("cov2_riemann", lambda: self._stack(4)["cov2R"][0])
 
 
-def _riemann_derivative_stack(jets, sign=1.0, stack=None) -> dict:
+def _riemann_derivative_stack(jets, stack=None) -> dict:
     """Assemble Riemann and its covariant derivatives from batched metric
     jets (g, dg, d2g[, d3g[, d4g]]).
 
     Fills ``stack`` (a new dict if None) with gamma, dGamma, R (R^a_bcd)
     and, when the jets allow, dR, covR and cov2R, plus the intermediates
     the next order needs; stages already in ``stack`` are reused, so a
-    frame's order-3 result is extended, not rebuilt.  ``sign`` flips the
-    Christoffel-to-Riemann sign for the convention-pinning test;
-    production code always uses +1.
+    frame's order-3 result is extended, not rebuilt.
     """
     out = {} if stack is None else stack
     g, dg, d2g = jets[:3]
@@ -539,7 +535,7 @@ def _riemann_derivative_stack(jets, sign=1.0, stack=None) -> dict:
                 + np.einsum("nace,nebd->nabcd", gamma, gamma)
                 - np.einsum("nade,nebc->nabcd", gamma, gamma))
         out.update({"ginv": ginv, "s": s, "ds": ds, "dginv": dginv,
-                    "gamma": gamma, "dgamma": dgamma, "R": sign * riem})
+                    "gamma": gamma, "dgamma": dgamma, "R": riem})
     ginv, s, ds, dginv = out["ginv"], out["s"], out["ds"], out["dginv"]
     gamma, dgamma, riem = out["gamma"], out["dgamma"], out["R"]
 
@@ -560,7 +556,6 @@ def _riemann_derivative_stack(jets, sign=1.0, stack=None) -> dict:
                  + np.einsum("nacm,nmbde->nabcde", gamma, dgamma)
                  - np.einsum("nadme,nmbc->nabcde", dgamma, gamma)
                  - np.einsum("nadm,nmbce->nabcde", gamma, dgamma))
-        driem = sign * driem
         covr = (driem
                 + np.einsum("naem,nmbcd->nabcde", gamma, riem)
                 - np.einsum("nmeb,namcd->nabcde", gamma, riem)
@@ -601,7 +596,6 @@ def _riemann_derivative_stack(jets, sign=1.0, stack=None) -> dict:
                   - np.einsum("nadme,nmbcf->nabcdef", dgamma, dgamma)
                   - np.einsum("nadmf,nmbce->nabcdef", dgamma, dgamma)
                   - np.einsum("nadm,nmbcef->nabcdef", gamma, d2gamma))
-        d2riem = sign * d2riem
         driem, covr = out["dR"], out["covR"]
         dcovr = (d2riem
                  + np.einsum("naemf,nmbcd->nabcdef", dgamma, riem)
@@ -635,15 +629,16 @@ def _signature_signs(g: np.ndarray):
 
 def signature_at(spec: MetricSpec, point) -> tuple[int, ...]:
     """Sorted eigenvalue signs of g at the point; Lorentz iff (-1,1,1,1)."""
-    check_admissible(spec, point)
-    (g,) = _metric_table(spec).evaluate(np.asarray(point, float)[None, :], 0)
-    if not np.all(np.isfinite(g)):
+    (g,), finite, admissible = _metric_jets(
+        spec, np.asarray(point, float)[None, :], 0)
+    if not admissible[0]:
+        raise _inadmissible(point)
+    if not finite[0]:
         _diagnose_point(spec, point, max_order=0)
     return _signature_signs(g[0])
 
 
-def frame_at(spec: MetricSpec, point, *, require_lorentz: bool = True,
-             _curvature_sign: float = 1.0) -> PointFrame:
+def frame_at(spec: MetricSpec, point) -> PointFrame:
     """Evaluate the full tensor frame of ``spec`` at ``point``.
 
     Raises AdmissibilityError / DomainError for bad points,
@@ -652,47 +647,41 @@ def frame_at(spec: MetricSpec, point, *, require_lorentz: bool = True,
     point = np.asarray(point, dtype=float)
     if point.shape != (DIM,):
         raise MetricError("point must have 4 coordinates")
-    return next(frames_at(spec, point[None, :],
-                          require_lorentz=require_lorentz,
-                          _curvature_sign=_curvature_sign))
+    return next(frames_at(spec, point[None, :]))
 
 
-def frames_at(spec: MetricSpec, points, order: int = 2, *,
-              require_lorentz: bool = True, _curvature_sign: float = 1.0):
+def frames_at(spec: MetricSpec, points, order: int = 2):
     """Yield the tensor frame of ``spec`` at each of ``points`` (n, 4), in
     point order.
 
     ``order`` is the highest metric derivative the caller will use: 2 for
     Riemann, 3 for R^a_bcd;e, 4 for R^a_bcd;e;f.  One compiled call
-    evaluates the jets of every point up to order min(order, 3), and one
-    batched derivative stack assembles Riemann (and R^a_bcd;e from order
-    3) for all of them; each frame holds row views of it, and
-    cov2_riemann extends a frame's rows on its own (a batched order-4
-    stack costs more memory than it saves time).  Nothing is raised
-    before iteration reaches a bad row; there the exception frame_at
-    raises for that point is raised, checked in frame_at's order:
-    admissibility, finite jets, determinant, signature.
+    (_metric_jets) evaluates the jets of every point up to order
+    min(order, 3) and the domain constraints, and one batched derivative
+    stack assembles Riemann (and R^a_bcd;e from order 3) for all of
+    them; each frame holds row views of it, and cov2_riemann extends a
+    frame's rows on its own (a batched order-4 stack costs more memory
+    than it saves time).  Nothing is raised before iteration reaches a
+    bad row; there the exception frame_at raises for that point is
+    raised, checked in frame_at's order: admissibility, finite jets,
+    determinant, signature.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != DIM:
         raise MetricError("points must have 4 coordinates")
-    admissible = admissible_mask(spec, pts)
-    jets = _metric_table(spec).evaluate(pts, min(max(order, 2), 3))
+    jets, _, admissible = _metric_jets(spec, pts, min(max(order, 2), 3))
     ok = admissible & _valid_rows(jets[:3])
     # iteration stops at the first bad row, so the stack covers the rows
     # before it
     n = len(pts) if ok.all() else int(np.argmin(ok))
-    stack = _riemann_derivative_stack(tuple(j[:n] for j in jets),
-                                      _curvature_sign)
+    stack = _riemann_derivative_stack(tuple(j[:n] for j in jets))
     for i in range(n):
         g = jets[0][i]
-        if require_lorentz:
-            signs = _signature_signs(g)
-            if signs != (-1, 1, 1, 1):
-                raise SignatureError(f"signature {signs} is not Lorentz")
+        signs = _signature_signs(g)
+        if signs != (-1, 1, 1, 1):
+            raise SignatureError(f"signature {signs} is not Lorentz")
         frame = PointFrame(g, stack["R"][i], point=pts[i], spec=spec,
-                           gamma=stack["gamma"][i], dg=jets[1][i],
-                           curvature_sign=_curvature_sign)
+                           gamma=stack["gamma"][i], dg=jets[1][i])
         frame._cache["stack"] = {k: v[i:i + 1] for k, v in stack.items()}
         if "covR" in stack:
             frame._cache["cov_riemann"] = stack["covR"][i]

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lorhol.bivector import (
-    Bivector, canonical_span_basis, classify_bivector, curvature_map_matrix,
-    from_six, hodge_dual, to_six, wedge,
+    BASIS_PAIRS, Bivector, antisym_from_six, canonical_span_basis,
+    classify_bivector, curvature_map_matrix, from_six, hodge_dual,
+    null_basis, svd_rank, to_six, wedge,
 )
 
 from helpers import (
@@ -261,3 +262,171 @@ def test_canonical_span_basis_matches_reference_bitwise(case):
     want = _span_basis_reference(rows, tol)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+# The rank blocks that svd_rank and null_basis replaced, as each site
+# wrote them: (rank, null basis) of a at tol; None where the site took
+# its zero special case.
+
+def _rank_block_kernel_vectors(a, tol):
+    u, s, vt = np.linalg.svd(a)
+    smax = float(s[0]) if s.size and s[0] > 0 else 0.0
+    if smax == 0.0:
+        return None
+    rank = int(np.sum(s > tol * smax))
+    return rank, canonical_span_basis(vt[rank:], tol)
+
+
+def _rank_block_solve_theorem1(a, tol):
+    u, s, vt = np.linalg.svd(a)
+    smax = float(s[0]) if s.size and s[0] > 0 else 0.0
+    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
+    null = canonical_span_basis(vt[rank:], tol) if rank < 10 else np.empty((0, 10))
+    return rank, null
+
+
+def _rank_block_orthogonal_complement(a, tol):
+    _, s, vt = np.linalg.svd(a)
+    rank = int(np.sum(s > 1e-10 * s[0]))
+    return rank, canonical_span_basis(vt[rank:])
+
+
+def _rank_block_curvature_map(a, tol):
+    u, s, vt = np.linalg.svd(a)
+    smax = float(s[0]) if s[0] > 0 else 0.0
+    if smax == 0.0:
+        rank = 0
+    else:
+        rank = int(np.sum(s > tol * smax))
+    kern = canonical_span_basis(vt[rank:], tol) if rank < 6 else np.empty((0, 6))
+    return rank, kern
+
+
+def _rank_block_constant_directions(a, tol):
+    _, s, vt = np.linalg.svd(a)
+    smax = s[0] if s.size else 0.0
+    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
+    null = canonical_span_basis(vt[rank:], tol) if rank < 4 else []
+    return rank, np.reshape(np.asarray(null, float), (-1, 4))
+
+
+def _shared_rank(a, tol):
+    return svd_rank(a, tol)[0], null_basis(a, tol)
+
+
+def _shared_kernel_vectors(a, tol):
+    return _shared_rank(a, tol) if np.any(a) else None
+
+
+def _shared_orthogonal_complement(a, tol):
+    rank, _, _, vt = svd_rank(a, 1e-10)
+    return rank, canonical_span_basis(vt[rank:])
+
+
+# site: (former block, the shared helpers as the site calls them, the
+# site's rank tolerance or None for the caller's, shapes)
+_RANK_SITES = {
+    "kernel_vectors": (_rank_block_kernel_vectors, _shared_kernel_vectors,
+                       None, [(64, 4)]),
+    "solve_theorem1": (_rank_block_solve_theorem1, _shared_rank, None,
+                       [(256, 10)]),
+    "orthogonal_complement": (_rank_block_orthogonal_complement,
+                              _shared_orthogonal_complement, 1e-10,
+                              [(2, 4)]),
+    "curvature_map_matrix": (_rank_block_curvature_map, _shared_rank, None,
+                             [(6, 6)]),
+    "constant_directions": (_rank_block_constant_directions, _shared_rank,
+                            None, [(4 * k, 4) for k in range(7)]),
+}
+
+
+@st.composite
+def rank_inputs(draw):
+    """A site's matrix: zero, rank-deficient, full-rank, or with a
+    singular value exactly at the rank threshold, scaled overall and
+    row by row over 1e-12..1e12."""
+    site = draw(st.sampled_from(sorted(_RANK_SITES)))
+    old, new, site_tol, shapes = _RANK_SITES[site]
+    m, n = draw(st.sampled_from(shapes))
+    tol = draw(st.sampled_from([1e-9, 1e-8]))
+    kind = draw(st.sampled_from(["zero", "deficient", "full", "threshold",
+                                 "graded"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.integers(-12, 12))
+    k = min(m, n)
+    a = np.zeros((m, n))
+    if kind == "deficient" and k > 1:
+        r = draw(st.integers(1, k - 1))
+        a = rng.normal(size=(m, r)) @ rng.normal(size=(r, n)) * scale
+    elif kind in ("full", "graded"):
+        a = rng.normal(size=(m, n)) * scale
+        if kind == "graded":
+            a *= 10.0 ** rng.integers(-12, 13, size=(m, 1))
+    elif kind == "threshold" and k > 1:
+        # s = (scale, t * scale) exactly: '>' drops the second, '>=' not
+        t = tol if site_tol is None else site_tol
+        a[0, 0], a[1, 1] = scale, t * scale
+        a = a[rng.permutation(m)][:, rng.permutation(n)]
+    return site, a, tol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rank_inputs())
+def test_svd_rank_and_null_basis_match_the_former_blocks_bitwise(case):
+    site, a, tol = case
+    old, new, _, _ = _RANK_SITES[site]
+    want, got = old(a, tol), new(a, tol)
+    if want is None:
+        assert got is None
+        return
+    assert got[0] == want[0]
+    assert got[1].shape == want[1].shape
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_svd_rank_threshold_and_empty():
+    a = np.diag([2.0, 2e-9, 0.0])
+    assert svd_rank(a, 1e-9)[0] == 1
+    assert svd_rank(np.zeros((3, 3)), 1e-9)[0] == 0
+    assert svd_rank(np.empty((0, 4)), 1e-9)[0] == 0
+    assert null_basis(np.empty((0, 4))).tobytes() == np.eye(4).tobytes()
+
+
+# the six-coordinate map as it was written, one pair at a time
+
+def _to_six_loop(comps):
+    return np.array([comps[a, b] for a, b in BASIS_PAIRS])
+
+
+def _antisym_loop(v):
+    comps = np.zeros((4, 4))
+    for k, (a, b) in enumerate(BASIS_PAIRS):
+        comps[a, b] = v[k]
+        comps[b, a] = -v[k]
+    return comps
+
+
+_six_values = hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 5), st.just(6)),
+    elements=st.one_of(st.just(0.0), st.just(-0.0),
+                       st.floats(-1.0, 1.0, width=32).map(
+                           lambda x: x * 1e12),
+                       st.floats(-1.0, 1.0, width=32).map(
+                           lambda x: x * 1e-12),
+                       st.floats(-1e3, 1e3)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_six_values)
+def test_six_coordinate_map_matches_the_loops_bitwise(six):
+    frame = minkowski_frame()
+    loops = np.array([_antisym_loop(v) for v in six])
+    assert antisym_from_six(six).tobytes() == loops.tobytes()
+    assert antisym_from_six(six[0]).tobytes() == loops[0].tobytes()
+    assert (to_six(loops).tobytes()
+            == np.array([_to_six_loop(w) for w in loops]).tobytes())
+    for v, w in zip(six, loops):
+        want = Bivector(w, frame)
+        got = from_six(v, frame)
+        assert got.comps.tobytes() == want.comps.tobytes()
+        assert to_six(got).tobytes() == _to_six_loop(want.comps).tobytes()

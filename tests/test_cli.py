@@ -316,3 +316,18 @@ class TestDeterminism:
                                        "--samples", "4"])
         assert rep1["seed"] == 7 and rep2["seed"] == 99
         assert rep1["points"] != rep2["points"]
+
+    def test_seed_option_overrides_env_and_is_checked(self, runner, emitted,
+                                                      monkeypatch):
+        files = emitted("r9")
+        args = ["classify", "-m", files["g"], "--samples", "2"]
+        monkeypatch.setenv("LORHOL_SEED", "3")
+        _, rep = run_json(runner, args)
+        assert rep["seed"] == 3
+        _, rep = run_json(runner, args + ["--seed", "5"])
+        assert rep["seed"] == 5
+        for bad_env, extra in (("3x", []), ("3", ["--seed", "3x"])):
+            monkeypatch.setenv("LORHOL_SEED", bad_env)
+            res, rep = run_json(runner, args + extra)
+            assert res.exit_code == 2 and rep is None
+            assert "not a valid integer" in res.output

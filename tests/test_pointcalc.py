@@ -272,9 +272,9 @@ class TestCurvatureSignConvention:
         for sign in (1.0, -1.0):
             w = 0.0
             for k, pt in enumerate(pts):
-                fr = frame_at(bundle.g, pt, _curvature_sign=sign)
-                frp = frame_at(pp.partner, pt, _curvature_sign=sign)
-                rel = (frp.riem_ud - fr.riem_ud
+                fr = frame_at(bundle.g, pt)
+                frp = frame_at(pp.partner, pt)
+                rel = (sign * (frp.riem_ud - fr.riem_ud)
                        - np.einsum("ad,bc->abcd", delta, psi_ab[k])
                        + np.einsum("ac,bd->abcd", delta, psi_ab[k]))
                 w = max(w, float(np.max(np.abs(rel))))
