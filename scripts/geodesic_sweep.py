@@ -5,10 +5,14 @@ related partners from unrelated metrics as the integrator step shrinks.
 Usage: python scripts/geodesic_sweep.py [--fixture r9] [--trials N]
 """
 import argparse
+import sys
+from pathlib import Path
 
-from lorhol.fixtures import named_fixture
-from lorhol.pointcalc import metric_spec
-from lorhol.projective import invert_pair, pregeodesic_check
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from lorhol.fixtures import named_fixture  # noqa: E402
+from lorhol.pointcalc import metric_spec  # noqa: E402
+from lorhol.projective import invert_pair, pregeodesic_check  # noqa: E402
 
 
 def main():

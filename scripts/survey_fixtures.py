@@ -5,16 +5,21 @@ Sinyukov/projective closure residuals, printed as one table row each.
 Usage: python scripts/survey_fixtures.py [--samples N] [--seed S]
 """
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from lorhol.curvclass import classify_curvature
-from lorhol.fixtures import FIXTURE_NAMES, named_fixture
-from lorhol.holonomy import holonomy_survey
-from lorhol.pointcalc import frames_at, sample_points
-from lorhol.projective import invert_pair, projective_residual, \
-    psi_from_connections, sinyukov_residual
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from lorhol.curvclass import classify_curvature  # noqa: E402
+from lorhol.fixtures import FIXTURE_NAMES, named_fixture  # noqa: E402
+from lorhol.holonomy import holonomy_survey  # noqa: E402
+from lorhol.pointcalc import frames_at, sample_points  # noqa: E402
+from lorhol.projective import (  # noqa: E402
+    invert_pair, projective_residual, psi_from_connections, sinyukov_residual,
+)
 
 
 def main():

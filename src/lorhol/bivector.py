@@ -127,9 +127,6 @@ class Bivector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.comps))
 
-    def is_zero(self, tol: float = 1e-12) -> bool:
-        return self.norm() <= tol
-
     def __mul__(self, s: float) -> "Bivector":
         return Bivector(self.comps * float(s), self.frame)
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import fixtures as fixture_mod
 from .curvclass import ClassificationError, classify_curvature
 from .exprdsl import DomainError, ExprError, ParseError, to_string
-from .holonomy import holonomy_survey
+from .holonomy import SPAN_TOL, holonomy_survey
 from .pointcalc import (
     MetricError, MetricSpec, frames_at, metric_spec, sample_points,
 )
@@ -296,7 +296,7 @@ def holonomy(metric_path, samples, seed, order, as_json, out):
                       for p, lab, d in rep.per_point],
     }
     report = make_report("holonomy", {"metric": _digest(metric_path)}, seed,
-                         {"span_tol": 1e-8},
+                         {"span_tol": SPAN_TOL},
                          body, passed=rep.label != "unrecognized")
     emit(report, as_json, out)
     _finish(report)

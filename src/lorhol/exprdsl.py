@@ -22,7 +22,7 @@ __all__ = [
     "Pow", "Fn", "ParamEnv", "ExprError", "ParseError",
     "UnknownIdentifierError", "DomainError", "parse_expr", "differentiate",
     "eval_expr", "to_string", "const", "coord", "param", "add", "sub",
-    "mul", "div", "neg", "pow_", "fn", "free_symbols", "compile_exprs",
+    "mul", "div", "neg", "pow_", "fn", "free_symbols",
 ]
 
 FUNCTION_NAMES = ("sqrt", "exp", "ln", "sin", "cos")
@@ -818,17 +818,3 @@ def compile_program(exprs: Sequence[Expr], coords: Sequence[str],
 
     return evaluate
 
-
-def compile_exprs(exprs: Sequence[Expr], coords: Sequence[str],
-                  env: "ParamEnv | Mapping[str, float] | None" = None):
-    """Compile expressions into a vectorised evaluator with the parameter
-    environment bound up front: f(points (n,4)) -> (len(exprs), n)."""
-    baked = dict(env.values if isinstance(env, ParamEnv) else (env or {}))
-    pnames = tuple(sorted(baked))
-    prog = compile_program(exprs, coords, pnames)
-    values = tuple(baked[p] for p in pnames)
-
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        return prog(points, values)
-
-    return evaluate

@@ -9,6 +9,9 @@ stays inside the 6-dimensional so(1,3).  Identification keys on
 dimension, the common annihilated directions with their causal
 character, and for the two 3-dimensional types with trivial annihilator
 on a Pfaffian discriminant.
+
+One closure (_close) and one decision (_decide) serve every caller;
+only identify_type checks its basis (skew, then bracket-closed).
 """
 from __future__ import annotations
 
@@ -126,6 +129,20 @@ def _reduce(rows: np.ndarray, rref: np.ndarray) -> np.ndarray:
     return rows - rows[:, np.argmax(piv, axis=1)] @ rref
 
 
+def _close(six: np.ndarray, ginv: np.ndarray, tol: float):
+    """RREF rows of the smallest bracket-closed span of the six-component
+    rows, and the bracket block of exactly those rows (None at dimension
+    0, 1 or 6, where no round brackets the final span)."""
+    span = canonical_span_basis(six, tol)
+    while 1 < len(span) < 6:
+        brackets = _brackets(span, ginv)
+        grown = canonical_span_basis(np.vstack([span, brackets]), tol)
+        if len(grown) == len(span):
+            return span, brackets
+        span = grown
+    return span, None
+
+
 def close_algebra(generators, frame: PointFrame,
                   tol: float = SPAN_TOL) -> list[np.ndarray]:
     """Smallest bracket-closed span containing the generators.
@@ -136,14 +153,8 @@ def close_algebra(generators, frame: PointFrame,
     echelon form in those coordinates with lexicographic pivoting,
     returned as the (1,1) matrices g^-1 W.
     """
-    basis = canonical_span_basis(_to_six(generators, frame.g)[0], tol)
-    while 1 < len(basis) < 6:
-        grown = canonical_span_basis(
-            np.vstack([basis, _brackets(basis, frame.ginv)]), tol)
-        if len(grown) == len(basis):
-            break
-        basis = grown
-    return list(frame.ginv @ antisym_from_six(basis))
+    span, _ = _close(_to_six(generators, frame.g)[0], frame.ginv, tol)
+    return list(frame.ginv @ antisym_from_six(span))
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +266,14 @@ def _project_biv(w: Bivector, p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(pq_low * w.comps)) / denom
 
 
-def _r9_r12_discriminant(span: np.ndarray, frame: PointFrame, tol: float):
-    """For a 3-dim algebra with trivial annihilator: the derived algebra is
-    2-dim; the Pfaffian of any complement representative modulo it is zero
-    for R9 and nonzero for R12 (then omega is extracted).  The span and
-    the derived algebra are RREF rows of six components."""
-    derived = canonical_span_basis(_brackets(span, frame.ginv), tol)
+def _r9_r12_discriminant(span: np.ndarray, brackets: np.ndarray,
+                         frame: PointFrame, tol: float):
+    """For a 3-dim algebra with trivial annihilator: the derived algebra
+    (the span of the bracket block) is 2-dim; the Pfaffian of any
+    complement representative modulo it is zero for R9 and nonzero for
+    R12 (then omega is extracted).  The span and the derived algebra are
+    RREF rows of six components."""
+    derived = canonical_span_basis(brackets, tol)
     if len(derived) != 2:
         return None
     # the first span row outside the derived algebra, reduced modulo it
@@ -294,40 +307,47 @@ def _r9_r12_discriminant(span: np.ndarray, frame: PointFrame, tol: float):
 
 def identify_type(basis, frame: PointFrame,
                   tol: float = SPAN_TOL) -> HolonomyAlgebraReport:
-    """Identify a bracket-closed span of bivector matrices against the
-    taxonomy.  Structure that fits no type is labelled "unrecognized"
-    with diagnostics instead of guessing."""
-    return _complete(_decide(basis, frame, tol), frame, tol)
-
-
-def _decide(basis, frame: PointFrame, tol: float) -> HolonomyAlgebraReport:
-    """identify_type's label, from only the probes its dimension's rule
-    reads: the bivector class at dimension 1, the constant directions at
-    dimensions 2 and 3 (then the R9/R12 discriminant when there are
-    none), the recurrent directions at dimension 4.  A probe the rule
-    did not read is left as None."""
+    """Identify the span of bivector matrices against the taxonomy; its
+    dimension is the span's rank.  The basis must be skew-self-adjoint
+    and bracket-closed, tested on the one bracket block _decide reuses.
+    Structure that fits no type is labelled "unrecognized" with
+    diagnostics instead of guessing."""
     basis = [np.asarray(m, float) for m in basis]
-    diags: dict = {}
     six, sym = _to_six(basis, frame.g)
     if np.any(sym > tol):
         return HolonomyAlgebraReport(
             len(basis), basis, "unrecognized", [], [],
             diagnostics={"reason": "basis not skew-self-adjoint"})
     span = canonical_span_basis(six, tol)
-    closure_resid = _closure_residual(span, frame.ginv, tol)
-    if closure_resid is not None:
-        return HolonomyAlgebraReport(
-            len(basis), basis, "unrecognized", [], [],
-            diagnostics={"reason": "basis not bracket-closed",
-                         "residual": closure_resid})
-    dim = len(basis)
+    brackets = _brackets(span, frame.ginv) if len(span) > 1 else None
+    if brackets is not None:
+        resid = float(np.max(np.abs(_reduce(brackets, span))))
+        if resid > max(tol, 1e-6) * np.max(np.abs(span)):
+            return HolonomyAlgebraReport(
+                len(span), basis, "unrecognized", [], [],
+                diagnostics={"reason": "basis not bracket-closed",
+                             "residual": resid})
+    return _complete(_decide(basis, span, brackets, frame, tol), frame, tol)
+
+
+def _decide(basis, span: np.ndarray, brackets, frame: PointFrame,
+            tol: float) -> HolonomyAlgebraReport:
+    """Label a closed algebra, given as (1,1) matrices, the RREF rows of
+    their span and the bracket block of those rows, from only the probes
+    its dimension's rule reads: the bivector class at dimension 1, the
+    constant directions at dimensions 2 and 3 (then the R9/R12
+    discriminant when there are none), the recurrent directions at
+    dimension 4.  A probe the rule did not read is left as None."""
+    diags: dict = {}
+    dim = len(span)
     const = recur = omega = None
     label = "unrecognized"
     if dim == 0:
         label = "R1"
     elif dim == 1:
-        cls = classify_bivector(_mixed_to_bivector(basis[0], frame),
-                                max(tol, 1e-8))
+        # the span's element: basis[0] may be zero or nearly so
+        one = (frame.ginv @ antisym_from_six(span))[0]
+        cls = classify_bivector(_mixed_to_bivector(one, frame), max(tol, 1e-8))
         label = {"simple-timelike": "R2", "simple-null": "R3",
                  "simple-spacelike": "R4", "non-simple": "R5"}.get(
                      cls.tag, "unrecognized")
@@ -342,7 +362,7 @@ def _decide(basis, frame: PointFrame, tol: float) -> HolonomyAlgebraReport:
         elif not chars and dim == 2:
             label = "R7"
         elif not chars:
-            got = _r9_r12_discriminant(span, frame, tol)
+            got = _r9_r12_discriminant(span, brackets, frame, tol)
             if got is not None:
                 label, omega = got
             else:
@@ -372,15 +392,6 @@ def _complete(rep: HolonomyAlgebraReport, frame: PointFrame,
     return rep
 
 
-def _closure_residual(span: np.ndarray, ginv: np.ndarray, tol: float):
-    """Largest part of a bracket of the RREF rows outside their span, or
-    None when the span is bracket-closed."""
-    if len(span) < 2:
-        return None
-    resid = float(np.max(np.abs(_reduce(_brackets(span, ginv), span))))
-    return resid if resid > max(tol, 1e-6) * np.max(np.abs(span)) else None
-
-
 # ---------------------------------------------------------------------------
 # Survey
 # ---------------------------------------------------------------------------
@@ -394,6 +405,7 @@ def holonomy_survey(spec: MetricSpec, samples: int = 32, seed: int = 7,
     different points are skew-self-adjoint for different g(m), so a naive
     cross-point union of chart components is not an algebra and is not
     attempted); its per-point entry carries the label and dimension only.
+    The span the closure built is labelled with no input check.
     The representative is the first point of maximal dimension,
     preferring a recognised label, and its label is the survey's; only
     the representative carries constant and recurrent directions, omega
@@ -405,7 +417,9 @@ def holonomy_survey(spec: MetricSpec, samples: int = 32, seed: int = 7,
     best = None  # (decision, frame)
     for fr in frames_at(spec, pts, derivative_order + 2):
         gens = ihol_generators(spec, fr.point, derivative_order, frame=fr)
-        rep = _decide(close_algebra(gens, fr, tol), fr, tol)
+        span, brackets = _close(_to_six(gens, fr.g)[0], fr.ginv, tol)
+        rep = _decide(list(fr.ginv @ antisym_from_six(span)), span,
+                      brackets, fr, tol)
         per_point.append((fr.point, rep.label, rep.dimension))
         if best is None or _better(rep, best[0]):
             best = rep, fr

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from lorhol.cli import main
+from lorhol.holonomy import SPAN_TOL
 
 
 @pytest.fixture
@@ -103,6 +104,8 @@ class TestHolonomy:
                                         "--samples", "8"])
         assert res.exit_code == 0
         assert report["label"] == "R1"
+        # the report states the tolerance the survey decided with
+        assert report["tolerances"]["span_tol"] == SPAN_TOL
 
     def test_partner_order1_closes(self, runner, emitted, tmp_path):
         # the derived r9 partner's order-1 closure used to exceed so(1,3)

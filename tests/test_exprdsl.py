@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from lorhol.exprdsl import (
     Add, Const, Coord, DomainError, Fn, Mul, Param, ParseError, Pow,
-    UnknownIdentifierError, add, compile_exprs, compile_program, const,
+    UnknownIdentifierError, add, compile_program, const,
     coord, differentiate, eval_expr, fn, free_symbols, mul, neg, param,
     parse_expr, pow_, sub, to_string,
 )
@@ -163,7 +163,8 @@ class TestInterning:
         val, dval = u, 1.0
         for _ in range(48):
             val, dval = val * val + u, (dval * val + val * dval) + 1.0
-        got = compile_exprs([e, de], COORDS)(np.array([[u, 0.0, 0.0, 0.0]]))
+        got = compile_program([e, de], COORDS, ())(
+            np.array([[u, 0.0, 0.0, 0.0]]), ())
         assert got[:, 0] == pytest.approx([val, dval], rel=1e-12)
 
 
@@ -349,16 +350,16 @@ def test_compiled_eval_matches_reference(expr, point):
         ref = eval_expr(expr, point, COORDS, ENV)
     except DomainError:
         return
-    f = compile_exprs([expr], COORDS, ENV)
-    got = f(np.array([point]))[0, 0]
+    f = compile_program([expr], COORDS, tuple(ENV))
+    got = f(np.array([point]), tuple(ENV.values()))[0, 0]
     assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_compiled_eval_batches():
     e = p("u^2 + b0*v")
-    f = compile_exprs([e, differentiate(e, "u")], COORDS, {"b0": 2.0})
+    f = compile_program([e, differentiate(e, "u")], COORDS, ("b0",))
     pts = np.array([[1.0, 2.0, 0, 0], [3.0, 1.0, 0, 0]])
-    out = f(pts)
+    out = f(pts, (2.0,))
     np.testing.assert_allclose(out, [[5.0, 11.0], [2.0, 6.0]])
 
 

@@ -135,6 +135,18 @@ class TestIdentifyType:
         assert [v.tobytes() for v in rep.recurrent] == [
             v.tobytes() for v in recurrent_directions(basis, fr)]
 
+    @pytest.mark.parametrize("label", sorted(TYPE_DIMENSIONS)[1:])  # skip R1
+    def test_dependent_element_keeps_label(self, label):
+        # the dimension is the rank of the span, not the number of
+        # matrices: a redundant element must not change the label
+        fr = minkowski_frame()
+        basis = table1_basis(label, fr)
+        extra = sum((k + 2) * m for k, m in enumerate(basis))
+        for padded in (basis + [extra], [0 * extra] + basis):
+            rep = identify_type(padded, fr)
+            assert (rep.label, rep.dimension) == (
+                label, TYPE_DIMENSIONS[label])
+
     def test_r1_trivial(self):
         rep = identify_type([], minkowski_frame())
         assert rep.label == "R1"
@@ -498,7 +510,7 @@ def _report_bytes(rep):
 
 @pytest.mark.parametrize("name, partner, order", [
     ("r14", False, 1), ("r9", False, 1), ("r10", False, 1),
-    ("r9", True, 0)])
+    ("r11", False, 1), ("r13", False, 1), ("r9", True, 0)])
 def test_survey_matches_identify_type_at_every_point(name, partner, order):
     # the survey labels each point from the probes its dimension needs and
     # builds the full report for the representative alone; both must be

@@ -1,7 +1,11 @@
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
 from helpers import fixture_spec
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -21,3 +25,16 @@ def test_survey_digests_prints_two_stable_digests():
         lines = [digest() for _ in range(2)]
         assert re.fullmatch(pattern, lines[0]), lines[0]
         assert lines[0] == lines[1]
+
+
+@pytest.mark.parametrize("argv", [["survey_fixtures.py", "--samples", "2"],
+                                  ["geodesic_sweep.py", "--help"]])
+def test_experiment_scripts_run_from_a_checkout(argv, tmp_path):
+    # no PYTHONPATH and a foreign working directory: the script must find
+    # lorhol in the src/ of its own checkout
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    res = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+                         cwd=tmp_path, env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("usage:" if "--help" in argv else "fixture")
