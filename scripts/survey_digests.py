@@ -3,7 +3,9 @@
 
 Each survey line reads ``spec:o<order>:s<seed> full-sha256
 label-sha256``, each classification line ``spec:classify:s<seed>
-sha256``; either is followed by the exception class when a call raised.
+sha256``, each geodesic line ``fixture:geodesic-<kind>:s<seed>
+sha256``; any of them is followed by the exception class when a call
+raised.
 
 The in-process counterpart of ``report_digests.py``: for every listed
 fixture and the partner derived from its Sinyukov pair, orders 0-2 on
@@ -30,10 +32,23 @@ only dimensions, margin and theta, so this is the byte-identity check
 for the rank and kernel decisions.  A call that raises is hashed by its
 exception class and message, and the point's remaining calls still run.
 
+The geodesic digest covers the pre-geodesic RK4 path of each listed
+fixture g against a second metric of each kind: ``self`` (g itself),
+``partner`` (the partner derived from its Sinyukov pair) and ``flat``
+(the Minkowski metric in g's chart and sample box).  It hashes the
+report fields (score, truncated, scored) of ``pregeodesic_check`` from
+a short run (4 trials x 50 steps, horizon 0.1) and from a truncating
+run (20 trials x 400 steps, horizon 2), and the bytes of
+``christoffel_batch``'s (gamma, ok, admissible) for both metrics at
+points sampled from g's domain and from its sample box widened by its
+own width on every side, so that the masks and the placeholder rows
+are covered too.  ``report_digests.py`` reaches this path only through
+the CLI and on four fixtures.
+
 Two checkouts that survey and classify alike print the same lines, and
 the check is a ``diff`` of their outputs.  Uses only the standard
-library and lorhol from the ``src/`` of the checkout that holds this
-script.
+library, numpy and lorhol from the ``src/`` of the checkout that holds
+this script.
 
 Usage: python scripts/survey_digests.py [--fixtures r9 r11 ...]
            [--seeds 0 1 2 3 4 5] [--samples 12]
@@ -43,15 +58,23 @@ import hashlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lorhol.curvclass import classify_curvature, solve_theorem1  # noqa: E402
 from lorhol.fixtures import FIXTURE_NAMES, named_fixture  # noqa: E402
 from lorhol.holonomy import holonomy_survey  # noqa: E402
-from lorhol.pointcalc import frames_at, sample_points  # noqa: E402
-from lorhol.projective import invert_pair  # noqa: E402
+from lorhol.pointcalc import (  # noqa: E402
+    christoffel_batch, frames_at, metric_spec, sample_points,
+)
+from lorhol.projective import invert_pair, pregeodesic_check  # noqa: E402
 
 ORDERS = (0, 1, 2)
+# (trials, steps, horizon): a short run and one whose trajectories leave
+# the domain and truncate
+GEODESIC_RUNS = ((4, 50, 0.1), (20, 400, 2.0))
+FLAT_ROWS = [["-1"], ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]]
 
 
 def _put(h, *items):
@@ -140,6 +163,30 @@ def survey_digest(spec, samples: int, seed: int, order: int) -> str:
     return f"{full.hexdigest()} {labels.hexdigest()}"
 
 
+def geodesic_digest(g, other, seed: int) -> str:
+    """The digest of the pre-geodesic runs of g against other and of
+    both metrics' Christoffel batches, followed by the exception class
+    if a call raised."""
+    h = hashlib.sha256()
+    try:
+        for trials, steps, horizon in GEODESIC_RUNS:
+            rep = pregeodesic_check(g, other, trials=trials, steps=steps,
+                                    horizon=horizon, seed=seed)
+            _put(h, "run", trials, steps, horizon, rep.score, rep.truncated,
+                 rep.scored)
+        lo, hi = np.array(g.sample_box).T
+        wide = np.random.default_rng(seed).uniform(2 * lo - hi, 2 * hi - lo,
+                                                   size=(20, 4))
+        pts = np.concatenate([sample_points(g, 20, seed=seed), wide])
+        for spec in (g, other):
+            gamma, ok, admissible = christoffel_batch(spec, pts)
+            _put(h, "christoffel", gamma, ok, admissible)
+    except Exception as exc:  # noqa: BLE001  the error is the result
+        _put(h, "raised", type(exc).__name__, str(exc))
+        return f"{h.hexdigest()} {type(exc).__name__}"
+    return h.hexdigest()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--fixtures", nargs="+", default=list(FIXTURE_NAMES))
@@ -158,6 +205,14 @@ def main() -> int:
             for seed in args.seeds:
                 print(f"{label}:classify:s{seed} "
                       f"{classify_digest(spec, args.samples, seed)}",
+                      flush=True)
+        flat = metric_spec(bundle.g.coords, FLAT_ROWS,
+                           sample_box=bundle.g.sample_box)
+        for kind, other in (("self", bundle.g), ("partner", partner),
+                            ("flat", flat)):
+            for seed in args.seeds:
+                print(f"{name}:geodesic-{kind}:s{seed} "
+                      f"{geodesic_digest(bundle.g, other, seed)}",
                       flush=True)
     return 0
 

@@ -437,9 +437,12 @@ def weyl_projective(metric_path, metric2_path, samples, seed, tol, as_json,
 @main.command("geodesic-check")
 @_metric_opt
 @_metric2_opt
-@click.option("--trials", default=20, show_default=True)
-@click.option("--steps", default=2000, show_default=True)
-@click.option("--horizon", default=2.0, show_default=True)
+@click.option("--trials", default=20, show_default=True,
+              type=click.IntRange(min=1))
+@click.option("--steps", default=2000, show_default=True,
+              type=click.IntRange(min=1))
+@click.option("--horizon", default=2.0, show_default=True,
+              type=click.FloatRange(min=0, min_open=True))
 @_seed_opt
 @click.option("--geo-tol", default=1e-6, show_default=True)
 @_json_opt

@@ -789,32 +789,38 @@ def compile_program(exprs: Sequence[Expr], coords: Sequence[str],
                     param_names: Sequence[str]):
     """Compile expressions into one vectorised evaluator with parameters
     passed at call time: f(points (n,4), values (len(param_names),))
-    returns (len(exprs), n).  The emitted code writes each expression's
-    row straight into the preallocated result.  Domain violations surface
-    as non-finite entries; callers wanting precise errors fall back on
-    eval_expr."""
+    returns (len(exprs), n).  ``values`` are floats, converted once by
+    whoever binds them to the program.  The emitted code writes each
+    computed row straight into the preallocated result, and every
+    constant row in one assignment from index and value arrays built
+    here.  Domain violations surface as non-finite entries, with numpy's
+    floating-point warnings unless the caller runs f under np.errstate
+    (pointcalc does, around each metric evaluation); callers wanting
+    precise errors fall back on eval_expr."""
     names = {c: f"_c{i}" for i, c in enumerate(coords)}
     names.update({p: f"_p{i}" for i, p in enumerate(param_names)})
     em = _Emitter(names)
     outs = [em.ref(e) for e in exprs]
-    em.lines += [f"    _out[{k}] = {v}" for k, v in enumerate(outs)]
+    namespace = dict(_COMPILE_GLOBALS)
+    consts = [k for k, e in enumerate(exprs) if isinstance(e, Const)]
+    em.lines += [f"    _out[{k}] = {v}" for k, v in enumerate(outs)
+                 if not isinstance(exprs[k], Const)]
+    if consts:
+        namespace["_ck"] = np.array(consts, dtype=np.intp)
+        namespace["_cv"] = np.array([[float(exprs[k].value)] for k in consts])
+        em.lines.append("    _out[_ck] = _cv")
     args = ["_out"] + [f"_c{i}" for i in range(len(coords))]
     args += [f"_p{i}" for i in range(len(param_names))]
     src = "def _f({}):\n{}\n".format(
         ", ".join(args), "\n".join(em.lines) or "    pass")
-    namespace = dict(_COMPILE_GLOBALS)
     exec(compile(src, "<lorhol-expr>", "exec"), namespace)  # noqa: S102
     f = namespace["_f"]
     n_exprs = len(exprs)
-    n_coords = len(coords)
 
     def evaluate(points: np.ndarray, param_values=()) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty((n_exprs, pts.shape[0]), dtype=float)
-        cols = [pts[:, i] for i in range(n_coords)]
-        with np.errstate(all="ignore"):
-            f(out, *cols, *[float(v) for v in param_values])
+        f(out, *np.ascontiguousarray(pts.T), *param_values)
         return out
 
     return evaluate
-

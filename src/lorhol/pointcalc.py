@@ -201,12 +201,12 @@ class _JetTable:
         ev = self._evaluators[(order, extra)] = (f, gathers)
         return ev
 
-    def evaluate(self, points, values, order: int, extra: tuple = ()):
-        """(jets, vals): the arrays of orders 0..order at the points, and
-        the compiled (n_exprs, n) block whose last len(extra) rows are the
-        extra expressions' values."""
+    def evaluate(self, pts, values, order: int, extra: tuple = ()):
+        """(jets, vals): the arrays of orders 0..order at the points pts
+        (n, 4) float, and the compiled (n_exprs, n) block whose last
+        len(extra) rows are the extra expressions' values.  Callers
+        convert the points and silence floating-point warnings."""
         f, gathers = self._evaluator(order, extra)
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
         vals = f(pts, values)
         n = pts.shape[0]
         return tuple(vals[index].T.reshape((n,) + shape)
@@ -224,7 +224,9 @@ class _Bound:
         self.values = values
 
     def evaluate(self, points, order: int = 0) -> tuple:
-        return self.table.evaluate(points, self.values, order)[0]
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        with np.errstate(all="ignore"):
+            return self.table.evaluate(pts, self.values, order)[0]
 
 
 @lru_cache(maxsize=512)
@@ -233,7 +235,9 @@ def _jet_table(comps: tuple, coords: tuple, pnames: tuple) -> _JetTable:
 
 
 def _values(spec: MetricSpec) -> tuple:
-    return tuple(spec.params.values[n] for n in spec.params.names())
+    # ParamEnv converted the values to floats once; the compiled programs
+    # take them as they are
+    return tuple(spec.params[n] for n in spec.params.names())
 
 
 @lru_cache(maxsize=256)
@@ -262,28 +266,35 @@ def _diagnose_point(spec: MetricSpec, point, max_order: int = 2) -> None:
         f"non-finite tensor assembly at {np.asarray(point).tolist()}")
 
 
-def _metric_jets(spec: MetricSpec, points, order: int):
-    """(jets, finite, admissible) at points (n, 4): the metric jets of
-    orders 0..order, the rows where all of them are finite, and the rows
-    with finite coordinates at which every domain constraint evaluates
-    finite and > 0.  One compiled call evaluates the jets and
-    spec.constraints."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+def _metric_jets(spec: MetricSpec, pts: np.ndarray, order: int):
+    """(jets, finite, admissible, valid) at points pts (n, 4) float: the
+    metric jets of orders 0..order; the rows where all of them are
+    finite; the rows with finite coordinates at which every domain
+    constraint evaluates finite and > 0; and the rows whose jets of
+    orders 0..min(order, 2) pass _valid_rows.  One compiled call
+    evaluates the jets and spec.constraints, and one np.errstate
+    silences its floating-point warnings and the determinant test's."""
     bound = _metric_table(spec)
-    jets, vals = bound.table.evaluate(pts, bound.values, order,
-                                      spec.constraints)
-    finite = np.isfinite(vals)
-    m = len(vals) - len(spec.constraints)
-    admissible = (np.isfinite(pts).all(axis=1)
-                  & (finite[m:] & (vals[m:] > 0.0)).all(axis=0))
-    return jets, finite[:m].all(axis=0), admissible
+    with np.errstate(all="ignore"):
+        jets, vals = bound.table.evaluate(pts, bound.values, order,
+                                          spec.constraints)
+        finite = np.isfinite(vals)
+        m = len(vals) - len(spec.constraints)
+        admissible = (np.isfinite(pts).all(axis=1)
+                      & (finite[m:] & (vals[m:] > 0.0)).all(axis=0))
+        finite = finite[:m].all(axis=0)
+        # the rows of vals are the jets' entries, so up to order 2 their
+        # finiteness is the one the determinant test needs
+        valid = _valid_rows(jets[:3], finite if order <= 2 else None)
+    return jets, finite, admissible, valid
 
 
 def admissible_mask(spec: MetricSpec, points: np.ndarray) -> np.ndarray:
     """Rows of ``points`` with finite coordinates at which every domain
     constraint evaluates finite and > 0; the constraints are evaluated
     in the compiled call that also evaluates g."""
-    return _metric_jets(spec, points, 0)[2]
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return _metric_jets(spec, pts, 0)[2]
 
 
 def _inadmissible(point) -> AdmissibilityError:
@@ -335,18 +346,18 @@ def _gamma_terms(g, dg):
 def _valid_rows(jets, finite=None) -> np.ndarray:
     """Rows of a batch of metric jets (g, dg, ...) that are all finite and
     whose g passes the determinant test of frame_at.  ``finite`` is the
-    rows' finiteness if the caller has it already."""
+    rows' finiteness if the caller has it already.  _metric_jets calls
+    it under np.errstate: rows that are not finite are masked by
+    ``finite``, and an overflowing det or scale is inf and decides as it
+    would unmuted."""
     if finite is None:
         n = len(jets[0])
         finite = np.ones(n, dtype=bool)
         for j in jets:
             finite &= np.all(np.isfinite(j), axis=tuple(range(1, j.ndim)))
     gmax = np.max(np.abs(jets[0]), axis=(1, 2))
-    # rows that are not finite are masked by ``finite``; an overflowing
-    # det or scale is inf and decides as it would unmuted
-    with np.errstate(over="ignore", invalid="ignore"):
-        return finite & (np.abs(np.linalg.det(jets[0]))
-                         > DEGENERACY_TOL * np.maximum(gmax, 1e-300) ** 4)
+    return finite & (np.abs(np.linalg.det(jets[0]))
+                     > DEGENERACY_TOL * np.maximum(gmax, 1e-300) ** 4)
 
 
 def _raise_invalid(spec: MetricSpec, point, jets) -> None:
@@ -362,10 +373,12 @@ def christoffel_batch(spec: MetricSpec, points):
     """Return (gamma, ok, admissible): gamma[n,a,b,c] = Gamma^a_bc batched
     over points, ok marks the rows with finite jets and a non-degenerate
     g, and admissible the rows that admissible_mask accepts.  Rows not ok
-    hold the flat placeholder gamma = 0.  The jets and the domain
-    constraints come from one compiled call (_metric_jets)."""
-    (g, dg), finite, admissible = _metric_jets(spec, points, 1)
-    ok = _valid_rows((g, dg), finite)
+    hold the flat placeholder gamma = 0.  The points are converted once;
+    one _metric_jets call (one compiled program call, the admissibility
+    and the determinant test) is followed by _gamma_terms, so an RK4
+    stage costs one compiled call per metric."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    (g, dg), _, admissible, ok = _metric_jets(spec, pts, 1)
     if not ok.all():
         g[~ok] = np.eye(DIM)
         dg[~ok] = 0.0
@@ -629,7 +642,7 @@ def _signature_signs(g: np.ndarray):
 
 def signature_at(spec: MetricSpec, point) -> tuple[int, ...]:
     """Sorted eigenvalue signs of g at the point; Lorentz iff (-1,1,1,1)."""
-    (g,), finite, admissible = _metric_jets(
+    (g,), finite, admissible, _ = _metric_jets(
         spec, np.asarray(point, float)[None, :], 0)
     if not admissible[0]:
         raise _inadmissible(point)
@@ -669,8 +682,9 @@ def frames_at(spec: MetricSpec, points, order: int = 2):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != DIM:
         raise MetricError("points must have 4 coordinates")
-    jets, _, admissible = _metric_jets(spec, pts, min(max(order, 2), 3))
-    ok = admissible & _valid_rows(jets[:3])
+    jets, _, admissible, valid = _metric_jets(spec, pts,
+                                              min(max(order, 2), 3))
+    ok = admissible & valid
     # iteration stops at the first bad row, so the stack covers the rows
     # before it
     n = len(pts) if ok.all() else int(np.argmin(ok))

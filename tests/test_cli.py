@@ -243,6 +243,21 @@ class TestGeodesicCheck:
         assert rep2["score"] > 1e-2
 
 
+    @pytest.mark.parametrize("args, message", [
+        (["--trials", "0"], "--trials"),
+        (["--steps", "-1"], "--steps"),
+        (["--horizon", "0"], "--horizon"),
+        # NaN passes click's range check; the library names it
+        (["--horizon", "nan"], "horizon must be positive and finite"),
+    ])
+    def test_bad_run_size_is_a_usage_error(self, runner, emitted, args,
+                                           message):
+        files = emitted("r9")
+        res, report = run_json(runner, ["geodesic-check", "-m", files["g"],
+                                        "-M", files["g"], *args])
+        assert res.exit_code == 2 and report is None
+        assert message in res.output
+
     def test_long_run_keeps_stderr_empty(self, runner, emitted, tmp_path):
         # the determinant test overflows on these r11 trajectories; no
         # numpy warning may reach the user's stderr

@@ -1,3 +1,5 @@
+import dis
+import inspect
 import itertools
 import math
 import sys
@@ -235,10 +237,44 @@ class TestCompiledWrites:
         got = self.check(exprs, self.PTS[:n])
         assert got.shape == (4, n)
 
+    ALL_CONST = [const(0), const(Fraction(-3, 4)), const(0), const(7)]
+    MIXED = [const(0), p("u*v + b0"), const(Fraction(1, 3)), coord("x"),
+             const(0), p("exp(y)*xi"), param("b0"), const(-2)]
+    NO_CONST = [p("u^2"), coord("v"), param("xi"), p("sin(x) + cos(y)")]
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    @pytest.mark.parametrize("kind", ["all", "mixed", "shared", "none"])
+    def test_hoisted_constant_rows(self, kind, n):
+        # constant rows are written in one assignment; every row, whatever
+        # its kind, must still land where eval_expr puts it
+        half = const(Fraction(1, 2))
+        exprs = {"all": self.ALL_CONST, "mixed": self.MIXED,
+                 "shared": [p("u"), half, p("v*b0"), half],
+                 "none": self.NO_CONST}[kind]
+        got = self.check(exprs, self.PTS[:n])
+        for k, e in enumerate(exprs):
+            if isinstance(e, Const):
+                assert np.all(got[k] == float(e.value))
+        if kind == "shared":
+            assert np.array_equal(got[1], got[3])
+
+    def test_no_per_row_constant_writes(self):
+        # one store per computed row and one for the whole constant block
+        f = compile_program(self.MIXED, COORDS, tuple(sorted(self.ENV)))
+        prog = inspect.getclosurevars(f).nonlocals["f"]
+        stores = [i for i in dis.get_instructions(prog)
+                  if i.opname == "STORE_SUBSCR"]
+        assert len(stores) == 5
+        assert prog.__globals__["_ck"].tolist() == [0, 2, 4, 7]
+        assert prog.__globals__["_cv"][:, 0].tolist() == [0.0, 1 / 3, 0.0,
+                                                          -2.0]
+
     def test_domain_violation_reads_nan(self):
         e = p("sqrt(u)")
         pts = np.array([[-1.0, 1.0, 0.0, 0.0], [4.0, 1.0, 0.0, 0.0]])
-        got = compile_program([e, p("v")], COORDS, ())(pts)
+        # the evaluator leaves floating-point warnings to its caller
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            got = compile_program([e, p("v")], COORDS, ())(pts)
         assert np.isnan(got[0, 0]) and got[0, 1] == 2.0
         assert np.all(got[1] == 1.0)
         with pytest.raises(DomainError):

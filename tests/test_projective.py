@@ -310,6 +310,20 @@ class TestPregeodesic:
         # at the roundoff floor; halving the step must keep it there
         assert r2.score <= max(r1.score / 8.0, 1e-12)
 
+    @pytest.mark.parametrize("horizon", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_horizon_is_named(self, appendix, horizon):
+        with pytest.raises(ValueError,
+                           match="horizon must be positive and finite"):
+            pregeodesic_check(appendix.g, appendix.g, trials=2, steps=2,
+                              horizon=horizon)
+
+    def test_step_underflow_is_named(self, appendix):
+        # a positive, finite horizon whose step is below the smallest
+        # normal float
+        with pytest.raises(ValueError, match="step size underflow"):
+            pregeodesic_check(appendix.g, appendix.g, trials=2, steps=1,
+                              horizon=1e-320)
+
     def test_truncation_reported(self):
         # a box that lets trajectories escape the admissible domain
         b = fixture_r9_r14(b="1 + u^2", f="x*y", phi=1.0, xi=0.5)
@@ -415,6 +429,33 @@ class TestFusedStage:
         assert 0 < len(rep.truncated) < 12
         assert (rep.score, rep.truncated, rep.scored) == \
             _reference_pregeodesic(spec, spec, 12, 200, 2.0, 4, box=box)
+
+    def test_waveband_self_scores_zero_like_reference(self, waveband):
+        rep = pregeodesic_check(waveband.g, waveband.g, trials=20,
+                                steps=400, horizon=2.0, seed=1)
+        assert rep.score == 0.0 and rep.scored > 0
+        assert (rep.score, rep.truncated, rep.scored) == \
+            _reference_pregeodesic(waveband.g, waveband.g, 20, 400, 2.0, 1)
+
+    def test_waveband_against_flat_matches_reference(self, waveband):
+        # the large-score branch: A' is the full Gamma v v of g
+        flat = metric_spec(waveband.g.coords,
+                           [["-1"], ["0", "1"], ["0", "0", "1"],
+                            ["0", "0", "0", "1"]],
+                           sample_box=waveband.g.sample_box)
+        rep = pregeodesic_check(waveband.g, flat, trials=20, steps=200,
+                                horizon=1.0, seed=2)
+        assert rep.score > 1e-2
+        assert (rep.score, rep.truncated, rep.scored) == \
+            _reference_pregeodesic(waveband.g, flat, 20, 200, 1.0, 2)
+
+    def test_single_trial_matches_reference(self, appendix):
+        partner = invert_pair(appendix.pair).partner
+        rep = pregeodesic_check(appendix.g, partner, trials=1, steps=300,
+                                horizon=1.5, seed=3)
+        assert rep.scored > 0
+        assert (rep.score, rep.truncated, rep.scored) == \
+            _reference_pregeodesic(appendix.g, partner, 1, 300, 1.5, 3)
 
     def test_long_r11_run_emits_no_warnings(self, waveband):
         # the determinant test overflows along these trajectories; the

@@ -18,10 +18,13 @@ def test_survey_digests_prints_two_stable_digests():
     digests = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digests)
     minkowski, r9 = fixture_spec("minkowski"), fixture_spec("r9")
+    r9_partner = fixture_spec("r9", True)
     for digest, pattern in (
             (lambda: digests.survey_digest(minkowski, 4, 1, 1),
              r"[0-9a-f]{64} [0-9a-f]{64}"),
-            (lambda: digests.classify_digest(r9, 4, 1), r"[0-9a-f]{64}")):
+            (lambda: digests.classify_digest(r9, 4, 1), r"[0-9a-f]{64}"),
+            (lambda: digests.geodesic_digest(r9, r9_partner, 1),
+             r"[0-9a-f]{64}")):
         lines = [digest() for _ in range(2)]
         assert re.fullmatch(pattern, lines[0]), lines[0]
         assert lines[0] == lines[1]
