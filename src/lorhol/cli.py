@@ -61,6 +61,10 @@ def load_metric_file(path: str) -> MetricSpec:
     coords = data["coordinates"]
     box = None
     if data.get("sample_box"):
+        missing = [c for c in coords if c not in data["sample_box"]]
+        if missing:
+            raise MetricError(f"{path}: sample_box has no bounds for "
+                              f"coordinate {missing[0]!r}")
         box = [tuple(data["sample_box"][c]) for c in coords]
     return metric_spec(coords, data["metric"],
                        params=data.get("parameters", {}),

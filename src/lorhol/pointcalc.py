@@ -39,6 +39,10 @@ __all__ = [
 
 DIM = 4
 DEGENERACY_TOL = 1e-12
+# frames_at assembles _CHUNK * 4^(4 - order) rows per derivative stack:
+# the largest arrays through order k hold 4^(k + 2) floats per row, so
+# every chunk's arrays stay within _CHUNK * 4^6 floats (256 kB)
+_CHUNK = 8
 
 
 class MetricError(Exception):
@@ -507,124 +511,167 @@ class PointFrame:
 
     # -- derivative tensors (need a backing spec) ------------------------------
 
-    def _stack(self, order: int) -> dict:
-        """The frame's batch-of-one derivative stack, extended to ``order``
-        (3 or 4); each stage is assembled once per frame."""
-        if self.spec is None or self.point is None:
-            raise MetricError("synthetic frame carries no derivative data")
-        jets = _metric_jets(self.spec, self.point[None, :], order)[0]
-        return _riemann_derivative_stack(jets,
-                                         self._cache.setdefault("stack", {}))
+    def _derived(self, key: str, order: int) -> np.ndarray:
+        """A derivative tensor that frames_at stored at ``order``; a frame
+        built below that order gets it from a one-row frames_at there."""
+        if key not in self._cache:
+            if self.spec is None or self.point is None:
+                raise MetricError("synthetic frame carries no derivative data")
+            fresh = next(frames_at(self.spec, self.point[None, :], order))
+            for k, v in fresh._cache.items():
+                self._cache.setdefault(k, v)
+        return self._cache[key]
 
     @property
     def cov_riemann(self) -> np.ndarray:
         """R^a_bcd;e with the covariant index trailing."""
-        return self._get("cov_riemann", lambda: self._stack(3)["covR"][0])
+        return self._derived("cov_riemann", 3)
 
     @property
     def cov2_riemann(self) -> np.ndarray:
         """R^a_bcd;e;f, second covariant derivative (trailing f)."""
-        return self._get("cov2_riemann", lambda: self._stack(4)["cov2R"][0])
+        return self._derived("cov2_riemann", 4)
 
 
-def _riemann_derivative_stack(jets, stack=None) -> dict:
-    """Assemble Riemann and its covariant derivatives from batched metric
-    jets (g, dg, d2g[, d3g[, d4g]]).
+# subscripts -> (swap operands, x axes, y axes, product axes, number of
+# free x indices, number of free y indices)
+_PLANS: dict[str, tuple] = {}
 
-    Fills ``stack`` (a new dict if None) with gamma, dGamma, R (R^a_bcd)
-    and, when the jets allow, dR, covR and cov2R, plus the intermediates
-    the next order needs; stages already in ``stack`` are reused, so a
-    frame's order-3 result is extended, not rebuilt.
+
+def _contract(subscripts: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.einsum(subscripts, x, y) for a one-index contraction of two
+    batched tensors, as one batched np.matmul: the batch index n leads
+    every operand and the output, one index is summed, and every other
+    index appears once.  Each operand's free indices are moved into the
+    output's order, the operand holding the output's last index goes on
+    the right (so the result's innermost axis is contiguous), and the
+    product is returned as a view in the output's index order.  The axis
+    plan of each subscript string is worked out once."""
+    plan = _PLANS.get(subscripts)
+    if plan is None:
+        ins, out = subscripts.split("->")
+        xs, ys = ins.split(",")
+        swap = out[-1] in xs
+        if swap:
+            xs, ys = ys, xs
+        (m,) = (set(xs) & set(ys)) - {"n"}
+        xf = [c for c in out[1:] if c in xs]
+        yf = [c for c in out[1:] if c in ys]
+        plan = _PLANS[subscripts] = (
+            swap,
+            (0, *(xs.index(c) for c in xf), xs.index(m)),
+            (0, ys.index(m), *(ys.index(c) for c in yf)),
+            (0, *(1 + (xf + yf).index(c) for c in out[1:])),
+            len(xf), len(yf))
+    swap, px, py, po, kx, ky = plan
+    if swap:
+        x, y = y, x
+    n = len(x)
+    prod = np.matmul(x.transpose(px).reshape(n, DIM ** kx, DIM),
+                     y.transpose(py).reshape(n, DIM, DIM ** ky))
+    return prod.reshape((n,) + (DIM,) * (kx + ky)).transpose(po)
+
+
+def _riemann_derivative_stack(jets) -> dict:
+    """Riemann and its covariant derivatives from batched metric jets
+    (g, dg, d2g[, d3g[, d4g]]): a dict with gamma and R (R^a_bcd), plus
+    covR (R^a_bcd;e) from d3g and cov2R (R^a_bcd;e;f) from d4g.
+    frames_at calls it on row chunks (_CHUNK).
+
+    Up to R, Gamma^a_bc = 1/2 g^ad s_dbc with s_dbc = d_b g_dc + d_c g_db
+    - d_d g_bc, and d_e Gamma comes from d_e g^ad.  Higher derivatives of
+    Gamma need no derivative of g^ad: differentiating g_ad Gamma^d_bc =
+    1/2 s_abc gives
+
+        g_ad d_e d_f Gamma^d_bc = 1/2 d_e d_f s_abc - d_e d_f g_am Gamma^m_bc
+            - d_e g_am d_f Gamma^m_bc - d_f g_am d_e Gamma^m_bc
+
+    and d_e d_f d_h Gamma the same way with seven terms, each raised
+    with one product by g^ad.  With M^a_bcd = d_c Gamma^a_bd +
+    Gamma^a_cm Gamma^m_bd, R^a_bcd = M^a_bcd - M^a_bdc, and so are its
+    partial derivatives.  Every one-index contraction past R is a
+    batched matmul (_contract).
     """
-    out = {} if stack is None else stack
     g, dg, d2g = jets[:3]
-    if "R" not in out:
-        ginv, s, gamma = _gamma_terms(g, dg)
-        ds = d2g.transpose(0, 1, 3, 2, 4) + d2g - d2g.transpose(0, 3, 1, 2, 4)
-        dginv = -np.einsum("nam,nbp,nmpe->nabe", ginv, ginv, dg)
-        dgamma = 0.5 * (np.einsum("nade,ndbc->nabce", dginv, s)
-                        + np.einsum("nad,ndbce->nabce", ginv, ds))
-        riem = (dgamma.transpose(0, 1, 2, 4, 3) - dgamma
-                + np.einsum("nace,nebd->nabcd", gamma, gamma)
-                - np.einsum("nade,nebc->nabcd", gamma, gamma))
-        out.update({"ginv": ginv, "s": s, "ds": ds, "dginv": dginv,
-                    "gamma": gamma, "dgamma": dgamma, "R": riem})
-    ginv, s, ds, dginv = out["ginv"], out["s"], out["ds"], out["dginv"]
-    gamma, dgamma, riem = out["gamma"], out["dgamma"], out["R"]
+    ginv, s, gamma = _gamma_terms(g, dg)
+    ds = d2g.transpose(0, 1, 3, 2, 4) + d2g - d2g.transpose(0, 3, 1, 2, 4)
+    dginv = -np.einsum("nam,nbp,nmpe->nabe", ginv, ginv, dg)
+    dgamma = 0.5 * (np.einsum("nade,ndbc->nabce", dginv, s)
+                    + np.einsum("nad,ndbce->nabce", ginv, ds))
+    riem = (dgamma.transpose(0, 1, 2, 4, 3) - dgamma
+            + np.einsum("nace,nebd->nabcd", gamma, gamma)
+            - np.einsum("nade,nebc->nabcd", gamma, gamma))
+    out = {"gamma": gamma, "R": riem}
+    if len(jets) < 4:
+        return out
 
-    if len(jets) > 3 and "covR" not in out:
-        d3g = jets[3]
-        d2s = (d3g.transpose(0, 1, 3, 2, 4, 5) + d3g
-               - d3g.transpose(0, 3, 1, 2, 4, 5))
-        d2ginv = -(np.einsum("namf,nbp,nmpe->nabef", dginv, ginv, dg)
-                   + np.einsum("nam,nbpf,nmpe->nabef", ginv, dginv, dg)
-                   + np.einsum("nam,nbp,nmpef->nabef", ginv, ginv, d2g))
-        d2gamma = 0.5 * (np.einsum("nadef,ndbc->nabcef", d2ginv, s)
-                         + np.einsum("nade,ndbcf->nabcef", dginv, ds)
-                         + np.einsum("nadf,ndbce->nabcef", dginv, ds)
-                         + np.einsum("nad,ndbcef->nabcef", ginv, d2s))
-        driem = (d2gamma.transpose(0, 1, 2, 4, 3, 5)
-                 - d2gamma
-                 + np.einsum("nacme,nmbd->nabcde", dgamma, gamma)
-                 + np.einsum("nacm,nmbde->nabcde", gamma, dgamma)
-                 - np.einsum("nadme,nmbc->nabcde", dgamma, gamma)
-                 - np.einsum("nadm,nmbce->nabcde", gamma, dgamma))
-        covr = (driem
-                + np.einsum("naem,nmbcd->nabcde", gamma, riem)
-                - np.einsum("nmeb,namcd->nabcde", gamma, riem)
-                - np.einsum("nmec,nabmd->nabcde", gamma, riem)
-                - np.einsum("nmed,nabcm->nabcde", gamma, riem))
-        out.update({"d2s": d2s, "d2ginv": d2ginv, "d2gamma": d2gamma,
-                    "dR": driem, "covR": covr})
+    # low = g_ad d_e d_f Gamma^d_bc; the sums below are built in place,
+    # since the arrays alive at once set the peak memory of a chunk
+    d3g = jets[3]
+    low = d3g.transpose(0, 1, 3, 2, 4, 5) + d3g
+    low -= d3g.transpose(0, 3, 1, 2, 4, 5)
+    low *= 0.5
+    low -= _contract("namef,nmbc->nabcef", d2g, gamma)
+    t = _contract("name,nmbcf->nabcef", dg, dgamma)
+    low -= t
+    low -= t.transpose(0, 1, 2, 3, 5, 4)
+    d2gamma = _contract("nad,ndbcef->nabcef", ginv, low)
+    del low, t
+    # d_e M^a_bcd, then d_e R = d_e M^a_bcd - d_e M^a_bdc
+    dm = d2gamma.transpose(0, 1, 2, 4, 3, 5) + _contract(
+        "nacme,nmbd->nabcde", dgamma, gamma)
+    dm += _contract("nacm,nmbde->nabcde", gamma, dgamma)
+    driem = dm - dm.transpose(0, 1, 2, 4, 3, 5)
+    del dm
+    covr = driem + _contract("naem,nmbcd->nabcde", gamma, riem)
+    covr -= _contract("nmeb,namcd->nabcde", gamma, riem)
+    covr -= _contract("nmec,nabmd->nabcde", gamma, riem)
+    covr -= _contract("nmed,nabcm->nabcde", gamma, riem)
+    out["covR"] = covr
+    if len(jets) < 5:
+        return out
 
-    if len(jets) > 4 and "cov2R" not in out:
-        d3g, d4g = jets[3], jets[4]
-        d3s = (d4g.transpose(0, 1, 3, 2, 4, 5, 6) + d4g
-               - d4g.transpose(0, 3, 1, 2, 4, 5, 6))
-        d2s, d2ginv, d2gamma = out["d2s"], out["d2ginv"], out["d2gamma"]
-        d3ginv = -(np.einsum("namfh,nbp,nmpe->nabefh", d2ginv, ginv, dg)
-                   + np.einsum("namf,nbph,nmpe->nabefh", dginv, dginv, dg)
-                   + np.einsum("namf,nbp,nmpeh->nabefh", dginv, ginv, d2g)
-                   + np.einsum("namh,nbpf,nmpe->nabefh", dginv, dginv, dg)
-                   + np.einsum("nam,nbpfh,nmpe->nabefh", ginv, d2ginv, dg)
-                   + np.einsum("nam,nbpf,nmpeh->nabefh", ginv, dginv, d2g)
-                   + np.einsum("namh,nbp,nmpef->nabefh", dginv, ginv, d2g)
-                   + np.einsum("nam,nbph,nmpef->nabefh", ginv, dginv, d2g)
-                   + np.einsum("nam,nbp,nmpefh->nabefh", ginv, ginv, d3g))
-        d3gamma = 0.5 * (np.einsum("nadefh,ndbc->nabcefh", d3ginv, s)
-                         + np.einsum("nadef,ndbch->nabcefh", d2ginv, ds)
-                         + np.einsum("nadeh,ndbcf->nabcefh", d2ginv, ds)
-                         + np.einsum("nade,ndbcfh->nabcefh", dginv, d2s)
-                         + np.einsum("nadfh,ndbce->nabcefh", d2ginv, ds)
-                         + np.einsum("nadf,ndbceh->nabcefh", dginv, d2s)
-                         + np.einsum("nadh,ndbcef->nabcefh", dginv, d2s)
-                         + np.einsum("nad,ndbcefh->nabcefh", ginv, d3s))
-        d2riem = (d3gamma.transpose(0, 1, 2, 4, 3, 5, 6)
-                  - d3gamma
-                  + np.einsum("nacmef,nmbd->nabcdef", d2gamma, gamma)
-                  + np.einsum("nacme,nmbdf->nabcdef", dgamma, dgamma)
-                  + np.einsum("nacmf,nmbde->nabcdef", dgamma, dgamma)
-                  + np.einsum("nacm,nmbdef->nabcdef", gamma, d2gamma)
-                  - np.einsum("nadmef,nmbc->nabcdef", d2gamma, gamma)
-                  - np.einsum("nadme,nmbcf->nabcdef", dgamma, dgamma)
-                  - np.einsum("nadmf,nmbce->nabcdef", dgamma, dgamma)
-                  - np.einsum("nadm,nmbcef->nabcdef", gamma, d2gamma))
-        driem, covr = out["dR"], out["covR"]
-        dcovr = (d2riem
-                 + np.einsum("naemf,nmbcd->nabcdef", dgamma, riem)
-                 + np.einsum("naem,nmbcdf->nabcdef", gamma, driem)
-                 - np.einsum("nmebf,namcd->nabcdef", dgamma, riem)
-                 - np.einsum("nmeb,namcdf->nabcdef", gamma, driem)
-                 - np.einsum("nmecf,nabmd->nabcdef", dgamma, riem)
-                 - np.einsum("nmec,nabmdf->nabcdef", gamma, driem)
-                 - np.einsum("nmedf,nabcm->nabcdef", dgamma, riem)
-                 - np.einsum("nmed,nabcmf->nabcdef", gamma, driem))
-        out["cov2R"] = (dcovr
-                        + np.einsum("nafm,nmbcde->nabcdef", gamma, covr)
-                        - np.einsum("nmfb,namcde->nabcdef", gamma, covr)
-                        - np.einsum("nmfc,nabmde->nabcdef", gamma, covr)
-                        - np.einsum("nmfd,nabcme->nabcdef", gamma, covr)
-                        - np.einsum("nmfe,nabcdm->nabcdef", gamma, covr))
+    d4g = jets[4]
+    # low = g_ad d_e d_f d_h Gamma^d_bc; the terms d_e d_f g d_h Gamma and
+    # d_e g d_f d_h Gamma are each summed over the three ways to split
+    # (e, f, h)
+    low = d4g.transpose(0, 1, 3, 2, 4, 5, 6) + d4g
+    low -= d4g.transpose(0, 3, 1, 2, 4, 5, 6)
+    low *= 0.5
+    low -= _contract("namefh,nmbc->nabcefh", d3g, gamma)
+    t = _contract("namef,nmbch->nabcefh", d2g, dgamma)
+    low -= t
+    low -= t.transpose(0, 1, 2, 3, 4, 6, 5)
+    low -= t.transpose(0, 1, 2, 3, 6, 4, 5)
+    t = _contract("name,nmbcfh->nabcefh", dg, d2gamma)
+    low -= t
+    low -= t.transpose(0, 1, 2, 3, 5, 4, 6)
+    low -= t.transpose(0, 1, 2, 3, 5, 6, 4)
+    # d_f d_e M^a_bcd, its first term d_c d_e d_f Gamma^a_bd raised from low
+    d2m = _contract("nam,nmbdcef->nabcdef", ginv, low)
+    del low, t
+    d2m += _contract("nacmef,nmbd->nabcdef", d2gamma, gamma)
+    t = _contract("nacme,nmbdf->nabcdef", dgamma, dgamma)
+    d2m += t
+    d2m += t.transpose(0, 1, 2, 3, 4, 6, 5)
+    d2m += _contract("nacm,nmbdef->nabcdef", gamma, d2gamma)
+    # d_f R;e from d_f d_e R, then the connection terms of R;e;f
+    cov2r = d2m - d2m.transpose(0, 1, 2, 4, 3, 5, 6)
+    del d2m, t
+    cov2r += _contract("naemf,nmbcd->nabcdef", dgamma, riem)
+    cov2r += _contract("naem,nmbcdf->nabcdef", gamma, driem)
+    cov2r -= _contract("nmebf,namcd->nabcdef", dgamma, riem)
+    cov2r -= _contract("nmeb,namcdf->nabcdef", gamma, driem)
+    cov2r -= _contract("nmecf,nabmd->nabcdef", dgamma, riem)
+    cov2r -= _contract("nmec,nabmdf->nabcdef", gamma, driem)
+    cov2r -= _contract("nmedf,nabcm->nabcdef", dgamma, riem)
+    cov2r -= _contract("nmed,nabcmf->nabcdef", gamma, driem)
+    cov2r += _contract("nafm,nmbcde->nabcdef", gamma, covr)
+    cov2r -= _contract("nmfb,namcde->nabcdef", gamma, covr)
+    cov2r -= _contract("nmfc,nabmde->nabcdef", gamma, covr)
+    cov2r -= _contract("nmfd,nabcme->nabcdef", gamma, covr)
+    cov2r -= _contract("nmfe,nabcdm->nabcdef", gamma, covr)
+    out["cov2R"] = cov2r
     return out
 
 
@@ -668,42 +715,47 @@ def frames_at(spec: MetricSpec, points, order: int = 2):
     point order.
 
     ``order`` is the highest metric derivative the caller will use: 2 for
-    Riemann, 3 for R^a_bcd;e, 4 for R^a_bcd;e;f.  One compiled call
-    (_metric_jets) evaluates the jets of every point up to order
-    min(order, 3) and the domain constraints, and one batched derivative
-    stack assembles Riemann (and R^a_bcd;e from order 3) for all of
-    them; each frame holds row views of it, and cov2_riemann extends a
-    frame's rows on its own (a batched order-4 stack costs more memory
-    than it saves time).  Nothing is raised before iteration reaches a
-    bad row; there the exception frame_at raises for that point is
-    raised, checked in frame_at's order: admissibility, finite jets,
-    determinant, signature.
+    Riemann, 3 for R^a_bcd;e, 4 for R^a_bcd;e;f.  The points are taken
+    in chunks of _CHUNK * 4^(4 - order) rows (8 at order 4): one compiled
+    call (_metric_jets) evaluates the chunk's jets up to that order and
+    its domain constraints, one derivative stack
+    (_riemann_derivative_stack) assembles its tensors, and its frames,
+    which hold row views of them, are yielded before the next chunk is
+    evaluated; so memory does not grow with the batch.  Nothing is raised before iteration reaches a bad row;
+    there the exception frame_at raises for that point is raised, checked
+    in frame_at's order: admissibility, finite jets, determinant,
+    signature.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != DIM:
         raise MetricError("points must have 4 coordinates")
-    jets, _, admissible, valid = _metric_jets(spec, pts,
-                                              min(max(order, 2), 3))
-    ok = admissible & valid
-    # iteration stops at the first bad row, so the stack covers the rows
-    # before it
-    n = len(pts) if ok.all() else int(np.argmin(ok))
-    stack = _riemann_derivative_stack(tuple(j[:n] for j in jets))
-    for i in range(n):
-        g = jets[0][i]
-        signs = _signature_signs(g)
-        if signs != (-1, 1, 1, 1):
-            raise SignatureError(f"signature {signs} is not Lorentz")
-        frame = PointFrame(g, stack["R"][i], point=pts[i], spec=spec,
-                           gamma=stack["gamma"][i], dg=jets[1][i])
-        frame._cache["stack"] = {k: v[i:i + 1] for k, v in stack.items()}
-        if "covR" in stack:
-            frame._cache["cov_riemann"] = stack["covR"][i]
-        yield frame
-    if n < len(pts):
-        if not admissible[n]:
-            raise _inadmissible(pts[n])
-        _raise_invalid(spec, pts[n], tuple(j[n:n + 1] for j in jets[:3]))
+    order = min(max(order, 2), 4)
+    rows = _CHUNK * DIM ** (4 - order)
+    for start in range(0, len(pts), rows):
+        chunk = pts[start:start + rows]
+        jets, _, admissible, valid = _metric_jets(spec, chunk, order)
+        ok = admissible & valid
+        # iteration stops at the first bad row, so the stack covers the
+        # rows before it
+        n = len(chunk) if ok.all() else int(np.argmin(ok))
+        stack = _riemann_derivative_stack(tuple(j[:n] for j in jets))
+        for i in range(n):
+            g = jets[0][i]
+            signs = _signature_signs(g)
+            if signs != (-1, 1, 1, 1):
+                raise SignatureError(f"signature {signs} is not Lorentz")
+            frame = PointFrame(g, stack["R"][i], point=chunk[i], spec=spec,
+                               gamma=stack["gamma"][i], dg=jets[1][i])
+            for key, attr in (("covR", "cov_riemann"),
+                              ("cov2R", "cov2_riemann")):
+                if key in stack:
+                    frame._cache[attr] = stack[key][i]
+            yield frame
+        if n < len(chunk):
+            if not admissible[n]:
+                raise _inadmissible(chunk[n])
+            _raise_invalid(spec, chunk[n],
+                           tuple(j[n:n + 1] for j in jets[:3]))
 
 
 def weyl_conformal_at(frame: PointFrame) -> np.ndarray:

@@ -86,3 +86,93 @@ def fixture_spec(name: str, partner: bool = False):
     from lorhol.projective import invert_pair
     bundle = named_fixture(name)
     return invert_pair(bundle.pair).partner if partner else bundle.g
+
+
+def reference_riemann_stack(jets) -> dict:
+    """R^a_bcd, R^a_bcd;e and R^a_bcd;e;f from batched metric jets (g, dg,
+    d2g, d3g[, d4g]) through explicit derivatives of g^ab up to the third:
+    the assembly pointcalc used before its stack built the derivatives of
+    Gamma from g_ad Gamma^d_bc = 1/2 s_abc.  Plain einsums, kept as an
+    oracle for that stack."""
+    g, dg, d2g, d3g = jets[:4]
+    ginv = np.linalg.inv(g)
+    s = dg.transpose(0, 1, 3, 2) + dg - dg.transpose(0, 3, 1, 2)
+    gamma = 0.5 * np.einsum("nad,ndbc->nabc", ginv, s)
+    ds = d2g.transpose(0, 1, 3, 2, 4) + d2g - d2g.transpose(0, 3, 1, 2, 4)
+    dginv = -np.einsum("nam,nbp,nmpe->nabe", ginv, ginv, dg)
+    dgamma = 0.5 * (np.einsum("nade,ndbc->nabce", dginv, s)
+                    + np.einsum("nad,ndbce->nabce", ginv, ds))
+    riem = (dgamma.transpose(0, 1, 2, 4, 3) - dgamma
+            + np.einsum("nace,nebd->nabcd", gamma, gamma)
+            - np.einsum("nade,nebc->nabcd", gamma, gamma))
+
+    d2s = (d3g.transpose(0, 1, 3, 2, 4, 5) + d3g
+           - d3g.transpose(0, 3, 1, 2, 4, 5))
+    d2ginv = -(np.einsum("namf,nbp,nmpe->nabef", dginv, ginv, dg)
+               + np.einsum("nam,nbpf,nmpe->nabef", ginv, dginv, dg)
+               + np.einsum("nam,nbp,nmpef->nabef", ginv, ginv, d2g))
+    d2gamma = 0.5 * (np.einsum("nadef,ndbc->nabcef", d2ginv, s)
+                     + np.einsum("nade,ndbcf->nabcef", dginv, ds)
+                     + np.einsum("nadf,ndbce->nabcef", dginv, ds)
+                     + np.einsum("nad,ndbcef->nabcef", ginv, d2s))
+    driem = (d2gamma.transpose(0, 1, 2, 4, 3, 5)
+             - d2gamma
+             + np.einsum("nacme,nmbd->nabcde", dgamma, gamma)
+             + np.einsum("nacm,nmbde->nabcde", gamma, dgamma)
+             - np.einsum("nadme,nmbc->nabcde", dgamma, gamma)
+             - np.einsum("nadm,nmbce->nabcde", gamma, dgamma))
+    covr = (driem
+            + np.einsum("naem,nmbcd->nabcde", gamma, riem)
+            - np.einsum("nmeb,namcd->nabcde", gamma, riem)
+            - np.einsum("nmec,nabmd->nabcde", gamma, riem)
+            - np.einsum("nmed,nabcm->nabcde", gamma, riem))
+    out = {"R": riem, "covR": covr}
+    if len(jets) < 5:
+        return out
+
+    d4g = jets[4]
+    d3s = (d4g.transpose(0, 1, 3, 2, 4, 5, 6) + d4g
+           - d4g.transpose(0, 3, 1, 2, 4, 5, 6))
+    d3ginv = -(np.einsum("namfh,nbp,nmpe->nabefh", d2ginv, ginv, dg)
+               + np.einsum("namf,nbph,nmpe->nabefh", dginv, dginv, dg)
+               + np.einsum("namf,nbp,nmpeh->nabefh", dginv, ginv, d2g)
+               + np.einsum("namh,nbpf,nmpe->nabefh", dginv, dginv, dg)
+               + np.einsum("nam,nbpfh,nmpe->nabefh", ginv, d2ginv, dg)
+               + np.einsum("nam,nbpf,nmpeh->nabefh", ginv, dginv, d2g)
+               + np.einsum("namh,nbp,nmpef->nabefh", dginv, ginv, d2g)
+               + np.einsum("nam,nbph,nmpef->nabefh", ginv, dginv, d2g)
+               + np.einsum("nam,nbp,nmpefh->nabefh", ginv, ginv, d3g))
+    d3gamma = 0.5 * (np.einsum("nadefh,ndbc->nabcefh", d3ginv, s)
+                     + np.einsum("nadef,ndbch->nabcefh", d2ginv, ds)
+                     + np.einsum("nadeh,ndbcf->nabcefh", d2ginv, ds)
+                     + np.einsum("nade,ndbcfh->nabcefh", dginv, d2s)
+                     + np.einsum("nadfh,ndbce->nabcefh", d2ginv, ds)
+                     + np.einsum("nadf,ndbceh->nabcefh", dginv, d2s)
+                     + np.einsum("nadh,ndbcef->nabcefh", dginv, d2s)
+                     + np.einsum("nad,ndbcefh->nabcefh", ginv, d3s))
+    d2riem = (d3gamma.transpose(0, 1, 2, 4, 3, 5, 6)
+              - d3gamma
+              + np.einsum("nacmef,nmbd->nabcdef", d2gamma, gamma)
+              + np.einsum("nacme,nmbdf->nabcdef", dgamma, dgamma)
+              + np.einsum("nacmf,nmbde->nabcdef", dgamma, dgamma)
+              + np.einsum("nacm,nmbdef->nabcdef", gamma, d2gamma)
+              - np.einsum("nadmef,nmbc->nabcdef", d2gamma, gamma)
+              - np.einsum("nadme,nmbcf->nabcdef", dgamma, dgamma)
+              - np.einsum("nadmf,nmbce->nabcdef", dgamma, dgamma)
+              - np.einsum("nadm,nmbcef->nabcdef", gamma, d2gamma))
+    dcovr = (d2riem
+             + np.einsum("naemf,nmbcd->nabcdef", dgamma, riem)
+             + np.einsum("naem,nmbcdf->nabcdef", gamma, driem)
+             - np.einsum("nmebf,namcd->nabcdef", dgamma, riem)
+             - np.einsum("nmeb,namcdf->nabcdef", gamma, driem)
+             - np.einsum("nmecf,nabmd->nabcdef", dgamma, riem)
+             - np.einsum("nmec,nabmdf->nabcdef", gamma, driem)
+             - np.einsum("nmedf,nabcm->nabcdef", dgamma, riem)
+             - np.einsum("nmed,nabcmf->nabcdef", gamma, driem))
+    out["cov2R"] = (dcovr
+                    + np.einsum("nafm,nmbcde->nabcdef", gamma, covr)
+                    - np.einsum("nmfb,namcde->nabcdef", gamma, covr)
+                    - np.einsum("nmfc,nabmde->nabcdef", gamma, covr)
+                    - np.einsum("nmfd,nabcme->nabcdef", gamma, covr)
+                    - np.einsum("nmfe,nabcdm->nabcdef", gamma, covr))
+    return out

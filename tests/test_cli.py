@@ -82,6 +82,17 @@ class TestClassify:
         res = runner.invoke(main, ["classify", "-m", "no-such-file.json"])
         assert res.exit_code == 2
 
+    def test_box_without_a_coordinate_is_usage_error(self, runner, emitted,
+                                                     tmp_path):
+        data = json.loads(open(emitted("r9")["g"]).read())
+        del data["sample_box"]["u"]
+        path = tmp_path / "no-u.json"
+        path.write_text(json.dumps(data))
+        res = runner.invoke(main, ["classify", "-m", str(path)])
+        assert res.exit_code == 2
+        assert res.output == (f"error: {path}: sample_box has no bounds "
+                              "for coordinate 'u'\n")
+
 
 class TestHolonomy:
     def test_appendix_r9(self, runner, emitted):

@@ -1,0 +1,110 @@
+"""Exact oracle for Gamma, R, R;e and R;e;f: the tensors are built with
+sympy from a fixture's expression strings and evaluated at one dyadic
+point to 30 digits, sharing no assembly code with lorhol.pointcalc.
+
+sympy is a test-only dependency; without it this module is skipped.
+"""
+import numpy as np
+import pytest
+
+sp = pytest.importorskip("sympy")
+from sympy.parsing.sympy_parser import (  # noqa: E402
+    convert_xor, parse_expr, standard_transformations,
+)
+
+from lorhol.exprdsl import to_string  # noqa: E402
+from lorhol.fixtures import named_fixture  # noqa: E402
+from lorhol.pointcalc import frame_at  # noqa: E402
+
+# dyadic, so the float point lorhol sees is the exact one
+POINT = (sp.Rational(5, 4), sp.Rational(3, 4), sp.Rational(1, 4),
+         sp.Rational(-3, 8))
+R4 = range(4)
+
+
+def _grad(t: dict, x) -> dict:
+    """Partial derivatives of the nonzero entries of t, the derivative
+    index appended."""
+    return {idx + (f,): d for idx, e in t.items() for f in R4
+            if (d := sp.diff(e, x[f])) != 0}
+
+
+def _nabla(t: dict, dt: dict, gam: dict) -> dict:
+    """Covariant derivative of the (1, k) tensor t (upper index first),
+    the derivative index appended: dt + Gamma^p_fq t^q... - sum over the
+    lower slots of Gamma^p_fq t^..p..."""
+    out = dict(dt)
+    for (p, f, q), gv in gam.items():
+        for idx, tv in t.items():
+            if idx[0] == q:
+                key = (p,) + idx[1:] + (f,)
+                out[key] = out.get(key, 0) + gv * tv
+            for k in range(1, len(idx)):
+                if idx[k] == p:
+                    key = idx[:k] + (q,) + idx[k + 1:] + (f,)
+                    out[key] = out.get(key, 0) - gv * tv
+    return out
+
+
+def _exact_tensors(spec):
+    """(Gamma, R, R;e, R;e;f) of spec at POINT, as float arrays of the
+    30-digit values.  Everything through R;e is symbolic; R;e;f is the
+    covariant derivative of the symbolic R;e, evaluated at the point."""
+    x = sp.symbols(spec.coords)
+    local = dict(zip(spec.coords, x), ln=sp.log)
+    local.update({p: sp.Rational(spec.params[p])
+                  for p in spec.params.names()})
+    rules = standard_transformations + (convert_xor,)
+    g = sp.Matrix(4, 4, lambda a, b: parse_expr(
+        to_string(spec.g[a][b]), local_dict=local, transformations=rules))
+    ginv = g.inv()
+    gam = {}
+    for a, b, c in np.ndindex(4, 4, 4):
+        e = sum(ginv[a, d] * (sp.diff(g[d, b], x[c]) + sp.diff(g[d, c], x[b])
+                              - sp.diff(g[b, c], x[d])) for d in R4) / 2
+        if e != 0:
+            gam[a, b, c] = e
+    dgam = _grad(gam, x)
+    riem = {}
+    for a, b, c, d in np.ndindex(4, 4, 4, 4):
+        # R^a_bcd = d_c Gamma^a_bd - d_d Gamma^a_bc
+        #           + Gamma^a_cm Gamma^m_bd - Gamma^a_dm Gamma^m_bc
+        e = (dgam.get((a, b, d, c), 0) - dgam.get((a, b, c, d), 0)
+             + sum(gam.get((a, c, m), 0) * gam.get((m, b, d), 0)
+                   - gam.get((a, d, m), 0) * gam.get((m, b, c), 0)
+                   for m in R4))
+        # normalising the entries keeps the next two derivatives small
+        # and drops the ones that cancel
+        e = sp.together(sp.expand(e))
+        if e != 0:
+            riem[a, b, c, d] = e
+    cov = _nabla(riem, _grad(riem, x), gam)
+    at = dict(zip(x, POINT))
+
+    def value(t: dict) -> dict:
+        return {k: sp.N(e.xreplace(at), 30) for k, e in t.items()}
+
+    gam_at, cov_at = value(gam), value(cov)
+    cov2_at = _nabla(cov_at, value(_grad(cov, x)), gam_at)
+
+    def array(t: dict, rank: int) -> np.ndarray:
+        out = np.zeros((4,) * rank)
+        for k, v in t.items():
+            out[k] = float(v)
+        return out
+
+    return (array(gam_at, 3), array(value(riem), 4), array(cov_at, 5),
+            array(cov2_at, 6))
+
+
+@pytest.mark.parametrize("name", ["r9", "r14", "r11"])
+def test_frame_matches_exact_tensors(name):
+    spec = named_fixture(name).g
+    fr = frame_at(spec, [float(p) for p in POINT])
+    exact = _exact_tensors(spec)
+    for attr, want in zip(("gamma", "riem_ud", "cov_riemann",
+                           "cov2_riemann"), exact):
+        got = getattr(fr, attr)
+        scale = np.max(np.abs(want))
+        assert scale > 0.0, attr
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale, attr

@@ -410,15 +410,19 @@ def test_jet_table_scatter_matches_derivative_chains(field):
                                                     abs=1e-12), idx
 
 
+FIXTURES = ["minkowski", "r11", "r10", "r13", "r9", "r14", "r9-b0"]
+
+
 class TestFramesAt:
     @pytest.mark.parametrize("partner", [False, True])
-    @pytest.mark.parametrize("name", ["minkowski", "r11", "r10", "r13", "r9",
-                                      "r14", "r9-b0"])
+    @pytest.mark.parametrize("name", FIXTURES)
     def test_batch_equals_frame_at_bitwise(self, name, partner):
         from helpers import fixture_spec
-        from lorhol.pointcalc import frames_at
+        from lorhol.pointcalc import _CHUNK, frames_at
         spec = fixture_spec(name, partner)
-        pts = sample_points(spec, 16, seed=4)
+        # one order-4 chunk and a partial second; each frame_at is a
+        # chunk of one row
+        pts = sample_points(spec, _CHUNK + 3, seed=4)
         singles = [frame_at(spec, p) for p in pts]
         for order in (2, 3, 4):
             frames = list(frames_at(spec, pts, order))
@@ -472,6 +476,30 @@ class TestFramesAt:
             next(frames)
         assert type(batched.value) is error and str(batched.value) == message
 
+    def test_stack_never_spans_more_than_one_chunk(self, monkeypatch):
+        from helpers import fixture_spec
+        from lorhol import pointcalc
+        spec = fixture_spec("r14", True)
+        stack = pointcalc._riemann_derivative_stack
+        rows = []
+
+        def spy(jets):
+            rows.append(len(jets[0]))
+            return stack(jets)
+
+        monkeypatch.setattr(pointcalc, "_riemann_derivative_stack", spy)
+        for order, chunk in ((4, pointcalc._CHUNK),
+                             (3, 4 * pointcalc._CHUNK),
+                             (2, 16 * pointcalc._CHUNK)):
+            pts = sample_points(spec, 2 * chunk + 3, seed=4)
+            rows.clear()
+            frames = pointcalc.frames_at(spec, pts, order)
+            next(frames)
+            # the first chunk's frames come before the next chunk is built
+            assert rows == [chunk]
+            assert len(list(frames)) == len(pts) - 1
+            assert rows == [chunk, chunk, 3]
+
     def test_empty_batch_and_bad_shape(self):
         from lorhol.pointcalc import frames_at
         spec = self.bad_spec()
@@ -484,3 +512,19 @@ class TestFramesAt:
 def test_sample_points_rejects_counts_below_one(n):
     with pytest.raises(MetricError, match="at least one sample point"):
         sample_points(waveband(), n)
+
+
+# the 7 fixtures and the 6 partners that differ from their fixture
+@pytest.mark.parametrize("name,partner", [(n, False) for n in FIXTURES]
+                         + [(n, True) for n in FIXTURES if n != "minkowski"])
+def test_derivative_stack_matches_reference(name, partner):
+    # the Gamma-recursion stack against the explicit d^k g^ab formulas
+    from helpers import fixture_spec, reference_riemann_stack
+    from lorhol.pointcalc import _metric_jets, _riemann_derivative_stack
+    spec = fixture_spec(name, partner)
+    jets = _metric_jets(spec, sample_points(spec, 16, seed=4), 4)[0]
+    got = _riemann_derivative_stack(jets)
+    want = reference_riemann_stack(jets)
+    for key in ("R", "covR", "cov2R"):
+        scale = np.max(np.abs(want[key]))
+        assert np.max(np.abs(got[key] - want[key])) <= 1e-13 * scale, key

@@ -359,11 +359,13 @@ def _reference_pregeodesic(g_spec, gp_spec, trials, steps, horizon, seed,
     )
 
     def christoffel(spec, pts):
-        g, dg = _metric_table(spec).evaluate(pts, 1)
-        ok = _valid_rows((g, dg))
-        g[~ok] = np.eye(DIM)
-        dg[~ok] = 0.0
-        return _gamma_terms(g, dg)[2], ok & admissible_mask(spec, pts)
+        # the determinant test sees the rows outside the domain too
+        with np.errstate(all="ignore"):
+            g, dg = _metric_table(spec).evaluate(pts, 1)
+            ok = _valid_rows((g, dg))
+            g[~ok] = np.eye(DIM)
+            dg[~ok] = 0.0
+            return _gamma_terms(g, dg)[2], ok & admissible_mask(spec, pts)
 
     def acc(gamma, vel):
         return -np.einsum("nabc,nb,nc->na", gamma, vel, vel)
