@@ -34,8 +34,11 @@ exception class and message, and the point's remaining calls still run.
 
 The geodesic digest covers the pre-geodesic RK4 path of each listed
 fixture g against a second metric of each kind: ``self`` (g itself),
-``partner`` (the partner derived from its Sinyukov pair) and ``flat``
-(the Minkowski metric in g's chart and sample box).  It hashes the
+``partner`` (the partner derived from its Sinyukov pair), ``flat``
+(the Minkowski metric in g's chart and sample box) and ``narrow`` (g
+with one more domain constraint: the first coordinate stays below the
+plane 0.65 of the way across its sample-box range, so that the second
+metric alone truncates trajectories, some of them mid-run).  It hashes the
 report fields (score, truncated, scored) of ``pregeodesic_check`` from
 a short run (4 trials x 50 steps, horizon 0.1) and from a truncating
 run (20 trials x 400 steps, horizon 2), and the bytes of
@@ -65,8 +68,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from lorhol.curvclass import classify_curvature, solve_theorem1  # noqa: E402
 from lorhol.fixtures import FIXTURE_NAMES, named_fixture  # noqa: E402
 from lorhol.holonomy import holonomy_survey  # noqa: E402
+from lorhol.exprdsl import const, coord, sub  # noqa: E402
 from lorhol.pointcalc import (  # noqa: E402
-    christoffel_batch, frames_at, metric_spec, sample_points,
+    MetricSpec, christoffel_batch, frames_at, metric_spec, sample_points,
 )
 from lorhol.projective import invert_pair, pregeodesic_check  # noqa: E402
 
@@ -75,6 +79,15 @@ ORDERS = (0, 1, 2)
 # the domain and truncate
 GEODESIC_RUNS = ((4, 50, 0.1), (20, 400, 2.0))
 FLAT_ROWS = [["-1"], ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]]
+
+
+def narrowed(g):
+    """g with the extra domain constraint x0 < lo + 0.65 (hi - lo) on its
+    first coordinate x0, whose sample-box range is [lo, hi]."""
+    lo, hi = g.sample_box[0]
+    plane = sub(const(lo + 0.65 * (hi - lo)), coord(g.coords[0]))
+    return MetricSpec(g.coords, g.g, g.params, g.constraints + (plane,),
+                      g.sample_box, name=f"{g.name}-narrow")
 
 
 def _put(h, *items):
@@ -209,7 +222,7 @@ def main() -> int:
         flat = metric_spec(bundle.g.coords, FLAT_ROWS,
                            sample_box=bundle.g.sample_box)
         for kind, other in (("self", bundle.g), ("partner", partner),
-                            ("flat", flat)):
+                            ("flat", flat), ("narrow", narrowed(bundle.g))):
             for seed in args.seeds:
                 print(f"{name}:geodesic-{kind}:s{seed} "
                       f"{geodesic_digest(bundle.g, other, seed)}",

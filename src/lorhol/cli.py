@@ -66,11 +66,14 @@ def load_metric_file(path: str) -> MetricSpec:
             raise MetricError(f"{path}: sample_box has no bounds for "
                               f"coordinate {missing[0]!r}")
         box = [tuple(data["sample_box"][c]) for c in coords]
-    return metric_spec(coords, data["metric"],
-                       params=data.get("parameters", {}),
-                       constraints=data.get("constraints", ()),
-                       sample_box=box,
-                       name=data.get("name", Path(path).stem))
+    try:
+        return metric_spec(coords, data["metric"],
+                           params=data.get("parameters", {}),
+                           constraints=data.get("constraints", ()),
+                           sample_box=box,
+                           name=data.get("name", Path(path).stem))
+    except MetricError as exc:
+        raise MetricError(f"{path}: {exc}") from None
 
 
 def metric_to_json(spec: MetricSpec) -> dict:
@@ -94,12 +97,15 @@ def load_pair_file(path: str, base: MetricSpec) -> SinyukovPair:
     if data.get("version") != FILE_VERSION:
         raise MetricError(f"{path}: unsupported or missing file version")
     spec = base
-    if data.get("parameters"):
-        spec = MetricSpec(base.coords, base.g,
-                          base.params.merged(data["parameters"]),
-                          base.constraints, base.sample_box, base.name)
-    helper = metric_spec(spec.coords, data["a"], spec.params,
-                         name="sinyukov-a")
+    try:
+        if data.get("parameters"):
+            spec = MetricSpec(base.coords, base.g,
+                              base.params.merged(data["parameters"]),
+                              base.constraints, base.sample_box, base.name)
+        helper = metric_spec(spec.coords, data["a"], spec.params,
+                             name="sinyukov-a")
+    except MetricError as exc:
+        raise MetricError(f"{path}: {exc}") from None
     lam_field = data.get("lambda", "trace")
     if lam_field == "trace":
         lam = None

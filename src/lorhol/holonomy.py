@@ -78,7 +78,7 @@ def ihol_generators(spec: MetricSpec, point, derivative_order: int = 1,
     covariant-derivative contractions for derivative_order 1 / 2."""
     if derivative_order not in (0, 1, 2):
         raise ValueError("derivative_order must be 0, 1 or 2")
-    fr = frame or frame_at(spec, point)
+    fr = frame or frame_at(spec, point, 2 + derivative_order)
     r = fr.riem_ud
     scale = max(float(np.max(np.abs(r))), 1e-300)
     tensors = [r]

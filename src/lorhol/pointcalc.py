@@ -17,6 +17,7 @@ Index conventions, fixed throughout the package:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -82,6 +83,22 @@ class MetricSpec:
             raise MetricError("need 4 distinct coordinate names")
         if len(self.g) != DIM or any(len(row) != DIM for row in self.g):
             raise MetricError("metric must be 4x4")
+        shadowed = sorted(set(self.params.names()) & set(self.coords))
+        if shadowed:
+            raise MetricError(f"parameters: {shadowed[0]!r} is also the "
+                              "name of a coordinate")
+        if self.sample_box is not None:
+            if len(self.sample_box) != DIM or any(len(b) != 2
+                                                  for b in self.sample_box):
+                raise MetricError("sample_box: need one (low, high) pair "
+                                  "per coordinate")
+            for c, (lo, hi) in zip(self.coords, self.sample_box):
+                if not (math.isfinite(lo) and math.isfinite(hi)):
+                    raise MetricError(f"sample_box: bounds [{lo}, {hi}] for "
+                                      f"{c!r} are not finite")
+                if not lo < hi:
+                    raise MetricError(f"sample_box: low {lo} is not below "
+                                      f"high {hi} for {c!r}")
         for a in range(DIM):
             for b in range(a):
                 if self.g[a][b] != self.g[b][a]:
@@ -698,8 +715,9 @@ def signature_at(spec: MetricSpec, point) -> tuple[int, ...]:
     return _signature_signs(g[0])
 
 
-def frame_at(spec: MetricSpec, point) -> PointFrame:
-    """Evaluate the full tensor frame of ``spec`` at ``point``.
+def frame_at(spec: MetricSpec, point, order: int = 2) -> PointFrame:
+    """Evaluate the full tensor frame of ``spec`` at ``point``, built
+    through metric derivative ``order`` as in frames_at.
 
     Raises AdmissibilityError / DomainError for bad points,
     DegenerateMetricError and SignatureError for bad metrics.
@@ -707,7 +725,7 @@ def frame_at(spec: MetricSpec, point) -> PointFrame:
     point = np.asarray(point, dtype=float)
     if point.shape != (DIM,):
         raise MetricError("point must have 4 coordinates")
-    return next(frames_at(spec, point[None, :]))
+    return next(frames_at(spec, point[None, :], order))
 
 
 def frames_at(spec: MetricSpec, points, order: int = 2):
@@ -721,10 +739,11 @@ def frames_at(spec: MetricSpec, points, order: int = 2):
     its domain constraints, one derivative stack
     (_riemann_derivative_stack) assembles its tensors, and its frames,
     which hold row views of them, are yielded before the next chunk is
-    evaluated; so memory does not grow with the batch.  Nothing is raised before iteration reaches a bad row;
-    there the exception frame_at raises for that point is raised, checked
-    in frame_at's order: admissibility, finite jets, determinant,
-    signature.
+    evaluated; so memory does not grow with the batch.
+
+    Nothing is raised before iteration reaches a bad row.  There the
+    exception that frame_at raises for that point is raised, checked in
+    frame_at's order: admissibility, finite jets, determinant, signature.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != DIM:
@@ -765,7 +784,7 @@ def weyl_conformal_at(frame: PointFrame) -> np.ndarray:
 
 def cov_deriv_riemann_at(spec: MetricSpec, point) -> np.ndarray:
     """R^a_bcd;e assembled from third-order symbolic metric derivatives."""
-    return frame_at(spec, point).cov_riemann
+    return frame_at(spec, point, 3).cov_riemann
 
 
 def cov_deriv_sym2_at(spec: MetricSpec, field, point) -> np.ndarray:

@@ -88,6 +88,19 @@ def fixture_spec(name: str, partner: bool = False):
     return invert_pair(bundle.pair).partner if partner else bundle.g
 
 
+def narrowed(g):
+    """g with one more domain constraint, x0 < lo + 0.65 (hi - lo) on its
+    first coordinate x0 with sample-box range [lo, hi]: the same metric
+    on a smaller domain, so a second metric that truncates trajectories
+    where the first one does not."""
+    from lorhol.exprdsl import const, coord, sub
+    from lorhol.pointcalc import MetricSpec
+    lo, hi = g.sample_box[0]
+    plane = sub(const(lo + 0.65 * (hi - lo)), coord(g.coords[0]))
+    return MetricSpec(g.coords, g.g, g.params, g.constraints + (plane,),
+                      g.sample_box, name=f"{g.name}-narrow")
+
+
 def reference_riemann_stack(jets) -> dict:
     """R^a_bcd, R^a_bcd;e and R^a_bcd;e;f from batched metric jets (g, dg,
     d2g, d3g[, d4g]) through explicit derivatives of g^ab up to the third:

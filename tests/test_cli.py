@@ -94,6 +94,28 @@ class TestClassify:
                               "for coordinate 'u'\n")
 
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["parameters"].update(x=1.0),
+         "parameters: 'x' is also the name of a coordinate"),
+        (lambda d: d["sample_box"]["u"].reverse(),
+         "sample_box: low 2.0 is not below high 0.5 for 'u'"),
+        (lambda d: d["sample_box"]["u"].__setitem__(1, "nan"),
+         "sample_box: bounds [0.5, nan] for 'u' are not finite"),
+        (lambda d: d["sample_box"]["u"].append(3.0),
+         "sample_box: need one (low, high) pair per coordinate"),
+    ], ids=["parameter-named-like-a-coordinate", "reversed-bound",
+            "nan-bound", "three-bounds"])
+    def test_bad_metric_file_is_named(self, runner, emitted, tmp_path,
+                                      edit, message):
+        data = json.loads(open(emitted("r9")["g"]).read())
+        edit(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        res = runner.invoke(main, ["classify", "-m", str(path)])
+        assert res.exit_code == 2
+        assert res.output == f"error: {path}: {message}\n"
+
+
 class TestHolonomy:
     def test_appendix_r9(self, runner, emitted):
         files = emitted("r9")
@@ -284,6 +306,26 @@ class TestGeodesicCheck:
         assert res.exit_code == 0, res.output
         assert res.stderr == ""
         assert report["truncated"]
+
+
+class TestSwappedRoles:
+    def test_verdicts_survive_swapping_g_and_partner(self, runner, emitted,
+                                                     tmp_path):
+        # projective relatedness is symmetric: the partner's geodesics
+        # are pre-geodesics of g as well
+        files = emitted("r9")
+        partner = str(tmp_path / "partner.json")
+        res = runner.invoke(main, ["derive-partner", "-m", files["g"], "-a",
+                                   files["a"], "-o", partner])
+        assert res.exit_code == 0, res.output
+        short = ["--trials", "4", "--steps", "50", "--horizon", "0.1"]
+        for first, second in ((files["g"], partner), (partner, files["g"])):
+            for args in (["weyl-projective", "--samples", "4"],
+                         ["geodesic-check", *short]):
+                res, report = run_json(runner, [*args, "-m", first,
+                                                "-M", second])
+                assert res.exit_code == 0, res.output
+                assert report["aggregate"]["verdict"] == "pass"
 
 
 class TestDegenerateSecondMetric:

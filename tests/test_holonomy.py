@@ -261,6 +261,27 @@ class TestGenerators:
         assert ihol_generators(spec, (0, 0, 0, 0), 0) == []
         assert ihol_generators(spec, (0, 0, 0, 0), 2) == []
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_one_frame_at_the_top_order(self, order, monkeypatch):
+        from lorhol import pointcalc
+        spec = appendix_metric()
+        pt = (1.0, 1.0, 0.2, 0.4)
+        # an order-2 frame derives cov_riemann and cov2_riemann lazily,
+        # through one-row frames at orders 3 and 4
+        lazy = ihol_generators(spec, pt, order, frame=frame_at(spec, pt))
+        orders = []
+        jets = pointcalc._metric_jets
+
+        def spy(spec, pts, k):
+            orders.append(k)
+            return jets(spec, pts, k)
+
+        monkeypatch.setattr(pointcalc, "_metric_jets", spy)
+        gens = ihol_generators(spec, pt, order)
+        assert orders == [2 + order]
+        assert len(gens) == len(lazy) > 0
+        assert all(np.array_equal(a, b) for a, b in zip(gens, lazy))
+
     def test_order0_spans_curvature_range(self):
         spec = appendix_metric()
         pt = (1.0, 1.0, 0.2, 0.4)

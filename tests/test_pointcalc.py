@@ -214,6 +214,23 @@ class TestCovDerivRiemann:
         assert np.max(np.abs(cov_deriv_riemann_at(
             minkowski(), (0, 0, 0, 0)))) == 0.0
 
+    def test_one_frame_at_order_three(self, monkeypatch):
+        from lorhol import pointcalc
+        spec = appendix_metric(b="1 + u^2")
+        pt = (1.0, 1.0, 0.2, 0.4)
+        lazy = frame_at(spec, pt).cov_riemann
+        orders = []
+        jets = pointcalc._metric_jets
+
+        def spy(spec, pts, k):
+            orders.append(k)
+            return jets(spec, pts, k)
+
+        monkeypatch.setattr(pointcalc, "_metric_jets", spy)
+        cov = cov_deriv_riemann_at(spec, pt)
+        assert orders == [3]
+        assert np.max(np.abs(cov)) > 0 and np.array_equal(cov, lazy)
+
     def test_flat_chart_equals_partial(self):
         # constant Christoffels = 0 chart: covariant = partial = 0 for Riem=0
         spec = minkowski()

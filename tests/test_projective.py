@@ -1,7 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from helpers import narrowed
 
 from lorhol.exprdsl import eval_expr, parse_expr
 from lorhol.fixtures import fixture_minkowski, fixture_r9_r14, named_fixture
@@ -9,8 +11,9 @@ from lorhol.pointcalc import (
     eval_field_batch, frame_at, metric_spec,
     sample_points,
 )
+from lorhol import projective
 from lorhol.projective import (
-    InversionError, SinyukovPair, curvature_relation_residual, invert_pair,
+    _BLOCK_ROWS, InversionError, SinyukovPair, curvature_relation_residual, invert_pair,
     lambda_from_trace, lemma1_checks, pregeodesic_check, projective_residual,
     psi_from_connections, sinyukov_residual, weyl_projective_at,
     weyl_projective_equal,
@@ -468,3 +471,59 @@ class TestFusedStage:
             rep = pregeodesic_check(waveband.g, partner, trials=20,
                                     steps=400, horizon=2.0, seed=1)
         assert rep.truncated and rep.scored > 0
+
+
+class TestBlockedSecondMetric:
+    """pregeodesic_check integrates g alone over blocks of
+    max(1, _BLOCK_ROWS // trials) steps and evaluates and scores g' once
+    per block; its reports must still equal the step-by-step reference."""
+
+    @staticmethod
+    def matches_reference(g, gp, trials, steps, horizon, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = pregeodesic_check(g, gp, trials=trials, steps=steps,
+                                    horizon=horizon, seed=seed)
+        assert (rep.score, rep.truncated, rep.scored) == \
+            _reference_pregeodesic(g, gp, trials, steps, horizon, seed)
+        return rep
+
+    def test_second_metric_truncates_after_the_first_block(self, appendix):
+        g = appendix.g
+        rep = self.matches_reference(g, narrowed(g), 20, 120, 0.6, 0)
+        alone = dict(pregeodesic_check(g, g, trials=20, steps=120,
+                                       horizon=0.6, seed=0).truncated)
+        block = _BLOCK_ROWS // 20
+        # trials that only the narrowed domain stops, some of them after
+        # the first block has been integrated and scored
+        own = [s for t, s in rep.truncated if alone.get(t) != s]
+        assert own and max(own) >= block
+
+    def test_more_trials_than_block_rows(self, appendix):
+        # each block is one step
+        self.matches_reference(appendix.g, narrowed(appendix.g),
+                               _BLOCK_ROWS + 13, 10, 0.1, 2)
+
+    @pytest.mark.parametrize("trials, steps", [(20, 50), (7, 40)])
+    def test_steps_not_a_multiple_of_the_block(self, appendix, trials,
+                                               steps):
+        assert steps % max(1, _BLOCK_ROWS // trials)
+        partner = invert_pair(appendix.pair).partner
+        self.matches_reference(appendix.g, partner, trials, steps, 0.5, 5)
+
+    def test_one_second_metric_call_per_block(self, appendix, monkeypatch):
+        partner = invert_pair(appendix.pair).partner
+        calls = []
+        batch = projective.christoffel_batch
+
+        def spy(spec, points):
+            calls.append(spec is partner)
+            return batch(spec, points)
+
+        monkeypatch.setattr(projective, "christoffel_batch", spy)
+        trials, steps = 20, 50
+        rep = pregeodesic_check(appendix.g, partner, trials=trials,
+                                steps=steps, horizon=0.1, seed=7)
+        assert not rep.truncated
+        assert sum(calls) == math.ceil(steps / (_BLOCK_ROWS // trials))
+        assert calls.count(False) == 4 * steps
