@@ -54,10 +54,35 @@ def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def load_metric_file(path: str) -> MetricSpec:
+_JSON_TYPES = {list: "an array", dict: "an object", str: "a string",
+               type(None): "null"}
+# key -> the JSON types its value may have; null stands for an absent
+# key where the loader gives one a default
+_METRIC_KEYS = {"coordinates": (list,), "metric": (list,),
+                "parameters": (dict, type(None)), "constraints": (list,),
+                "sample_box": (dict, type(None))}
+_PAIR_KEYS = {"a": (list,), "lambda": (list, str),
+              "parameters": (dict, type(None))}
+
+
+def _load_json(path: str, schema: dict) -> dict:
+    """The JSON object in ``path`` once its version and the type of each
+    key of ``schema`` that it holds are checked; a MetricError names the
+    file and the key."""
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise MetricError(f"{path}: the top level must be an object")
     if data.get("version") != FILE_VERSION:
         raise MetricError(f"{path}: unsupported or missing file version")
+    for key, types in schema.items():
+        if key in data and not isinstance(data[key], types):
+            raise MetricError(f"{path}: {key!r} must be " + " or ".join(
+                _JSON_TYPES[t] for t in types))
+    return data
+
+
+def load_metric_file(path: str) -> MetricSpec:
+    data = _load_json(path, _METRIC_KEYS)
     coords = data["coordinates"]
     box = None
     if data.get("sample_box"):
@@ -93,9 +118,7 @@ def metric_to_json(spec: MetricSpec) -> dict:
 
 
 def load_pair_file(path: str, base: MetricSpec) -> SinyukovPair:
-    data = json.loads(Path(path).read_text())
-    if data.get("version") != FILE_VERSION:
-        raise MetricError(f"{path}: unsupported or missing file version")
+    data = _load_json(path, _PAIR_KEYS)
     spec = base
     try:
         if data.get("parameters"):

@@ -22,7 +22,7 @@ __all__ = [
     "Pow", "Fn", "ParamEnv", "ExprError", "ParseError",
     "UnknownIdentifierError", "DomainError", "parse_expr", "differentiate",
     "eval_expr", "to_string", "const", "coord", "param", "add", "sub",
-    "mul", "div", "neg", "pow_", "fn", "free_symbols",
+    "mul", "div", "neg", "pow_", "fn", "free_symbols", "MAX_NESTING",
 ]
 
 FUNCTION_NAMES = ("sqrt", "exp", "ln", "sin", "cos")
@@ -398,9 +398,16 @@ def free_symbols(e: Expr) -> tuple[set[str], set[str]]:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+def _const_float(e: Const) -> float:
+    try:
+        return float(e.value)
+    except OverflowError:
+        raise DomainError("constant out of float range", e) from None
+
+
 def _eval(e: Expr, bindings: Mapping[str, float]) -> float:
     if isinstance(e, Const):
-        return float(e.value)
+        return _const_float(e)
     if isinstance(e, (Coord, Param)):
         try:
             return float(bindings[e.name])
@@ -623,11 +630,18 @@ def _tokenize(src: str) -> list[_Token]:
     return tokens
 
 
+# deepest chain of nested unary operands (parentheses, function
+# arguments, signs and exponents each add a level) that parse_expr
+# accepts; the recursive descent would overflow Python's stack near 200
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, src: str, coords: Sequence[str], params: Sequence[str]):
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
         self.coords = set(coords)
         self.params = set(params)
 
@@ -668,13 +682,19 @@ class _Parser:
 
     def unary(self) -> Expr:
         tok = self.peek()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING} levels", tok)
         if tok.kind == "+":
             self.advance()
-            return self.unary()
-        if tok.kind == "-":
+            e = self.unary()
+        elif tok.kind == "-":
             self.advance()
-            return neg(self.unary())
-        return self.power()
+            e = neg(self.unary())
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
@@ -723,7 +743,8 @@ def parse_expr(src: str, coords: Sequence[str],
                params: Sequence[str] = ()) -> Expr:
     """Parse ``src`` against declared coordinate and parameter names.
 
-    Raises ParseError with the byte offset of the problem, or
+    Raises ParseError with the byte offset of the problem (a syntax
+    error, or operands nested deeper than MAX_NESTING), or
     UnknownIdentifierError for undeclared identifiers.
     """
     return _Parser(src, coords, params).parse()
@@ -758,7 +779,7 @@ class _Emitter:
         if got is not None:
             return got
         if isinstance(e, Const):
-            out = repr(float(e.value))
+            out = repr(_const_float(e))
         elif isinstance(e, (Coord, Param)):
             out = self.names[e.name]
         else:

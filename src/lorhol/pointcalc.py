@@ -3,8 +3,10 @@
 All coordinate derivatives of the metric are taken symbolically (exact),
 then every tensor (Christoffels, curvature, covariant derivatives) is
 assembled numerically at sample points with numpy.  Finite differences
-never appear outside the test oracles.  Jets come from one table per
-field, and one compiled call returns its derivative orders 0..k.
+never appear outside the test oracles.  Jets come from one compiled
+program per field and derivative order k, whose one call returns
+orders 0..k.  A metric's programs are also memoised per spec, since the
+geodesic loop looks one up on every RK4 stage.
 
 Index conventions, fixed throughout the package:
 
@@ -162,97 +164,54 @@ def metric_spec(coords: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
-# Symbolic jet tables with compiled scatter evaluation
+# Symbolic jets with compiled scatter evaluation
 # ---------------------------------------------------------------------------
 
-class _JetTable:
-    """Evaluates an expression field and its coordinate derivatives,
-    batched over points.  The rank comes from the nesting of ``comps``:
-    four Exprs are a covector, a 4x4 tuple a symmetric (0,2) tensor (its
-    upper triangle is read).  The order-k array has shape
-    (n,) + (4,)*rank + (4,)*k with derivative indices trailing, and
-    orders 0..k come from one compiled program, so they share
-    subexpressions; extra expressions (a metric's domain constraints) can
-    ride in the same program.  Parameter values are call-time arguments,
-    so structurally equal fields share one program across parameter
-    draws."""
-
-    def __init__(self, comps: tuple, coords: Sequence[str],
-                 param_names: Sequence[str]):
-        self.coords = tuple(coords)
-        self.param_names = tuple(param_names)
-        if isinstance(comps[0], Expr):
-            self.rank = 1
-            base = {(a,): comps[a] for a in range(DIM)}
-        else:
-            self.rank = 2
-            base = {(a, b): comps[a][b]
-                    for a in range(DIM) for b in range(a, DIM)}
-        # keys (field slots, sorted derivative slots)
-        self._sym: dict[int, dict] = {0: {(f, ()): e for f, e in base.items()}}
-        self._evaluators: dict[int, tuple] = {}
-
-    def _symbolic(self, order: int) -> dict:
-        while order not in self._sym:
-            k = len(self._sym)
-            self._sym[k] = {(f, m + (c,)): differentiate(e, self.coords[c])
-                            for (f, m), e in self._sym[k - 1].items()
-                            for c in range(m[-1] if m else 0, DIM)}
-        return self._sym[order]
-
-    def _evaluator(self, order: int, extra: tuple):
-        ev = self._evaluators.get((order, extra))
-        if ev is not None:
-            return ev
-        exprs, gathers = [], []
-        for k in range(order + 1):
-            table = self._symbolic(k)
-            shape = (DIM,) * (self.rank + k)
-            # index[flat position] = the expression filling it; the
-            # permutations cover every position
-            index = np.empty(DIM ** len(shape), dtype=np.intp)
-            for f, m in sorted(table):
-                for full in {p + q for p in itertools.permutations(f)
-                             for q in itertools.permutations(m)}:
-                    index[np.ravel_multi_index(full, shape)] = len(exprs)
-                exprs.append(table[(f, m)])
-            gathers.append((index, shape))
-        f = compile_program(exprs + list(extra), self.coords,
-                            self.param_names)
-        ev = self._evaluators[(order, extra)] = (f, gathers)
-        return ev
-
-    def evaluate(self, pts, values, order: int, extra: tuple = ()):
-        """(jets, vals): the arrays of orders 0..order at the points pts
-        (n, 4) float, and the compiled (n_exprs, n) block whose last
-        len(extra) rows are the extra expressions' values.  Callers
-        convert the points and silence floating-point warnings."""
-        f, gathers = self._evaluator(order, extra)
-        vals = f(pts, values)
-        n = pts.shape[0]
-        return tuple(vals[index].T.reshape((n,) + shape)
-                     for index, shape in gathers), vals
+def _jet_levels(comps: tuple, coords: Sequence[str], order: int) -> list:
+    """The symbolic jets of orders 0..order of an expression field: one
+    dict per order, keyed (field slots, sorted derivative slots).  Four
+    Exprs are a covector, a 4x4 tuple a symmetric (0,2) tensor (its upper
+    triangle is read).  differentiate memoises every derivative for the
+    process, so walking the levels again costs lookups only."""
+    if isinstance(comps[0], Expr):
+        level = {((a,), ()): comps[a] for a in range(DIM)}
+    else:
+        level = {((a, b), ()): comps[a][b]
+                 for a in range(DIM) for b in range(a, DIM)}
+    levels = [level]
+    for _ in range(order):
+        level = {(f, m + (c,)): differentiate(e, coords[c])
+                 for (f, m), e in level.items()
+                 for c in range(m[-1] if m else 0, DIM)}
+        levels.append(level)
+    return levels
 
 
-class _Bound:
-    """Table plus the parameter values of one spec; evaluate(points,
-    order) returns the jets of orders 0..order."""
-
-    __slots__ = ("table", "values")
-
-    def __init__(self, table, values):
-        self.table = table
-        self.values = values
-
-    def evaluate(self, points, order: int = 0) -> tuple:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        with np.errstate(all="ignore"):
-            return self.table.evaluate(pts, self.values, order)[0]
-
-
-@lru_cache(maxsize=512)
-def _jet_table(comps: tuple, coords: tuple, pnames: tuple) -> _JetTable:
-    return _JetTable(comps, coords, pnames)
+@lru_cache(maxsize=1024)
+def _jet_program(comps: tuple, coords: tuple, pnames: tuple, order: int,
+                 extra: tuple = ()) -> tuple:
+    """(f, gathers) for a field's jets of orders 0..order.  One compiled
+    program f(points (n, 4), parameter values) returns an (n_exprs, n)
+    block: the jets' entries, sharing their subexpressions, then one row
+    per extra expression (a metric's domain constraints).  gathers holds
+    per order k the (index, shape) that scatters the block into the
+    order-k array, shape (n,) + (4,)*rank + (4,)*k with the derivative
+    indices trailing.  Parameter values are call-time arguments, so
+    structurally equal fields share one program across parameter draws."""
+    exprs, gathers = [], []
+    for level in _jet_levels(comps, coords, order):
+        # a key's field and derivative slots are the array's axes
+        shape = (DIM,) * sum(map(len, next(iter(level))))
+        # index[flat position] = the expression filling it; the
+        # permutations cover every position
+        index = np.empty(DIM ** len(shape), dtype=np.intp)
+        for f, m in sorted(level):
+            for full in {p + q for p in itertools.permutations(f)
+                         for q in itertools.permutations(m)}:
+                index[np.ravel_multi_index(full, shape)] = len(exprs)
+            exprs.append(level[(f, m)])
+        gathers.append((index, shape))
+    return compile_program(exprs + list(extra), coords, pnames), gathers
 
 
 def _values(spec: MetricSpec) -> tuple:
@@ -261,26 +220,35 @@ def _values(spec: MetricSpec) -> tuple:
     return tuple(spec.params[n] for n in spec.params.names())
 
 
-@lru_cache(maxsize=256)
-def _metric_table(spec: MetricSpec) -> _Bound:
-    # the one per-spec memo: the geodesic loop calls this on every RK4
-    # stage; a spec hashes in time independent of its expression sizes
-    # (nodes hash by identity)
-    return _field_table(spec, spec.g)
+@lru_cache(maxsize=1024)
+def _metric_program(spec: MetricSpec, order: int) -> tuple:
+    """(f, gathers, values): the _jet_program of spec's metric through
+    ``order`` with spec.constraints riding along, and spec's parameter
+    values.  The one per-spec memo, for _metric_jets runs on every RK4
+    stage of the geodesic loop: a lookup by spec (nodes hash by identity)
+    costs about a third of a _jet_program lookup plus _values."""
+    return (*_jet_program(spec.g, spec.coords, spec.params.names(), order,
+                          spec.constraints), _values(spec))
 
 
-def _field_table(spec: MetricSpec, comps) -> _Bound:
+def _field_jets(spec: MetricSpec, comps, points, order: int = 0) -> tuple:
+    """The jets of orders 0..order at ``points`` of a covector or
+    symmetric (0,2) expression field over spec's coordinates and
+    parameter values (see _jet_levels for the layout of ``comps``)."""
     comps = tuple(c if isinstance(c, Expr) else tuple(c) for c in comps)
-    return _Bound(_jet_table(comps, spec.coords, spec.params.names()),
-                  _values(spec))
+    f, gathers = _jet_program(comps, spec.coords, spec.params.names(), order)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    with np.errstate(all="ignore"):
+        vals = f(pts, _values(spec))
+    return tuple(vals[index].T.reshape((len(pts),) + shape)
+                 for index, shape in gathers)
 
 
 def _diagnose_point(spec: MetricSpec, point, max_order: int = 2) -> None:
     """Re-evaluate with the safe evaluator to produce a precise error."""
-    table = _metric_table(spec).table
     exprs = list(spec.all_exprs())
-    for k in range(1, max_order + 1):
-        exprs.extend(table._symbolic(k).values())
+    for level in _jet_levels(spec.g, spec.coords, max_order)[1:]:
+        exprs.extend(level.values())
     for e in exprs:
         eval_expr(e, point, spec.coords, spec.params)
     raise MetricError(
@@ -295,10 +263,11 @@ def _metric_jets(spec: MetricSpec, pts: np.ndarray, order: int):
     orders 0..min(order, 2) pass _valid_rows.  One compiled call
     evaluates the jets and spec.constraints, and one np.errstate
     silences its floating-point warnings and the determinant test's."""
-    bound = _metric_table(spec)
+    f, gathers, values = _metric_program(spec, order)
     with np.errstate(all="ignore"):
-        jets, vals = bound.table.evaluate(pts, bound.values, order,
-                                          spec.constraints)
+        vals = f(pts, values)
+        jets = tuple(vals[index].T.reshape((len(pts),) + shape)
+                     for index, shape in gathers)
         finite = np.isfinite(vals)
         m = len(vals) - len(spec.constraints)
         admissible = (np.isfinite(pts).all(axis=1)
@@ -417,19 +386,18 @@ def require_valid(spec: MetricSpec, points, ok) -> None:
 
 def eval_field_batch(spec: MetricSpec, comps, points) -> np.ndarray:
     """Values of a covector or symmetric (0,2) expression field, batched."""
-    return _field_table(spec, comps).evaluate(points, 0)[0]
+    return _field_jets(spec, comps, points)[0]
 
 
 def cov_deriv_batch(spec: MetricSpec, comps, points):
     """Covariant derivative of a covector (w_a;b) or symmetric (0,2)
     (T_ab;c) expression field, batched; returns (field, covariant
     derivative) with the derivative index trailing."""
-    bound = _field_table(spec, comps)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    t, dt = bound.evaluate(pts, 1)
+    t, dt = _field_jets(spec, comps, pts, 1)
     gamma, ok, _ = christoffel_batch(spec, pts)
     require_valid(spec, pts, ok)
-    if bound.table.rank == 1:
+    if t.ndim == 2:
         return t, dt - np.einsum("neab,ne->nab", gamma, t)
     cov = (dt
            - np.einsum("neca,neb->nabc", gamma, t)

@@ -24,7 +24,7 @@ from .exprdsl import (
     sub,
 )
 from .pointcalc import (
-    DIM, MetricSpec, PointFrame, _field_table, admissible_mask,
+    DIM, MetricSpec, PointFrame, _field_jets, admissible_mask,
     christoffel_batch, cov_deriv_batch, eval_field_batch, frames_at,
     metric_spec, require_valid, sample_points,
 )
@@ -142,7 +142,7 @@ def check_pair_wellformed(pair: SinyukovPair, points,
     amax = np.max(np.abs(a_vals), axis=(1, 2))
     if np.any(np.abs(dets) <= 1e-12 * np.maximum(amax, 1e-300) ** 4):
         raise InversionError("a is degenerate at a sample point")
-    _, dlam = _field_table(spec, pair.lam_exprs()).evaluate(pts, 1)
+    _, dlam = _field_jets(spec, pair.lam_exprs(), pts, 1)
     curl = dlam - dlam.transpose(0, 2, 1)
     scale = max(1.0, float(np.max(np.abs(dlam))))
     if float(np.max(np.abs(curl))) > tol * scale:

@@ -115,6 +115,47 @@ class TestClassify:
         assert res.exit_code == 2
         assert res.output == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("kind, edit, key", [
+        ("g", lambda d: {**d, "metric": 5}, "'metric'"),
+        ("g", lambda d: {**d, "constraints": 5}, "'constraints'"),
+        ("g", lambda d: {**d, "parameters": 5}, "'parameters'"),
+        ("g", lambda d: {**d, "parameters": "xi"}, "'parameters'"),
+        ("g", lambda d: [d], "top level"),
+        ("a", lambda d: {**d, "a": 5}, "'a'"),
+        ("a", lambda d: {**d, "lambda": 5}, "'lambda'"),
+        ("a", lambda d: {**d, "parameters": 5}, "'parameters'"),
+        ("a", lambda d: {**d, "parameters": "xi"}, "'parameters'"),
+    ], ids=["metric-number", "constraints-number", "parameters-number",
+            "parameters-string", "top-level-list", "a-number",
+            "lambda-number", "pair-parameters-number",
+            "pair-parameters-string"])
+    def test_mistyped_key_is_named(self, runner, emitted, tmp_path, kind,
+                                   edit, key):
+        files = emitted("r9")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(json.loads(open(files[kind]).read()))))
+        args = (["classify", "-m", str(path)] if kind == "g" else
+                ["sinyukov-check", "-m", files["g"], "-a", str(path)])
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert res.output.startswith(f"error: {path}: ")
+        assert key in res.output and "Traceback" not in res.output
+
+    @pytest.mark.parametrize("entry, message", [
+        ("1e400*u", "constant out of float range in `1" + "0" * 400 + "`"),
+        ("(" * 199 + "u" + ")" * 199,
+         "nesting deeper than 100 levels (offset 100)"),
+    ], ids=["constant-overflow", "deep-nesting"])
+    def test_bad_expression_is_usage_error(self, runner, emitted, tmp_path,
+                                           entry, message):
+        data = json.loads(open(emitted("r9")["g"]).read())
+        data["metric"][3][3] = entry
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        res = runner.invoke(main, ["classify", "-m", str(path)])
+        assert res.exit_code == 2
+        assert res.output == f"error: {message}\n"
+
 
 class TestHolonomy:
     def test_appendix_r9(self, runner, emitted):
@@ -321,7 +362,9 @@ class TestSwappedRoles:
         short = ["--trials", "4", "--steps", "50", "--horizon", "0.1"]
         for first, second in ((files["g"], partner), (partner, files["g"])):
             for args in (["weyl-projective", "--samples", "4"],
-                         ["geodesic-check", *short]):
+                         ["geodesic-check", *short],
+                         ["projective-check", "--auto-psi", "--samples",
+                          "4"]):
                 res, report = run_json(runner, [*args, "-m", first,
                                                 "-M", second])
                 assert res.exit_code == 0, res.output

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lorhol.exprdsl import (
-    Add, Const, Coord, DomainError, Fn, Mul, Param, ParseError, Pow,
-    UnknownIdentifierError, add, compile_program, const,
+    MAX_NESTING, Add, Const, Coord, DomainError, Fn, Mul, Param, ParseError,
+    Pow, UnknownIdentifierError, add, compile_program, const,
     coord, differentiate, eval_expr, fn, free_symbols, mul, neg, param,
     parse_expr, pow_, sub, to_string,
 )
@@ -86,6 +86,19 @@ class TestParse:
         assert p("u^0") == Const(Fraction(1))
         assert p("1/2") == Const(Fraction(1, 2))
         assert p("1e-3") == Const(Fraction(1, 1000))
+
+    @pytest.mark.parametrize("opening", ["(", "sqrt(", "-"])
+    def test_nesting_limit(self, opening):
+        # each level opens one more operand; the recursive descent would
+        # overflow Python's stack near 200 levels
+        def nest(n):
+            return opening * n + "u" + ")" * (n * opening.count("("))
+        p(nest(MAX_NESTING - 1))
+        for n in (MAX_NESTING, 199):
+            with pytest.raises(ParseError, match="nesting deeper than 100 "
+                               "levels") as exc:
+                p(nest(n))
+            assert exc.value.offset == MAX_NESTING * len(opening)
 
 
 class TestDifferentiate:
@@ -268,6 +281,18 @@ class TestCompiledWrites:
         assert prog.__globals__["_ck"].tolist() == [0, 2, 4, 7]
         assert prog.__globals__["_cv"][:, 0].tolist() == [0.0, 1 / 3, 0.0,
                                                           -2.0]
+
+    @pytest.mark.parametrize("src", ["1e400*u", "10^400*u", "1e400"])
+    def test_constant_out_of_float_range(self, src):
+        # the compiler (for a computed row and for a constant row, which
+        # a bare constant is) and eval_expr each turn the exact constant
+        # into a float
+        e = p(src)
+        for run in (lambda: compile_program([e], COORDS, ())(self.PTS),
+                    lambda: eval_expr(e, self.PTS[0], COORDS, {})):
+            with pytest.raises(DomainError, match="^constant out of float "
+                               "range in `10{400}`$"):
+                run()
 
     def test_domain_violation_reads_nan(self):
         e = p("sqrt(u)")

@@ -270,6 +270,55 @@ def test_domain_error_reports_subexpression():
         frame_at(spec, (0.0, -2.0, 0.0, 0.0))
 
 
+def test_domain_error_in_a_derivative_names_it():
+    # g is finite at x = 0 but d_x g_yy is not: the diagnosis walks the
+    # derivative levels in order and names the first bad subexpression
+    spec = metric_spec(UVXY, [["-1"], ["0", "1"], ["0", "0", "1"],
+                              ["0", "0", "0", "1 + x*sqrt(x)"]])
+    with pytest.raises(DomainError) as exc:
+        frame_at(spec, (0.3, 0.2, 0.0, 0.1))
+    assert str(exc.value) == "zero raised to a negative power in `x^(-1/2)`"
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The arguments of every compile_program call pointcalc makes."""
+    from lorhol import pointcalc
+    calls, real = [], pointcalc.compile_program
+    monkeypatch.setattr(pointcalc, "compile_program",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def _fresh_spec(pname, value):
+    # the parameter name appears in no other test, so its program is
+    # compiled here first
+    return metric_spec(UVXY, [["-1"], ["0", "1"], ["0", "0", "1"],
+                              ["0", "0", "0", f"1 + {pname}*u^2"]],
+                       {pname: value}, constraints=["u"])
+
+
+def test_parameter_draws_share_one_program_per_order(compiles):
+    from lorhol.pointcalc import admissible_mask, christoffel_batch
+    specs = [_fresh_spec("p_draws", v) for v in (0.5, 2.0)]
+    pts = np.array([[0.5, 0.1, 0.2, 0.3], [1.5, -0.2, 0.1, 0.4]])
+    for run in (admissible_mask, christoffel_batch,
+                lambda spec, x: frame_at(spec, x[0])):
+        compiles.clear()
+        for spec in specs:
+            run(spec, pts)
+        assert len(compiles) == 1
+
+
+def test_repeated_christoffel_calls_compile_once(compiles):
+    from lorhol.pointcalc import christoffel_batch
+    spec = _fresh_spec("p_repeat", 1.0)
+    pts = np.array([[0.5, 0.1, 0.2, 0.3]])
+    for _ in range(50):
+        christoffel_batch(spec, pts)
+        assert len(compiles) == 1
+
+
 class TestCurvatureSignConvention:
     def test_opposite_sign_fails_curvature_relation(self):
         # the Christoffel-to-Riemann sign is pinned by the projective
@@ -330,7 +379,7 @@ class TestChristoffelKernel:
                            constraints=["u"])
 
     def test_mask_flags_exactly_the_bad_rows(self):
-        from lorhol.pointcalc import _metric_table, admissible_mask, \
+        from lorhol.pointcalc import _metric_jets, admissible_mask, \
             christoffel_batch
         spec = self.spec()
         gamma, ok, _ = christoffel_batch(spec, self.PTS)
@@ -341,7 +390,7 @@ class TestChristoffelKernel:
         # the Christoffel formula assembled as before the kernel merge,
         # on the rows with valid jets: equal bit for bit
         good = self.PTS[ok]
-        g, dg = _metric_table(spec).evaluate(good, 1)
+        g, dg = _metric_jets(spec, good, 1)[0]
         ginv = np.linalg.inv(g)
         s = dg.transpose(0, 1, 3, 2) + dg - dg.transpose(0, 3, 1, 2)
         want = 0.5 * np.einsum("nad,ndbc->nabc", ginv, s)
@@ -406,14 +455,14 @@ def test_jet_table_scatter_matches_derivative_chains(field):
     # differentiate applied in that permutation's order
     from lorhol.exprdsl import differentiate
     from lorhol.fixtures import named_fixture
-    from lorhol.pointcalc import _field_table
+    from lorhol.pointcalc import _field_jets
 
     pair = named_fixture("r9").pair
     spec = pair.base
     comps = pair.a if field == "a" else pair.lam_exprs()
     rank = 2 if field == "a" else 1
     point = sample_points(spec, 1, seed=5)
-    jets = _field_table(spec, comps).evaluate(point, 3)
+    jets = _field_jets(spec, comps, point, 3)
     assert len(jets) == 4
     memo = {}
     for order, arr in enumerate(jets):

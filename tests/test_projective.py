@@ -358,13 +358,13 @@ def _reference_pregeodesic(g_spec, gp_spec, trials, steps, horizon, seed,
     from the separate pieces: metric jets, the validity test, the Gamma
     formula, and the standalone admissibility mask."""
     from lorhol.pointcalc import (
-        DIM, _gamma_terms, _metric_table, _valid_rows, admissible_mask,
+        DIM, _gamma_terms, _metric_jets, _valid_rows, admissible_mask,
     )
 
     def christoffel(spec, pts):
         # the determinant test sees the rows outside the domain too
         with np.errstate(all="ignore"):
-            g, dg = _metric_table(spec).evaluate(pts, 1)
+            g, dg = _metric_jets(spec, pts, 1)[0]
             ok = _valid_rows((g, dg))
             g[~ok] = np.eye(DIM)
             dg[~ok] = 0.0
@@ -414,8 +414,9 @@ def _reference_pregeodesic(g_spec, gp_spec, trials, steps, horizon, seed,
 
 
 class TestFusedStage:
-    """pregeodesic_check makes one christoffel_batch call per metric and
-    RK4 stage; its reports must equal the composed reference exactly."""
+    """Pins pregeodesic_check to the reference loop
+    (_reference_pregeodesic), which evaluates the Christoffels of each
+    metric once per RK4 stage: the reports must be equal exactly."""
 
     def test_r9_partner_matches_reference(self, appendix):
         partner = invert_pair(appendix.pair).partner
