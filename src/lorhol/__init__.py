@@ -6,9 +6,8 @@ from .exprdsl import (
     differentiate, eval_expr, parse_expr, to_string,
 )
 from .pointcalc import (
-    MetricSpec, PointFrame, cov_deriv_riemann_at, cov_deriv_sym2_at,
-    frame_at, frames_at, metric_spec, sample_points, signature_at,
-    weyl_conformal_at,
+    MetricSpec, PointFrame, cov_deriv_sym2_at, frame_at, frames_at,
+    metric_spec, sample_points, signature_at,
 )
 from .bivector import (
     Bivector, BivectorClass, classify_bivector, curvature_map_matrix,

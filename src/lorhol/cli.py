@@ -54,19 +54,54 @@ def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-_JSON_TYPES = {list: "an array", dict: "an object", str: "a string",
-               type(None): "null"}
-# key -> the JSON types its value may have; null stands for an absent
-# key where the loader gives one a default
-_METRIC_KEYS = {"coordinates": (list,), "metric": (list,),
-                "parameters": (dict, type(None)), "constraints": (list,),
-                "sample_box": (dict, type(None))}
-_PAIR_KEYS = {"a": (list,), "lambda": (list, str),
-              "parameters": (dict, type(None))}
+def _entry(x) -> bool:
+    """An expression entry: a string, or a number that is read as one."""
+    return isinstance(x, (str, int, float)) and not isinstance(x, bool)
+
+
+def _number(x) -> bool:
+    """A JSON number, or a string that float() reads (such as "nan")."""
+    try:
+        float(x)
+    except (TypeError, ValueError):
+        return False
+    return not isinstance(x, bool)
+
+
+def _array(each, n=None):
+    """A check for an array (of n entries) whose entries pass ``each``."""
+    return lambda v: (isinstance(v, list) and n in (None, len(v))
+                      and all(map(each, v)))
+
+
+def _object(each):
+    """A check for an object whose values pass ``each``, or null, which
+    stands for an absent key where the loader gives one a default."""
+    return lambda v: v is None or (isinstance(v, dict)
+                                   and all(map(each, v.values())))
+
+
+def _string(x) -> bool:
+    return isinstance(x, str)
+
+
+# key -> (the check its value must pass, what the check asks for)
+_ROWS = (_array(_array(_entry)), "an array of rows of strings or numbers")
+_PARAMETERS = (_object(_number), "an object of numbers or null")
+_METRIC_KEYS = {
+    "coordinates": (_array(_string), "an array of strings"),
+    "metric": _ROWS, "parameters": _PARAMETERS,
+    "constraints": (_array(_entry), "an array of strings or numbers"),
+    "sample_box": (_object(_array(_number)),
+                   "an object of [low, high] number arrays or null")}
+_PAIR_KEYS = {
+    "a": _ROWS, "parameters": _PARAMETERS,
+    "lambda": (lambda v: v == "trace" or _array(_string, 4)(v),
+               '"trace" or an array of 4 strings')}
 
 
 def _load_json(path: str, schema: dict) -> dict:
-    """The JSON object in ``path`` once its version and the type of each
+    """The JSON object in ``path`` once its version and the shape of each
     key of ``schema`` that it holds are checked; a MetricError names the
     file and the key."""
     data = json.loads(Path(path).read_text())
@@ -74,10 +109,9 @@ def _load_json(path: str, schema: dict) -> dict:
         raise MetricError(f"{path}: the top level must be an object")
     if data.get("version") != FILE_VERSION:
         raise MetricError(f"{path}: unsupported or missing file version")
-    for key, types in schema.items():
-        if key in data and not isinstance(data[key], types):
-            raise MetricError(f"{path}: {key!r} must be " + " or ".join(
-                _JSON_TYPES[t] for t in types))
+    for key, (ok, what) in schema.items():
+        if key in data and not ok(data[key]):
+            raise MetricError(f"{path}: {key!r} must be {what}")
     return data
 
 
@@ -229,8 +263,6 @@ def _guard(fn):
     def wrapped(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except SystemExit:
-            raise
         except _ERRORS as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(USAGE_ERROR)

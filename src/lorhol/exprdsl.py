@@ -405,6 +405,13 @@ def _const_float(e: Const) -> float:
         raise DomainError("constant out of float range", e) from None
 
 
+def _exponent_float(e: Pow) -> float:
+    try:
+        return float(e.exponent)
+    except OverflowError:
+        raise DomainError("exponent out of float range", e) from None
+
+
 def _eval(e: Expr, bindings: Mapping[str, float]) -> float:
     if isinstance(e, Const):
         return _const_float(e)
@@ -434,7 +441,7 @@ def _eval(e: Expr, bindings: Mapping[str, float]) -> float:
         if base == 0.0 and exp < 0:
             raise DomainError("zero raised to a negative power", e)
         try:
-            return base ** float(exp)
+            return base ** _exponent_float(e)
         except OverflowError:
             raise DomainError("overflow", e) from None
     if isinstance(e, Fn):
@@ -790,12 +797,13 @@ class _Emitter:
                 rhs = f"{lhs} {_BINARY_OPS[type(e)]} {self.ref(e.rhs)}"
             elif isinstance(e, Pow):
                 base = self.ref(e.base)
+                exp = _exponent_float(e)
                 if e.exponent == Fraction(1, 2):
                     rhs = f"_sqrt({base})"
                 elif e.exponent.denominator == 1:
                     rhs = f"{base} ** ({e.exponent.numerator})"
                 else:
-                    rhs = f"{base} ** ({float(e.exponent)!r})"
+                    rhs = f"{base} ** ({exp!r})"
             elif isinstance(e, Fn):
                 rhs = f"_{e.name}({self.ref(e.arg)})"
             else:

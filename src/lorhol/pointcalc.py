@@ -6,7 +6,9 @@ assembled numerically at sample points with numpy.  Finite differences
 never appear outside the test oracles.  Jets come from one compiled
 program per field and derivative order k, whose one call returns
 orders 0..k.  A metric's programs are also memoised per spec, since the
-geodesic loop looks one up on every RK4 stage.
+geodesic loop looks one up on every RK4 stage.  frames_at assembles the
+tensors of a chunk of points in one batched stack and hands each
+PointFrame its rows; a frame computes any other tensor when first read.
 
 Index conventions, fixed throughout the package:
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,8 +36,7 @@ from .exprdsl import (
 __all__ = [
     "MetricSpec", "PointFrame", "MetricError", "DegenerateMetricError",
     "SignatureError", "AdmissibilityError", "metric_spec", "frame_at",
-    "frames_at", "signature_at", "weyl_conformal_at",
-    "cov_deriv_riemann_at", "cov_deriv_sym2_at", "sample_points",
+    "frames_at", "signature_at", "cov_deriv_sym2_at", "sample_points",
     "christoffel_batch", "require_valid", "cov_deriv_batch",
     "eval_field_batch",
 ]
@@ -410,10 +411,12 @@ def cov_deriv_batch(spec: MetricSpec, comps, points):
 # ---------------------------------------------------------------------------
 
 class PointFrame:
-    """All metric-derived tensors of one metric at one point, cached.
+    """All metric-derived tensors of one metric at one point.
 
     Built by frame_at / frames_at (full, with derivative access) or
     synthetically from raw g/Riemann arrays for classifier oracles.
+    frames_at assigns what its chunk computed (g^-1, R;e, R;e;f); every
+    other tensor is a cached_property, computed when first read.
     """
 
     def __init__(self, g, riem_ud=None, *, point=None, spec=None,
@@ -421,12 +424,9 @@ class PointFrame:
         self.spec = spec
         self.point = None if point is None else np.asarray(point, float)
         self.g = np.asarray(g, float)
-        self.ginv = np.linalg.inv(self.g)
-        self.detg = float(np.linalg.det(self.g))
         self.gamma = gamma
         self.dg = dg
         self._riem_ud = riem_ud
-        self._cache: dict = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -434,10 +434,10 @@ class PointFrame:
     def synthetic(cls, g, riem_dddd) -> "PointFrame":
         """Frame from a metric and a fully-lowered curvature tensor; no
         derivative information is available on such frames."""
-        g = np.asarray(g, float)
-        riem_ud = np.einsum("ae,ebcd->abcd", np.linalg.inv(g),
-                            np.asarray(riem_dddd, float))
-        return cls(g, riem_ud)
+        frame = cls(g)
+        frame._riem_ud = np.einsum("ae,ebcd->abcd", frame.ginv,
+                                   np.asarray(riem_dddd, float))
+        return frame
 
     # -- core tensors ---------------------------------------------------------
 
@@ -447,75 +447,71 @@ class PointFrame:
             raise MetricError("frame has no curvature data")
         return self._riem_ud
 
-    def _get(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        return np.linalg.inv(self.g)
 
-    @property
+    @cached_property
+    def detg(self) -> float:
+        return float(np.linalg.det(self.g))
+
+    @cached_property
     def riem_dddd(self) -> np.ndarray:
-        return self._get("riem_dddd",
-                         lambda: np.einsum("ae,ebcd->abcd", self.g, self.riem_ud))
+        return np.einsum("ae,ebcd->abcd", self.g, self.riem_ud)
 
-    @property
+    @cached_property
     def ricci(self) -> np.ndarray:
-        return self._get("ricci", lambda: np.einsum("cacb->ab", self.riem_ud))
+        return np.einsum("cacb->ab", self.riem_ud)
 
     @property
     def ricci_scalar(self) -> float:
         return float(np.einsum("ab,ab->", self.ginv, self.ricci))
 
-    @property
+    @cached_property
     def tracefree_ricci(self) -> np.ndarray:
-        return self._get("tfricci",
-                         lambda: self.ricci - 0.25 * self.ricci_scalar * self.g)
+        return self.ricci - 0.25 * self.ricci_scalar * self.g
 
-    @property
+    @cached_property
     def e_ud(self) -> np.ndarray:
         # Coefficient 1/2, not 1/12: this is what makes the conformal
         # tensor below fully trace-free (E contracts to the trace-free
         # Ricci tensor exactly).
-        def build():
-            tr = self.tracefree_ricci
-            tr_ud = self.ginv @ tr
-            d = np.eye(DIM)
-            return (np.einsum("ac,bd->abcd", tr_ud, self.g)
-                    - np.einsum("ad,bc->abcd", tr_ud, self.g)
-                    + np.einsum("ac,bd->abcd", d, tr)
-                    - np.einsum("ad,bc->abcd", d, tr)) / 2.0
-        return self._get("e_ud", build)
+        tr = self.tracefree_ricci
+        tr_ud = self.ginv @ tr
+        d = np.eye(DIM)
+        return (np.einsum("ac,bd->abcd", tr_ud, self.g)
+                - np.einsum("ad,bc->abcd", tr_ud, self.g)
+                + np.einsum("ac,bd->abcd", d, tr)
+                - np.einsum("ad,bc->abcd", d, tr)) / 2.0
 
-    @property
+    @cached_property
     def weyl_ud(self) -> np.ndarray:
-        def build():
-            d = np.eye(DIM)
-            trace_part = (np.einsum("ac,bd->abcd", d, self.g)
-                          - np.einsum("ad,bc->abcd", d, self.g))
-            return self.riem_ud - self.e_ud - (self.ricci_scalar / 12.0) * trace_part
-        return self._get("weyl_ud", build)
+        """Weyl conformal tensor C^a_bcd (fully trace-free)."""
+        d = np.eye(DIM)
+        trace_part = (np.einsum("ac,bd->abcd", d, self.g)
+                      - np.einsum("ad,bc->abcd", d, self.g))
+        return (self.riem_ud - self.e_ud
+                - (self.ricci_scalar / 12.0) * trace_part)
 
     # -- derivative tensors (need a backing spec) ------------------------------
 
-    def _derived(self, key: str, order: int) -> np.ndarray:
-        """A derivative tensor that frames_at stored at ``order``; a frame
-        built below that order gets it from a one-row frames_at there."""
-        if key not in self._cache:
-            if self.spec is None or self.point is None:
-                raise MetricError("synthetic frame carries no derivative data")
-            fresh = next(frames_at(self.spec, self.point[None, :], order))
-            for k, v in fresh._cache.items():
-                self._cache.setdefault(k, v)
-        return self._cache[key]
+    def _rebuilt(self, order: int) -> "PointFrame":
+        """This point's frame from a one-row frames_at through ``order``."""
+        if self.spec is None or self.point is None:
+            raise MetricError("synthetic frame carries no derivative data")
+        return next(frames_at(self.spec, self.point[None, :], order))
 
-    @property
+    @cached_property
     def cov_riemann(self) -> np.ndarray:
         """R^a_bcd;e with the covariant index trailing."""
-        return self._derived("cov_riemann", 3)
+        return self._rebuilt(3).cov_riemann
 
-    @property
+    @cached_property
     def cov2_riemann(self) -> np.ndarray:
         """R^a_bcd;e;f, second covariant derivative (trailing f)."""
-        return self._derived("cov2_riemann", 4)
+        fresh = self._rebuilt(4)
+        self.__dict__.setdefault("cov_riemann", fresh.cov_riemann)
+        return fresh.cov2_riemann
 
 
 # subscripts -> (swap operands, x axes, y axes, product axes, number of
@@ -559,8 +555,8 @@ def _contract(subscripts: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _riemann_derivative_stack(jets) -> dict:
     """Riemann and its covariant derivatives from batched metric jets
-    (g, dg, d2g[, d3g[, d4g]]): a dict with gamma and R (R^a_bcd), plus
-    covR (R^a_bcd;e) from d3g and cov2R (R^a_bcd;e;f) from d4g.
+    (g, dg, d2g[, d3g[, d4g]]): a dict with ginv, gamma and R (R^a_bcd),
+    plus covR (R^a_bcd;e) from d3g and cov2R (R^a_bcd;e;f) from d4g.
     frames_at calls it on row chunks (_CHUNK).
 
     Up to R, Gamma^a_bc = 1/2 g^ad s_dbc with s_dbc = d_b g_dc + d_c g_db
@@ -586,7 +582,7 @@ def _riemann_derivative_stack(jets) -> dict:
     riem = (dgamma.transpose(0, 1, 2, 4, 3) - dgamma
             + np.einsum("nace,nebd->nabcd", gamma, gamma)
             - np.einsum("nade,nebc->nabcd", gamma, gamma))
-    out = {"gamma": gamma, "R": riem}
+    out = {"ginv": ginv, "gamma": gamma, "R": riem}
     if len(jets) < 4:
         return out
 
@@ -664,8 +660,7 @@ def _riemann_derivative_stack(jets) -> dict:
 # Public operations
 # ---------------------------------------------------------------------------
 
-def _signature_signs(g: np.ndarray):
-    eig = np.linalg.eigvalsh(g)
+def _signature_signs(eig: np.ndarray):
     scale = max(1.0, float(np.max(np.abs(eig))))
     if np.any(np.abs(eig) < 1e-10 * scale):
         raise DegenerateMetricError("metric has a (near-)zero eigenvalue")
@@ -680,7 +675,7 @@ def signature_at(spec: MetricSpec, point) -> tuple[int, ...]:
         raise _inadmissible(point)
     if not finite[0]:
         _diagnose_point(spec, point, max_order=0)
-    return _signature_signs(g[0])
+    return _signature_signs(np.linalg.eigvalsh(g[0]))
 
 
 def frame_at(spec: MetricSpec, point, order: int = 2) -> PointFrame:
@@ -705,9 +700,10 @@ def frames_at(spec: MetricSpec, points, order: int = 2):
     in chunks of _CHUNK * 4^(4 - order) rows (8 at order 4): one compiled
     call (_metric_jets) evaluates the chunk's jets up to that order and
     its domain constraints, one derivative stack
-    (_riemann_derivative_stack) assembles its tensors, and its frames,
-    which hold row views of them, are yielded before the next chunk is
-    evaluated; so memory does not grow with the batch.
+    (_riemann_derivative_stack) assembles its tensors (g^-1 included),
+    one eigvalsh call tests its signatures, and its frames, which hold
+    row views of them, are yielded before the next chunk is evaluated;
+    so memory does not grow with the batch.
 
     Nothing is raised before iteration reaches a bad row.  There the
     exception that frame_at raises for that point is raised, checked in
@@ -726,33 +722,25 @@ def frames_at(spec: MetricSpec, points, order: int = 2):
         # rows before it
         n = len(chunk) if ok.all() else int(np.argmin(ok))
         stack = _riemann_derivative_stack(tuple(j[:n] for j in jets))
+        eig = np.linalg.eigvalsh(jets[0][:n])
         for i in range(n):
-            g = jets[0][i]
-            signs = _signature_signs(g)
+            signs = _signature_signs(eig[i])
             if signs != (-1, 1, 1, 1):
                 raise SignatureError(f"signature {signs} is not Lorentz")
-            frame = PointFrame(g, stack["R"][i], point=chunk[i], spec=spec,
-                               gamma=stack["gamma"][i], dg=jets[1][i])
-            for key, attr in (("covR", "cov_riemann"),
-                              ("cov2R", "cov2_riemann")):
-                if key in stack:
-                    frame._cache[attr] = stack[key][i]
+            frame = PointFrame(jets[0][i], stack["R"][i], point=chunk[i],
+                               spec=spec, gamma=stack["gamma"][i],
+                               dg=jets[1][i])
+            frame.ginv = stack["ginv"][i]
+            if "covR" in stack:
+                frame.cov_riemann = stack["covR"][i]
+            if "cov2R" in stack:
+                frame.cov2_riemann = stack["cov2R"][i]
             yield frame
         if n < len(chunk):
             if not admissible[n]:
                 raise _inadmissible(chunk[n])
             _raise_invalid(spec, chunk[n],
                            tuple(j[n:n + 1] for j in jets[:3]))
-
-
-def weyl_conformal_at(frame: PointFrame) -> np.ndarray:
-    """Weyl conformal tensor C^a_bcd of the frame (fully trace-free)."""
-    return frame.weyl_ud
-
-
-def cov_deriv_riemann_at(spec: MetricSpec, point) -> np.ndarray:
-    """R^a_bcd;e assembled from third-order symbolic metric derivatives."""
-    return frame_at(spec, point, 3).cov_riemann
 
 
 def cov_deriv_sym2_at(spec: MetricSpec, field, point) -> np.ndarray:

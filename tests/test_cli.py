@@ -125,10 +125,28 @@ class TestClassify:
         ("a", lambda d: {**d, "lambda": 5}, "'lambda'"),
         ("a", lambda d: {**d, "parameters": 5}, "'parameters'"),
         ("a", lambda d: {**d, "parameters": "xi"}, "'parameters'"),
+        # element shapes
+        ("g", lambda d: {**d, "metric": d["metric"][:3] + [5]}, "'metric'"),
+        ("g", lambda d: {**d, "sample_box": {**d["sample_box"], "u": 3}},
+         "'sample_box'"),
+        ("g", lambda d: {**d, "sample_box": {**d["sample_box"],
+                                             "u": ["a", 2.0]}},
+         "'sample_box'"),
+        ("g", lambda d: {**d, "parameters": {**d["parameters"], "xi": None}},
+         "'parameters'"),
+        ("g", lambda d: {**d, "parameters": {**d["parameters"], "xi": "x"}},
+         "'parameters'"),
+        ("a", lambda d: {**d, "a": d["a"][:3] + [5]}, "'a'"),
+        ("a", lambda d: {**d, "lambda": ["0", "0", "0"]}, "'lambda'"),
+        ("a", lambda d: {**d, "lambda": [0, 0, 0, 0]}, "'lambda'"),
+        ("a", lambda d: {**d, "lambda": "foo"}, "'lambda'"),
     ], ids=["metric-number", "constraints-number", "parameters-number",
             "parameters-string", "top-level-list", "a-number",
             "lambda-number", "pair-parameters-number",
-            "pair-parameters-string"])
+            "pair-parameters-string", "metric-row-number", "bound-number",
+            "bound-string", "parameter-null", "parameter-string",
+            "a-row-number", "lambda-three-entries", "lambda-numbers",
+            "lambda-string"])
     def test_mistyped_key_is_named(self, runner, emitted, tmp_path, kind,
                                    edit, key):
         files = emitted("r9")
@@ -145,7 +163,9 @@ class TestClassify:
         ("1e400*u", "constant out of float range in `1" + "0" * 400 + "`"),
         ("(" * 199 + "u" + ")" * 199,
          "nesting deeper than 100 levels (offset 100)"),
-    ], ids=["constant-overflow", "deep-nesting"])
+        ("u^(10^400)", "exponent out of float range in `u^1" + "0" * 400
+         + "`"),
+    ], ids=["constant-overflow", "deep-nesting", "exponent-overflow"])
     def test_bad_expression_is_usage_error(self, runner, emitted, tmp_path,
                                            entry, message):
         data = json.loads(open(emitted("r9")["g"]).read())

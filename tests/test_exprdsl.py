@@ -294,6 +294,23 @@ class TestCompiledWrites:
                                "range in `10{400}`$"):
                 run()
 
+    @pytest.mark.parametrize("src", ["u^(10^400)", "u^(10^400/3)"])
+    def test_exponent_out_of_float_range(self, src):
+        # the compiler rejects the exponent before any program runs, and
+        # eval_expr with the same message
+        e = p(src)
+        message = r"^exponent out of float range in `u\^\(?10{400}"
+        with pytest.raises(DomainError, match=message):
+            compile_program([e], COORDS, ())
+        with pytest.raises(DomainError, match=message):
+            eval_expr(e, self.PTS[0], COORDS, {})
+
+    @pytest.mark.parametrize("src", ["u^(10^20)", "u^(10^20/3)"])
+    def test_exponent_within_float_range(self, src):
+        e = p(src)
+        got = compile_program([e], COORDS, ())(self.PTS[:1])[0, 0]
+        assert got == eval_expr(e, self.PTS[0], COORDS, {}) == 1.0
+
     def test_domain_violation_reads_nan(self):
         e = p("sqrt(u)")
         pts = np.array([[-1.0, 1.0, 0.0, 0.0], [4.0, 1.0, 0.0, 0.0]])

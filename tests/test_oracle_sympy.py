@@ -1,6 +1,7 @@
-"""Exact oracle for Gamma, R, R;e and R;e;f: the tensors are built with
-sympy from a fixture's expression strings and evaluated at one dyadic
-point to 30 digits, sharing no assembly code with lorhol.pointcalc.
+"""Exact oracle for Gamma, R, R;e and R;e;f, and for g^-1, det g, Ricci
+and Weyl: the tensors are built with sympy from a fixture's expression
+strings and evaluated at one dyadic point to 30 digits, sharing no
+assembly code with lorhol.pointcalc.
 
 sympy is a test-only dependency; without it this module is skipped.
 """
@@ -46,10 +47,32 @@ def _nabla(t: dict, dt: dict, gam: dict) -> dict:
     return out
 
 
-def _exact_tensors(spec):
-    """(Gamma, R, R;e, R;e;f) of spec at POINT, as float arrays of the
-    30-digit values.  Everything through R;e is symbolic; R;e;f is the
-    covariant derivative of the symbolic R;e, evaluated at the point."""
+def _weyl(g, ginv, riem: dict) -> tuple:
+    """(Ricci, C^a_bcd) from 30-digit g, g^-1 and R^a_bcd at a point:
+    R_ab = R^c_acb, and the n = 4 Weyl tensor
+    C_abcd = R_abcd - 1/2 (g_ac R_bd - g_ad R_bc - g_bc R_ad + g_bd R_ac)
+             + R/6 (g_ac g_bd - g_ad g_bc)."""
+    ric = sp.Matrix(4, 4, lambda a, b: sum(riem.get((c, a, c, b), 0)
+                                           for c in R4))
+    scalar = sum(ginv[a, b] * ric[a, b] for a, b in np.ndindex(4, 4))
+    low = {}
+    for a, b, c, d in np.ndindex(4, 4, 4, 4):
+        low[a, b, c, d] = (
+            sum(g[a, e] * riem.get((e, b, c, d), 0) for e in R4)
+            - (g[a, c] * ric[b, d] - g[a, d] * ric[b, c]
+               - g[b, c] * ric[a, d] + g[b, d] * ric[a, c]) / 2
+            + scalar / 6 * (g[a, c] * g[b, d] - g[a, d] * g[b, c]))
+    weyl = {(a, b, c, d): sum(ginv[a, e] * low[e, b, c, d] for e in R4)
+            for a, b, c, d in np.ndindex(4, 4, 4, 4)}
+    return ric, weyl
+
+
+def _exact_tensors(spec) -> dict:
+    """Gamma, R, R;e, R;e;f, g^-1, det g, Ricci and Weyl of spec at
+    POINT, keyed by their PointFrame attribute, as floats of the 30-digit
+    values.  Everything through R;e is symbolic; R;e;f is the covariant
+    derivative of the symbolic R;e, and the rest come from the 30-digit
+    g and R, at the point."""
     x = sp.symbols(spec.coords)
     local = dict(zip(spec.coords, x), ln=sp.log)
     local.update({p: sp.Rational(spec.params[p])
@@ -84,8 +107,11 @@ def _exact_tensors(spec):
     def value(t: dict) -> dict:
         return {k: sp.N(e.xreplace(at), 30) for k, e in t.items()}
 
-    gam_at, cov_at = value(gam), value(cov)
+    gam_at, riem_at, cov_at = value(gam), value(riem), value(cov)
     cov2_at = _nabla(cov_at, value(_grad(cov, x)), gam_at)
+    g_at = g.xreplace(at).evalf(30)
+    ginv_at = g_at.inv()
+    ric_at, weyl_at = _weyl(g_at, ginv_at, riem_at)
 
     def array(t: dict, rank: int) -> np.ndarray:
         out = np.zeros((4,) * rank)
@@ -93,17 +119,19 @@ def _exact_tensors(spec):
             out[k] = float(v)
         return out
 
-    return (array(gam_at, 3), array(value(riem), 4), array(cov_at, 5),
-            array(cov2_at, 6))
+    return {"gamma": array(gam_at, 3), "riem_ud": array(riem_at, 4),
+            "cov_riemann": array(cov_at, 5), "cov2_riemann": array(cov2_at, 6),
+            "ginv": np.array(ginv_at, dtype=float),
+            "detg": float(g_at.det()),
+            "ricci": np.array(ric_at, dtype=float),
+            "weyl_ud": array(weyl_at, 4)}
 
 
 @pytest.mark.parametrize("name", ["r9", "r14", "r11"])
 def test_frame_matches_exact_tensors(name):
     spec = named_fixture(name).g
     fr = frame_at(spec, [float(p) for p in POINT])
-    exact = _exact_tensors(spec)
-    for attr, want in zip(("gamma", "riem_ud", "cov_riemann",
-                           "cov2_riemann"), exact):
+    for attr, want in _exact_tensors(spec).items():
         got = getattr(fr, attr)
         scale = np.max(np.abs(want))
         assert scale > 0.0, attr

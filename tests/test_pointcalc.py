@@ -4,8 +4,7 @@ import pytest
 from lorhol.exprdsl import DomainError, parse_expr
 from lorhol.pointcalc import (
     AdmissibilityError, DegenerateMetricError, MetricError, SignatureError,
-    cov_deriv_riemann_at, cov_deriv_sym2_at, frame_at, metric_spec,
-    sample_points, signature_at, weyl_conformal_at,
+    cov_deriv_sym2_at, frame_at, metric_spec, sample_points, signature_at,
 )
 
 UVXY = ("u", "v", "x", "y")
@@ -186,13 +185,13 @@ class TestInvariants:
 
 class TestWeyl:
     def test_minkowski_zero(self):
-        assert np.max(np.abs(weyl_conformal_at(
-            frame_at(minkowski(), (0, 0, 0, 0))))) == 0.0
+        assert np.max(np.abs(
+            frame_at(minkowski(), (0, 0, 0, 0)).weyl_ud)) == 0.0
 
     def test_weyl_traceless(self):
         spec = appendix_metric(b="1+u^2", f="x^2+y^2")
         for pt in sample_points(spec, 10, seed=9):
-            c = weyl_conformal_at(frame_at(spec, pt))
+            c = frame_at(spec, pt).weyl_ud
             scale = max(1.0, np.max(np.abs(c)))
             assert np.max(np.abs(np.einsum("abad->bd", c))) < 1e-10 * scale
             # full trace-freeness: contract every index pair
@@ -211,8 +210,8 @@ class TestWeyl:
 
 class TestCovDerivRiemann:
     def test_minkowski_zero(self):
-        assert np.max(np.abs(cov_deriv_riemann_at(
-            minkowski(), (0, 0, 0, 0)))) == 0.0
+        assert np.max(np.abs(
+            frame_at(minkowski(), (0, 0, 0, 0), 3).cov_riemann)) == 0.0
 
     def test_one_frame_at_order_three(self, monkeypatch):
         from lorhol import pointcalc
@@ -227,9 +226,29 @@ class TestCovDerivRiemann:
             return jets(spec, pts, k)
 
         monkeypatch.setattr(pointcalc, "_metric_jets", spy)
-        cov = cov_deriv_riemann_at(spec, pt)
+        cov = frame_at(spec, pt, 3).cov_riemann
         assert orders == [3]
         assert np.max(np.abs(cov)) > 0 and np.array_equal(cov, lazy)
+
+    def test_cov2_rebuild_serves_cov_riemann(self, monkeypatch):
+        from lorhol import pointcalc
+        spec = appendix_metric(b="1 + u^2")
+        pt = (1.0, 1.0, 0.2, 0.4)
+        want = frame_at(spec, pt, 4)
+        fr = frame_at(spec, pt)
+        orders = []
+        frames_at = pointcalc.frames_at
+
+        def spy(spec, pts, order=2):
+            orders.append(order)
+            return frames_at(spec, pts, order)
+
+        monkeypatch.setattr(pointcalc, "frames_at", spy)
+        cov2, cov = fr.cov2_riemann, fr.cov_riemann
+        # one order-4 rebuild fills both derivative tensors
+        assert orders == [4]
+        assert cov2.tobytes() == want.cov2_riemann.tobytes()
+        assert cov.tobytes() == want.cov_riemann.tobytes()
 
     def test_flat_chart_equals_partial(self):
         # constant Christoffels = 0 chart: covariant = partial = 0 for Riem=0
@@ -496,11 +515,15 @@ class TestFramesAt:
             for fr, one in zip(frames, singles):
                 assert fr.point is not None and np.array_equal(fr.point,
                                                                one.point)
-                for attr in ("g", "dg", "gamma", "riem_ud", "cov_riemann",
-                             "cov2_riemann"):
+                for attr in ("g", "dg", "gamma", "riem_ud", "ginv", "ricci",
+                             "weyl_ud", "cov_riemann", "cov2_riemann"):
                     got, want = getattr(fr, attr), getattr(one, attr)
                     assert got.shape == want.shape, (order, attr)
                     assert got.tobytes() == want.tobytes(), (order, attr)
+                # the chunk's g^-1 and the lazy det g are the per-row ones
+                assert fr.ginv.tobytes() == np.linalg.inv(fr.g).tobytes()
+                assert (np.float64(fr.detg).tobytes()
+                        == np.linalg.det(fr.g).tobytes())
 
     # g = diag(-1, t, 1, sqrt(x)) on y > 0; each bad point with the
     # exception and message frame_at raises there
