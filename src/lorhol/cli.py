@@ -63,7 +63,7 @@ def _number(x) -> bool:
     """A JSON number, or a string that float() reads (such as "nan")."""
     try:
         float(x)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return False
     return not isinstance(x, bool)
 

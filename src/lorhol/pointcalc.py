@@ -416,7 +416,7 @@ class PointFrame:
     Built by frame_at / frames_at (full, with derivative access) or
     synthetically from raw g/Riemann arrays for classifier oracles.
     frames_at assigns what its chunk computed (g^-1, R;e, R;e;f); every
-    other tensor is a cached_property, computed when first read.
+    other tensor is computed when first read and then kept.
     """
 
     def __init__(self, g, riem_ud=None, *, point=None, spec=None,
@@ -501,17 +501,23 @@ class PointFrame:
             raise MetricError("synthetic frame carries no derivative data")
         return next(frames_at(self.spec, self.point[None, :], order))
 
-    @cached_property
+    # Plain properties over __dict__, which frames_at fills, so that a
+    # profiler can wrap their getters.
+    @property
     def cov_riemann(self) -> np.ndarray:
         """R^a_bcd;e with the covariant index trailing."""
-        return self._rebuilt(3).cov_riemann
+        if "cov_riemann" not in vars(self):
+            vars(self)["cov_riemann"] = vars(self._rebuilt(3))["cov_riemann"]
+        return vars(self)["cov_riemann"]
 
-    @cached_property
+    @property
     def cov2_riemann(self) -> np.ndarray:
         """R^a_bcd;e;f, second covariant derivative (trailing f)."""
-        fresh = self._rebuilt(4)
-        self.__dict__.setdefault("cov_riemann", fresh.cov_riemann)
-        return fresh.cov2_riemann
+        if "cov2_riemann" not in vars(self):
+            fresh = vars(self._rebuilt(4))
+            vars(self).setdefault("cov_riemann", fresh["cov_riemann"])
+            vars(self)["cov2_riemann"] = fresh["cov2_riemann"]
+        return vars(self)["cov2_riemann"]
 
 
 # subscripts -> (swap operands, x axes, y axes, product axes, number of
@@ -732,9 +738,9 @@ def frames_at(spec: MetricSpec, points, order: int = 2):
                                dg=jets[1][i])
             frame.ginv = stack["ginv"][i]
             if "covR" in stack:
-                frame.cov_riemann = stack["covR"][i]
+                vars(frame)["cov_riemann"] = stack["covR"][i]
             if "cov2R" in stack:
-                frame.cov2_riemann = stack["cov2R"][i]
+                vars(frame)["cov2_riemann"] = stack["cov2R"][i]
             yield frame
         if n < len(chunk):
             if not admissible[n]:

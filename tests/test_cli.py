@@ -136,6 +136,12 @@ class TestClassify:
          "'parameters'"),
         ("g", lambda d: {**d, "parameters": {**d["parameters"], "xi": "x"}},
          "'parameters'"),
+        ("g", lambda d: {**d, "parameters": {**d["parameters"],
+                                             "xi": 10 ** 400}},
+         "'parameters'"),
+        ("g", lambda d: {**d, "sample_box": {**d["sample_box"],
+                                             "u": [10 ** 400, 2.0]}},
+         "'sample_box'"),
         ("a", lambda d: {**d, "a": d["a"][:3] + [5]}, "'a'"),
         ("a", lambda d: {**d, "lambda": ["0", "0", "0"]}, "'lambda'"),
         ("a", lambda d: {**d, "lambda": [0, 0, 0, 0]}, "'lambda'"),
@@ -145,6 +151,7 @@ class TestClassify:
             "lambda-number", "pair-parameters-number",
             "pair-parameters-string", "metric-row-number", "bound-number",
             "bound-string", "parameter-null", "parameter-string",
+            "parameter-overflow", "bound-overflow",
             "a-row-number", "lambda-three-entries", "lambda-numbers",
             "lambda-string"])
     def test_mistyped_key_is_named(self, runner, emitted, tmp_path, kind,
