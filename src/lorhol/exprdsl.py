@@ -4,7 +4,8 @@ The grammar is deliberately tiny: rational constants, coordinates,
 named parameters, +, -, *, /, powers with exact rational exponents and
 the functions sqrt/exp/ln/sin/cos.  It is closed under partial
 differentiation, which is all the tensor machinery needs.  sqrt(x) is
-stored canonically as x^(1/2).
+stored canonically as x^(1/2).  The symbolic 4x4 determinant and
+adjugate that pointcalc and projective build on live here too.
 
 See docs/grammar.md for the concrete syntax.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import reduce
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -23,6 +25,7 @@ __all__ = [
     "UnknownIdentifierError", "DomainError", "parse_expr", "differentiate",
     "eval_expr", "to_string", "const", "coord", "param", "add", "sub",
     "mul", "div", "neg", "pow_", "fn", "free_symbols", "MAX_NESTING",
+    "count_lines", "sym_sum", "sym_det4", "sym_cofactor4", "sym_adjugate4",
 ]
 
 FUNCTION_NAMES = ("sqrt", "exp", "ln", "sin", "cos")
@@ -216,35 +219,38 @@ def param(name: str) -> Param:
     return Param(name)
 
 
+# The identities come before the folding: they return the node the
+# folding would build, without Fraction arithmetic and hashing.
+
 def add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
     if a is ZERO:
         return b
     if b is ZERO:
         return a
+    if isinstance(a, Const) and isinstance(b, Const):
+        return Const(a.value + b.value)
     return Add(a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
     if b is ZERO:
         return a
     if a is ZERO:
         return neg(b)
+    if isinstance(a, Const) and isinstance(b, Const):
+        return Const(a.value - b.value)
     return Sub(a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
     if a is ZERO or b is ZERO:
         return ZERO
     if a is ONE:
         return b
     if b is ONE:
         return a
+    if isinstance(a, Const) and isinstance(b, Const):
+        return Const(a.value * b.value)
     return Mul(a, b)
 
 
@@ -392,6 +398,49 @@ def free_symbols(e: Expr) -> tuple[set[str], set[str]]:
         elif isinstance(n, Fn):
             stack.append(n.arg)
     return coords, params
+
+
+# ---------------------------------------------------------------------------
+# Symbolic 4x4 linear algebra
+# ---------------------------------------------------------------------------
+
+def sym_sum(terms) -> Expr:
+    return reduce(add, terms, ZERO)
+
+
+def _det3(m, rows, cols) -> Expr:
+    (r0, r1, r2), (c0, c1, c2) = rows, cols
+    return sym_sum([
+        mul(m[r0][c0], sub(mul(m[r1][c1], m[r2][c2]),
+                           mul(m[r1][c2], m[r2][c1]))),
+        neg(mul(m[r0][c1], sub(mul(m[r1][c0], m[r2][c2]),
+                               mul(m[r1][c2], m[r2][c0])))),
+        mul(m[r0][c2], sub(mul(m[r1][c0], m[r2][c1]),
+                           mul(m[r1][c1], m[r2][c0]))),
+    ])
+
+
+def sym_det4(m) -> Expr:
+    rows = (1, 2, 3)
+    out = ZERO
+    for j in range(4):
+        cols = tuple(c for c in range(4) if c != j)
+        term = mul(m[0][j], _det3(m, rows, cols))
+        out = add(out, term) if j % 2 == 0 else sub(out, term)
+    return out
+
+
+def sym_cofactor4(m, i: int, j: int) -> Expr:
+    """adj(m)[i][j]: the signed minor of m without row j and column i."""
+    rows = tuple(r for r in range(4) if r != j)
+    cols = tuple(c for c in range(4) if c != i)
+    minor = _det3(m, rows, cols)
+    return minor if (i + j) % 2 == 0 else neg(minor)
+
+
+def sym_adjugate4(m):
+    """adj(m) with m assumed symmetric, so adj is symmetric too."""
+    return [[sym_cofactor4(m, i, j) for j in range(4)] for i in range(4)]
 
 
 # ---------------------------------------------------------------------------
@@ -774,12 +823,21 @@ _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 class _Emitter:
     """Emits straight-line code with one variable per distinct node.
     Nodes are interned, so keying by node shares every common
-    subexpression, and each lookup is O(1)."""
+    subexpression, and each lookup is O(1).  A node whose operands are
+    all constants reads them as names bound to numpy floats (``consts``),
+    so arithmetic on constants alone, such as 1/0 or (-1)^(1/3), reads
+    inf or nan as on arrays instead of raising or parsing as -(1^(1/3))."""
 
     def __init__(self, names: Mapping[str, str]):
         self.names = names
         self.lines: list[str] = []
         self.var: dict[Expr, str] = {}
+        self.consts: dict[str, np.float64] = {}
+
+    def bound(self, e: Const) -> str:
+        out = f"_k{len(self.consts)}"
+        self.consts[out] = np.float64(_const_float(e))
+        return out
 
     def ref(self, e: Expr) -> str:
         got = self.var.get(e)
@@ -790,13 +848,16 @@ class _Emitter:
         elif isinstance(e, (Coord, Param)):
             out = self.names[e.name]
         else:
+            ref = self.ref
+            if all(isinstance(c, Const) for c in _children(e)):
+                ref = self.bound
             if isinstance(e, Neg):
-                rhs = f"-{self.ref(e.arg)}"
+                rhs = f"-{ref(e.arg)}"
             elif isinstance(e, (Add, Sub, Mul, Div)):
-                lhs = self.ref(e.lhs)
-                rhs = f"{lhs} {_BINARY_OPS[type(e)]} {self.ref(e.rhs)}"
+                lhs = ref(e.lhs)
+                rhs = f"{lhs} {_BINARY_OPS[type(e)]} {ref(e.rhs)}"
             elif isinstance(e, Pow):
-                base = self.ref(e.base)
+                base = ref(e.base)
                 exp = _exponent_float(e)
                 if e.exponent == Fraction(1, 2):
                     rhs = f"_sqrt({base})"
@@ -805,13 +866,36 @@ class _Emitter:
                 else:
                     rhs = f"{base} ** ({exp!r})"
             elif isinstance(e, Fn):
-                rhs = f"_{e.name}({self.ref(e.arg)})"
+                rhs = f"_{e.name}({ref(e.arg)})"
             else:
                 raise ExprError(f"cannot compile node {type(e).__name__}")
             out = f"_t{len(self.var)}"
             self.lines.append(f"    {out} = {rhs}")
         self.var[e] = out
         return out
+
+
+def _children(e: Expr) -> list:
+    return [c for c in (getattr(e, f) for f in e._fields)
+            if isinstance(c, Expr)]
+
+
+def count_lines(exprs: Sequence[Expr], seen: set | None = None) -> int:
+    """The lines compile_program emits to compute ``exprs`` before it
+    writes them out: one per distinct node that is not a constant, a
+    coordinate or a parameter.  Counted without emitting anything.
+    Nodes already in ``seen`` are not counted, and the ones counted are
+    added to it, so successive calls count what each batch adds."""
+    seen = set() if seen is None else seen
+    start = len(seen)
+    stack = list(exprs)
+    while stack:
+        n = stack.pop()
+        if n in seen or isinstance(n, (Const, Coord, Param)):
+            continue
+        seen.add(n)
+        stack.extend(_children(n))
+    return len(seen) - start
 
 
 def compile_program(exprs: Sequence[Expr], coords: Sequence[str],
@@ -830,7 +914,7 @@ def compile_program(exprs: Sequence[Expr], coords: Sequence[str],
     names.update({p: f"_p{i}" for i, p in enumerate(param_names)})
     em = _Emitter(names)
     outs = [em.ref(e) for e in exprs]
-    namespace = dict(_COMPILE_GLOBALS)
+    namespace = dict(_COMPILE_GLOBALS, **em.consts)
     consts = [k for k, e in enumerate(exprs) if isinstance(e, Const)]
     em.lines += [f"    _out[{k}] = {v}" for k, v in enumerate(outs)
                  if not isinstance(exprs[k], Const)]

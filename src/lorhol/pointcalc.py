@@ -6,7 +6,11 @@ assembled numerically at sample points with numpy.  Finite differences
 never appear outside the test oracles.  Jets come from one compiled
 program per field and derivative order k, whose one call returns
 orders 0..k.  A metric's programs are also memoised per spec, since the
-geodesic loop looks one up on every RK4 stage.  frames_at assembles the
+geodesic loop looks one up on every RK4 stage.  When the symbolic det g
+and adjugate of a metric add few lines to its order-1 program,
+christoffel_batch compiles them in, with Gamma = adj(g) s / (2 det g)
+over one shared reciprocal, so a stage makes no numpy linear-algebra
+call; larger metrics invert g numerically.  frames_at assembles the
 tensors of a chunk of points in one batched stack and hands each
 PointFrame its rows; a frame computes any other tensor when first read.
 
@@ -23,14 +27,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .exprdsl import (
-    DomainError, Expr, ParamEnv, compile_program, differentiate, eval_expr,
-    free_symbols, parse_expr,
+    Const, DomainError, Expr, ParamEnv, add, compile_program, count_lines,
+    differentiate, div, eval_expr, free_symbols, mul, parse_expr, sub,
+    sym_cofactor4, sym_det4, sym_sum,
 )
 
 __all__ = [
@@ -232,6 +238,84 @@ def _metric_program(spec: MetricSpec, order: int) -> tuple:
                           spec.constraints), _values(spec))
 
 
+# christoffel_batch takes det g and Gamma from one compiled call when
+# they add at most this many lines (count_lines) to the order-1 jet
+# program of g.  The compiled code keeps every line's row alive until it
+# returns, so a call's peak memory grows with lines x points.  Partners
+# (g') reach christoffel_batch as 240-row blocks in pregeodesic_check and
+# in one-shot projective-check --auto-psi calls; fused, a 240-row call
+# peaked at 1.1-1.6 MB instead of 0.5-0.7 MB, and over 10 pairs of
+# perfbench's geodesic workload (2-core VM) fusing them too raised
+# peak_rss_mb by 1.3 MB in every pair for no gain in ok_ops_per_s.  Base
+# metrics (g) take the 20-row RK4 stage calls, where fused and numeric
+# time cross at 91-112 added lines (scripts/christoffel_crossover.py).
+# The shipped fixtures add 0-39 lines, their derived partners 288-431.
+_FUSED_LINES = 100
+
+# the index pairs b <= c in order, and the row of Gamma^a_bc among the
+# 40 Gamma rows (a, then b <= c) for each (a, b, c) in C order
+_PAIRS = [(b, c) for b in range(DIM) for c in range(b, DIM)]
+_GAMMA_ROWS = np.array([len(_PAIRS) * a + _PAIRS.index(tuple(sorted(bc)))
+                        for a, *bc in np.ndindex(DIM, DIM, DIM)])
+
+
+def _christoffel_rows(g: tuple, coords: tuple):
+    """Yield det g, then Gamma^a_bc for a and b <= c in order, as
+    expressions.  With s_dbc = d_b g_dc + d_c g_db - d_d g_bc and one
+    shared reciprocal r = 1/2 / det g, Gamma^a_bc = (sum_d adj(g)^ad
+    s_dbc) r.  The adjugate is built one row a at a time, so a consumer
+    that stops early builds only the minors it has read."""
+    det = sym_det4(g)
+    yield det
+    dg = [[[differentiate(g[a][b], c) for c in coords] for b in range(DIM)]
+          for a in range(DIM)]
+    r = div(Const(Fraction(1, 2)), det)
+    for a in range(DIM):
+        adj = [sym_cofactor4(g, a, d) for d in range(DIM)]
+        for b, c in _PAIRS:
+            yield mul(sym_sum([
+                mul(adj[d], sub(add(dg[d][c][b], dg[d][b][c]), dg[b][c][d]))
+                for d in range(DIM)]), r)
+
+
+@lru_cache(maxsize=1024)
+def _fused_rows(g: tuple, coords: tuple, constraints: tuple) -> tuple | None:
+    """_christoffel_rows as a tuple, to ride along the order-1 jet program
+    of g after its constraints; None when they would add more than
+    _FUSED_LINES lines to that program.  The lines are counted, not
+    emitted, as each row is built, so a rejected metric stops at the row
+    that passes the budget.  Keyed by structure, so parameter draws share
+    the decision and the program."""
+    seen: set = set()
+    count_lines([e for level in _jet_levels(g, coords, 1)
+                 for e in level.values()] + list(constraints), seen)
+    rows: list = []
+    added = 0
+    for row in _christoffel_rows(g, coords):
+        rows.append(row)
+        added += count_lines([row], seen)
+        if added > _FUSED_LINES:
+            return None
+    return tuple(rows)
+
+
+def _fused_program(spec: MetricSpec, rows: tuple) -> tuple:
+    """(f, values): spec's order-1 jet program with its constraints and
+    ``rows`` (det g and the 40 Gamma rows) riding along, and spec's
+    parameter values."""
+    f, _ = _jet_program(spec.g, spec.coords, spec.params.names(), 1,
+                        spec.constraints + rows)
+    return f, _values(spec)
+
+
+@lru_cache(maxsize=1024)
+def _christoffel_program(spec: MetricSpec) -> tuple | None:
+    """spec's _fused_program, or None past the line budget.  A per-spec
+    memo, like _metric_program."""
+    rows = _fused_rows(spec.g, spec.coords, spec.constraints)
+    return None if rows is None else _fused_program(spec, rows)
+
+
 def _field_jets(spec: MetricSpec, comps, points, order: int = 0) -> tuple:
     """The jets of orders 0..order at ``points`` of a covector or
     symmetric (0,2) expression field over spec's coordinates and
@@ -269,15 +353,23 @@ def _metric_jets(spec: MetricSpec, pts: np.ndarray, order: int):
         vals = f(pts, values)
         jets = tuple(vals[index].T.reshape((len(pts),) + shape)
                      for index, shape in gathers)
-        finite = np.isfinite(vals)
-        m = len(vals) - len(spec.constraints)
-        admissible = (np.isfinite(pts).all(axis=1)
-                      & (finite[m:] & (vals[m:] > 0.0)).all(axis=0))
-        finite = finite[:m].all(axis=0)
+        finite, admissible = _row_masks(vals, pts,
+                                        len(vals) - len(spec.constraints))
         # the rows of vals are the jets' entries, so up to order 2 their
         # finiteness is the one the determinant test needs
         valid = _valid_rows(jets[:3], finite if order <= 2 else None)
     return jets, finite, admissible, valid
+
+
+def _row_masks(vals: np.ndarray, pts: np.ndarray, m: int) -> tuple:
+    """(finite, admissible) of a compiled block at points pts whose rows
+    [:m] are jet entries and the rest domain constraints: the rows with
+    finite jets, and the rows with finite coordinates at which every
+    constraint evaluates finite and > 0."""
+    finite = np.isfinite(vals)
+    admissible = (np.isfinite(pts).all(axis=1)
+                  & (finite[m:] & (vals[m:] > 0.0)).all(axis=0))
+    return finite[:m].all(axis=0), admissible
 
 
 def admissible_mask(spec: MetricSpec, points: np.ndarray) -> np.ndarray:
@@ -346,9 +438,13 @@ def _valid_rows(jets, finite=None) -> np.ndarray:
         finite = np.ones(n, dtype=bool)
         for j in jets:
             finite &= np.all(np.isfinite(j), axis=tuple(range(1, j.ndim)))
-    gmax = np.max(np.abs(jets[0]), axis=(1, 2))
-    return finite & (np.abs(np.linalg.det(jets[0]))
-                     > DEGENERACY_TOL * np.maximum(gmax, 1e-300) ** 4)
+    return finite & _nondegenerate(np.linalg.det(jets[0]),
+                                   np.max(np.abs(jets[0]), axis=(1, 2)))
+
+
+def _nondegenerate(det: np.ndarray, gmax: np.ndarray) -> np.ndarray:
+    """The determinant test: |det g| > DEGENERACY_TOL * (max |g_ab|)^4."""
+    return np.abs(det) > DEGENERACY_TOL * np.maximum(gmax, 1e-300) ** 4
 
 
 def _raise_invalid(spec: MetricSpec, point, jets) -> None:
@@ -364,11 +460,36 @@ def christoffel_batch(spec: MetricSpec, points):
     """Return (gamma, ok, admissible): gamma[n,a,b,c] = Gamma^a_bc batched
     over points, ok marks the rows with finite jets and a non-degenerate
     g, and admissible the rows that admissible_mask accepts.  Rows not ok
-    hold the flat placeholder gamma = 0.  The points are converted once;
-    one _metric_jets call (one compiled program call, the admissibility
-    and the determinant test) is followed by _gamma_terms, so an RK4
-    stage costs one compiled call per metric."""
+    hold the flat placeholder gamma = 0.  An RK4 stage costs one compiled
+    call per metric.  For a metric whose fused program is small
+    (_christoffel_program) that call also returns det g and Gamma, so
+    no np.linalg call follows; otherwise _metric_jets (jets, masks and
+    the determinant test) is followed by _gamma_terms."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    fused = _christoffel_program(spec)
+    if fused is not None:
+        return _fused_christoffel(*fused, pts)
+    return _numeric_christoffel(spec, pts)
+
+
+def _fused_christoffel(f, values, pts: np.ndarray) -> tuple:
+    """christoffel_batch from a fused program f: rows 0..9 of its block
+    are g (upper triangle), 10..49 dg, then the constraints, det g and
+    the 40 Gamma rows."""
+    with np.errstate(all="ignore"):
+        vals = f(pts, values)
+        det, gamma = vals[-41], vals[-40:][_GAMMA_ROWS]
+        finite, admissible = _row_masks(vals[:-41], pts, 50)
+        ok = finite & _nondegenerate(det, np.abs(vals[:10]).max(axis=0))
+    gamma = gamma.T.reshape(len(pts), DIM, DIM, DIM)
+    if not ok.all():
+        gamma[~ok] = 0.0
+    return gamma, ok, admissible
+
+
+def _numeric_christoffel(spec: MetricSpec, pts: np.ndarray) -> tuple:
+    """christoffel_batch from spec's order-1 jet program (_metric_jets),
+    then np.linalg.inv and one einsum (_gamma_terms)."""
     (g, dg), _, admissible, ok = _metric_jets(spec, pts, 1)
     if not ok.all():
         g[~ok] = np.eye(DIM)

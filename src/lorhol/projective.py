@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
 from .exprdsl import (
-    Const, Expr, ParamEnv, add, const, differentiate, div, fn, mul, neg,
-    sub,
+    Expr, const, differentiate, div, fn, mul, neg, sym_adjugate4, sym_det4,
+    sym_sum,
 )
 from .pointcalc import (
     DIM, MetricSpec, PointFrame, _field_jets, admissible_mask,
@@ -36,8 +35,6 @@ __all__ = [
     "weyl_projective_at", "weyl_projective_equal", "lemma1_checks",
     "pregeodesic_check", "GeodesicReport", "check_pair_wellformed",
 ]
-
-ZERO = Const(Fraction(0))
 
 
 class InversionError(Exception):
@@ -70,46 +67,8 @@ class ProjectivePair:
 # Symbolic 4x4 linear algebra
 # ---------------------------------------------------------------------------
 
-def _sum(terms) -> Expr:
-    return reduce(add, terms, ZERO)
-
-
-def _det3(m, rows, cols) -> Expr:
-    (r0, r1, r2), (c0, c1, c2) = rows, cols
-    return _sum([
-        mul(m[r0][c0], sub(mul(m[r1][c1], m[r2][c2]),
-                           mul(m[r1][c2], m[r2][c1]))),
-        neg(mul(m[r0][c1], sub(mul(m[r1][c0], m[r2][c2]),
-                               mul(m[r1][c2], m[r2][c0])))),
-        mul(m[r0][c2], sub(mul(m[r1][c0], m[r2][c1]),
-                           mul(m[r1][c1], m[r2][c0]))),
-    ])
-
-
-def sym_det4(m) -> Expr:
-    rows = (1, 2, 3)
-    out = ZERO
-    for j in range(4):
-        cols = tuple(c for c in range(4) if c != j)
-        term = mul(m[0][j], _det3(m, rows, cols))
-        out = add(out, term) if j % 2 == 0 else sub(out, term)
-    return out
-
-
-def sym_adjugate4(m):
-    """adj(m) with m assumed symmetric, so adj is symmetric too."""
-    adj = [[ZERO] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            rows = tuple(r for r in range(4) if r != j)
-            cols = tuple(c for c in range(4) if c != i)
-            minor = _det3(m, rows, cols)
-            adj[i][j] = minor if (i + j) % 2 == 0 else neg(minor)
-    return adj
-
-
 def _mat_vec(m, v):
-    return tuple(_sum([mul(m[i][j], v[j]) for j in range(4)])
+    return tuple(sym_sum([mul(m[i][j], v[j]) for j in range(4)])
                  for i in range(4))
 
 
@@ -122,7 +81,7 @@ def lambda_from_trace(pair: SinyukovPair) -> tuple[Expr, ...]:
     spec = pair.base
     adjg = sym_adjugate4(spec.g)
     detg = sym_det4(spec.g)
-    trace_num = _sum([mul(adjg[a][b], pair.a[a][b])
+    trace_num = sym_sum([mul(adjg[a][b], pair.a[a][b])
                       for a in range(4) for b in range(4)])
     half_trace = div(trace_num, mul(const(2), detg))
     return tuple(differentiate(half_trace, c) for c in spec.coords)
@@ -289,11 +248,11 @@ def invert_pair(pair: SinyukovPair, points=None, seed: int = 7,
     b_mat = [[None] * 4 for _ in range(4)]
     for i in range(4):
         for j in range(i + 1):
-            e = _sum([mul(spec.g[i][c], mul(adja[c][d], spec.g[d][j]))
+            e = sym_sum([mul(spec.g[i][c], mul(adja[c][d], spec.g[d][j]))
                       for c in range(4) for d in range(4)])
             b_mat[i][j] = b_mat[j][i] = e
     denom = mul(deta, detg)
-    psi = tuple(neg(div(_sum([mul(b_mat[i][j], lam_up_num[j])
+    psi = tuple(neg(div(sym_sum([mul(b_mat[i][j], lam_up_num[j])
                               for j in range(4)]), denom))
                 for i in range(4))
 

@@ -172,7 +172,15 @@ class TestClassify:
          "nesting deeper than 100 levels (offset 100)"),
         ("u^(10^400)", "exponent out of float range in `u^1" + "0" * 400
          + "`"),
-    ], ids=["constant-overflow", "deep-nesting", "exponent-overflow"])
+        # arithmetic on constants alone is compiled to read inf or nan,
+        # so the evaluator's diagnosis names the subexpression
+        ("u^2*exp(x*y) + 1/0", "division by zero in `1/0`"),
+        ("u^2*exp(x*y) + x/0", "division by zero in `x/0`"),
+        ("u^2*exp(x*y)*(-1)^(1/3)",
+         "fractional power of a negative value in `(-1)^(1/3)`"),
+    ], ids=["constant-overflow", "deep-nesting", "exponent-overflow",
+            "constant-over-zero", "coordinate-over-zero",
+            "root-of-a-negative-constant"])
     def test_bad_expression_is_usage_error(self, runner, emitted, tmp_path,
                                            entry, message):
         data = json.loads(open(emitted("r9")["g"]).read())

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from lorhol.exprdsl import (
     MAX_NESTING, Add, Const, Coord, DomainError, Fn, Mul, Param, ParseError,
-    Pow, UnknownIdentifierError, add, compile_program, const,
+    Pow, UnknownIdentifierError, add, compile_program, const, count_lines,
     coord, differentiate, eval_expr, fn, free_symbols, mul, neg, param,
     parse_expr, pow_, sub, to_string,
 )
@@ -282,6 +282,19 @@ class TestCompiledWrites:
         assert prog.__globals__["_cv"][:, 0].tolist() == [0.0, 1 / 3, 0.0,
                                                           -2.0]
 
+    def test_count_lines_counts_the_emitted_assignments(self):
+        # the line budget of pointcalc's fused program rests on this count
+        exprs = self.MIXED + [p("exp(u*v + b0)*sqrt(v) - u*v"), const(2)]
+        f = compile_program(exprs, COORDS, tuple(sorted(self.ENV)))
+        prog = inspect.getclosurevars(f).nonlocals["f"]
+        assigned = [i for i in dis.get_instructions(prog)
+                    if i.opname == "STORE_FAST"]
+        assert count_lines(exprs) == len(assigned) == 8
+        # with a shared set, each call counts only what its batch adds
+        seen = set()
+        assert (count_lines(exprs[:2], seen), count_lines(exprs, seen),
+                count_lines(exprs, seen)) == (2, 6, 0)
+
     @pytest.mark.parametrize("src", ["1e400*u", "10^400*u", "1e400"])
     def test_constant_out_of_float_range(self, src):
         # the compiler (for a computed row and for a constant row, which
@@ -310,6 +323,19 @@ class TestCompiledWrites:
         e = p(src)
         got = compile_program([e], COORDS, ())(self.PTS[:1])[0, 0]
         assert got == eval_expr(e, self.PTS[0], COORDS, {}) == 1.0
+
+    @pytest.mark.parametrize("src", ["1/0", "u + 1/0", "0^(-1)*u",
+                                     "(-1)^(1/3)", "(10^300)^(3/2)*u"])
+    def test_constant_domain_violation_reads_non_finite(self, src):
+        # arithmetic on constants alone runs in numpy, as on the rows:
+        # no Python exception, and no finite value where eval_expr fails
+        e = p(src)
+        with np.errstate(all="ignore"):
+            got = compile_program([e], COORDS, ())(self.PTS)
+        assert got.shape == (1, len(self.PTS))
+        assert not np.any(np.isfinite(got))
+        with pytest.raises(DomainError):
+            eval_expr(e, self.PTS[0], COORDS, {})
 
     def test_domain_violation_reads_nan(self):
         e = p("sqrt(u)")

@@ -407,13 +407,15 @@ class TestChristoffelKernel:
             True, False, False, False, True]
         assert np.all(gamma[~ok] == 0.0)
         # the Christoffel formula assembled as before the kernel merge,
-        # on the rows with valid jets: equal bit for bit
+        # on the rows with valid jets; the spec's program is fused, so
+        # equal to 1e-14 of the largest entry
         good = self.PTS[ok]
         g, dg = _metric_jets(spec, good, 1)[0]
         ginv = np.linalg.inv(g)
         s = dg.transpose(0, 1, 3, 2) + dg - dg.transpose(0, 3, 1, 2)
         want = 0.5 * np.einsum("nad,ndbc->nabc", ginv, s)
-        assert np.array_equal(gamma[ok], want)
+        assert np.max(np.abs(gamma[ok] - want)) <= 1e-14 * np.max(
+            np.abs(want))
 
     def test_admissible_mask_matches_the_standalone_one(self):
         from lorhol.pointcalc import admissible_mask, christoffel_batch
@@ -604,8 +606,69 @@ def test_sample_points_rejects_counts_below_one(n):
 
 
 # the 7 fixtures and the 6 partners that differ from their fixture
-@pytest.mark.parametrize("name,partner", [(n, False) for n in FIXTURES]
+FIXTURES_AND_PARTNERS = ([(n, False) for n in FIXTURES]
                          + [(n, True) for n in FIXTURES if n != "minkowski"])
+
+
+def _numeric_christoffel(spec, pts):
+    """christoffel_batch's numeric path: the order-1 jets, masks and
+    determinant test (_metric_jets), then np.linalg.inv and one einsum
+    (_gamma_terms)."""
+    from lorhol.pointcalc import _gamma_terms, _metric_jets
+    (g, dg), _, admissible, ok = _metric_jets(spec, pts, 1)
+    g[~ok] = np.eye(4)
+    dg[~ok] = 0.0
+    return _gamma_terms(g, dg)[2], ok, admissible
+
+
+def _around_the_box(spec, n):
+    # a box twice as wide as the sample box, so some rows leave the
+    # domain and some have non-finite jets
+    lo, hi = np.array(spec.sample_box).T
+    mid, half = (lo + hi) / 2, hi - lo
+    return np.random.default_rng(n).uniform(mid - half, mid + half,
+                                            size=(n, 4))
+
+
+@pytest.mark.parametrize("name,partner", FIXTURES_AND_PARTNERS)
+def test_fused_christoffels_match_the_numeric_path(name, partner):
+    from helpers import fixture_spec
+    from lorhol.pointcalc import (
+        _christoffel_rows, _fused_christoffel, _fused_program,
+    )
+    spec = fixture_spec(name, partner)
+    # past the line budget too, so the partners' fused programs are built
+    fused = _fused_program(spec, tuple(_christoffel_rows(spec.g,
+                                                         spec.coords)))
+    for n in (20, 240):
+        # Gamma at points of the domain; the masks there and around it
+        pts = sample_points(spec, n, seed=5)
+        gamma = _fused_christoffel(*fused, pts)[0]
+        want = _numeric_christoffel(spec, pts)[0]
+        assert np.max(np.abs(gamma - want)) <= 1e-14 * np.max(np.abs(want))
+        for pts in (pts, _around_the_box(spec, n)):
+            gamma, ok, admissible = _fused_christoffel(*fused, pts)
+            _, want_ok, want_admissible = _numeric_christoffel(spec, pts)
+            assert ok.tolist() == want_ok.tolist()
+            assert admissible.tolist() == want_admissible.tolist()
+            assert np.all(gamma[~ok] == 0.0)
+
+
+def test_line_budget_fuses_the_fixtures_and_not_their_partners():
+    # an over-budget partner keeps the numeric path, bit for bit
+    from helpers import fixture_spec
+    from lorhol.pointcalc import _christoffel_program, christoffel_batch
+    for name, partner in FIXTURES_AND_PARTNERS:
+        spec = fixture_spec(name, partner)
+        assert (_christoffel_program(spec) is None) == partner, name
+        if partner:
+            pts = _around_the_box(spec, 20)
+            got, want = christoffel_batch(spec, pts), \
+                _numeric_christoffel(spec, pts)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("name,partner", FIXTURES_AND_PARTNERS)
 def test_derivative_stack_matches_reference(name, partner):
     # the Gamma-recursion stack against the explicit d^k g^ab formulas
     from helpers import fixture_spec, reference_riemann_stack

@@ -356,9 +356,10 @@ def _reference_pregeodesic(g_spec, gp_spec, trials, steps, horizon, seed,
                            box=None):
     """The RK4 pre-geodesic loop with each Christoffel evaluation composed
     from the separate pieces: metric jets, the validity test, the Gamma
-    formula, and the standalone admissibility mask."""
+    kernel of christoffel_batch (fused or numeric, as for the spec), and
+    the standalone admissibility mask."""
     from lorhol.pointcalc import (
-        DIM, _gamma_terms, _metric_jets, _valid_rows, admissible_mask,
+        DIM, _metric_jets, _valid_rows, admissible_mask, christoffel_batch,
     )
 
     def christoffel(spec, pts):
@@ -366,9 +367,9 @@ def _reference_pregeodesic(g_spec, gp_spec, trials, steps, horizon, seed,
         with np.errstate(all="ignore"):
             g, dg = _metric_jets(spec, pts, 1)[0]
             ok = _valid_rows((g, dg))
-            g[~ok] = np.eye(DIM)
-            dg[~ok] = 0.0
-            return _gamma_terms(g, dg)[2], ok & admissible_mask(spec, pts)
+        gamma = np.where(ok[:, None, None, None],
+                         christoffel_batch(spec, pts)[0], 0.0)
+        return gamma, ok & admissible_mask(spec, pts)
 
     def acc(gamma, vel):
         return -np.einsum("nabc,nb,nc->na", gamma, vel, vel)
