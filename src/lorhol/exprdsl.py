@@ -12,10 +12,13 @@ See docs/grammar.md for the concrete syntax.
 from __future__ import annotations
 
 import math
+import operator
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from typing import Iterator, Mapping, Sequence
+from itertools import chain
+from typing import Callable, Container, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -80,6 +83,7 @@ class Expr:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _operands: tuple[str, ...] = ()  # the fields that hold nodes
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -104,8 +108,7 @@ class Expr:
         return type(self), tuple(getattr(self, n) for n in self._fields)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
-        return f"{type(self).__name__}({inner})"
+        return f"{type(self).__name__}({to_string(self)!r})"
 
     def __str__(self) -> str:
         return to_string(self)
@@ -159,27 +162,28 @@ class Param(Expr):
 
 
 class Neg(Expr):
-    __slots__ = _fields = ("arg",)
+    __slots__ = _fields = _operands = ("arg",)
 
 
 class Add(Expr):
-    __slots__ = _fields = ("lhs", "rhs")
+    __slots__ = _fields = _operands = ("lhs", "rhs")
 
 
 class Sub(Expr):
-    __slots__ = _fields = ("lhs", "rhs")
+    __slots__ = _fields = _operands = ("lhs", "rhs")
 
 
 class Mul(Expr):
-    __slots__ = _fields = ("lhs", "rhs")
+    __slots__ = _fields = _operands = ("lhs", "rhs")
 
 
 class Div(Expr):
-    __slots__ = _fields = ("lhs", "rhs")
+    __slots__ = _fields = _operands = ("lhs", "rhs")
 
 
 class Pow(Expr):
     __slots__ = _fields = ("base", "exponent")
+    _operands = ("base",)
 
     def __new__(cls, base, exponent):
         if type(exponent) is not Fraction:
@@ -189,10 +193,12 @@ class Pow(Expr):
 
 class Fn(Expr):
     __slots__ = _fields = ("name", "arg")  # exp, ln, sin, cos (sqrt is Pow)
+    _operands = ("arg",)
 
 
 ZERO = Const(0)
 ONE = Const(1)
+_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
 def _as_expr(x) -> Expr:
@@ -201,6 +207,46 @@ def _as_expr(x) -> Expr:
     if isinstance(x, (int, float, Fraction)):
         return Const(x)
     raise TypeError(f"cannot coerce {x!r} to Expr")
+
+
+def _children(e: Expr) -> list:
+    return [getattr(e, f) for f in e._operands]
+
+
+def _postorder(roots: Sequence[Expr], done: Container = ()) -> Iterator[Expr]:
+    """Yield each distinct node under ``roots`` not in ``done`` (say, a
+    memo the caller fills as it goes) once, after its operands, left to
+    right.  The stack is explicit, so a sum of any length walks."""
+    seen: set[Expr] = set()
+    stack = list(reversed(roots))
+    while stack:
+        node = stack.pop()
+        if node is None:  # every operand of the node below it is out
+            node = stack.pop()
+            seen.add(node)
+            yield node
+        elif node not in seen and node not in done:
+            # no node is below itself, so none is expanded twice
+            stack += (node, None)
+            for f in reversed(node._operands):
+                if (c := getattr(node, f)) not in done and c not in seen:
+                    stack.append(c)
+
+
+def _fold(e: Expr, step: Callable[[Expr, list], object]):
+    """step(node, its operands' results) for each node under ``e`` in
+    _postorder; returns e's result.  Each result is dropped after its
+    last use, so a long chain's strings are not all alive at once."""
+    order = list(_postorder([e]))
+    uses = Counter(c for n in order for c in _children(n))
+    results: dict = {}
+    for n in order:
+        operands = []
+        for c in _children(n):
+            uses[c] -= 1
+            operands.append(results[c] if uses[c] else results.pop(c))
+        results[n] = step(n, operands)
+    return results[e]
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +376,10 @@ def differentiate(e: Expr, var: str) -> Expr:
     Derivatives of shared subtrees are computed once (the trees produced
     by repeated differentiation are heavily shared DAGs)."""
     memo = _DERIVATIVES.setdefault(var, {})
-
-    def d(node: Expr) -> Expr:
-        got = memo.get(node)
-        if got is not None:
-            return got
+    if e in memo:
+        return memo[e]
+    d = memo.__getitem__
+    for node in _postorder([e], memo):
         if isinstance(node, (Const, Param)):
             out = ZERO
         elif isinstance(node, Coord):
@@ -368,36 +413,14 @@ def differentiate(e: Expr, var: str) -> Expr:
         else:
             raise ExprError(f"cannot differentiate node {type(node).__name__}")
         memo[node] = out
-        return out
-
-    return d(e)
+    return memo[e]
 
 
 def free_symbols(e: Expr) -> tuple[set[str], set[str]]:
     """Return (coordinate names, parameter names) referenced by ``e``."""
-    coords: set[str] = set()
-    params: set[str] = set()
-    seen: set[Expr] = set()
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if n in seen:
-            continue
-        seen.add(n)
-        if isinstance(n, Coord):
-            coords.add(n.name)
-        elif isinstance(n, Param):
-            params.add(n.name)
-        elif isinstance(n, Neg):
-            stack.append(n.arg)
-        elif isinstance(n, (Add, Sub, Mul, Div)):
-            stack.append(n.lhs)
-            stack.append(n.rhs)
-        elif isinstance(n, Pow):
-            stack.append(n.base)
-        elif isinstance(n, Fn):
-            stack.append(n.arg)
-    return coords, params
+    nodes = list(_postorder([e]))
+    return ({n.name for n in nodes if isinstance(n, Coord)},
+            {n.name for n in nodes if isinstance(n, Param)})
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +484,23 @@ def _exponent_float(e: Pow) -> float:
         raise DomainError("exponent out of float range", e) from None
 
 
-def _eval(e: Expr, bindings: Mapping[str, float]) -> float:
+_ARITHMETIC = {Neg: operator.neg, Add: operator.add, Sub: operator.sub,
+               Mul: operator.mul}
+_FUNCTIONS = {"exp": math.exp, "ln": math.log, "sin": math.sin,
+              "cos": math.cos}
+
+
+def _ok(v):
+    if isinstance(v, DomainError):
+        # without its traceback, which would grow by a frame per ancestor
+        raise v.with_traceback(None)
+    return v
+
+
+def _eval(e: Expr, operands: list, bindings: Mapping[str, float]) -> float:
+    """e's value from its operands'.  A failed operand holds its
+    DomainError, raised in a recursive evaluation's order: left to right,
+    but a quotient's denominator and zero test before its numerator."""
     if isinstance(e, Const):
         return _const_float(e)
     if isinstance(e, (Coord, Param)):
@@ -469,45 +508,28 @@ def _eval(e: Expr, bindings: Mapping[str, float]) -> float:
             return float(bindings[e.name])
         except KeyError:
             raise DomainError(f"unbound symbol {e.name!r}", e) from None
-    if isinstance(e, Neg):
-        return -_eval(e.arg, bindings)
-    if isinstance(e, Add):
-        return _eval(e.lhs, bindings) + _eval(e.rhs, bindings)
-    if isinstance(e, Sub):
-        return _eval(e.lhs, bindings) - _eval(e.rhs, bindings)
-    if isinstance(e, Mul):
-        return _eval(e.lhs, bindings) * _eval(e.rhs, bindings)
     if isinstance(e, Div):
-        den = _eval(e.rhs, bindings)
+        den = _ok(operands[1])
         if den == 0.0:
             raise DomainError("division by zero", e)
-        return _eval(e.lhs, bindings) / den
-    if isinstance(e, Pow):
-        base = _eval(e.base, bindings)
-        exp = e.exponent
-        if exp.denominator != 1 and base < 0.0:
-            raise DomainError("fractional power of a negative value", e)
-        if base == 0.0 and exp < 0:
-            raise DomainError("zero raised to a negative power", e)
-        try:
+        return _ok(operands[0]) / den
+    x = [_ok(v) for v in operands]
+    if type(e) in _ARITHMETIC:
+        return _ARITHMETIC[type(e)](*x)
+    try:
+        if isinstance(e, Pow):
+            base, exp = x[0], e.exponent
+            if exp.denominator != 1 and base < 0.0:
+                raise DomainError("fractional power of a negative value", e)
+            if base == 0.0 and exp < 0:
+                raise DomainError("zero raised to a negative power", e)
             return base ** _exponent_float(e)
-        except OverflowError:
-            raise DomainError("overflow", e) from None
-    if isinstance(e, Fn):
-        arg = _eval(e.arg, bindings)
-        try:
-            if e.name == "exp":
-                return math.exp(arg)
-            if e.name == "ln":
-                if arg <= 0.0:
-                    raise DomainError("ln of a non-positive value", e)
-                return math.log(arg)
-            if e.name == "sin":
-                return math.sin(arg)
-            if e.name == "cos":
-                return math.cos(arg)
-        except OverflowError:
-            raise DomainError("overflow", e) from None
+        if isinstance(e, Fn) and e.name in _FUNCTIONS:
+            if e.name == "ln" and x[0] <= 0.0:
+                raise DomainError("ln of a non-positive value", e)
+            return _FUNCTIONS[e.name](x[0])
+    except OverflowError:
+        raise DomainError("overflow", e) from None
     raise ExprError(f"cannot evaluate node {type(e).__name__}")
 
 
@@ -516,12 +538,20 @@ def eval_expr(e: Expr, point: Sequence[float], coords: Sequence[str],
     """Evaluate ``e`` at a point given in coordinate order.
 
     Raises DomainError (with the offending subexpression) on ln/sqrt of a
-    negative, division by zero, or a non-finite result.
+    negative, division by zero, or a non-finite result; where several
+    fail, the error is the one _eval's order meets first.
     """
     bindings = dict(zip(coords, (float(p) for p in point)))
     if env is not None:
         bindings.update(env.values if isinstance(env, ParamEnv) else env)
-    out = _eval(e, bindings)
+
+    def step(node, operands):
+        try:
+            return _eval(node, operands, bindings)
+        except DomainError as err:
+            return err
+
+    out = _ok(_fold(e, step))
     if not math.isfinite(out):
         raise DomainError("non-finite result", e)
     return out
@@ -593,39 +623,30 @@ def _frac_str(v: Fraction) -> tuple[str, int]:
     return f"{v.numerator}/{v.denominator}", _PREC_MUL
 
 
-def _render(e: Expr) -> tuple[str, int]:
+def _render(e: Expr, operands: list) -> tuple[str, int]:
+    """e's text and precedence from its operands' (text, precedence)."""
     if isinstance(e, Const):
         return _frac_str(e.value)
     if isinstance(e, (Coord, Param)):
         return e.name, _PREC_ATOM
     if isinstance(e, Neg):
-        s, p = _render(e.arg)
+        [(s, p)] = operands
         if p < _PREC_NEG:
             s = f"({s})"
         return f"-{s}", _PREC_NEG
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        ls, lp = _render(e.lhs)
-        rs, rp = _render(e.rhs)
-        if lp < _PREC_ADD:
+    if type(e) in _BINARY_OPS:
+        op = _BINARY_OPS[type(e)]
+        prec = _PREC_ADD if isinstance(e, (Add, Sub)) else _PREC_MUL
+        (ls, lp), (rs, rp) = operands
+        if lp < prec:
             ls = f"({ls})"
-        if rp <= _PREC_ADD:
+        if rp <= prec:
             rs = f"({rs})"
-        return f"{ls} {op} {rs}", _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        ls, lp = _render(e.lhs)
-        rs, rp = _render(e.rhs)
-        if lp < _PREC_MUL:
-            ls = f"({ls})"
-        if rp <= _PREC_MUL:
-            rs = f"({rs})"
-        return f"{ls}{op}{rs}", _PREC_MUL
+        return (f"{ls} {op} {rs}" if prec == _PREC_ADD else ls + op + rs), prec
     if isinstance(e, Pow):
+        [(bs, bp)] = operands
         if e.exponent == Fraction(1, 2):
-            s, _ = _render(e.base)
-            return f"sqrt({s})", _PREC_ATOM
-        bs, bp = _render(e.base)
+            return f"sqrt({bs})", _PREC_ATOM
         if bp <= _PREC_POW:
             bs = f"({bs})"
         es, _ = _frac_str(e.exponent)
@@ -633,13 +654,13 @@ def _render(e: Expr) -> tuple[str, int]:
             es = f"({es})"
         return f"{bs}^{es}", _PREC_POW
     if isinstance(e, Fn):
-        s, _ = _render(e.arg)
+        [(s, _)] = operands
         return f"{e.name}({s})", _PREC_ATOM
     raise ExprError(f"cannot print node {type(e).__name__}")
 
 
 def to_string(e: Expr) -> str:
-    return _render(e)[0]
+    return _fold(e, _render)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -817,85 +838,33 @@ _COMPILE_GLOBALS = {
 }
 
 
-_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-
-
-class _Emitter:
-    """Emits straight-line code with one variable per distinct node.
-    Nodes are interned, so keying by node shares every common
-    subexpression, and each lookup is O(1).  A node whose operands are
-    all constants reads them as names bound to numpy floats (``consts``),
-    so arithmetic on constants alone, such as 1/0 or (-1)^(1/3), reads
-    inf or nan as on arrays instead of raising or parsing as -(1^(1/3))."""
-
-    def __init__(self, names: Mapping[str, str]):
-        self.names = names
-        self.lines: list[str] = []
-        self.var: dict[Expr, str] = {}
-        self.consts: dict[str, np.float64] = {}
-
-    def bound(self, e: Const) -> str:
-        out = f"_k{len(self.consts)}"
-        self.consts[out] = np.float64(_const_float(e))
-        return out
-
-    def ref(self, e: Expr) -> str:
-        got = self.var.get(e)
-        if got is not None:
-            return got
-        if isinstance(e, Const):
-            out = repr(_const_float(e))
-        elif isinstance(e, (Coord, Param)):
-            out = self.names[e.name]
-        else:
-            ref = self.ref
-            if all(isinstance(c, Const) for c in _children(e)):
-                ref = self.bound
-            if isinstance(e, Neg):
-                rhs = f"-{ref(e.arg)}"
-            elif isinstance(e, (Add, Sub, Mul, Div)):
-                lhs = ref(e.lhs)
-                rhs = f"{lhs} {_BINARY_OPS[type(e)]} {ref(e.rhs)}"
-            elif isinstance(e, Pow):
-                base = ref(e.base)
-                exp = _exponent_float(e)
-                if e.exponent == Fraction(1, 2):
-                    rhs = f"_sqrt({base})"
-                elif e.exponent.denominator == 1:
-                    rhs = f"{base} ** ({e.exponent.numerator})"
-                else:
-                    rhs = f"{base} ** ({exp!r})"
-            elif isinstance(e, Fn):
-                rhs = f"_{e.name}({ref(e.arg)})"
-            else:
-                raise ExprError(f"cannot compile node {type(e).__name__}")
-            out = f"_t{len(self.var)}"
-            self.lines.append(f"    {out} = {rhs}")
-        self.var[e] = out
-        return out
-
-
-def _children(e: Expr) -> list:
-    return [c for c in (getattr(e, f) for f in e._fields)
-            if isinstance(c, Expr)]
+def _rhs(e: Expr, refs: list) -> str:
+    """The code computing e from its operands' references."""
+    if isinstance(e, Neg):
+        return f"-{refs[0]}"
+    if type(e) in _BINARY_OPS:
+        return f"{refs[0]} {_BINARY_OPS[type(e)]} {refs[1]}"
+    if isinstance(e, Pow):
+        exp = repr(_exponent_float(e))
+        if e.exponent == Fraction(1, 2):
+            return f"_sqrt({refs[0]})"
+        if e.exponent.denominator == 1:
+            exp = e.exponent.numerator
+        return f"{refs[0]} ** ({exp})"
+    if isinstance(e, Fn):
+        return f"_{e.name}({refs[0]})"
+    raise ExprError(f"cannot compile node {type(e).__name__}")
 
 
 def count_lines(exprs: Sequence[Expr], seen: set | None = None) -> int:
     """The lines compile_program emits to compute ``exprs`` before it
     writes them out: one per distinct node that is not a constant, a
-    coordinate or a parameter.  Counted without emitting anything.
-    Nodes already in ``seen`` are not counted, and the ones counted are
-    added to it, so successive calls count what each batch adds."""
+    coordinate or a parameter.  Nodes in ``seen`` are skipped and the
+    ones walked added, so successive calls count what each batch adds."""
     seen = set() if seen is None else seen
-    start = len(seen)
-    stack = list(exprs)
-    while stack:
-        n = stack.pop()
-        if n in seen or isinstance(n, (Const, Coord, Param)):
-            continue
-        seen.add(n)
-        stack.extend(_children(n))
-    return len(seen) - start
+    new = list(_postorder(exprs, seen))
+    seen.update(new)
+    return sum(not isinstance(n, (Const, Coord, Param)) for n in new)
 
 
 def compile_program(exprs: Sequence[Expr], coords: Sequence[str],
@@ -903,29 +872,59 @@ def compile_program(exprs: Sequence[Expr], coords: Sequence[str],
     """Compile expressions into one vectorised evaluator with parameters
     passed at call time: f(points (n,4), values (len(param_names),))
     returns (len(exprs), n).  ``values`` are floats, converted once by
-    whoever binds them to the program.  The emitted code writes each
-    computed row straight into the preallocated result, and every
-    constant row in one assignment from index and value arrays built
-    here.  Domain violations surface as non-finite entries, with numpy's
+    whoever binds them to the program.  The code assigns each distinct
+    node once, in _postorder, and writes each computed row into the
+    result right after its node, every constant row in one assignment.
+    A name is reused once its node's last reader has run (linear-scan
+    register allocation), so a call holds only the rows still to be
+    read.  Domain violations surface as non-finite entries, with numpy's
     floating-point warnings unless the caller runs f under np.errstate
     (pointcalc does, around each metric evaluation); callers wanting
     precise errors fall back on eval_expr."""
-    names = {c: f"_c{i}" for i, c in enumerate(coords)}
-    names.update({p: f"_p{i}" for i, p in enumerate(param_names)})
-    em = _Emitter(names)
-    outs = [em.ref(e) for e in exprs]
-    namespace = dict(_COMPILE_GLOBALS, **em.consts)
+    var: dict[Expr, str] = {Coord(c): f"_c{i}" for i, c in enumerate(coords)}
+    var.update({Param(p): f"_p{i}" for i, p in enumerate(param_names)})
+    rows: dict[Expr, list[int]] = {}
+    for k, e in enumerate(exprs):
+        rows.setdefault(e, []).append(k)
+    order = list(_postorder(exprs))
+    operand_lists = [_children(n) for n in order]
+    uses = Counter(chain.from_iterable(operand_lists))
+    bound: dict[str, np.float64] = {}
+    free: list[str] = []
+    lines: list[str] = []
+    for e, operands in zip(order, operand_lists):
+        if isinstance(e, Const):
+            var[e] = repr(_const_float(e))
+            continue
+        if operands:  # not a coordinate or a parameter
+            refs = [var[c] for c in operands]
+            # only constants (one or two): as numpy floats, 1/0 or
+            # (-1)^(1/3) read inf or nan, not raising or as -(1^(1/3))
+            if type(operands[0]) is type(operands[-1]) is Const:
+                refs = [f"_k{len(bound) + i}" for i in range(len(refs))]
+                bound.update((r, np.float64(_const_float(c)))
+                             for r, c in zip(refs, operands))
+            for c in operands:
+                uses[c] -= 1
+                if not uses[c] and c._operands:  # c is dead: reuse its name
+                    free.append(var[c])
+            # var only grows, so _t{len(var)} names no earlier variable
+            out = var[e] = free.pop() if free else f"_t{len(var)}"
+            lines.append(f"    {out} = {_rhs(e, refs)}")
+            if not uses[e]:
+                free.append(out)
+        if e in rows:
+            lines += [f"    _out[{k}] = {var[e]}" for k in rows[e]]
+    namespace = dict(_COMPILE_GLOBALS, **bound)
     consts = [k for k, e in enumerate(exprs) if isinstance(e, Const)]
-    em.lines += [f"    _out[{k}] = {v}" for k, v in enumerate(outs)
-                 if not isinstance(exprs[k], Const)]
     if consts:
         namespace["_ck"] = np.array(consts, dtype=np.intp)
         namespace["_cv"] = np.array([[float(exprs[k].value)] for k in consts])
-        em.lines.append("    _out[_ck] = _cv")
+        lines.append("    _out[_ck] = _cv")
     args = ["_out"] + [f"_c{i}" for i in range(len(coords))]
     args += [f"_p{i}" for i in range(len(param_names))]
     src = "def _f({}):\n{}\n".format(
-        ", ".join(args), "\n".join(em.lines) or "    pass")
+        ", ".join(args), "\n".join(lines) or "    pass")
     exec(compile(src, "<lorhol-expr>", "exec"), namespace)  # noqa: S102
     f = namespace["_f"]
     n_exprs = len(exprs)

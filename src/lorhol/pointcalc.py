@@ -240,16 +240,17 @@ def _metric_program(spec: MetricSpec, order: int) -> tuple:
 
 # christoffel_batch takes det g and Gamma from one compiled call when
 # they add at most this many lines (count_lines) to the order-1 jet
-# program of g.  The compiled code keeps every line's row alive until it
-# returns, so a call's peak memory grows with lines x points.  Partners
-# (g') reach christoffel_batch as 240-row blocks in pregeodesic_check and
-# in one-shot projective-check --auto-psi calls; fused, a 240-row call
-# peaked at 1.1-1.6 MB instead of 0.5-0.7 MB, and over 10 pairs of
-# perfbench's geodesic workload (2-core VM) fusing them too raised
-# peak_rss_mb by 1.3 MB in every pair for no gain in ok_ops_per_s.  Base
-# metrics (g) take the 20-row RK4 stage calls, where fused and numeric
-# time cross at 91-112 added lines (scripts/christoffel_crossover.py).
-# The shipped fixtures add 0-39 lines, their derived partners 288-431.
+# program of g.  Base metrics (g) take the 20-row RK4 stage calls, where
+# fused and numeric time cross at about 100-120 added lines
+# (scripts/christoffel_crossover.py, 2-core VM).  The shipped fixtures
+# add 0-39 lines and their derived partners 288-431, so partners (g')
+# keep the numeric path.  They reach christoffel_batch as 240-row blocks
+# in pregeodesic_check and in one-shot projective-check --auto-psi
+# calls.  A compiled program frees each row after its last read, so a
+# fused 240-row partner call now peaks at about 320 KB against 540 KB on
+# the numeric path (tracemalloc), and it is faster at 240 rows.  Moving
+# the budget would change the partners' Gamma in their last bits, and
+# the gain has not been measured end to end.
 _FUSED_LINES = 100
 
 # the index pairs b <= c in order, and the row of Gamma^a_bc among the

@@ -78,6 +78,21 @@ class TestClassify:
         assert res.exit_code == 0
         assert len(report["per_point"]) == 1
 
+    def test_thousand_term_entry(self, runner, emitted, tmp_path):
+        # a sum as deep as it is long compiles and evaluates: no walk
+        # over the expression is bounded by Python's recursion limit
+        data = json.loads(open(emitted("r9")["g"]).read())
+        data["metric"][3][3] += "".join(f" + {k}/10^9*u^{k % 5}*x"
+                                        for k in range(1, 1001))
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(data))
+        res, report = run_json(runner, ["classify", "-m", str(path),
+                                        "--samples", "8"])
+        assert res.exit_code == 0, res.output
+        assert report["command"] == "classify"
+        assert len(report["per_point"]) == 8
+        assert res.exception is None
+
     def test_missing_file_is_usage_error(self, runner):
         res = runner.invoke(main, ["classify", "-m", "no-such-file.json"])
         assert res.exit_code == 2

@@ -2,6 +2,7 @@ import dis
 import inspect
 import itertools
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -14,7 +15,7 @@ from lorhol.exprdsl import (
     MAX_NESTING, Add, Const, Coord, DomainError, Fn, Mul, Param, ParseError,
     Pow, UnknownIdentifierError, add, compile_program, const, count_lines,
     coord, differentiate, eval_expr, fn, free_symbols, mul, neg, param,
-    parse_expr, pow_, sub, to_string,
+    parse_expr, pow_, sub, sym_sum, to_string,
 )
 from lorhol.fixtures import named_fixture
 from lorhol.pointcalc import sample_points
@@ -370,6 +371,48 @@ class TestEval:
     def test_ln_domain(self):
         with pytest.raises(DomainError):
             ev(p("ln(u)"), (-2.0, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("src, message", [
+        ("ln(-1)/0", "division by zero in `ln(-1)/0`"),
+        ("sqrt(-v)/ln(-u)", "ln of a non-positive value in `ln(-u)`"),
+    ])
+    def test_first_failure_in_recursive_order(self, src, message):
+        # both operands fail; a quotient tests its denominator, and
+        # whether it is zero, before it evaluates its numerator
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            ev(p(src), (1.0, 1.0, 1.0, 1.0))
+
+
+class TestLongExpressions:
+    """A sum is a chain as deep as it has terms.  Every walk over the DAG
+    keeps its own stack, so none meets Python's recursion limit."""
+
+    N = 5000
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        u, x = coord("u"), coord("x")
+        return sym_sum(mul(mul(const(Fraction(k, 10**9)), pow_(u, k % 5)), x)
+                       for k in range(1, self.N + 1))
+
+    def test_every_walk_takes_it(self, chain):
+        assert to_string(chain).count(" + ") == self.N - 1
+        assert free_symbols(chain) == ({"u", "x"}, set())
+        assert count_lines([chain]) > 2 * self.N
+        # the sum is linear in x, so x * d/dx gives it back
+        point = (1.25, 0.0, 0.5, 0.0)
+        value = ev(chain, point)
+        slope = ev(differentiate(chain, "x"), point)
+        assert 0.5 * slope == pytest.approx(value, rel=1e-12)
+
+    def test_compiled_value_and_few_names(self, chain):
+        f = compile_program([chain], COORDS, ())
+        got = f(np.array([[1.25, 0.0, 0.5, 0.0]]))[0, 0]
+        assert got == ev(chain, (1.25, 0.0, 0.5, 0.0))
+        # a name is reused once its node is dead, so the thousands of
+        # lines share a handful of locals
+        prog = inspect.getclosurevars(f).nonlocals["f"]
+        assert len(prog.__code__.co_varnames) <= 16
 
 
 # --- random expression machinery -------------------------------------------

@@ -31,7 +31,8 @@ def test_survey_digests_prints_two_stable_digests():
 
 
 @pytest.mark.parametrize("argv", [["survey_fixtures.py", "--samples", "2"],
-                                  ["geodesic_sweep.py", "--help"]])
+                                  ["geodesic_sweep.py", "--help"],
+                                  ["christoffel_crossover.py", "--help"]])
 def test_experiment_scripts_run_from_a_checkout(argv, tmp_path):
     # no PYTHONPATH and a foreign working directory: the script must find
     # lorhol in the src/ of its own checkout
