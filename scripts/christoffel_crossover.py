@@ -11,8 +11,12 @@ lines the fused rows add to it (what pointcalc._FUSED_LINES bounds), the
 best per-call time of each path at 20 rows (one RK4 stage of a default
 geodesic-check, the traffic of its first metric) and at 240 rows (one
 block of its second metric), and the traced peak memory of one 240-row
-call.  The last line fits the difference of the two times at 20 rows as
-a line in the added lines, and gives where it crosses zero.
+call.  Next to them, at 20 rows, it prints the bare call of the compiled
+program that christoffel_batch runs for the metric (the fused program,
+or the order-1 jet program past the budget) and the whole
+christoffel_batch call, so the per-call overhead around the program
+shows.  The last line fits the difference of the two paths' times at
+20 rows as a line in the added lines, and gives where it crosses zero.
 
 Usage: python scripts/christoffel_crossover.py [--repeat 5] [--number 200]
 """
@@ -29,8 +33,9 @@ import numpy as np  # noqa: E402
 from lorhol.exprdsl import count_lines  # noqa: E402
 from lorhol.fixtures import FIXTURE_NAMES, named_fixture  # noqa: E402
 from lorhol.pointcalc import (  # noqa: E402
-    _christoffel_rows, _fused_christoffel, _fused_program, _jet_levels,
-    _numeric_christoffel, metric_spec, sample_points,
+    _christoffel_kernel, _christoffel_rows, _fused_christoffel,
+    _fused_program, _jet_levels, _metric_program, _numeric_christoffel,
+    christoffel_batch, metric_spec, sample_points,
 )
 from lorhol.projective import invert_pair  # noqa: E402
 
@@ -84,7 +89,8 @@ def main():
     head = "".join(f" {'fused@' + str(n):>10s} {'numeric@' + str(n):>11s}"
                    for n in ROWS)
     print(f"{'metric':16s} {'jet lines':>9s} {'added':>6s}{head} "
-          f"{'fused KB':>8s} {'numeric KB':>10s}")
+          f"{'fused KB':>8s} {'numeric KB':>10s} "
+          f"{'program@' + str(ROWS[0]):>10s} {'batch@' + str(ROWS[0]):>8s}")
     points = []
     for name, spec in specs():
         jets = [e for level in _jet_levels(spec.g, spec.coords, 1)
@@ -104,8 +110,18 @@ def main():
             if n == ROWS[0]:
                 points.append((added, tf - tn))
         kb = [peak_kb(run) for run in runs]
+        # the program christoffel_batch runs, alone and in the whole call
+        kernel = _christoffel_kernel(spec)
+        if kernel.func is _fused_christoffel:
+            f, values = kernel.args
+        else:
+            f, _, values = _metric_program(spec, 1)
+        pts = sample_points(spec, ROWS[0], seed=1)
+        tp, tb = (per_call_us(run, args.repeat, args.number)
+                  for run in (lambda: f(pts, values),
+                              lambda: christoffel_batch(spec, pts)))
         print(f"{name:16s} {jet_lines:9d} {added:6d}{cells} "
-              f"{kb[0]:8.0f} {kb[1]:10.0f}", flush=True)
+              f"{kb[0]:8.0f} {kb[1]:10.0f} {tp:10.1f} {tb:8.1f}", flush=True)
 
     # fused minus numeric at 20 rows, against the added lines: a least-
     # squares line through every metric, and its zero

@@ -16,6 +16,7 @@ only identify_type checks its basis (skew, then bracket-closed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -194,10 +195,8 @@ def recurrent_directions(basis, frame: PointFrame,
         return []
     mats = [np.asarray(m, float) / max(np.max(np.abs(m)), 1e-300)
             for m in basis]
-    rng = np.random.default_rng(20090629)  # fixed: reports are deterministic
     combos = [np.mean(mats, axis=0)] + list(mats)
-    for _ in range(3):
-        w = rng.normal(size=len(mats))
+    for w in _combo_weights(len(mats)):
         combos.append(sum(c * m for c, m in zip(w, mats)))
     vals, vecs = np.linalg.eig(np.array(combos))
     # real eigenvectors, combo by combo, as unit rows; the norms, products
@@ -216,14 +215,29 @@ def recurrent_directions(basis, frame: PointFrame,
              & (np.max(np.abs(mu), axis=1) > tol))
     found = []
     for v in cand[eigen]:
-        if _causal_character(v, frame.g) != "null":
-            continue  # numerically impossible for exact eigen-directions
         k = int(np.argmax(np.abs(v) > 1e-8))
-        v = v * np.sign(v[k])
-        v[np.abs(v) <= 1e-12] = 0.0  # round-off, as +0.0 after the flip
-        if not any(np.linalg.norm(v - u) < 1e-6 for u in found):
-            found.append(v)
+        u = v * np.sign(v[k])
+        u[np.abs(u) <= 1e-12] = 0.0  # round-off, as +0.0 after the flip
+        # a repeat is dropped whatever its causal character, so only a new
+        # direction needs the test
+        if any(np.linalg.norm(u - f) < 1e-6 for f in found):
+            continue
+        if _causal_character(v, frame.g) == "null":
+            # not null is numerically impossible for exact eigen-directions
+            found.append(u)
     return found
+
+
+@lru_cache(maxsize=None)
+def _combo_weights(k: int) -> tuple:
+    """The weights of recurrent_directions' three generic combinations of
+    k basis elements: fixed draws, so reports are deterministic.  Read
+    only, since every call shares them."""
+    rng = np.random.default_rng(20090629)
+    weights = tuple(rng.normal(size=k) for _ in range(3))
+    for w in weights:
+        w.setflags(write=False)
+    return weights
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -5,12 +5,13 @@ then every tensor (Christoffels, curvature, covariant derivatives) is
 assembled numerically at sample points with numpy.  Finite differences
 never appear outside the test oracles.  Jets come from one compiled
 program per field and derivative order k, whose one call returns
-orders 0..k.  A metric's programs are also memoised per spec, since the
-geodesic loop looks one up on every RK4 stage.  When the symbolic det g
-and adjugate of a metric add few lines to its order-1 program,
-christoffel_batch compiles them in, with Gamma = adj(g) s / (2 det g)
-over one shared reciprocal, so a stage makes no numpy linear-algebra
-call; larger metrics invert g numerically.  frames_at assembles the
+orders 0..k.  A metric's programs, and its Christoffel kernel, are also
+memoised per spec, since the geodesic loop evaluates them on every RK4
+stage.  When the symbolic det g and adjugate of a metric add few lines
+to its order-1 program, christoffel_batch compiles them in, with Gamma
+= adj(g) s / (2 det g) over one shared reciprocal, so a stage makes no
+numpy linear-algebra call and tests a valid block in one pass; larger
+metrics invert g numerically.  frames_at assembles the
 tensors of a chunk of points in one batched stack and hands each
 PointFrame its rows; a frame computes any other tensor when first read.
 
@@ -28,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -222,9 +223,11 @@ def _jet_program(comps: tuple, coords: tuple, pnames: tuple, order: int,
 
 
 def _values(spec: MetricSpec) -> tuple:
-    # ParamEnv converted the values to floats once; the compiled programs
-    # take them as they are
-    return tuple(spec.params[n] for n in spec.params.names())
+    # as np.float64, so that a subexpression of parameters alone follows
+    # numpy's arithmetic like every other line of a compiled program: a
+    # domain error gives nan or inf under np.errstate, which the masks
+    # and _diagnose_point report, not a Python complex or exception
+    return tuple(np.float64(spec.params[n]) for n in spec.params.names())
 
 
 @lru_cache(maxsize=1024)
@@ -307,14 +310,6 @@ def _fused_program(spec: MetricSpec, rows: tuple) -> tuple:
     f, _ = _jet_program(spec.g, spec.coords, spec.params.names(), 1,
                         spec.constraints + rows)
     return f, _values(spec)
-
-
-@lru_cache(maxsize=1024)
-def _christoffel_program(spec: MetricSpec) -> tuple | None:
-    """spec's _fused_program, or None past the line budget.  A per-spec
-    memo, like _metric_program."""
-    rows = _fused_rows(spec.g, spec.coords, spec.constraints)
-    return None if rows is None else _fused_program(spec, rows)
 
 
 def _field_jets(spec: MetricSpec, comps, points, order: int = 0) -> tuple:
@@ -462,30 +457,71 @@ def christoffel_batch(spec: MetricSpec, points):
     over points, ok marks the rows with finite jets and a non-degenerate
     g, and admissible the rows that admissible_mask accepts.  Rows not ok
     hold the flat placeholder gamma = 0.  An RK4 stage costs one compiled
-    call per metric.  For a metric whose fused program is small
-    (_christoffel_program) that call also returns det g and Gamma, so
-    no np.linalg call follows; otherwise _metric_jets (jets, masks and
-    the determinant test) is followed by _gamma_terms."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    fused = _christoffel_program(spec)
-    if fused is not None:
-        return _fused_christoffel(*fused, pts)
-    return _numeric_christoffel(spec, pts)
+    call per metric, through spec's _christoffel_kernel: for a metric
+    whose fused program is small that call also returns det g and Gamma,
+    so no np.linalg call follows, and one pass tests whether the whole
+    block is valid; otherwise _metric_jets (jets, masks and the
+    determinant test) is followed by _gamma_terms."""
+    return _christoffel_kernel(spec)(
+        np.atleast_2d(np.asarray(points, dtype=float)))
 
 
-def _fused_christoffel(f, values, pts: np.ndarray) -> tuple:
+@lru_cache(maxsize=1024)
+def _christoffel_kernel(spec: MetricSpec, whole: bool = True):
+    """christoffel_batch of spec as a callable pts (n, 4) float ->
+    (gamma, ok, admissible): _fused_christoffel bound to spec's
+    _fused_program, or _numeric_christoffel past the line budget.  A
+    per-spec memo, like _metric_program; the geodesic loop fetches it
+    once a block and calls it on every RK4 stage.  whole=False skips
+    the whole-block test, for blocks that are known to fail it; the
+    triple is the same."""
+    rows = _fused_rows(spec.g, spec.coords, spec.constraints)
+    if rows is None:
+        return partial(_numeric_christoffel, spec)
+    return partial(_fused_christoffel, *_fused_program(spec, rows),
+                   whole=whole)
+
+
+def _fused_christoffel(f, values, pts: np.ndarray, *,
+                       whole: bool = True) -> tuple:
     """christoffel_batch from a fused program f: rows 0..9 of its block
     are g (upper triangle), 10..49 dg, then the constraints, det g and
-    the 40 Gamma rows."""
+    the 40 Gamma rows.  With ``whole``, a block that passes _block_valid
+    has every row ok and admissible; only a block that fails it takes
+    the per-row masks."""
     with np.errstate(all="ignore"):
         vals = f(pts, values)
-        det, gamma = vals[-41], vals[-40:][_GAMMA_ROWS]
-        finite, admissible = _row_masks(vals[:-41], pts, 50)
-        ok = finite & _nondegenerate(det, np.abs(vals[:10]).max(axis=0))
-    gamma = gamma.T.reshape(len(pts), DIM, DIM, DIM)
-    if not ok.all():
-        gamma[~ok] = 0.0
+        rows, det = vals[:-41], vals[-41]
+        gamma = vals[-40:][_GAMMA_ROWS].T.reshape(len(pts), DIM, DIM, DIM)
+        if whole and _block_valid(rows, det, pts):
+            ok = np.empty(len(pts), dtype=bool)
+            ok.fill(True)
+            return gamma, ok, ok.copy()
+        finite, admissible = _row_masks(rows, pts, 50)
+        ok = finite & _nondegenerate(det, np.abs(rows[:10]).max(axis=0))
+    gamma[~ok] = 0.0
     return gamma, ok, admissible
+
+
+def _block_valid(rows: np.ndarray, det: np.ndarray, pts: np.ndarray) -> bool:
+    """Whether every row of a non-empty fused block passes the per-row
+    tests, in a few whole-block reductions: the squares of the jet and
+    constraint rows and of the points have a finite sum (so every entry
+    is finite), every constraint row (rows[50:]) is > 0, and half the
+    smallest |det g| passes the determinant test of _nondegenerate at
+    the block's largest |g_ab|.  That threshold is at least every row's
+    own, and the halving is slack for rounding in it, so a block that
+    passes has no row that the per-row test rejects; a False costs only
+    the per-row masks.  The threshold is a numpy scalar, as in
+    _nondegenerate: past max |g_ab| ~ 1e77 its fourth power is inf
+    under the caller's np.errstate, and the block fails."""
+    if not (len(pts)
+            and math.isfinite(np.vdot(rows, rows) + np.vdot(pts, pts))
+            and (len(rows) == 50 or np.minimum.reduce(rows[50:], None) > 0)):
+        return False
+    gmax = np.maximum(np.maximum.reduce(np.abs(rows[:10]), None), 1e-300)
+    dmin = np.minimum.reduce(np.abs(det))
+    return bool(dmin / 2 > DEGENERACY_TOL * gmax ** 4)
 
 
 def _numeric_christoffel(spec: MetricSpec, pts: np.ndarray) -> tuple:

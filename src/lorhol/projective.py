@@ -23,9 +23,9 @@ from .exprdsl import (
     sym_sum,
 )
 from .pointcalc import (
-    DIM, MetricSpec, PointFrame, _field_jets, admissible_mask,
-    christoffel_batch, cov_deriv_batch, eval_field_batch, frames_at,
-    metric_spec, require_valid, sample_points,
+    DIM, MetricSpec, PointFrame, _christoffel_kernel, _field_jets,
+    admissible_mask, christoffel_batch, cov_deriv_batch, eval_field_batch,
+    frames_at, metric_spec, require_valid, sample_points,
 )
 
 __all__ = [
@@ -371,9 +371,10 @@ def pregeodesic_check(g_spec: MetricSpec, gp_spec: MetricSpec,
     invalid or the point leaves either metric's domain.
 
     Only g drives the integration, so g is integrated alone over a block
-    of max(1, _BLOCK_ROWS // trials) steps, with one christoffel_batch
-    call per RK4 stage; then one call evaluates g' at all of the block's
-    points, and the block's scores are computed at once.  Replaying the
+    of max(1, _BLOCK_ROWS // trials) steps, with one call of g's
+    Christoffel kernel (christoffel_batch, fetched once a block) per RK4
+    stage; then one christoffel_batch call evaluates g' at all of the
+    block's points, and the block's scores are computed at once.  Replaying the
     block's masks step by step gives the report of a loop that checks
     both metrics at every step, bit for bit: no row's arithmetic depends
     on the batch size.  A trial that g' stops keeps moving to the end of
@@ -410,9 +411,13 @@ def pregeodesic_check(g_spec: MetricSpec, gp_spec: MetricSpec,
 
     first = 0
     while first < steps and np.any(active):
+        # christoffel_batch of g for every stage of the block, without the
+        # whole-block test once a trial has stopped: a trial that g
+        # stopped keeps stage points that fail it at every later stage
+        christoffel = _christoffel_kernel(g_spec, bool(moving.all()))
         xs, vs, gammas, x_ok, stage_ok = [], [], [], [], []
         for _ in range(min(block, steps - first)):
-            gamma, ok, inside = christoffel_batch(g_spec, x)
+            gamma, ok, inside = christoffel(x)
             xs.append(x)
             vs.append(v)
             gammas.append(gamma)
@@ -425,13 +430,13 @@ def pregeodesic_check(g_spec: MetricSpec, gp_spec: MetricSpec,
             # RK4 on (x, v); each stage's velocity is its position slope
             k1v = acc(gamma, v)
             k2x = v + 0.5 * h * k1v
-            g2, ok2, in2 = christoffel_batch(g_spec, x + 0.5 * h * v)
+            g2, ok2, in2 = christoffel(x + 0.5 * h * v)
             k2v = acc(g2, k2x)
             k3x = v + 0.5 * h * k2v
-            g3, ok3, in3 = christoffel_batch(g_spec, x + 0.5 * h * k2x)
+            g3, ok3, in3 = christoffel(x + 0.5 * h * k2x)
             k3v = acc(g3, k3x)
             k4x = v + h * k3v
-            g4, ok4, in4 = christoffel_batch(g_spec, x + h * k3x)
+            g4, ok4, in4 = christoffel(x + h * k3x)
             k4v = acc(g4, k4x)
             stage_ok.append(ok2 & in2 & ok3 & in3 & ok4 & in4)
             moving &= stage_ok[-1]

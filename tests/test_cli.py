@@ -93,6 +93,27 @@ class TestClassify:
         assert len(report["per_point"]) == 8
         assert res.exception is None
 
+    @pytest.mark.parametrize("factor, c, message", [
+        ("1 + c^(1/3)/10", -8,
+         "fractional power of a negative value in `c^(1/3)`"),
+        ("1 + 1/(c - 2)", 2, "division by zero in `1/(c - 2)`"),
+    ])
+    def test_parameter_only_domain_error(self, runner, emitted, tmp_path,
+                                         factor, c, message):
+        # a subexpression of parameters alone is a domain error (exit 2),
+        # not a complex number's real part or a ZeroDivisionError
+        data = json.loads(open(emitted("r9")["g"]).read())
+        data["metric"][3][3] = f"u^2*exp(x*y)*({factor})"
+        data["parameters"]["c"] = c
+        path = tmp_path / "param.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = runner.invoke(main, ["classify", "-m", str(path),
+                                       "--samples", "4"])
+        assert res.exit_code == 2, res.output
+        assert res.output == f"error: {message}\n"
+
     def test_missing_file_is_usage_error(self, runner):
         res = runner.invoke(main, ["classify", "-m", "no-such-file.json"])
         assert res.exit_code == 2

@@ -657,15 +657,138 @@ def test_fused_christoffels_match_the_numeric_path(name, partner):
 def test_line_budget_fuses_the_fixtures_and_not_their_partners():
     # an over-budget partner keeps the numeric path, bit for bit
     from helpers import fixture_spec
-    from lorhol.pointcalc import _christoffel_program, christoffel_batch
+    from lorhol.pointcalc import (
+        _christoffel_kernel, _numeric_christoffel as numeric,
+        christoffel_batch,
+    )
     for name, partner in FIXTURES_AND_PARTNERS:
         spec = fixture_spec(name, partner)
-        assert (_christoffel_program(spec) is None) == partner, name
+        assert (_christoffel_kernel(spec).func is numeric) == partner, name
         if partner:
             pts = _around_the_box(spec, 20)
             got, want = christoffel_batch(spec, pts), \
                 _numeric_christoffel(spec, pts)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+class TestBlockValidity:
+    """The fused Christoffel path tests a whole block's validity at once
+    and takes the per-row masks only when that test fails; its triple
+    must equal the per-row path's bit for bit either way."""
+
+    @staticmethod
+    def per_row(spec, pts):
+        # the fused path with the per-row masks only
+        from lorhol.pointcalc import (
+            _GAMMA_ROWS, _christoffel_kernel, _nondegenerate, _row_masks,
+        )
+        f, values = _christoffel_kernel(spec).args
+        with np.errstate(all="ignore"):
+            vals = f(pts, values)
+            finite, admissible = _row_masks(vals[:-41], pts, 50)
+            ok = finite & _nondegenerate(vals[-41],
+                                         np.abs(vals[:10]).max(axis=0))
+        gamma = vals[-40:][_GAMMA_ROWS].T.reshape(len(pts), 4, 4, 4)
+        gamma[~ok] = 0.0
+        return gamma, ok, admissible
+
+    def check(self, spec, pts, monkeypatch, per_row_taken):
+        from lorhol import pointcalc
+        from lorhol.pointcalc import christoffel_batch
+        taken = []
+        row_masks = pointcalc._row_masks
+        monkeypatch.setattr(pointcalc, "_row_masks",
+                            lambda *a: taken.append(1) or row_masks(*a))
+        got = christoffel_batch(spec, pts)
+        monkeypatch.undo()
+        want = self.per_row(spec, pts)
+        assert [a.dtype for a in got] == [a.dtype for a in want]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert not np.shares_memory(got[1], got[2])
+        assert bool(taken) == per_row_taken
+        return got
+
+    @staticmethod
+    def appendix():
+        from helpers import fixture_spec
+        spec = fixture_spec("r9")
+        return spec, sample_points(spec, 20, seed=3)
+
+    def test_every_row_valid(self, monkeypatch):
+        spec, pts = self.appendix()
+        _, ok, admissible = self.check(spec, pts, monkeypatch, False)
+        assert ok.all() and admissible.all()
+        gamma, ok, admissible = self.check(spec, pts[:0], monkeypatch, True)
+        assert gamma.shape == (0, 4, 4, 4) and ok.shape == admissible.shape
+
+    @staticmethod
+    def flat_but_v():
+        # a metric that reads v alone, so most coordinates reach no jet
+        return metric_spec("uvxy", [["-1"], ["0", "1 + v^2"],
+                                    ["0", "0", "1"], ["0", "0", "0", "1"]])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_one_coordinate_not_finite(self, monkeypatch, bad):
+        spec, pts = self.appendix()
+        pts[7, 2] = bad
+        _, ok, admissible = self.check(spec, pts, monkeypatch, True)
+        assert admissible.tolist() == [i != 7 for i in range(20)]
+        assert not ok[7] and ok.sum() == 19
+        # a coordinate that no jet reads: the jets stay finite and g
+        # non-degenerate, and only the point's own finiteness rejects it
+        pts = np.full((5, 4), 0.5)
+        pts[2, 3] = bad
+        _, ok, admissible = self.check(self.flat_but_v(), pts, monkeypatch,
+                                       True)
+        assert ok.all() and np.flatnonzero(~admissible).tolist() == [2]
+
+    @pytest.mark.parametrize("us, inadmissible, degenerate", [
+        ((-1.0,), [3], []), ((-1.0, 0.0), [3, 11], [11])])
+    def test_constraint_not_positive(self, monkeypatch, us, inadmissible,
+                                     degenerate):
+        # r9's constraints are v, u and 1 + xi*u: u = -1 leaves the jets
+        # finite and g non-degenerate, u = 0 makes g degenerate
+        spec, pts = self.appendix()
+        pts[[3, 11][:len(us)], 0] = us
+        _, ok, admissible = self.check(spec, pts, monkeypatch, True)
+        assert np.flatnonzero(~admissible).tolist() == inadmissible
+        assert np.flatnonzero(~ok).tolist() == degenerate
+
+    def test_one_row_degenerate_at_the_threshold(self, monkeypatch):
+        # det g = -x^2 against 1e-12 max|g|^4 = 1e-12: rows just above
+        # and just below the threshold decide per row
+        spec = metric_spec("uvxy", [["-1"], ["0", "1"], ["0", "0", "1"],
+                                    ["0", "0", "0", "x^2"]])
+        pts = np.zeros((6, 4))
+        pts[:, 2] = [0.5, 1e-6 * (1 + 1e-9), 1e-6 * (1 - 1e-9), 0.0, 0.3,
+                     -0.7]
+        _, ok, admissible = self.check(spec, pts, monkeypatch, True)
+        assert ok.tolist() == [True, True, False, False, True, True]
+        assert admissible.all()
+
+    def test_finite_entries_whose_sum_overflows(self, monkeypatch):
+        # the block test's sums overflow here; every row is valid all the
+        # same
+        pts = np.full((4, 4), 0.5)
+        pts[:2, 0] = 1.5e308
+        _, ok, admissible = self.check(self.flat_but_v(), pts, monkeypatch,
+                                       True)
+        assert ok.all() and admissible.all()
+
+    def test_finite_entries_whose_fourth_power_overflows(self, monkeypatch):
+        # g_vv = exp(x) ~ 1e80 and 1e87: the squares in the block test stay
+        # finite, max|g|^4 does not, and those rows are degenerate per row
+        from lorhol.pointcalc import DegenerateMetricError, cov_deriv_batch
+        spec = metric_spec("uvxy", [["-1"], ["0", "exp(x)"], ["0", "0", "1"],
+                                    ["0", "0", "0", "1"]])
+        pts = np.full((4, 4), 0.5)
+        pts[:, 2] = [0.5, 184.2, 0.3, 200.0]
+        _, ok, admissible = self.check(spec, pts, monkeypatch, True)
+        assert ok.tolist() == [True, False, True, False] and admissible.all()
+        _, ok, _ = self.check(spec, pts[[1, 3]], monkeypatch, True)
+        assert not ok.any()
+        with pytest.raises(DegenerateMetricError):
+            cov_deriv_batch(spec, spec.g, pts)
 
 
 @pytest.mark.parametrize("name,partner", FIXTURES_AND_PARTNERS)

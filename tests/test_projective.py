@@ -514,18 +514,45 @@ class TestBlockedSecondMetric:
         self.matches_reference(appendix.g, partner, trials, steps, 0.5, 5)
 
     def test_one_second_metric_call_per_block(self, appendix, monkeypatch):
+        # g is evaluated through its Christoffel kernel, fetched once a
+        # block and called four stages a step; g' through
+        # christoffel_batch, once per block
         partner = invert_pair(appendix.pair).partner
-        calls = []
+        calls, stages = [], []
         batch = projective.christoffel_batch
+        kernel = projective._christoffel_kernel
 
         def spy(spec, points):
             calls.append(spec is partner)
             return batch(spec, points)
 
+        def kernel_spy(spec, whole):
+            stages.append((whole, []))
+            run = kernel(spec, whole)
+            return lambda pts: stages[-1][1].append(spec) or run(pts)
+
         monkeypatch.setattr(projective, "christoffel_batch", spy)
+        monkeypatch.setattr(projective, "_christoffel_kernel", kernel_spy)
         trials, steps = 20, 50
+        block = _BLOCK_ROWS // trials
         rep = pregeodesic_check(appendix.g, partner, trials=trials,
                                 steps=steps, horizon=0.1, seed=7)
         assert not rep.truncated
-        assert sum(calls) == math.ceil(steps / (_BLOCK_ROWS // trials))
-        assert calls.count(False) == 4 * steps
+        assert calls == [True] * math.ceil(steps / block)
+        assert stages == [(True, [appendix.g] * (4 * min(block, steps - i)))
+                          for i in range(0, steps, block)]
+
+    def test_whole_block_test_dropped_after_the_first_stop(self, appendix,
+                                                           monkeypatch):
+        # a trial that g stops keeps stage points that would fail the
+        # whole-block test at every later stage; the report is the same
+        fetched = []
+        kernel = projective._christoffel_kernel
+        monkeypatch.setattr(
+            projective, "_christoffel_kernel",
+            lambda spec, whole: fetched.append(whole) or kernel(spec, whole))
+        rep = self.matches_reference(appendix.g, appendix.g, 20, 120, 5.0, 0)
+        first = min(s for _, s in rep.truncated)
+        block = _BLOCK_ROWS // 20
+        assert first >= block and len(fetched) > 2
+        assert fetched == [i * block <= first for i in range(len(fetched))]
