@@ -50,10 +50,10 @@ class CurvatureClassReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def riemann_is_zero(frame: PointFrame, tol: float = 1e-10) -> bool:
+def riemann_is_zero(frame: PointFrame) -> bool:
     rmax = float(np.max(np.abs(frame.riem_dddd)))
     gmax = float(np.max(np.abs(frame.g)))
-    return rmax < tol * max(1.0, gmax * gmax * rmax)
+    return rmax < 1e-10 * max(1.0, gmax * gmax * rmax)
 
 
 def kernel_vectors(frame: PointFrame, tol: float = SVD_TOL) -> np.ndarray:
@@ -102,15 +102,15 @@ def _simple_elements_in_plane(b1: Bivector, b2: Bivector):
     return cands
 
 
-def classify_curvature(frame: PointFrame, tol: float = SVD_TOL,
-                       zero_tol: float = 1e-10) -> CurvatureClassReport:
+def classify_curvature(frame: PointFrame,
+                       tol: float = SVD_TOL) -> CurvatureClassReport:
     """Decide the curvature class at the frame's point.
 
     Raises ClassificationError when the kernel and range dimensions do not
     fit any class (a sign of tolerance trouble near class boundaries).
     """
     cm = curvature_map_matrix(frame, tol)
-    if riemann_is_zero(frame, zero_tol):
+    if riemann_is_zero(frame):
         return CurvatureClassReport("O", np.eye(4), 0, [], cm.margin)
     kern = kernel_vectors(frame, tol)
     kdim = len(kern)

@@ -104,8 +104,16 @@ class Expr:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        # copies and unpickled nodes go through __new__, so are interned
-        return type(self), tuple(getattr(self, n) for n in self._fields)
+        # the DAG as a flat post-order table, operands given by row, so a
+        # long sum pickles and copies without recursion; _unreduce builds
+        # it through the constructors, so the copy is this very node
+        table, row = [], {}
+        for node in _postorder([self]):
+            row[node] = len(table)
+            table.append((type(node), *(
+                row[getattr(node, f)] if f in node._operands
+                else getattr(node, f) for f in node._fields)))
+        return _unreduce, (tuple(table),)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({to_string(self)!r})"
@@ -207,6 +215,14 @@ def _as_expr(x) -> Expr:
     if isinstance(x, (int, float, Fraction)):
         return Const(x)
     raise TypeError(f"cannot coerce {x!r} to Expr")
+
+
+def _unreduce(table: tuple) -> Expr:
+    nodes: list = []
+    for cls, *row in table:
+        nodes.append(cls(*(nodes[v] if f in cls._operands else v
+                           for f, v in zip(cls._fields, row))))
+    return nodes[-1]
 
 
 def _children(e: Expr) -> list:

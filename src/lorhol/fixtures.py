@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprdsl import Expr, ParamEnv, eval_expr, parse_expr
-from .pointcalc import MetricSpec, metric_spec, sample_points
+from .exprdsl import Expr, add, differentiate, eval_expr, parse_expr
+from .pointcalc import MetricSpec, metric_spec
 from .projective import SinyukovPair
 
 __all__ = [
@@ -51,10 +51,6 @@ class FixtureBundle:
         return self.g
 
 
-def _pe(src: str, coords, params) -> Expr:
-    return parse_expr(src, coords, params)
-
-
 def fixture_r11(c: float = 1.0, e1: float = 0.3, e2: float = 0.1,
                 h_choice: str = "exp_x2_y2") -> FixtureBundle:
     """2 du dv + u^2 h (dx^2+dy^2) with its quadratic Sinyukov tensor.
@@ -83,12 +79,12 @@ def fixture_r11(c: float = 1.0, e1: float = 0.3, e2: float = 0.1,
          ["1 + e1*u + c*u*v", "c*u^2"],
          ["0", "0", sector],
          ["0", "0", "0", sector]]
-    a_full = _mirror(a, coords, names)
-    lam = tuple(_pe(s, coords, names)
+    a_full = metric_spec(coords, a, params).g
+    lam = tuple(parse_expr(s, coords, names)
                 for s in ("c*v + e1", "c*u", "0", "0"))
     pair = SinyukovPair(g, a_full, lam)
 
-    chi = _pe(f"-1/2*ln({bracket})", coords, names)
+    chi = parse_expr(f"-1/2*ln({bracket})", coords, names)
     fexpr = f"(1/{bracket})"
     beta = "(c*v^2 + 2*e1*v + e2)"
     cross = "(u*(c*v + e1 + (e1^2 - c*e2)*u))"
@@ -147,12 +143,12 @@ def fixture_r10_r13(eps1: int, eps2: int, c: float = 1.0, c2: float = 0.0,
          [f"(c*t + c2)*z*({e1s})*({e2s})", f"({e2s}) + c*z^2"],
          ["0", "0", sx],
          ["0", "0", "0", sy]]
-    a_full = _mirror(a, coords, names)
-    lam = tuple(_pe(s, coords, names) for s in
+    a_full = metric_spec(coords, a, params).g
+    lam = tuple(parse_expr(s, coords, names) for s in
                 (f"(c*t + c2)*({e1s})", f"c*z*({e2s})", "0", "0"))
     pair = SinyukovPair(g, a_full, lam)
 
-    chi = _pe(f"-1/2*ln({bracket})", coords, names)
+    chi = parse_expr(f"-1/2*ln({bracket})", coords, names)
     fexpr = f"(1/{bracket})"
     gp = metric_spec(
         coords,
@@ -193,11 +189,11 @@ def fixture_r9_r14(b: str = "1 + u^2", f: str = "x*y", phi: float = 1.0,
          ["phi*(1 + xi*u)", "0"],
          ["0", "0", f"phi*{sector}"],
          ["0", "0", "0", f"phi*{sector}"]]
-    a_full = _mirror(a, coords, names)
+    a_full = metric_spec(coords, a, params).g
     pair = SinyukovPair(g, a_full, None)  # lambda from the trace gradient
 
     # chi = 1/2 ln(kappa^4 (1+xi u)^-2), kappa = 1/phi
-    chi = _pe("1/2*ln(phi^-4*(1 + xi*u)^-2)", coords, names)
+    chi = parse_expr("1/2*ln(phi^-4*(1 + xi*u)^-2)", coords, names)
     fexpr = "(phi^-4*(1 + xi*u)^-2)"
     kf = f"(phi^-1*{fexpr})"  # kappa * F
     k3f2 = f"(phi^3*{fexpr}^2)"  # kappa^-3 F^2
@@ -210,8 +206,11 @@ def fixture_r9_r14(b: str = "1 + u^2", f: str = "x*y", phi: float = 1.0,
         params, constraints=["v", "u", "1 + xi*u"], sample_box=box,
         name="appendix-partner")
 
-    b_zero = _expr_vanishes(b, coords, names, params, box)
-    harmonic = _laplacian_vanishes(f, coords, names, params, box)
+    b_zero = _vanishes(parse_expr(b, coords, names), coords, params, box, 0)
+    f_expr = parse_expr(f, coords, names)
+    laplacian = add(differentiate(differentiate(f_expr, "x"), "x"),
+                    differentiate(differentiate(f_expr, "y"), "y"))
+    harmonic = _vanishes(laplacian, coords, params, box, 1)
     if b_zero:
         expected_class, labels, theta = "D", ("R3", "R8", "R11"), 1
     else:
@@ -227,42 +226,21 @@ def fixture_minkowski() -> FixtureBundle:
                     [["-1"], ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]],
                     sample_box=((-1.0, 1.0),) * 4, name="minkowski")
     a_full = g.g
-    lam = tuple(_pe("0", coords, ()) for _ in range(4))
-    chi = _pe("0", coords, ())
+    lam = tuple(parse_expr("0", coords, ()) for _ in range(4))
+    chi = parse_expr("0", coords, ())
     return FixtureBundle("minkowski", g, SinyukovPair(g, a_full, lam), chi,
                          g.with_name("minkowski-partner"),
                          expected_class="O", expected_theta_sign=None,
                          expected_holonomy=("R1",))
 
 
-def _mirror(rows, coords, names):
-    full = [[None] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(i + 1):
-            e = _pe(str(rows[i][j]), coords, names)
-            full[i][j] = full[j][i] = e
-    return tuple(tuple(r) for r in full)
-
-
-def _expr_vanishes(src, coords, names, params, box, n=20) -> bool:
-    e = parse_expr(src, coords, names)
-    rng = np.random.default_rng(0)
+def _vanishes(e: Expr, coords, params, box, seed: int) -> bool:
+    """|e| < 1e-12 at 20 points drawn uniformly from the box."""
+    rng = np.random.default_rng(seed)
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
-    pts = rng.uniform(lo, hi, size=(n, 4))
+    pts = rng.uniform(lo, hi, size=(20, 4))
     return all(abs(eval_expr(e, p, coords, params)) < 1e-12 for p in pts)
-
-
-def _laplacian_vanishes(f_src, coords, names, params, box, n=20) -> bool:
-    from .exprdsl import add, differentiate
-    e = parse_expr(f_src, coords, names)
-    lap = add(differentiate(differentiate(e, "x"), "x"),
-              differentiate(differentiate(e, "y"), "y"))
-    rng = np.random.default_rng(1)
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
-    pts = rng.uniform(lo, hi, size=(n, 4))
-    return all(abs(eval_expr(lap, p, coords, params)) < 1e-12 for p in pts)
 
 
 FIXTURE_NAMES = ("minkowski", "r11", "r10", "r13", "r9", "r14", "r9-b0")

@@ -130,22 +130,21 @@ def _reduce(rows: np.ndarray, rref: np.ndarray) -> np.ndarray:
     return rows - rows[:, np.argmax(piv, axis=1)] @ rref
 
 
-def _close(six: np.ndarray, ginv: np.ndarray, tol: float):
+def _close(six: np.ndarray, ginv: np.ndarray):
     """RREF rows of the smallest bracket-closed span of the six-component
     rows, and the bracket block of exactly those rows (None at dimension
     0, 1 or 6, where no round brackets the final span)."""
-    span = canonical_span_basis(six, tol)
+    span = canonical_span_basis(six, SPAN_TOL)
     while 1 < len(span) < 6:
         brackets = _brackets(span, ginv)
-        grown = canonical_span_basis(np.vstack([span, brackets]), tol)
+        grown = canonical_span_basis(np.vstack([span, brackets]), SPAN_TOL)
         if len(grown) == len(span):
             return span, brackets
         span = grown
     return span, None
 
 
-def close_algebra(generators, frame: PointFrame,
-                  tol: float = SPAN_TOL) -> list[np.ndarray]:
+def close_algebra(generators, frame: PointFrame) -> list[np.ndarray]:
     """Smallest bracket-closed span containing the generators.
 
     The span lives in so(g) as the six coordinates w_ab (a < b) of each
@@ -154,7 +153,7 @@ def close_algebra(generators, frame: PointFrame,
     echelon form in those coordinates with lexicographic pivoting,
     returned as the (1,1) matrices g^-1 W.
     """
-    span, _ = _close(_to_six(generators, frame.g)[0], frame.ginv, tol)
+    span, _ = _close(_to_six(generators, frame.g)[0], frame.ginv)
     return list(frame.ginv @ antisym_from_six(span))
 
 
@@ -162,16 +161,16 @@ def close_algebra(generators, frame: PointFrame,
 # Structure probes
 # ---------------------------------------------------------------------------
 
-def _causal_character(v: np.ndarray, g: np.ndarray, tol: float = 1e-8) -> str:
+def _causal_character(v: np.ndarray, g: np.ndarray) -> str:
     norm2 = float(v @ g @ v)
     scale = float(v @ v) * float(np.max(np.abs(g)))
-    if abs(norm2) <= tol * max(scale, 1e-300):
+    if abs(norm2) <= 1e-8 * max(scale, 1e-300):
         return "null"
     return "timelike" if norm2 < 0 else "spacelike"
 
 
-def constant_directions(basis, frame: PointFrame,
-                        tol: float = SPAN_TOL) -> list[tuple[np.ndarray, str]]:
+def constant_directions(basis,
+                        frame: PointFrame) -> list[tuple[np.ndarray, str]]:
     """Common nullspace of all basis matrices, tagged by causal character;
     these integrate to covariantly constant vector fields."""
     if not len(basis):
@@ -180,11 +179,10 @@ def constant_directions(basis, frame: PointFrame,
     stack = np.vstack([np.asarray(m, float)
                        / max(np.max(np.abs(m)), 1e-300) for m in basis])
     return [(v / np.linalg.norm(v), _causal_character(v, frame.g))
-            for v in null_basis(stack, tol)]
+            for v in null_basis(stack, SPAN_TOL)]
 
 
-def recurrent_directions(basis, frame: PointFrame,
-                         tol: float = 1e-8) -> list[np.ndarray]:
+def recurrent_directions(basis, frame: PointFrame) -> list[np.ndarray]:
     """Common eigen-directions of the basis with some nonzero eigenvalue.
 
     Candidates come from real eigenvectors of a few fixed generic
@@ -210,9 +208,9 @@ def recurrent_directions(basis, frame: PointFrame,
     mv = (stack @ cand[:, None, :, None])[..., 0]  # (candidate, element, 4)
     mu = _rowdot(cand[:, None, :], mv)  # v is unit
     off = mv - mu[..., None] * cand[:, None, :]
-    bound = tol * np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
+    bound = 1e-8 * np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
     eigen = (~np.any(np.sqrt(_rowdot(off, off)) > bound, axis=1)
-             & (np.max(np.abs(mu), axis=1) > tol))
+             & (np.max(np.abs(mu), axis=1) > 1e-8))
     found = []
     for v in cand[eigen]:
         k = int(np.argmax(np.abs(v) > 1e-8))
@@ -281,18 +279,18 @@ def _project_biv(w: Bivector, p: np.ndarray, q: np.ndarray) -> float:
 
 
 def _r9_r12_discriminant(span: np.ndarray, brackets: np.ndarray,
-                         frame: PointFrame, tol: float):
+                         frame: PointFrame):
     """For a 3-dim algebra with trivial annihilator: the derived algebra
     (the span of the bracket block) is 2-dim; the Pfaffian of any
     complement representative modulo it is zero for R9 and nonzero for
     R12 (then omega is extracted).  The span and the derived algebra are
     RREF rows of six components."""
-    derived = canonical_span_basis(brackets, tol)
+    derived = canonical_span_basis(brackets, SPAN_TOL)
     if len(derived) != 2:
         return None
     # the first span row outside the derived algebra, reduced modulo it
     red = _reduce(span, derived)
-    outside = np.max(np.abs(red), axis=1) > 10 * tol
+    outside = np.max(np.abs(red), axis=1) > 10 * SPAN_TOL
     if not np.any(outside):
         return None
     rep = frame.ginv @ antisym_from_six(red[outside][0])
@@ -302,8 +300,7 @@ def _r9_r12_discriminant(span: np.ndarray, brackets: np.ndarray,
     if abs(pf) <= 1e-7 * smax ** 2:
         return ("R9", None)
     # omega: common annihilator of the derived algebra gives the null l
-    anns = constant_directions(frame.ginv @ antisym_from_six(derived), frame,
-                               tol)
+    anns = constant_directions(frame.ginv @ antisym_from_six(derived), frame)
     nulls = [v for v, ch in anns if ch == "null"]
     if len(anns) != 1 or not nulls:
         return None
@@ -319,8 +316,7 @@ def _r9_r12_discriminant(span: np.ndarray, brackets: np.ndarray,
 # Identification
 # ---------------------------------------------------------------------------
 
-def identify_type(basis, frame: PointFrame,
-                  tol: float = SPAN_TOL) -> HolonomyAlgebraReport:
+def identify_type(basis, frame: PointFrame) -> HolonomyAlgebraReport:
     """Identify the span of bivector matrices against the taxonomy; its
     dimension is the span's rank.  The basis must be skew-self-adjoint
     and bracket-closed, tested on the one bracket block _decide reuses.
@@ -328,24 +324,24 @@ def identify_type(basis, frame: PointFrame,
     diagnostics instead of guessing."""
     basis = [np.asarray(m, float) for m in basis]
     six, sym = _to_six(basis, frame.g)
-    if np.any(sym > tol):
+    if np.any(sym > SPAN_TOL):
         return HolonomyAlgebraReport(
             len(basis), basis, "unrecognized", [], [],
             diagnostics={"reason": "basis not skew-self-adjoint"})
-    span = canonical_span_basis(six, tol)
+    span = canonical_span_basis(six, SPAN_TOL)
     brackets = _brackets(span, frame.ginv) if len(span) > 1 else None
     if brackets is not None:
         resid = float(np.max(np.abs(_reduce(brackets, span))))
-        if resid > max(tol, 1e-6) * np.max(np.abs(span)):
+        if resid > 1e-6 * np.max(np.abs(span)):
             return HolonomyAlgebraReport(
                 len(span), basis, "unrecognized", [], [],
                 diagnostics={"reason": "basis not bracket-closed",
                              "residual": resid})
-    return _complete(_decide(basis, span, brackets, frame, tol), frame, tol)
+    return _complete(_decide(basis, span, brackets, frame), frame)
 
 
-def _decide(basis, span: np.ndarray, brackets, frame: PointFrame,
-            tol: float) -> HolonomyAlgebraReport:
+def _decide(basis, span: np.ndarray, brackets,
+            frame: PointFrame) -> HolonomyAlgebraReport:
     """Label a closed algebra, given as (1,1) matrices, the RREF rows of
     their span and the bracket block of those rows, from only the probes
     its dimension's rule reads: the bivector class at dimension 1, the
@@ -361,7 +357,7 @@ def _decide(basis, span: np.ndarray, brackets, frame: PointFrame,
     elif dim == 1:
         # the span's element: basis[0] may be zero or nearly so
         one = (frame.ginv @ antisym_from_six(span))[0]
-        cls = classify_bivector(_mixed_to_bivector(one, frame), max(tol, 1e-8))
+        cls = classify_bivector(_mixed_to_bivector(one, frame), SPAN_TOL)
         label = {"simple-timelike": "R2", "simple-null": "R3",
                  "simple-spacelike": "R4", "non-simple": "R5"}.get(
                      cls.tag, "unrecognized")
@@ -369,14 +365,14 @@ def _decide(basis, span: np.ndarray, brackets, frame: PointFrame,
             g_t, h_s = cls.pair
             omega = float(np.sqrt(h_s.theta / -g_t.theta))
     elif dim in (2, 3):
-        const = constant_directions(basis, frame, tol)
+        const = constant_directions(basis, frame)
         chars = [ch for _, ch in const]
         if len(chars) == 1:
             label = _BY_CONSTANT[dim].get(chars[0], "unrecognized")
         elif not chars and dim == 2:
             label = "R7"
         elif not chars:
-            got = _r9_r12_discriminant(span, brackets, frame, tol)
+            got = _r9_r12_discriminant(span, brackets, frame)
             if got is not None:
                 label, omega = got
             else:
@@ -396,11 +392,11 @@ def _decide(basis, span: np.ndarray, brackets, frame: PointFrame,
         realizable=(label != "R5"), diagnostics=diags)
 
 
-def _complete(rep: HolonomyAlgebraReport, frame: PointFrame,
-              tol: float) -> HolonomyAlgebraReport:
+def _complete(rep: HolonomyAlgebraReport,
+              frame: PointFrame) -> HolonomyAlgebraReport:
     """Fill in the probes _decide left as None."""
     if rep.constant is None:
-        rep.constant = constant_directions(rep.basis, frame, tol)
+        rep.constant = constant_directions(rep.basis, frame)
     if rep.recurrent is None:
         rep.recurrent = recurrent_directions(rep.basis, frame)
     return rep
@@ -411,8 +407,8 @@ def _complete(rep: HolonomyAlgebraReport, frame: PointFrame,
 # ---------------------------------------------------------------------------
 
 def holonomy_survey(spec: MetricSpec, samples: int = 32, seed: int = 7,
-                    derivative_order: int = 1, box=None,
-                    tol: float = SPAN_TOL) -> HolonomySurveyReport:
+                    derivative_order: int = 1,
+                    box=None) -> HolonomySurveyReport:
     """Identify the infinitesimal holonomy algebra over sampled points.
 
     Each point is closed and labelled in its own frame (the matrices at
@@ -431,15 +427,15 @@ def holonomy_survey(spec: MetricSpec, samples: int = 32, seed: int = 7,
     best = None  # (decision, frame)
     for fr in frames_at(spec, pts, derivative_order + 2):
         gens = ihol_generators(spec, fr.point, derivative_order, frame=fr)
-        span, brackets = _close(_to_six(gens, fr.g)[0], fr.ginv, tol)
+        span, brackets = _close(_to_six(gens, fr.g)[0], fr.ginv)
         rep = _decide(list(fr.ginv @ antisym_from_six(span)), span,
-                      brackets, fr, tol)
+                      brackets, fr)
         per_point.append((fr.point, rep.label, rep.dimension))
         if best is None or _better(rep, best[0]):
             best = rep, fr
     labels = {lab for _, lab, _ in per_point}
     mixed = len(labels) > 1
-    representative = _complete(*best, tol)
+    representative = _complete(*best)
     return HolonomySurveyReport(representative.label, representative,
                                 per_point, mixed)
 

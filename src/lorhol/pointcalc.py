@@ -243,17 +243,18 @@ def _metric_program(spec: MetricSpec, order: int) -> tuple:
 
 # christoffel_batch takes det g and Gamma from one compiled call when
 # they add at most this many lines (count_lines) to the order-1 jet
-# program of g.  Base metrics (g) take the 20-row RK4 stage calls, where
-# fused and numeric time cross at about 100-120 added lines
-# (scripts/christoffel_crossover.py, 2-core VM).  The shipped fixtures
-# add 0-39 lines and their derived partners 288-431, so partners (g')
-# keep the numeric path.  They reach christoffel_batch as 240-row blocks
-# in pregeodesic_check and in one-shot projective-check --auto-psi
-# calls.  A compiled program frees each row after its last read, so a
-# fused 240-row partner call now peaks at about 320 KB against 540 KB on
-# the numeric path (tracemalloc), and it is faster at 240 rows.  Moving
-# the budget would change the partners' Gamma in their last bits, and
-# the gain has not been measured end to end.
+# program of g.  In 20-row RK4 stage calls fused and numeric time cross
+# at about 100-120 added lines (scripts/christoffel_crossover.py, 2-core
+# VM).  The shipped fixtures add 0-39 lines and their derived partners
+# 288-431, so partners keep the numeric path.  In 240-row blocks, as the
+# second metric of pregeodesic_check, a fused partner would be faster
+# and peak lower (about 320 KB against 540 KB, tracemalloc), but a
+# partner that drives the integration takes 20-row stage calls.  Every
+# metric fused, cold CLI, median of 4 alternating runs pinned to one CPU
+# of a 2-core VM: geodesic-check with r11 driving and its partner second
+# 1.11 s -> 1.06 s; with the r11 partner driving 3.33 s -> 4.22 s, with
+# the r9 partner driving 2.91 s -> 4.15 s; projective-check --auto-psi
+# 0.273 s -> 0.285 s.  So the budget stays.
 _FUSED_LINES = 100
 
 # the index pairs b <= c in order, and the row of Gamma^a_bc among the

@@ -24,8 +24,8 @@ from .exprdsl import (
 )
 from .pointcalc import (
     DIM, MetricSpec, PointFrame, _christoffel_kernel, _field_jets,
-    admissible_mask, christoffel_batch, cov_deriv_batch, eval_field_batch,
-    frames_at, metric_spec, require_valid, sample_points,
+    _nondegenerate, admissible_mask, christoffel_batch, cov_deriv_batch,
+    eval_field_batch, frames_at, require_valid, sample_points,
 )
 
 __all__ = [
@@ -87,9 +87,9 @@ def lambda_from_trace(pair: SinyukovPair) -> tuple[Expr, ...]:
     return tuple(differentiate(half_trace, c) for c in spec.coords)
 
 
-def check_pair_wellformed(pair: SinyukovPair, points,
-                          tol: float = 1e-9) -> None:
-    """a symmetric and non-degenerate at the points; lambda curl-free."""
+def check_pair_wellformed(pair: SinyukovPair, points) -> None:
+    """a symmetric, finite and non-degenerate at the points (the
+    determinant test of pointcalc); lambda curl-free."""
     spec = pair.base
     for i in range(4):
         for j in range(i):
@@ -97,14 +97,15 @@ def check_pair_wellformed(pair: SinyukovPair, points,
                 raise InversionError("a must be symmetric")
     pts = np.atleast_2d(np.asarray(points, float))
     a_vals = eval_field_batch(spec, pair.a, pts)
-    dets = np.linalg.det(a_vals)
-    amax = np.max(np.abs(a_vals), axis=(1, 2))
-    if np.any(np.abs(dets) <= 1e-12 * np.maximum(amax, 1e-300) ** 4):
+    if not np.isfinite(a_vals).all():
+        raise InversionError("a is not finite at a sample point")
+    if not _nondegenerate(np.linalg.det(a_vals),
+                          np.max(np.abs(a_vals), axis=(1, 2))).all():
         raise InversionError("a is degenerate at a sample point")
     _, dlam = _field_jets(spec, pair.lam_exprs(), pts, 1)
     curl = dlam - dlam.transpose(0, 2, 1)
     scale = max(1.0, float(np.max(np.abs(dlam))))
-    if float(np.max(np.abs(curl))) > tol * scale:
+    if not float(np.max(np.abs(curl))) <= 1e-9 * scale:
         raise InversionError("lambda is not a gradient (nonzero curl)")
 
 
@@ -127,7 +128,10 @@ def sinyukov_residual(pair: SinyukovPair, points) -> float:
     rhs = (np.einsum("nac,nb->nabc", g, lam)
            + np.einsum("nbc,na->nabc", g, lam))
     amax = max(float(np.max(np.abs(a_vals))), 1e-300)
-    return float(np.max(np.abs(cov - rhs))) / amax
+    residual = float(np.max(np.abs(cov - rhs))) / amax
+    if not np.isfinite(residual):
+        raise InversionError("the Sinyukov residual is not finite")
+    return residual
 
 
 def psi_from_connections(g_spec: MetricSpec, gp_spec: MetricSpec,
@@ -177,13 +181,13 @@ def curvature_relation_residual(g_spec: MetricSpec, gp_spec: MetricSpec,
                - np.einsum("ad,bc->abcd", delta, pab)
                + np.einsum("ac,bd->abcd", delta, pab))
         ric = fr_p.ricci - fr.ricci + 3.0 * pab
-        worst14 = max(worst14, float(np.max(np.abs(rel))))
-        worst_ric = max(worst_ric, float(np.max(np.abs(ric))))
+        worst14 = np.maximum(worst14, np.max(np.abs(rel)))
+        worst_ric = np.maximum(worst_ric, np.max(np.abs(ric)))
         scale14 = max(scale14, float(np.max(np.abs(fr.riem_ud))),
                       float(np.max(np.abs(fr_p.riem_ud))))
         scale_ric = max(scale_ric, float(np.max(np.abs(fr.ricci))),
                         float(np.max(np.abs(fr_p.ricci))))
-    return worst14 / scale14, worst_ric / scale_ric
+    return float(worst14 / scale14), float(worst_ric / scale_ric)
 
 
 def weyl_projective_at(frame: PointFrame) -> np.ndarray:
@@ -203,9 +207,9 @@ def weyl_projective_equal(g_spec: MetricSpec, gp_spec: MetricSpec,
     for fr, fr_p in zip(frames_at(g_spec, pts), frames_at(gp_spec, pts)):
         w = weyl_projective_at(fr)
         wp = weyl_projective_at(fr_p)
-        worst = max(worst, float(np.max(np.abs(w - wp))))
+        worst = np.maximum(worst, np.max(np.abs(w - wp)))
         scale = max(scale, float(np.max(np.abs(w))))
-    return worst / scale
+    return float(worst / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +279,7 @@ def invert_pair(pair: SinyukovPair, points=None, seed: int = 7,
     psi_vals = eval_field_batch(spec, psi, pts)
     scale = max(1.0, float(np.max(np.abs(psi_vals))))
     worst = float(np.max(np.abs(dchi_vals - psi_vals)))
-    if worst > tol * scale:
+    if not worst <= tol * scale:
         raise InversionError(
             f"psi is not the gradient of chi (residual {worst:.3e}); "
             "the pair does not satisfy Sinyukov's equation")
@@ -283,7 +287,7 @@ def invert_pair(pair: SinyukovPair, points=None, seed: int = 7,
     return ProjectivePair(spec, gp_spec, psi, chi)
 
 
-def _assert_aux_connection(spec, pair, psi_vals, pts, tol: float = 1e-8):
+def _assert_aux_connection(spec, pair, psi_vals, pts):
     """nabla'' a = 0 for Gamma''^a_bc = Gamma^a_bc - psi^a g_bc."""
     a_vals, cov = cov_deriv_batch(spec, pair.a, pts)
     g = eval_field_batch(spec, spec.g, pts)
@@ -293,7 +297,7 @@ def _assert_aux_connection(spec, pair, psi_vals, pts, tol: float = 1e-8):
             + np.einsum("ne,ncb,nae->nabc", psi_up, g, a_vals))
     resid = cov + corr
     scale = max(1.0, float(np.max(np.abs(a_vals))))
-    if float(np.max(np.abs(resid))) > tol * scale:
+    if not float(np.max(np.abs(resid))) <= 1e-8 * scale:
         raise InversionError("auxiliary connection fails nabla'' a = 0; "
                              "the pair does not satisfy Sinyukov's equation")
 
@@ -319,15 +323,15 @@ def lemma1_checks(g_spec: MetricSpec, pair: SinyukovPair, points):
     for k, fr in enumerate(frames_at(g_spec, pts)):
         rd = fr.riem_dddd  # lam_d R^d_abc = lam^d R_dabc with lam^d = ginv lam
         lam_up = fr.ginv @ lam_vals[k]
-        res_b = max(res_b, float(np.max(np.abs(
-            np.einsum("d,dabc->abc", lam_up, rd)))))
+        res_b = np.maximum(res_b, np.max(np.abs(
+            np.einsum("d,dabc->abc", lam_up, rd))))
         t = (np.einsum("ae,ebcd->abcd", a_vals[k], fr.riem_ud)
              + np.einsum("be,eacd->abcd", a_vals[k], fr.riem_ud))
-        res_c = max(res_c, float(np.max(np.abs(t))))
+        res_c = np.maximum(res_c, np.max(np.abs(t)))
         rmax = float(np.max(np.abs(fr.riem_ud)))
         scale_b = max(scale_b, rmax * float(np.max(np.abs(lam_up))))
         scale_c = max(scale_c, rmax * float(np.max(np.abs(a_vals[k]))))
-    return c_fit, res_a, res_b / scale_b, res_c / scale_c
+    return c_fit, res_a, float(res_b / scale_b), float(res_c / scale_c)
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,29 @@ class TestSinyukovAndPartner:
         assert report["eq14_residual"] < 1e-8
         assert report["weyl_projective_diff"] < 1e-8
 
+    @pytest.mark.parametrize("command", [
+        ["derive-partner", "-o", "{partner}"], ["sinyukov-check"],
+        ["projective-check", "-M", "{gp}"]])
+    def test_non_finite_pair_is_usage_error(self, runner, emitted, tmp_path,
+                                            command):
+        # a_yy = ln(x - 5) is NaN on the whole sample box
+        files = emitted("r9")
+        data = json.loads(open(files["a"]).read())
+        data["a"][3][3] = "ln(x - 5)"
+        bad = tmp_path / "bad-a.json"
+        bad.write_text(json.dumps(data))
+        partner = tmp_path / "partner.json"
+        args = [c.format(partner=partner, gp=files["gp"]) for c in command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = runner.invoke(main, [*args, "-m", files["g"],
+                                       "-a", str(bad)])
+        assert res.exit_code == 2, res.output
+        assert res.stdout == ""
+        [line] = res.stderr.splitlines()
+        assert line.startswith("error: ") and "not finite" in line
+        assert not partner.exists()
+
     def test_projective_check_fails_on_unrelated(self, runner, emitted,
                                                  tmp_path):
         files = emitted("r9")

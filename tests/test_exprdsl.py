@@ -1,7 +1,9 @@
+import copy
 import dis
 import inspect
 import itertools
 import math
+import pickle
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -413,6 +415,17 @@ class TestLongExpressions:
         # lines share a handful of locals
         prog = inspect.getclosurevars(f).nonlocals["f"]
         assert len(prog.__code__.co_varnames) <= 16
+
+    def test_pickle_and_deepcopy_give_the_interned_node(self):
+        # a node reduces to a flat table of its DAG, so pickling nests no
+        # deeper than one row, and rows are rebuilt through the
+        # constructors, so the copy is the interned node itself
+        u, x, xi = coord("u"), coord("x"), param("xi")
+        terms = sym_sum(mul(mul(const(Fraction(k, 7)), pow_(u, k % 5 - 2)),
+                            fn("sin", mul(xi, x)) if k % 2 else neg(x))
+                        for k in range(1, 10_001))
+        assert pickle.loads(pickle.dumps(terms)) is terms
+        assert copy.deepcopy(terms) is terms
 
 
 # --- random expression machinery -------------------------------------------

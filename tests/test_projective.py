@@ -233,6 +233,16 @@ class TestCurvatureRelation:
         r14, ric = curvature_relation_residual(b.g, b.g, zero, pts_for(b, 3))
         assert r14 == 0.0 and ric == 0.0
 
+    def test_nan_psi_gives_nan_residuals(self, appendix):
+        # ln(x - 5) is NaN on the whole sample box; a running max(0.0, nan)
+        # would read 0.0, a pass
+        nan = parse_expr("ln(x - 5)", appendix.g.coords)
+        zero = parse_expr("0", appendix.g.coords)
+        r14, ric = curvature_relation_residual(
+            appendix.g, appendix.g, (nan, zero, zero, zero),
+            pts_for(appendix, 3))
+        assert math.isnan(r14) and math.isnan(ric)
+
     def test_ricci_corollary_is_the_contraction(self):
         # delta^a_d psi_bc - delta^a_c psi_bd contracted over (a, c)
         # equals -3 psi_bd for any symmetric psi

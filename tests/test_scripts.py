@@ -30,9 +30,9 @@ def test_survey_digests_prints_two_stable_digests():
         assert lines[0] == lines[1]
 
 
-@pytest.mark.parametrize("argv", [["survey_fixtures.py", "--samples", "2"],
-                                  ["geodesic_sweep.py", "--help"],
-                                  ["christoffel_crossover.py", "--help"]])
+@pytest.mark.parametrize("argv", [["survey_fixtures.py", "--samples", "2"]]
+                         + [[p.name, "--help"]
+                            for p in sorted(SCRIPTS.glob("*.py"))])
 def test_experiment_scripts_run_from_a_checkout(argv, tmp_path):
     # no PYTHONPATH and a foreign working directory: the script must find
     # lorhol in the src/ of its own checkout
@@ -42,3 +42,9 @@ def test_experiment_scripts_run_from_a_checkout(argv, tmp_path):
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("usage:" if "--help" in argv else "fixture")
+
+
+def test_readme_names_every_script():
+    readme = (SCRIPTS.parent / "README.md").read_text()
+    for script in SCRIPTS.glob("*.py"):
+        assert f"`{script.name}`" in readme, script.name
