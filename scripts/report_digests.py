@@ -6,16 +6,19 @@ command below runs there in a fresh ``python -m lorhol.cli`` process
 against the ``src/`` of the checkout that holds this script:
 
     derive-partner; classify, holonomy --order 0/1/2 on g and on the
-    derived partner; projective-check with -a and with --auto-psi;
-    weyl-projective; sinyukov-check; a short geodesic-check of g
-    against the partner and against itself, and a long one (20 trials x
-    400 steps) of g against the partner.
+    derived partner; classify of g with -o, which writes its report;
+    projective-check with -a and with --auto-psi; weyl-projective;
+    sinyukov-check; a short geodesic-check of g against the partner and
+    against itself, and a long one (20 trials x 400 steps) of g against
+    the partner.
 
+A ``fixtures-list`` line for ``fixtures list --json`` comes first.
 Every line reads ``name stdout-sha256 stderr-sha256 exit file-sha256``
-(the file digest is the written partner file, or ``-``).  Paths are
-relative to the temporary directory, so two checkouts that produce the
-same reports print the same lines, and a byte-identity check between two
-commits is a ``diff`` of their outputs.  Uses only the standard library.
+(the file digest is the written partner file or report, or ``-``).
+Paths are relative to the temporary directory, so two checkouts that
+produce the same reports print the same lines, and a byte-identity check
+between two commits is a ``diff`` of their outputs.  Uses only the
+standard library.
 
 Usage: python scripts/report_digests.py --fixtures r9 r11 r13 r14 --seeds 1 2
 """
@@ -46,6 +49,8 @@ def commands(fixture: str, seed: int):
         for order in (0, 1, 2):
             yield (f"holonomy{order}:{label}",
                    ["holonomy", "-m", spec, "--order", str(order), *s], None)
+    report = f"{fixture}-classify-s{seed}.json"
+    yield ("classify:g:out", ["classify", "-m", g, "-o", report, *s], report)
     yield ("projective-check:pair", ["projective-check", "-m", g, "-M",
                                      partner, "-a", a, *s], None)
     yield ("projective-check:auto-psi", ["projective-check", "-m", g, "-M",
@@ -78,7 +83,13 @@ def main() -> int:
         return subprocess.run([sys.executable, "-m", "lorhol.cli", *argv],
                               cwd=cwd, env=env, capture_output=True)
 
+    def line(name, done, path=None):
+        file_sha = sha(path.read_bytes()) if path and path.exists() else "-"
+        print(f"{name} {sha(done.stdout)} {sha(done.stderr)} "
+              f"{done.returncode} {file_sha}", flush=True)
+
     with tempfile.TemporaryDirectory() as work:
+        line("fixtures-list", cli(["fixtures", "list", "--json"], work))
         for fixture in args.fixtures:
             done = cli(["fixtures", "emit", fixture, "-o", "."], work)
             if done.returncode:
@@ -86,13 +97,8 @@ def main() -> int:
                 return 2
             for seed in args.seeds:
                 for name, argv, written in commands(fixture, seed):
-                    done = cli(argv, work)
-                    path = Path(work, written) if written else None
-                    file_sha = (sha(path.read_bytes())
-                                if path and path.exists() else "-")
-                    print(f"{fixture}:s{seed}:{name} {sha(done.stdout)} "
-                          f"{sha(done.stderr)} {done.returncode} {file_sha}",
-                          flush=True)
+                    line(f"{fixture}:s{seed}:{name}", cli(argv, work),
+                         Path(work, written) if written else None)
     return 0
 
 

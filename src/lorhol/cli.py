@@ -18,6 +18,7 @@ byte-reproducible for a fixed seed.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
@@ -202,19 +203,6 @@ def _jsonable(x):
     return x
 
 
-def make_report(command: str, inputs: dict, seed, tolerances: dict,
-                body: dict, passed: bool) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "seed": seed,
-        "tolerances": _jsonable(tolerances),
-        **_jsonable(body),
-        "aggregate": {"verdict": "pass" if passed else "fail"},
-    }
-
-
 def emit(report: dict, as_json: bool, out: str | None = None) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
@@ -241,10 +229,6 @@ def _emit_human(report: dict, prefix: str = "") -> None:
             click.echo(f"{prefix}{key}: {value}")
 
 
-def _finish(report: dict) -> None:
-    sys.exit(0 if report["aggregate"]["verdict"] == "pass" else CHECK_FAILED)
-
-
 def _points_for(spec: MetricSpec, point: str | None, samples: int,
                 seed: int) -> np.ndarray:
     if point is not None:
@@ -259,15 +243,40 @@ _ERRORS = (MetricError, ExprError, InversionError, ClassificationError,
            ValueError, OSError, KeyError, json.JSONDecodeError)
 
 
-def _guard(fn):
-    def wrapped(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except _ERRORS as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(USAGE_ERROR)
-    wrapped.__name__ = fn.__name__
-    return wrapped
+# each file option a command was given -> the key of its sha256 in "inputs"
+_INPUTS = {"metric_path": "metric", "metric2_path": "metric2",
+           "pair_path": "sinyukov"}
+
+
+def _reports(command: str):
+    """Make a command of a function that returns ``(tolerances, body,
+    passed)``: the command builds the report around ``body``, prints it,
+    also writes it to ``--out`` where it has that option, and exits 0 if
+    ``passed``, else CHECK_FAILED.  One of _ERRORS in the function, a
+    digest or the write exits USAGE_ERROR with one ``error:`` line."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(as_json, out=None, **options):
+            try:
+                tolerances, body, passed = fn(**options)
+                report = {
+                    "schema_version": SCHEMA_VERSION,
+                    "command": command,
+                    "inputs": {key: _digest(options[name])
+                               for name, key in _INPUTS.items()
+                               if options.get(name)},
+                    "seed": options.get("seed"),
+                    "tolerances": _jsonable(tolerances),
+                    **_jsonable(body),
+                    "aggregate": {"verdict": "pass" if passed else "fail"},
+                }
+                emit(report, as_json, out)
+            except _ERRORS as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(USAGE_ERROR)
+            sys.exit(0 if passed else CHECK_FAILED)
+        return run
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +316,8 @@ _out_opt = click.option("-o", "--out", default=None,
 @click.option("--svd-tol", default=1e-9, show_default=True)
 @_json_opt
 @_out_opt
-@_guard
-def classify(metric_path, point, samples, seed, svd_tol, as_json, out):
+@_reports("classify")
+def classify(metric_path, point, samples, seed, svd_tol):
     """Pointwise curvature class (A/B/C/D/O) of a metric."""
     spec = load_metric_file(metric_path)
     pts = _points_for(spec, point, samples, seed)
@@ -325,10 +334,7 @@ def classify(metric_path, point, samples, seed, svd_tol, as_json, out):
         per_point.append(entry)
     body = {"points": [list(p) for p in pts], "per_point": per_point,
             "classes_seen": sorted(tags)}
-    report = make_report("classify", {"metric": _digest(metric_path)}, seed,
-                         {"svd_tol": svd_tol}, body, passed=True)
-    emit(report, as_json, out)
-    _finish(report)
+    return {"svd_tol": svd_tol}, body, True
 
 
 @main.command()
@@ -339,8 +345,8 @@ def classify(metric_path, point, samples, seed, svd_tol, as_json, out):
               show_default=True, help="covariant-derivative order")
 @_json_opt
 @_out_opt
-@_guard
-def holonomy(metric_path, samples, seed, order, as_json, out):
+@_reports("holonomy")
+def holonomy(metric_path, samples, seed, order):
     """Infinitesimal holonomy algebra type over sampled points."""
     spec = load_metric_file(metric_path)
     rep = holonomy_survey(spec, samples=samples, seed=seed,
@@ -360,11 +366,7 @@ def holonomy(metric_path, samples, seed, order, as_json, out):
         "per_point": [{"point": list(p), "label": lab, "dimension": d}
                       for p, lab, d in rep.per_point],
     }
-    report = make_report("holonomy", {"metric": _digest(metric_path)}, seed,
-                         {"span_tol": SPAN_TOL},
-                         body, passed=rep.label != "unrecognized")
-    emit(report, as_json, out)
-    _finish(report)
+    return {"span_tol": SPAN_TOL}, body, rep.label != "unrecognized"
 
 
 @main.command("sinyukov-check")
@@ -375,20 +377,15 @@ def holonomy(metric_path, samples, seed, order, as_json, out):
 @click.option("--tol", default=1e-8, show_default=True)
 @_json_opt
 @_out_opt
-@_guard
-def sinyukov_check(metric_path, pair_path, samples, seed, tol, as_json, out):
+@_reports("sinyukov-check")
+def sinyukov_check(metric_path, pair_path, samples, seed, tol):
     """Residual of Sinyukov's equation for a candidate (a, lambda)."""
     spec = load_metric_file(metric_path)
     pair = load_pair_file(pair_path, spec)
     pts = sample_points(spec, samples, seed=seed)
     residual = sinyukov_residual(pair, pts)
     body = {"residual": residual, "samples": samples}
-    report = make_report(
-        "sinyukov-check",
-        {"metric": _digest(metric_path), "sinyukov": _digest(pair_path)},
-        seed, {"tol": tol}, body, passed=residual < tol)
-    emit(report, as_json, out)
-    _finish(report)
+    return {"tol": tol}, body, residual < tol
 
 
 @main.command("derive-partner")
@@ -397,11 +394,11 @@ def sinyukov_check(metric_path, pair_path, samples, seed, tol, as_json, out):
 @_samples_opt
 @_seed_opt
 @click.option("--tol", default=1e-8, show_default=True)
-@click.option("-o", "--out", required=True,
+@click.option("-o", "--out", "partner_path", required=True,
               help="path for the derived partner metric-spec file")
 @_json_opt
-@_guard
-def derive_partner(metric_path, pair_path, samples, seed, tol, out, as_json):
+@_reports("derive-partner")
+def derive_partner(metric_path, pair_path, samples, seed, tol, partner_path):
     """Invert (a, lambda) and write the projectively related metric g'."""
     spec = load_metric_file(metric_path)
     pair = load_pair_file(pair_path, spec)
@@ -409,20 +406,15 @@ def derive_partner(metric_path, pair_path, samples, seed, tol, out, as_json):
     residual = sinyukov_residual(pair, pts)
     pp = invert_pair(pair, pts, tol=tol)
     partner_json = metric_to_json(pp.partner)
-    Path(out).write_text(json.dumps(partner_json, sort_keys=True, indent=2)
-                         + "\n")
+    Path(partner_path).write_text(json.dumps(partner_json, sort_keys=True,
+                                             indent=2) + "\n")
     body = {
         "sinyukov_residual": residual,
-        "partner_file": str(out),
+        "partner_file": str(partner_path),
         "chi": to_string(pp.chi),
         "psi": [to_string(e) for e in pp.psi],
     }
-    report = make_report(
-        "derive-partner",
-        {"metric": _digest(metric_path), "sinyukov": _digest(pair_path)},
-        seed, {"tol": tol}, body, passed=residual < tol)
-    emit(report, as_json, None)
-    _finish(report)
+    return {"tol": tol}, body, residual < tol
 
 
 @main.command("projective-check")
@@ -438,26 +430,26 @@ def derive_partner(metric_path, pair_path, samples, seed, tol, out, as_json):
 @click.option("--tol", default=1e-8, show_default=True)
 @_json_opt
 @_out_opt
-@_guard
+@_reports("projective-check")
 def projective_check(metric_path, metric2_path, pair_path, auto_psi, samples,
-                     seed, tol, as_json, out):
+                     seed, tol):
     """Verify that two metrics are projectively related."""
+    if auto_psi and pair_path:
+        raise MetricError("need --auto-psi or -a/--sinyukov for psi, "
+                          "not both")
+    if not (auto_psi or pair_path):
+        raise MetricError("need --auto-psi or -a/--sinyukov for psi")
     spec = load_metric_file(metric_path)
     spec2 = load_metric_file(metric2_path)
     pts = sample_points(spec, samples, seed=seed)
-    inputs = {"metric": _digest(metric_path), "metric2": _digest(metric2_path)}
     body: dict = {"samples": samples}
     if auto_psi:
         psi = psi_from_connections(spec, spec2, pts)
         body["psi_source"] = "connections"
-    elif pair_path:
-        pair = load_pair_file(pair_path, spec)
-        pp = invert_pair(pair, pts, tol=tol)
-        psi = pp.psi
-        inputs["sinyukov"] = _digest(pair_path)
-        body["psi_source"] = "sinyukov-pair"
     else:
-        raise MetricError("need --auto-psi or -a/--sinyukov for psi")
+        pair = load_pair_file(pair_path, spec)
+        psi = invert_pair(pair, pts, tol=tol).psi
+        body["psi_source"] = "sinyukov-pair"
     res13 = projective_residual(spec, spec2, psi, pts)
     body["eq13_residual"] = res13
     passed = res13 < tol
@@ -468,10 +460,7 @@ def projective_check(metric_path, metric2_path, pair_path, auto_psi, samples,
         body.update({"eq14_residual": res14, "ricci_residual": res_ric,
                      "weyl_projective_diff": wdiff})
         passed = passed and max(res14, res_ric, wdiff) < tol
-    report = make_report("projective-check", inputs, seed, {"tol": tol},
-                         body, passed=passed)
-    emit(report, as_json, out)
-    _finish(report)
+    return {"tol": tol}, body, passed
 
 
 @main.command("weyl-projective")
@@ -482,21 +471,14 @@ def projective_check(metric_path, metric2_path, pair_path, auto_psi, samples,
 @click.option("--tol", default=1e-8, show_default=True)
 @_json_opt
 @_out_opt
-@_guard
-def weyl_projective(metric_path, metric2_path, samples, seed, tol, as_json,
-                    out):
+@_reports("weyl-projective")
+def weyl_projective(metric_path, metric2_path, samples, seed, tol):
     """Compare the Weyl projective tensors of two metrics."""
     spec = load_metric_file(metric_path)
     spec2 = load_metric_file(metric2_path)
     pts = sample_points(spec, samples, seed=seed)
     diff = weyl_projective_equal(spec, spec2, pts)
-    report = make_report(
-        "weyl-projective",
-        {"metric": _digest(metric_path), "metric2": _digest(metric2_path)},
-        seed, {"tol": tol}, {"max_diff": diff, "samples": samples},
-        passed=diff < tol)
-    emit(report, as_json, out)
-    _finish(report)
+    return {"tol": tol}, {"max_diff": diff, "samples": samples}, diff < tol
 
 
 @main.command("geodesic-check")
@@ -512,9 +494,9 @@ def weyl_projective(metric_path, metric2_path, samples, seed, tol, as_json,
 @click.option("--geo-tol", default=1e-6, show_default=True)
 @_json_opt
 @_out_opt
-@_guard
+@_reports("geodesic-check")
 def geodesic_check(metric_path, metric2_path, trials, steps, horizon, seed,
-                   geo_tol, as_json, out):
+                   geo_tol):
     """Score whether the second metric shares the first one's geodesic
     paths (pre-geodesic deviation along integrated trajectories)."""
     spec = load_metric_file(metric_path)
@@ -524,13 +506,8 @@ def geodesic_check(metric_path, metric2_path, trials, steps, horizon, seed,
     body = {"score": rep.score, "trials": trials, "steps": steps,
             "horizon": horizon,
             "truncated": [{"trial": t, "step": s} for t, s in rep.truncated]}
-    report = make_report(
-        "geodesic-check",
-        {"metric": _digest(metric_path), "metric2": _digest(metric2_path)},
-        seed, {"geo_tol": geo_tol}, body,
-        passed=rep.scored > 0 and rep.score < geo_tol)
-    emit(report, as_json, out)
-    _finish(report)
+    return ({"geo_tol": geo_tol}, body,
+            rep.scored > 0 and rep.score < geo_tol)
 
 
 @main.group()
@@ -541,22 +518,20 @@ def fixtures():
 
 @fixtures.command("list")
 @_json_opt
-@_guard
-def fixtures_list(as_json):
-    body = {"fixtures": list(fixture_mod.FIXTURE_NAMES)}
-    report = make_report("fixtures-list", {}, None, {}, body, passed=True)
-    emit(report, as_json, None)
+@_reports("fixtures-list")
+def fixtures_list():
+    return {}, {"fixtures": list(fixture_mod.FIXTURE_NAMES)}, True
 
 
 @fixtures.command("emit")
 @click.argument("name")
-@click.option("-o", "--out", default=".", help="output directory")
+@click.option("-o", "--out", "outdir", default=".", help="output directory")
 @_json_opt
-@_guard
-def fixtures_emit(name, out, as_json):
+@_reports("fixtures-emit")
+def fixtures_emit(name, outdir):
     """Write a fixture's g, (a, lambda) and expected g' as spec files."""
     bundle = fixture_mod.named_fixture(name)
-    outdir = Path(out)
+    outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     files = {
         f"{name}-g.json": metric_to_json(bundle.g),
@@ -571,8 +546,7 @@ def fixtures_emit(name, out, as_json):
             "files": sorted(str(outdir / f) for f in files),
             "expected_class": bundle.expected_class,
             "expected_holonomy": list(bundle.expected_holonomy)}
-    report = make_report("fixtures-emit", {}, None, {}, body, passed=True)
-    emit(report, as_json, None)
+    return {}, body, True
 
 
 if __name__ == "__main__":

@@ -76,11 +76,8 @@ def kernel_vectors(frame: PointFrame, tol: float = SVD_TOL) -> np.ndarray:
 def _simple_elements_in_plane(b1: Bivector, b2: Bivector):
     """Simple bivectors in span{b1, b2}: projective roots of the Pfaffian
     quadratic pf(alpha b1 + beta b2)."""
-    def pf(F):
-        return F.pfaffian
-
-    p11, p22 = pf(b1), pf(b2)
-    p12 = 0.5 * (pf(b1 + b2) - p11 - p22)
+    p11, p22 = b1.pfaffian, b2.pfaffian
+    p12 = 0.5 * ((b1 + b2).pfaffian - p11 - p22)
     scale = max(abs(p11), abs(p22), abs(p12), 1e-300)
     cands = []
     if abs(p11) / scale < 1e-9 and abs(p22) / scale < 1e-9 \
@@ -133,7 +130,7 @@ def classify_curvature(frame: PointFrame,
                                     direction=kern[0])
     if kdim == 0:
         if cm.rank == 2:
-            got = _class_b_structure(frame, cm, tol)
+            got = _class_b_structure(cm, tol)
             if got is not None:
                 return CurvatureClassReport("B", kern, cm.rank, cm.range_,
                                             cm.margin, dual_pair=got)
@@ -142,7 +139,7 @@ def classify_curvature(frame: PointFrame,
         f"kernel dimension {kdim} fits no curvature class")
 
 
-def _class_b_structure(frame, cm, tol):
+def _class_b_structure(cm, tol):
     """Check that the 2-dim range is spanned by a simple timelike bivector
     together with its dual; return the (F, *F) pair if so."""
     b1, b2 = cm.range_

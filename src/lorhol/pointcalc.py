@@ -579,12 +579,11 @@ class PointFrame:
     """
 
     def __init__(self, g, riem_ud=None, *, point=None, spec=None,
-                 gamma=None, dg=None):
+                 gamma=None):
         self.spec = spec
         self.point = None if point is None else np.asarray(point, float)
         self.g = np.asarray(g, float)
         self.gamma = gamma
-        self.dg = dg
         self._riem_ud = riem_ud
 
     # -- construction helpers ------------------------------------------------
@@ -893,8 +892,7 @@ def frames_at(spec: MetricSpec, points, order: int = 2):
             if signs != (-1, 1, 1, 1):
                 raise SignatureError(f"signature {signs} is not Lorentz")
             frame = PointFrame(jets[0][i], stack["R"][i], point=chunk[i],
-                               spec=spec, gamma=stack["gamma"][i],
-                               dg=jets[1][i])
+                               spec=spec, gamma=stack["gamma"][i])
             frame.ginv = stack["ginv"][i]
             if "covR" in stack:
                 vars(frame)["cov_riemann"] = stack["covR"][i]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -362,6 +363,22 @@ class TestSinyukovAndPartner:
         assert line.startswith("error: ") and "not finite" in line
         assert not partner.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--auto-psi", "-a", "{a}"],
+         "need --auto-psi or -a/--sinyukov for psi, not both"),
+        ([], "need --auto-psi or -a/--sinyukov for psi"),
+    ], ids=["both", "neither"])
+    def test_psi_comes_from_exactly_one_source(self, runner, emitted, flags,
+                                               message):
+        # given both, the pair file used to be ignored without a word
+        files = emitted("r9")
+        res = runner.invoke(main, ["projective-check", "-m", files["g"],
+                                   "-M", files["gp"], "--json",
+                                   *[f.format(**files) for f in flags]])
+        assert res.exit_code == 2, res.output
+        assert res.stdout == ""
+        assert res.stderr == f"error: {message}\n"
+
     def test_projective_check_fails_on_unrelated(self, runner, emitted,
                                                  tmp_path):
         files = emitted("r9")
@@ -501,6 +518,68 @@ class TestDegenerateSecondMetric:
         assert report["aggregate"]["verdict"] == "fail"
         assert report["truncated"] == [{"trial": t, "step": 0}
                                        for t in range(3)]
+
+
+# command -> its arguments, the input files it digests (report key ->
+# emitted file), and whether -o/--out writes the report
+ENVELOPE_CASES = {
+    "classify": (["-m", "{g}", "--samples", "2"], {"metric": "g"}, True),
+    "holonomy": (["-m", "{g}", "--samples", "2", "--order", "0"],
+                 {"metric": "g"}, True),
+    "sinyukov-check": (["-m", "{g}", "-a", "{a}", "--samples", "2"],
+                       {"metric": "g", "sinyukov": "a"}, True),
+    "derive-partner": (["-m", "{g}", "-a", "{a}", "--samples", "2",
+                        "-o", "{tmp}/partner.json"],
+                       {"metric": "g", "sinyukov": "a"}, False),
+    "projective-check": (["-m", "{g}", "-M", "{gp}", "-a", "{a}",
+                          "--samples", "2"],
+                         {"metric": "g", "metric2": "gp", "sinyukov": "a"},
+                         True),
+    "weyl-projective": (["-m", "{g}", "-M", "{gp}", "--samples", "2"],
+                        {"metric": "g", "metric2": "gp"}, True),
+    "geodesic-check": (["-m", "{g}", "-M", "{gp}", "--trials", "1",
+                        "--steps", "2", "--horizon", "0.1"],
+                       {"metric": "g", "metric2": "gp"}, True),
+    "fixtures-list": ([], {}, False),
+    "fixtures-emit": (["r9", "-o", "{tmp}/emitted"], {}, False),
+}
+
+
+class TestReportEnvelope:
+    """Every command's report carries the same envelope, and a report
+    written with -o/--out is the --json output byte for byte."""
+
+    @pytest.mark.parametrize("command", ENVELOPE_CASES)
+    def test_every_command_shares_one_envelope(self, runner, emitted,
+                                               tmp_path, command):
+        args, inputs, writes = ENVELOPE_CASES[command]
+        files = emitted("r9")
+        argv = command.replace("fixtures-", "fixtures ").split()
+        argv += [a.format(tmp=tmp_path, **files) for a in args]
+        out = tmp_path / "report.json"
+        if writes:
+            argv += ["-o", str(out)]
+        res, report = run_json(runner, argv)
+        assert res.exit_code == 0, res.output
+        assert {"schema_version", "command", "inputs", "seed", "tolerances",
+                "aggregate"} <= report.keys()
+        assert report["command"] == command
+        assert report["inputs"] == {
+            key: hashlib.sha256(open(files[f], "rb").read()).hexdigest()
+            for key, f in inputs.items()}
+        assert report["aggregate"] == {"verdict": "pass"}
+        if writes:
+            assert out.read_bytes() == res.stdout_bytes
+
+    def test_out_into_a_missing_directory_is_usage_error(self, runner,
+                                                          emitted, tmp_path):
+        files = emitted("r9")
+        res = runner.invoke(main, ["classify", "-m", files["g"], "--samples",
+                                   "2", "-o", str(tmp_path / "no" / "r.json")])
+        assert res.exit_code == 2, res.output
+        assert res.stdout == ""
+        [line] = res.stderr.splitlines()
+        assert line.startswith("error: ")
 
 
 class TestDeterminism:

@@ -517,7 +517,7 @@ class TestFramesAt:
             for fr, one in zip(frames, singles):
                 assert fr.point is not None and np.array_equal(fr.point,
                                                                one.point)
-                for attr in ("g", "dg", "gamma", "riem_ud", "ginv", "ricci",
+                for attr in ("g", "gamma", "riem_ud", "ginv", "ricci",
                              "weyl_ud", "cov_riemann", "cov2_riemann"):
                     got, want = getattr(fr, attr), getattr(one, attr)
                     assert got.shape == want.shape, (order, attr)
