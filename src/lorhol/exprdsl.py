@@ -5,7 +5,8 @@ named parameters, +, -, *, /, powers with exact rational exponents and
 the functions sqrt/exp/ln/sin/cos.  It is closed under partial
 differentiation, which is all the tensor machinery needs.  sqrt(x) is
 stored canonically as x^(1/2).  The symbolic 4x4 determinant and
-adjugate that pointcalc and projective build on live here too.
+adjugate that pointcalc and projective build on live here too, and the
+normal form (normalize) that projective writes derived partners in.
 
 See docs/grammar.md for the concrete syntax.
 """
@@ -29,6 +30,7 @@ __all__ = [
     "eval_expr", "to_string", "const", "coord", "param", "add", "sub",
     "mul", "div", "neg", "pow_", "fn", "free_symbols", "MAX_NESTING",
     "count_lines", "sym_sum", "sym_det4", "sym_cofactor4", "sym_adjugate4",
+    "normalize", "normal_forms",
 ]
 
 FUNCTION_NAMES = ("sqrt", "exp", "ln", "sin", "cos")
@@ -437,6 +439,356 @@ def free_symbols(e: Expr) -> tuple[set[str], set[str]]:
     nodes = list(_postorder([e]))
     return ({n.name for n in nodes if isinstance(n, Coord)},
             {n.name for n in nodes if isinstance(n, Param)})
+
+
+# ---------------------------------------------------------------------------
+# Normal form
+# ---------------------------------------------------------------------------
+
+# The normaliser's values are polynomials over bases, {monomial:
+# coefficient}: a monomial is a frozenset of (base, integer exponent)
+# pairs, a coefficient a nonzero rational (an int where it is one).  The
+# bases are interned nodes: coordinates, parameters, x^(1/q), ln/sin/cos
+# of a normal form, at most one exp of a normal form per monomial (at
+# exponent 1), sums, and 0^-1 (a reciprocal of zero).  No monomial holds
+# one sum base at exponent 1 and no other sum base: that product is
+# distributed over the sum's terms.  So normalising a polynomial's
+# expression gives the polynomial back, and normalize is idempotent.
+# The tables memoise pure functions of interned nodes, like
+# _DERIVATIVES: a base's sort key (tuples of kind, name or exponent and
+# the keys below it), a monomial's, the polynomial of a sum base or of an
+# exp base's argument, and the sum or exp base of a polynomial (keyed
+# by kind and the polynomial's items).  A base's key is written before
+# the base is published in _SUMS, _EXPS or _BASES, so a thread that
+# meets it there finds its key.
+_KEYS: dict[Expr, tuple] = {}
+_MONO_KEYS: dict[frozenset, tuple] = {}
+_SUMS: dict[Expr, dict] = {}
+_EXPS: dict[Expr, dict] = {}
+_BASES: dict[tuple, Expr] = {}
+_UNIT = frozenset()
+_ZERO_RECIPROCAL = Pow(ZERO, -1)
+
+
+def _mono_key(m: frozenset) -> tuple:
+    key = _MONO_KEYS.get(m)
+    if key is None:
+        key = _MONO_KEYS[m] = tuple(sorted((_KEYS[b], e) for b, e in m))
+    return key
+
+
+def _rational(v):
+    return v.numerator if v.denominator == 1 else v
+
+
+def _terms(p: dict) -> list:
+    """p's (monomial, coefficient) pairs in structural order: by the
+    bases' keys, which depend on structure only, never on id or hash,
+    so every process orders them alike."""
+    return sorted(p.items(), key=lambda t: _mono_key(t[0]))
+
+
+def _poly_key(p: dict) -> tuple:
+    return tuple((_mono_key(m), c) for m, c in _terms(p))
+
+
+def _base(b: Expr, key: tuple) -> dict:
+    _KEYS.setdefault(b, key)
+    return {frozenset(((b, 1),)): 1}
+
+
+def _add_term(p: dict, m: frozenset, c) -> None:
+    v = p.get(m, 0) + c
+    if v:
+        p[m] = v
+    else:
+        del p[m]
+
+
+def _accumulate(target: dict, p: dict, k=1) -> dict:
+    """target += k * p, in place."""
+    for m, c in p.items():
+        _add_term(target, m, k * c)
+    return target
+
+
+def _product(*factors) -> frozenset:
+    """The monomial prod m^k over (m, k) in factors, with its exp bases
+    folded into one: exp(a)^j exp(b)^k = exp(j a + k b), exp(0) = 1."""
+    if len(factors) == 2 and factors[0][1] == factors[1][1] == 1:
+        if not factors[0][0]:
+            return factors[1][0]
+        if not factors[1][0]:
+            return factors[0][0]
+    d: dict = {}
+    exps = []
+    for m, k in factors:
+        for b, e in m:
+            if b in d:
+                d[b] += e * k
+            else:
+                d[b] = e * k
+                if b in _EXPS:
+                    exps.append(b)
+    if exps and (len(exps) > 1 or d[exps[0]] != 1):
+        arg: dict = {}
+        for b in exps:
+            if k := d.pop(b):
+                _accumulate(arg, _EXPS[b], k)
+        if arg:
+            d[_exp_base(arg)] = 1
+    return frozenset([(b, e) for b, e in d.items() if e])
+
+
+def _settle(out: dict, c, m: frozenset) -> None:
+    """out += c * m, distributed over the terms of m's sum if that is m's
+    only sum base and at exponent 1 (a monomial times a sum)."""
+    sums = [(b, e) for b, e in m if b in _SUMS]
+    if len(sums) == 1 and sums[0][1] == 1:
+        rest = m - set(sums)
+        for ms, cs in _SUMS[sums[0][0]].items():
+            _add_term(out, _product((rest, 1), (ms, 1)), c * cs)
+    else:
+        _add_term(out, m, c)
+
+
+def _content(p: dict) -> tuple:
+    """(c, g): the positive rational gcd c of p's coefficients and the
+    gcd monomial g of p's terms over every base but sums, exponents
+    negative too (a base missing from a term counts as exponent 0), so
+    p / (c g) has coprime integer coefficients and no denominator but of
+    sums."""
+    num, den = 0, 1
+    low: dict = {}
+    seen: Counter = Counter()
+    for m, c in p.items():
+        num, den = math.gcd(num, c.numerator), math.lcm(den, c.denominator)
+        for b, e in m:
+            if b not in _SUMS:
+                low[b] = min(low.get(b, e), e)
+                seen[b] += 1
+    g = frozenset((b, e) for b, e in low.items()
+                  if e < 0 or seen[b] == len(p))
+    return Fraction(num, den), g
+
+
+def _sum_base(p: dict) -> tuple:
+    """(c, m) with p = c * m for a multi-term p: m is p's gcd monomial
+    times one base, the primitive sum p / (c gcd) whose leading term has
+    a positive coefficient, so S and -S share a base."""
+    c, g = _content(p)
+    inv = (g, -1)
+    prim = {_product((m, 1), inv): _rational(v / c) for m, v in p.items()}
+    if _terms(prim)[0][1] < 0:
+        c = -c
+        prim = {m: -v for m, v in prim.items()}
+    s = _BASES.get(key := (5, frozenset(prim.items())))
+    if s is None:
+        s = _sum_expr(prim)
+        _KEYS.setdefault(s, (5, _poly_key(prim)))
+        _SUMS.setdefault(s, prim)
+        _BASES[key] = s
+    return _rational(c), _product((g, 1), (frozenset(((s, 1),)), 1))
+
+
+def _mul(p: dict, q: dict) -> dict:
+    """p * q: a monomial times a sum distributes, unless the monomial
+    holds a sum base already; a sum times a sum is a product of two
+    bases, so a quotient of sums cancels a common base."""
+    if not p or not q:
+        return {}
+    if len(p) > 1 and len(q) > 1:
+        (cp, mp), (cq, mq) = _sum_base(p), _sum_base(q)
+        out: dict = {}
+        _settle(out, cp * cq, _product((mp, 1), (mq, 1)))
+        return out
+    if len(p) > 1:
+        p, q = q, p
+    [(m, c)] = p.items()
+    if len(q) > 1 and any(b in _SUMS for b, _ in m):
+        cq, mq = _sum_base(q)
+        q = {mq: cq}
+    out = {}
+    for mq, cq in q.items():
+        _settle(out, c * cq, _product((m, 1), (mq, 1)))
+    return out
+
+
+def _pow(p: dict, k: Fraction) -> dict:
+    if not p:
+        return {} if k > 0 else _base(_ZERO_RECIPROCAL, (6,))
+    if k.denominator != 1:
+        x = _rebuild(p)
+        root = pow_(x, k)
+        if isinstance(root, Const):
+            return {_UNIT: _rational(root.value)} if root.value else {}
+        b = Pow(x, Fraction(1, k.denominator))
+        _KEYS.setdefault(b, (2, k.denominator, _poly_key(p)))
+        return {frozenset(((b, k.numerator),)): 1}
+    if k == 1:
+        return dict(p)
+    if len(p) > 1:
+        c, m = _sum_base(p)
+    else:
+        [(m, c)] = p.items()
+    out: dict = {}
+    _settle(out, _rational(Fraction(c) ** k.numerator),
+            _product((m, k.numerator)))
+    return out
+
+
+def _exp_base(p: dict) -> Expr:
+    b = _BASES.get(key := (4, frozenset(p.items())))
+    if b is None:
+        b = Fn("exp", _rebuild(p))
+        _KEYS.setdefault(b, (4, _poly_key(p)))
+        _EXPS.setdefault(b, dict(p))
+        _BASES[key] = b
+    return b
+
+
+def _fn(name: str, p: dict) -> dict:
+    if name == "exp":
+        return {frozenset(((_exp_base(p), 1),)): 1} if p else {_UNIT: 1}
+    return _base(Fn(name, _rebuild(p)), (3, name, _poly_key(p)))
+
+
+def _factor(b: Expr, e: int) -> Expr:
+    """b^e for e > 0; a base x^(1/q) gives x^(e/q) when e and q are
+    coprime.  sqrt(x)^2 stays, for it is not defined where x < 0."""
+    if e == 1:
+        return b
+    if (isinstance(b, Pow) and b.exponent.denominator != 1
+            and math.gcd(e, b.exponent.denominator) == 1):
+        return pow_(b.base, e * b.exponent)
+    return pow_(b, e)
+
+
+def _term(c: Fraction, m: frozenset, tail: Expr | None = None) -> Expr:
+    """c * m as coefficient * numerator [* tail] / denominator, the bases
+    in key order."""
+    num, den = [], []
+    for b, e in sorted(m, key=lambda t: _KEYS[t[0]]):
+        (num if e > 0 else den).append(_factor(b, abs(e)))
+    if tail is not None:
+        num.append(tail)
+    out = reduce(mul, num if num and abs(c) == 1 else [Const(c)] + num)
+    if den:
+        out = div(out, reduce(mul, den))
+    return neg(out) if num and c == -1 else out
+
+
+def _sum_expr(p: dict) -> Expr:
+    """p's terms added left to right, in structural order."""
+    terms = _terms(p)
+    out = _term(*terms[0][::-1])
+    for m, c in terms[1:]:
+        out = add(out, _term(c, m)) if c > 0 else sub(out, _term(-c, m))
+    return out
+
+
+def _rebuild(p: dict) -> Expr:
+    """The expression of p: a term, or c * g * (sum) / g' with p's
+    content c g taken out of the sum."""
+    if not p:
+        return ZERO
+    if len(p) == 1:
+        [(m, c)] = p.items()
+        return _term(c, m)
+    c, g = _content(p)
+    if c == 1 and not g:
+        return _sum_expr(p)
+    inv = (g, -1)
+    return _term(c, g, _sum_expr({_product((m, 1), inv): _rational(v / c)
+                                  for m, v in p.items()}))
+
+
+def _normal_step(n: Expr, ops: list, owned: list, below: set) -> dict:
+    """n's polynomial from its operands'; an operand whose last use this
+    is (owned) may be changed in place, so a long sum takes linear time.
+    A quotient or a negative power adds the bases it puts in a
+    denominator to ``below``."""
+    if isinstance(n, Const):
+        return {_UNIT: _rational(n.value)} if n.value else {}
+    if isinstance(n, Coord):
+        return _base(n, (1, n.name))
+    if isinstance(n, Param):
+        return _base(n, (0, n.name))
+    if isinstance(n, Neg):
+        p = ops[0] if owned[0] else dict(ops[0])
+        for m in p:
+            p[m] = -p[m]
+        return p
+    if isinstance(n, (Add, Sub)):
+        k = 1 if isinstance(n, Add) else -1
+        (a, b), shared = ops, ops[0] is ops[1]
+        if owned[0] and not shared:
+            return _accumulate(a, b, k)
+        if owned[1] and not shared:
+            if k == -1:
+                for m in b:
+                    b[m] = -b[m]
+            return _accumulate(b, a)
+        return _accumulate(dict(a), b, k)
+    if isinstance(n, Mul):
+        return _mul(*ops)
+    if isinstance(n, Div):
+        inv = _pow(ops[1], Fraction(-1))
+        below.update(b for m in inv for b, e in m if e < 0)
+        return _mul(ops[0], inv)
+    if isinstance(n, Pow):
+        p = _pow(ops[0], n.exponent)
+        if n.exponent < 0:
+            below.update(b for m in p for b, e in m if e < 0)
+        return p
+    if isinstance(n, Fn):
+        return _fn(n.name, ops[0])
+    raise ExprError(f"cannot normalise node {type(n).__name__}")
+
+
+def normal_forms(exprs: Sequence[Expr]) -> tuple[list, tuple]:
+    """(the normal form of each of exprs, the cancelled denominators).
+
+    One walk over the DAG under exprs in _postorder, each node once,
+    with no recursion.  Each node becomes a rational coefficient times a
+    product of bases with integer exponents, or a sum of such terms (see
+    the tables above): like terms merge; a sum that becomes a base gives
+    up its content (gcd monomial and coefficient, sign included) first,
+    so S and -S share a base; exp folds; a monomial times a sum
+    distributes, and a sum times a sum, or times a monomial that holds a
+    sum base, is a product of bases, so a quotient cancels the bases its
+    numerator and denominator share.  Bases and terms are ordered by
+    structure, so the result is the same in every process.  No
+    polynomial gcd is taken, so sums that are equal only as polynomials
+    stay apart.
+
+    The cancelled denominators are the bases, in structural order, that
+    stood at a negative exponent in some node and at none at the top of
+    any result: where one vanishes an expression may be finite that was
+    not before."""
+    roots = list(exprs)
+    order = list(_postorder(roots))
+    operand_lists = [_children(n) for n in order]
+    uses = Counter(chain.from_iterable(operand_lists))
+    uses.update(roots)
+    polys: dict = {}
+    below: set = set()
+    for n, operands in zip(order, operand_lists):
+        ops, owned = [], []
+        for c in operands:
+            uses[c] -= 1
+            owned.append(not uses[c])
+            ops.append(polys[c] if uses[c] else polys.pop(c))
+        polys[n] = _normal_step(n, ops, owned, below)
+    top = {b for r in roots for m in polys[r] for b, e in m if e < 0}
+    return ([_rebuild(polys[r]) for r in roots],
+            tuple(sorted(below - top, key=_KEYS.__getitem__)))
+
+
+def normalize(e: Expr) -> Expr:
+    """e in normal form (see normal_forms): the same value wherever e is
+    finite, and normalize(normalize(e)) is normalize(e)."""
+    return normal_forms([e])[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -244,17 +244,16 @@ def _metric_program(spec: MetricSpec, order: int) -> tuple:
 # christoffel_batch takes det g and Gamma from one compiled call when
 # they add at most this many lines (count_lines) to the order-1 jet
 # program of g.  In 20-row RK4 stage calls fused and numeric time cross
-# at about 100-120 added lines (scripts/christoffel_crossover.py, 2-core
-# VM).  The shipped fixtures add 0-39 lines and their derived partners
-# 288-431, so partners keep the numeric path.  In 240-row blocks, as the
-# second metric of pregeodesic_check, a fused partner would be faster
-# and peak lower (about 320 KB against 540 KB, tracemalloc), but a
-# partner that drives the integration takes 20-row stage calls.  Every
-# metric fused, cold CLI, median of 4 alternating runs pinned to one CPU
-# of a 2-core VM: geodesic-check with r11 driving and its partner second
-# 1.11 s -> 1.06 s; with the r11 partner driving 3.33 s -> 4.22 s, with
-# the r9 partner driving 2.91 s -> 4.15 s; projective-check --auto-psi
-# 0.273 s -> 0.285 s.  So the budget stays.
+# at about 100-125 added lines (scripts/christoffel_crossover.py, 2-core
+# VM).  The shipped fixtures add 0-39 lines, and their derived partners,
+# in exprdsl's normal form, 70-97 (r14, r9, r9-b0, r10 and r13, r11),
+# so every one of them is fused: on each, the fused call took 7-36 %
+# less time than the numeric one at 20 rows, and about a third of its
+# time at 240 rows.  A partner as the raw adjugate formula added 288-431
+# lines and took the numeric path: with it fused, cold CLI, median of 4
+# alternating runs pinned to one CPU of a 2-core VM, geodesic-check with
+# the raw r11 partner driving took 3.33 s -> 4.22 s and with the raw r9
+# partner driving 2.91 s -> 4.15 s.  So the budget stays.
 _FUSED_LINES = 100
 
 # the index pairs b <= c in order, and the row of Gamma^a_bc among the

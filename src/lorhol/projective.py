@@ -19,8 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from .exprdsl import (
-    Expr, const, differentiate, div, fn, mul, neg, sym_adjugate4, sym_det4,
-    sym_sum,
+    Div, DomainError, Expr, Fn, Mul, Neg, Pow, const, differentiate, div,
+    eval_expr, fn, free_symbols, mul, neg, normal_forms, pow_, sym_adjugate4,
+    sym_det4, sym_sum,
 )
 from .pointcalc import (
     DIM, MetricSpec, PointFrame, _christoffel_kernel, _field_jets,
@@ -220,10 +221,17 @@ def invert_pair(pair: SinyukovPair, points=None, seed: int = 7,
                 tol: float = 1e-8) -> ProjectivePair:
     """Invert (a, lambda) into (g', psi) symbolically.
 
-    psi and chi are built via the adjugate/determinant formulas above;
-    the consistency d(chi) = psi and the auxiliary metric-compatibility
-    of Gamma'' = Gamma - psi^a g_bc (which must kill nabla'' a) are
-    asserted numerically at the sample points.
+    g'_ab = s det(g) B_ab / det(a)^2 with B = g adj(a) g, psi and chi
+    are built by the adjugate/determinant formulas above and brought to
+    exprdsl's normal form, which cancels what the bases share: det(a)^2
+    against det(g) and B, the content of each sum, the exp factors.  The
+    new domain constraint s det(a) / det(g) has its numerator and its
+    denominator normalised apart, so nothing cancels across it.  A base
+    cancelled from a denominator of g' that can vanish, is not a factor
+    of a constraint, and so could widen the domain, stays as one more
+    constraint base^2 > 0.  The consistency d(chi) = psi and the
+    auxiliary metric-compatibility of Gamma'' = Gamma - psi^a g_bc (which
+    must kill nabla'' a) are asserted numerically at the sample points.
     """
     spec = pair.base
     if points is None:
@@ -242,33 +250,38 @@ def invert_pair(pair: SinyukovPair, points=None, seed: int = 7,
     g0 = eval_field_batch(spec, spec.g, pts[:1])[0]
     s = 1.0 if np.linalg.det(a0) / np.linalg.det(g0) > 0 else -1.0
     sgn = const(int(s))
+    sdeta = mul(sgn, deta)
 
-    chi = mul(const(Fraction(-1, 2)),
-              fn("ln", div(mul(sgn, deta), detg)))
-
-    # lam^b = adjg[b][c] lam_c / det g ;  B_ab = g adj(a) g (mirrored so the
-    # resulting metric is structurally symmetric)
-    lam_up_num = _mat_vec(adjg, lam)
-    b_mat = [[None] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(i + 1):
-            e = sym_sum([mul(spec.g[i][c], mul(adja[c][d], spec.g[d][j]))
-                      for c in range(4) for d in range(4)])
-            b_mat[i][j] = b_mat[j][i] = e
-    denom = mul(deta, detg)
-    psi = tuple(neg(div(sym_sum([mul(b_mat[i][j], lam_up_num[j])
-                              for j in range(4)]), denom))
-                for i in range(4))
-
-    # g'_ab = e^{2 chi} (a^{-1})_ab = s det(g) B_ab / det(a)^2
+    # g'_ab = e^{2 chi} (a^{-1})_ab = s det(g) B_ab / det(a)^2 for b >= a,
+    # with B = g adj(a) g; mirrored, so g' is structurally symmetric
     deta_sq = mul(deta, deta)
+    upper = [div(mul(mul(sgn, detg), sym_sum([
+        mul(spec.g[i][c], mul(adja[c][d], spec.g[d][j]))
+        for c in range(4) for d in range(4)])), deta_sq)
+        for i in range(4) for j in range(i, 4)]
+    forms, cancelled = normal_forms(upper + [sdeta, detg]
+                                    + list(spec.constraints))
+    entries = iter(forms[:10])
     gp_rows = [[None] * 4 for _ in range(4)]
     for i in range(4):
-        for j in range(i + 1):
-            e = div(mul(mul(sgn, detg), b_mat[i][j]), deta_sq)
-            gp_rows[i][j] = gp_rows[j][i] = e
+        for j in range(i, 4):
+            gp_rows[i][j] = gp_rows[j][i] = next(entries)
     gp = tuple(tuple(r) for r in gp_rows)
-    gp_constraints = spec.constraints + (div(mul(sgn, deta), detg),)
+    excluded = _factors(forms[10:])
+    kept = [pow_(b, 2) for b in cancelled
+            if b not in excluded and _can_vanish(b, spec.params)]
+    # e^{-2 chi} = s det(a) / det(g)
+    row = div(forms[10], forms[11])
+    gp_constraints = spec.constraints + (row,) + tuple(kept)
+
+    # psi_a = -(a^{-1})_ab lam^b = -e^{-2 chi} g'_ab lam^b, with
+    # lam^b = adj(g)^bc lam_c / det g
+    lam_up = [div(e, forms[11]) for e in _mat_vec(adjg, lam)]
+    psi = [neg(mul(row, sym_sum([mul(gp[i][j], lam_up[j])
+                                 for j in range(4)])))
+           for i in range(4)]
+    chi = mul(const(Fraction(-1, 2)), fn("ln", row))
+    *psi, chi = normal_forms(psi + [chi])[0]
     gp_spec = MetricSpec(spec.coords, gp, spec.params, gp_constraints,
                          spec.sample_box,
                          name=(spec.name + "-partner") if spec.name else "partner")
@@ -284,7 +297,38 @@ def invert_pair(pair: SinyukovPair, points=None, seed: int = 7,
             f"psi is not the gradient of chi (residual {worst:.3e}); "
             "the pair does not satisfy Sinyukov's equation")
     _assert_aux_connection(spec, pair, psi_vals, pts)
-    return ProjectivePair(spec, gp_spec, psi, chi)
+    return ProjectivePair(spec, gp_spec, tuple(psi), chi)
+
+
+def _factors(exprs) -> set:
+    """The bases multiplied together in each of exprs (through products,
+    quotients, negations and powers; x^(p/q) counts as x^(1/q)): a
+    constraint > 0 keeps each of them finite and nonzero."""
+    out, stack = set(), list(exprs)
+    while stack:
+        e = stack.pop()
+        if isinstance(e, (Mul, Div)):
+            stack += [e.lhs, e.rhs]
+        elif isinstance(e, Neg):
+            stack.append(e.arg)
+        elif isinstance(e, Pow) and e.exponent.numerator != 1:
+            stack.append(pow_(e.base, Fraction(1, e.exponent.denominator)))
+        else:
+            out.add(e)
+    return out
+
+
+def _can_vanish(b: Expr, params) -> bool:
+    """Whether the base b may be 0 somewhere: not an exp, and not a
+    nonzero constant."""
+    if isinstance(b, Fn) and b.name == "exp":
+        return False
+    if free_symbols(b)[0]:
+        return True
+    try:
+        return eval_expr(b, (), (), params) == 0.0
+    except DomainError:
+        return True
 
 
 def _assert_aux_connection(spec, pair, psi_vals, pts):

@@ -88,6 +88,37 @@ def fixture_spec(name: str, partner: bool = False):
     return invert_pair(bundle.pair).partner if partner else bundle.g
 
 
+@lru_cache(maxsize=None)
+def raw_partner(name: str):
+    """The partner of a shipped fixture as the raw adjugate formula that
+    invert_pair normalises: g'_ab = s det g B_ab / (det a)^2 with
+    B = g adj(a) g, under the base's constraints and s det a / det g,
+    where s is the sign of det a / det g at a sample point."""
+    from lorhol.exprdsl import (
+        const, div, mul, sym_adjugate4, sym_det4, sym_sum,
+    )
+    from lorhol.fixtures import named_fixture
+    from lorhol.pointcalc import MetricSpec, eval_field_batch, sample_points
+    pair = named_fixture(name).pair
+    spec = pair.base
+    point = sample_points(spec, 1)
+    det = [np.linalg.det(eval_field_batch(spec, m, point)[0])
+           for m in (pair.a, spec.g)]
+    sgn = const(1 if det[0] / det[1] > 0 else -1)
+    deta, detg = sym_det4(pair.a), sym_det4(spec.g)
+    adja = sym_adjugate4(pair.a)
+    gp = [[div(mul(mul(sgn, detg), sym_sum([
+        mul(spec.g[i][c], mul(adja[c][d], spec.g[d][j]))
+        for c in range(4) for d in range(4)])), mul(deta, deta))
+        for j in range(4)] for i in range(4)]
+    for i in range(4):
+        for j in range(i):
+            gp[i][j] = gp[j][i]
+    return MetricSpec(spec.coords, tuple(map(tuple, gp)), spec.params,
+                      spec.constraints + (div(mul(sgn, deta), detg),),
+                      spec.sample_box, name=f"{spec.name}-raw-partner")
+
+
 def narrowed(g):
     """g with one more domain constraint, x0 < lo + 0.65 (hi - lo) on its
     first coordinate x0 with sample-box range [lo, hi]: the same metric

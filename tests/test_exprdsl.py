@@ -3,9 +3,13 @@ import dis
 import inspect
 import itertools
 import math
+import os
 import pickle
 import re
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -13,12 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import raw_partner
 from lorhol.exprdsl import (
-    MAX_NESTING, Add, Const, Coord, DomainError, Fn, Mul, Param, ParseError,
-    Pow, UnknownIdentifierError, add, compile_program, const, count_lines,
-    coord, differentiate, eval_expr, fn, free_symbols, mul, neg, param,
-    parse_expr, pow_, sub, sym_sum, to_string,
+    MAX_NESTING, Add, Const, Coord, DomainError, Fn, Mul, Param,
+    ParseError, Pow, UnknownIdentifierError, add, compile_program, const,
+    count_lines, coord, differentiate, eval_expr, fn, free_symbols, mul, neg,
+    normal_forms, normalize, param, parse_expr, pow_, sub, sym_sum, to_string,
 )
+from lorhol.cli import load_metric_file
 from lorhol.fixtures import named_fixture
 from lorhol.pointcalc import sample_points
 from lorhol.projective import invert_pair
@@ -187,10 +193,11 @@ class TestInterning:
 
 
 def test_compiled_partner_table_matches_tree_walk():
-    # The order-3 table of the r11 derived partner (what `holonomy
-    # --order 1` compiles) is a large shared DAG; check the emitted code
-    # against the tree-walking evaluator on a fixed subset of entries.
-    spec = invert_pair(named_fixture("r11").pair).partner
+    # The order-3 table of the r11 partner as the raw adjugate formula
+    # (what `holonomy --order 1` compiled before partners were
+    # normalised) is a large shared DAG; check the emitted code against
+    # the tree-walking evaluator on a fixed subset of entries.
+    spec = raw_partner("r11")
     table = []
     for a in range(4):
         for b in range(a, 4):
@@ -427,6 +434,14 @@ class TestLongExpressions:
         assert pickle.loads(pickle.dumps(terms)) is terms
         assert copy.deepcopy(terms) is terms
 
+    def test_normalize_merges_the_terms(self, chain):
+        # the 5000 terms are five monomials x u^k, k = 0..4, so the sum
+        # becomes x times a 5-term sum
+        out = normalize(chain)
+        assert to_string(out).count(" + ") == 4
+        point = (1.25, 0.0, 0.5, 0.0)
+        assert ev(out, point) == pytest.approx(ev(chain, point), rel=1e-12)
+
 
 # --- random expression machinery -------------------------------------------
 
@@ -527,3 +542,87 @@ def test_free_symbols():
     cs, ps = free_symbols(p("b0*sqrt(v) + u*cos(x)"))
     assert cs == {"v", "u", "x"}
     assert ps == {"b0"}
+
+
+class TestNormalize:
+    """normalize: a rational coefficient times a product of interned
+    bases with integer exponents, sums of such terms, like terms merged,
+    exp folded."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(EXPRS, POINTS)
+    def test_value_fixed_point_and_round_trip(self, expr, point):
+        out = normalize(expr)
+        assert normalize(out) is out
+        assert parse_expr(to_string(out), COORDS, PARAMS) is out
+        try:
+            ref = eval_expr(expr, point, COORDS, ENV)
+            got = eval_expr(out, point, COORDS, ENV)
+        except DomainError:
+            return  # one of them is not finite here
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("src, want", [
+        ("exp(0)", "1"),
+        ("exp(u - u)", "1"),
+        ("exp(u)^3", "exp(3*u)"),
+        ("exp(u)^-2", "exp(-2*u)"),
+        ("exp(u)*exp(x*y)", "exp(u + x*y)"),
+        ("exp(u)*exp(-u)", "1"),
+        ("u^2*exp(x*y)*exp(x*y)/exp(2*x*y)", "u^2"),
+    ])
+    def test_exp_folds(self, src, want):
+        assert normalize(p(src)) is p(want)
+
+    @pytest.mark.parametrize("src, want", [
+        # a repeated sum is one base, raised to a power
+        ("(1 + xi*u)*(1 + xi*u)", "(1 + xi*u)^2"),
+        # S and -S share a base
+        ("(1 + xi*u)*(-1 - xi*u)", "-(1 + xi*u)^2"),
+        # a sum gives up its content when it becomes a base
+        ("(u + u*v)/(1 + v)", "u"),
+        ("(2*u + 4)*(2 + u)", "2*(2 + u)^2"),
+        # a monomial times a sum distributes; like terms merge
+        ("u*(1 + v) - u*v", "u"),
+    ])
+    def test_sums_as_bases(self, src, want):
+        assert normalize(p(src)) is p(want)
+
+    def test_cancelled_denominators(self):
+        [out], cancelled = normal_forms([p("u*x/(u*(1 + v))")])
+        assert out is p("x/(1 + v)")
+        assert cancelled == (p("u"),)
+
+
+def test_derive_partner_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # bases are ordered by a structural key, not by id or hash; each
+    # interpreter derives the r9 and r11 partners
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = textwrap.dedent("""
+        import sys
+        from lorhol.cli import main
+        out = sys.argv[1]
+        for name in ("r9", "r11"):
+            for cmd in (["fixtures", "emit", name, "-o", out],
+                        ["derive-partner", "-m", f"{out}/{name}-g.json",
+                         "-a", f"{out}/{name}-a.json",
+                         "-o", f"{out}/{name}-gp.json"]):
+                try:
+                    main(cmd)
+                except SystemExit as stop:
+                    assert stop.code == 0, stop.code
+        """)
+    for seed in ("0", "4242"):
+        out = tmp_path / seed
+        out.mkdir()
+        subprocess.run([sys.executable, "-c", code, str(out)], check=True,
+                       env=dict(env, PYTHONHASHSEED=seed), capture_output=True)
+    for name in ("r9", "r11"):
+        first = (tmp_path / "0" / f"{name}-gp.json").read_bytes()
+        assert first == (tmp_path / "4242" / f"{name}-gp.json").read_bytes()
+        # and the file parses back to the very nodes of the derivation
+        spec = load_metric_file(str(tmp_path / "0" / f"{name}-gp.json"))
+        derived = invert_pair(named_fixture(name).pair).partner
+        assert spec.g == derived.g
+        assert spec.constraints == derived.constraints

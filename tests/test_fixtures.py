@@ -34,7 +34,7 @@ def bundle_closes(bundle, n=40, seed=11, tol_chi=1e-9, tol_gp=1e-8):
 class TestShippedBundles:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_bundle_closes(self, name):
-        bundle_closes(named_fixture(name))
+        bundle_closes(named_fixture(name), tol_gp=1e-12)
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_expected_partner_is_lorentz(self, name):

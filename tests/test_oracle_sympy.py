@@ -1,7 +1,8 @@
 """Exact oracle for Gamma, R, R;e and R;e;f, and for g^-1, det g, Ricci
 and Weyl: the tensors are built with sympy from a fixture's expression
 strings and evaluated at one dyadic point to 30 digits, sharing no
-assembly code with lorhol.pointcalc.
+assembly code with lorhol.pointcalc.  Likewise for the projective
+partner g', inverted with sympy's own determinant and adjugate.
 
 sympy is a test-only dependency; without it this module is skipped.
 """
@@ -16,6 +17,7 @@ from sympy.parsing.sympy_parser import (  # noqa: E402
 from lorhol.exprdsl import to_string  # noqa: E402
 from lorhol.fixtures import named_fixture  # noqa: E402
 from lorhol.pointcalc import frame_at  # noqa: E402
+from lorhol.projective import invert_pair  # noqa: E402
 
 # dyadic, so the float point lorhol sees is the exact one
 POINT = (sp.Rational(5, 4), sp.Rational(3, 4), sp.Rational(1, 4),
@@ -136,3 +138,31 @@ def test_frame_matches_exact_tensors(name):
         scale = np.max(np.abs(want))
         assert scale > 0.0, attr
         assert np.max(np.abs(got - want)) <= 1e-12 * scale, attr
+
+
+@pytest.mark.parametrize("name", ["r9", "r14", "r11"])
+def test_partner_matches_exact_inversion(name):
+    # g' = s det(g) g adj(a) g / det(a)^2 with sympy's determinant and
+    # adjugate, from the fixture's strings, against lorhol's normal form
+    # read back through to_string, at POINT to 30 digits
+    bundle = named_fixture(name)
+    spec = bundle.g
+    x = sp.symbols(spec.coords)
+    local = dict(zip(spec.coords, x), ln=sp.log)
+    local.update({p: sp.Rational(spec.params[p])
+                  for p in spec.params.names()})
+    rules = standard_transformations + (convert_xor,)
+    at = dict(zip(x, POINT))
+
+    def value(m) -> sp.Matrix:
+        return sp.Matrix(4, 4, lambda i, j: parse_expr(
+            to_string(m[i][j]), local_dict=local,
+            transformations=rules).xreplace(at).evalf(40))
+
+    g, a = value(spec.g), value(bundle.pair.a)
+    s = sp.sign(a.det() / g.det())
+    want = s * g.det() * g * a.adjugate() * g / a.det() ** 2
+    got = value(invert_pair(bundle.pair).partner.g)
+    scale = max(abs(v) for v in want)
+    assert scale > 0
+    assert max(abs(v) for v in got - want) <= sp.Float(10) ** -30 * scale

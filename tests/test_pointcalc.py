@@ -654,21 +654,27 @@ def test_fused_christoffels_match_the_numeric_path(name, partner):
             assert np.all(gamma[~ok] == 0.0)
 
 
-def test_line_budget_fuses_the_fixtures_and_not_their_partners():
-    # an over-budget partner keeps the numeric path, bit for bit
-    from helpers import fixture_spec
+def test_line_budget_fuses_the_fixtures_and_their_partners():
+    # every fixture and every normalised partner is within the budget;
+    # the raw adjugate formulas of the partners are over it and keep the
+    # numeric path, bit for bit
+    from helpers import fixture_spec, raw_partner
     from lorhol.pointcalc import (
-        _christoffel_kernel, _numeric_christoffel as numeric,
-        christoffel_batch,
+        _christoffel_kernel, _fused_christoffel,
+        _numeric_christoffel as numeric, christoffel_batch,
     )
     for name, partner in FIXTURES_AND_PARTNERS:
         spec = fixture_spec(name, partner)
-        assert (_christoffel_kernel(spec).func is numeric) == partner, name
-        if partner:
-            pts = _around_the_box(spec, 20)
-            got, want = christoffel_batch(spec, pts), \
-                _numeric_christoffel(spec, pts)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert _christoffel_kernel(spec).func is _fused_christoffel, name
+    for name in FIXTURES:
+        if name == "minkowski":
+            continue
+        spec = raw_partner(name)
+        assert _christoffel_kernel(spec).func is numeric, name
+        pts = _around_the_box(spec, 20)
+        got, want = christoffel_batch(spec, pts), \
+            _numeric_christoffel(spec, pts)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 class TestBlockValidity:

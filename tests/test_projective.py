@@ -3,12 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import narrowed
+from helpers import fixture_spec, narrowed, raw_partner
 
-from lorhol.exprdsl import eval_expr, parse_expr
-from lorhol.fixtures import fixture_minkowski, fixture_r9_r14, named_fixture
+from lorhol.exprdsl import count_lines, eval_expr, parse_expr
+from lorhol.fixtures import (
+    FIXTURE_NAMES, fixture_minkowski, fixture_r9_r14, named_fixture,
+)
 from lorhol.pointcalc import (
-    eval_field_batch, frame_at, metric_spec,
+    _jet_levels, admissible_mask, eval_field_batch, frame_at, metric_spec,
     sample_points,
 )
 from lorhol import projective
@@ -154,6 +156,51 @@ class TestInvertPair:
         lam_got = -np.einsum("nab,nb->na", a_got, psi_up)
         scale = max(1.0, float(np.max(np.abs(lam_want))))
         assert np.max(np.abs(lam_got - lam_want)) < 1e-9 * scale
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_normal_form_keeps_the_raw_domain(self, name):
+        # on the sample box enlarged 1.5x about its centre, and on the
+        # coordinate planes through some of those points (where bases the
+        # normal form cancels, such as u and z, vanish), the normalised
+        # partner is admissible exactly where the raw adjugate formula is
+        # finite and its constraints hold
+        gp, raw = fixture_spec(name, True), raw_partner(name)
+        lo, hi = np.array(gp.sample_box).T
+        mid, half = (lo + hi) / 2, 0.75 * (hi - lo)
+        pts = np.random.default_rng(3).uniform(mid - half, mid + half,
+                                               size=(400, 4))
+        planes = np.repeat(pts[:50], 4, axis=0)
+        planes[np.arange(200), np.tile(np.arange(4), 50)] = 0.0
+        pts = np.concatenate([pts, planes])
+        values = eval_field_batch(raw, raw.g, pts)
+        want = np.isfinite(values).all(axis=(1, 2)) & admissible_mask(raw, pts)
+        assert admissible_mask(gp, pts).tolist() == want.tolist()
+
+    def test_cancelled_denominator_stays_a_constraint(self):
+        # g_xx = x/x is 1 but where x = 0; the normal form cancels x, so
+        # the partner keeps x^2 > 0 and is not admissible on x = 0
+        coords = ("t", "x", "y", "z")
+        g = metric_spec(coords, [["-1"], ["0", "x/x"], ["0", "0", "1"],
+                                 ["0", "0", "0", "1"]],
+                        sample_box=((-1.0, 1.0),) * 4)
+        a = metric_spec(coords, [["-2"], ["0", "2*x/x"], ["0", "0", "2"],
+                                 ["0", "0", "0", "2"]]).g
+        zero = parse_expr("0", coords)
+        partner = invert_pair(SinyukovPair(g, a, (zero,) * 4)).partner
+        assert partner.g[1][1] is parse_expr("1/32", coords)
+        assert partner.constraints[-1] is parse_expr("x^2", coords)
+        pts = np.array([[0.1, 0.0, 0.2, 0.3], [0.1, 0.5, 0.2, 0.3]])
+        assert admissible_mask(partner, pts).tolist() == [False, True]
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_partner_program_near_the_closed_form(self, name):
+        # the order-4 jet program (what `holonomy --order 2` compiles) of
+        # the derived partner against the paper's closed form
+        lines = [count_lines([e for level in _jet_levels(s.g, s.coords, 4)
+                              for e in level.values()])
+                 for s in (fixture_spec(name, True),
+                           named_fixture(name).expected_partner)]
+        assert lines[0] <= 2.5 * lines[1]
 
     def test_bad_pair_rejected(self, waveband):
         lam2 = tuple(parse_expr(s, waveband.g.coords, ("c", "e1", "e2"))
