@@ -54,36 +54,65 @@ def null_basis(a, tol: float = SVD_TOL) -> np.ndarray:
 def canonical_span_basis(vectors, tol: float = SVD_TOL) -> np.ndarray:
     """Deterministic basis of span(rows): reduced row echelon form with
     lexicographic pivoting, pivots scaled to 1.  Shared by every module
-    that must return reproducible subspace bases."""
+    that must return reproducible subspace bases; the one-matrix call of
+    _span_bases."""
     rows = np.atleast_2d(np.asarray(vectors, dtype=float))
     if rows.size == 0:
         return rows.reshape(0, rows.shape[-1] if rows.ndim > 1 else 0)
-    scale = np.abs(rows).max()
-    if scale == 0.0:
-        return np.empty((0, rows.shape[1]))
-    m, n = rows.shape
-    # one array: pivot rows stay in place, are reduced like the others and
-    # are masked out of the search for the next pivot
-    work = rows / scale
-    used = np.zeros(m, dtype=bool)
-    order = []
-    col = 0
-    while col < n and len(order) < m:
-        pivots = np.abs(work[:, col])
-        pivots[used] = -1.0
-        i = int(pivots.argmax())
-        if pivots[i] > tol:
-            row = work[i] / work[i, col]
-            work -= work[:, col, None] * row
-            work[i] = row
-            used[i] = True
-            order.append(i)
-        col += 1
-    if not order:
-        return np.empty((0, n))
-    arr = work[order]
-    arr[np.abs(arr) <= tol] = 0.0  # sub-pivot noise in skipped columns
-    return arr
+    basis, pivoted = _span_bases(rows[None], tol)
+    return basis[0, pivoted[0]]
+
+
+def _span_bases(stack, tol: float = SVD_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """canonical_span_basis of every matrix of a (B, m, n) stack, indexed
+    by pivot column: (B, n, n) rows, row c of matrix b being its RREF row
+    with the pivot in column c, or zero if column c has no pivot, and the
+    (B, n) mask of the pivot columns.
+
+    Each matrix is scaled by its own largest entry and gets its own
+    lexicographic pivots, bit for bit as if it were reduced alone.  A
+    row of zeros is never a pivot and changes no other row, so zero rows
+    may stand in for rows a caller dropped.
+    """
+    stack = np.asarray(stack, dtype=float)
+    b, m, n = stack.shape
+    # each matrix's n pivot rows, by column, above its m rows: a pivot
+    # moves up and leaves zeros, which are never picked again
+    work = np.zeros((b, n + m, n))
+    work[:, n:] = stack
+    scale = np.abs(stack.reshape(b, -1)).max(axis=1, initial=0.0)
+    scale += scale == 0.0  # a zero matrix stays zero, of rank 0
+    work /= scale[:, None, None]
+    flat = work.reshape(-1, n)
+    first = np.arange(n, b * (n + m), n + m)  # each matrix's row 0 in flat
+    pivoted = np.zeros((b, n), dtype=bool)
+    left = b * m  # rows not yet pivots
+    for col in range(n):
+        if not left:
+            break
+        at = np.abs(work[:, n:, col]).argmax(axis=1) + first
+        row = flat.take(at, axis=0)
+        act = np.abs(row[:, col]) > tol
+        count = int(np.count_nonzero(act))
+        if not count:
+            continue
+        if count < b:
+            at, row = at[act], row[act]
+        row = row / row[:, col, None]
+        flat[at] = 0.0
+        if count == b:
+            work -= work[:, :, col, None] * row[:, None]
+            work[:, col] = row
+        else:
+            sub = work[act]
+            sub -= sub[:, :, col, None] * row[:, None]
+            sub[:, col] = row
+            work[act] = sub
+        pivoted[:, col] = act
+        left -= count
+    basis = work[:, :n]
+    basis[np.abs(basis) <= tol] = 0.0  # sub-pivot noise in skipped columns
+    return basis, pivoted
 
 
 @dataclass
@@ -257,8 +286,12 @@ def curvature_map_matrix(frame: PointFrame, tol: float = SVD_TOL) -> CurvatureMa
     ruu = np.einsum("be,aecd->abcd", frame.ginv, frame.riem_ud)
     m = 2.0 * to_six(ruu[BASIS_INDEX])
     rank, u, s, vt = svd_rank(m, tol)
-    kern = canonical_span_basis(vt[rank:], tol)
-    rng = canonical_span_basis(u[:, :rank].T, tol)
+    # the kernel and range bases in one reduction, zero rows for the rest
+    both = np.zeros((2, 6, 6))
+    both[0, rank:] = vt[rank:]
+    both[1, :rank] = u[:, :rank].T
+    basis, pivoted = _span_bases(both, tol)
+    kern, rng = basis[0, pivoted[0]], basis[1, pivoted[1]]
     margin = float(s[rank] / s[0]) if (s[0] > 0 and rank < 6) else 0.0
     return CurvatureMap(
         matrix=m,

@@ -10,8 +10,9 @@ dimension, the common annihilated directions with their causal
 character, and for the two 3-dimensional types with trivial annihilator
 on a Pfaffian discriminant.
 
-One closure (_close) and one decision (_decide) serve every caller;
-only identify_type checks its basis (skew, then bracket-closed).
+One closure (_close), which closes a stack of points at once, and one
+decision (_decide) serve every caller; only identify_type checks its
+basis (skew, then bracket-closed).
 """
 from __future__ import annotations
 
@@ -21,11 +22,11 @@ from functools import lru_cache
 import numpy as np
 
 from .bivector import (
-    BASIS_INDEX, Bivector, antisym_from_six, canonical_span_basis,
-    classify_bivector, null_basis, to_six,
+    BASIS_INDEX, Bivector, _span_bases, antisym_from_six,
+    canonical_span_basis, classify_bivector, null_basis, to_six,
 )
 from .pointcalc import (
-    MetricSpec, PointFrame, frame_at, frames_at, sample_points,
+    MetricSpec, PointFrame, _frame_chunks, frame_at, sample_points,
 )
 
 __all__ = [
@@ -76,21 +77,35 @@ class HolonomySurveyReport:
 def ihol_generators(spec: MetricSpec, point, derivative_order: int = 1,
                     frame: PointFrame | None = None) -> list[np.ndarray]:
     """Raw generators R^a_bcd X^c Y^d (order 0), plus first and second
-    covariant-derivative contractions for derivative_order 1 / 2."""
+    covariant-derivative contractions for derivative_order 1 / 2: the
+    one-point call of _generators, without the zeroed matrices."""
     if derivative_order not in (0, 1, 2):
         raise ValueError("derivative_order must be 0, 1 or 2")
     fr = frame or frame_at(spec, point, 2 + derivative_order)
-    r = fr.riem_ud
-    scale = max(float(np.max(np.abs(r))), 1e-300)
-    tensors = [r]
+    tensors = [fr.riem_ud]
     if derivative_order >= 1:
         tensors.append(fr.cov_riemann)
     if derivative_order >= 2:
         tensors.append(fr.cov2_riemann)
-    # R^a_b[cd](;e(;f)) for c < d, in (c, d, e, f) row-major order
-    gens = np.concatenate([np.moveaxis(t, (0, 1), (-2, -1))[BASIS_INDEX]
-                           .reshape(-1, 4, 4) for t in tensors])
-    return list(gens[np.max(np.abs(gens), axis=(1, 2)) > 1e-13 * scale])
+    gens, kept = _generators([t[None] for t in tensors])
+    return list(gens[0, kept[0]])
+
+
+def _generators(tensors) -> tuple[np.ndarray, np.ndarray]:
+    """The generators of every point of a stack, from its R^a_bcd and, as
+    the order asks, R^a_bcd;e and R^a_bcd;e;f, each with the points on
+    the leading axis: the (B, k, 4, 4) matrices R^a_b[cd](;e(;f)) for
+    c < d, in (c, d, e, f) row-major order, and the (B, k) mask of those
+    above 1e-13 max|R| at their point.  A matrix below it is written as
+    zeros, which no span counts."""
+    r = tensors[0]
+    scale = np.maximum(np.max(np.abs(r), axis=(1, 2, 3, 4)), 1e-300)
+    gens = np.concatenate(
+        [np.moveaxis(t, (1, 2), (-2, -1))[:, BASIS_INDEX[0], BASIS_INDEX[1]]
+         .reshape(len(t), -1, 4, 4) for t in tensors], axis=1)
+    kept = np.max(np.abs(gens), axis=(2, 3)) > 1e-13 * scale[:, None]
+    gens[~kept] = 0.0
+    return gens, kept
 
 
 def lie_bracket(f: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -100,27 +115,34 @@ def lie_bracket(f: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _to_six(mats, g: np.ndarray):
-    """Each (1,1) matrix m as the six w_ab (a < b) of the antisymmetric
-    part of W = g.m, with max|W + W^T| / max|W|, its distance from so(g)."""
-    w = g @ np.asarray(mats, float).reshape(-1, 4, 4)
-    wt = np.swapaxes(w, 1, 2)
-    sym = np.max(np.abs(w + wt), axis=(1, 2)) / np.maximum(
-        np.max(np.abs(w), axis=(1, 2)), 1e-300)
+    """Each (1,1) matrix m, given as (..., k, 4, 4) with the metrics
+    (..., 4, 4) of their points, as the six w_ab (a < b) of the
+    antisymmetric part of W = g.m, with max|W + W^T| / max|W|, its
+    distance from so(g)."""
+    w = g[..., None, :, :] @ np.asarray(mats, float).reshape(
+        g.shape[:-2] + (-1, 4, 4))
+    wt = np.swapaxes(w, -1, -2)
+    sym = np.max(np.abs(w + wt), axis=(-2, -1)) / np.maximum(
+        np.max(np.abs(w), axis=(-2, -1)), 1e-300)
     return 0.5 * to_six(w - wt), sym
 
 
 def _brackets(six: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    """Six components of g.[M_i, M_j], i < j, for the rows' M = g^-1 W.
+    """Six components of g.[M_i, M_j], i < j, for the rows' M = g^-1 W,
+    of one point's rows (k, 6) or of a stack of points (..., k, 6) with
+    their g^-1 (..., 4, 4).
 
     One stacked block P - P^T with P = W_i g^-1 W_j, which is exactly
-    antisymmetric.  It is divided by max|g^-1| max|W|, so that it stays
-    commensurate with the rows whatever the metric's scale.
+    antisymmetric.  It is divided by max|g^-1| max|W| of its point, so
+    that it stays commensurate with the rows whatever the metric's
+    scale.
     """
     w = antisym_from_six(six)
-    i, j = np.triu_indices(len(w), 1)
-    p = w[i] @ ginv @ w[j]
-    p /= np.max(np.abs(ginv)) * np.max(np.abs(six))
-    return to_six(p - np.swapaxes(p, 1, 2))
+    i, j = np.triu_indices(six.shape[-2], 1)
+    p = w[..., i, :, :] @ ginv[..., None, :, :] @ w[..., j, :, :]
+    p /= (np.max(np.abs(ginv), axis=(-2, -1))
+          * np.max(np.abs(six), axis=(-2, -1)))[..., None, None, None]
+    return to_six(p - np.swapaxes(p, -1, -2))
 
 
 def _reduce(rows: np.ndarray, rref: np.ndarray) -> np.ndarray:
@@ -130,18 +152,42 @@ def _reduce(rows: np.ndarray, rref: np.ndarray) -> np.ndarray:
     return rows - rows[:, np.argmax(piv, axis=1)] @ rref
 
 
+# the bracket pairs of six rows, as _brackets orders them
+_PAIRS = np.triu_indices(6, 1)
+
+
 def _close(six: np.ndarray, ginv: np.ndarray):
-    """RREF rows of the smallest bracket-closed span of the six-component
-    rows, and the bracket block of exactly those rows (None at dimension
-    0, 1 or 6, where no round brackets the final span)."""
-    span = canonical_span_basis(six, SPAN_TOL)
-    while 1 < len(span) < 6:
-        brackets = _brackets(span, ginv)
-        grown = canonical_span_basis(np.vstack([span, brackets]), SPAN_TOL)
-        if len(grown) == len(span):
-            return span, brackets
-        span = grown
-    return span, None
+    """For every point of a stack, given as its six-component rows
+    (B, m, 6) and g^-1 (B, 4, 4): the RREF rows of the smallest
+    bracket-closed span of its rows as _span_bases returns them, a
+    (B, 6, 6) array and the (B, 6) mask of its rows, and the bracket
+    block of exactly those rows (None at dimension 0, 1 or 6, where no
+    round brackets the final span).
+
+    The points are reduced together: one batched RREF for the first
+    spans, then one bracket block and one RREF per round over the points
+    still growing.  Each span is held as _span_bases returns it, a row
+    per pivot column with zeros elsewhere; a zero row brackets to zero
+    rows, and the real rows and brackets keep their order, so every
+    point's span is the one it would reach alone.
+    """
+    span, pivoted = _span_bases(six, SPAN_TOL)
+    dim = pivoted.sum(axis=1)
+    brackets = [None] * len(span)
+    grow = np.flatnonzero((dim > 1) & (dim < 6))
+    while grow.size:
+        block = _brackets(span[grow], ginv[grow])
+        grown, now = _span_bases(np.concatenate([span[grow], block], axis=1),
+                                 SPAN_TOL)
+        closed = now.sum(axis=1) == dim[grow]
+        for k in np.flatnonzero(closed):
+            real = pivoted[grow[k]]
+            brackets[grow[k]] = block[k, real[_PAIRS[0]] & real[_PAIRS[1]]]
+        grow, grown, now = grow[~closed], grown[~closed], now[~closed]
+        span[grow], pivoted[grow] = grown, now
+        dim[grow] = now.sum(axis=1)
+        grow = grow[dim[grow] < 6]
+    return span, pivoted, brackets
 
 
 def close_algebra(generators, frame: PointFrame) -> list[np.ndarray]:
@@ -153,8 +199,9 @@ def close_algebra(generators, frame: PointFrame) -> list[np.ndarray]:
     echelon form in those coordinates with lexicographic pivoting,
     returned as the (1,1) matrices g^-1 W.
     """
-    span, _ = _close(_to_six(generators, frame.g)[0], frame.ginv)
-    return list(frame.ginv @ antisym_from_six(span))
+    span, pivoted, _ = _close(_to_six(generators, frame.g)[0][None],
+                              frame.ginv[None])
+    return list(frame.ginv @ antisym_from_six(span[0, pivoted[0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +462,10 @@ def holonomy_survey(spec: MetricSpec, samples: int = 32, seed: int = 7,
     different points are skew-self-adjoint for different g(m), so a naive
     cross-point union of chart components is not an algebra and is not
     attempted); its per-point entry carries the label and dimension only.
+    The points are taken one frames_at chunk at a time: the generators,
+    their six coordinates and the bracket closure of all the chunk's
+    points are computed on its stacked arrays (_generators, _close), bit
+    for bit as point by point, and only the labelling is per point.
     The span the closure built is labelled with no input check.
     The representative is the first point of maximal dimension,
     preferring a recognised label, and its label is the survey's; only
@@ -422,17 +473,22 @@ def holonomy_survey(spec: MetricSpec, samples: int = 32, seed: int = 7,
     and diagnostics, as identify_type reports them at that point.
     Disagreeing per-point labels are flagged.
     """
+    if derivative_order not in (0, 1, 2):
+        raise ValueError("derivative_order must be 0, 1 or 2")
     pts = sample_points(spec, samples, seed=seed, box=box)
     per_point = []
     best = None  # (decision, frame)
-    for fr in frames_at(spec, pts, derivative_order + 2):
-        gens = ihol_generators(spec, fr.point, derivative_order, frame=fr)
-        span, brackets = _close(_to_six(gens, fr.g)[0], fr.ginv)
-        rep = _decide(list(fr.ginv @ antisym_from_six(span)), span,
-                      brackets, fr)
-        per_point.append((fr.point, rep.label, rep.dimension))
-        if best is None or _better(rep, best[0]):
-            best = rep, fr
+    for frames, stack in _frame_chunks(spec, pts, derivative_order + 2):
+        gens, _ = _generators([stack[k] for k in ("R", "covR", "cov2R")
+                               [:derivative_order + 1]])
+        span, pivoted, brackets = _close(_to_six(gens, stack["g"])[0],
+                                         stack["ginv"])
+        mats = stack["ginv"][:, None] @ antisym_from_six(span)
+        for fr, s, m, p, b in zip(frames, span, mats, pivoted, brackets):
+            rep = _decide(list(m[p]), s[p], b, fr)
+            per_point.append((fr.point, rep.label, rep.dimension))
+            if best is None or _better(rep, best[0]):
+                best = rep, fr
     labels = {lab for _, lab, _ in per_point}
     mixed = len(labels) > 1
     representative = _complete(*best)

@@ -824,10 +824,11 @@ def _riemann_derivative_stack(jets) -> dict:
 # ---------------------------------------------------------------------------
 
 def _signature_signs(eig: np.ndarray):
+    """Signs of g's eigenvalues, ascending as eigvalsh returns them."""
     scale = max(1.0, float(np.max(np.abs(eig))))
     if np.any(np.abs(eig) < 1e-10 * scale):
         raise DegenerateMetricError("metric has a (near-)zero eigenvalue")
-    return tuple(int(np.sign(v)) for v in np.sort(eig))
+    return tuple(int(np.sign(v)) for v in eig)
 
 
 def signature_at(spec: MetricSpec, point) -> tuple[int, ...]:
@@ -864,13 +865,23 @@ def frames_at(spec: MetricSpec, points, order: int = 2):
     call (_metric_jets) evaluates the chunk's jets up to that order and
     its domain constraints, one derivative stack
     (_riemann_derivative_stack) assembles its tensors (g^-1 included),
-    one eigvalsh call tests its signatures, and its frames, which hold
-    row views of them, are yielded before the next chunk is evaluated;
-    so memory does not grow with the batch.
+    one vectorised test over one eigvalsh call checks its signatures,
+    and its frames, which hold row views of them, are yielded before the
+    next chunk is evaluated; so memory does not grow with the batch.
 
     Nothing is raised before iteration reaches a bad row.  There the
     exception that frame_at raises for that point is raised, checked in
     frame_at's order: admissibility, finite jets, determinant, signature.
+    """
+    for frames, _ in _frame_chunks(spec, points, order):
+        yield from frames
+
+
+def _frame_chunks(spec: MetricSpec, points, order: int):
+    """frames_at one chunk at a time: for each chunk, its frames up to
+    its first bad row and the stacked arrays they view, a dict with g,
+    ginv, gamma, R and, as ``order`` allows, covR and cov2R; then the
+    exception of the bad row.  A chunk with no good row yields nothing.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != DIM:
@@ -885,24 +896,39 @@ def frames_at(spec: MetricSpec, points, order: int = 2):
         # rows before it
         n = len(chunk) if ok.all() else int(np.argmin(ok))
         stack = _riemann_derivative_stack(tuple(j[:n] for j in jets))
-        eig = np.linalg.eigvalsh(jets[0][:n])
-        for i in range(n):
-            signs = _signature_signs(eig[i])
-            if signs != (-1, 1, 1, 1):
-                raise SignatureError(f"signature {signs} is not Lorentz")
-            frame = PointFrame(jets[0][i], stack["R"][i], point=chunk[i],
-                               spec=spec, gamma=stack["gamma"][i])
-            frame.ginv = stack["ginv"][i]
-            if "covR" in stack:
-                vars(frame)["cov_riemann"] = stack["covR"][i]
-            if "cov2R" in stack:
-                vars(frame)["cov2_riemann"] = stack["cov2R"][i]
-            yield frame
+        stack["g"] = jets[0][:n]
+        # _signature_signs for every row: with the eigenvalues ascending,
+        # a row is Lorentz and no eigenvalue is near zero exactly when the
+        # first is at most -bound and the second at least +bound
+        eig = np.linalg.eigvalsh(stack["g"])
+        bound = 1e-10 * np.maximum(1.0, np.abs(eig).max(axis=1))
+        good = (eig[:, 0] <= -bound) & (eig[:, 1] >= bound)
+        lorentz = n if good.all() else int(np.argmin(good))
+        if lorentz < n:
+            stack = {k: v[:lorentz] for k, v in stack.items()}
+        if lorentz:
+            yield [_frame(spec, chunk[i], stack, i)
+                   for i in range(lorentz)], stack
+        if lorentz < n:
+            signs = _signature_signs(eig[lorentz])
+            raise SignatureError(f"signature {signs} is not Lorentz")
         if n < len(chunk):
             if not admissible[n]:
                 raise _inadmissible(chunk[n])
             _raise_invalid(spec, chunk[n],
                            tuple(j[n:n + 1] for j in jets[:3]))
+
+
+def _frame(spec: MetricSpec, point, stack: dict, i: int) -> PointFrame:
+    """The frame of row i of a _frame_chunks stack, holding views of it."""
+    frame = PointFrame(stack["g"][i], stack["R"][i], point=point, spec=spec,
+                       gamma=stack["gamma"][i])
+    frame.ginv = stack["ginv"][i]
+    if "covR" in stack:
+        vars(frame)["cov_riemann"] = stack["covR"][i]
+    if "cov2R" in stack:
+        vars(frame)["cov2_riemann"] = stack["cov2R"][i]
+    return frame
 
 
 def cov_deriv_sym2_at(spec: MetricSpec, field, point) -> np.ndarray:

@@ -220,3 +220,35 @@ def reference_riemann_stack(jets) -> dict:
                     - np.einsum("nmfd,nabcme->nabcdef", gamma, covr)
                     - np.einsum("nmfe,nabcdm->nabcdef", gamma, covr))
     return out
+
+
+def span_basis_loop(vectors, tol=1e-9):
+    """canonical_span_basis as it was written for one matrix, pivot by
+    pivot with scalar indices: the reference for the stacked RREF."""
+    rows = np.atleast_2d(np.asarray(vectors, dtype=float))
+    if rows.size == 0:
+        return rows.reshape(0, rows.shape[-1] if rows.ndim > 1 else 0)
+    scale = np.abs(rows).max()
+    if scale == 0.0:
+        return np.empty((0, rows.shape[1]))
+    m, n = rows.shape
+    work = rows / scale
+    used = np.zeros(m, dtype=bool)
+    order = []
+    col = 0
+    while col < n and len(order) < m:
+        pivots = np.abs(work[:, col])
+        pivots[used] = -1.0
+        i = int(pivots.argmax())
+        if pivots[i] > tol:
+            row = work[i] / work[i, col]
+            work -= work[:, col, None] * row
+            work[i] = row
+            used[i] = True
+            order.append(i)
+        col += 1
+    if not order:
+        return np.empty((0, n))
+    arr = work[order]
+    arr[np.abs(arr) <= tol] = 0.0
+    return arr

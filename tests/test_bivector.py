@@ -4,13 +4,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lorhol.bivector import (
-    BASIS_PAIRS, Bivector, antisym_from_six, canonical_span_basis,
+    BASIS_PAIRS, Bivector, _span_bases, antisym_from_six, canonical_span_basis,
     classify_bivector, curvature_map_matrix, from_six, hodge_dual,
     null_basis, svd_rank, to_six, wedge,
 )
 
 from helpers import (
-    biv_low, minkowski_frame, null_tetrad, random_lorentz,
+    biv_low, minkowski_frame, null_tetrad, random_lorentz, span_basis_loop,
     synthetic_class_b, synthetic_class_d,
 )
 
@@ -262,6 +262,81 @@ def test_canonical_span_basis_matches_reference_bitwise(case):
     want = _span_basis_reference(rows, tol)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def span_stacks(draw):
+    """Stacks of up to six matrices of six columns, each of rank 0-6 with
+    zero, repeated, rescaled and negated rows (exact pivot ties) and
+    entries on either side of tol times the matrix's largest entry;
+    sometimes transposed in memory, as the closure's inputs are."""
+    tol = draw(st.sampled_from([1e-9, 1e-8]))
+    b, m = draw(st.integers(1, 6)), draw(st.integers(0, 12))
+    stack = np.zeros((b, m, 6))
+    for mat in stack:
+        rank = draw(st.integers(0, 6))
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        rng = np.random.default_rng(seed)
+        mat[:] = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, 6))
+        mat *= 10.0 ** rng.integers(-6, 7, size=(m, 1))
+        for i in range(m):
+            j = int(rng.integers(0, m))
+            kind = draw(st.sampled_from(["keep", "zero", "dup", "scale",
+                                         "neg", "edge"]))
+            if kind == "zero":
+                mat[i] = 0.0
+            elif kind == "dup":
+                mat[i] = mat[j]
+            elif kind == "scale":
+                mat[i] = 2.0 ** int(rng.integers(-8, 9)) * mat[j]
+            elif kind == "neg":
+                mat[i] = -mat[j]
+            elif kind == "edge" and np.any(mat):
+                ulps = int(rng.integers(-2, 3))
+                edge = tol * np.abs(mat).max() * (1.0 + ulps * 2.0 ** -52)
+                mat[i, int(rng.integers(0, 6))] = edge
+    if draw(st.booleans()):
+        stack = np.ascontiguousarray(stack.transpose(0, 2, 1)).transpose(
+            0, 2, 1)
+    return stack, tol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(span_stacks())
+def test_span_bases_match_the_per_matrix_loop_bitwise(case):
+    # each matrix of the stack reduced alone, by the loop, and with its
+    # zero rows dropped, as a closure that zeroes rows relies on
+    stack, tol = case
+    before = stack.copy()
+    basis, pivoted = _span_bases(stack, tol)
+    assert np.array_equal(stack, before)
+    assert basis.shape == (len(stack), 6, 6)
+    for mat, rows, piv in zip(stack, basis, pivoted):
+        want = span_basis_loop(mat, tol)
+        assert rows[piv].tobytes() == want.tobytes()
+        assert not np.any(rows[~piv])
+        nonzero = mat[np.any(mat != 0.0, axis=1)]
+        assert span_basis_loop(nonzero, tol).tobytes() == want.tobytes()
+        assert canonical_span_basis(mat, tol).tobytes() == want.tobytes()
+
+
+def test_span_bases_round_off_of_a_moved_pivot_is_never_a_pivot():
+    # b is a multiple of a plus 1.5-5 tol in column 1: column 0's pivot
+    # a leaves round-off in its place, which b's tiny column-1 pivot
+    # multiplies past tol in column 2; the loop masks that row, and so
+    # must the stack, or a rank-2 matrix reads as rank 3
+    rng = np.random.default_rng(1)
+    stack = []
+    for _ in range(40):
+        a = rng.uniform(0.3, 1.0, size=3)
+        b = rng.uniform(0.2, 0.9) * a + [0.0, rng.uniform(1.5e-9, 5e-9),
+                                          rng.uniform(0.5, 1.0)]
+        stack.append([a, b, np.zeros(3)])
+    basis, pivoted = _span_bases(stack, 1e-9)
+    for mat, rows, piv in zip(stack, basis, pivoted):
+        want = span_basis_loop(mat, 1e-9)
+        assert len(want) == 2
+        assert rows[piv].tobytes() == want.tobytes()
 
 
 # The rank blocks that svd_rank and null_basis replaced, as each site

@@ -531,16 +531,20 @@ def _report_bytes(rep):
 
 @pytest.mark.parametrize("name, partner, order", [
     ("r14", False, 1), ("r9", False, 1), ("r10", False, 1),
-    ("r11", False, 1), ("r13", False, 1), ("r9", True, 0)])
+    ("r11", False, 1), ("r13", False, 1), ("r9", True, 0),
+    ("r14", False, 2), ("r14", True, 1)])
 def test_survey_matches_identify_type_at_every_point(name, partner, order):
     # the survey labels each point from the probes its dimension needs and
     # builds the full report for the representative alone; both must be
-    # what identify_type gives at those points
+    # what identify_type gives at those points.  At order 2, 12 samples
+    # make two frames_at chunks, of 8 and 4 points
     from helpers import fixture_spec
     from lorhol.pointcalc import frames_at
     spec = fixture_spec(name, partner)
-    rep = holonomy_survey(spec, samples=6, seed=1, derivative_order=order)
-    pts = sample_points(spec, 6, seed=1)
+    samples = 12 if order == 2 else 6
+    rep = holonomy_survey(spec, samples=samples, seed=1,
+                          derivative_order=order)
+    pts = sample_points(spec, samples, seed=1)
     full = [identify_type(close_algebra(
         ihol_generators(spec, fr.point, order, frame=fr), fr), fr)
         for fr in frames_at(spec, pts, order + 2)]
@@ -551,3 +555,71 @@ def test_survey_matches_identify_type_at_every_point(name, partner, order):
     first = [r for r in full if r.dimension == top]
     first = ([r for r in first if r.label != "unrecognized"] or first)[0]
     assert _report_bytes(rep.representative) == _report_bytes(first)
+
+
+def test_order2_survey_builds_one_stack_per_chunk(monkeypatch):
+    # 20 points at order 2 are three frames_at chunks (8, 8, 4): the
+    # survey stacks each chunk once and never holds more than one
+    from helpers import fixture_spec
+    from lorhol import pointcalc
+    stack = pointcalc._riemann_derivative_stack
+    rows = []
+
+    def spy(jets):
+        rows.append(len(jets[0]))
+        return stack(jets)
+
+    monkeypatch.setattr(pointcalc, "_riemann_derivative_stack", spy)
+    rep = holonomy_survey(fixture_spec("r14"), samples=20, seed=1,
+                          derivative_order=2)
+    assert len(rep.per_point) == 20
+    assert rows == [8, 8, 4]
+
+
+def _close_reference(six, ginv):
+    """_close as it was written for one point, with the per-matrix RREF
+    loop: the reference for the stacked closure."""
+    from helpers import span_basis_loop
+    from lorhol.holonomy import SPAN_TOL, _brackets
+    span = span_basis_loop(six, SPAN_TOL)
+    while 1 < len(span) < 6:
+        brackets = _brackets(span, ginv)
+        grown = span_basis_loop(np.vstack([span, brackets]), SPAN_TOL)
+        if len(grown) == len(span):
+            return span, brackets
+        span = grown
+    return span, None
+
+
+def test_stacked_closure_matches_each_point_alone():
+    # one stack of many fixtures' points, so that it mixes dimensions 0-6
+    # and rounds in which only some points still grow; the order-0 and
+    # order-1 rows are padded with zero rows to the order-2 count
+    from helpers import fixture_spec
+    from lorhol.holonomy import _close, _generators, _to_six
+    from lorhol.pointcalc import _frame_chunks
+    six, ginv = [], []
+    for name, partner in SURVEYED:
+        spec = fixture_spec(name, partner)
+        for order in (0, 1, 2):
+            for frames, stack in _frame_chunks(
+                    spec, sample_points(spec, 2, seed=3), order + 2):
+                names = ("R", "covR", "cov2R")[:order + 1]
+                gens, _ = _generators([stack[k] for k in names])
+                rows = _to_six(gens, stack["g"])[0]
+                six += list(np.pad(rows, ((0, 0), (0, 126 - rows.shape[1]),
+                                          (0, 0))))
+                ginv += list(stack["ginv"])
+    span, pivoted, brackets = _close(np.array(six), np.array(ginv))
+    dims = set()
+    for k in range(len(six)):
+        want_span, want_brackets = _close_reference(
+            six[k][np.any(six[k], axis=1)], ginv[k])
+        assert span[k][pivoted[k]].tobytes() == want_span.tobytes()
+        assert not np.any(span[k][~pivoted[k]])
+        if want_brackets is None:
+            assert brackets[k] is None
+        else:
+            assert brackets[k].tobytes() == want_brackets.tobytes()
+        dims.add(len(want_span))
+    assert {0, 1, 3, 4, 6} <= dims

@@ -539,7 +539,11 @@ class TestFramesAt:
            "degenerate": ([0.0, 1.0, 1.0, 0.0], DegenerateMetricError,
                           "det g = 0.000e+00 at [0.0, 1.0, 1.0, 0.0]"),
            "non-Lorentz": ([-1.0, 1.0, 1.0, 0.0], SignatureError,
-                           "signature (-1, -1, 1, 1) is not Lorentz")}
+                           "signature (-1, -1, 1, 1) is not Lorentz"),
+           # det g passes, one eigenvalue is under 1e-10 max(1, max|eig|)
+           "near-zero eigenvalue": ([5e-11, 1.0, 1.0, 0.0],
+                                    DegenerateMetricError,
+                                    "metric has a (near-)zero eigenvalue")}
 
     @staticmethod
     def bad_spec():
