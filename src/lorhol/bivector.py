@@ -33,15 +33,17 @@ for _perm in itertools.permutations(range(4)):
 
 
 def svd_rank(a, tol: float = SVD_TOL):
-    """Numerical rank of ``a`` with its full SVD: (rank, u, s, vt).
+    """Numerical rank of ``a`` with its full SVD: (rank, u, s, vt), of one
+    matrix or of each matrix of a stack (..., m, n), then with a rank per
+    matrix.
 
     The rank is the number of singular values above tol * s_max (Golub &
     Van Loan's rule); a zero or empty matrix has rank 0.  Every rank
     decision of the package is made here."""
     u, s, vt = np.linalg.svd(a)
-    smax = float(s[0]) if s.size and s[0] > 0 else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
-    return rank, u, s, vt
+    # s is sorted descending: s[..., :1] is s_max, or empty with s
+    rank = (s > tol * s[..., :1]).sum(axis=-1)
+    return (rank if rank.ndim else int(rank)), u, s, vt
 
 
 def null_basis(a, tol: float = SVD_TOL) -> np.ndarray:
@@ -49,6 +51,15 @@ def null_basis(a, tol: float = SVD_TOL) -> np.ndarray:
     space of ``a``: the right singular vectors past svd_rank's rank."""
     rank, _, _, vt = svd_rank(a, tol)
     return canonical_span_basis(vt[rank:], tol)
+
+
+def _null_bases(stack, tol: float = SVD_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """null_basis of every matrix of a (B, m, n) stack, as _span_bases
+    returns it: the right singular vectors past svd_rank's rank, with
+    zero rows standing in for those up to it."""
+    rank, _, _, vt = svd_rank(stack, tol)
+    past = np.arange(vt.shape[-1]) >= rank[:, None]
+    return _span_bases(np.where(past[..., None], vt, 0.0), tol)
 
 
 def canonical_span_basis(vectors, tol: float = SVD_TOL) -> np.ndarray:
@@ -76,17 +87,21 @@ def _span_bases(stack, tol: float = SVD_TOL) -> tuple[np.ndarray, np.ndarray]:
     """
     stack = np.asarray(stack, dtype=float)
     b, m, n = stack.shape
+    size = np.abs(stack).max(axis=2, initial=0.0)  # of each row
+    # rows not yet pivots; a zero row never is one
+    left = int(np.count_nonzero(size))
+    if not left:
+        return np.zeros((b, n, n)), np.zeros((b, n), dtype=bool)
     # each matrix's n pivot rows, by column, above its m rows: a pivot
     # moves up and leaves zeros, which are never picked again
     work = np.zeros((b, n + m, n))
     work[:, n:] = stack
-    scale = np.abs(stack.reshape(b, -1)).max(axis=1, initial=0.0)
+    scale = size.max(axis=1)  # nonzero for a matrix with a nonzero row
     scale += scale == 0.0  # a zero matrix stays zero, of rank 0
     work /= scale[:, None, None]
     flat = work.reshape(-1, n)
     first = np.arange(n, b * (n + m), n + m)  # each matrix's row 0 in flat
     pivoted = np.zeros((b, n), dtype=bool)
-    left = b * m  # rows not yet pivots
     for col in range(n):
         if not left:
             break
@@ -243,31 +258,61 @@ def _canonical_pair(F: Bivector, tol: float) -> tuple[Bivector, Bivector]:
 
 
 def classify_bivector(F: Bivector, tol: float = SVD_TOL) -> BivectorClass:
-    """Tag F as zero / simple-{timelike,spacelike,null} / non-simple.
-
-    Simplicity is the vanishing of the Pfaffian at scaled tolerance; the
-    causal character of a simple F is the sign of theta = F_ab F^ab,
-    null when |theta| is within tol of its Cauchy-Schwarz bound
-    |F_ab| |F^ab|.  For a non-simple F the canonical pair (G timelike,
-    H spacelike, H proportional to *G) is returned.  Every test compares
-    quantities of equal weight in g, so the class is unchanged under
-    g -> c g.
+    """Tag F as zero / simple-{timelike,spacelike,null} / non-simple, the
+    one-bivector call of _bivector_tags, with the blade of a simple F and
+    the canonical pair (G timelike, H spacelike, H proportional to *G) of
+    a non-simple one.
     """
-    if np.max(np.abs(F.mixed)) <= 1e-14:
+    tags, theta = _bivector_tags(F.comps[None], F.frame.g[None], tol)
+    if tags[0] == "zero":
         return BivectorClass("zero", 0.0)
-    smax = float(np.linalg.svd(F.comps, compute_uv=False)[0])
-    theta = F.theta
-    if abs(F.pfaffian) <= tol * smax ** 2:
-        p, q = _blade_from_svd(F, tol)
-        if abs(theta) <= tol * np.linalg.norm(F.lowered) * F.norm():
-            tag = "simple-null"
-        elif theta < 0:
-            tag = "simple-timelike"
+    if tags[0] == "non-simple":
+        return BivectorClass("non-simple", float(theta[0]),
+                             pair=_canonical_pair(F, tol))
+    return BivectorClass(tags[0], float(theta[0]),
+                         blade=_blade_from_svd(F, tol))
+
+
+def _bivector_tags(comps: np.ndarray, g: np.ndarray,
+                   tol: float = SVD_TOL) -> tuple[list[str], np.ndarray]:
+    """classify_bivector's tag of every bivector of a stack, given as its
+    antisymmetric (2,0) components (B, 4, 4) with the metrics (B, 4, 4),
+    and each one's theta = F_ab F^ab.
+
+    F is zero when max|F^a_b| <= 1e-14.  The test is absolute: g -> c g
+    scales F^a_b by c, so a tiny F can be zero at one scale of g and not
+    at another; every caller passes an F built from an RREF row, whose
+    pivot is 1.  Otherwise simplicity is the vanishing of the Pfaffian at
+    scaled tolerance, and the causal character of a simple F is the sign
+    of theta, null when |theta| is within tol of its Cauchy-Schwarz bound
+    |F_ab| |F^ab|; these tests compare quantities of equal weight in g.
+    """
+    b = len(comps)
+    # F_ab, F^ab and F^a_b of every bivector as 16 entries each
+    flat = np.concatenate([g @ comps @ np.swapaxes(g, 1, 2), comps,
+                           comps @ g], axis=1).reshape(b, 3, 16)
+    theta = (flat[:, 0] * flat[:, 1]).sum(axis=1)
+    norms = np.sqrt(_rowdot(flat[:, :2], flat[:, :2]))  # |F_ab|, |F^ab|
+    mixed = np.abs(flat[:, 2]).max(axis=1)
+    smax = np.linalg.svd(comps, compute_uv=False)[:, 0]
+    tags = []
+    # the scalar tests, in Python floats
+    for f, t, s, (low, up), big in zip(
+            to_six(comps).tolist(), theta.tolist(), smax.tolist(),
+            norms.tolist(), mixed.tolist()):
+        if big <= 1e-14:
+            tags.append("zero")
+        elif abs(f[0] * f[5] - f[1] * f[4] + f[2] * f[3]) <= tol * s ** 2:
+            tags.append("simple-null" if abs(t) <= tol * low * up else
+                        "simple-timelike" if t < 0 else "simple-spacelike")
         else:
-            tag = "simple-spacelike"
-        return BivectorClass(tag, theta, blade=(p, q))
-    G, H = _canonical_pair(F, tol)
-    return BivectorClass("non-simple", theta, pair=(G, H))
+            tags.append("non-simple")
+    return tags, theta
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the last axes, computed as a 1-D ``a @ b`` is."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 @dataclass
@@ -296,7 +341,7 @@ def curvature_map_matrix(frame: PointFrame, tol: float = SVD_TOL) -> CurvatureMa
     return CurvatureMap(
         matrix=m,
         rank=rank,
-        kernel=[from_six(v, frame) for v in kern],
-        range_=[from_six(v, frame) for v in rng],
+        kernel=[Bivector(w, frame) for w in antisym_from_six(kern)],
+        range_=[Bivector(w, frame) for w in antisym_from_six(rng)],
         margin=margin,
     )

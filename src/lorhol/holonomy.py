@@ -10,8 +10,9 @@ dimension, the common annihilated directions with their causal
 character, and for the two 3-dimensional types with trivial annihilator
 on a Pfaffian discriminant.
 
-One closure (_close), which closes a stack of points at once, and one
-decision (_decide) serve every caller; only identify_type checks its
+One closure (_close) and one decision (_decide), each of which takes a
+stack of points at once, serve every caller: a survey passes a frames_at
+chunk, identify_type a single point.  Only identify_type checks its
 basis (skew, then bracket-closed).
 """
 from __future__ import annotations
@@ -22,8 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bivector import (
-    BASIS_INDEX, Bivector, _span_bases, antisym_from_six,
-    canonical_span_basis, classify_bivector, null_basis, to_six,
+    BASIS_INDEX, Bivector, _bivector_tags, _canonical_pair, _null_bases,
+    _rowdot, _span_bases, antisym_from_six, canonical_span_basis, to_six,
 )
 from .pointcalc import (
     MetricSpec, PointFrame, _frame_chunks, frame_at, sample_points,
@@ -208,68 +209,122 @@ def close_algebra(generators, frame: PointFrame) -> list[np.ndarray]:
 # Structure probes
 # ---------------------------------------------------------------------------
 
-def _causal_character(v: np.ndarray, g: np.ndarray) -> str:
-    norm2 = float(v @ g @ v)
-    scale = float(v @ v) * float(np.max(np.abs(g)))
-    if abs(norm2) <= 1e-8 * max(scale, 1e-300):
-        return "null"
-    return "timelike" if norm2 < 0 else "spacelike"
+def _characters(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The causal character of each vector of a stack (n, 4) in its
+    metric (n, 4, 4): null when |g(v, v)| <= 1e-8 |v|^2 max|g|."""
+    norm2 = _rowdot((v[:, None, :] @ g)[:, 0], v)
+    scale = _rowdot(v, v) * np.max(np.abs(g), axis=(1, 2))
+    null = np.abs(norm2) <= 1e-8 * np.maximum(scale, 1e-300)
+    return np.where(null, "null", np.where(norm2 < 0, "timelike",
+                                           "spacelike"))
+
+
+def _unit_scaled(basis: np.ndarray) -> np.ndarray:
+    """Each matrix of a (B, k, 4, 4) stack divided by its largest entry."""
+    return basis / np.maximum(np.max(np.abs(basis), axis=(2, 3)),
+                              1e-300)[..., None, None]
 
 
 def constant_directions(basis,
                         frame: PointFrame) -> list[tuple[np.ndarray, str]]:
     """Common nullspace of all basis matrices, tagged by causal character;
-    these integrate to covariantly constant vector fields."""
-    if not len(basis):
-        return [(np.eye(4)[i], _causal_character(np.eye(4)[i], frame.g))
-                for i in range(4)]
-    stack = np.vstack([np.asarray(m, float)
-                       / max(np.max(np.abs(m)), 1e-300) for m in basis])
-    return [(v / np.linalg.norm(v), _causal_character(v, frame.g))
-            for v in null_basis(stack, SPAN_TOL)]
+    these integrate to covariantly constant vector fields.  The one-point
+    call of _constant_stack."""
+    return _constant_stack(np.reshape(np.asarray(basis, float), (1, -1, 4, 4)),
+                           frame.g[None])[0]
+
+
+def _constant_stack(basis: np.ndarray, g: np.ndarray):
+    """constant_directions at every point of a stack: its basis (B, k, 4,
+    4), as many elements at every point, and metrics (B, 4, 4).
+
+    The common nullspace is the null_basis of the k matrices, each
+    scaled to a unit largest entry, stacked as (4k, 4) rows: one batched
+    SVD and RREF for the stack.  An empty basis annihilates every vector,
+    and its directions are the coordinate axes."""
+    rows, kept = _null_bases(_unit_scaled(basis).reshape(len(basis), -1, 4),
+                             SPAN_TOL)
+    at = np.nonzero(kept)[0]
+    v = rows[kept]
+    unit = v / np.sqrt(_rowdot(v, v))[:, None]
+    found = [[] for _ in basis]
+    for i, u, ch in zip(at.tolist(), unit, _characters(v, g[at]).tolist()):
+        found[i].append((u, ch))
+    return found
 
 
 def recurrent_directions(basis, frame: PointFrame) -> list[np.ndarray]:
-    """Common eigen-directions of the basis with some nonzero eigenvalue.
+    """Common eigen-directions of the basis with some nonzero eigenvalue,
+    the one-point call of _recurrent_stack.
 
     Candidates come from real eigenvectors of a few fixed generic
     combinations, then each is verified against every basis element.
     All surviving directions are null (skew-self-adjointness forces it).
     """
-    if not len(basis):
-        return []
-    mats = [np.asarray(m, float) / max(np.max(np.abs(m)), 1e-300)
-            for m in basis]
-    combos = [np.mean(mats, axis=0)] + list(mats)
-    for w in _combo_weights(len(mats)):
-        combos.append(sum(c * m for c, m in zip(w, mats)))
-    vals, vecs = np.linalg.eig(np.array(combos))
-    # real eigenvectors, combo by combo, as unit rows; the norms, products
-    # and residuals use np.linalg.norm's dot-product arithmetic
-    cand = np.swapaxes(vecs.real, 1, 2)[np.abs(vals.imag) <= 1e-8]
+    return _recurrent_stack(
+        np.reshape(np.asarray(basis, float), (1, -1, 4, 4)), frame.g[None])[0]
+
+
+def _recurrent_stack(basis: np.ndarray, g: np.ndarray):
+    """recurrent_directions at every point of a stack: its basis (B, k, 4,
+    4), as many elements at every point, and metrics (B, 4, 4).
+
+    One eig of the 4 + k combinations of every point: their mean, the
+    scaled elements and three fixed draws (_combo_weights).  The real
+    eigenvectors are the candidates, combination by combination, and
+    all of them are verified against their point's elements at once; a
+    verified null candidate, signed so that its first entry above 1e-8
+    is positive, is kept unless it repeats one kept before it.
+    """
+    b, k = basis.shape[:2]
+    if not k:
+        return [[] for _ in range(b)]
+    mats = _unit_scaled(basis)
+    elems = list(np.moveaxis(mats, 1, 0))  # k arrays (B, 4, 4)
+    combos = ([np.mean(mats, axis=1)] + elems
+              + [sum(c * m for c, m in zip(w, elems))
+                 for w in _combo_weights(k)])
+    vals, vecs = np.linalg.eig(np.stack(combos, axis=1))
+    # real eigenvectors, point by point and combo by combo, as unit rows;
+    # the norms, products and residuals use np.linalg.norm's dot-product
+    # arithmetic
+    real = np.abs(vals.imag) <= 1e-8
+    pt = np.nonzero(real)[0]
+    cand = np.swapaxes(vecs.real, 2, 3)[real]
     nrm = np.sqrt(_rowdot(cand, cand))
     big = nrm >= 1e-12
-    cand = cand[big] / nrm[big, None]
-    # verify every candidate against every basis element at once
-    stack = np.array(mats)
-    mv = (stack @ cand[:, None, :, None])[..., 0]  # (candidate, element, 4)
+    pt, cand = pt[big], cand[big] / nrm[big, None]
+    mv = (mats[pt] @ cand[:, None, :, None])[..., 0]  # (candidate, element, 4)
     mu = _rowdot(cand[:, None, :], mv)  # v is unit
     off = mv - mu[..., None] * cand[:, None, :]
-    bound = 1e-8 * np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
+    bound = 1e-8 * np.maximum(1.0, np.max(np.abs(mats), axis=(2, 3)))[pt]
     eigen = (~np.any(np.sqrt(_rowdot(off, off)) > bound, axis=1)
              & (np.max(np.abs(mu), axis=1) > 1e-8))
-    found = []
-    for v in cand[eigen]:
-        k = int(np.argmax(np.abs(v) > 1e-8))
-        u = v * np.sign(v[k])
-        u[np.abs(u) <= 1e-12] = 0.0  # round-off, as +0.0 after the flip
-        # a repeat is dropped whatever its causal character, so only a new
-        # direction needs the test
-        if any(np.linalg.norm(u - f) < 1e-6 for f in found):
-            continue
-        if _causal_character(v, frame.g) == "null":
-            # not null is numerically impossible for exact eigen-directions
-            found.append(u)
+    pt, v = pt[eigen], cand[eigen]
+    # not null is numerically impossible for exact eigen-directions
+    null = _characters(v, g[pt]) == "null"
+    pt, v = pt[null], v[null]
+    lead = np.argmax(np.abs(v) > 1e-8, axis=1)
+    u = v * np.sign(v[np.arange(len(v)), lead])[:, None]
+    u[np.abs(u) <= 1e-12] = 0.0  # round-off, as +0.0 after the flip
+    # keep each point's first candidate left and drop those within 1e-6
+    # of it, until none is left: a candidate is kept exactly when it
+    # repeats no candidate kept before it
+    left = np.ones(len(pt), dtype=bool)
+    kept = np.zeros(len(pt), dtype=bool)
+    head = np.zeros(b, dtype=int)
+    while left.any():
+        at = np.flatnonzero(left)
+        first = at[np.r_[True, pt[at[1:]] != pt[at[:-1]]]]
+        kept[first] = True
+        left[first] = False
+        head[pt[first]] = first
+        at = np.flatnonzero(left)
+        d = u[at] - u[head[pt[at]]]
+        left[at[np.sqrt(_rowdot(d, d)) < 1e-6]] = False
+    found = [[] for _ in range(b)]
+    for i in np.flatnonzero(kept).tolist():
+        found[pt[i]].append(u[i])
     return found
 
 
@@ -283,11 +338,6 @@ def _combo_weights(k: int) -> tuple:
     for w in weights:
         w.setflags(write=False)
     return weights
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of the last axes, computed as a 1-D ``a @ b`` is."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _mixed_to_bivector(m: np.ndarray, frame: PointFrame) -> Bivector:
@@ -369,79 +419,113 @@ def identify_type(basis, frame: PointFrame) -> HolonomyAlgebraReport:
     and bracket-closed, tested on the one bracket block _decide reuses.
     Structure that fits no type is labelled "unrecognized" with
     diagnostics instead of guessing."""
-    basis = [np.asarray(m, float) for m in basis]
+    basis = np.reshape(np.asarray(basis, float), (-1, 4, 4))
     six, sym = _to_six(basis, frame.g)
     if np.any(sym > SPAN_TOL):
         return HolonomyAlgebraReport(
-            len(basis), basis, "unrecognized", [], [],
+            len(basis), list(basis), "unrecognized", [], [],
             diagnostics={"reason": "basis not skew-self-adjoint"})
-    span = canonical_span_basis(six, SPAN_TOL)
-    brackets = _brackets(span, frame.ginv) if len(span) > 1 else None
+    span, pivoted = _span_bases(six[None], SPAN_TOL)
+    rows = span[0, pivoted[0]]
+    brackets = _brackets(rows, frame.ginv) if len(rows) > 1 else None
     if brackets is not None:
-        resid = float(np.max(np.abs(_reduce(brackets, span))))
-        if resid > 1e-6 * np.max(np.abs(span)):
+        resid = float(np.max(np.abs(_reduce(brackets, rows))))
+        if resid > 1e-6 * np.max(np.abs(rows)):
             return HolonomyAlgebraReport(
-                len(span), basis, "unrecognized", [], [],
+                len(rows), list(basis), "unrecognized", [], [],
                 diagnostics={"reason": "basis not bracket-closed",
                              "residual": resid})
-    return _complete(_decide(basis, span, brackets, frame), frame)
+    rep, = _decide([basis], span, pivoted, [brackets], [frame])
+    return _complete(rep, frame)
 
 
-def _decide(basis, span: np.ndarray, brackets,
-            frame: PointFrame) -> HolonomyAlgebraReport:
-    """Label a closed algebra, given as (1,1) matrices, the RREF rows of
-    their span and the bracket block of those rows, from only the probes
-    its dimension's rule reads: the bivector class at dimension 1, the
-    constant directions at dimensions 2 and 3 (then the R9/R12
-    discriminant when there are none), the recurrent directions at
-    dimension 4.  A probe the rule did not read is left as None."""
-    diags: dict = {}
-    dim = len(span)
-    const = recur = omega = None
-    label = "unrecognized"
-    if dim == 0:
-        label = "R1"
-    elif dim == 1:
-        # the span's element: basis[0] may be zero or nearly so
-        one = (frame.ginv @ antisym_from_six(span))[0]
-        cls = classify_bivector(_mixed_to_bivector(one, frame), SPAN_TOL)
-        label = {"simple-timelike": "R2", "simple-null": "R3",
-                 "simple-spacelike": "R4", "non-simple": "R5"}.get(
-                     cls.tag, "unrecognized")
-        if label == "R5":
-            g_t, h_s = cls.pair
-            omega = float(np.sqrt(h_s.theta / -g_t.theta))
-    elif dim in (2, 3):
-        const = constant_directions(basis, frame)
-        chars = [ch for _, ch in const]
-        if len(chars) == 1:
-            label = _BY_CONSTANT[dim].get(chars[0], "unrecognized")
-        elif not chars and dim == 2:
-            label = "R7"
-        elif not chars:
-            got = _r9_r12_discriminant(span, brackets, frame)
-            if got is not None:
-                label, omega = got
-            else:
-                diags["reason"] = "dim-3 discriminant failed"
-    elif dim == 4:
-        recur = recurrent_directions(basis, frame)
-        if recur:
-            label = "R14"
+_BY_TAG = {"simple-timelike": "R2", "simple-null": "R3",
+           "simple-spacelike": "R4", "non-simple": "R5"}
+
+
+def _decide(bases, span: np.ndarray, pivoted: np.ndarray, brackets,
+            frames) -> list[HolonomyAlgebraReport]:
+    """Label the closed algebra at every point of a stack: its basis of
+    (1,1) matrices (a (k, 4, 4) array per point), its span as _close
+    returns it, RREF rows (B, 6, 6) with the (B, 6) pivot mask, the
+    bracket block of those rows per point, and its frame.
+
+    Each label is read from only the probes its dimension's rule reads:
+    the bivector class at dimension 1, the constant directions at
+    dimensions 2 and 3 (then the R9/R12 discriminant when there are
+    none), the recurrent directions at dimension 4.  A probe the rule
+    did not read is left as None.  The points are grouped by dimension
+    and number of basis elements, so that each group's arrays have the
+    shape a point has alone, and every group's probes are computed in
+    one stacked call (_bivector_tags, _constant_stack, _recurrent_stack).
+    Only the canonical pair of an R5 element and the R9/R12
+    discriminant, both rare, are computed point by point, in point order.
+    """
+    g = np.array([fr.g for fr in frames])
+    dims = pivoted.sum(axis=1).tolist()
+    labels = [{0: "R1", 6: "R15"}.get(d, "unrecognized") for d in dims]
+    const, recur, omega = ([None] * len(dims) for _ in range(3))
+    diags = [{} for _ in dims]
+    groups: dict = {}
+    for i, (d, basis) in enumerate(zip(dims, bases)):
+        groups.setdefault((d, len(basis)), []).append(i)
+    alone = []  # points that need a per-point step
+    for (d, _), at in groups.items():
+        at = np.array(at)
+        if d == 1:
+            # the span's element: a basis element may be zero or nearly so
+            ginv = np.array([frames[i].ginv for i in at])
+            f = (ginv @ antisym_from_six(span[at][pivoted[at]])) @ ginv
+            tags, _ = _bivector_tags(0.5 * (f - np.swapaxes(f, 1, 2)), g[at],
+                                     SPAN_TOL)
+            for i, fi, tag in zip(at.tolist(), f, tags):
+                labels[i] = _BY_TAG.get(tag, "unrecognized")
+                if tag == "non-simple":
+                    alone.append((i, fi))
+        elif d in (2, 3):
+            found = _constant_stack(np.array([bases[i] for i in at]), g[at])
+            for i, c in zip(at.tolist(), found):
+                const[i] = c
+                if len(c) == 1:
+                    labels[i] = _BY_CONSTANT[d].get(c[0][1], "unrecognized")
+                elif not c and d == 2:
+                    labels[i] = "R7"
+                elif not c:
+                    alone.append((i, None))
+        elif d == 4:
+            found = _recurrent_stack(np.array([bases[i] for i in at]), g[at])
+            for i, r in zip(at.tolist(), found):
+                recur[i] = r
+                if r:
+                    labels[i] = "R14"
+                else:
+                    diags[i]["reason"] = ("dim-4 algebra without a null "
+                                          "eigen-direction")
+        elif d == 5:
+            for i in at.tolist():
+                diags[i]["reason"] = ("the Lorentz algebra has no 5-dim "
+                                      "subalgebra")
+    for i, f in sorted(alone, key=lambda t: t[0]):
+        if f is not None:
+            g_t, h_s = _canonical_pair(Bivector(f, frames[i]), SPAN_TOL)
+            omega[i] = float(np.sqrt(h_s.theta / -g_t.theta))
+            continue
+        got = _r9_r12_discriminant(span[i, pivoted[i]], brackets[i],
+                                   frames[i])
+        if got is not None:
+            labels[i], omega[i] = got
         else:
-            diags["reason"] = "dim-4 algebra without a null eigen-direction"
-    elif dim == 5:
-        diags["reason"] = "the Lorentz algebra has no 5-dim subalgebra"
-    elif dim == 6:
-        label = "R15"
-    return HolonomyAlgebraReport(
-        dim, basis, label, const, recur, omega,
-        realizable=(label != "R5"), diagnostics=diags)
+            diags[i]["reason"] = "dim-3 discriminant failed"
+    return [HolonomyAlgebraReport(
+        d, list(basis), label, c, r, w, realizable=(label != "R5"),
+        diagnostics=diag) for d, basis, label, c, r, w, diag in zip(
+            dims, bases, labels, const, recur, omega, diags)]
 
 
 def _complete(rep: HolonomyAlgebraReport,
               frame: PointFrame) -> HolonomyAlgebraReport:
-    """Fill in the probes _decide left as None."""
+    """Fill in the probes _decide left as None, with the one-point calls
+    of their stacked cores."""
     if rep.constant is None:
         rep.constant = constant_directions(rep.basis, frame)
     if rep.recurrent is None:
@@ -463,10 +547,10 @@ def holonomy_survey(spec: MetricSpec, samples: int = 32, seed: int = 7,
     cross-point union of chart components is not an algebra and is not
     attempted); its per-point entry carries the label and dimension only.
     The points are taken one frames_at chunk at a time: the generators,
-    their six coordinates and the bracket closure of all the chunk's
-    points are computed on its stacked arrays (_generators, _close), bit
-    for bit as point by point, and only the labelling is per point.
-    The span the closure built is labelled with no input check.
+    their six coordinates, the bracket closure and the labels of all the
+    chunk's points are computed on its stacked arrays (_generators,
+    _close, _decide), bit for bit as point by point.  The span the
+    closure built is labelled with no input check.
     The representative is the first point of maximal dimension,
     preferring a recognised label, and its label is the survey's; only
     the representative carries constant and recurrent directions, omega
@@ -484,8 +568,9 @@ def holonomy_survey(spec: MetricSpec, samples: int = 32, seed: int = 7,
         span, pivoted, brackets = _close(_to_six(gens, stack["g"])[0],
                                          stack["ginv"])
         mats = stack["ginv"][:, None] @ antisym_from_six(span)
-        for fr, s, m, p, b in zip(frames, span, mats, pivoted, brackets):
-            rep = _decide(list(m[p]), s[p], b, fr)
+        reps = _decide([m[p] for m, p in zip(mats, pivoted)], span, pivoted,
+                       brackets, frames)
+        for fr, rep in zip(frames, reps):
             per_point.append((fr.point, rep.label, rep.dimension))
             if best is None or _better(rep, best[0]):
                 best = rep, fr

@@ -252,3 +252,141 @@ def span_basis_loop(vectors, tol=1e-9):
     arr = work[order]
     arr[np.abs(arr) <= tol] = 0.0
     return arr
+
+
+def causal_character_loop(v, g):
+    """The causal character of one vector, as holonomy tested it vector
+    by vector."""
+    norm2 = float(v @ g @ v)
+    scale = float(v @ v) * float(np.max(np.abs(g)))
+    if abs(norm2) <= 1e-8 * max(scale, 1e-300):
+        return "null"
+    return "timelike" if norm2 < 0 else "spacelike"
+
+
+def constant_directions_loop(basis, frame, tol=1e-8):
+    """constant_directions as it was written for one point, with the
+    per-matrix RREF loop: the reference for the stacked version."""
+    if not len(basis):
+        return [(np.eye(4)[i], causal_character_loop(np.eye(4)[i], frame.g))
+                for i in range(4)]
+    stack = np.vstack([np.asarray(m, float)
+                       / max(np.max(np.abs(m)), 1e-300) for m in basis])
+    _, s, vt = np.linalg.svd(stack)
+    smax = float(s[0]) if s.size and s[0] > 0 else 0.0
+    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
+    return [(v / np.linalg.norm(v), causal_character_loop(v, frame.g))
+            for v in span_basis_loop(vt[rank:], tol)]
+
+
+def recurrent_directions_loop(basis, frame, tol=1e-8):
+    """recurrent_directions as it was written, one eig per combination and
+    one candidate against one basis element at a time: the reference for
+    the stacked version."""
+    if not len(basis):
+        return []
+    mats = [np.asarray(m, float) / max(np.max(np.abs(m)), 1e-300)
+            for m in basis]
+    rng = np.random.default_rng(20090629)
+    candidates = []
+    combos = [np.mean(mats, axis=0)] + list(mats)
+    for _ in range(3):
+        w = rng.normal(size=len(mats))
+        combos.append(sum(c * m for c, m in zip(w, mats)))
+    for m in combos:
+        vals, vecs = np.linalg.eig(m)
+        for i, lam in enumerate(vals):
+            if abs(lam.imag) > 1e-8:
+                continue
+            v = vecs[:, i].real
+            nrm = np.linalg.norm(v)
+            if nrm < 1e-12:
+                continue
+            candidates.append(v / nrm)
+    found = []
+    for v in candidates:
+        mus = []
+        ok = True
+        for m in mats:
+            mv = m @ v
+            mu = float(v @ mv)
+            if np.linalg.norm(mv - mu * v) > tol * max(1.0, np.max(np.abs(m))):
+                ok = False
+                break
+            mus.append(mu)
+        if not ok or max(abs(mu) for mu in mus) <= tol:
+            continue
+        if causal_character_loop(v, frame.g) != "null":
+            continue
+        k = int(np.argmax(np.abs(v) > 1e-8))
+        v = v * np.sign(v[k])
+        v[np.abs(v) <= 1e-12] = 0.0
+        if not any(np.linalg.norm(v - u) < 1e-6 for u in found):
+            found.append(v)
+    return found
+
+
+def bivector_tag_loop(F, tol=1e-9):
+    """classify_bivector's tag as it was written for one bivector: the
+    reference for the stacked tags."""
+    if np.max(np.abs(F.mixed)) <= 1e-14:
+        return "zero"
+    smax = float(np.linalg.svd(F.comps, compute_uv=False)[0])
+    theta = F.theta
+    if abs(F.pfaffian) > tol * smax ** 2:
+        return "non-simple"
+    if abs(theta) <= tol * np.linalg.norm(F.lowered) * F.norm():
+        return "simple-null"
+    return "simple-timelike" if theta < 0 else "simple-spacelike"
+
+
+def decide_loop(basis, span, brackets, frame):
+    """holonomy's _decide as it was written for one point, on the loop
+    references above: the reference for the stacked decision.  span is
+    the point's RREF rows, brackets their bracket block."""
+    from lorhol.bivector import Bivector, _canonical_pair, antisym_from_six
+    from lorhol.holonomy import (
+        _BY_CONSTANT, SPAN_TOL, HolonomyAlgebraReport, _r9_r12_discriminant,
+    )
+    diags = {}
+    dim = len(span)
+    const = recur = omega = None
+    label = "unrecognized"
+    if dim == 0:
+        label = "R1"
+    elif dim == 1:
+        one = (frame.ginv @ antisym_from_six(span))[0]
+        f = Bivector(one @ frame.ginv, frame)
+        tag = bivector_tag_loop(f, SPAN_TOL)
+        label = {"simple-timelike": "R2", "simple-null": "R3",
+                 "simple-spacelike": "R4", "non-simple": "R5"}.get(
+                     tag, "unrecognized")
+        if label == "R5":
+            g_t, h_s = _canonical_pair(f, SPAN_TOL)
+            omega = float(np.sqrt(h_s.theta / -g_t.theta))
+    elif dim in (2, 3):
+        const = constant_directions_loop(basis, frame)
+        chars = [ch for _, ch in const]
+        if len(chars) == 1:
+            label = _BY_CONSTANT[dim].get(chars[0], "unrecognized")
+        elif not chars and dim == 2:
+            label = "R7"
+        elif not chars:
+            got = _r9_r12_discriminant(span, brackets, frame)
+            if got is not None:
+                label, omega = got
+            else:
+                diags["reason"] = "dim-3 discriminant failed"
+    elif dim == 4:
+        recur = recurrent_directions_loop(basis, frame)
+        if recur:
+            label = "R14"
+        else:
+            diags["reason"] = "dim-4 algebra without a null eigen-direction"
+    elif dim == 5:
+        diags["reason"] = "the Lorentz algebra has no 5-dim subalgebra"
+    elif dim == 6:
+        label = "R15"
+    return HolonomyAlgebraReport(
+        dim, list(basis), label, const, recur, omega,
+        realizable=(label != "R5"), diagnostics=diags)

@@ -386,54 +386,6 @@ class TestOrderTwo:
         assert d2 == d12 >= d1
 
 
-def _recurrent_reference(basis, frame, tol=1e-8):
-    """recurrent_directions as it was written, one eig per combination and
-    one candidate against one basis element at a time: the reference for
-    the stacked version."""
-    from lorhol.holonomy import _causal_character
-    if not len(basis):
-        return []
-    mats = [np.asarray(m, float) / max(np.max(np.abs(m)), 1e-300)
-            for m in basis]
-    rng = np.random.default_rng(20090629)
-    candidates = []
-    combos = [np.mean(mats, axis=0)] + list(mats)
-    for _ in range(3):
-        w = rng.normal(size=len(mats))
-        combos.append(sum(c * m for c, m in zip(w, mats)))
-    for m in combos:
-        vals, vecs = np.linalg.eig(m)
-        for i, lam in enumerate(vals):
-            if abs(lam.imag) > 1e-8:
-                continue
-            v = vecs[:, i].real
-            nrm = np.linalg.norm(v)
-            if nrm < 1e-12:
-                continue
-            candidates.append(v / nrm)
-    found = []
-    for v in candidates:
-        mus = []
-        ok = True
-        for m in mats:
-            mv = m @ v
-            mu = float(v @ mv)
-            if np.linalg.norm(mv - mu * v) > tol * max(1.0, np.max(np.abs(m))):
-                ok = False
-                break
-            mus.append(mu)
-        if not ok or max(abs(mu) for mu in mus) <= tol:
-            continue
-        if _causal_character(v, frame.g) != "null":
-            continue
-        k = int(np.argmax(np.abs(v) > 1e-8))
-        v = v * np.sign(v[k])
-        v[np.abs(v) <= 1e-12] = 0.0
-        if not any(np.linalg.norm(v - u) < 1e-6 for u in found):
-            found.append(v)
-    return found
-
-
 def _generators_reference(fr, derivative_order):
     """ihol_generators' per-slice loop, kept as the reference."""
     r = fr.riem_ud
@@ -459,7 +411,7 @@ SURVEYED = [(name, partner) for name in ("minkowski", "r11", "r10", "r13",
        st.lists(st.integers(-6, 6), min_size=6, max_size=6))
 def test_stacked_kernels_match_reference_loops(which, order, seed, rnd,
                                                exps):
-    from helpers import fixture_spec
+    from helpers import fixture_spec, recurrent_directions_loop
     from lorhol.pointcalc import frames_at
     spec = fixture_spec(*which)
     for fr in frames_at(spec, sample_points(spec, 2, seed=seed), order + 2):
@@ -478,13 +430,13 @@ def test_stacked_kernels_match_reference_loops(which, order, seed, rnd,
                            zip(rnd.sample(basis, len(basis)), exps)], fr),
                          ([a @ m @ ainv for m in basis], moved)):
             got = recurrent_directions(b, frame)
-            ref = _recurrent_reference(b, frame)
+            ref = recurrent_directions_loop(b, frame)
             assert [v.tobytes() for v in got] == [v.tobytes() for v in ref]
 
 
 def test_stacked_recurrent_directions_on_r14_survey():
     # a fixture whose surveyed algebras carry a recurrent null direction
-    from helpers import fixture_spec
+    from helpers import fixture_spec, recurrent_directions_loop
     from lorhol.pointcalc import frames_at
     spec = fixture_spec("r14")
     seen = 0
@@ -493,7 +445,7 @@ def test_stacked_recurrent_directions_on_r14_survey():
                               fr)
         got = recurrent_directions(basis, fr)
         assert [v.tobytes() for v in got] == [
-            v.tobytes() for v in _recurrent_reference(basis, fr)]
+            v.tobytes() for v in recurrent_directions_loop(basis, fr)]
         seen += len(got)
     assert seen > 0
 
@@ -532,7 +484,8 @@ def _report_bytes(rep):
 @pytest.mark.parametrize("name, partner, order", [
     ("r14", False, 1), ("r9", False, 1), ("r10", False, 1),
     ("r11", False, 1), ("r13", False, 1), ("r9", True, 0),
-    ("r14", False, 2), ("r14", True, 1)])
+    ("r14", False, 2), ("r14", True, 1), ("r11", False, 0),
+    ("r9-b0", True, 0)])
 def test_survey_matches_identify_type_at_every_point(name, partner, order):
     # the survey labels each point from the probes its dimension needs and
     # builds the full report for the representative alone; both must be
@@ -623,3 +576,74 @@ def test_stacked_closure_matches_each_point_alone():
             assert brackets[k].tobytes() == want_brackets.tobytes()
         dims.add(len(want_span))
     assert {0, 1, 3, 4, 6} <= dims
+
+
+def test_order1_survey_runs_one_eig_per_chunk(monkeypatch):
+    # 40 points at order 1 are two frames_at chunks (32, 8), every point
+    # of dimension 4: the recurrent directions of a chunk come from one
+    # eig over all its points' combinations
+    from helpers import fixture_spec
+    eig = np.linalg.eig
+    stacks = []
+
+    def spy(a):
+        stacks.append(np.shape(a))
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", spy)
+    rep = holonomy_survey(fixture_spec("r14"), samples=40, seed=1,
+                          derivative_order=1)
+    assert {dim for _, _, dim in rep.per_point} == {4}
+    # the representative keeps the recurrent directions of its chunk
+    assert stacks == [(32, 8, 4, 4), (8, 8, 4, 4)]
+
+
+def test_stacked_decision_matches_each_point_alone():
+    # one stack of every type R1-R15: as in the table, with a dependent
+    # element, rescaled by 1e6 and 1e-6, Lorentz-conjugated and in a
+    # random chart; plus a 5-dim span, fed directly.  The fixtures never
+    # reach dimensions 2 and 5, or R5 and R12
+    from helpers import (
+        constant_directions_loop, decide_loop, recurrent_directions_loop,
+    )
+    from lorhol.bivector import _span_bases
+    from lorhol.holonomy import SPAN_TOL, _brackets, _complete, _decide, _to_six
+    fr = minkowski_frame()
+    rng = np.random.default_rng(24)
+    cases = [("R1", [], fr)]
+    for label in sorted(TYPE_DIMENSIONS)[1:]:
+        basis = table1_basis(label, fr)
+        lam = random_lorentz(rng)
+        a = np.eye(4) + 0.3 * rng.normal(size=(4, 4))
+        ainv = np.linalg.inv(a)
+        cases += [(label, b, f) for b, f in (
+            (basis, fr),
+            (basis + [sum((k + 2) * m for k, m in enumerate(basis))], fr),
+            ([m * 1e6 for m in basis], fr),
+            ([m * 1e-6 for m in basis], fr),
+            ([lam @ m @ np.linalg.inv(lam) for m in basis], fr),
+            ([a @ m @ ainv for m in basis], PointFrame(ainv.T @ ETA @ ainv)))]
+    cases.append((None, table1_basis("R15", fr)[:5], fr))
+    bases = [np.reshape(b, (-1, 4, 4)) for _, b, _ in cases]
+    frames = [f for _, _, f in cases]
+    six = np.zeros((len(cases), 7, 6))
+    for k, (b, f) in enumerate(zip(bases, frames)):
+        six[k, :len(b)] = _to_six(b, f.g)[0]
+    span, pivoted = _span_bases(six, SPAN_TOL)
+    rows = [s[p] for s, p in zip(span, pivoted)]
+    brackets = [_brackets(r, f.ginv) if len(r) > 1 else None
+                for r, f in zip(rows, frames)]
+    got = _decide(bases, span, pivoted, brackets, frames)
+    for (label, _, f), b, r, br, rep in zip(cases, bases, rows, brackets,
+                                            got):
+        want = decide_loop(b, r, br, f)
+        assert (rep.label, rep.dimension) == (want.label, want.dimension)
+        assert rep.label == (label or "unrecognized")
+        assert (rep.constant is None, rep.recurrent is None) == (
+            want.constant is None, want.recurrent is None)
+        if want.constant is None:
+            want.constant = constant_directions_loop(b, f)
+        if want.recurrent is None:
+            want.recurrent = recurrent_directions_loop(b, f)
+        assert _report_bytes(_complete(rep, f)) == _report_bytes(want)
+    assert {rep.dimension for rep in got} == set(range(7))
