@@ -7,7 +7,7 @@ together with the PointFrame supplying the metric for index moves.  The
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -221,16 +221,40 @@ def hodge_dual(F: Bivector, orientation: float = 1.0) -> Bivector:
 
 @dataclass
 class BivectorClass:
-    """Pointwise algebraic class of a bivector."""
+    """Pointwise algebraic class of a bivector: its tag and theta = F_ab
+    F^ab, with the classified F and the tol it was classified at.
+
+    The blade of a simple F (_blade_from_svd) and the canonical pair of
+    a non-simple one (_canonical_pair) are built from F and tol the first
+    time they are read, and kept; they are None for the other tags.
+    """
 
     tag: str  # zero | simple-timelike | simple-spacelike | simple-null | non-simple
     theta: float
-    blade: tuple[np.ndarray, np.ndarray] | None = None  # simple case
-    pair: tuple[Bivector, Bivector] | None = None  # non-simple canonical (G, H)
+    bivector: Bivector = field(repr=False)
+    tol: float = SVD_TOL
 
     @property
     def simple(self) -> bool:
         return self.tag.startswith("simple")
+
+    @property
+    def blade(self) -> tuple[np.ndarray, np.ndarray] | None:
+        return self._once("_blade", _blade_from_svd) if self.simple else None
+
+    @property
+    def pair(self) -> tuple[Bivector, Bivector] | None:
+        return (self._once("_pair", _canonical_pair)
+                if self.tag == "non-simple" else None)
+
+    def _once(self, key: str, build):
+        """build(F, tol), kept under key from its first read on; stored
+        with dict.setdefault, so every reader gets the value of whichever
+        thread stored first."""
+        got = self.__dict__.get(key)
+        if got is None:
+            got = self.__dict__.setdefault(key, build(self.bivector, self.tol))
+        return got
 
 
 def _blade_from_svd(F: Bivector, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -259,18 +283,13 @@ def _canonical_pair(F: Bivector, tol: float) -> tuple[Bivector, Bivector]:
 
 def classify_bivector(F: Bivector, tol: float = SVD_TOL) -> BivectorClass:
     """Tag F as zero / simple-{timelike,spacelike,null} / non-simple, the
-    one-bivector call of _bivector_tags, with the blade of a simple F and
-    the canonical pair (G timelike, H spacelike, H proportional to *G) of
-    a non-simple one.
+    one-bivector call of _bivector_tags.  The blade of a simple F and the
+    canonical pair (G timelike, H spacelike, H proportional to *G) of a
+    non-simple one are built on their first read (see BivectorClass).
     """
-    tags, theta = _bivector_tags(F.comps[None], F.frame.g[None], tol)
-    if tags[0] == "zero":
-        return BivectorClass("zero", 0.0)
-    if tags[0] == "non-simple":
-        return BivectorClass("non-simple", float(theta[0]),
-                             pair=_canonical_pair(F, tol))
-    return BivectorClass(tags[0], float(theta[0]),
-                         blade=_blade_from_svd(F, tol))
+    (tag,), theta = _bivector_tags(F.comps[None], F.frame.g[None], tol)
+    return BivectorClass(tag, 0.0 if tag == "zero" else float(theta[0]),
+                         F, tol)
 
 
 def _bivector_tags(comps: np.ndarray, g: np.ndarray,
@@ -318,11 +337,10 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @dataclass
 class CurvatureMap:
     """Matrix of f~ : F^{ab} -> R^{ab}_{cd} F^{cd} in the fixed basis,
-    with rank, kernel and range bases."""
+    with its rank and the canonical basis of its range."""
 
     matrix: np.ndarray  # 6x6
     rank: int
-    kernel: list[Bivector]
     range_: list[Bivector]
     margin: float  # smallest discarded singular-value ratio
 
@@ -330,18 +348,12 @@ class CurvatureMap:
 def curvature_map_matrix(frame: PointFrame, tol: float = SVD_TOL) -> CurvatureMap:
     ruu = np.einsum("be,aecd->abcd", frame.ginv, frame.riem_ud)
     m = 2.0 * to_six(ruu[BASIS_INDEX])
-    rank, u, s, vt = svd_rank(m, tol)
-    # the kernel and range bases in one reduction, zero rows for the rest
-    both = np.zeros((2, 6, 6))
-    both[0, rank:] = vt[rank:]
-    both[1, :rank] = u[:, :rank].T
-    basis, pivoted = _span_bases(both, tol)
-    kern, rng = basis[0, pivoted[0]], basis[1, pivoted[1]]
+    rank, u, s, _ = svd_rank(m, tol)
+    rng = canonical_span_basis(u[:, :rank].T, tol)
     margin = float(s[rank] / s[0]) if (s[0] > 0 and rank < 6) else 0.0
     return CurvatureMap(
         matrix=m,
         rank=rank,
-        kernel=[Bivector(w, frame) for w in antisym_from_six(kern)],
         range_=[Bivector(w, frame) for w in antisym_from_six(rng)],
         margin=margin,
     )

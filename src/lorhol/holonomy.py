@@ -525,7 +525,11 @@ def _decide(bases, span: np.ndarray, pivoted: np.ndarray, brackets,
 def _complete(rep: HolonomyAlgebraReport,
               frame: PointFrame) -> HolonomyAlgebraReport:
     """Fill in the probes _decide left as None, with the one-point calls
-    of their stacked cores."""
+    of their stacked cores.  A 6-dim algebra is all of so(1,3), which
+    leaves no line invariant: both are empty, with no probe run."""
+    if rep.dimension == 6:
+        rep.constant, rep.recurrent = [], []
+        return rep
     if rep.constant is None:
         rep.constant = constant_directions(rep.basis, frame)
     if rep.recurrent is None:

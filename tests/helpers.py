@@ -254,6 +254,26 @@ def span_basis_loop(vectors, tol=1e-9):
     return arr
 
 
+def curvature_map_stack(frame, tol=1e-9):
+    """curvature_map_matrix as it was written, reducing its kernel and
+    range as one stack of two: the reference for the range-only
+    reduction.  Returns (rank, range bivectors, margin)."""
+    from lorhol.bivector import (
+        BASIS_INDEX, Bivector, _span_bases, antisym_from_six, svd_rank,
+        to_six,
+    )
+    ruu = np.einsum("be,aecd->abcd", frame.ginv, frame.riem_ud)
+    m = 2.0 * to_six(ruu[BASIS_INDEX])
+    rank, u, s, vt = svd_rank(m, tol)
+    both = np.zeros((2, 6, 6))
+    both[0, rank:] = vt[rank:]
+    both[1, :rank] = u[:, :rank].T
+    basis, pivoted = _span_bases(both, tol)
+    margin = float(s[rank] / s[0]) if (s[0] > 0 and rank < 6) else 0.0
+    return (rank, [Bivector(w, frame)
+                   for w in antisym_from_six(basis[1, pivoted[1]])], margin)
+
+
 def causal_character_loop(v, g):
     """The causal character of one vector, as holonomy tested it vector
     by vector."""

@@ -1,17 +1,23 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lorhol.bivector import (
-    BASIS_PAIRS, Bivector, _span_bases, antisym_from_six, canonical_span_basis,
-    classify_bivector, curvature_map_matrix, from_six, hodge_dual,
-    null_basis, svd_rank, to_six, wedge,
+    BASIS_PAIRS, Bivector, _blade_from_svd, _canonical_pair, _span_bases,
+    antisym_from_six, canonical_span_basis, classify_bivector,
+    curvature_map_matrix, from_six, hodge_dual, null_basis, svd_rank, to_six,
+    wedge,
 )
+from lorhol.fixtures import FIXTURE_NAMES
+from lorhol.pointcalc import PointFrame, frames_at, sample_points
 
 from helpers import (
-    biv_low, minkowski_frame, null_tetrad, random_lorentz, span_basis_loop,
-    synthetic_class_b, synthetic_class_d,
+    biv_low, curvature_map_stack, fixture_spec, minkowski_frame, null_tetrad,
+    random_lorentz, span_basis_loop, synthetic_class_b, synthetic_class_d,
 )
 
 
@@ -143,12 +149,63 @@ class TestClassify:
                        np.max(np.abs(f.comps + ratio * rebuilt.comps)))
             assert diff < 1e-9
 
+    def test_blade_and_pair_are_built_on_first_read(self, frame):
+        # the same bytes as built at classification, once per class
+        l, n, x, y = null_tetrad(random_lorentz(np.random.default_rng(13)))
+        for f in (wedge(l, n, frame), wedge(x, y, frame), wedge(l, x, frame),
+                  wedge(l, n, frame) + 0.5 * wedge(x, y, frame),
+                  Bivector(np.zeros((4, 4)), frame)):
+            for tol in (1e-9, 1e-8):
+                cls = classify_bivector(f, tol)
+                if cls.simple:
+                    assert cls.pair is None
+                    got, want = cls.blade, _blade_from_svd(f, tol)
+                    assert [v.tobytes() for v in got] == [
+                        v.tobytes() for v in want]
+                elif cls.tag == "non-simple":
+                    assert cls.blade is None
+                    got, want = cls.pair, _canonical_pair(f, tol)
+                    assert [b.comps.tobytes() for b in got] == [
+                        b.comps.tobytes() for b in want]
+                else:
+                    assert cls.blade is None and cls.pair is None
+                    continue
+                assert (cls.blade or cls.pair) is got  # kept, not rebuilt
+
+    def test_threads_racing_on_the_first_read_get_one_blade(self, frame):
+        # more threads than cores, switching often: a blade stored by
+        # plain assignment lets two racing readers keep different ones
+        l, n, x, y = null_tetrad()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                cls = classify_bivector(wedge(x, y, frame))
+                got = []
+                start = threading.Barrier(4)
+
+                def read():
+                    start.wait(timeout=10)
+                    got.append(cls.blade)
+
+                threads = [threading.Thread(target=read) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert len(got) == 4
+                assert all(b is got[0] for b in got)
+        finally:
+            sys.setswitchinterval(interval)
+
 
 class TestCurvatureMap:
     def test_flat_rank_zero(self, frame):
         cm = curvature_map_matrix(frame)
         assert cm.rank == 0
-        assert len(cm.kernel) == 6
+        assert cm.range_ == []
+        assert cm.margin == 0.0
 
     def test_class_d_rank_one(self):
         l, n, x, y = null_tetrad()
@@ -180,6 +237,30 @@ class TestCurvatureMap:
             m = b.mixed
             resid = fr.g @ m + (fr.g @ m).T
             assert np.max(np.abs(resid)) < 1e-10 * max(1.0, b.norm())
+
+    def test_range_matches_the_two_matrix_stack_bitwise(self):
+        # every fixture and partner at two points, the synthetic classes
+        # B and D, and each frame again with g -> c g
+        frames = [synthetic_class_b(*null_tetrad()),
+                  synthetic_class_d(biv_low(*null_tetrad()[2:])),
+                  synthetic_class_d(biv_low(*null_tetrad()[::2]), alpha=-2.0)]
+        for name in FIXTURE_NAMES:
+            for partner in (False, True):
+                spec = fixture_spec(name, partner)
+                frames += frames_at(spec, sample_points(spec, 2, seed=1))
+        ranks = set()
+        for fr in frames:
+            for c in (1.0, 1e6, 1e-6):
+                scaled = fr if c == 1.0 else PointFrame.synthetic(
+                    c * fr.g, c * fr.riem_dddd)
+                rank, range_, margin = curvature_map_stack(scaled)
+                cm = curvature_map_matrix(scaled)
+                assert (cm.rank, cm.margin) == (rank, margin)
+                assert len(cm.range_) == len(range_)
+                for got, want in zip(cm.range_, range_):
+                    assert got.comps.tobytes() == want.comps.tobytes()
+                ranks.add(rank)
+        assert {0, 1, 2} <= ranks
 
 
 def test_six_roundtrip(frame):

@@ -117,6 +117,35 @@ class TestClassify:
         rep = classify_curvature(synthetic_class_d(biv_low(x, y)))
         assert 0.0 <= rep.margin < 1e-9
 
+    def test_class_d_point_reduces_only_what_it_reads(self, monkeypatch):
+        # two one-matrix reductions, the range of the curvature map and
+        # kernel_vectors' null basis; the blade of F waits for its reader
+        from lorhol import bivector
+        from helpers import fixture_spec
+        spec = fixture_spec("r11")
+        fr = frame_at(spec, sample_points(spec, 1, seed=1)[0])
+        span_bases, blade = bivector._span_bases, bivector._blade_from_svd
+        stacks, blades = [], []
+
+        def span_spy(stack, tol):
+            stacks.append(len(stack))
+            return span_bases(stack, tol)
+
+        def blade_spy(f, tol):
+            blades.append(tol)
+            return blade(f, tol)
+
+        monkeypatch.setattr(bivector, "_span_bases", span_spy)
+        monkeypatch.setattr(bivector, "_blade_from_svd", blade_spy)
+        rep = classify_curvature(fr)
+        assert rep.tag == "D"
+        assert (stacks, blades) == ([1, 1], [])
+        got = rep.f_class.blade
+        assert blades == [1e-9]
+        want = blade(rep.simple_f, 1e-9)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+        assert rep.f_class.blade is got and blades == [1e-9]
+
 
 class TestTheorem1:
     def test_class_a_gives_metric_only(self):

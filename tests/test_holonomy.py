@@ -578,6 +578,36 @@ def test_stacked_closure_matches_each_point_alone():
     assert {0, 1, 3, 4, 6} <= dims
 
 
+def test_r15_survey_runs_no_probe(monkeypatch):
+    # so(1,3) leaves no line invariant, so a 6-dim representative's
+    # constant and recurrent directions are empty without a probe
+    from helpers import fixture_spec
+    from lorhol import holonomy
+    calls = []
+    for probe in ("constant_directions", "recurrent_directions"):
+        monkeypatch.setattr(holonomy, probe,
+                            lambda *a, probe=probe: calls.append(probe))
+    rep = holonomy_survey(fixture_spec("r11", True), samples=4, seed=1)
+    assert (rep.label, rep.representative.dimension) == ("R15", 6)
+    assert (rep.representative.constant, rep.representative.recurrent,
+            calls) == ([], [], [])
+
+
+@pytest.mark.parametrize("name", ["r10", "r11", "r13"])
+def test_r15_representatives_have_no_invariant_line(name):
+    # the probes that a 6-dim representative skips find nothing there
+    from helpers import fixture_spec
+    spec = fixture_spec(name, True)
+    for order in (0, 1, 2):
+        rep = holonomy_survey(spec, samples=2, seed=1,
+                              derivative_order=order)
+        # every point is 6-dim, so the representative is the first
+        assert rep.representative.label == "R15"
+        fr = frame_at(spec, rep.per_point[0][0])
+        assert constant_directions(rep.representative.basis, fr) == []
+        assert recurrent_directions(rep.representative.basis, fr) == []
+
+
 def test_order1_survey_runs_one_eig_per_chunk(monkeypatch):
     # 40 points at order 1 are two frames_at chunks (32, 8), every point
     # of dimension 4: the recurrent directions of a chunk come from one
