@@ -48,6 +48,15 @@ own width on every side, so that the masks and the placeholder rows
 are covered too.  ``report_digests.py`` reaches this path only through
 the CLI and on four fixtures.
 
+The fixtures never reach class B, R5 or R12, so a fixed synthetic
+section comes last, whatever the arguments: ``classify_curvature`` and
+``solve_theorem1`` (hashed as in the classification digest) at
+synthetic class-B and class-D points, and every ``identify_type`` field
+on the R2-R15 table bases, each in two fixed Lorentz frames of Minkowski
+space.  Each line reads ``synthetic:<case>:<frame> sha256 got``, got
+being the class or label reached, or None; a call that raised puts its
+exception class after the digest, as on the other lines.
+
 Two checkouts that survey and classify alike print the same lines, and
 the check is a ``diff`` of their outputs.  Uses only the standard
 library, numpy and lorhol from the ``src/`` of the checkout that holds
@@ -67,10 +76,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lorhol.curvclass import classify_curvature, solve_theorem1  # noqa: E402
 from lorhol.fixtures import FIXTURE_NAMES, named_fixture  # noqa: E402
-from lorhol.holonomy import holonomy_survey  # noqa: E402
+from lorhol.holonomy import holonomy_survey, identify_type  # noqa: E402
 from lorhol.exprdsl import const, coord, sub  # noqa: E402
 from lorhol.pointcalc import (  # noqa: E402
-    MetricSpec, christoffel_batch, frames_at, metric_spec, sample_points,
+    MetricSpec, PointFrame, christoffel_batch, frames_at, metric_spec,
+    sample_points,
 )
 from lorhol.projective import invert_pair, pregeodesic_check  # noqa: E402
 
@@ -100,8 +110,16 @@ def classify_digest(spec, samples: int, seed: int) -> str:
     """The digest of every classify_curvature and solve_theorem1 result
     at the sampled points, followed by the class of the last exception
     if any call raised."""
+    return frames_digest(
+        lambda: frames_at(spec, sample_points(spec, samples, seed=seed)))[0]
+
+
+def frames_digest(frames) -> tuple[str, str | None]:
+    """classify_digest of the frames that the call ``frames()`` yields,
+    and the class tag of the last frame classified (None if none was)."""
     h = hashlib.sha256()
     raised = []
+    tags = []
 
     def attempt(fn, *args):
         try:
@@ -119,6 +137,7 @@ def classify_digest(spec, samples: int, seed: int) -> str:
         _put(h, "point", fr.point)
         rep = attempt(classify_curvature, fr)
         if rep is not None:
+            tags.append(rep.tag)
             _put(h, rep.tag, rep.kernel, rep.range_dim, rep.margin,
                  len(rep.range_basis))
             bivectors(*rep.range_basis, rep.simple_f)
@@ -133,11 +152,11 @@ def classify_digest(spec, samples: int, seed: int) -> str:
             _put(h, "theorem1", got[0])
 
     def run():
-        for fr in frames_at(spec, sample_points(spec, samples, seed=seed)):
+        for fr in frames():
             classify(fr)
 
     attempt(run)
-    return " ".join([h.hexdigest(), *raised[-1:]])
+    return " ".join([h.hexdigest(), *raised[-1:]]), (tags or [None])[-1]
 
 
 def survey_digest(spec, samples: int, seed: int, order: int) -> str:
@@ -200,6 +219,115 @@ def geodesic_digest(g, other, seed: int) -> str:
     return h.hexdigest()
 
 
+# the synthetic section: two fixed Lorentz frames of Minkowski space, the
+# identity and a rotation * boost * rotation
+ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+
+
+def _rotation(i: int, j: int, angle: float) -> np.ndarray:
+    m = np.eye(4)
+    m[i, i] = m[j, j] = np.cos(angle)
+    m[i, j], m[j, i] = -np.sin(angle), np.sin(angle)
+    return m
+
+
+def _boost(axis: int, rapidity: float) -> np.ndarray:
+    m = np.eye(4)
+    m[0, 0] = m[axis, axis] = np.cosh(rapidity)
+    m[0, axis] = m[axis, 0] = np.sinh(rapidity)
+    return m
+
+
+LORENTZ = {"f0": np.eye(4),
+           "f1": _rotation(1, 2, 0.4) @ _boost(3, 0.7) @ _rotation(2, 3, 1.1)}
+
+
+def _tetrad(lam):
+    """(l, n, x, y, u, z) pushed by lam: a null tetrad with g(l, n) = 1
+    and the unit timelike u and spacelike z with l, n = (u +- z) / sqrt 2."""
+    u, x, y, z = np.eye(4)
+    l, n = (u + z) / np.sqrt(2), (z - u) / np.sqrt(2)
+    return tuple(lam @ v for v in (l, n, x, y, u, z))
+
+
+def _low(p, q):
+    """(p ^ q)_ab with eta."""
+    pl, ql = ETA @ p, ETA @ q
+    return np.outer(pl, ql) - np.outer(ql, pl)
+
+
+def _riemann(*terms):
+    """sum of c F_ab F_cd over the (c, F_ab) terms."""
+    return sum(c * np.einsum("ab,cd->abcd", f, f) for c, f in terms)
+
+
+def _classify_cases(l, n, x, y):
+    """(name, Riem) of class-B and class-D points: Riem = alpha F (x) F +
+    beta *F (x) *F with F = l^n, and alpha F (x) F with F simple timelike,
+    spacelike or null."""
+    ln, xy = _low(l, n), _low(x, y)
+    return (("B", _riemann((1.0, ln), (1.0, xy))),
+            ("B-mixed", _riemann((1.3, ln), (-0.8, xy))),
+            ("D-timelike", _riemann((2.0, ln))),
+            ("D-spacelike", _riemann((1.0, xy))),
+            ("D-null", _riemann((-0.5, _low(l, x)))))
+
+
+def _table_bases(l, n, x, y, u, z, omega: float = 2.0):
+    """The type R2-R15 bases of the holonomy taxonomy, as (1,1) matrices
+    in the tetrad; omega is R5's and R12's parameter."""
+    def m(p, q):
+        return (np.outer(p, q) - np.outer(q, p)) @ ETA
+
+    return {
+        "R2": [m(l, n)], "R3": [m(l, x)], "R4": [m(x, y)],
+        "R5": [m(l, n) + omega * m(x, y)],
+        "R6": [m(l, n), m(l, x)], "R7": [m(l, n), m(x, y)],
+        "R8": [m(l, x), m(l, y)], "R9": [m(l, n), m(l, x), m(l, y)],
+        "R10": [m(l, n), m(l, x), m(n, x)],
+        "R11": [m(l, x), m(l, y), m(x, y)],
+        "R12": [m(l, x), m(l, y), m(l, n) + omega * m(x, y)],
+        "R13": [m(x, y), m(y, z), m(x, z)],
+        "R14": [m(l, n), m(l, x), m(l, y), m(x, y)],
+        "R15": [m(l, n), m(l, x), m(l, y), m(n, x), m(n, y), m(x, y)],
+    }
+
+
+def identify_digest(basis, frame) -> tuple[str, str | None]:
+    """The digest of every identify_type field on the basis, followed by
+    the exception class if the call raised, and the label (None if it
+    raised)."""
+    h = hashlib.sha256()
+    try:
+        r = identify_type(basis, frame)
+    except Exception as exc:  # noqa: BLE001  the error is the result
+        _put(h, "raised", type(exc).__name__, str(exc))
+        return f"{h.hexdigest()} {type(exc).__name__}", None
+    _put(h, r.label, r.dimension, len(r.basis), *r.basis)
+    for v, character in r.constant:
+        _put(h, v, character)
+    _put(h, "recurrent", len(r.recurrent), *r.recurrent)
+    _put(h, r.omega, r.realizable, sorted(r.diagnostics.items()))
+    return h.hexdigest(), r.label
+
+
+def synthetic_lines() -> list[str]:
+    """The synthetic section: one line per classified point and per
+    identified table basis in each fixed frame."""
+    lines = []
+    flat = PointFrame.synthetic(ETA, np.zeros((4, 4, 4, 4)))
+    for key, lam in LORENTZ.items():
+        vectors = _tetrad(lam)
+        for name, riem in _classify_cases(*vectors[:4]):
+            digest, tag = frames_digest(
+                lambda: [PointFrame.synthetic(ETA, riem)])
+            lines.append(f"synthetic:classify-{name}:{key} {digest} {tag}")
+        for label, basis in _table_bases(*vectors).items():
+            digest, got = identify_digest(basis, flat)
+            lines.append(f"synthetic:identify-{label}:{key} {digest} {got}")
+    return lines
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--fixtures", nargs="+", default=list(FIXTURE_NAMES))
@@ -227,6 +355,8 @@ def main() -> int:
                 print(f"{name}:geodesic-{kind}:s{seed} "
                       f"{geodesic_digest(bundle.g, other, seed)}",
                       flush=True)
+    for line in synthetic_lines():
+        print(line, flush=True)
     return 0
 
 

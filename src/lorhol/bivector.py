@@ -3,6 +3,13 @@
 A bivector is stored in type (2,0) position as an antisymmetric 4x4 array
 together with the PointFrame supplying the metric for index moves.  The
 6-dimensional space uses the fixed basis order [01, 02, 03, 12, 13, 23].
+
+Every non-null bivector is F = a G + b *G with G simple timelike, G_ab
+G^ab = -2, and (a, b) fixed by the invariants theta = F_ab F^ab = 2 (b^2
+- a^2) and phi = F_ab *F^ab = 4 a b (Landau & Lifshitz, The Classical
+Theory of Fields, sec. 25).  _dual_split computes it in closed form; the
+canonical pair of a non-simple bivector, the class-B pair of curvclass
+and omega of the holonomy types R5 and R12 all read it.
 """
 from __future__ import annotations
 
@@ -263,22 +270,30 @@ def _blade_from_svd(F: Bivector, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return basis[0], basis[1]
 
 
+def _dual_split(F: Bivector) -> tuple[float, float, Bivector | None]:
+    """(a, b, G) with F = a G + b *G, G simple timelike and G_ab G^ab = -2.
+
+    The invariants theta = F_ab F^ab = 2 (b^2 - a^2) and phi = F_ab *F^ab
+    = 4 a b fix them: b + i a is the principal square root of (theta + i
+    phi) / 2, and G = (a F - b *F) / (a^2 + b^2).  The sign of a and G
+    follows the orientation of *; a G and b *G do not.  A null F has
+    a = b = 0, and then no G."""
+    dual = hodge_dual(F)
+    phi = float(np.sum(F.lowered * dual.comps))
+    root = np.sqrt(complex(F.theta, phi) / 2)
+    a, b = float(root.imag), float(root.real)
+    if not (a or b):
+        return 0.0, 0.0, None
+    return a, b, (F * a - dual * b) * (1.0 / (a * a + b * b))
+
+
 def _canonical_pair(F: Bivector, tol: float) -> tuple[Bivector, Bivector]:
-    fr = F.frame
-    mixed = F.mixed
-    scale = max(np.max(np.abs(mixed)), 1e-300)
-    vals, vecs = np.linalg.eig(mixed)
-    real = [(lam.real, vecs[:, i].real) for i, lam in enumerate(vals)
-            if abs(lam.imag) <= 1e-8 * scale and abs(lam.real) > 1e-8 * scale]
-    if len(real) != 2:
-        raise ValueError("could not isolate the timelike blade "
-                         f"(found {len(real)} real eigen-directions)")
-    (mu, l), (_, n) = sorted(real, key=lambda t: -t[0])
-    ln = float(l @ fr.g @ n)
-    n = n / ln
-    G = Bivector(mu * (np.outer(l, n) - np.outer(n, l)), fr)
-    H = F - G
-    return G, H
+    """(a G, F - a G) of _dual_split: the simple timelike and simple
+    spacelike parts of a non-simple F, each the other's dual up to a
+    factor.  tol is BivectorClass's build argument and is not read."""
+    a, _, G = _dual_split(F)
+    G = G * a
+    return G, F - G
 
 
 def classify_bivector(F: Bivector, tol: float = SVD_TOL) -> BivectorClass:
@@ -336,10 +351,9 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CurvatureMap:
-    """Matrix of f~ : F^{ab} -> R^{ab}_{cd} F^{cd} in the fixed basis,
-    with its rank and the canonical basis of its range."""
+    """The curvature map f~ : F^{ab} -> R^{ab}_{cd} F^{cd}: its rank and
+    the canonical basis of its range."""
 
-    matrix: np.ndarray  # 6x6
     rank: int
     range_: list[Bivector]
     margin: float  # smallest discarded singular-value ratio
@@ -352,7 +366,6 @@ def curvature_map_matrix(frame: PointFrame, tol: float = SVD_TOL) -> CurvatureMa
     rng = canonical_span_basis(u[:, :rank].T, tol)
     margin = float(s[rank] / s[0]) if (s[0] > 0 and rank < 6) else 0.0
     return CurvatureMap(
-        matrix=m,
         rank=rank,
         range_=[Bivector(w, frame) for w in antisym_from_six(rng)],
         margin=margin,

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fixtures as fixture_mod
 from .curvclass import ClassificationError, classify_curvature
-from .exprdsl import DomainError, ExprError, ParseError, to_string
+from .exprdsl import ExprError, to_string
 from .holonomy import SPAN_TOL, holonomy_survey
 from .pointcalc import (
     MetricError, MetricSpec, frames_at, metric_spec, sample_points,

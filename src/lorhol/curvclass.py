@@ -6,20 +6,20 @@ the structure of the curvature-map range B_m:
     O  Riem = 0                (kernel dim 4)
     D  kernel dim 2            (B_m = span{F}, F simple)
     C  kernel dim 1            (distinguished direction r)
-    B  kernel dim 0, dim B_m = 2 spanned by a simple timelike bivector
-       and its dual
+    B  kernel dim 0, dim B_m = 2, closed under * and not null: spanned
+       by a simple timelike bivector G and *G (bivector._dual_split)
     A  everything else with trivial kernel
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bivector import (
-    SVD_TOL, Bivector, BivectorClass, canonical_span_basis,
-    classify_bivector, curvature_map_matrix, hodge_dual, null_basis,
-    svd_rank, to_six,
+    SVD_TOL, Bivector, BivectorClass, _blade_from_svd, _dual_split,
+    canonical_span_basis, classify_bivector, curvature_map_matrix,
+    hodge_dual, null_basis, to_six,
 )
 from .pointcalc import PointFrame
 
@@ -47,13 +47,12 @@ class CurvatureClassReport:
     f_class: BivectorClass | None = None  # class D
     direction: np.ndarray | None = None  # class C
     dual_pair: tuple[Bivector, Bivector] | None = None  # class B
-    diagnostics: dict = field(default_factory=dict)
 
 
 def riemann_is_zero(frame: PointFrame) -> bool:
-    rmax = float(np.max(np.abs(frame.riem_dddd)))
-    gmax = float(np.max(np.abs(frame.g)))
-    return rmax < 1e-10 * max(1.0, gmax * gmax * rmax)
+    """max|R^a_bcd| < 1e-10.  R^a_bcd does not change under g -> c g, so
+    neither does the answer."""
+    return float(np.max(np.abs(frame.riem_ud))) < 1e-10
 
 
 def kernel_vectors(frame: PointFrame, tol: float = SVD_TOL) -> np.ndarray:
@@ -71,32 +70,6 @@ def kernel_vectors(frame: PointFrame, tol: float = SVD_TOL) -> np.ndarray:
         if nrm > 0:
             out.append(row / nrm)
     return np.array(out) if out else np.empty((0, 4))
-
-
-def _simple_elements_in_plane(b1: Bivector, b2: Bivector):
-    """Simple bivectors in span{b1, b2}: projective roots of the Pfaffian
-    quadratic pf(alpha b1 + beta b2)."""
-    p11, p22 = b1.pfaffian, b2.pfaffian
-    p12 = 0.5 * ((b1 + b2).pfaffian - p11 - p22)
-    scale = max(abs(p11), abs(p22), abs(p12), 1e-300)
-    cands = []
-    if abs(p11) / scale < 1e-9 and abs(p22) / scale < 1e-9 \
-            and abs(p12) / scale < 1e-9:
-        return [b1, b2, b1 + b2]  # whole plane simple
-    # roots of p11 t^2 + 2 p12 t + p22 = 0 with F = t b1 + b2, plus t = inf
-    if abs(p11) / scale < 1e-9:
-        cands.append(b1)
-        if abs(p12) / scale > 1e-9:
-            cands.append(b1 * (-p22 / (2 * p12)) + b2)
-    else:
-        disc = p12 * p12 - p11 * p22
-        if disc >= -1e-12 * scale * scale:
-            r = np.sqrt(max(disc, 0.0))
-            for t in ((-p12 + r) / p11, (-p12 - r) / p11):
-                cands.append(b1 * t + b2)
-    if abs(p22) / scale < 1e-9:
-        cands.append(b2)
-    return cands
 
 
 def classify_curvature(frame: PointFrame,
@@ -140,8 +113,10 @@ def classify_curvature(frame: PointFrame,
 
 
 def _class_b_structure(cm, tol):
-    """Check that the 2-dim range is spanned by a simple timelike bivector
-    together with its dual; return the (F, *F) pair if so."""
+    """Check that the 2-dim range is closed under *, and so spanned by
+    its first bivector F and *F; return the (G, *G) of F's _dual_split
+    if so, G simple timelike.  A simple-null F gives None: then every
+    bivector of the plane is null, and none is timelike."""
     b1, b2 = cm.range_
     span = canonical_span_basis([to_six(b1), to_six(b2)], tol)
 
@@ -152,13 +127,10 @@ def _class_b_structure(cm, tol):
 
     if not (in_range(hodge_dual(b1)) and in_range(hodge_dual(b2))):
         return None
-    for cand in _simple_elements_in_plane(b1, b2):
-        if cand.norm() == 0:
-            continue
-        cls = classify_bivector(cand, max(tol, 1e-8))
-        if cls.tag == "simple-timelike" and in_range(hodge_dual(cand)):
-            return cand, hodge_dual(cand)
-    return None
+    if classify_bivector(b1, max(tol, 1e-8)).tag == "simple-null":
+        return None
+    _, _, G = _dual_split(b1)
+    return G, hodge_dual(G)
 
 
 def solve_theorem1(frame: PointFrame, tol: float = SVD_TOL):
@@ -203,11 +175,8 @@ def _check_canonical_span(frame, report, basis, tol):
     g = frame.g
     span_mats = [g]
     if report.tag == "D":
-        u, v = report.f_class.blade  # blade of F
-        # the eigen-2-space is the blade of *F: take the g-orthogonal
-        # complement of the blade of F
-        comp = _orthogonal_complement(frame, np.array([u, v]))
-        p, q = comp
+        # the eigen-2-space is the blade of *F
+        p, q = _blade_from_svd(hodge_dual(report.simple_f), tol)
         pl, ql = g @ p, g @ q
         span_mats = [g, np.outer(pl, pl), np.outer(ql, ql),
                      np.outer(pl, ql) + np.outer(ql, pl)]
@@ -229,10 +198,3 @@ def _check_canonical_span(frame, report, basis, tol):
             raise ClassificationError(
                 f"theorem-1 solution escapes the canonical class-"
                 f"{report.tag} span")
-
-
-def _orthogonal_complement(frame, vectors):
-    """g-orthogonal complement of the span of the given vectors."""
-    a = vectors @ frame.g  # rows: v_a = g(v, .)
-    rank, _, _, vt = svd_rank(a, 1e-10)
-    return canonical_span_basis(vt[rank:])

@@ -8,7 +8,9 @@ components w_ab (a < b) of each matrix's lowered form g.m, so every span
 stays inside the 6-dimensional so(1,3).  Identification keys on
 dimension, the common annihilated directions with their causal
 character, and for the two 3-dimensional types with trivial annihilator
-on a Pfaffian discriminant.
+on a Pfaffian discriminant.  The parameter omega of R5 and R12 is |b / a|
+of the closed-form split F = a G + b *G of one element
+(bivector._dual_split).
 
 One closure (_close) and one decision (_decide), each of which takes a
 stack of points at once, serve every caller: a survey passes a frames_at
@@ -23,8 +25,9 @@ from functools import lru_cache
 import numpy as np
 
 from .bivector import (
-    BASIS_INDEX, Bivector, _bivector_tags, _canonical_pair, _null_bases,
-    _rowdot, _span_bases, antisym_from_six, canonical_span_basis, to_six,
+    BASIS_INDEX, Bivector, _bivector_tags, _canonical_pair, _dual_split,
+    _null_bases, _rowdot, _span_bases, antisym_from_six,
+    canonical_span_basis, to_six,
 )
 from .pointcalc import (
     MetricSpec, PointFrame, _frame_chunks, frame_at, sample_points,
@@ -340,48 +343,19 @@ def _combo_weights(k: int) -> tuple:
     return weights
 
 
-def _mixed_to_bivector(m: np.ndarray, frame: PointFrame) -> Bivector:
-    return Bivector(np.asarray(m, float) @ frame.ginv, frame)
-
-
-def _adapted_null_tetrad(l: np.ndarray, frame: PointFrame):
-    """Null tetrad (l, n, x, y) with the given null l, g(l,n)=1."""
-    g = frame.g
-    probes = [np.eye(4)[i] for i in range(4)]
-    t = max(probes, key=lambda p: abs(float(l @ g @ p)))
-    lt = float(l @ g @ t)
-    n0 = t / lt
-    n = n0 - 0.5 * float(n0 @ g @ n0) * l
-    rest = []
-    for p in probes:
-        v = p - float(p @ g @ n) * l - float(p @ g @ l) * n
-        for q in rest:
-            v = v - float(v @ g @ q) * q
-        nrm2 = float(v @ g @ v)
-        if nrm2 > 1e-8 * float(np.max(np.abs(g))):
-            rest.append(v / np.sqrt(nrm2))
-        if len(rest) == 2:
-            break
-    x, y = rest
-    return l, n, x, y
-
-
-def _project_biv(w: Bivector, p: np.ndarray, q: np.ndarray) -> float:
-    """Coefficient of p^q in w, for tetrad members (uses <A,B> = A_ab B^ab)."""
-    fr = w.frame
-    pq = np.outer(p, q) - np.outer(q, p)
-    pq_low = fr.g @ pq @ fr.g.T
-    denom = float(np.sum(pq_low * pq))
-    return float(np.sum(pq_low * w.comps)) / denom
-
-
 def _r9_r12_discriminant(span: np.ndarray, brackets: np.ndarray,
                          frame: PointFrame):
     """For a 3-dim algebra with trivial annihilator: the derived algebra
     (the span of the bracket block) is 2-dim; the Pfaffian of any
     complement representative modulo it is zero for R9 and nonzero for
-    R12 (then omega is extracted).  The span and the derived algebra are
-    RREF rows of six components."""
+    R12.  The span and the derived algebra are RREF rows of six
+    components.
+
+    R12's derived algebra is {l^x, l^y} for the null l it annihilates,
+    and its representative is c (l^n + omega x^y) plus some of it.
+    Adding l^x or l^y changes neither invariant of _dual_split, so
+    omega = |b / a| of the representative; a != 0, as its Pfaffian is
+    not."""
     derived = canonical_span_basis(brackets, SPAN_TOL)
     if len(derived) != 2:
         return None
@@ -391,22 +365,18 @@ def _r9_r12_discriminant(span: np.ndarray, brackets: np.ndarray,
     if not np.any(outside):
         return None
     rep = frame.ginv @ antisym_from_six(red[outside][0])
-    w = _mixed_to_bivector(rep, frame)
+    w = Bivector(rep @ frame.ginv, frame)
     pf = w.pfaffian
     smax = float(np.linalg.svd(w.comps, compute_uv=False)[0])
     if abs(pf) <= 1e-7 * smax ** 2:
         return ("R9", None)
-    # omega: common annihilator of the derived algebra gives the null l
+    # R12's derived algebra annihilates exactly one direction, null
     anns = constant_directions(frame.ginv @ antisym_from_six(derived), frame)
     nulls = [v for v, ch in anns if ch == "null"]
     if len(anns) != 1 or not nulls:
         return None
-    l, n, x, y = _adapted_null_tetrad(nulls[0], frame)
-    w_ln = _project_biv(w, l, n)
-    w_xy = _project_biv(w, x, y)
-    if abs(w_ln) < 1e-12:
-        return None
-    return ("R12", abs(w_xy / w_ln))
+    a, b, _ = _dual_split(w)
+    return ("R12", abs(b / a))
 
 
 # ---------------------------------------------------------------------------

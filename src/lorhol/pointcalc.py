@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .exprdsl import (
-    Const, DomainError, Expr, ParamEnv, add, compile_program, count_lines,
+    Const, Expr, ParamEnv, add, compile_program, count_lines,
     differentiate, div, eval_expr, free_symbols, mul, parse_expr, sub,
     sym_cofactor4, sym_det4, sym_sum,
 )

@@ -360,6 +360,28 @@ def bivector_tag_loop(F, tol=1e-9):
     return "simple-timelike" if theta < 0 else "simple-spacelike"
 
 
+def canonical_pair_eig(F):
+    """bivector._canonical_pair as it was written with np.linalg.eig of
+    F^a_b: G = mu l^n from the real eigen-directions l (eigenvalue mu >
+    0) and n with g(l, n) = 1, and H = F - G.  The independent reference
+    for the closed form; raises ValueError unless exactly two real
+    nonzero eigenvalues are found."""
+    from lorhol.bivector import Bivector
+    fr = F.frame
+    mixed = F.mixed
+    scale = max(np.max(np.abs(mixed)), 1e-300)
+    vals, vecs = np.linalg.eig(mixed)
+    real = [(lam.real, vecs[:, i].real) for i, lam in enumerate(vals)
+            if abs(lam.imag) <= 1e-8 * scale and abs(lam.real) > 1e-8 * scale]
+    if len(real) != 2:
+        raise ValueError("could not isolate the timelike blade "
+                         f"(found {len(real)} real eigen-directions)")
+    (mu, l), (_, n) = sorted(real, key=lambda t: -t[0])
+    n = n / float(l @ fr.g @ n)
+    G = Bivector(mu * (np.outer(l, n) - np.outer(n, l)), fr)
+    return G, F - G
+
+
 def decide_loop(basis, span, brackets, frame):
     """holonomy's _decide as it was written for one point, on the loop
     references above: the reference for the stacked decision.  span is

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lorhol.bivector import (
-    BASIS_PAIRS, Bivector, _blade_from_svd, _canonical_pair, _span_bases,
+    BASIS_PAIRS, Bivector, _blade_from_svd, _canonical_pair, _dual_split,
+    _span_bases,
     antisym_from_six, canonical_span_basis, classify_bivector,
     curvature_map_matrix, from_six, hodge_dual, null_basis, svd_rank, to_six,
     wedge,
@@ -16,8 +17,9 @@ from lorhol.fixtures import FIXTURE_NAMES
 from lorhol.pointcalc import PointFrame, frames_at, sample_points
 
 from helpers import (
-    biv_low, curvature_map_stack, fixture_spec, minkowski_frame, null_tetrad,
-    random_lorentz, span_basis_loop, synthetic_class_b, synthetic_class_d,
+    ETA, biv_low, canonical_pair_eig, curvature_map_stack, fixture_spec,
+    minkowski_frame, null_tetrad, random_lorentz, span_basis_loop,
+    synthetic_class_b, synthetic_class_d,
 )
 
 
@@ -106,6 +108,49 @@ class TestClassify:
         diff = min(np.max(np.abs(H.comps - ratio * dG.comps)),
                    np.max(np.abs(H.comps + ratio * dG.comps)))
         assert diff < 1e-10
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_closed_form_pair_matches_the_eig_reference(self, c):
+        # random non-simple bivectors, pushed by random Lorentz transforms,
+        # with g = c eta: a G and F - a G are the eigenvector-built pair
+        rng = np.random.default_rng(26)
+        fr = PointFrame.synthetic(c * ETA, np.zeros((4, 4, 4, 4)))
+        for _ in range(170):
+            lam = random_lorentz(rng)
+            f = Bivector(lam @ antisym_from_six(rng.normal(size=6)) @ lam.T,
+                         fr)
+            want = canonical_pair_eig(f)
+            bound = 1e-12 * np.max(np.abs(f.comps))
+            for got, ref in zip(_canonical_pair(f, 1e-9), want):
+                assert np.max(np.abs(got.comps - ref.comps)) <= bound
+            a, b, g = _dual_split(f)
+            assert g.theta == pytest.approx(-2.0, rel=1e-12)
+            assert f.theta == pytest.approx(2 * (b * b - a * a), rel=1e-9,
+                                            abs=1e-12 * abs(f.theta))
+
+    def test_pair_never_raises(self, frame):
+        # a timelike part 5e-9 of the spacelike one, below the eig
+        # reference's 1e-8 cut for a real eigenvalue, and a null F plus
+        # a little of a non-null one: the closed form still splits them
+        l, n, x, y = null_tetrad(random_lorentz(np.random.default_rng(8)))
+        for f in (5e-9 * wedge(l, n, frame) + wedge(x, y, frame),
+                  wedge(l, n, frame) + 5e-9 * wedge(x, y, frame),
+                  wedge(l, x, frame) + 1e-4 * wedge(n, y, frame)):
+            cls = classify_bivector(f)
+            assert cls.tag == "non-simple"
+            G, H = cls.pair
+            a, b, g = _dual_split(f)
+            assert classify_bivector(g).tag == "simple-timelike"
+            assert g.theta == pytest.approx(-2.0, rel=1e-12)
+            bound = 1e-12 * np.max(np.abs(f.comps))
+            assert np.max(np.abs(G.comps - a * g.comps)) <= bound
+            assert np.max(np.abs(H.comps - b * hodge_dual(g).comps)) <= bound
+        with pytest.raises(ValueError):
+            canonical_pair_eig(5e-9 * wedge(l, n, frame) + wedge(x, y, frame))
+
+    def test_null_bivector_splits_to_zero(self, frame):
+        l, n, x, y = null_tetrad()
+        assert _dual_split(wedge(l, x, frame)) == (0.0, 0.0, None)
 
     def test_zero_tag(self, frame):
         assert classify_bivector(Bivector(np.zeros((4, 4)), frame)).tag == "zero"
@@ -441,12 +486,6 @@ def _rank_block_solve_theorem1(a, tol):
     return rank, null
 
 
-def _rank_block_orthogonal_complement(a, tol):
-    _, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    return rank, canonical_span_basis(vt[rank:])
-
-
 def _rank_block_curvature_map(a, tol):
     u, s, vt = np.linalg.svd(a)
     smax = float(s[0]) if s[0] > 0 else 0.0
@@ -474,25 +513,16 @@ def _shared_kernel_vectors(a, tol):
     return _shared_rank(a, tol) if np.any(a) else None
 
 
-def _shared_orthogonal_complement(a, tol):
-    rank, _, _, vt = svd_rank(a, 1e-10)
-    return rank, canonical_span_basis(vt[rank:])
-
-
-# site: (former block, the shared helpers as the site calls them, the
-# site's rank tolerance or None for the caller's, shapes)
+# site: (former block, the shared helpers as the site calls them, shapes)
 _RANK_SITES = {
     "kernel_vectors": (_rank_block_kernel_vectors, _shared_kernel_vectors,
-                       None, [(64, 4)]),
-    "solve_theorem1": (_rank_block_solve_theorem1, _shared_rank, None,
+                       [(64, 4)]),
+    "solve_theorem1": (_rank_block_solve_theorem1, _shared_rank,
                        [(256, 10)]),
-    "orthogonal_complement": (_rank_block_orthogonal_complement,
-                              _shared_orthogonal_complement, 1e-10,
-                              [(2, 4)]),
-    "curvature_map_matrix": (_rank_block_curvature_map, _shared_rank, None,
+    "curvature_map_matrix": (_rank_block_curvature_map, _shared_rank,
                              [(6, 6)]),
     "constant_directions": (_rank_block_constant_directions, _shared_rank,
-                            None, [(4 * k, 4) for k in range(7)]),
+                            [(4 * k, 4) for k in range(7)]),
 }
 
 
@@ -502,7 +532,7 @@ def rank_inputs(draw):
     singular value exactly at the rank threshold, scaled overall and
     row by row over 1e-12..1e12."""
     site = draw(st.sampled_from(sorted(_RANK_SITES)))
-    old, new, site_tol, shapes = _RANK_SITES[site]
+    shapes = _RANK_SITES[site][2]
     m, n = draw(st.sampled_from(shapes))
     tol = draw(st.sampled_from([1e-9, 1e-8]))
     kind = draw(st.sampled_from(["zero", "deficient", "full", "threshold",
@@ -520,8 +550,7 @@ def rank_inputs(draw):
             a *= 10.0 ** rng.integers(-12, 13, size=(m, 1))
     elif kind == "threshold" and k > 1:
         # s = (scale, t * scale) exactly: '>' drops the second, '>=' not
-        t = tol if site_tol is None else site_tol
-        a[0, 0], a[1, 1] = scale, t * scale
+        a[0, 0], a[1, 1] = scale, tol * scale
         a = a[rng.permutation(m)][:, rng.permutation(n)]
     return site, a, tol
 
@@ -530,7 +559,7 @@ def rank_inputs(draw):
 @given(rank_inputs())
 def test_svd_rank_and_null_basis_match_the_former_blocks_bitwise(case):
     site, a, tol = case
-    old, new, _, _ = _RANK_SITES[site]
+    old, new, _ = _RANK_SITES[site]
     want, got = old(a, tol), new(a, tol)
     if want is None:
         assert got is None

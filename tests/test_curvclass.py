@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from lorhol.bivector import classify_bivector, to_six, wedge
+from lorhol.bivector import (
+    canonical_span_basis, classify_bivector, hodge_dual, to_six, wedge,
+)
 from lorhol.curvclass import (
     ClassificationError, classify_curvature, kernel_vectors, solve_theorem1,
 )
@@ -77,6 +79,57 @@ class TestClassify:
         assert rep.tag == "B"
         f, fdual = rep.dual_pair
         assert classify_bivector(f).tag == "simple-timelike"
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_class_b_pair_under_lorentz_and_metric_scale(self, c):
+        # Riem = alpha F (x) F + beta *F (x) *F with F = l^n, pushed by a
+        # random Lorentz transform L and with g -> c g: the pair is
+        # (G, *G), G simple timelike with G_ab G^ab = -2, *G in the
+        # range, and G = +-(L l^n L^T) / c
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            lam = random_lorentz(rng)
+            l, n, x, y = null_tetrad(lam)
+            alpha, beta = rng.uniform(0.2, 2.0, size=2) * rng.choice(
+                [-1, 1], size=2)
+            fr = synthetic_class_b(l, n, x, y, alpha, beta)
+            fr = PointFrame.synthetic(c * fr.g, c * fr.riem_dddd)
+            rep = classify_curvature(fr)
+            assert rep.tag == "B"
+            G, dual = rep.dual_pair
+            assert classify_bivector(G, 1e-8).tag == "simple-timelike"
+            assert G.theta == pytest.approx(-2.0, rel=1e-9)
+            assert np.max(np.abs(dual.comps - hodge_dual(G).comps)) == 0.0
+            span = [to_six(b) for b in rep.range_basis]
+            assert len(canonical_span_basis(span + [to_six(dual)],
+                                            1e-8)) == 2
+            want = (np.outer(l, n) - np.outer(n, l)) / c
+            err = min(np.max(np.abs(G.comps - s * want)) for s in (1, -1))
+            assert err <= 1e-9 * np.max(np.abs(want))
+
+    def test_null_star_closed_range_has_no_class_b_pair(self):
+        # Riem = F (x) F + *F (x) *F with F = l^x null: the range is
+        # closed under * but holds no timelike bivector.  Both annihilate
+        # l, so classify_curvature reads class C first
+        from lorhol.bivector import curvature_map_matrix
+        from lorhol.curvclass import _class_b_structure
+        l, n, x, y = null_tetrad(random_lorentz(np.random.default_rng(4)))
+        f, fs = biv_low(l, x), biv_low(l, y)
+        fr = PointFrame.synthetic(ETA, np.einsum("ab,cd->abcd", f, f)
+                                  + np.einsum("ab,cd->abcd", fs, fs))
+        cm = curvature_map_matrix(fr)
+        assert cm.rank == 2
+        assert _class_b_structure(cm, 1e-9) is None
+        assert classify_curvature(fr).tag == "C"
+
+    @pytest.mark.parametrize("c", [1e-6, 1e6])
+    def test_flat_and_curved_under_metric_scale(self, c):
+        # g -> c g leaves R^a_bcd and so the class alone
+        l, n, x, y = null_tetrad()
+        for fr in (minkowski_frame(), synthetic_class_d(biv_low(x, y))):
+            scaled = PointFrame.synthetic(c * fr.g, c * fr.riem_dddd)
+            assert (classify_curvature(scaled).tag
+                    == classify_curvature(fr).tag)
 
     def test_oracle_200_random_synthetic(self):
         # classes B and D under random Lorentz-transformed tetrads

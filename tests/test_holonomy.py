@@ -169,6 +169,22 @@ class TestIdentifyType:
             rep = identify_type(table1_basis("R12", fr, omega=omega), fr)
             assert rep.omega == pytest.approx(omega, abs=1e-9)
 
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("label", ["R5", "R12"])
+    def test_omega_under_lorentz_and_metric_scale(self, label, c):
+        # the table basis with g -> c g, conjugated by random Lorentz
+        # transforms: omega is the table's
+        fr = PointFrame.synthetic(c * ETA, np.zeros((4, 4, 4, 4)))
+        rng = np.random.default_rng(12)
+        for omega in (0.5, 1.0, 3.25):
+            basis = table1_basis(label, fr, omega=omega)
+            for _ in range(3):
+                lam = random_lorentz(rng)
+                conj = [lam @ m @ np.linalg.inv(lam) for m in basis]
+                rep = identify_type(conj, fr)
+                assert rep.label == label
+                assert rep.omega == pytest.approx(omega, abs=1e-9)
+
     def test_identification_invariant_under_lorentz_conjugation(self):
         fr = minkowski_frame()
         rng = np.random.default_rng(23)

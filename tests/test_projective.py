@@ -202,6 +202,24 @@ class TestInvertPair:
                            named_fixture(name).expected_partner)]
         assert lines[0] <= 2.5 * lines[1]
 
+    def test_g_is_read_from_the_metric_program(self, waveband, monkeypatch):
+        # g's values come from the order-0 jet program that carries the
+        # domain constraints, which the admissibility checks run anyway:
+        # no program of g's ten entries alone is asked for
+        from lorhol import pointcalc
+        asked = []
+        jet_program = pointcalc._jet_program
+
+        def spy(comps, coords, pnames, order, extra=()):
+            asked.append((comps, extra))
+            return jet_program(comps, coords, pnames, order, extra)
+
+        monkeypatch.setattr(pointcalc, "_jet_program", spy)
+        invert_pair(waveband.pair)
+        sinyukov_residual(waveband.pair, pts_for(waveband, 5))
+        assert asked  # the field programs pass the spy
+        assert (waveband.g.g, ()) not in asked
+
     def test_bad_pair_rejected(self, waveband):
         lam2 = tuple(parse_expr(s, waveband.g.coords, ("c", "e1", "e2"))
                      for s in ("c*v + e1 + 1/10", "c*u", "0", "0"))

@@ -33,6 +33,22 @@ def test_survey_digests_prints_two_stable_digests():
         assert lines[0] == lines[1]
 
 
+def test_survey_digests_synthetic_section_reaches_b_r5_and_r12():
+    # the fixtures never reach class B, R5 or R12: this section does, and
+    # each line ends in the class or label it was built to have
+    spec = importlib.util.spec_from_file_location(
+        "survey_digests", SCRIPTS / "survey_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    lines = digests.synthetic_lines()
+    assert len(lines) == 2 * (5 + 14)
+    for line in lines:
+        name, digest, got = line.split(" ")
+        case = name.split(":")[1].split("-", 1)[1]
+        assert re.fullmatch(r"[0-9a-f]{64}", digest)
+        assert got == (case[0] if "classify" in name else case), line
+
+
 @pytest.mark.parametrize("argv", [["survey_fixtures.py", "--samples", "2"]]
                          + [[p.name, "--help"]
                             for p in sorted(SCRIPTS.glob("*.py"))])
