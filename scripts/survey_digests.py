@@ -3,9 +3,9 @@
 
 Each survey line reads ``spec:o<order>:s<seed> full-sha256
 label-sha256``, each classification line ``spec:classify:s<seed>
-sha256``, each geodesic line ``fixture:geodesic-<kind>:s<seed>
-sha256``; any of them is followed by the exception class when a call
-raised.
+full-sha256 decision-sha256``, each geodesic line
+``fixture:geodesic-<kind>:s<seed> sha256``; any of them is followed by
+the exception class when a call raised.
 
 The in-process counterpart of ``report_digests.py``: for every listed
 fixture and the partner derived from its Sinyukov pair, orders 0-2 on
@@ -29,7 +29,11 @@ components, margin, the class-D bivector with its class, theta and
 blade or canonical pair, the class-C direction and the class-B dual
 pair; and the basis bytes of ``solve_theorem1``.  The CLI report shows
 only dimensions, margin and theta, so this is the byte-identity check
-for the rank and kernel decisions.  A call that raises is hashed by its
+for the rank and kernel decisions.  The decision digest hashes, at each
+point, just the point, the tag, the kernel dimension, the range
+dimension, the margin, theta of class D and the dimension of
+``solve_theorem1``'s basis; it survives a change of basis
+representation.  A call that raises is hashed, in both, by its
 exception class and message, and the point's remaining calls still run.
 
 The geodesic digest covers the pre-geodesic RK4 path of each listed
@@ -53,9 +57,10 @@ section comes last, whatever the arguments: ``classify_curvature`` and
 ``solve_theorem1`` (hashed as in the classification digest) at
 synthetic class-B and class-D points, and every ``identify_type`` field
 on the R2-R15 table bases, each in two fixed Lorentz frames of Minkowski
-space.  Each line reads ``synthetic:<case>:<frame> sha256 got``, got
-being the class or label reached, or None; a call that raised puts its
-exception class after the digest, as on the other lines.
+space.  Each line reads ``synthetic:<case>:<frame> sha256 got``, a
+classify line with its decision digest after the full one, got being
+the class or label reached, or None; a call that raised puts its
+exception class after the digests, as on the other lines.
 
 Two checkouts that survey and classify alike print the same lines, and
 the check is a ``diff`` of their outputs.  Uses only the standard
@@ -107,9 +112,9 @@ def _put(h, *items):
 
 
 def classify_digest(spec, samples: int, seed: int) -> str:
-    """The digest of every classify_curvature and solve_theorem1 result
-    at the sampled points, followed by the class of the last exception
-    if any call raised."""
+    """The full and decision digests of every classify_curvature and
+    solve_theorem1 result at the sampled points, followed by the class
+    of the last exception if any call raised."""
     return frames_digest(
         lambda: frames_at(spec, sample_points(spec, samples, seed=seed)))[0]
 
@@ -117,46 +122,58 @@ def classify_digest(spec, samples: int, seed: int) -> str:
 def frames_digest(frames) -> tuple[str, str | None]:
     """classify_digest of the frames that the call ``frames()`` yields,
     and the class tag of the last frame classified (None if none was)."""
-    h = hashlib.sha256()
+    full, decisions = hashlib.sha256(), hashlib.sha256()
+    both = (full, decisions)
     raised = []
     tags = []
+
+    def put(*items, into=(full,)):
+        for h in into:
+            _put(h, *items)
 
     def attempt(fn, *args):
         try:
             return fn(*args)
         except Exception as exc:  # noqa: BLE001  the error is the result
-            _put(h, "raised", type(exc).__name__, str(exc))
+            put("raised", type(exc).__name__, str(exc), into=both)
             raised.append(type(exc).__name__)
             return None
 
     def bivectors(*fs):
         for f in fs:
-            _put(h, None if f is None else f.comps)
+            put(None if f is None else f.comps)
 
     def classify(fr):
-        _put(h, "point", fr.point)
+        put("point", fr.point, into=both)
         rep = attempt(classify_curvature, fr)
         if rep is not None:
             tags.append(rep.tag)
-            _put(h, rep.tag, rep.kernel, rep.range_dim, rep.margin,
-                 len(rep.range_basis))
+            put(rep.tag, into=both)
+            put(rep.kernel)
+            put(len(rep.kernel), into=(decisions,))
+            put(rep.range_dim, rep.margin, into=both)
+            put(len(rep.range_basis))
             bivectors(*rep.range_basis, rep.simple_f)
             fc = rep.f_class
             if fc is not None:
-                _put(h, fc.tag, fc.theta, *(fc.blade or ()))
+                put(fc.tag)
+                put(fc.theta, into=both)
+                put(*(fc.blade or ()))
                 bivectors(*(fc.pair or ()))
-            _put(h, rep.direction)
+            put(rep.direction)
             bivectors(*(rep.dual_pair or ()))
         got = attempt(solve_theorem1, fr)
         if got is not None:
-            _put(h, "theorem1", got[0])
+            put("theorem1", got[0])
+            put("theorem1", len(got[0]), into=(decisions,))
 
     def run():
         for fr in frames():
             classify(fr)
 
     attempt(run)
-    return " ".join([h.hexdigest(), *raised[-1:]]), (tags or [None])[-1]
+    return (" ".join([full.hexdigest(), decisions.hexdigest(), *raised[-1:]]),
+            (tags or [None])[-1])
 
 
 def survey_digest(spec, samples: int, seed: int, order: int) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bivector import (
-    SVD_TOL, Bivector, BivectorClass, _blade_from_svd, _dual_split,
+    BASIS_INDEX, SVD_TOL, Bivector, BivectorClass, _dual_split, _span_bases,
     canonical_span_basis, classify_bivector, curvature_map_matrix,
     hodge_dual, null_basis, to_six,
 )
@@ -30,6 +30,9 @@ __all__ = [
 
 # the ten components h[a, b], a <= b, of a symmetric 4x4 tensor
 _SYM_INDEX = np.triu_indices(4)
+# Theorem 1's equation (ab, cd), a <= b, c < d, weighted by the root of
+# its count among the 256 (ab/ba, cd/dc): the 60 have the 256's Gram matrix
+_SYM_WEIGHT = np.where(_SYM_INDEX[0] < _SYM_INDEX[1], 2.0, np.sqrt(2.0))
 
 
 class ClassificationError(Exception):
@@ -39,13 +42,13 @@ class ClassificationError(Exception):
 @dataclass
 class CurvatureClassReport:
     tag: str  # A | B | C | D | O
-    kernel: np.ndarray  # (k, 4) basis of {k : R_abcd k^d = 0}
+    kernel: np.ndarray  # (k, 4) RREF basis of {k : R_abcd k^d = 0}
     range_dim: int
     range_basis: list[Bivector]
     margin: float
     simple_f: Bivector | None = None  # class D
     f_class: BivectorClass | None = None  # class D
-    direction: np.ndarray | None = None  # class C
+    direction: np.ndarray | None = None  # class C: the kernel row
     dual_pair: tuple[Bivector, Bivector] | None = None  # class B
 
 
@@ -56,20 +59,12 @@ def riemann_is_zero(frame: PointFrame) -> bool:
 
 
 def kernel_vectors(frame: PointFrame, tol: float = SVD_TOL) -> np.ndarray:
-    """Orthonormal basis of the solution space of R_{abcd} k^d = 0."""
+    """Canonical RREF basis (null_basis) of the solution space of
+    R_{abcd} k^d = 0; the identity where R = 0."""
     a = frame.riem_dddd.reshape(64, 4)
     if not np.any(a):
         return np.eye(4)
-    basis = null_basis(a, tol)
-    # orthonormalise the canonical rows (Gram-Schmidt keeps determinism)
-    out = []
-    for row in basis:
-        for prev in out:
-            row = row - (row @ prev) * prev
-        nrm = np.linalg.norm(row)
-        if nrm > 0:
-            out.append(row / nrm)
-    return np.array(out) if out else np.empty((0, 4))
+    return null_basis(a, tol)
 
 
 def classify_curvature(frame: PointFrame,
@@ -134,21 +129,20 @@ def _class_b_structure(cm, tol):
 
 
 def solve_theorem1(frame: PointFrame, tol: float = SVD_TOL):
-    """Solution space of h_ae R^e_bcd + h_be R^e_acd = 0 over symmetric h.
+    """Solution space of h_ae R^e_bcd + h_be R^e_acd = 0 over symmetric h,
+    solved on its 60 independent equations (see _SYM_WEIGHT).
 
     Returns (basis, report): basis is a (k, 4, 4) array of symmetric
-    tensors; the dimension is checked against the classified class
-    (A:1, B:2, C:2, D:4) and membership of the canonical span is verified.
+    tensors, RREF in the components a <= b; the dimension is checked
+    against the class (A:1, B:2, C:2, D:4) and membership of the
+    canonical span is verified.
     """
-    r = frame.riem_ud
-    cols = []
-    for h in _sym_from_vec(np.eye(10)):
-        t = np.einsum("ae,ebcd->abcd", h, r) + np.einsum("be,eacd->abcd", h, r)
-        cols.append(t.reshape(-1))
-    a = np.array(cols).T  # 256 x 10 (rows beyond the 60 independent are dupes)
-    basis = _sym_from_vec(null_basis(a, tol))
-
     report = classify_curvature(frame, tol)
+    # h X + (h X)^T, X = R^e_b[cd], for each unit h and c < d
+    hx = np.einsum("iae,ebk->ikab", _sym_from_vec(np.eye(10)),
+                   frame.riem_ud[:, :, BASIS_INDEX[0], BASIS_INDEX[1]])
+    eqs = _sym_to_vec(hx + hx.swapaxes(-1, -2)) * _SYM_WEIGHT
+    basis = _sym_from_vec(null_basis(eqs.reshape(10, 60).T, tol))
     expected = {"A": 1, "B": 2, "C": 2, "D": 4, "O": 10}[report.tag]
     if len(basis) != expected:
         raise ClassificationError(
@@ -172,16 +166,18 @@ def _sym_to_vec(h):
 
 
 def _check_canonical_span(frame, report, basis, tol):
+    """Raise ClassificationError unless every solution lies in the
+    class's canonical span; class D's eigen-plane, the blade of *F, is
+    the kernel."""
     g = frame.g
     span_mats = [g]
     if report.tag == "D":
-        # the eigen-2-space is the blade of *F
-        p, q = _blade_from_svd(hodge_dual(report.simple_f), tol)
-        pl, ql = g @ p, g @ q
+        pl, ql = (g @ k for k in report.kernel)
         span_mats = [g, np.outer(pl, pl), np.outer(ql, ql),
                      np.outer(pl, ql) + np.outer(ql, pl)]
     elif report.tag == "C":
-        rl = g @ report.direction
+        # unit r: the span's pivot tolerance is relative to its largest entry
+        rl = g @ (report.direction / np.linalg.norm(report.direction))
         span_mats = [g, np.outer(rl, rl)]
     elif report.tag == "B":
         f, _ = report.dual_pair
@@ -191,10 +187,9 @@ def _check_canonical_span(frame, report, basis, tol):
     elif report.tag == "O":
         return
     span = canonical_span_basis(_sym_to_vec(np.array(span_mats)), tol)
-    for h in basis:
-        aug = canonical_span_basis(np.vstack([span, _sym_to_vec(h)]),
-                                   max(tol, 1e-7))
-        if len(aug) != len(span):
-            raise ClassificationError(
-                f"theorem-1 solution escapes the canonical class-"
-                f"{report.tag} span")
+    # the span with each solution below it, reduced as one stack
+    aug = np.concatenate([np.broadcast_to(span, (len(basis),) + span.shape),
+                          _sym_to_vec(basis)[:, None]], axis=1)
+    if np.any(_span_bases(aug, max(tol, 1e-7))[1].sum(axis=1) != len(span)):
+        raise ClassificationError(f"theorem-1 solution escapes the "
+                                  f"canonical class-{report.tag} span")

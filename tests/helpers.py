@@ -432,3 +432,57 @@ def decide_loop(basis, span, brackets, frame):
     return HolonomyAlgebraReport(
         dim, list(basis), label, const, recur, omega,
         realizable=(label != "R5"), diagnostics=diags)
+
+
+def kernel_vectors_gram_schmidt(frame, tol=1e-9):
+    """curvclass.kernel_vectors as it was written: the canonical null
+    basis orthonormalised row by row (Gram-Schmidt).  The reference for
+    the RREF kernel."""
+    from lorhol.bivector import null_basis
+    a = frame.riem_dddd.reshape(64, 4)
+    if not np.any(a):
+        return np.eye(4)
+    out = []
+    for row in null_basis(a, tol):
+        for prev in out:
+            row = row - (row @ prev) * prev
+        nrm = np.linalg.norm(row)
+        if nrm > 0:
+            out.append(row / nrm)
+    return np.array(out) if out else np.empty((0, 4))
+
+
+def solve_theorem1_loop(frame, report, tol=1e-9):
+    """curvclass.solve_theorem1 as it was written, given the point's
+    classify_curvature report: the canonical null basis of all 256
+    components of h_ae R^e_bcd + h_be R^e_acd, one column per unit
+    symmetric h, its dimension checked against the class, and the span
+    check with class D's plane the blade of *F by SVD.  Returns (basis,
+    s), s the system's singular values.  The null basis takes the
+    reduced SVD: the full one's 256x256 U, which nothing reads, costs
+    most of the call."""
+    from dataclasses import replace
+    from lorhol.bivector import (
+        _blade_from_svd, canonical_span_basis, hodge_dual,
+    )
+    from lorhol.curvclass import (
+        ClassificationError, _check_canonical_span, _sym_from_vec,
+    )
+    r = frame.riem_ud
+    cols = []
+    for h in _sym_from_vec(np.eye(10)):
+        t = np.einsum("ae,ebcd->abcd", h, r) + np.einsum("be,eacd->abcd", h, r)
+        cols.append(t.reshape(-1))
+    _, s, vt = np.linalg.svd(np.array(cols).T, full_matrices=False)
+    rank = int((s > tol * s[0]).sum())
+    basis = _sym_from_vec(canonical_span_basis(vt[rank:], tol))
+    expected = {"A": 1, "B": 2, "C": 2, "D": 4, "O": 10}[report.tag]
+    if len(basis) != expected:
+        raise ClassificationError(
+            f"theorem-1 nullspace dim {len(basis)} but class {report.tag} "
+            f"predicts {expected}")
+    if report.tag == "D":
+        plane = _blade_from_svd(hodge_dual(report.simple_f), tol)
+        report = replace(report, kernel=np.array(plane))
+    _check_canonical_span(frame, report, basis, tol)
+    return basis, s

@@ -518,7 +518,7 @@ _RANK_SITES = {
     "kernel_vectors": (_rank_block_kernel_vectors, _shared_kernel_vectors,
                        [(64, 4)]),
     "solve_theorem1": (_rank_block_solve_theorem1, _shared_rank,
-                       [(256, 10)]),
+                       [(256, 10), (60, 10)]),
     "curvature_map_matrix": (_rank_block_curvature_map, _shared_rank,
                              [(6, 6)]),
     "constant_directions": (_rank_block_constant_directions, _shared_rank,

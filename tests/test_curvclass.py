@@ -7,11 +7,14 @@ from lorhol.bivector import (
 from lorhol.curvclass import (
     ClassificationError, classify_curvature, kernel_vectors, solve_theorem1,
 )
-from lorhol.pointcalc import PointFrame, frame_at, metric_spec, sample_points
+from lorhol.pointcalc import (
+    PointFrame, frame_at, frames_at, metric_spec, sample_points,
+)
 
 from helpers import (
-    ETA, biv_low, minkowski_frame, null_tetrad, random_lorentz,
-    synthetic_class_b, synthetic_class_d,
+    ETA, biv_low, fixture_spec, kernel_vectors_gram_schmidt, minkowski_frame,
+    null_tetrad, random_lorentz, solve_theorem1_loop, synthetic_class_b,
+    synthetic_class_d,
 )
 
 
@@ -42,6 +45,20 @@ class TestKernelVectors:
 
     def test_flat_kernel_everything(self):
         assert len(kernel_vectors(minkowski_frame())) == 4
+
+    def test_kernel_is_the_canonical_null_basis(self):
+        # an r11 point in a rotated, boosted basis, where the kernel is
+        # no pair of coordinate directions
+        from lorhol.bivector import null_basis
+        spec = fixture_spec("r11")
+        fr = frame_at(spec, sample_points(spec, 1, seed=1)[0])
+        lam = random_lorentz(np.random.default_rng(3))
+        fr = PointFrame.synthetic(
+            lam.T @ fr.g @ lam, np.einsum("ae,bf,cg,dh,efgh->abcd",
+                                          lam, lam, lam, lam, fr.riem_dddd))
+        want = null_basis(fr.riem_dddd.reshape(64, 4))
+        assert len(want) == 2 and np.count_nonzero(want) > 2
+        assert classify_curvature(fr).kernel.tobytes() == want.tobytes()
 
 
 class TestClassify:
@@ -265,6 +282,39 @@ class TestTheorem1:
             rebuilt = sum(c * m for c, m in zip(coeff, span))
             assert np.max(np.abs(rebuilt - h)) < 1e-8
 
+    def test_class_d_point_solves_60_rows_on_the_kernel_plane(
+            self, monkeypatch):
+        # the 60 independent equations, and class D's plane read from the
+        # kernel: no dual, no SVD blade
+        from lorhol import bivector, curvclass
+        spec = fixture_spec("r11")
+        fr = frame_at(spec, sample_points(spec, 1, seed=1)[0])
+        calls, shapes = [], []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(module, name, call)
+
+        for module in (bivector, curvclass):
+            for name in ("hodge_dual", "_blade_from_svd"):
+                if hasattr(module, name):
+                    spy(module, name)
+        null_basis = curvclass.null_basis
+
+        def null_spy(a, tol):
+            shapes.append(np.shape(a))
+            return null_basis(a, tol)
+
+        monkeypatch.setattr(curvclass, "null_basis", null_spy)
+        basis, rep = solve_theorem1(fr)
+        assert rep.tag == "D" and len(basis) == 4
+        assert calls == []
+        assert shapes == [(64, 4), (60, 10)]
+
     def test_dimension_counts_oracle(self):
         rng = np.random.default_rng(17)
         for i in range(40):
@@ -279,3 +329,89 @@ class TestTheorem1:
                 want = 4
             basis, _ = solve_theorem1(fr)
             assert len(basis) == want
+
+
+def _random_riemann(rng):
+    """A random tensor with the symmetries of Riemann: sum S_IJ W^I W^J
+    over the six basis bivectors, S symmetric, less its cyclic part,
+    which for such a tensor is totally antisymmetric."""
+    from lorhol.bivector import antisym_from_six
+    s = rng.normal(size=(6, 6))
+    w = antisym_from_six(np.eye(6))
+    r = np.einsum("ij,iab,jcd->abcd", s + s.T, w, w)
+    return r - (r + np.einsum("acdb->abcd", r)
+                + np.einsum("adbc->abcd", r)) / 3
+
+
+def _class_riemann(kind, rng):
+    """Riem_abcd of a class-A/B/C/D/O point in eta, in a random Lorentz
+    frame."""
+    l, n, x, y = null_tetrad(random_lorentz(rng))
+    alpha, beta = rng.uniform(0.2, 2.0, size=2) * rng.choice([-1, 1], 2)
+    if kind == "A":
+        return _random_riemann(rng)
+    if kind == "B":
+        return synthetic_class_b(l, n, x, y, alpha, beta).riem_dddd
+    if kind == "C":  # l^n and l^x both annihilate y alone
+        f1, f2 = biv_low(l, n), biv_low(l, x)
+        return (alpha * np.einsum("ab,cd->abcd", f1, f1)
+                + beta * np.einsum("ab,cd->abcd", f2, f2))
+    if kind == "D":
+        p, q = [(l, n), (x, y), (l, x)][rng.integers(3)]
+        return synthetic_class_d(biv_low(p, q), alpha).riem_dddd
+    return np.zeros((4, 4, 4, 4))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ClassificationError as exc:
+        return str(exc)
+
+
+def test_rref_kernel_and_60_row_theorem1_match_the_former_steps():
+    # every fixture and partner at 8 points, synthetic A-O points at three
+    # scales of g, and B/C/D points pushed toward class A by a random
+    # Riemann tensor 1e-14..1e-5 their size: the RREF kernel spans the
+    # Gram-Schmidt one, and solve_theorem1 on its 60 weighted rows, with
+    # class D's plane the kernel, does as the 256-row system with the
+    # plane the blade of *F did
+    from lorhol.fixtures import FIXTURE_NAMES
+    frames = [fr for name in FIXTURE_NAMES for partner in (False, True)
+              for spec in [fixture_spec(name, partner)]
+              for fr in frames_at(spec, sample_points(spec, 8, seed=1))]
+    rng = np.random.default_rng(1)
+    frames += [PointFrame.synthetic(c * ETA, c * _class_riemann(kind, rng))
+               for c in (1e-6, 1.0, 1e6) for kind in "ABCDO"]
+    for i in range(200):
+        riem = _class_riemann("BCD"[i % 3], rng)
+        push = _random_riemann(rng)
+        push *= (10.0 ** rng.uniform(-14, -5) * np.abs(riem).max()
+                 / np.abs(push).max())
+        c = 10.0 ** rng.choice([-6, 0, 6])
+        frames.append(PointFrame.synthetic(c * ETA, c * (riem + push)))
+    raised = 0
+    for fr in frames:
+        new, old = kernel_vectors(fr), kernel_vectors_gram_schmidt(fr)
+        assert len(new) == len(old)
+        if len(new):  # the projectors onto the two spans
+            proj = np.linalg.pinv(new) @ new
+            assert np.abs(proj - old.T @ old).max() <= 1e-12
+        new = _outcome(lambda: solve_theorem1(fr))
+        report = new[1] if isinstance(new, tuple) else _outcome(
+            lambda: classify_curvature(fr))
+        old = report if isinstance(report, str) else _outcome(
+            lambda: solve_theorem1_loop(fr, report))
+        assert type(new) is type(old)
+        if isinstance(new, str):
+            assert new == old
+            raised += 1
+            continue
+        (got, _), (want, s) = new, old
+        assert got.shape == want.shape
+        # within 1e-12 of the basis size times the system's condition
+        # s_max / s_rank, which bounds how far its null space may turn
+        rank = 10 - len(want)
+        cond = s[0] / s[rank - 1] if rank else 1.0
+        assert np.abs(got - want).max() <= 1e-12 * cond * np.abs(want).max()
+    assert 0 < raised < 10  # near the boundaries, both outcomes occur

@@ -23,9 +23,11 @@ def test_survey_digests_prints_two_stable_digests():
     for digest, pattern in (
             (lambda: digests.survey_digest(minkowski, 4, 1, 1),
              r"[0-9a-f]{64} [0-9a-f]{64}"),
-            (lambda: digests.classify_digest(r9, 4, 1), r"[0-9a-f]{64}"),
+            (lambda: digests.classify_digest(r9, 4, 1),
+             r"[0-9a-f]{64} [0-9a-f]{64}"),
             # class D at every point: each digest reads the lazy blades
-            (lambda: digests.classify_digest(r11, 4, 1), r"[0-9a-f]{64}"),
+            (lambda: digests.classify_digest(r11, 4, 1),
+             r"[0-9a-f]{64} [0-9a-f]{64}"),
             (lambda: digests.geodesic_digest(r9, r9_partner, 1),
              r"[0-9a-f]{64}")):
         lines = [digest() for _ in range(2)]
@@ -43,9 +45,12 @@ def test_survey_digests_synthetic_section_reaches_b_r5_and_r12():
     lines = digests.synthetic_lines()
     assert len(lines) == 2 * (5 + 14)
     for line in lines:
-        name, digest, got = line.split(" ")
+        # a classify line carries its decision digest after the full one
+        name, *hashes, got = line.split(" ")
         case = name.split(":")[1].split("-", 1)[1]
-        assert re.fullmatch(r"[0-9a-f]{64}", digest)
+        assert len(hashes) == (2 if "classify" in name else 1), line
+        for digest in hashes:
+            assert re.fullmatch(r"[0-9a-f]{64}", digest)
         assert got == (case[0] if "classify" in name else case), line
 
 
