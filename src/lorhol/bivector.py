@@ -40,14 +40,17 @@ for _perm in itertools.permutations(range(4)):
 
 
 def svd_rank(a, tol: float = SVD_TOL):
-    """Numerical rank of ``a`` with its full SVD: (rank, u, s, vt), of one
+    """Numerical rank of ``a`` with its SVD: (rank, u, s, vt), of one
     matrix or of each matrix of a stack (..., m, n), then with a rank per
-    matrix.
+    matrix.  A tall or square matrix (m >= n) gets the reduced SVD, whose
+    u is m x n; a wide one the full SVD, so that vt holds every right
+    singular vector, the null space's too.
 
     The rank is the number of singular values above tol * s_max (Golub &
     Van Loan's rule); a zero or empty matrix has rank 0.  Every rank
     decision of the package is made here."""
-    u, s, vt = np.linalg.svd(a)
+    a = np.asarray(a, dtype=float)
+    u, s, vt = np.linalg.svd(a, full_matrices=a.shape[-2] < a.shape[-1])
     # s is sorted descending: s[..., :1] is s_max, or empty with s
     rank = (s > tol * s[..., :1]).sum(axis=-1)
     return (rank if rank.ndim else int(rank)), u, s, vt

@@ -86,27 +86,26 @@ def ihol_generators(spec: MetricSpec, point, derivative_order: int = 1,
     if derivative_order not in (0, 1, 2):
         raise ValueError("derivative_order must be 0, 1 or 2")
     fr = frame or frame_at(spec, point, 2 + derivative_order)
-    tensors = [fr.riem_ud]
-    if derivative_order >= 1:
-        tensors.append(fr.cov_riemann)
-    if derivative_order >= 2:
-        tensors.append(fr.cov2_riemann)
+    tensors = [fr.riem_ud] + [fr.packed(key) for key in
+                              ("covR6", "cov2R6")[:derivative_order]]
     gens, kept = _generators([t[None] for t in tensors])
     return list(gens[0, kept[0]])
 
 
 def _generators(tensors) -> tuple[np.ndarray, np.ndarray]:
     """The generators of every point of a stack, from its R^a_bcd and, as
-    the order asks, R^a_bcd;e and R^a_bcd;e;f, each with the points on
-    the leading axis: the (B, k, 4, 4) matrices R^a_b[cd](;e(;f)) for
-    c < d, in (c, d, e, f) row-major order, and the (B, k) mask of those
-    above 1e-13 max|R| at their point.  A matrix below it is written as
-    zeros, which no span counts."""
+    the order asks, the derivative stack's packed R^a_bcd;e and
+    R^a_bcd;e;f (covR6, cov2R6), each with the points on the leading
+    axis: the (B, k, 4, 4) matrices R^a_b[cd](;e(;f)) for c < d, in (c,
+    d, e, f) row-major order, and the (B, k) mask of those above 1e-13
+    max|R| at their point.  A matrix below it is written as zeros, which
+    no span counts."""
     r = tensors[0]
     scale = np.maximum(np.max(np.abs(r), axis=(1, 2, 3, 4)), 1e-300)
-    gens = np.concatenate(
-        [np.moveaxis(t, (1, 2), (-2, -1))[:, BASIS_INDEX[0], BASIS_INDEX[1]]
-         .reshape(len(t), -1, 4, 4) for t in tensors], axis=1)
+    six = [np.moveaxis(r, (1, 2), (-2, -1))[:, BASIS_INDEX[0],
+                                              BASIS_INDEX[1]]]
+    six += [np.moveaxis(t, -1, 1) for t in tensors[1:]]  # cd first
+    gens = np.concatenate([t.reshape(len(r), -1, 4, 4) for t in six], axis=1)
     kept = np.max(np.abs(gens), axis=(2, 3)) > 1e-13 * scale[:, None]
     gens[~kept] = 0.0
     return gens, kept
@@ -537,7 +536,7 @@ def holonomy_survey(spec: MetricSpec, samples: int = 32, seed: int = 7,
     per_point = []
     best = None  # (decision, frame)
     for frames, stack in _frame_chunks(spec, pts, derivative_order + 2):
-        gens, _ = _generators([stack[k] for k in ("R", "covR", "cov2R")
+        gens, _ = _generators([stack[k] for k in ("R", "covR6", "cov2R6")
                                [:derivative_order + 1]])
         span, pivoted, brackets = _close(_to_six(gens, stack["g"])[0],
                                          stack["ginv"])

@@ -14,6 +14,9 @@ numpy linear-algebra call and tests a valid block in one pass; larger
 metrics invert g numerically.  frames_at assembles the
 tensors of a chunk of points in one batched stack and hands each
 PointFrame its rows; a frame computes any other tensor when first read.
+Past R the stack is packed: R;e and R;e;f keep the pairs c < d of their
+antisymmetric (c, d) slots, and a frame unpacks them to the full tensor
+only when cov_riemann or cov2_riemann is read.
 
 Index conventions, fixed throughout the package:
 
@@ -50,9 +53,12 @@ __all__ = [
 
 DIM = 4
 DEGENERACY_TOL = 1e-12
-# frames_at assembles _CHUNK * 4^(4 - order) rows per derivative stack:
-# the largest arrays through order k hold 4^(k + 2) floats per row, so
-# every chunk's arrays stay within _CHUNK * 4^6 floats (256 kB)
+# frames_at assembles _CHUNK * 4^(4 - order) rows per derivative stack.
+# The largest arrays through order k hold about 4^(k + 2) floats per
+# row: d^k g itself (256, 1 024, 4 096 at orders 2-4), and at order 4 the
+# gathered factors of d^3 Gamma and of d_e d_f R, 4 800 each; the packed
+# R;e and R;e;f hold 384 and 1 536 (the full ones 1 024 and 4 096).  So
+# every chunk's arrays stay within about _CHUNK * 4^6 floats (256-300 kB)
 _CHUNK = 8
 
 
@@ -573,8 +579,10 @@ class PointFrame:
 
     Built by frame_at / frames_at (full, with derivative access) or
     synthetically from raw g/Riemann arrays for classifier oracles.
-    frames_at assigns what its chunk computed (g^-1, R;e, R;e;f); every
-    other tensor is computed when first read and then kept.
+    frames_at assigns what its chunk computed: g^-1 and, through its
+    order, the packed rows of R;e and R;e;f (packed).  cov_riemann and
+    cov2_riemann unpack those to the full tensors when first read;
+    every other tensor is computed when first read.  All are then kept.
     """
 
     def __init__(self, g, riem_ud=None, *, point=None, spec=None,
@@ -658,83 +666,303 @@ class PointFrame:
             raise MetricError("synthetic frame carries no derivative data")
         return next(frames_at(self.spec, self.point[None, :], order))
 
-    # Plain properties over __dict__, which frames_at fills, so that a
-    # profiler can wrap their getters.
+    def packed(self, key: str) -> np.ndarray:
+        """This point's row of the derivative stack's packed R;e ("covR6",
+        laid out (e, a, b, cd)) or R;e;f ("cov2R6", (e, f, a, b, cd)), c <
+        d: as frames_at stored it, or else from a one-row frames_at at
+        order 3 or 4, whose rows are kept (an order-4 one serves both)."""
+        if key not in vars(self):
+            fresh = vars(self._rebuilt(3 + _PACKED.index(key)))
+            for k in _PACKED:
+                if k in fresh:
+                    vars(self).setdefault(k, fresh[k])
+        return vars(self)[key]
+
+    # Plain properties over __dict__, so that a profiler can wrap their
+    # getters.
     @property
     def cov_riemann(self) -> np.ndarray:
-        """R^a_bcd;e with the covariant index trailing."""
+        """R^a_bcd;e with the covariant index trailing, unpacked from
+        packed("covR6") when first read."""
         if "cov_riemann" not in vars(self):
-            vars(self)["cov_riemann"] = vars(self._rebuilt(3))["cov_riemann"]
+            vars(self)["cov_riemann"] = _unpack(
+                self.packed("covR6")[None])[0]
         return vars(self)["cov_riemann"]
 
     @property
     def cov2_riemann(self) -> np.ndarray:
-        """R^a_bcd;e;f, second covariant derivative (trailing f)."""
+        """R^a_bcd;e;f, second covariant derivative (trailing f), unpacked
+        from packed("cov2R6") when first read."""
         if "cov2_riemann" not in vars(self):
-            fresh = vars(self._rebuilt(4))
-            vars(self).setdefault("cov_riemann", fresh["cov_riemann"])
-            vars(self)["cov2_riemann"] = fresh["cov2_riemann"]
+            vars(self)["cov2_riemann"] = _unpack(
+                self.packed("cov2R6")[None])[0]
         return vars(self)["cov2_riemann"]
 
 
-# subscripts -> (swap operands, x axes, y axes, product axes, number of
-# free x indices, number of free y indices)
-_PLANS: dict[str, tuple] = {}
+# The packed layouts of the derivative stack past R.  A row's Gamma jets
+# d^Q Gamma^a_bc, Q sorted and b <= c, sit in one flat array: the
+# constants 0 and 1, then level k = 0, 1, ... (|Q| = k), each laid out
+# (a, Q, bc).  R;e and R;e;f keep the pairs c < d of their
+# antisymmetric (c, d) slots, in bivector.BASIS_PAIRS order, laid out
+# (e[, f], a, b, cd).
+_SIX = [(c, d) for c in range(DIM) for d in range(c + 1, DIM)]
+_SIX_INDEX = tuple(np.array(ix) for ix in zip(*_SIX))
+_PAIR_INDEX = tuple(np.array(ix) for ix in zip(*_PAIRS))
+_PAIR_AT = np.zeros((DIM, DIM), dtype=np.intp)  # the position of pair bc
+for _i, (_b, _c) in enumerate(_PAIRS):
+    _PAIR_AT[_b, _c] = _PAIR_AT[_c, _b] = _i
+_ZERO, _ONE = 0, 1
+_PACKED = ("covR6", "cov2R6")  # the stack's packed R;e and R;e;f
+# where each level of the Gamma jets starts: 2, 42, 202, 602, 1402
+_OFF = list(itertools.accumulate(
+    (DIM * math.comb(DIM + k - 1, k) * len(_PAIRS) for k in range(4)),
+    initial=2))
+_AXIS = np.arange(DIM)
 
 
-def _contract(subscripts: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.einsum(subscripts, x, y) for a one-index contraction of two
-    batched tensors, as one batched np.matmul: the batch index n leads
-    every operand and the output, one index is summed, and every other
-    index appears once.  Each operand's free indices are moved into the
-    output's order, the operand holding the output's last index goes on
-    the right (so the result's innermost axis is contiguous), and the
-    product is returned as a view in the output's index order.  The axis
-    plan of each subscript string is worked out once."""
-    plan = _PLANS.get(subscripts)
-    if plan is None:
-        ins, out = subscripts.split("->")
-        xs, ys = ins.split(",")
-        swap = out[-1] in xs
-        if swap:
-            xs, ys = ys, xs
-        (m,) = (set(xs) & set(ys)) - {"n"}
-        xf = [c for c in out[1:] if c in xs]
-        yf = [c for c in out[1:] if c in ys]
-        plan = _PLANS[subscripts] = (
-            swap,
-            (0, *(xs.index(c) for c in xf), xs.index(m)),
-            (0, ys.index(m), *(ys.index(c) for c in yf)),
-            (0, *(1 + (xf + yf).index(c) for c in out[1:])),
-            len(xf), len(yf))
-    swap, px, py, po, kx, ky = plan
-    if swap:
-        x, y = y, x
-    n = len(x)
-    prod = np.matmul(x.transpose(px).reshape(n, DIM ** kx, DIM),
-                     y.transpose(py).reshape(n, DIM, DIM ** ky))
-    return prod.reshape((n,) + (DIM,) * (kx + ky)).transpose(po)
+@lru_cache(maxsize=None)
+def _sorted_multi(k: int) -> dict:
+    """{sorted derivative multi-index of length k: its position}."""
+    return {q: i for i, q in enumerate(
+        itertools.combinations_with_replacement(range(DIM), k))}
+
+
+def _flat(*ix):
+    """The row-major position of index ix in a (4,) * len(ix) array; the
+    indices broadcast, and the first may run past 3."""
+    pos = 0
+    for i in ix:
+        pos = pos * DIM + i
+    return pos
+
+
+# where Gamma^a_bc (a, bc), d_e Gamma^a_bc (a, e, bc) and R^a_bcd (ab,
+# cd), b <= c and c < d, sit in the flat full arrays
+_GAMMA_AT = _flat(_AXIS[:, None], *_PAIR_INDEX).reshape(-1)
+_DGAMMA_AT = _flat(_AXIS[:, None, None], *_PAIR_INDEX,
+                   _AXIS[:, None]).reshape(-1)
+_RIEM_AT = _flat(_AXIS[:, None, None], _AXIS[:, None], *_SIX_INDEX).reshape(
+    DIM * DIM, len(_SIX))
+
+
+def _jet_row(r: tuple, m):
+    """The row (of 10 pairs bc) that holds d^r Gamma^m_bc in a row's
+    packed Gamma jets, counted from the first level; r is sorted."""
+    multi = _sorted_multi(len(r))
+    return (_OFF[len(r)] - _OFF[0]) // len(_PAIRS) + m * len(multi) + multi[r]
+
+
+def _leibniz(q: tuple, top: int):
+    """The Leibniz terms d^(q-r) x d^r y of d^q (x y) with |r| < top, one
+    per multiset r in q: (the jet rows (r, m) over m, q - r, how many
+    of the 2^|q| terms it stands for)."""
+    for j in range(top):
+        for r in _sorted_multi(j):
+            rest = list(q)
+            for i in r:
+                if i in rest:
+                    rest.remove(i)
+            if len(rest) == len(q) - j:  # r lies in q
+                yield (_jet_row(r, _AXIS), tuple(rest), math.prod(
+                    math.comb(q.count(i), r.count(i)) for i in set(r)))
+
+
+@lru_cache(maxsize=None)
+def _level_tables(k: int) -> tuple:
+    """(s, w, times): the gathers for level k >= 2 of the Gamma jets, from
+
+        g_ad d^Q Gamma^d_bc = 1/2 d^Q s_abc
+            - sum over r strictly inside Q of
+              times d^(Q-r) g_am d^r Gamma^m_bc.
+
+    s holds the positions of d^Q d_b g_ac, d^Q d_c g_ab and d^Q d_a g_bc
+    in the flat d^(k+1) g, laid out (a, Q, bc).  w holds the positions
+    of d^(Q-r) g_am in the flat dg, d2g, ... put one after the other,
+    laid out (a, Q) by the jet row (r, m) it multiplies, and times the
+    Leibniz count (0 where r is not in Q)."""
+    multi = _sorted_multi(k)
+    rows = (_OFF[k] - _OFF[0]) // len(_PAIRS)
+    w = np.zeros((DIM, len(multi), rows), dtype=np.intp)
+    times = np.zeros(w.shape)
+    start = np.cumsum([0] + [DIM ** (j + 2) for j in range(1, k)])
+    digits = [np.array(list(multi))[:, i, None] for i in range(k)]
+    a, (b, c) = _AXIS[:, None, None], np.array(_PAIRS).T
+    s = np.array([_flat(a, c, b, *digits), _flat(a, b, c, *digits),
+                  _flat(b, c, a, *digits)])
+    for q, qi in multi.items():
+        for col, rest, t in _leibniz(q, k):
+            w[:, qi][:, col] = start[len(rest) - 1] + _flat(
+                _AXIS[:, None], _AXIS, *rest)
+            times[:, qi][:, col] = t
+    return _read_only(s, w, times)
+
+
+@lru_cache(maxsize=None)
+def _dm_tables(k: int) -> tuple:
+    """(u, times, v, lead, last, anti): the gathers that give d^Q R^a_bcd
+    for |Q| = k from a row's packed Gamma jets through level k + 1.
+
+    With M^a_bcd = d_c Gamma^a_bd + Gamma^a_cm Gamma^m_bd, d^Q M for every
+    (c, d), rows (Q, c, a) by columns (d, b), is the sum of two products.
+    In the first, the left factor, u scaled by times (None where all are
+    1), holds d^(Q-r) Gamma^a_cm for every r strictly inside Q, by the
+    jet row (r, m) it multiplies, and then d^Q d_c Gamma^a_x for the 10
+    pairs x; the right factor, v, holds d^r Gamma^m_db and, for each pair
+    x, the 0 or 1 that picks x = db.  The second, Gamma^a_cm d^Q
+    Gamma^m_db, is one product per Q of lead, Gamma^a_cm as rows (c, a)
+    by m, and last, d^Q Gamma^m_db as (Q, m, db).  anti holds the
+    positions in the sum of d^Q M^a_bcd and d^Q M^a_bdc, for every Q in
+    every order, laid out (Q, ab, cd) with c < d: their difference is
+    d^Q R."""
+    multi = _sorted_multi(k)
+    rows = (_OFF[k] - _OFF[0]) // len(_PAIRS)
+    u = np.full((len(multi), DIM, DIM, rows + len(_PAIRS)), _ZERO,
+                dtype=np.intp)
+    times = np.ones(u.shape)
+    last = np.empty((len(multi), DIM, DIM * DIM), dtype=np.intp)
+    c, a, m = np.ix_(_AXIS, _AXIS, _AXIS)
+    for q, qi in multi.items():
+        for col, rest, t in _leibniz(q, k):
+            u[qi][..., col] = (_OFF[0] + _PAIR_AT[c, m]
+                               + len(_PAIRS) * _jet_row(rest, a))
+            times[qi][..., col] = t
+        for cc in range(DIM):
+            row = _jet_row(tuple(sorted(q + (cc,))), _AXIS[:, None])
+            u[qi, cc, :, rows:] = (_OFF[0] + len(_PAIRS) * row
+                                   + np.arange(len(_PAIRS)))
+        last[qi] = (_OFF[0] + len(_PAIRS) * _jet_row(q, _AXIS[:, None])
+                    + _PAIR_AT.reshape(-1))
+    v = np.empty((rows + len(_PAIRS), DIM * DIM), dtype=np.intp)
+    v[:rows] = (_OFF[0] + len(_PAIRS) * np.arange(rows)[:, None]
+                + _PAIR_AT.reshape(-1))
+    v[rows:] = np.where(np.arange(len(_PAIRS))[:, None]
+                        == _PAIR_AT.reshape(-1), _ONE, _ZERO)
+    lead = (_OFF[0] + len(_PAIRS) * _jet_row((), a)
+            + _PAIR_AT[c, m]).reshape(DIM * DIM, DIM)
+    qi = np.array([multi[tuple(sorted(x))]
+                   for x in itertools.product(range(DIM), repeat=k)])
+    qi = qi.reshape((DIM,) * k + (1, 1, 1))
+    a, b, (c, d) = _AXIS[:, None, None], _AXIS[:, None], _SIX_INDEX
+    anti = np.array([_flat(qi, c, a, d, b), _flat(qi, d, a, c, b)]).reshape(
+        (2,) + (DIM,) * k + (DIM * DIM, len(_SIX)))
+    u = u.reshape(-1, u.shape[-1])
+    times = None if (times == 1).all() else times.reshape(u.shape)
+    return _read_only(u, times, v, lead, last, anti)
+
+
+def _read_only(*tables) -> tuple:
+    """The cached tables, made read only: every stack shares them."""
+    for t in tables:
+        if t is not None:
+            t.setflags(write=False)
+    return tables
+
+
+def _unit_actions() -> tuple:
+    """The connection terms of each unit matrix x^u_v, row uv of two maps:
+    (16, 256) to its 16x16 action on the slots ab, x on a and -x on b,
+    and (16, 36) to the transpose of its 6x6 action on the pairs cd,
+    (K y)_cd = -x^m_c y_md - x^m_d y_cm."""
+    on_ab = np.zeros((DIM,) * 6)  # (u, v, a, b, a', b')
+    on_cd = np.zeros((DIM, DIM, len(_SIX), len(_SIX)))  # (u, v, q, p)
+    for u, v, i in itertools.product(range(DIM), repeat=3):
+        on_ab[u, v, u, i, v, i] += 1.0  # x^a_m y^m_b
+        on_ab[u, v, i, v, i, u] -= 1.0  # -y^a_m x^m_b
+    for p, (c, d) in enumerate(_SIX):
+        for m in range(DIM):
+            # -x^m_c y_md and -x^m_d y_cm, with y_ij = -y_ji
+            for x, (i, j) in ((c, (m, d)), (d, (c, m))):
+                if i != j:
+                    on_cd[m, x, _SIX.index((min(i, j), max(i, j))), p] -= (
+                        1.0 if i < j else -1.0)
+    return on_ab.reshape(DIM * DIM, -1), on_cd.reshape(DIM * DIM, -1)
+
+
+_ACTIONS = _unit_actions()
+
+
+def _act(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The connection terms of a covariant derivative, with the matrices x
+    (..., 4, 4), x^a_m = Gamma^a_em or a derivative of it, on the packed
+    y (..., 16, 6), slots ab by pairs cd < : x y on a, -y x on b and the
+    6x6 action of x on cd, two products (_ACTIONS).  The leading axes of
+    x and y broadcast."""
+    flat = x.reshape(x.shape[:-2] + (DIM * DIM,))
+    on_ab, on_cd = _ACTIONS
+    out = (flat @ on_ab).reshape(x.shape[:-2] + (DIM * DIM,) * 2) @ y
+    out += y @ (flat @ on_cd).reshape(x.shape[:-2] + (len(_SIX),) * 2)
+    return out
+
+
+def _dm(jet: np.ndarray, k: int) -> np.ndarray:
+    """d^Q R^a_bcd, |Q| = k, of every row of packed Gamma jets, laid out
+    (n, Q, ab, cd) with c < d (_dm_tables)."""
+    u, times, v, lead, last, anti = _dm_tables(k)
+    n = len(jet)
+    left = np.take(jet, u, axis=1)
+    if times is not None:
+        left *= times
+    prod = (left @ np.take(jet, v, axis=1)).reshape((n,) + last.shape[:1]
+                                                    + (DIM * DIM,) * 2)
+    prod += np.take(jet, lead, axis=1)[:, None] @ np.take(jet, last, axis=1)
+    prod = prod.reshape(n, len(last) * DIM ** 4)
+    return np.take(prod, anti[0], axis=1) - np.take(prod, anti[1], axis=1)
+
+
+class _Stack(dict):
+    """A derivative stack's arrays by name.  Read as "covR" or "cov2R",
+    the packed "covR6" or "cov2R6" is unpacked to the full tensor
+    (_unpack), which is not kept."""
+
+    def __missing__(self, key):
+        if key not in ("covR", "cov2R") or key + "6" not in self:
+            raise KeyError(key)
+        return _unpack(self[key + "6"])
+
+
+def _unpack(six: np.ndarray) -> np.ndarray:
+    """The full R^a_bcd;e or R^a_bcd;e;f of packed rows (n, e[, f], a, b,
+    cd), c < d: (n, a, b, c, d, e[, f]), antisymmetric in (c, d)."""
+    lead = six.shape[:-3]
+    k = len(lead) - 1
+    full = np.zeros(lead[:1] + (DIM,) * 4 + lead[1:])
+    moved = six.transpose(0, k + 1, k + 2, k + 3, *range(1, k + 1))
+    full[:, :, :, _SIX_INDEX[0], _SIX_INDEX[1]] = moved
+    full[:, :, :, _SIX_INDEX[1], _SIX_INDEX[0]] = -moved
+    return full
 
 
 def _riemann_derivative_stack(jets) -> dict:
     """Riemann and its covariant derivatives from batched metric jets
     (g, dg, d2g[, d3g[, d4g]]): a dict with ginv, gamma and R (R^a_bcd),
-    plus covR (R^a_bcd;e) from d3g and cov2R (R^a_bcd;e;f) from d4g.
+    plus covR6 (R^a_bcd;e) from d3g and cov2R6 (R^a_bcd;e;f) from d4g,
+    packed: the pairs c < d only, laid out (n, e[, f], a, b, cd).  Read
+    as covR or cov2R, either is unpacked to the full tensor (_Stack).
     frames_at calls it on row chunks (_CHUNK).
 
-    Up to R, Gamma^a_bc = 1/2 g^ad s_dbc with s_dbc = d_b g_dc + d_c g_db
+    Up to R, Gamma^a_bc = 1/2 g^ad s_abc with s_dbc = d_b g_dc + d_c g_db
     - d_d g_bc, and d_e Gamma comes from d_e g^ad.  Higher derivatives of
     Gamma need no derivative of g^ad: differentiating g_ad Gamma^d_bc =
-    1/2 s_abc gives
+    1/2 s_abc gives, by the Leibniz rule,
 
-        g_ad d_e d_f Gamma^d_bc = 1/2 d_e d_f s_abc - d_e d_f g_am Gamma^m_bc
-            - d_e g_am d_f Gamma^m_bc - d_f g_am d_e Gamma^m_bc
+        g_ad d^Q Gamma^d_bc = 1/2 d^Q s_abc
+            - sum over r strictly inside Q of d^(Q-r) g_am d^r Gamma^m_bc
 
-    and d_e d_f d_h Gamma the same way with seven terms, each raised
-    with one product by g^ad.  With M^a_bcd = d_c Gamma^a_bd +
-    Gamma^a_cm Gamma^m_bd, R^a_bcd = M^a_bcd - M^a_bdc, and so are its
-    partial derivatives.  Every one-index contraction past R is a
-    batched matmul (_contract).
+    each raised with one product by g^ad.  These jets stay packed, b <=
+    c and Q sorted, and each level is one product of gathered factors
+    (_level_tables).  With M^a_bcd = d_c Gamma^a_bd + Gamma^a_cm
+    Gamma^m_bd, R^a_bcd = M^a_bcd - M^a_bdc, and so are its partial
+    derivatives: d_e M, and the symmetric d_e d_f M on the 10 sorted
+    pairs ef, each come from two products of gathered factors
+    (_dm_tables).  Then, with A_x the
+    connection terms of x^a_m (_act: x on a, -x on b, and one 6x6 action
+    on cd),
+
+        R;e   = d_e R + A_{Gamma_e} R
+        R;e;f = d_e d_f R + A_{d_f Gamma_e} R + A_{Gamma_e} d_f R
+                + A_{Gamma_f} R;e - Gamma^m_fe R;m
+
+    where (Gamma_e)^a_m = Gamma^a_em.
     """
     g, dg, d2g = jets[:3]
     ginv, s, gamma = _gamma_terms(g, dg)
@@ -745,77 +973,53 @@ def _riemann_derivative_stack(jets) -> dict:
     riem = (dgamma.transpose(0, 1, 2, 4, 3) - dgamma
             + np.einsum("nace,nebd->nabcd", gamma, gamma)
             - np.einsum("nade,nebc->nabcd", gamma, gamma))
-    out = {"ginv": ginv, "gamma": gamma, "R": riem}
-    if len(jets) < 4:
+    out = _Stack(ginv=ginv, gamma=gamma, R=riem)
+    order = len(jets) - 1
+    if order < 3:
         return out
 
-    # low = g_ad d_e d_f Gamma^d_bc; the sums below are built in place,
-    # since the arrays alive at once set the peak memory of a chunk
-    d3g = jets[3]
-    low = d3g.transpose(0, 1, 3, 2, 4, 5) + d3g
-    low -= d3g.transpose(0, 3, 1, 2, 4, 5)
-    low *= 0.5
-    low -= _contract("namef,nmbc->nabcef", d2g, gamma)
-    t = _contract("name,nmbcf->nabcef", dg, dgamma)
-    low -= t
-    low -= t.transpose(0, 1, 2, 3, 5, 4)
-    d2gamma = _contract("nad,ndbcef->nabcef", ginv, low)
-    del low, t
-    # d_e M^a_bcd, then d_e R = d_e M^a_bcd - d_e M^a_bdc
-    dm = d2gamma.transpose(0, 1, 2, 4, 3, 5) + _contract(
-        "nacme,nmbd->nabcde", dgamma, gamma)
-    dm += _contract("nacm,nmbde->nabcde", gamma, dgamma)
-    driem = dm - dm.transpose(0, 1, 2, 4, 3, 5)
-    del dm
-    covr = driem + _contract("naem,nmbcd->nabcde", gamma, riem)
-    covr -= _contract("nmeb,namcd->nabcde", gamma, riem)
-    covr -= _contract("nmec,nabmd->nabcde", gamma, riem)
-    covr -= _contract("nmed,nabcm->nabcde", gamma, riem)
-    out["covR"] = covr
-    if len(jets) < 5:
-        return out
+    n = len(g)
+    jet = np.empty((n, _OFF[order]))
+    jet[:, _ZERO], jet[:, _ONE] = 0.0, 1.0
+    jet[:, _OFF[0]:_OFF[1]] = gamma.reshape(n, DIM ** 3)[:, _GAMMA_AT]
+    jet[:, _OFF[1]:_OFF[2]] = dgamma.reshape(n, DIM ** 4)[:, _DGAMMA_AT]
+    flat_g = np.concatenate([j.reshape(n, DIM ** j.ndim // DIM)
+                             for j in jets[1:order]], axis=1)
+    for k in range(2, order):
+        s_at, w_at, times = _level_tables(k)
+        # gathered along the rows of d^(k+1) g transposed, which
+        # _metric_jets lays out contiguous
+        part = np.take(jets[k + 1].reshape(n, DIM ** (k + 3)).T, s_at,
+                       axis=0)
+        low = part[0] + part[1]
+        low -= part[2]
+        low = np.ascontiguousarray(np.moveaxis(low, -1, 0))
+        low *= 0.5
+        w = np.take(flat_g, w_at, axis=1)
+        w *= times
+        nq, rows = w_at.shape[1:]
+        low -= (w.reshape(n, DIM * nq, rows)
+                @ jet[:, _OFF[0]:_OFF[k]].reshape(n, rows, len(_PAIRS))
+                ).reshape(low.shape)
+        jet[:, _OFF[k]:_OFF[k + 1]] = (
+            ginv @ low.reshape(n, DIM, nq * len(_PAIRS))).reshape(
+                n, _OFF[k + 1] - _OFF[k])
 
-    d4g = jets[4]
-    # low = g_ad d_e d_f d_h Gamma^d_bc; the terms d_e d_f g d_h Gamma and
-    # d_e g d_f d_h Gamma are each summed over the three ways to split
-    # (e, f, h)
-    low = d4g.transpose(0, 1, 3, 2, 4, 5, 6) + d4g
-    low -= d4g.transpose(0, 3, 1, 2, 4, 5, 6)
-    low *= 0.5
-    low -= _contract("namefh,nmbc->nabcefh", d3g, gamma)
-    t = _contract("namef,nmbch->nabcefh", d2g, dgamma)
-    low -= t
-    low -= t.transpose(0, 1, 2, 3, 4, 6, 5)
-    low -= t.transpose(0, 1, 2, 3, 6, 4, 5)
-    t = _contract("name,nmbcfh->nabcefh", dg, d2gamma)
-    low -= t
-    low -= t.transpose(0, 1, 2, 3, 5, 4, 6)
-    low -= t.transpose(0, 1, 2, 3, 5, 6, 4)
-    # d_f d_e M^a_bcd, its first term d_c d_e d_f Gamma^a_bd raised from low
-    d2m = _contract("nam,nmbdcef->nabcdef", ginv, low)
-    del low, t
-    d2m += _contract("nacmef,nmbd->nabcdef", d2gamma, gamma)
-    t = _contract("nacme,nmbdf->nabcdef", dgamma, dgamma)
-    d2m += t
-    d2m += t.transpose(0, 1, 2, 3, 4, 6, 5)
-    d2m += _contract("nacm,nmbdef->nabcdef", gamma, d2gamma)
-    # d_f R;e from d_f d_e R, then the connection terms of R;e;f
-    cov2r = d2m - d2m.transpose(0, 1, 2, 4, 3, 5, 6)
-    del d2m, t
-    cov2r += _contract("naemf,nmbcd->nabcdef", dgamma, riem)
-    cov2r += _contract("naem,nmbcdf->nabcdef", gamma, driem)
-    cov2r -= _contract("nmebf,namcd->nabcdef", dgamma, riem)
-    cov2r -= _contract("nmeb,namcdf->nabcdef", gamma, driem)
-    cov2r -= _contract("nmecf,nabmd->nabcdef", dgamma, riem)
-    cov2r -= _contract("nmec,nabmdf->nabcdef", gamma, driem)
-    cov2r -= _contract("nmedf,nabcm->nabcdef", dgamma, riem)
-    cov2r -= _contract("nmed,nabcmf->nabcdef", gamma, driem)
-    cov2r += _contract("nafm,nmbcde->nabcdef", gamma, covr)
-    cov2r -= _contract("nmfb,namcde->nabcdef", gamma, covr)
-    cov2r -= _contract("nmfc,nabmde->nabcdef", gamma, covr)
-    cov2r -= _contract("nmfd,nabcme->nabcdef", gamma, covr)
-    cov2r -= _contract("nmfe,nabcdm->nabcdef", gamma, covr)
-    out["cov2R"] = cov2r
+    r6 = riem.reshape(n, DIM ** 4)[:, _RIEM_AT]
+    gamma_e = gamma.transpose(0, 2, 1, 3)  # (Gamma_e)^a_m = Gamma^a_em
+    dr = _dm(jet, 1)
+    covr = dr + _act(gamma_e, r6[:, None])
+    out["covR6"] = covr.reshape(n, *(DIM,) * 3, len(_SIX))
+    if order < 4:
+        return out
+    cov2r = _dm(jet, 2)
+    cov2r += _act(dgamma.transpose(0, 2, 4, 1, 3), r6[:, None, None])
+    cov2r += _act(gamma_e[:, :, None], dr[:, None])
+    cov2r += _act(gamma_e[:, None], covr[:, :, None])
+    cov2r -= (gamma.transpose(0, 3, 2, 1).reshape(n, DIM * DIM, DIM)
+              @ covr.reshape(n, DIM, DIM * DIM * len(_SIX))
+              ).reshape(cov2r.shape)
+    out["cov2R6"] = cov2r.reshape(n, *(DIM,) * 4, len(_SIX))
     return out
 
 
@@ -864,10 +1068,12 @@ def frames_at(spec: MetricSpec, points, order: int = 2):
     in chunks of _CHUNK * 4^(4 - order) rows (8 at order 4): one compiled
     call (_metric_jets) evaluates the chunk's jets up to that order and
     its domain constraints, one derivative stack
-    (_riemann_derivative_stack) assembles its tensors (g^-1 included),
-    one vectorised test over one eigvalsh call checks its signatures,
-    and its frames, which hold row views of them, are yielded before the
-    next chunk is evaluated; so memory does not grow with the batch.
+    (_riemann_derivative_stack) assembles its tensors (g^-1 included,
+    R;e and R;e;f packed), one vectorised test over one eigvalsh call
+    checks its signatures, and its frames, which hold row views of them,
+    are yielded before the next chunk is evaluated; so memory does not
+    grow with the batch.  A frame unpacks R;e or R;e;f only when
+    cov_riemann or cov2_riemann is read.
 
     Nothing is raised before iteration reaches a bad row.  There the
     exception that frame_at raises for that point is raised, checked in
@@ -879,9 +1085,10 @@ def frames_at(spec: MetricSpec, points, order: int = 2):
 
 def _frame_chunks(spec: MetricSpec, points, order: int):
     """frames_at one chunk at a time: for each chunk, its frames up to
-    its first bad row and the stacked arrays they view, a dict with g,
-    ginv, gamma, R and, as ``order`` allows, covR and cov2R; then the
-    exception of the bad row.  A chunk with no good row yields nothing.
+    its first bad row and the stacked arrays they view, the derivative
+    stack's dict with g, ginv, gamma, R and, as ``order`` allows, the
+    packed covR6 and cov2R6; then the exception of the bad row.  A chunk
+    with no good row yields nothing.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != DIM:
@@ -905,7 +1112,7 @@ def _frame_chunks(spec: MetricSpec, points, order: int):
         good = (eig[:, 0] <= -bound) & (eig[:, 1] >= bound)
         lorentz = n if good.all() else int(np.argmin(good))
         if lorentz < n:
-            stack = {k: v[:lorentz] for k, v in stack.items()}
+            stack = _Stack((k, v[:lorentz]) for k, v in stack.items())
         if lorentz:
             yield [_frame(spec, chunk[i], stack, i)
                    for i in range(lorentz)], stack
@@ -924,10 +1131,9 @@ def _frame(spec: MetricSpec, point, stack: dict, i: int) -> PointFrame:
     frame = PointFrame(stack["g"][i], stack["R"][i], point=point, spec=spec,
                        gamma=stack["gamma"][i])
     frame.ginv = stack["ginv"][i]
-    if "covR" in stack:
-        vars(frame)["cov_riemann"] = stack["covR"][i]
-    if "cov2R" in stack:
-        vars(frame)["cov2_riemann"] = stack["cov2R"][i]
+    for key in _PACKED:
+        if key in stack:
+            vars(frame)[key] = stack[key][i]
     return frame
 
 

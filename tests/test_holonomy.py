@@ -545,6 +545,55 @@ def test_order2_survey_builds_one_stack_per_chunk(monkeypatch):
     assert rows == [8, 8, 4]
 
 
+@pytest.mark.parametrize("which", SURVEYED, ids=[
+    name + "-partner" * partner for name, partner in SURVEYED])
+def test_packed_generators_match_the_full_tensors(which):
+    # the survey's order-1 and order-2 generators, read from the packed
+    # stack, against those read from the reference stack's full tensors
+    # as _generators read them when the stack was full
+    from helpers import fixture_spec, reference_riemann_stack
+    from lorhol.bivector import BASIS_INDEX
+    from lorhol.holonomy import _generators
+    from lorhol.pointcalc import _metric_jets, _riemann_derivative_stack
+    spec = fixture_spec(*which)
+    jets = _metric_jets(spec, sample_points(spec, 4, seed=4), 4)[0]
+    got, full = _riemann_derivative_stack(jets), reference_riemann_stack(jets)
+    scale = np.maximum(np.max(np.abs(full["R"]), axis=(1, 2, 3, 4)), 1e-300)
+    for order in (1, 2):
+        gens, kept = _generators([got[k] for k in ("R", "covR6", "cov2R6")
+                                  [:order + 1]])
+        want = np.concatenate(
+            [np.moveaxis(full[k], (1, 2), (-2, -1))[:, BASIS_INDEX[0],
+                                                    BASIS_INDEX[1]]
+             .reshape(4, -1, 4, 4)
+             for k in ("R", "covR", "cov2R")[:order + 1]], axis=1)
+        want_kept = np.max(np.abs(want), axis=(2, 3)) > 1e-13 * scale[:, None]
+        want[~want_kept] = 0.0
+        assert np.array_equal(kept, want_kept)
+        for g, w in zip(gens, want):
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+def test_order2_survey_unpacks_no_full_tensor(monkeypatch):
+    # the survey reads the packed R;e and R;e;f; only a frame's
+    # cov_riemann or cov2_riemann unpacks, when it is read
+    from helpers import fixture_spec
+    from lorhol import pointcalc
+    unpack = pointcalc._unpack
+    calls = []
+
+    def spy(six):
+        calls.append(six.shape)
+        return unpack(six)
+
+    monkeypatch.setattr(pointcalc, "_unpack", spy)
+    spec = fixture_spec("r14")
+    rep = holonomy_survey(spec, samples=12, seed=1, derivative_order=2)
+    assert len(rep.per_point) == 12 and calls == []
+    frame_at(spec, rep.per_point[0][0], 4).cov2_riemann
+    assert calls == [(1, 4, 4, 4, 4, 6)]
+
+
 def _close_reference(six, ginv):
     """_close as it was written for one point, with the per-matrix RREF
     loop: the reference for the stacked closure."""
@@ -573,7 +622,7 @@ def test_stacked_closure_matches_each_point_alone():
         for order in (0, 1, 2):
             for frames, stack in _frame_chunks(
                     spec, sample_points(spec, 2, seed=3), order + 2):
-                names = ("R", "covR", "cov2R")[:order + 1]
+                names = ("R", "covR6", "cov2R6")[:order + 1]
                 gens, _ = _generators([stack[k] for k in names])
                 rows = _to_six(gens, stack["g"])[0]
                 six += list(np.pad(rows, ((0, 0), (0, 126 - rows.shape[1]),

@@ -813,3 +813,75 @@ def test_derivative_stack_matches_reference(name, partner):
     for key in ("R", "covR", "cov2R"):
         scale = np.max(np.abs(want[key]))
         assert np.max(np.abs(got[key] - want[key])) <= 1e-13 * scale, key
+
+
+def _frames_at_order_4(name, partner):
+    from helpers import fixture_spec
+    from lorhol.pointcalc import frames_at
+    spec = fixture_spec(name, partner)
+    return list(frames_at(spec, sample_points(spec, 4, seed=2), 4))
+
+
+# The two identities below read only the full tensors that frames unpack
+# on read, with plain index arithmetic: they share no code with the
+# stack.  Both hold to about 5e-16 relative on every fixture and
+# partner; 1e-14 leaves room for rounding, not for a wrong term.
+@pytest.mark.parametrize("name,partner", FIXTURES_AND_PARTNERS)
+def test_second_bianchi_identity(name, partner):
+    # R^a_bcd;e + R^a_bde;c + R^a_bec;d = 0
+    for fr in _frames_at_order_4(name, partner):
+        cr = fr.cov_riemann
+        cyc = cr + cr.transpose(0, 1, 3, 4, 2) + cr.transpose(0, 1, 4, 2, 3)
+        assert np.max(np.abs(cyc)) <= 1e-14 * np.max(np.abs(cr))
+
+
+@pytest.mark.parametrize("name,partner", FIXTURES_AND_PARTNERS)
+def test_ricci_identity(name, partner):
+    # with f the second derivative, R^a_bcd;ef - R^a_bcd;fe = R^m_bef
+    # R^a_mcd + R^m_cef R^a_bmd + R^m_def R^a_bcm - R^a_mef R^m_bcd
+    for fr in _frames_at_order_4(name, partner):
+        c2, r = fr.cov2_riemann, fr.riem_ud
+        terms = [np.einsum("mbef,amcd->abcdef", r, r),
+                 np.einsum("mcef,abmd->abcdef", r, r),
+                 np.einsum("mdef,abcm->abcdef", r, r),
+                 -np.einsum("amef,mbcd->abcdef", r, r)]
+        scale = max(np.max(np.abs(t)) for t in [c2] + terms)
+        commutator = c2 - c2.transpose(0, 1, 2, 3, 5, 4)
+        assert np.max(np.abs(commutator - sum(terms))) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("c", [1e6, 1e-6])
+def test_packed_derivatives_are_unchanged_by_scaling_g(c):
+    # g -> c g leaves Gamma, R^a_bcd and its covariant derivatives as
+    # they are
+    from helpers import fixture_spec
+    from lorhol.pointcalc import _metric_jets, _riemann_derivative_stack
+    for name, partner in FIXTURES_AND_PARTNERS:
+        spec = fixture_spec(name, partner)
+        jets = _metric_jets(spec, sample_points(spec, 4, seed=4), 4)[0]
+        got = _riemann_derivative_stack(jets)
+        scaled = _riemann_derivative_stack(tuple(c * j for j in jets))
+        for key in ("covR6", "cov2R6"):
+            assert (np.max(np.abs(scaled[key] - got[key]))
+                    <= 1e-12 * np.max(np.abs(got[key]))), (name, key)
+
+
+def test_stack_unpacks_a_full_tensor_when_read():
+    # covR and cov2R are the packed rows, unpacked on each read: the
+    # pairs c < d as stored, their negatives below the diagonal
+    from helpers import fixture_spec
+    from lorhol.pointcalc import _metric_jets, _riemann_derivative_stack
+    spec = fixture_spec("r14")
+    stack = _riemann_derivative_stack(
+        _metric_jets(spec, sample_points(spec, 2, seed=4), 4)[0])
+    assert "covR" not in stack and "cov2R" not in stack
+    for key in ("covR", "cov2R"):
+        six, full = stack[key + "6"], stack[key]
+        for p, (c, d) in enumerate([(c, d) for c in range(4)
+                                    for d in range(c + 1, 4)]):
+            assert np.array_equal(
+                np.moveaxis(full[:, :, :, c, d], (1, 2), (-2, -1)),
+                six[..., p])
+        assert np.array_equal(full, -full.swapaxes(3, 4))
+    with pytest.raises(KeyError):
+        stack["cov3R"]

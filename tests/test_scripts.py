@@ -54,6 +54,18 @@ def test_survey_digests_synthetic_section_reaches_b_r5_and_r12():
         assert got == (case[0] if "classify" in name else case), line
 
 
+def test_stack_timing_prints_one_line_per_fixture_and_order(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "stack_timing", SCRIPTS / "stack_timing.py")
+    timing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(timing)
+    timing.main(["--fixtures", "minkowski", "--orders", "2", "--rows", "1",
+                 "--repeat", "1", "--number", "1"])
+    head, line = capsys.readouterr().out.splitlines()
+    assert head.startswith("fixture order")
+    assert re.fullmatch(r"minkowski 2 +[0-9]+\.[0-9]", line), line
+
+
 @pytest.mark.parametrize("argv", [["survey_fixtures.py", "--samples", "2"]]
                          + [[p.name, "--help"]
                             for p in sorted(SCRIPTS.glob("*.py"))])
