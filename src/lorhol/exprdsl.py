@@ -1248,7 +1248,10 @@ def compile_program(exprs: Sequence[Expr], coords: Sequence[str],
     read.  Domain violations surface as non-finite entries, with numpy's
     floating-point warnings unless the caller runs f under np.errstate
     (pointcalc does, around each metric evaluation); callers wanting
-    precise errors fall back on eval_expr."""
+    precise errors fall back on eval_expr.  f.program is the bare
+    compiled function, program(out, *coordinate rows, *values), which
+    writes the (len(exprs), n) block into ``out``: for callers that hold
+    their points as contiguous coordinate rows and own the block."""
     var: dict[Expr, str] = {Coord(c): f"_c{i}" for i, c in enumerate(coords)}
     var.update({Param(p): f"_p{i}" for i, p in enumerate(param_names)})
     rows: dict[Expr, list[int]] = {}
@@ -1303,4 +1306,5 @@ def compile_program(exprs: Sequence[Expr], coords: Sequence[str],
         f(out, *np.ascontiguousarray(pts.T), *param_values)
         return out
 
+    evaluate.program = f
     return evaluate

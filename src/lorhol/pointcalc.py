@@ -10,10 +10,11 @@ memoised per spec, since the geodesic loop evaluates them on every RK4
 stage.  When the symbolic det g and adjugate of a metric add few lines
 to its order-1 program, christoffel_batch compiles them in, with Gamma
 = adj(g) s / (2 det g) over one shared reciprocal, so a stage makes no
-numpy linear-algebra call and tests a valid block in one pass; larger
-metrics invert g numerically.  frames_at assembles the
-tensors of a chunk of points in one batched stack and hands each
-PointFrame its rows; a frame computes any other tensor when first read.
+numpy linear-algebra call, and the stages of an RK4 step are tested
+valid in one pass; larger metrics invert g numerically.  frames_at
+assembles the tensors of a chunk of points in one batched stack and
+hands each PointFrame its rows; a frame computes any other tensor when
+first read.
 Past R the stack is packed: R;e and R;e;f keep the pairs c < d of their
 antisymmetric (c, d) slots, and a frame unpacks them to the full tensor
 only when cov_riemann or cov2_riemann is read.
@@ -259,7 +260,13 @@ def _metric_program(spec: MetricSpec, order: int) -> tuple:
 # lines and took the numeric path: with it fused, cold CLI, median of 4
 # alternating runs pinned to one CPU of a 2-core VM, geodesic-check with
 # the raw r11 partner driving took 3.33 s -> 4.22 s and with the raw r9
-# partner driving 2.91 s -> 4.15 s.  So the budget stays.
+# partner driving 2.91 s -> 4.15 s.  So the budget stays.  Since the
+# RK4 loop runs a step's four stages under one validity test, the
+# crossover script times fused and numeric per stage of such a step; on
+# a loaded 2-core VM two runs put the crossing at 157 and 197 added
+# lines, against 125 for the former per-call kernels measured
+# alongside.  That is too noisy to move the budget, and every partner in
+# normal form stays fused and every raw formula numeric either way.
 _FUSED_LINES = 100
 
 # the index pairs b <= c in order, and the row of Gamma^a_bc among the
@@ -310,12 +317,16 @@ def _fused_rows(g: tuple, coords: tuple, constraints: tuple) -> tuple | None:
 
 
 def _fused_program(spec: MetricSpec, rows: tuple) -> tuple:
-    """(f, values): spec's order-1 jet program with its constraints and
-    ``rows`` (det g and the 40 Gamma rows) riding along, and spec's
-    parameter values."""
+    """(program, values, size): the bare program (exprdsl's
+    evaluate.program) of spec's order-1 jets with its constraints and
+    ``rows`` (det g and the 40 Gamma rows) riding along, spec's
+    parameter values, and the rows of the block it writes."""
     f, _ = _jet_program(spec.g, spec.coords, spec.params.names(), 1,
                         spec.constraints + rows)
-    return f, _values(spec)
+    # perfbench's tracer wraps the evaluators it sees compiled, keeping
+    # the evaluator as __wrapped__
+    program = getattr(f, "__wrapped__", f).program
+    return program, _values(spec), 50 + len(spec.constraints) + len(rows)
 
 
 def _field_jets(spec: MetricSpec, comps, points, order: int = 0) -> tuple:
@@ -355,7 +366,7 @@ def _metric_jets(spec: MetricSpec, pts: np.ndarray, order: int):
         vals = f(pts, values)
         jets = tuple(vals[index].T.reshape((len(pts),) + shape)
                      for index, shape in gathers)
-        finite, admissible = _row_masks(vals, pts,
+        finite, admissible = _row_masks(vals, pts.T,
                                         len(vals) - len(spec.constraints))
         # the rows of vals are the jets' entries, so up to order 2 their
         # finiteness is the one the determinant test needs
@@ -363,15 +374,17 @@ def _metric_jets(spec: MetricSpec, pts: np.ndarray, order: int):
     return jets, finite, admissible, valid
 
 
-def _row_masks(vals: np.ndarray, pts: np.ndarray, m: int) -> tuple:
-    """(finite, admissible) of a compiled block at points pts whose rows
-    [:m] are jet entries and the rest domain constraints: the rows with
-    finite jets, and the rows with finite coordinates at which every
+def _row_masks(vals: np.ndarray, cols: np.ndarray, m: int) -> tuple:
+    """(finite, admissible) of compiled blocks vals (..., rows, n) at
+    points with coordinate rows cols (..., 4, n), whose rows [:m] are
+    jet entries and the rest domain constraints: the points with finite
+    jets, and the points with finite coordinates at which every
     constraint evaluates finite and > 0."""
     finite = np.isfinite(vals)
-    admissible = (np.isfinite(pts).all(axis=1)
-                  & (finite[m:] & (vals[m:] > 0.0)).all(axis=0))
-    return finite[:m].all(axis=0), admissible
+    admissible = (np.isfinite(cols).all(axis=-2)
+                  & (finite[..., m:, :] & (vals[..., m:, :] > 0.0))
+                  .all(axis=-2))
+    return finite[..., :m, :].all(axis=-2), admissible
 
 
 def admissible_mask(spec: MetricSpec, points: np.ndarray) -> np.ndarray:
@@ -462,72 +475,124 @@ def christoffel_batch(spec: MetricSpec, points):
     """Return (gamma, ok, admissible): gamma[n,a,b,c] = Gamma^a_bc batched
     over points, ok marks the rows with finite jets and a non-degenerate
     g, and admissible the rows that admissible_mask accepts.  Rows not ok
-    hold the flat placeholder gamma = 0.  An RK4 stage costs one compiled
-    call per metric, through spec's _christoffel_kernel: for a metric
-    whose fused program is small that call also returns det g and Gamma,
-    so no np.linalg call follows, and one pass tests whether the whole
-    block is valid; otherwise _metric_jets (jets, masks and the
-    determinant test) is followed by _gamma_terms."""
-    return _christoffel_kernel(spec)(
-        np.atleast_2d(np.asarray(points, dtype=float)))
+    hold the flat placeholder gamma = 0.  One block of spec's
+    _christoffel_kernel: its evaluation, then its validity, per row only
+    when the whole-block test fails."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return _christoffel_block(_christoffel_kernel(spec), pts)
 
 
-@lru_cache(maxsize=1024)
-def _christoffel_kernel(spec: MetricSpec, whole: bool = True):
-    """christoffel_batch of spec as a callable pts (n, 4) float ->
-    (gamma, ok, admissible): _fused_christoffel bound to spec's
-    _fused_program, or _numeric_christoffel past the line budget.  A
-    per-spec memo, like _metric_program; the geodesic loop fetches it
-    once a block and calls it on every RK4 stage.  whole=False skips
-    the whole-block test, for blocks that are known to fail it; the
-    triple is the same."""
-    rows = _fused_rows(spec.g, spec.coords, spec.constraints)
-    if rows is None:
-        return partial(_numeric_christoffel, spec)
-    return partial(_fused_christoffel, *_fused_program(spec, rows),
-                   whole=whole)
-
-
-def _fused_christoffel(f, values, pts: np.ndarray, *,
-                       whole: bool = True) -> tuple:
-    """christoffel_batch from a fused program f: rows 0..9 of its block
-    are g (upper triangle), 10..49 dg, then the constraints, det g and
-    the 40 Gamma rows.  With ``whole``, a block that passes _block_valid
-    has every row ok and admissible; only a block that fails it takes
-    the per-row masks."""
+def _christoffel_block(kernel, pts: np.ndarray) -> tuple:
+    """christoffel_batch at points pts (n, 4) float through kernel, a
+    _christoffel_kernel; one np.errstate silences the evaluation and the
+    validity tests."""
+    stages = kernel(1, len(pts))
     with np.errstate(all="ignore"):
-        vals = f(pts, values)
-        rows, det = vals[:-41], vals[-41]
-        gamma = vals[-40:][_GAMMA_ROWS].T.reshape(len(pts), DIM, DIM, DIM)
-        if whole and _block_valid(rows, det, pts):
+        gamma = stages(pts)
+        if stages.valid():
             ok = np.empty(len(pts), dtype=bool)
             ok.fill(True)
             return gamma, ok, ok.copy()
-        finite, admissible = _row_masks(rows, pts, 50)
-        ok = finite & _nondegenerate(det, np.abs(rows[:10]).max(axis=0))
+        (ok,), (admissible,) = stages.masks()
     gamma[~ok] = 0.0
     return gamma, ok, admissible
 
 
-def _block_valid(rows: np.ndarray, det: np.ndarray, pts: np.ndarray) -> bool:
-    """Whether every row of a non-empty fused block passes the per-row
-    tests, in a few whole-block reductions: the squares of the jet and
-    constraint rows and of the points have a finite sum (so every entry
-    is finite), every constraint row (rows[50:]) is > 0, and half the
-    smallest |det g| passes the determinant test of _nondegenerate at
-    the block's largest |g_ab|.  That threshold is at least every row's
-    own, and the halving is slack for rounding in it, so a block that
-    passes has no row that the per-row test rejects; a False costs only
-    the per-row masks.  The threshold is a numpy scalar, as in
-    _nondegenerate: past max |g_ab| ~ 1e77 its fourth power is inf
-    under the caller's np.errstate, and the block fails."""
-    if not (len(pts)
-            and math.isfinite(np.vdot(rows, rows) + np.vdot(pts, pts))
-            and (len(rows) == 50 or np.minimum.reduce(rows[50:], None) > 0)):
+@lru_cache(maxsize=1024)
+def _christoffel_kernel(spec: MetricSpec):
+    """spec's Christoffel kernel, a per-spec memo like _metric_program:
+    kernel(count, n) gives the stages of one block, _FusedStages bound to
+    spec's _fused_program, or _NumericStages past the line budget.
+    christoffel_batch runs one stage; the geodesic loop runs an RK4
+    step's four and decides their validity once."""
+    rows = _fused_rows(spec.g, spec.coords, spec.constraints)
+    if rows is None:
+        return partial(_NumericStages, spec)
+    return partial(_FusedStages, *_fused_program(spec, rows))
+
+
+class _FusedStages:
+    """Up to ``count`` evaluations of a fused program at n points each,
+    in its two parts.  Evaluation: a call writes the points' coordinate
+    rows and the program's block (rows 0..9 g, upper triangle, 10..49
+    dg, then the constraints, det g and the 40 Gamma rows) into the
+    next slice of one buffer and returns Gamma, unmasked.  Validity:
+    valid() is _block_valid over every block evaluated so far, masks()
+    their per-row (ok, admissible), each (k, n).  Callers hold the
+    np.errstate."""
+
+    def __init__(self, program, values: tuple, size: int, count: int,
+                 n: int):
+        self.program, self.values, self.k = program, values, 0
+        self.vals = np.empty((count, size, n))
+        self.cols = np.empty((count, DIM, n))
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        vals, cols = self.vals[self.k], self.cols[self.k]
+        self.k += 1
+        cols[...] = pts.T
+        self.program(vals, cols[0], cols[1], cols[2], cols[3], *self.values)
+        return vals[-40:].take(_GAMMA_ROWS, axis=0).T.reshape(
+            len(pts), DIM, DIM, DIM)
+
+    def valid(self) -> bool:
+        return _block_valid(self.vals[:self.k], self.cols[:self.k])
+
+    def masks(self) -> tuple:
+        vals = self.vals[:self.k]
+        finite, admissible = _row_masks(vals[:, :-41], self.cols[:self.k],
+                                        50)
+        ok = finite & _nondegenerate(vals[:, -41],
+                                     np.abs(vals[:, :10]).max(axis=1))
+        return ok, admissible
+
+
+def _block_valid(vals: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether every row of non-empty fused blocks vals (k, size, n) at
+    points with coordinate rows cols (k, 4, n) passes the per-row tests
+    of _FusedStages.masks, in a few reductions over all k blocks at once:
+    the squares of every entry of the blocks and of the points have a
+    finite sum (so every entry is finite), every constraint row is > 0,
+    and half the smallest |det g| passes the determinant test of
+    _nondegenerate at the blocks' largest |g_ab|.
+    That threshold is at least every row's own, and the halving is slack
+    for rounding in it, so blocks that pass have no row that the per-row
+    test rejects; a False costs only the per-row masks.  The threshold
+    is a numpy scalar, as in _nondegenerate: past max |g_ab| ~ 1e77 its
+    fourth power is inf under the caller's np.errstate, and the blocks
+    fail."""
+    m = vals.shape[1] - 41  # the end of the constraint rows
+    if not (vals.shape[-1]
+            and math.isfinite(np.vdot(vals, vals) + np.vdot(cols, cols))
+            and (m == 50 or np.minimum.reduce(vals[:, 50:m], None) > 0)):
         return False
-    gmax = np.maximum(np.maximum.reduce(np.abs(rows[:10]), None), 1e-300)
-    dmin = np.minimum.reduce(np.abs(det))
+    gmax = np.maximum(np.maximum.reduce(np.abs(vals[:, :10]), None), 1e-300)
+    dmin = np.minimum.reduce(np.abs(vals[:, -41]), None)
     return bool(dmin / 2 > DEGENERACY_TOL * gmax ** 4)
+
+
+class _NumericStages:
+    """The stages of a metric past the line budget, with the interface
+    of _FusedStages: each evaluation is _numeric_christoffel, which
+    takes the per-row masks before it inverts g, so valid() and masks()
+    read the masks kept from every evaluation."""
+
+    def __init__(self, spec: MetricSpec, count: int, n: int):
+        self.spec, self.k = spec, 0
+        self.ok = np.empty((count, n), dtype=bool)
+        self.admissible = np.empty((count, n), dtype=bool)
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        gamma, self.ok[self.k], self.admissible[self.k] = \
+            _numeric_christoffel(self.spec, pts)
+        self.k += 1
+        return gamma
+
+    def valid(self) -> bool:
+        return bool(self.ok[:self.k].all() and self.admissible[:self.k].all())
+
+    def masks(self) -> tuple:
+        return self.ok[:self.k], self.admissible[:self.k]
 
 
 def _numeric_christoffel(spec: MetricSpec, pts: np.ndarray) -> tuple:

@@ -420,14 +420,17 @@ def pregeodesic_check(g_spec: MetricSpec, gp_spec: MetricSpec,
     invalid or the point leaves either metric's domain.
 
     Only g drives the integration, so g is integrated alone over a block
-    of max(1, _BLOCK_ROWS // trials) steps, with one call of g's
-    Christoffel kernel (christoffel_batch, fetched once a block) per RK4
-    stage; then one christoffel_batch call evaluates g' at all of the
-    block's points, and the block's scores are computed at once.  Replaying the
-    block's masks step by step gives the report of a loop that checks
-    both metrics at every step, bit for bit: no row's arithmetic depends
-    on the batch size.  A trial that g' stops keeps moving to the end of
-    its block, where it is frozen; its later rows are not scored.
+    of max(1, _BLOCK_ROWS // trials) steps; then one christoffel_batch
+    call evaluates g' at all of the block's points, and the block's
+    scores are computed at once.  Each RK4 step evaluates g's four
+    stages unmasked, one compiled call each (the stages of g's
+    _christoffel_kernel), and decides their validity once: one
+    whole-step test, and per-row masks only in a step that fails it.
+    Replaying the block's masks step by step gives the report of a loop
+    that checks both metrics at every step, bit for bit: no row's
+    arithmetic depends on the batch size or on another row.  A trial
+    that g' stops keeps moving to the end of its block, where it is
+    frozen; its later rows are not scored.
     """
     if gp_spec.coords != g_spec.coords:
         raise InversionError("metrics must share coordinates")
@@ -458,40 +461,57 @@ def pregeodesic_check(g_spec: MetricSpec, gp_spec: MetricSpec,
         for idx in np.where(dead)[0]:
             truncated[int(idx)] = step
 
+    # a step whose stages pass the whole-step test is valid at every row;
+    # once a step has an invalid row, every later step has one (a trial
+    # that g stopped keeps the stage point that failed), so its test is
+    # skipped
+    every = np.ones(trials, dtype=bool)
+    whole = True
+    kernel = _christoffel_kernel(g_spec)
     first = 0
     while first < steps and np.any(active):
-        # christoffel_batch of g for every stage of the block, without the
-        # whole-block test once a trial has stopped: a trial that g
-        # stopped keeps stage points that fail it at every later stage
-        christoffel = _christoffel_kernel(g_spec, bool(moving.all()))
         xs, vs, gammas, x_ok, stage_ok = [], [], [], [], []
-        for _ in range(min(block, steps - first)):
-            gamma, ok, inside = christoffel(x)
-            xs.append(x)
-            vs.append(v)
-            gammas.append(gamma)
-            x_ok.append(ok & inside)
-            moving &= x_ok[-1]
-            # where g stops every trial, the replay stops too, so this
-            # last step needs no stage mask
-            if not np.any(moving):
-                break
-            # RK4 on (x, v); each stage's velocity is its position slope
-            k1v = acc(gamma, v)
-            k2x = v + 0.5 * h * k1v
-            g2, ok2, in2 = christoffel(x + 0.5 * h * v)
-            k2v = acc(g2, k2x)
-            k3x = v + 0.5 * h * k2v
-            g3, ok3, in3 = christoffel(x + 0.5 * h * k2x)
-            k3v = acc(g3, k3x)
-            k4x = v + h * k3v
-            g4, ok4, in4 = christoffel(x + h * k3x)
-            k4v = acc(g4, k4x)
-            stage_ok.append(ok2 & in2 & ok3 & in3 & ok4 & in4)
-            moving &= stage_ok[-1]
-            upd = moving[:, None]
-            x = np.where(upd, x + (h / 6) * (v + 2 * k2x + 2 * k3x + k4x), x)
-            v = np.where(upd, v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v), v)
+        # the stages are evaluated unmasked, so a row that fails one
+        # carries nan or inf into the later stages and the update, which
+        # np.where then discards
+        with np.errstate(all="ignore"):
+            for _ in range(min(block, steps - first)):
+                # RK4 on (x, v); each stage's velocity is its position slope
+                stage = kernel(4, trials)
+                gamma = stage(x)
+                k1v = acc(gamma, v)
+                k2x = v + 0.5 * h * k1v
+                k2v = acc(stage(x + 0.5 * h * v), k2x)
+                k3x = v + 0.5 * h * k2v
+                k3v = acc(stage(x + 0.5 * h * k2x), k3x)
+                k4x = v + h * k3v
+                k4v = acc(stage(x + h * k3x), k4x)
+                xs.append(x)
+                vs.append(v)
+                gammas.append(gamma)
+                if whole and stage.valid():
+                    ok_x = ok_stages = every
+                else:
+                    ok, admissible = stage.masks()
+                    # stage 1's Gamma goes to the scores: the flat
+                    # placeholder where it is not ok, as christoffel_batch
+                    gamma[~ok[0]] = 0.0
+                    ok &= admissible
+                    whole = bool(ok.all())
+                    ok_x, ok_stages = ok[0], ok[1:].all(axis=0)
+                x_ok.append(ok_x)
+                moving &= ok_x
+                # where g stops every trial, the replay stops too, so this
+                # last step records no stage mask
+                if not np.any(moving):
+                    break
+                stage_ok.append(ok_stages)
+                moving &= ok_stages
+                upd = moving[:, None]
+                x = np.where(upd, x + (h / 6) * (v + 2 * k2x + 2 * k3x + k4x),
+                             x)
+                v = np.where(upd,
+                             v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v), v)
 
         # the second metric and the scores of the whole block at once
         n = len(xs)

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -638,20 +640,20 @@ def _around_the_box(spec, n):
 def test_fused_christoffels_match_the_numeric_path(name, partner):
     from helpers import fixture_spec
     from lorhol.pointcalc import (
-        _christoffel_rows, _fused_christoffel, _fused_program,
+        _christoffel_block, _christoffel_rows, _fused_program, _FusedStages,
     )
     spec = fixture_spec(name, partner)
     # past the line budget too, so the partners' fused programs are built
-    fused = _fused_program(spec, tuple(_christoffel_rows(spec.g,
-                                                         spec.coords)))
+    fused = partial(_FusedStages, *_fused_program(
+        spec, tuple(_christoffel_rows(spec.g, spec.coords))))
     for n in (20, 240):
         # Gamma at points of the domain; the masks there and around it
         pts = sample_points(spec, n, seed=5)
-        gamma = _fused_christoffel(*fused, pts)[0]
+        gamma = _christoffel_block(fused, pts)[0]
         want = _numeric_christoffel(spec, pts)[0]
         assert np.max(np.abs(gamma - want)) <= 1e-14 * np.max(np.abs(want))
         for pts in (pts, _around_the_box(spec, n)):
-            gamma, ok, admissible = _fused_christoffel(*fused, pts)
+            gamma, ok, admissible = _christoffel_block(fused, pts)
             _, want_ok, want_admissible = _numeric_christoffel(spec, pts)
             assert ok.tolist() == want_ok.tolist()
             assert admissible.tolist() == want_admissible.tolist()
@@ -664,17 +666,16 @@ def test_line_budget_fuses_the_fixtures_and_their_partners():
     # numeric path, bit for bit
     from helpers import fixture_spec, raw_partner
     from lorhol.pointcalc import (
-        _christoffel_kernel, _fused_christoffel,
-        _numeric_christoffel as numeric, christoffel_batch,
+        _christoffel_kernel, _FusedStages, _NumericStages, christoffel_batch,
     )
     for name, partner in FIXTURES_AND_PARTNERS:
         spec = fixture_spec(name, partner)
-        assert _christoffel_kernel(spec).func is _fused_christoffel, name
+        assert _christoffel_kernel(spec).func is _FusedStages, name
     for name in FIXTURES:
         if name == "minkowski":
             continue
         spec = raw_partner(name)
-        assert _christoffel_kernel(spec).func is numeric, name
+        assert _christoffel_kernel(spec).func is _NumericStages, name
         pts = _around_the_box(spec, 20)
         got, want = christoffel_batch(spec, pts), \
             _numeric_christoffel(spec, pts)
@@ -692,10 +693,11 @@ class TestBlockValidity:
         from lorhol.pointcalc import (
             _GAMMA_ROWS, _christoffel_kernel, _nondegenerate, _row_masks,
         )
-        f, values = _christoffel_kernel(spec).args
+        program, values, size = _christoffel_kernel(spec).args
+        vals = np.empty((size, len(pts)))
         with np.errstate(all="ignore"):
-            vals = f(pts, values)
-            finite, admissible = _row_masks(vals[:-41], pts, 50)
+            program(vals, *np.ascontiguousarray(pts.T), *values)
+            finite, admissible = _row_masks(vals[:-41], pts.T, 50)
             ok = finite & _nondegenerate(vals[-41],
                                          np.abs(vals[:10]).max(axis=0))
         gamma = vals[-40:][_GAMMA_ROWS].T.reshape(len(pts), 4, 4, 4)
@@ -775,6 +777,31 @@ class TestBlockValidity:
         _, ok, admissible = self.check(spec, pts, monkeypatch, True)
         assert ok.tolist() == [True, True, False, False, True, True]
         assert admissible.all()
+
+    @pytest.mark.parametrize("bad", [False, True])
+    def test_four_stages_decide_as_each_block(self, bad):
+        # an RK4 step's four blocks in one _FusedStages: one whole-step
+        # test over all of them, and per-block masks and Gamma equal to
+        # the per-row path's on each block
+        from lorhol.pointcalc import _christoffel_kernel
+        spec, pts = self.appendix()
+        blocks = [pts, pts[::-1].copy(), pts + 0.01, pts.copy()]
+        if bad:
+            # u = -1 is outside the domain, u = 0 makes g degenerate
+            blocks[2][5, 0], blocks[3][11, 0] = -1.0, 0.0
+        stages = _christoffel_kernel(spec)(4, len(pts))
+        with np.errstate(all="ignore"):
+            gammas = [stages(b) for b in blocks]
+            valid = stages.valid()
+            ok, admissible = stages.masks()
+        assert valid is not bad
+        for k, b in enumerate(blocks):
+            gamma, want_ok, want_admissible = self.per_row(spec, b)
+            assert ok[k].tolist() == want_ok.tolist()
+            assert admissible[k].tolist() == want_admissible.tolist()
+            masked = np.where(ok[k][:, None, None, None], gammas[k], 0.0)
+            assert masked.tobytes() == gamma.tobytes()
+        assert (~ok).sum() == bad and (~admissible).sum() == 2 * bad
 
     def test_finite_entries_whose_sum_overflows(self, monkeypatch):
         # the block test's sums overflow here; every row is valid all the

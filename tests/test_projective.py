@@ -588,46 +588,117 @@ class TestBlockedSecondMetric:
         partner = invert_pair(appendix.pair).partner
         self.matches_reference(appendix.g, partner, trials, steps, 0.5, 5)
 
+    @staticmethod
+    def spy_stages(monkeypatch, spec, events):
+        # g's stages as the loop runs them, logging each compiled call
+        # (p), whole-step test (v) and per-row masks (m) into events; g'
+        # goes through christoffel_batch, which is not spied here
+        from functools import partial
+        from lorhol import pointcalc
+        program, values, size = pointcalc._christoffel_kernel(spec).args
+
+        def counted(*args):
+            events.append("p")
+            return program(*args)
+
+        class Stages(pointcalc._FusedStages):
+            def valid(self):
+                events.append("v")
+                return super().valid()
+
+            def masks(self):
+                events.append("m")
+                masks = super().masks()
+                events.append([m.copy() for m in masks])
+                return masks
+
+        monkeypatch.setattr(projective, "_christoffel_kernel",
+                            lambda s: partial(Stages, counted, values, size))
+
     def test_one_second_metric_call_per_block(self, appendix, monkeypatch):
-        # g is evaluated through its Christoffel kernel, fetched once a
-        # block and called four stages a step; g' through
-        # christoffel_batch, once per block
+        # each RK4 step of g is four compiled calls and one whole-step
+        # test, and g' is one christoffel_batch call per block
         partner = invert_pair(appendix.pair).partner
-        calls, stages = [], []
+        events = []
+        self.spy_stages(monkeypatch, appendix.g, events)
         batch = projective.christoffel_batch
-        kernel = projective._christoffel_kernel
-
-        def spy(spec, points):
-            calls.append(spec is partner)
-            return batch(spec, points)
-
-        def kernel_spy(spec, whole):
-            stages.append((whole, []))
-            run = kernel(spec, whole)
-            return lambda pts: stages[-1][1].append(spec) or run(pts)
-
-        monkeypatch.setattr(projective, "christoffel_batch", spy)
-        monkeypatch.setattr(projective, "_christoffel_kernel", kernel_spy)
+        monkeypatch.setattr(
+            projective, "christoffel_batch",
+            lambda spec, pts: events.append("b" if spec is partner else "g")
+            or batch(spec, pts))
         trials, steps = 20, 50
         block = _BLOCK_ROWS // trials
         rep = pregeodesic_check(appendix.g, partner, trials=trials,
                                 steps=steps, horizon=0.1, seed=7)
         assert not rep.truncated
-        assert calls == [True] * math.ceil(steps / block)
-        assert stages == [(True, [appendix.g] * (4 * min(block, steps - i)))
-                          for i in range(0, steps, block)]
+        assert "".join(events) == "".join(
+            "ppppv" * min(block, steps - i) + "b"
+            for i in range(0, steps, block))
 
     def test_whole_block_test_dropped_after_the_first_stop(self, appendix,
                                                            monkeypatch):
-        # a trial that g stops keeps stage points that would fail the
-        # whole-block test at every later stage; the report is the same
-        fetched = []
-        kernel = projective._christoffel_kernel
-        monkeypatch.setattr(
-            projective, "_christoffel_kernel",
-            lambda spec, whole: fetched.append(whole) or kernel(spec, whole))
+        # a trial that g stops keeps the stage point that failed, so every
+        # later step has an invalid row: the whole-step test runs until
+        # the first step that fails it, and the masks from that step on
+        events = []
+        self.spy_stages(monkeypatch, appendix.g, events)
         rep = self.matches_reference(appendix.g, appendix.g, 20, 120, 5.0, 0)
         first = min(s for _, s in rep.truncated)
         block = _BLOCK_ROWS // 20
-        assert first >= block and len(fetched) > 2
-        assert fetched == [i * block <= first for i in range(len(fetched))]
+        g_steps = "".join(e for e in events if isinstance(e, str))
+        taken = g_steps.count("pppp")
+        assert first >= block and taken > first + 1
+        assert g_steps == ("ppppv" * first + "ppppvm"
+                           + "ppppm" * (taken - first - 1))
+
+    def test_step_failing_after_its_first_stage(self, monkeypatch):
+        # narrowed r9 drives: in the steps that fail the whole-step test,
+        # rows valid at stage 1 have non-finite or degenerate Christoffels
+        # first at stage 2, at stage 3 and at stage 4; the unmasked
+        # stages carry them into the later stages and the update
+        g = narrowed(fixture_spec("r9"))
+        events = []
+        self.spy_stages(monkeypatch, g, events)
+        rep = self.matches_reference(g, fixture_spec("r9"), 20, 10, 2.0, 0)
+        assert rep.truncated and rep.scored > 0
+        first_bad = set()
+        for ok, admissible in (e for e in events if isinstance(e, list)):
+            valid_first = ok[0] & admissible[0]
+            first_bad |= {int(np.argmin(ok[:, r])) + 1
+                          for r in np.flatnonzero(valid_first & ~ok.all(0))}
+        assert first_bad == {2, 3, 4}
+
+    def test_every_moving_trial_stops_at_stage_1(self, monkeypatch):
+        # one r9 trajectory whose point at step 106 leaves the domain
+        # although every stage of step 105 was inside it: the last step
+        # takes the loop's break, with no stage mask
+        spec = fixture_spec("r9")
+        events = []
+        self.spy_stages(monkeypatch, spec, events)
+        rep = self.matches_reference(spec, spec, 1, 200, 2.0, 2)
+        assert rep.truncated == [(0, 106)] and rep.scored == 106
+        masks = [e for e in events if isinstance(e, list)]
+        ok, admissible = masks[-1]
+        assert len(masks) == 1 and not (ok[0] & admissible[0]).any()
+
+    def test_degenerate_first_metric_stops_every_trial_at_step_0(self):
+        # g with a zero row: det g = 0 at every start point, so the first
+        # step takes the break with the unmasked Gamma of g inf or nan
+        # there; the placeholder zeros keep it out of the scores
+        g = fixture_spec("r9")
+        rows = [list(r[:i + 1]) for i, r in enumerate(g.g)]
+        rows[3] = ["0"] * 4
+        flat_y = metric_spec(g.coords, rows, params=g.params,
+                             sample_box=g.sample_box)
+        rep = self.matches_reference(flat_y, g, 3, 20, 0.1, 7)
+        assert rep.truncated == [(0, 0), (1, 0), (2, 0)]
+        assert rep.scored == 0
+
+    def test_numeric_path_drives(self):
+        # a partner as the raw adjugate formula takes the numeric kernel
+        # (past the line budget); its masks come with every stage
+        from lorhol.pointcalc import _NumericStages, _christoffel_kernel
+        g = raw_partner("r9")
+        assert _christoffel_kernel(g).func is _NumericStages
+        rep = self.matches_reference(g, fixture_spec("r9"), 20, 100, 2.0, 1)
+        assert rep.truncated and rep.scored > 0

@@ -66,6 +66,41 @@ def test_stack_timing_prints_one_line_per_fixture_and_order(capsys):
     assert re.fullmatch(r"minkowski 2 +[0-9]+\.[0-9]", line), line
 
 
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_christoffel_crossover_prints_every_metric_and_the_crossover(
+        capsys):
+    _script("christoffel_crossover").main(["--repeat", "1", "--number", "1"])
+    head, *lines, fit = capsys.readouterr().out.splitlines()
+    assert head.split()[:3] == ["metric", "jet", "lines"]
+    # 7 fixtures, 6 partners and the 7-rung ladder, each with 8 numbers
+    assert len(lines) == 20
+    for line in lines:
+        assert re.fullmatch(r"[a-z0-9-]+( +[0-9]+(\.[0-9])?){10}", line), line
+    assert re.fullmatch(r"fused - numeric per stage at 20 rows ~ .* equal at "
+                        r"-?[0-9]+ added lines", fit), fit
+
+
+def test_geodesic_timing_prints_one_line_per_pair(capsys):
+    _script("geodesic_timing").main(["--fixtures", "r9", "minkowski",
+                                     "--steps", "2", "--repeat", "1",
+                                     "--number", "1"])
+    head, *lines = capsys.readouterr().out.splitlines()
+    assert head.split()[:3] == ["fixture", "pair", "us/step"]
+    # minkowski has no derived partner
+    assert [line.split()[:2] for line in lines] == [
+        ["r9", "self"], ["r9", "partner"], ["r9", "flat"],
+        ["minkowski", "self"], ["minkowski", "flat"]]
+    for line in lines:
+        assert re.fullmatch(r"[a-z0-9]+ +[a-z]+ +[0-9]+\.[0-9] +40", line), \
+            line
+
+
 @pytest.mark.parametrize("argv", [["survey_fixtures.py", "--samples", "2"]]
                          + [[p.name, "--help"]
                             for p in sorted(SCRIPTS.glob("*.py"))])
