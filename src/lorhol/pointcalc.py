@@ -7,14 +7,14 @@ never appear outside the test oracles.  Jets come from one compiled
 program per field and derivative order k, whose one call returns
 orders 0..k.  A metric's programs, and its Christoffel kernel, are also
 memoised per spec, since the geodesic loop evaluates them on every RK4
-stage.  When the symbolic det g and adjugate of a metric add few lines
-to its order-1 program, christoffel_batch compiles them in, with Gamma
-= adj(g) s / (2 det g) over one shared reciprocal, so a stage makes no
-numpy linear-algebra call, and the stages of an RK4 step are tested
-valid in one pass; larger metrics invert g numerically.  frames_at
-assembles the tensors of a chunk of points in one batched stack and
-hands each PointFrame its rows; a frame computes any other tensor when
-first read.
+stage.  The Christoffel kernel is the metric's order-1 program with
+the symbolic det g and Gamma = adj(g) s / (2 det g), over one shared
+reciprocal, compiled in: a christoffel_batch block or an RK4 stage is
+one compiled call and no numpy linear-algebra call, and the stages of
+an RK4 step are tested valid in one pass.  frames_at assembles the
+tensors of a chunk of points in one batched stack and hands each
+PointFrame its rows; a frame computes any other tensor when first
+read.
 Past R the stack is packed: R;e and R;e;f keep the pairs c < d of their
 antisymmetric (c, d) slots, and a frame unpacks them to the full tensor
 only when cov_riemann or cov2_riemann is read.
@@ -39,9 +39,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .exprdsl import (
-    Const, Expr, ParamEnv, add, compile_program, count_lines,
-    differentiate, div, eval_expr, free_symbols, mul, parse_expr, sub,
-    sym_cofactor4, sym_det4, sym_sum,
+    Const, Expr, ParamEnv, add, compile_program, differentiate, div,
+    eval_expr, free_symbols, mul, parse_expr, sub, sym_cofactor4, sym_det4,
+    sym_sum,
 )
 
 __all__ = [
@@ -241,33 +241,13 @@ def _values(spec: MetricSpec) -> tuple:
 def _metric_program(spec: MetricSpec, order: int) -> tuple:
     """(f, gathers, values): the _jet_program of spec's metric through
     ``order`` with spec.constraints riding along, and spec's parameter
-    values.  The one per-spec memo, for _metric_jets runs on every RK4
-    stage of the geodesic loop: a lookup by spec (nodes hash by identity)
-    costs about a third of a _jet_program lookup plus _values."""
+    values.  A per-spec memo, for _metric_jets runs on every chunk of
+    frames_at and every batch of sample_points: a lookup by spec (nodes
+    hash by identity) costs about a third of a _jet_program lookup plus
+    _values."""
     return (*_jet_program(spec.g, spec.coords, spec.params.names(), order,
                           spec.constraints), _values(spec))
 
-
-# christoffel_batch takes det g and Gamma from one compiled call when
-# they add at most this many lines (count_lines) to the order-1 jet
-# program of g.  In 20-row RK4 stage calls fused and numeric time cross
-# at about 100-125 added lines (scripts/christoffel_crossover.py, 2-core
-# VM).  The shipped fixtures add 0-39 lines, and their derived partners,
-# in exprdsl's normal form, 70-97 (r14, r9, r9-b0, r10 and r13, r11),
-# so every one of them is fused: on each, the fused call took 7-36 %
-# less time than the numeric one at 20 rows, and about a third of its
-# time at 240 rows.  A partner as the raw adjugate formula added 288-431
-# lines and took the numeric path: with it fused, cold CLI, median of 4
-# alternating runs pinned to one CPU of a 2-core VM, geodesic-check with
-# the raw r11 partner driving took 3.33 s -> 4.22 s and with the raw r9
-# partner driving 2.91 s -> 4.15 s.  So the budget stays.  Since the
-# RK4 loop runs a step's four stages under one validity test, the
-# crossover script times fused and numeric per stage of such a step; on
-# a loaded 2-core VM two runs put the crossing at 157 and 197 added
-# lines, against 125 for the former per-call kernels measured
-# alongside.  That is too noisy to move the budget, and every partner in
-# normal form stays fused and every raw formula numeric either way.
-_FUSED_LINES = 100
 
 # the index pairs b <= c in order, and the row of Gamma^a_bc among the
 # 40 Gamma rows (a, then b <= c) for each (a, b, c) in C order
@@ -276,43 +256,23 @@ _GAMMA_ROWS = np.array([len(_PAIRS) * a + _PAIRS.index(tuple(sorted(bc)))
                         for a, *bc in np.ndindex(DIM, DIM, DIM)])
 
 
-def _christoffel_rows(g: tuple, coords: tuple):
-    """Yield det g, then Gamma^a_bc for a and b <= c in order, as
-    expressions.  With s_dbc = d_b g_dc + d_c g_db - d_d g_bc and one
-    shared reciprocal r = 1/2 / det g, Gamma^a_bc = (sum_d adj(g)^ad
-    s_dbc) r.  The adjugate is built one row a at a time, so a consumer
-    that stops early builds only the minors it has read."""
+@lru_cache(maxsize=1024)
+def _christoffel_rows(g: tuple, coords: tuple) -> tuple:
+    """det g, then Gamma^a_bc for a and b <= c in order, as expressions,
+    to ride along the order-1 jet program of g.  With s_dbc = d_b g_dc +
+    d_c g_db - d_d g_bc and one shared reciprocal r = 1/2 / det g,
+    Gamma^a_bc = (sum_d adj(g)^ad s_dbc) r.  Keyed by structure, so
+    parameter draws share the rows and their program."""
     det = sym_det4(g)
-    yield det
     dg = [[[differentiate(g[a][b], c) for c in coords] for b in range(DIM)]
           for a in range(DIM)]
     r = div(Const(Fraction(1, 2)), det)
+    rows = [det]
     for a in range(DIM):
         adj = [sym_cofactor4(g, a, d) for d in range(DIM)]
-        for b, c in _PAIRS:
-            yield mul(sym_sum([
-                mul(adj[d], sub(add(dg[d][c][b], dg[d][b][c]), dg[b][c][d]))
-                for d in range(DIM)]), r)
-
-
-@lru_cache(maxsize=1024)
-def _fused_rows(g: tuple, coords: tuple, constraints: tuple) -> tuple | None:
-    """_christoffel_rows as a tuple, to ride along the order-1 jet program
-    of g after its constraints; None when they would add more than
-    _FUSED_LINES lines to that program.  The lines are counted, not
-    emitted, as each row is built, so a rejected metric stops at the row
-    that passes the budget.  Keyed by structure, so parameter draws share
-    the decision and the program."""
-    seen: set = set()
-    count_lines([e for level in _jet_levels(g, coords, 1)
-                 for e in level.values()] + list(constraints), seen)
-    rows: list = []
-    added = 0
-    for row in _christoffel_rows(g, coords):
-        rows.append(row)
-        added += count_lines([row], seen)
-        if added > _FUSED_LINES:
-            return None
+        rows.extend(mul(sym_sum([
+            mul(adj[d], sub(add(dg[d][c][b], dg[d][b][c]), dg[b][c][d]))
+            for d in range(DIM)]), r) for b, c in _PAIRS)
     return tuple(rows)
 
 
@@ -476,8 +436,9 @@ def christoffel_batch(spec: MetricSpec, points):
     over points, ok marks the rows with finite jets and a non-degenerate
     g, and admissible the rows that admissible_mask accepts.  Rows not ok
     hold the flat placeholder gamma = 0.  One block of spec's
-    _christoffel_kernel: its evaluation, then its validity, per row only
-    when the whole-block test fails."""
+    _christoffel_kernel: one compiled call gives det g and Gamma, then
+    the block's validity is tested, per row only when the whole-block
+    test fails."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     return _christoffel_block(_christoffel_kernel(spec), pts)
 
@@ -502,23 +463,22 @@ def _christoffel_block(kernel, pts: np.ndarray) -> tuple:
 def _christoffel_kernel(spec: MetricSpec):
     """spec's Christoffel kernel, a per-spec memo like _metric_program:
     kernel(count, n) gives the stages of one block, _FusedStages bound to
-    spec's _fused_program, or _NumericStages past the line budget.
-    christoffel_batch runs one stage; the geodesic loop runs an RK4
-    step's four and decides their validity once."""
-    rows = _fused_rows(spec.g, spec.coords, spec.constraints)
-    if rows is None:
-        return partial(_NumericStages, spec)
+    spec's _fused_program.  christoffel_batch runs one stage; the
+    geodesic loop runs an RK4 step's four and decides their validity
+    once."""
+    rows = _christoffel_rows(spec.g, spec.coords)
     return partial(_FusedStages, *_fused_program(spec, rows))
 
 
 class _FusedStages:
-    """Up to ``count`` evaluations of a fused program at n points each,
-    in its two parts.  Evaluation: a call writes the points' coordinate
-    rows and the program's block (rows 0..9 g, upper triangle, 10..49
-    dg, then the constraints, det g and the 40 Gamma rows) into the
-    next slice of one buffer and returns Gamma, unmasked.  Validity:
-    valid() is _block_valid over every block evaluated so far, masks()
-    their per-row (ok, admissible), each (k, n).  Callers hold the
+    """The Christoffel stages of one block: up to ``count`` evaluations
+    of a metric's fused program (_fused_program) at n points each, in
+    two parts.  Evaluation: a call writes the points' coordinate rows
+    and the program's block (rows 0..9 g, upper triangle, 10..49 dg,
+    then the constraints, det g and the 40 Gamma rows) into the next
+    slice of one buffer and returns Gamma, unmasked.  Validity: valid()
+    is _block_valid over every block evaluated so far, masks() their
+    per-row (ok, admissible), each (k, n).  Callers hold the
     np.errstate."""
 
     def __init__(self, program, values: tuple, size: int, count: int,
@@ -569,40 +529,6 @@ def _block_valid(vals: np.ndarray, cols: np.ndarray) -> bool:
     gmax = np.maximum(np.maximum.reduce(np.abs(vals[:, :10]), None), 1e-300)
     dmin = np.minimum.reduce(np.abs(vals[:, -41]), None)
     return bool(dmin / 2 > DEGENERACY_TOL * gmax ** 4)
-
-
-class _NumericStages:
-    """The stages of a metric past the line budget, with the interface
-    of _FusedStages: each evaluation is _numeric_christoffel, which
-    takes the per-row masks before it inverts g, so valid() and masks()
-    read the masks kept from every evaluation."""
-
-    def __init__(self, spec: MetricSpec, count: int, n: int):
-        self.spec, self.k = spec, 0
-        self.ok = np.empty((count, n), dtype=bool)
-        self.admissible = np.empty((count, n), dtype=bool)
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        gamma, self.ok[self.k], self.admissible[self.k] = \
-            _numeric_christoffel(self.spec, pts)
-        self.k += 1
-        return gamma
-
-    def valid(self) -> bool:
-        return bool(self.ok[:self.k].all() and self.admissible[:self.k].all())
-
-    def masks(self) -> tuple:
-        return self.ok[:self.k], self.admissible[:self.k]
-
-
-def _numeric_christoffel(spec: MetricSpec, pts: np.ndarray) -> tuple:
-    """christoffel_batch from spec's order-1 jet program (_metric_jets),
-    then np.linalg.inv and one einsum (_gamma_terms)."""
-    (g, dg), _, admissible, ok = _metric_jets(spec, pts, 1)
-    if not ok.all():
-        g[~ok] = np.eye(DIM)
-        dg[~ok] = 0.0
-    return _gamma_terms(g, dg)[2], ok, admissible
 
 
 def require_valid(spec: MetricSpec, points, ok) -> None:
@@ -974,17 +900,6 @@ def _dm(jet: np.ndarray, k: int) -> np.ndarray:
     return np.take(prod, anti[0], axis=1) - np.take(prod, anti[1], axis=1)
 
 
-class _Stack(dict):
-    """A derivative stack's arrays by name.  Read as "covR" or "cov2R",
-    the packed "covR6" or "cov2R6" is unpacked to the full tensor
-    (_unpack), which is not kept."""
-
-    def __missing__(self, key):
-        if key not in ("covR", "cov2R") or key + "6" not in self:
-            raise KeyError(key)
-        return _unpack(self[key + "6"])
-
-
 def _unpack(six: np.ndarray) -> np.ndarray:
     """The full R^a_bcd;e or R^a_bcd;e;f of packed rows (n, e[, f], a, b,
     cd), c < d: (n, a, b, c, d, e[, f]), antisymmetric in (c, d)."""
@@ -1001,9 +916,9 @@ def _riemann_derivative_stack(jets) -> dict:
     """Riemann and its covariant derivatives from batched metric jets
     (g, dg, d2g[, d3g[, d4g]]): a dict with ginv, gamma and R (R^a_bcd),
     plus covR6 (R^a_bcd;e) from d3g and cov2R6 (R^a_bcd;e;f) from d4g,
-    packed: the pairs c < d only, laid out (n, e[, f], a, b, cd).  Read
-    as covR or cov2R, either is unpacked to the full tensor (_Stack).
-    frames_at calls it on row chunks (_CHUNK).
+    packed: the pairs c < d only, laid out (n, e[, f], a, b, cd), which
+    _unpack turns into the full tensor.  frames_at calls it on row
+    chunks (_CHUNK).
 
     Up to R, Gamma^a_bc = 1/2 g^ad s_abc with s_dbc = d_b g_dc + d_c g_db
     - d_d g_bc, and d_e Gamma comes from d_e g^ad.  Higher derivatives of
@@ -1038,7 +953,7 @@ def _riemann_derivative_stack(jets) -> dict:
     riem = (dgamma.transpose(0, 1, 2, 4, 3) - dgamma
             + np.einsum("nace,nebd->nabcd", gamma, gamma)
             - np.einsum("nade,nebc->nabcd", gamma, gamma))
-    out = _Stack(ginv=ginv, gamma=gamma, R=riem)
+    out = dict(ginv=ginv, gamma=gamma, R=riem)
     order = len(jets) - 1
     if order < 3:
         return out
@@ -1177,7 +1092,7 @@ def _frame_chunks(spec: MetricSpec, points, order: int):
         good = (eig[:, 0] <= -bound) & (eig[:, 1] >= bound)
         lorentz = n if good.all() else int(np.argmin(good))
         if lorentz < n:
-            stack = _Stack((k, v[:lorentz]) for k, v in stack.items())
+            stack = {k: v[:lorentz] for k, v in stack.items()}
         if lorentz:
             yield [_frame(spec, chunk[i], stack, i)
                    for i in range(lorentz)], stack

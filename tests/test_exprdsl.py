@@ -293,7 +293,7 @@ class TestCompiledWrites:
                                                           -2.0]
 
     def test_count_lines_counts_the_emitted_assignments(self):
-        # the line budget of pointcalc's fused program rests on this count
+        # the partner tests compare the sizes of programs by this count
         exprs = self.MIXED + [p("exp(u*v + b0)*sqrt(v) - u*v"), const(2)]
         f = compile_program(exprs, COORDS, tuple(sorted(self.ENV)))
         prog = inspect.getclosurevars(f).nonlocals["f"]

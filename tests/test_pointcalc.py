@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -616,10 +614,10 @@ FIXTURES_AND_PARTNERS = ([(n, False) for n in FIXTURES]
                          + [(n, True) for n in FIXTURES if n != "minkowski"])
 
 
-def _numeric_christoffel(spec, pts):
-    """christoffel_batch's numeric path: the order-1 jets, masks and
-    determinant test (_metric_jets), then np.linalg.inv and one einsum
-    (_gamma_terms)."""
+def _reference_christoffel(spec, pts):
+    """christoffel_batch with g inverted by numpy: the order-1 jets,
+    masks and determinant test (_metric_jets), then np.linalg.inv and one
+    einsum (_gamma_terms)."""
     from lorhol.pointcalc import _gamma_terms, _metric_jets
     (g, dg), _, admissible, ok = _metric_jets(spec, pts, 1)
     g[~ok] = np.eye(4)
@@ -636,50 +634,43 @@ def _around_the_box(spec, n):
                                             size=(n, 4))
 
 
-@pytest.mark.parametrize("name,partner", FIXTURES_AND_PARTNERS)
+# the fixtures, their partners and the partners as the raw adjugate
+# formula (helpers.raw_partner), tagged "raw"
+EVERY_METRIC = FIXTURES_AND_PARTNERS + [(n, "raw") for n in FIXTURES
+                                        if n != "minkowski"]
+
+
+def _metric(name, partner):
+    from helpers import fixture_spec, raw_partner
+    return raw_partner(name) if partner == "raw" else \
+        fixture_spec(name, partner)
+
+
+@pytest.mark.parametrize("name,partner", EVERY_METRIC)
 def test_fused_christoffels_match_the_numeric_path(name, partner):
-    from helpers import fixture_spec
-    from lorhol.pointcalc import (
-        _christoffel_block, _christoffel_rows, _fused_program, _FusedStages,
-    )
-    spec = fixture_spec(name, partner)
-    # past the line budget too, so the partners' fused programs are built
-    fused = partial(_FusedStages, *_fused_program(
-        spec, tuple(_christoffel_rows(spec.g, spec.coords))))
+    from lorhol.pointcalc import christoffel_batch
+    spec = _metric(name, partner)
     for n in (20, 240):
         # Gamma at points of the domain; the masks there and around it
         pts = sample_points(spec, n, seed=5)
-        gamma = _christoffel_block(fused, pts)[0]
-        want = _numeric_christoffel(spec, pts)[0]
+        gamma = christoffel_batch(spec, pts)[0]
+        want = _reference_christoffel(spec, pts)[0]
         assert np.max(np.abs(gamma - want)) <= 1e-14 * np.max(np.abs(want))
         for pts in (pts, _around_the_box(spec, n)):
-            gamma, ok, admissible = _christoffel_block(fused, pts)
-            _, want_ok, want_admissible = _numeric_christoffel(spec, pts)
+            gamma, ok, admissible = christoffel_batch(spec, pts)
+            _, want_ok, want_admissible = _reference_christoffel(spec, pts)
             assert ok.tolist() == want_ok.tolist()
             assert admissible.tolist() == want_admissible.tolist()
             assert np.all(gamma[~ok] == 0.0)
 
 
 def test_line_budget_fuses_the_fixtures_and_their_partners():
-    # every fixture and every normalised partner is within the budget;
-    # the raw adjugate formulas of the partners are over it and keep the
-    # numeric path, bit for bit
-    from helpers import fixture_spec, raw_partner
-    from lorhol.pointcalc import (
-        _christoffel_kernel, _FusedStages, _NumericStages, christoffel_batch,
-    )
-    for name, partner in FIXTURES_AND_PARTNERS:
-        spec = fixture_spec(name, partner)
-        assert _christoffel_kernel(spec).func is _FusedStages, name
-    for name in FIXTURES:
-        if name == "minkowski":
-            continue
-        spec = raw_partner(name)
-        assert _christoffel_kernel(spec).func is _NumericStages, name
-        pts = _around_the_box(spec, 20)
-        got, want = christoffel_batch(spec, pts), \
-            _numeric_christoffel(spec, pts)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    # one kernel for every metric: the fixtures, their partners in normal
+    # form and as the raw adjugate formula
+    from lorhol.pointcalc import _christoffel_kernel, _FusedStages
+    for name, partner in EVERY_METRIC:
+        spec = _metric(name, partner)
+        assert _christoffel_kernel(spec).func is _FusedStages, (name, partner)
 
 
 class TestBlockValidity:
@@ -832,10 +823,13 @@ class TestBlockValidity:
 def test_derivative_stack_matches_reference(name, partner):
     # the Gamma-recursion stack against the explicit d^k g^ab formulas
     from helpers import fixture_spec, reference_riemann_stack
-    from lorhol.pointcalc import _metric_jets, _riemann_derivative_stack
+    from lorhol.pointcalc import (
+        _metric_jets, _riemann_derivative_stack, _unpack,
+    )
     spec = fixture_spec(name, partner)
     jets = _metric_jets(spec, sample_points(spec, 16, seed=4), 4)[0]
     got = _riemann_derivative_stack(jets)
+    got["covR"], got["cov2R"] = _unpack(got["covR6"]), _unpack(got["cov2R6"])
     want = reference_riemann_stack(jets)
     for key in ("R", "covR", "cov2R"):
         scale = np.max(np.abs(want[key]))
@@ -894,21 +888,22 @@ def test_packed_derivatives_are_unchanged_by_scaling_g(c):
 
 
 def test_stack_unpacks_a_full_tensor_when_read():
-    # covR and cov2R are the packed rows, unpacked on each read: the
-    # pairs c < d as stored, their negatives below the diagonal
+    # the stack keeps R;e and R;e;f packed; _unpack lays them out in
+    # full: the pairs c < d as stored, their negatives below the diagonal
     from helpers import fixture_spec
-    from lorhol.pointcalc import _metric_jets, _riemann_derivative_stack
+    from lorhol.pointcalc import (
+        _metric_jets, _riemann_derivative_stack, _unpack,
+    )
     spec = fixture_spec("r14")
     stack = _riemann_derivative_stack(
         _metric_jets(spec, sample_points(spec, 2, seed=4), 4)[0])
     assert "covR" not in stack and "cov2R" not in stack
     for key in ("covR", "cov2R"):
-        six, full = stack[key + "6"], stack[key]
+        six = stack[key + "6"]
+        full = _unpack(six)
         for p, (c, d) in enumerate([(c, d) for c in range(4)
                                     for d in range(c + 1, 4)]):
             assert np.array_equal(
                 np.moveaxis(full[:, :, :, c, d], (1, 2), (-2, -1)),
                 six[..., p])
         assert np.array_equal(full, -full.swapaxes(3, 4))
-    with pytest.raises(KeyError):
-        stack["cov3R"]

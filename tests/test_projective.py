@@ -695,10 +695,11 @@ class TestBlockedSecondMetric:
         assert rep.scored == 0
 
     def test_numeric_path_drives(self):
-        # a partner as the raw adjugate formula takes the numeric kernel
-        # (past the line budget); its masks come with every stage
-        from lorhol.pointcalc import _NumericStages, _christoffel_kernel
+        # a partner as the raw adjugate formula, whose masks the reference
+        # takes from np.linalg.det, drives through the fused kernel like
+        # every other metric
+        from lorhol.pointcalc import _christoffel_kernel, _FusedStages
         g = raw_partner("r9")
-        assert _christoffel_kernel(g).func is _NumericStages
+        assert _christoffel_kernel(g).func is _FusedStages
         rep = self.matches_reference(g, fixture_spec("r9"), 20, 100, 2.0, 1)
         assert rep.truncated and rep.scored > 0

@@ -73,19 +73,6 @@ def _script(name):
     return module
 
 
-def test_christoffel_crossover_prints_every_metric_and_the_crossover(
-        capsys):
-    _script("christoffel_crossover").main(["--repeat", "1", "--number", "1"])
-    head, *lines, fit = capsys.readouterr().out.splitlines()
-    assert head.split()[:3] == ["metric", "jet", "lines"]
-    # 7 fixtures, 6 partners and the 7-rung ladder, each with 8 numbers
-    assert len(lines) == 20
-    for line in lines:
-        assert re.fullmatch(r"[a-z0-9-]+( +[0-9]+(\.[0-9])?){10}", line), line
-    assert re.fullmatch(r"fused - numeric per stage at 20 rows ~ .* equal at "
-                        r"-?[0-9]+ added lines", fit), fit
-
-
 def test_geodesic_timing_prints_one_line_per_pair(capsys):
     _script("geodesic_timing").main(["--fixtures", "r9", "minkowski",
                                      "--steps", "2", "--repeat", "1",
