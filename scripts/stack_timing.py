@@ -13,7 +13,7 @@ are the stack's own and do not include the compiled jet program.  Run
 it pinned to one core (``taskset -c 0``) for stable numbers.
 
 Usage: python scripts/stack_timing.py [--fixtures r14 minkowski]
-           [--orders 2 3 4] [--rows 1 8 32] [--repeat 10] [--number 5]
+           [--orders 2 3 4] [--rows 1 8 32 128] [--repeat 10] [--number 5]
 """
 import argparse
 import sys
@@ -50,7 +50,7 @@ def main(argv=None) -> None:
     ap.add_argument("--fixtures", nargs="+", default=list(FIXTURE_NAMES))
     ap.add_argument("--orders", nargs="+", type=int, default=[2, 3, 4],
                     choices=[2, 3, 4])
-    ap.add_argument("--rows", nargs="+", type=int, default=[1, 8, 32])
+    ap.add_argument("--rows", nargs="+", type=int, default=[1, 8, 32, 128])
     ap.add_argument("--repeat", type=int, default=10)
     ap.add_argument("--number", type=int, default=5)
     args = ap.parse_args(argv)

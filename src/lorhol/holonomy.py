@@ -82,7 +82,8 @@ def ihol_generators(spec: MetricSpec, point, derivative_order: int = 1,
                     frame: PointFrame | None = None) -> list[np.ndarray]:
     """Raw generators R^a_bcd X^c Y^d (order 0), plus first and second
     covariant-derivative contractions for derivative_order 1 / 2: the
-    one-point call of _generators, without the zeroed matrices."""
+    one-point call of _generators, without the matrices it writes as
+    zeros."""
     if derivative_order not in (0, 1, 2):
         raise ValueError("derivative_order must be 0, 1 or 2")
     fr = frame or frame_at(spec, point, 2 + derivative_order)
@@ -97,16 +98,19 @@ def _generators(tensors) -> tuple[np.ndarray, np.ndarray]:
     the order asks, the derivative stack's packed R^a_bcd;e and
     R^a_bcd;e;f (covR6, cov2R6), each with the points on the leading
     axis: the (B, k, 4, 4) matrices R^a_b[cd](;e(;f)) for c < d, in (c,
-    d, e, f) row-major order, and the (B, k) mask of those above 1e-13
-    max|R| at their point.  A matrix below it is written as zeros, which
-    no span counts."""
+    d, e, f) row-major order, and the (B, k) mask of those whose largest
+    entry exceeds SPAN_TOL times the largest entry of their own tensor
+    (R, R;e or R;e;f) at their point.  A matrix below it is written as
+    zeros, which no span counts."""
     r = tensors[0]
-    scale = np.maximum(np.max(np.abs(r), axis=(1, 2, 3, 4)), 1e-300)
     six = [np.moveaxis(r, (1, 2), (-2, -1))[:, BASIS_INDEX[0],
                                               BASIS_INDEX[1]]]
     six += [np.moveaxis(t, -1, 1) for t in tensors[1:]]  # cd first
-    gens = np.concatenate([t.reshape(len(r), -1, 4, 4) for t in six], axis=1)
-    kept = np.max(np.abs(gens), axis=(2, 3)) > 1e-13 * scale[:, None]
+    blocks = [t.reshape(len(r), -1, 4, 4) for t in six]
+    peaks = [np.max(np.abs(b), axis=(2, 3)) for b in blocks]
+    kept = np.concatenate([p > SPAN_TOL * p.max(axis=1, keepdims=True)
+                           for p in peaks], axis=1)
+    gens = np.concatenate(blocks, axis=1)
     gens[~kept] = 0.0
     return gens, kept
 

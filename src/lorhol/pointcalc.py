@@ -15,9 +15,11 @@ an RK4 step are tested valid in one pass.  frames_at assembles the
 tensors of a chunk of points in one batched stack and hands each
 PointFrame its rows; a frame computes any other tensor when first
 read.
-Past R the stack is packed: R;e and R;e;f keep the pairs c < d of their
-antisymmetric (c, d) slots, and a frame unpacks them to the full tensor
-only when cov_riemann or cov2_riemann is read.
+The stack is packed from Gamma on: the jets of Gamma keep b <= c and
+sorted derivative indices, R, R;e and R;e;f keep the pairs c < d of
+their antisymmetric (c, d) slots; the stack unpacks R for its frames,
+and a frame unpacks R;e or R;e;f to the full tensor only when
+cov_riemann or cov2_riemann is read.
 
 Index conventions, fixed throughout the package:
 
@@ -57,9 +59,10 @@ DEGENERACY_TOL = 1e-12
 # frames_at assembles _CHUNK * 4^(4 - order) rows per derivative stack.
 # The largest arrays through order k hold about 4^(k + 2) floats per
 # row: d^k g itself (256, 1 024, 4 096 at orders 2-4), and at order 4 the
-# gathered factors of d^3 Gamma and of d_e d_f R, 4 800 each; the packed
-# R;e and R;e;f hold 384 and 1 536 (the full ones 1 024 and 4 096).  So
-# every chunk's arrays stay within about _CHUNK * 4^6 floats (256-300 kB)
+# gathered factors of d^3 Gamma and of d_e d_f R, 4 800 and 3 200; the
+# packed R;e and R;e;f hold 384 and 1 536 (the full ones 1 024 and 4 096).
+# So every chunk's arrays stay within about _CHUNK * 4^6 floats (256-300
+# kB)
 _CHUNK = 8
 
 
@@ -393,14 +396,6 @@ def sample_points(spec: MetricSpec, n: int, seed: int = 7,
 # Batched assembly building blocks
 # ---------------------------------------------------------------------------
 
-def _gamma_terms(g, dg):
-    ginv = np.linalg.inv(g)
-    s = dg.transpose(0, 1, 3, 2) + dg - dg.transpose(0, 3, 1, 2)
-    # s[n,d,b,c] = d_b g_dc + d_c g_db - d_d g_bc
-    gamma = 0.5 * np.einsum("nad,ndbc->nabc", ginv, s)
-    return ginv, s, gamma
-
-
 def _valid_rows(jets, finite=None) -> np.ndarray:
     """Rows of a batch of metric jets (g, dg, ...) that are all finite and
     whose g passes the determinant test of frame_at.  ``finite`` is the
@@ -690,24 +685,22 @@ class PointFrame:
         return vars(self)["cov2_riemann"]
 
 
-# The packed layouts of the derivative stack past R.  A row's Gamma jets
-# d^Q Gamma^a_bc, Q sorted and b <= c, sit in one flat array: the
-# constants 0 and 1, then level k = 0, 1, ... (|Q| = k), each laid out
-# (a, Q, bc).  R;e and R;e;f keep the pairs c < d of their
-# antisymmetric (c, d) slots, in bivector.BASIS_PAIRS order, laid out
-# (e[, f], a, b, cd).
+# The packed layouts of the derivative stack.  A row's Gamma jets d^Q
+# Gamma^a_bc, Q sorted and b <= c, sit in one flat array: the constant
+# 0, then level k = 0, 1, ... (|Q| = k), each laid out (a, Q, bc).  R,
+# R;e and R;e;f keep the pairs c < d of their antisymmetric (c, d)
+# slots, in bivector.BASIS_PAIRS order, laid out ([e[, f],] a, b, cd).
 _SIX = [(c, d) for c in range(DIM) for d in range(c + 1, DIM)]
 _SIX_INDEX = tuple(np.array(ix) for ix in zip(*_SIX))
-_PAIR_INDEX = tuple(np.array(ix) for ix in zip(*_PAIRS))
 _PAIR_AT = np.zeros((DIM, DIM), dtype=np.intp)  # the position of pair bc
 for _i, (_b, _c) in enumerate(_PAIRS):
     _PAIR_AT[_b, _c] = _PAIR_AT[_c, _b] = _i
-_ZERO, _ONE = 0, 1
+_ZERO = 0
 _PACKED = ("covR6", "cov2R6")  # the stack's packed R;e and R;e;f
-# where each level of the Gamma jets starts: 2, 42, 202, 602, 1402
+# where each level of the Gamma jets starts: 1, 41, 201, 601, 1401
 _OFF = list(itertools.accumulate(
     (DIM * math.comb(DIM + k - 1, k) * len(_PAIRS) for k in range(4)),
-    initial=2))
+    initial=1))
 _AXIS = np.arange(DIM)
 
 
@@ -727,13 +720,11 @@ def _flat(*ix):
     return pos
 
 
-# where Gamma^a_bc (a, bc), d_e Gamma^a_bc (a, e, bc) and R^a_bcd (ab,
-# cd), b <= c and c < d, sit in the flat full arrays
-_GAMMA_AT = _flat(_AXIS[:, None], *_PAIR_INDEX).reshape(-1)
-_DGAMMA_AT = _flat(_AXIS[:, None, None], *_PAIR_INDEX,
-                   _AXIS[:, None]).reshape(-1)
-_RIEM_AT = _flat(_AXIS[:, None, None], _AXIS[:, None], *_SIX_INDEX).reshape(
-    DIM * DIM, len(_SIX))
+# where d_f Gamma^a_em sits in a row's packed Gamma jets, laid out (e, f,
+# a, m): at level 1, (a, f, em)
+_DGAMMA_EF = np.fromfunction(
+    lambda e, f, a, m: _OFF[1] + len(_PAIRS) * _flat(a, f) + _PAIR_AT[e, m],
+    (DIM,) * 4, dtype=np.intp)
 
 
 def _jet_row(r: tuple, m):
@@ -760,17 +751,18 @@ def _leibniz(q: tuple, top: int):
 
 @lru_cache(maxsize=None)
 def _level_tables(k: int) -> tuple:
-    """(s, w, times): the gathers for level k >= 2 of the Gamma jets, from
+    """(s, w, times): the gathers for level k of the Gamma jets, from
 
         g_ad d^Q Gamma^d_bc = 1/2 d^Q s_abc
             - sum over r strictly inside Q of
-              times d^(Q-r) g_am d^r Gamma^m_bc.
+              times d^(Q-r) g_am d^r Gamma^m_bc,
 
-    s holds the positions of d^Q d_b g_ac, d^Q d_c g_ab and d^Q d_a g_bc
-    in the flat d^(k+1) g, laid out (a, Q, bc).  w holds the positions
-    of d^(Q-r) g_am in the flat dg, d2g, ... put one after the other,
-    laid out (a, Q) by the jet row (r, m) it multiplies, and times the
-    Leibniz count (0 where r is not in Q)."""
+    Gamma itself at k = 0, where the sum is empty.  s holds the
+    positions of d^Q d_b g_ac, d^Q d_c g_ab and d^Q d_a g_bc in the flat
+    d^(k+1) g, laid out (a, Q, bc).  w holds the positions of d^(Q-r)
+    g_am in the flat dg, d2g, ... put one after the other, laid out (a,
+    Q) by the jet row (r, m) it multiplies, and times the Leibniz count
+    (0 where r is not in Q; None where all are 1)."""
     multi = _sorted_multi(k)
     rows = (_OFF[k] - _OFF[0]) // len(_PAIRS)
     w = np.zeros((DIM, len(multi), rows), dtype=np.intp)
@@ -785,31 +777,32 @@ def _level_tables(k: int) -> tuple:
             w[:, qi][:, col] = start[len(rest) - 1] + _flat(
                 _AXIS[:, None], _AXIS, *rest)
             times[:, qi][:, col] = t
+    times = None if (times == 1).all() else times
     return _read_only(s, w, times)
 
 
 @lru_cache(maxsize=None)
 def _dm_tables(k: int) -> tuple:
-    """(u, times, v, lead, last, anti): the gathers that give d^Q R^a_bcd
-    for |Q| = k from a row's packed Gamma jets through level k + 1.
+    """(top, u, times, v, lead, last, anti): the gathers that give d^Q
+    R^a_bcd for |Q| = k from a row's packed Gamma jets through level k +
+    1.
 
     With M^a_bcd = d_c Gamma^a_bd + Gamma^a_cm Gamma^m_bd, d^Q M for every
-    (c, d), rows (Q, c, a) by columns (d, b), is the sum of two products.
-    In the first, the left factor, u scaled by times (None where all are
-    1), holds d^(Q-r) Gamma^a_cm for every r strictly inside Q, by the
-    jet row (r, m) it multiplies, and then d^Q d_c Gamma^a_x for the 10
-    pairs x; the right factor, v, holds d^r Gamma^m_db and, for each pair
-    x, the 0 or 1 that picks x = db.  The second, Gamma^a_cm d^Q
-    Gamma^m_db, is one product per Q of lead, Gamma^a_cm as rows (c, a)
-    by m, and last, d^Q Gamma^m_db as (Q, m, db).  anti holds the
-    positions in the sum of d^Q M^a_bcd and d^Q M^a_bdc, for every Q in
-    every order, laid out (Q, ab, cd) with c < d: their difference is
-    d^Q R."""
+    (c, d), rows (Q, c, a) by columns (d, b), is d^Q d_c Gamma^a_db,
+    gathered by top, plus two products.  In the first, the left factor, u scaled by
+    times (None where all are 1), holds d^(Q-r) Gamma^a_cm for every r
+    strictly inside Q, by the jet row (r, m) it multiplies, and the
+    right factor, v, holds d^r Gamma^m_db; at k = 0 there is no such r.
+    The second, Gamma^a_cm d^Q Gamma^m_db, is one product per Q of lead,
+    Gamma^a_cm as rows (c, a) by m, and last, d^Q Gamma^m_db as (Q, m,
+    db).  anti holds the positions in the sum of d^Q M^a_bcd and d^Q
+    M^a_bdc, for every Q in every order, laid out (Q, ab, cd) with c <
+    d: their difference is d^Q R."""
     multi = _sorted_multi(k)
     rows = (_OFF[k] - _OFF[0]) // len(_PAIRS)
-    u = np.full((len(multi), DIM, DIM, rows + len(_PAIRS)), _ZERO,
-                dtype=np.intp)
+    u = np.full((len(multi), DIM, DIM, rows), _ZERO, dtype=np.intp)
     times = np.ones(u.shape)
+    top = np.empty((len(multi), DIM, DIM, DIM * DIM), dtype=np.intp)
     last = np.empty((len(multi), DIM, DIM * DIM), dtype=np.intp)
     c, a, m = np.ix_(_AXIS, _AXIS, _AXIS)
     for q, qi in multi.items():
@@ -819,15 +812,12 @@ def _dm_tables(k: int) -> tuple:
             times[qi][..., col] = t
         for cc in range(DIM):
             row = _jet_row(tuple(sorted(q + (cc,))), _AXIS[:, None])
-            u[qi, cc, :, rows:] = (_OFF[0] + len(_PAIRS) * row
-                                   + np.arange(len(_PAIRS)))
+            top[qi, cc] = (_OFF[0] + len(_PAIRS) * row
+                           + _PAIR_AT.reshape(-1))
         last[qi] = (_OFF[0] + len(_PAIRS) * _jet_row(q, _AXIS[:, None])
                     + _PAIR_AT.reshape(-1))
-    v = np.empty((rows + len(_PAIRS), DIM * DIM), dtype=np.intp)
-    v[:rows] = (_OFF[0] + len(_PAIRS) * np.arange(rows)[:, None]
-                + _PAIR_AT.reshape(-1))
-    v[rows:] = np.where(np.arange(len(_PAIRS))[:, None]
-                        == _PAIR_AT.reshape(-1), _ONE, _ZERO)
+    v = (_OFF[0] + len(_PAIRS) * np.arange(rows)[:, None]
+         + _PAIR_AT.reshape(-1))
     lead = (_OFF[0] + len(_PAIRS) * _jet_row((), a)
             + _PAIR_AT[c, m]).reshape(DIM * DIM, DIM)
     qi = np.array([multi[tuple(sorted(x))]
@@ -836,9 +826,10 @@ def _dm_tables(k: int) -> tuple:
     a, b, (c, d) = _AXIS[:, None, None], _AXIS[:, None], _SIX_INDEX
     anti = np.array([_flat(qi, c, a, d, b), _flat(qi, d, a, c, b)]).reshape(
         (2,) + (DIM,) * k + (DIM * DIM, len(_SIX)))
-    u = u.reshape(-1, u.shape[-1])
+    u = u.reshape(len(multi) * DIM * DIM, rows)
     times = None if (times == 1).all() else times.reshape(u.shape)
-    return _read_only(u, times, v, lead, last, anti)
+    top = top.reshape(len(multi), DIM * DIM, DIM * DIM)
+    return _read_only(top, u, times, v, lead, last, anti)
 
 
 def _read_only(*tables) -> tuple:
@@ -888,16 +879,17 @@ def _act(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _dm(jet: np.ndarray, k: int) -> np.ndarray:
     """d^Q R^a_bcd, |Q| = k, of every row of packed Gamma jets, laid out
     (n, Q, ab, cd) with c < d (_dm_tables)."""
-    u, times, v, lead, last, anti = _dm_tables(k)
+    top, u, times, v, lead, last, anti = _dm_tables(k)
     n = len(jet)
-    left = np.take(jet, u, axis=1)
-    if times is not None:
-        left *= times
-    prod = (left @ np.take(jet, v, axis=1)).reshape((n,) + last.shape[:1]
-                                                    + (DIM * DIM,) * 2)
+    prod = np.take(jet, top, axis=1)
+    if k:
+        left = np.take(jet, u, axis=1)
+        if times is not None:
+            left *= times
+        prod += (left @ np.take(jet, v, axis=1)).reshape(prod.shape)
     prod += np.take(jet, lead, axis=1)[:, None] @ np.take(jet, last, axis=1)
-    prod = prod.reshape(n, len(last) * DIM ** 4)
-    return np.take(prod, anti[0], axis=1) - np.take(prod, anti[1], axis=1)
+    pair = np.take(prod.reshape(n, len(last) * DIM ** 4), anti, axis=1)
+    return pair[:, 0] - pair[:, 1]
 
 
 def _unpack(six: np.ndarray) -> np.ndarray:
@@ -914,29 +906,27 @@ def _unpack(six: np.ndarray) -> np.ndarray:
 
 def _riemann_derivative_stack(jets) -> dict:
     """Riemann and its covariant derivatives from batched metric jets
-    (g, dg, d2g[, d3g[, d4g]]): a dict with ginv, gamma and R (R^a_bcd),
-    plus covR6 (R^a_bcd;e) from d3g and cov2R6 (R^a_bcd;e;f) from d4g,
-    packed: the pairs c < d only, laid out (n, e[, f], a, b, cd), which
-    _unpack turns into the full tensor.  frames_at calls it on row
-    chunks (_CHUNK).
+    (g, dg, d2g[, d3g[, d4g]]): a dict with ginv, gamma and R (R^a_bcd,
+    unpacked), plus covR6 (R^a_bcd;e) from d3g and cov2R6 (R^a_bcd;e;f)
+    from d4g, packed: the pairs c < d only, laid out (n, e[, f], a, b,
+    cd), which _unpack turns into the full tensor.  frames_at calls it
+    on row chunks (_CHUNK).
 
-    Up to R, Gamma^a_bc = 1/2 g^ad s_abc with s_dbc = d_b g_dc + d_c g_db
-    - d_d g_bc, and d_e Gamma comes from d_e g^ad.  Higher derivatives of
-    Gamma need no derivative of g^ad: differentiating g_ad Gamma^d_bc =
-    1/2 s_abc gives, by the Leibniz rule,
+    The jets of Gamma need no derivative of g^ad: with s_abc = d_b g_ac
+    + d_c g_ab - d_a g_bc, g_ad Gamma^d_bc = 1/2 s_abc, and
+    differentiating it gives, by the Leibniz rule,
 
         g_ad d^Q Gamma^d_bc = 1/2 d^Q s_abc
             - sum over r strictly inside Q of d^(Q-r) g_am d^r Gamma^m_bc
 
     each raised with one product by g^ad.  These jets stay packed, b <=
-    c and Q sorted, and each level is one product of gathered factors
-    (_level_tables).  With M^a_bcd = d_c Gamma^a_bd + Gamma^a_cm
-    Gamma^m_bd, R^a_bcd = M^a_bcd - M^a_bdc, and so are its partial
-    derivatives: d_e M, and the symmetric d_e d_f M on the 10 sorted
-    pairs ef, each come from two products of gathered factors
-    (_dm_tables).  Then, with A_x the
-    connection terms of x^a_m (_act: x on a, -x on b, and one 6x6 action
-    on cd),
+    c and Q sorted, and each level, Gamma itself the first, is one
+    product of gathered factors (_level_tables).  With M^a_bcd = d_c
+    Gamma^a_bd + Gamma^a_cm Gamma^m_bd, R^a_bcd = M^a_bcd - M^a_bdc, and
+    its partial derivatives are those of M: M, d_e M, and the symmetric
+    d_e d_f M on the 10 sorted pairs ef each come from gathered jets and
+    products of gathered factors (_dm).  Then, with A_x the connection
+    terms of x^a_m (_act: x on a, -x on b, and one 6x6 action on cd),
 
         R;e   = d_e R + A_{Gamma_e} R
         R;e;f = d_e d_f R + A_{d_f Gamma_e} R + A_{Gamma_e} d_f R
@@ -944,48 +934,38 @@ def _riemann_derivative_stack(jets) -> dict:
 
     where (Gamma_e)^a_m = Gamma^a_em.
     """
-    g, dg, d2g = jets[:3]
-    ginv, s, gamma = _gamma_terms(g, dg)
-    ds = d2g.transpose(0, 1, 3, 2, 4) + d2g - d2g.transpose(0, 3, 1, 2, 4)
-    dginv = -np.einsum("nam,nbp,nmpe->nabe", ginv, ginv, dg)
-    dgamma = 0.5 * (np.einsum("nade,ndbc->nabce", dginv, s)
-                    + np.einsum("nad,ndbce->nabce", ginv, ds))
-    riem = (dgamma.transpose(0, 1, 2, 4, 3) - dgamma
-            + np.einsum("nace,nebd->nabcd", gamma, gamma)
-            - np.einsum("nade,nebc->nabcd", gamma, gamma))
-    out = dict(ginv=ginv, gamma=gamma, R=riem)
     order = len(jets) - 1
-    if order < 3:
-        return out
-
-    n = len(g)
+    n = len(jets[0])
+    ginv = np.linalg.inv(jets[0])
     jet = np.empty((n, _OFF[order]))
-    jet[:, _ZERO], jet[:, _ONE] = 0.0, 1.0
-    jet[:, _OFF[0]:_OFF[1]] = gamma.reshape(n, DIM ** 3)[:, _GAMMA_AT]
-    jet[:, _OFF[1]:_OFF[2]] = dgamma.reshape(n, DIM ** 4)[:, _DGAMMA_AT]
+    jet[:, _ZERO] = 0.0
     flat_g = np.concatenate([j.reshape(n, DIM ** j.ndim // DIM)
                              for j in jets[1:order]], axis=1)
-    for k in range(2, order):
+    for k in range(order):
         s_at, w_at, times = _level_tables(k)
-        # gathered along the rows of d^(k+1) g transposed, which
-        # _metric_jets lays out contiguous
-        part = np.take(jets[k + 1].reshape(n, DIM ** (k + 3)).T, s_at,
-                       axis=0)
-        low = part[0] + part[1]
-        low -= part[2]
-        low = np.ascontiguousarray(np.moveaxis(low, -1, 0))
-        low *= 0.5
-        w = np.take(flat_g, w_at, axis=1)
-        w *= times
         nq, rows = w_at.shape[1:]
-        low -= (w.reshape(n, DIM * nq, rows)
-                @ jet[:, _OFF[0]:_OFF[k]].reshape(n, rows, len(_PAIRS))
-                ).reshape(low.shape)
-        jet[:, _OFF[k]:_OFF[k + 1]] = (
-            ginv @ low.reshape(n, DIM, nq * len(_PAIRS))).reshape(
-                n, _OFF[k + 1] - _OFF[k])
+        part = jets[k + 1].reshape(n, DIM ** (k + 3))[:, s_at]
+        low = part[:, 0] + part[:, 1]
+        low -= part[:, 2]
+        low *= 0.5
+        if k:  # the Leibniz sum; level 0 has none
+            w = np.take(flat_g, w_at, axis=1)
+            if times is not None:
+                w *= times
+            low -= (w.reshape(n, DIM * nq, rows)
+                    @ jet[:, _OFF[0]:_OFF[k]].reshape(n, rows, len(_PAIRS))
+                    ).reshape(low.shape)
+        np.matmul(ginv, low.reshape(n, DIM, nq * len(_PAIRS)),
+                  out=jet[:, _OFF[k]:_OFF[k + 1]].reshape(
+                      n, DIM, nq * len(_PAIRS)))
 
-    r6 = riem.reshape(n, DIM ** 4)[:, _RIEM_AT]
+    gamma = jet[:, _OFF[0]:_OFF[1]].take(_GAMMA_ROWS, axis=1).reshape(
+        n, DIM, DIM, DIM)
+    r6 = _dm(jet, 0)
+    out = dict(ginv=ginv, gamma=gamma,
+               R=_unpack(r6.reshape(n, DIM, DIM, len(_SIX))))
+    if order < 3:
+        return out
     gamma_e = gamma.transpose(0, 2, 1, 3)  # (Gamma_e)^a_m = Gamma^a_em
     dr = _dm(jet, 1)
     covr = dr + _act(gamma_e, r6[:, None])
@@ -993,7 +973,7 @@ def _riemann_derivative_stack(jets) -> dict:
     if order < 4:
         return out
     cov2r = _dm(jet, 2)
-    cov2r += _act(dgamma.transpose(0, 2, 4, 1, 3), r6[:, None, None])
+    cov2r += _act(np.take(jet, _DGAMMA_EF, axis=1), r6[:, None, None])
     cov2r += _act(gamma_e[:, :, None], dr[:, None])
     cov2r += _act(gamma_e[:, None], covr[:, :, None])
     cov2r -= (gamma.transpose(0, 3, 2, 1).reshape(n, DIM * DIM, DIM)

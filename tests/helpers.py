@@ -133,11 +133,11 @@ def narrowed(g):
 
 
 def reference_riemann_stack(jets) -> dict:
-    """R^a_bcd, R^a_bcd;e and R^a_bcd;e;f from batched metric jets (g, dg,
-    d2g, d3g[, d4g]) through explicit derivatives of g^ab up to the third:
-    the assembly pointcalc used before its stack built the derivatives of
-    Gamma from g_ad Gamma^d_bc = 1/2 s_abc.  Plain einsums, kept as an
-    oracle for that stack."""
+    """Gamma^a_bc, R^a_bcd, R^a_bcd;e and R^a_bcd;e;f from batched metric
+    jets (g, dg, d2g, d3g[, d4g]) through explicit derivatives of g^ab up
+    to the third: the assembly pointcalc used before its stack built the
+    jets of Gamma from g_ad Gamma^d_bc = 1/2 s_abc.  Plain einsums, kept
+    as an oracle for that stack."""
     g, dg, d2g, d3g = jets[:4]
     ginv = np.linalg.inv(g)
     s = dg.transpose(0, 1, 3, 2) + dg - dg.transpose(0, 3, 1, 2)
@@ -170,7 +170,7 @@ def reference_riemann_stack(jets) -> dict:
             - np.einsum("nmeb,namcd->nabcde", gamma, riem)
             - np.einsum("nmec,nabmd->nabcde", gamma, riem)
             - np.einsum("nmed,nabcm->nabcde", gamma, riem))
-    out = {"R": riem, "covR": covr}
+    out = {"gamma": gamma, "R": riem, "covR": covr}
     if len(jets) < 5:
         return out
 

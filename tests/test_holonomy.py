@@ -403,17 +403,24 @@ class TestOrderTwo:
 
 
 def _generators_reference(fr, derivative_order):
-    """ihol_generators' per-slice loop, kept as the reference."""
+    """ihol_generators' per-slice loop, kept as the reference: each
+    order's slices above SPAN_TOL times the largest entry of their own
+    tensor."""
+    from lorhol.holonomy import SPAN_TOL
     r = fr.riem_ud
-    scale = max(float(np.max(np.abs(r))), 1e-300)
-    out = [r[:, :, c, d] for c in range(4) for d in range(c + 1, 4)]
+    orders = [[r[:, :, c, d] for c in range(4) for d in range(c + 1, 4)]]
     if derivative_order >= 1:
-        out += [fr.cov_riemann[:, :, c, d, e] for c in range(4)
-                for d in range(c + 1, 4) for e in range(4)]
+        orders.append([fr.cov_riemann[:, :, c, d, e] for c in range(4)
+                       for d in range(c + 1, 4) for e in range(4)])
     if derivative_order >= 2:
-        out += [fr.cov2_riemann[:, :, c, d, e, f] for c in range(4)
-                for d in range(c + 1, 4) for e in range(4) for f in range(4)]
-    return [m for m in out if np.max(np.abs(m)) > 1e-13 * scale]
+        orders.append([fr.cov2_riemann[:, :, c, d, e, f] for c in range(4)
+                       for d in range(c + 1, 4) for e in range(4)
+                       for f in range(4)])
+    kept = []
+    for out in orders:
+        scale = max(np.max(np.abs(m)) for m in out)
+        kept += [m for m in out if np.max(np.abs(m)) > SPAN_TOL * scale]
+    return kept
 
 
 SURVEYED = [(name, partner) for name in ("minkowski", "r11", "r10", "r13",
@@ -553,21 +560,25 @@ def test_packed_generators_match_the_full_tensors(which):
     # as _generators read them when the stack was full
     from helpers import fixture_spec, reference_riemann_stack
     from lorhol.bivector import BASIS_INDEX
-    from lorhol.holonomy import _generators
+    from lorhol.holonomy import SPAN_TOL, _generators
     from lorhol.pointcalc import _metric_jets, _riemann_derivative_stack
     spec = fixture_spec(*which)
     jets = _metric_jets(spec, sample_points(spec, 4, seed=4), 4)[0]
     got, full = _riemann_derivative_stack(jets), reference_riemann_stack(jets)
-    scale = np.maximum(np.max(np.abs(full["R"]), axis=(1, 2, 3, 4)), 1e-300)
     for order in (1, 2):
         gens, kept = _generators([got[k] for k in ("R", "covR6", "cov2R6")
                                   [:order + 1]])
-        want = np.concatenate(
-            [np.moveaxis(full[k], (1, 2), (-2, -1))[:, BASIS_INDEX[0],
-                                                    BASIS_INDEX[1]]
-             .reshape(4, -1, 4, 4)
-             for k in ("R", "covR", "cov2R")[:order + 1]], axis=1)
-        want_kept = np.max(np.abs(want), axis=(2, 3)) > 1e-13 * scale[:, None]
+        # each order's matrices, kept above SPAN_TOL times the largest
+        # entry of their own full tensor at their point
+        blocks = [np.moveaxis(full[k], (1, 2), (-2, -1))[:, BASIS_INDEX[0],
+                                                         BASIS_INDEX[1]]
+                  .reshape(4, -1, 4, 4)
+                  for k in ("R", "covR", "cov2R")[:order + 1]]
+        want = np.concatenate(blocks, axis=1)
+        want_kept = np.concatenate(
+            [np.max(np.abs(b), axis=(2, 3))
+             > SPAN_TOL * np.max(np.abs(b), axis=(1, 2, 3))[:, None]
+             for b in blocks], axis=1)
         want[~want_kept] = 0.0
         assert np.array_equal(kept, want_kept)
         for g, w in zip(gens, want):
@@ -575,8 +586,9 @@ def test_packed_generators_match_the_full_tensors(which):
 
 
 def test_order2_survey_unpacks_no_full_tensor(monkeypatch):
-    # the survey reads the packed R;e and R;e;f; only a frame's
-    # cov_riemann or cov2_riemann unpacks, when it is read
+    # the survey reads the packed R;e and R;e;f; the stack unpacks only
+    # R, once a chunk, and a frame's cov_riemann or cov2_riemann unpacks
+    # when it is read
     from helpers import fixture_spec
     from lorhol import pointcalc
     unpack = pointcalc._unpack
@@ -589,9 +601,11 @@ def test_order2_survey_unpacks_no_full_tensor(monkeypatch):
     monkeypatch.setattr(pointcalc, "_unpack", spy)
     spec = fixture_spec("r14")
     rep = holonomy_survey(spec, samples=12, seed=1, derivative_order=2)
-    assert len(rep.per_point) == 12 and calls == []
+    # R of each chunk (8 and 4 rows) and of the one-row frame below
+    assert len(rep.per_point) == 12
+    assert calls == [(8, 4, 4, 6), (4, 4, 4, 6)]
     frame_at(spec, rep.per_point[0][0], 4).cov2_riemann
-    assert calls == [(1, 4, 4, 4, 4, 6)]
+    assert calls[2:] == [(1, 4, 4, 6), (1, 4, 4, 4, 4, 6)]
 
 
 def _close_reference(six, ginv):

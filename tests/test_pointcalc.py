@@ -617,12 +617,15 @@ FIXTURES_AND_PARTNERS = ([(n, False) for n in FIXTURES]
 def _reference_christoffel(spec, pts):
     """christoffel_batch with g inverted by numpy: the order-1 jets,
     masks and determinant test (_metric_jets), then np.linalg.inv and one
-    einsum (_gamma_terms)."""
-    from lorhol.pointcalc import _gamma_terms, _metric_jets
+    einsum."""
+    from lorhol.pointcalc import _metric_jets
     (g, dg), _, admissible, ok = _metric_jets(spec, pts, 1)
     g[~ok] = np.eye(4)
     dg[~ok] = 0.0
-    return _gamma_terms(g, dg)[2], ok, admissible
+    # s[n,d,b,c] = d_b g_dc + d_c g_db - d_d g_bc
+    s = dg.transpose(0, 1, 3, 2) + dg - dg.transpose(0, 3, 1, 2)
+    return (0.5 * np.einsum("nad,ndbc->nabc", np.linalg.inv(g), s), ok,
+            admissible)
 
 
 def _around_the_box(spec, n):
@@ -831,7 +834,7 @@ def test_derivative_stack_matches_reference(name, partner):
     got = _riemann_derivative_stack(jets)
     got["covR"], got["cov2R"] = _unpack(got["covR6"]), _unpack(got["cov2R6"])
     want = reference_riemann_stack(jets)
-    for key in ("R", "covR", "cov2R"):
+    for key in ("gamma", "R", "covR", "cov2R"):
         scale = np.max(np.abs(want[key]))
         assert np.max(np.abs(got[key] - want[key])) <= 1e-13 * scale, key
 
