@@ -7,15 +7,19 @@ fixture's metric driving the RK4 against three second metrics: itself
 (``self``), the partner derived from its Sinyukov pair (``partner``)
 and the flat Minkowski metric in the same chart (``flat``).  Each run
 has ``--trials`` trajectories (20, the CLI's batch width) of ``--steps``
-steps of size 1e-3, as in the benchmark's geodesic workload.  A warm-up
-run fills the compile caches first, so the numbers are the loop's own:
-the best of ``--repeat`` rounds of ``--number`` runs, printed in
-microseconds per RK4 step of all trials, with the steps the run
-scored.  Run it pinned to one core (``taskset -c 0``) for stable
-numbers.
+steps of size 1e-3, as in the benchmark's geodesic workload, from the
+start points and velocities of ``--seed``.  A warm-up run fills the
+compile caches first, so the numbers are the loop's own: the best of
+``--repeat`` rounds of ``--number`` runs, printed in microseconds per
+RK4 step of all trials, with the steps the run scored, the number of
+trials it stopped and the first step at which one stopped (``-`` if
+none did).  Long runs (``--steps 2000``) stop trials that leave a
+metric's domain, so they time the loop with truncation.  Run it pinned
+to one core (``taskset -c 0``) for stable numbers.
 
 Usage: python scripts/geodesic_timing.py [--fixtures r9 r11 r14]
-           [--trials 20] [--steps 125] [--repeat 5] [--number 3]
+           [--trials 20] [--steps 125] [--seed 1] [--repeat 5]
+           [--number 3]
 """
 import argparse
 import sys
@@ -43,14 +47,14 @@ def pairs(names):
                                            sample_box=g.sample_box)
 
 
-def us_per_step(g, other, trials: int, steps: int, repeat: int,
+def us_per_step(g, other, trials: int, steps: int, seed: int, repeat: int,
                 number: int):
     def run():
         return pregeodesic_check(g, other, trials=trials, steps=steps,
-                                 horizon=steps * STEP, seed=1)
-    scored = run().scored
+                                 horizon=steps * STEP, seed=seed)
+    rep = run()
     best = min(timeit.repeat(run, number=number, repeat=repeat)) / number
-    return best / steps * 1e6, scored
+    return best / steps * 1e6, rep
 
 
 def main(argv=None) -> None:
@@ -59,15 +63,19 @@ def main(argv=None) -> None:
                     choices=list(FIXTURE_NAMES))
     ap.add_argument("--trials", type=int, default=20)
     ap.add_argument("--steps", type=int, default=125)
+    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--repeat", type=int, default=5)
     ap.add_argument("--number", type=int, default=3)
     args = ap.parse_args(argv)
     print(f"{'fixture':9s} {'pair':8s} {'us/step':>10s} {'scored':>7s}"
+          f" {'stops':>5s} {'first':>5s}"
           f"   (best of repeats, {args.trials} trials)")
     for name, kind, g, other in pairs(args.fixtures):
-        us, scored = us_per_step(g, other, args.trials, args.steps,
-                                 args.repeat, args.number)
-        print(f"{name:9s} {kind:8s} {us:10.1f} {scored:7d}", flush=True)
+        us, rep = us_per_step(g, other, args.trials, args.steps, args.seed,
+                              args.repeat, args.number)
+        first = min((s for _, s in rep.truncated), default="-")
+        print(f"{name:9s} {kind:8s} {us:10.1f} {rep.scored:7d}"
+              f" {len(rep.truncated):5d} {first:>5}", flush=True)
 
 
 if __name__ == "__main__":

@@ -11,10 +11,10 @@ stage.  The Christoffel kernel is the metric's order-1 program with
 the symbolic det g and Gamma = adj(g) s / (2 det g), over one shared
 reciprocal, compiled in: a christoffel_batch block or an RK4 stage is
 one compiled call and no numpy linear-algebra call, and the stages of
-an RK4 step are tested valid in one pass.  frames_at assembles the
-tensors of a chunk of points in one batched stack and hands each
-PointFrame its rows; a frame computes any other tensor when first
-read.
+a block of RK4 steps are tested valid in one pass.  frames_at
+assembles the tensors of a chunk of points in one batched stack and
+hands each PointFrame its rows; a frame computes any other tensor when
+first read.
 The stack is packed from Gamma on: the jets of Gamma keep b <= c and
 sorted derivative indices, R, R;e and R;e;f keep the pairs c < d of
 their antisymmetric (c, d) slots; the stack unpacks R for its frames,
@@ -264,18 +264,26 @@ def _christoffel_rows(g: tuple, coords: tuple) -> tuple:
     """det g, then Gamma^a_bc for a and b <= c in order, as expressions,
     to ride along the order-1 jet program of g.  With s_dbc = d_b g_dc +
     d_c g_db - d_d g_bc and one shared reciprocal r = 1/2 / det g,
-    Gamma^a_bc = (sum_d adj(g)^ad s_dbc) r.  Keyed by structure, so
-    parameter draws share the rows and their program."""
+    Gamma^a_bc = (sum_d adj(g)^ad s_dbc) r.  s_bbb is emitted as d_b g_bb,
+    the value of (x + x) - x in IEEE arithmetic (2x is exact, and so is
+    2x - x by Sterbenz's lemma) wherever 2x does not overflow.  Keyed by
+    structure, so parameter draws share the rows and their program."""
     det = sym_det4(g)
     dg = [[[differentiate(g[a][b], c) for c in coords] for b in range(DIM)]
           for a in range(DIM)]
+
+    def s(d, b, c):
+        if d == b == c:
+            return dg[b][b][b]
+        return sub(add(dg[d][c][b], dg[d][b][c]), dg[b][c][d])
+
     r = div(Const(Fraction(1, 2)), det)
     rows = [det]
     for a in range(DIM):
         adj = [sym_cofactor4(g, a, d) for d in range(DIM)]
-        rows.extend(mul(sym_sum([
-            mul(adj[d], sub(add(dg[d][c][b], dg[d][b][c]), dg[b][c][d]))
-            for d in range(DIM)]), r) for b, c in _PAIRS)
+        rows.extend(mul(sym_sum([mul(adj[d], s(d, b, c))
+                                 for d in range(DIM)]), r)
+                    for b, c in _PAIRS)
     return tuple(rows)
 
 
@@ -459,8 +467,8 @@ def _christoffel_kernel(spec: MetricSpec):
     """spec's Christoffel kernel, a per-spec memo like _metric_program:
     kernel(count, n) gives the stages of one block, _FusedStages bound to
     spec's _fused_program.  christoffel_batch runs one stage; the
-    geodesic loop runs an RK4 step's four and decides their validity
-    once."""
+    geodesic loop runs four per RK4 step in one buffer, rewound for each
+    block of steps, and decides a block's validity once."""
     rows = _christoffel_rows(spec.g, spec.coords)
     return partial(_FusedStages, *_fused_program(spec, rows))
 
@@ -472,9 +480,9 @@ class _FusedStages:
     and the program's block (rows 0..9 g, upper triangle, 10..49 dg,
     then the constraints, det g and the 40 Gamma rows) into the next
     slice of one buffer and returns Gamma, unmasked.  Validity: valid()
-    is _block_valid over every block evaluated so far, masks() their
-    per-row (ok, admissible), each (k, n).  Callers hold the
-    np.errstate."""
+    is _block_valid over every block evaluated since the last rewind(),
+    masks() their per-row (ok, admissible), each (k, n).  Callers hold
+    the np.errstate."""
 
     def __init__(self, program, values: tuple, size: int, count: int,
                  n: int):
@@ -489,6 +497,10 @@ class _FusedStages:
         self.program(vals, cols[0], cols[1], cols[2], cols[3], *self.values)
         return vals[-40:].take(_GAMMA_ROWS, axis=0).T.reshape(
             len(pts), DIM, DIM, DIM)
+
+    def rewind(self) -> None:
+        """Start the next block in the same buffer."""
+        self.k = 0
 
     def valid(self) -> bool:
         return _block_valid(self.vals[:self.k], self.cols[:self.k])

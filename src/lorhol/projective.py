@@ -420,17 +420,19 @@ def pregeodesic_check(g_spec: MetricSpec, gp_spec: MetricSpec,
     invalid or the point leaves either metric's domain.
 
     Only g drives the integration, so g is integrated alone over a block
-    of max(1, _BLOCK_ROWS // trials) steps; then one christoffel_batch
-    call evaluates g' at all of the block's points, and the block's
-    scores are computed at once.  Each RK4 step evaluates g's four
-    stages unmasked, one compiled call each (the stages of g's
-    _christoffel_kernel), and decides their validity once: one
-    whole-step test, and per-row masks only in a step that fails it.
-    Replaying the block's masks step by step gives the report of a loop
-    that checks both metrics at every step, bit for bit: no row's
-    arithmetic depends on the batch size or on another row.  A trial
-    that g' stops keeps moving to the end of its block, where it is
-    frozen; its later rows are not scored.
+    of max(1, _BLOCK_ROWS // trials) steps: each RK4 step evaluates g's
+    four stages unmasked, one compiled call each (the stages of g's
+    _christoffel_kernel), into one stage buffer that the check keeps.
+    The block's validity is then decided at once: one whole-block test,
+    and per-row masks only in a block that fails it.  One
+    christoffel_batch call evaluates g' at all of the block's points,
+    and the block's scores are computed at once.  A trial stops at the
+    first step where either metric rejects its point or g rejects a
+    later stage; its rows past that step carry garbage that the masks
+    keep out of the report, and at the block's end it leaves the batch.
+    The report is the one of a loop that checks both metrics at every
+    step, bit for bit: no row's arithmetic depends on the batch size or
+    on another row.
     """
     if gp_spec.coords != g_spec.coords:
         raise InversionError("metrics must share coordinates")
@@ -445,10 +447,11 @@ def pregeodesic_check(g_spec: MetricSpec, gp_spec: MetricSpec,
     v = rng.normal(size=(trials, DIM))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     h = float(horizon) / steps
-    block = max(1, _BLOCK_ROWS // trials)
-    # active: neither metric has stopped the trial; moving: g has not
-    active = np.ones(trials, dtype=bool)
-    moving = active.copy()
+    block = min(max(1, _BLOCK_ROWS // trials), steps)
+    kernel = _christoffel_kernel(g_spec)
+    stages = kernel(4 * block, trials)
+    # the batch's rows: the trials that neither metric has stopped
+    ids = np.arange(trials)
     truncated: dict[int, int] = {}
     score = 0.0
     scored = 0
@@ -457,90 +460,70 @@ def pregeodesic_check(g_spec: MetricSpec, gp_spec: MetricSpec,
     def acc(gamma, vel):
         return -np.einsum("nabc,nb,nc->na", gamma, vel, vel)
 
-    def stop(dead, step):
-        for idx in np.where(dead)[0]:
-            truncated[int(idx)] = step
-
-    # a step whose stages pass the whole-step test is valid at every row;
-    # once a step has an invalid row, every later step has one (a trial
-    # that g stopped keeps the stage point that failed), so its test is
-    # skipped
-    every = np.ones(trials, dtype=bool)
-    whole = True
-    kernel = _christoffel_kernel(g_spec)
     first = 0
-    while first < steps and np.any(active):
-        xs, vs, gammas, x_ok, stage_ok = [], [], [], [], []
-        # the stages are evaluated unmasked, so a row that fails one
-        # carries nan or inf into the later stages and the update, which
-        # np.where then discards
-        with np.errstate(all="ignore"):
-            for _ in range(min(block, steps - first)):
+    # a row that fails a stage carries nan, inf or points outside the
+    # domain into its later stages, steps and scores, which the masks
+    # then discard
+    with np.errstate(all="ignore"):
+        while first < steps and len(ids):
+            n, m = min(block, steps - first), len(ids)
+            xs, vs, gammas = [], [], []
+            stages.rewind()
+            for _ in range(n):
                 # RK4 on (x, v); each stage's velocity is its position slope
-                stage = kernel(4, trials)
-                gamma = stage(x)
+                gamma = stages(x)
                 k1v = acc(gamma, v)
                 k2x = v + 0.5 * h * k1v
-                k2v = acc(stage(x + 0.5 * h * v), k2x)
+                k2v = acc(stages(x + 0.5 * h * v), k2x)
                 k3x = v + 0.5 * h * k2v
-                k3v = acc(stage(x + 0.5 * h * k2x), k3x)
+                k3v = acc(stages(x + 0.5 * h * k2x), k3x)
                 k4x = v + h * k3v
-                k4v = acc(stage(x + h * k3x), k4x)
+                k4v = acc(stages(x + h * k3x), k4x)
                 xs.append(x)
                 vs.append(v)
                 gammas.append(gamma)
-                if whole and stage.valid():
-                    ok_x = ok_stages = every
-                else:
-                    ok, admissible = stage.masks()
-                    # stage 1's Gamma goes to the scores: the flat
-                    # placeholder where it is not ok, as christoffel_batch
-                    gamma[~ok[0]] = 0.0
-                    ok &= admissible
-                    whole = bool(ok.all())
-                    ok_x, ok_stages = ok[0], ok[1:].all(axis=0)
-                x_ok.append(ok_x)
-                moving &= ok_x
-                # where g stops every trial, the replay stops too, so this
-                # last step records no stage mask
-                if not np.any(moving):
-                    break
-                stage_ok.append(ok_stages)
-                moving &= ok_stages
-                upd = moving[:, None]
-                x = np.where(upd, x + (h / 6) * (v + 2 * k2x + 2 * k3x + k4x),
-                             x)
-                v = np.where(upd,
-                             v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v), v)
+                x = x + (h / 6) * (v + 2 * k2x + 2 * k3x + k4x)
+                v = v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
+            if stages.valid():
+                x_ok = stage_ok = np.ones((n, m), dtype=bool)
+            else:
+                ok, admissible = stages.masks()
+                ok = (ok & admissible).reshape(n, 4, m)
+                x_ok, stage_ok = ok[:, 0], ok[:, 1:].all(axis=1)
 
-        # the second metric and the scores of the whole block at once
-        n = len(xs)
-        gamma_p, ok_p, inside_p = christoffel_batch(gp_spec,
-                                                    np.concatenate(xs))
-        live = np.array(x_ok) & (ok_p & inside_p).reshape(n, trials)
-        vel = np.concatenate(vs)
-        # A' = xdd + Gamma' v v = (Gamma' - Gamma) v v
-        a_prime = np.einsum("nabc,nb,nc->na",
-                            gamma_p - np.concatenate(gammas), vel, vel)
-        outer = np.einsum("na,nb->nab", a_prime, vel)
-        wedge = outer - outer.transpose(0, 2, 1)
-        num = _norms(wedge.reshape(n * trials, -1)) / np.sqrt(2.0)
-        den = _norms(a_prime) * _norms(vel) + eps
-        step_scores = (num / den).reshape(n, trials)
+            # the second metric and the scores of the whole block at once
+            gamma_p, ok_p, inside_p = christoffel_batch(gp_spec,
+                                                        np.concatenate(xs))
+            live = x_ok & (ok_p & inside_p).reshape(n, m)
+            vel = np.concatenate(vs)
+            # A' = xdd + Gamma' v v = (Gamma' - Gamma) v v
+            a_prime = np.einsum("nabc,nb,nc->na",
+                                gamma_p - np.concatenate(gammas), vel, vel)
+            outer = np.einsum("na,nb->nab", a_prime, vel)
+            wedge = outer - outer.transpose(0, 2, 1)
+            num = _norms(wedge.reshape(n * m, -1)) / np.sqrt(2.0)
+            den = _norms(a_prime) * _norms(vel) + eps
+            step_scores = (num / den).reshape(n, m)
 
-        # replay the block as a loop that checks both metrics every step
-        for i in range(n):
-            stop(active & ~live[i], first + i)
-            active &= live[i]
-            if not np.any(active):
-                break
-            scored += int(np.count_nonzero(active))
-            score = max(score,
-                        float(np.max(np.where(active, step_scores[i], 0.0))))
-            stop(active & ~stage_ok[i], first + i)
-            active &= stage_ok[i]
-        moving &= active
-        first += n
+            # a trial is scored at each step where it is live and has not
+            # stopped, and stops at its first step that is not live or
+            # has a stage that g rejects
+            alive = np.logical_and.accumulate(live & stage_ok, axis=0)
+            counted = live.copy()
+            counted[1:] &= alive[:-1]
+            scored += int(np.count_nonzero(counted))
+            # max(score, step max) step by step, so a step whose max is
+            # nan leaves the score as it was
+            score = max(score, *np.max(np.where(counted, step_scores, 0.0),
+                                       axis=1).tolist())
+            keep = alive[-1]
+            if not keep.all():
+                stops = first + np.argmin(alive[:, ~keep], axis=0)
+                truncated.update(zip(ids[~keep].tolist(), stops.tolist()))
+                ids, x, v = ids[keep], x[keep], v[keep]
+                if len(ids):
+                    stages = kernel(4 * block, len(ids))
+            first += n
 
     return GeodesicReport(score, trials, steps,
                           sorted(truncated.items()), scored)

@@ -119,6 +119,30 @@ def raw_partner(name: str):
                       spec.sample_box, name=f"{spec.name}-raw-partner")
 
 
+def three_term_christoffel_rows(g: tuple, coords: tuple) -> tuple:
+    """pointcalc._christoffel_rows with every s_dbc = d_b g_dc + d_c g_db
+    - d_d g_bc in the three-term form, s_bbb = (d_b g_bb + d_b g_bb) -
+    d_b g_bb included: det g, then the 40 Gamma rows."""
+    from fractions import Fraction
+
+    from lorhol.exprdsl import (
+        Const, add, differentiate, div, mul, sub, sym_cofactor4, sym_det4,
+        sym_sum,
+    )
+    from lorhol.pointcalc import _PAIRS
+    det = sym_det4(g)
+    dg = [[[differentiate(g[a][b], c) for c in coords] for b in range(4)]
+          for a in range(4)]
+    r = div(Const(Fraction(1, 2)), det)
+    rows = [det]
+    for a in range(4):
+        adj = [sym_cofactor4(g, a, d) for d in range(4)]
+        rows.extend(mul(sym_sum([
+            mul(adj[d], sub(add(dg[d][c][b], dg[d][b][c]), dg[b][c][d]))
+            for d in range(4)]), r) for b, c in _PAIRS)
+    return tuple(rows)
+
+
 def narrowed(g):
     """g with one more domain constraint, x0 < lo + 0.65 (hi - lo) on its
     first coordinate x0 with sample-box range [lo, hi]: the same metric

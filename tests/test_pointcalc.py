@@ -667,6 +667,36 @@ def test_fused_christoffels_match_the_numeric_path(name, partner):
             assert np.all(gamma[~ok] == 0.0)
 
 
+@pytest.mark.parametrize("name,partner", EVERY_METRIC)
+def test_christoffel_rows_equal_the_three_term_form(name, partner):
+    # s_bbb = d_b g_bb is (x + x) - x in IEEE arithmetic: det g and the
+    # Gamma rows of the fused program are the three-term form's bit for
+    # bit
+    from helpers import three_term_christoffel_rows
+    from lorhol.pointcalc import _christoffel_kernel, _fused_program
+    spec = _metric(name, partner)
+    pts = np.ascontiguousarray(sample_points(spec, 16, seed=5).T)
+    three_term = three_term_christoffel_rows(spec.g, spec.coords)
+    blocks = []
+    for program, values, size in (_christoffel_kernel(spec).args,
+                                  _fused_program(spec, three_term)):
+        vals = np.empty((size, 16))
+        program(vals, *pts, *values)
+        blocks.append(vals[-41:])
+    assert np.isfinite(blocks[0]).all()
+    assert blocks[0].tobytes() == blocks[1].tobytes()
+
+
+@pytest.mark.parametrize("name", ["r9", "r11", "r14", "r9-b0"])
+def test_christoffel_rows_drop_the_three_term_s_bbb(name):
+    from helpers import fixture_spec, three_term_christoffel_rows
+    from lorhol.exprdsl import count_lines
+    from lorhol.pointcalc import _christoffel_rows
+    g = fixture_spec(name)
+    assert (count_lines(_christoffel_rows(g.g, g.coords))
+            < count_lines(three_term_christoffel_rows(g.g, g.coords)))
+
+
 def test_line_budget_fuses_the_fixtures_and_their_partners():
     # one kernel for every metric: the fixtures, their partners in normal
     # form and as the raw adjugate formula

@@ -590,9 +590,11 @@ class TestBlockedSecondMetric:
 
     @staticmethod
     def spy_stages(monkeypatch, spec, events):
-        # g's stages as the loop runs them, logging each compiled call
-        # (p), whole-step test (v) and per-row masks (m) into events; g'
-        # goes through christoffel_batch, which is not spied here
+        # g's stages as the loop runs them, logging into events each stage
+        # buffer built (its batch width, an int), compiled call (p),
+        # whole-block test (v) and per-row masks (m, then a tuple of the
+        # masks and the block's buffer); g' goes through
+        # christoffel_batch, which is not spied here
         from functools import partial
         from lorhol import pointcalc
         program, values, size = pointcalc._christoffel_kernel(spec).args
@@ -602,6 +604,10 @@ class TestBlockedSecondMetric:
             return program(*args)
 
         class Stages(pointcalc._FusedStages):
+            def __init__(self, *args):
+                super().__init__(*args)
+                events.append(self.vals.shape[-1])
+
             def valid(self):
                 events.append("v")
                 return super().valid()
@@ -609,15 +615,31 @@ class TestBlockedSecondMetric:
             def masks(self):
                 events.append("m")
                 masks = super().masks()
-                events.append([m.copy() for m in masks])
+                events.append((*(m.copy() for m in masks),
+                               self.vals[:self.k].copy()))
                 return masks
 
         monkeypatch.setattr(projective, "_christoffel_kernel",
                             lambda s: partial(Stages, counted, values, size))
 
+    @staticmethod
+    def trace(events):
+        # the logged events as one string, a buffer of width n as [n]
+        return "".join(f"[{e}]" if isinstance(e, int) else e
+                       for e in events if not isinstance(e, tuple))
+
+    @staticmethod
+    def step_masks(events):
+        # the valid masks (ok and admissible) and the ok masks of each
+        # block that took the per-row masks, as (steps, 4 stages, trials)
+        for ok, admissible, _ in (e for e in events if isinstance(e, tuple)):
+            ok = ok.reshape(-1, 4, ok.shape[-1])
+            yield ok & admissible.reshape(ok.shape), ok
+
     def test_one_second_metric_call_per_block(self, appendix, monkeypatch):
-        # each RK4 step of g is four compiled calls and one whole-step
-        # test, and g' is one christoffel_batch call per block
+        # each RK4 step of g is four compiled calls into one stage buffer,
+        # each block of steps one whole-block test, and g' one
+        # christoffel_batch call per block
         partner = invert_pair(appendix.pair).partner
         events = []
         self.spy_stages(monkeypatch, appendix.g, events)
@@ -631,60 +653,95 @@ class TestBlockedSecondMetric:
         rep = pregeodesic_check(appendix.g, partner, trials=trials,
                                 steps=steps, horizon=0.1, seed=7)
         assert not rep.truncated
-        assert "".join(events) == "".join(
-            "ppppv" * min(block, steps - i) + "b"
+        assert self.trace(events) == "[20]" + "".join(
+            "pppp" * min(block, steps - i) + "vb"
             for i in range(0, steps, block))
 
-    def test_whole_block_test_dropped_after_the_first_stop(self, appendix,
-                                                           monkeypatch):
-        # a trial that g stops keeps the stage point that failed, so every
-        # later step has an invalid row: the whole-step test runs until
-        # the first step that fails it, and the masks from that step on
+    def test_stopped_trials_leave_the_batch(self, appendix, monkeypatch):
+        # r9 against itself: one trial stops in block 3 and none in block
+        # 4.  Block 3 fails the whole-block test and takes the masks;
+        # block 4 runs in a buffer one column narrower and passes it
         events = []
         self.spy_stages(monkeypatch, appendix.g, events)
-        rep = self.matches_reference(appendix.g, appendix.g, 20, 120, 5.0, 0)
-        first = min(s for _, s in rep.truncated)
+        rep = self.matches_reference(appendix.g, appendix.g, 20, 120, 2.0, 7)
         block = _BLOCK_ROWS // 20
-        g_steps = "".join(e for e in events if isinstance(e, str))
-        taken = g_steps.count("pppp")
-        assert first >= block and taken > first + 1
-        assert g_steps == ("ppppv" * first + "ppppvm"
-                           + "ppppm" * (taken - first - 1))
+        blocks = [s // block for _, s in rep.truncated]
+        assert min(blocks) == 3 and blocks.count(3) == 1 and 4 not in blocks
+        step = "pppp" * block
+        assert self.trace(events).startswith(
+            "[20]" + (step + "v") * 3 + step + "vm[19]" + step + "vp")
 
     def test_step_failing_after_its_first_stage(self, monkeypatch):
-        # narrowed r9 drives: in the steps that fail the whole-step test,
-        # rows valid at stage 1 have non-finite or degenerate Christoffels
-        # first at stage 2, at stage 3 and at stage 4; the unmasked
-        # stages carry them into the later stages and the update
+        # narrowed r9 drives: rows valid at stage 1 of the step where they
+        # stop have non-finite or degenerate Christoffels first at stage
+        # 2, at stage 3 and at stage 4; the unmasked stages carry them
+        # into the later stages and the update
         g = narrowed(fixture_spec("r9"))
         events = []
         self.spy_stages(monkeypatch, g, events)
         rep = self.matches_reference(g, fixture_spec("r9"), 20, 10, 2.0, 0)
         assert rep.truncated and rep.scored > 0
         first_bad = set()
-        for ok, admissible in (e for e in events if isinstance(e, list)):
-            valid_first = ok[0] & admissible[0]
-            first_bad |= {int(np.argmin(ok[:, r])) + 1
-                          for r in np.flatnonzero(valid_first & ~ok.all(0))}
+        for valid, ok in self.step_masks(events):
+            for r in np.flatnonzero(~valid.all(axis=(0, 1))):
+                i = np.argmin(valid[:, :, r].all(axis=1))
+                if valid[i, 0, r] and not ok[i, :, r].all():
+                    first_bad.add(int(np.argmin(ok[i, :, r])) + 1)
         assert first_bad == {2, 3, 4}
 
     def test_every_moving_trial_stops_at_stage_1(self, monkeypatch):
         # one r9 trajectory whose point at step 106 leaves the domain
-        # although every stage of step 105 was inside it: the last step
-        # takes the loop's break, with no stage mask
+        # although every stage of step 105 was inside it: its one block
+        # takes the masks, which first fail at stage 1 of step 106
         spec = fixture_spec("r9")
         events = []
         self.spy_stages(monkeypatch, spec, events)
         rep = self.matches_reference(spec, spec, 1, 200, 2.0, 2)
         assert rep.truncated == [(0, 106)] and rep.scored == 106
-        masks = [e for e in events if isinstance(e, list)]
-        ok, admissible = masks[-1]
-        assert len(masks) == 1 and not (ok[0] & admissible[0]).any()
+        assert self.trace(events) == "[1]" + "pppp" * 200 + "vm"
+        (valid, _), = self.step_masks(events)
+        assert valid[:106].all() and not valid[106, 0, 0]
+
+    def test_rows_past_a_stop_overflow_unseen(self, monkeypatch):
+        # r10 against itself with long steps: trials stop mid-block, and
+        # the stages of their later steps in that block overflow; the
+        # overflow reaches neither the report nor a warning
+        spec = fixture_spec("r10")
+        events = []
+        self.spy_stages(monkeypatch, spec, events)
+        rep = self.matches_reference(spec, spec, 20, 120, 12.0, 0)
+        block = _BLOCK_ROWS // 20
+        stop = dict(rep.truncated)
+        overflowed, j = [], -1
+        for e in events:
+            j += e == "v"
+            if isinstance(e, tuple):
+                vals = e[2].reshape(-1, 4, *e[2].shape[1:])
+                # the batch of block j: the trials not stopped before it
+                batch = [t for t in range(20)
+                         if stop.get(t, 120) >= j * block]
+                for col, t in enumerate(batch):
+                    i = stop.get(t, 120) - j * block
+                    past = vals[i + 1:, ..., col]
+                    if i < len(vals) and np.isinf(past).any():
+                        overflowed.append(t)
+        assert overflowed
+
+    def test_every_trial_stops_inside_one_block(self, monkeypatch):
+        # r10 against itself with very long steps: all 20 trials stop at
+        # steps 0 to 9 of the first block, and no further block runs
+        spec = fixture_spec("r10")
+        events = []
+        self.spy_stages(monkeypatch, spec, events)
+        rep = self.matches_reference(spec, spec, 20, 120, 96.0, 2)
+        stops = [s for _, s in rep.truncated]
+        assert len(stops) == 20 and 0 < max(stops) < _BLOCK_ROWS // 20
+        assert self.trace(events) == "[20]" + "pppp" * 12 + "vm"
 
     def test_degenerate_first_metric_stops_every_trial_at_step_0(self):
-        # g with a zero row: det g = 0 at every start point, so the first
-        # step takes the break with the unmasked Gamma of g inf or nan
-        # there; the placeholder zeros keep it out of the scores
+        # g with a zero row: det g = 0 at every start point, so every
+        # trial stops at step 0 with the unmasked Gamma of g inf or nan
+        # there; the masks keep it out of the scores
         g = fixture_spec("r9")
         rows = [list(r[:i + 1]) for i, r in enumerate(g.g)]
         rows[3] = ["0"] * 4

@@ -78,14 +78,15 @@ def test_geodesic_timing_prints_one_line_per_pair(capsys):
                                      "--steps", "2", "--repeat", "1",
                                      "--number", "1"])
     head, *lines = capsys.readouterr().out.splitlines()
-    assert head.split()[:3] == ["fixture", "pair", "us/step"]
+    assert head.split()[:5] == ["fixture", "pair", "us/step", "scored",
+                                "stops"]
     # minkowski has no derived partner
     assert [line.split()[:2] for line in lines] == [
         ["r9", "self"], ["r9", "partner"], ["r9", "flat"],
         ["minkowski", "self"], ["minkowski", "flat"]]
     for line in lines:
-        assert re.fullmatch(r"[a-z0-9]+ +[a-z]+ +[0-9]+\.[0-9] +40", line), \
-            line
+        assert re.fullmatch(r"[a-z0-9]+ +[a-z]+ +[0-9]+\.[0-9] +40 +0 +-",
+                            line), line
 
 
 @pytest.mark.parametrize("argv", [["survey_fixtures.py", "--samples", "2"]]
