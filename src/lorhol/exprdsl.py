@@ -1202,12 +1202,19 @@ def parse_expr(src: str, coords: Sequence[str],
 _COMPILE_GLOBALS = {
     "__builtins__": {},
     "_exp": np.exp, "_ln": np.log, "_sin": np.sin, "_cos": np.cos,
-    "_sqrt": np.sqrt,
+    "_sqrt": np.sqrt, "_square": np.square, "_reciprocal": np.reciprocal,
+    "_pow": np.power, "_neg": np.negative, "_add": np.add,
+    "_sub": np.subtract, "_mul": np.multiply, "_div": np.true_divide,
 }
+_UFUNCS = {Neg: "_neg", Add: "_add", Sub: "_sub", Mul: "_mul", Div: "_div"}
+# the exponents for which numpy's ``array ** exponent`` calls a ufunc of
+# its own, not np.power (its fast_scalar_power)
+_POWER_UFUNCS = {Fraction(1, 2): "_sqrt", 2: "_square", -1: "_reciprocal"}
 
 
 def _rhs(e: Expr, refs: list) -> str:
-    """The code computing e from its operands' references."""
+    """The code computing e from numpy scalars, its operands' references:
+    numpy's scalar operators."""
     if isinstance(e, Neg):
         return f"-{refs[0]}"
     if type(e) in _BINARY_OPS:
@@ -1224,10 +1231,26 @@ def _rhs(e: Expr, refs: list) -> str:
     raise ExprError(f"cannot compile node {type(e).__name__}")
 
 
+def _ufunc_call(e: Expr, refs: list, bind: Callable) -> tuple[str, list]:
+    """(ufunc, arguments) computing e from its operands' references when
+    one of them is a row: the ufunc that numpy's operator calls for an
+    array operand, so that the row is the operator's bit for bit.
+    bind(x) names the float x as a bound value."""
+    if isinstance(e, Pow):
+        if e.exponent in _POWER_UFUNCS:
+            return _POWER_UFUNCS[e.exponent], refs
+        return "_pow", [refs[0], bind(_exponent_float(e))]
+    if isinstance(e, Fn):
+        return f"_{e.name}", refs
+    if type(e) in _UFUNCS:
+        return _UFUNCS[type(e)], refs
+    raise ExprError(f"cannot compile node {type(e).__name__}")
+
+
 def count_lines(exprs: Sequence[Expr], seen: set | None = None) -> int:
-    """The lines compile_program emits to compute ``exprs`` before it
-    writes them out: one per distinct node that is not a constant, a
-    coordinate or a parameter.  Nodes in ``seen`` are skipped and the
+    """The assignments compile_program emits to compute ``exprs``: one
+    per distinct node that is not a constant, a coordinate or a
+    parameter.  Nodes in ``seen`` are skipped and the
     ones walked added, so successive calls count what each batch adds."""
     seen = set() if seen is None else seen
     new = list(_postorder(exprs, seen))
@@ -1240,70 +1263,94 @@ def compile_program(exprs: Sequence[Expr], coords: Sequence[str],
     """Compile expressions into one vectorised evaluator with parameters
     passed at call time: f(points (n,4), values (len(param_names),))
     returns (len(exprs), n).  ``values`` are floats, converted once by
-    whoever binds them to the program.  The code assigns each distinct
-    node once, in _postorder, and writes each computed row into the
-    result right after its node, every constant row in one assignment.
-    A name is reused once its node's last reader has run (linear-scan
-    register allocation), so a call holds only the rows still to be
-    read.  Domain violations surface as non-finite entries, with numpy's
-    floating-point warnings unless the caller runs f under np.errstate
-    (pointcalc does, around each metric evaluation); callers wanting
-    precise errors fall back on eval_expr.  f.program is the bare
-    compiled function, program(out, *coordinate rows, *values), which
-    writes the (len(exprs), n) block into ``out``: for callers that hold
-    their points as contiguous coordinate rows and own the block."""
+    whoever binds them to the program.
+
+    The code assigns each distinct node once, in _postorder.  A node
+    that varies with the point is one ufunc call, the ufunc that numpy's
+    operator calls on arrays (for ``**``, the one numpy picks by the
+    exponent), so its row is the operator's bit for bit; a node that
+    fills output rows is computed into the first of them,
+    ``_t3 = _mul(_t1, _t2, _out[5])``, and copied into the others.  Its
+    constant operands are 0-d float64 arrays bound once in the program's
+    namespace.  A node of parameters and constants alone computes with
+    numpy scalars and numpy's scalar operators, its constants
+    np.float64, so 1/0 or (-1)^(1/3) read inf or nan, not raising or as
+    -(1^(1/3)); its rows are copies.  A name is reused once its node's
+    last reader has run (linear-scan register allocation), so a call
+    holds only the rows still to be read.  Domain violations surface as
+    non-finite entries, with numpy's floating-point warnings unless the
+    caller runs f under np.errstate (pointcalc does, around each metric
+    evaluation); callers wanting precise errors fall back on eval_expr.
+
+    f.program is the bare compiled function, program(out, *coordinate
+    rows, *values), which writes the (len(exprs), n) block into ``out``
+    except its constant rows: program.const_rows = (rows, values (m, 1))
+    lists them, for callers that hold their points as contiguous
+    coordinate rows and own the block to write once (pointcalc's stage
+    buffers do, when they are built).  f writes them after each call."""
     var: dict[Expr, str] = {Coord(c): f"_c{i}" for i, c in enumerate(coords)}
     var.update({Param(p): f"_p{i}" for i, p in enumerate(param_names)})
+    varying: set[Expr] = {Coord(c) for c in coords}
     rows: dict[Expr, list[int]] = {}
     for k, e in enumerate(exprs):
         rows.setdefault(e, []).append(k)
     order = list(_postorder(exprs))
     operand_lists = [_children(n) for n in order]
     uses = Counter(chain.from_iterable(operand_lists))
-    bound: dict[str, np.float64] = {}
+    names: dict[tuple, str] = {}
+
+    def bind(x: float, kind=np.array) -> str:
+        # one name per value and kind: a 0-d array or an np.float64
+        return names.setdefault((kind, x), f"_k{len(names)}")
+
     free: list[str] = []
     lines: list[str] = []
     for e, operands in zip(order, operand_lists):
         if isinstance(e, Const):
-            var[e] = repr(_const_float(e))
             continue
+        copies = rows.get(e, [])
         if operands:  # not a coordinate or a parameter
-            refs = [var[c] for c in operands]
-            # only constants (one or two): as numpy floats, 1/0 or
-            # (-1)^(1/3) read inf or nan, not raising or as -(1^(1/3))
-            if type(operands[0]) is type(operands[-1]) is Const:
-                refs = [f"_k{len(bound) + i}" for i in range(len(refs))]
-                bound.update((r, np.float64(_const_float(c)))
-                             for r, c in zip(refs, operands))
+            scalar = varying.isdisjoint(operands)
+            kind = np.float64 if scalar else np.array
+            refs = [bind(_const_float(c), kind) if isinstance(c, Const)
+                    else var[c] for c in operands]
             for c in operands:
                 uses[c] -= 1
                 if not uses[c] and c._operands:  # c is dead: reuse its name
                     free.append(var[c])
             # var only grows, so _t{len(var)} names no earlier variable
             out = var[e] = free.pop() if free else f"_t{len(var)}"
-            lines.append(f"    {out} = {_rhs(e, refs)}")
+            if scalar:
+                lines.append(f"    {out} = {_rhs(e, refs)}")
+            else:
+                varying.add(e)
+                ufunc, args = _ufunc_call(e, refs, bind)
+                if copies:  # computed into its first row
+                    args, copies = args + [f"_out[{copies[0]}]"], copies[1:]
+                lines.append(f"    {out} = {ufunc}({', '.join(args)})")
             if not uses[e]:
                 free.append(out)
-        if e in rows:
-            lines += [f"    _out[{k}] = {var[e]}" for k in rows[e]]
-    namespace = dict(_COMPILE_GLOBALS, **bound)
-    consts = [k for k, e in enumerate(exprs) if isinstance(e, Const)]
-    if consts:
-        namespace["_ck"] = np.array(consts, dtype=np.intp)
-        namespace["_cv"] = np.array([[float(exprs[k].value)] for k in consts])
-        lines.append("    _out[_ck] = _cv")
+        lines += [f"    _out[{k}] = {var[e]}" for k in copies]
+    namespace = dict(_COMPILE_GLOBALS)
+    namespace.update((name, kind(x)) for (kind, x), name in names.items())
     args = ["_out"] + [f"_c{i}" for i in range(len(coords))]
     args += [f"_p{i}" for i in range(len(param_names))]
     src = "def _f({}):\n{}\n".format(
         ", ".join(args), "\n".join(lines) or "    pass")
     exec(compile(src, "<lorhol-expr>", "exec"), namespace)  # noqa: S102
     f = namespace["_f"]
+    consts = [k for k, e in enumerate(exprs) if isinstance(e, Const)]
+    f.const_rows = ck, cv = (
+        np.array(consts, dtype=np.intp),
+        np.array([_const_float(exprs[k]) for k in consts]).reshape(-1, 1))
     n_exprs = len(exprs)
 
     def evaluate(points: np.ndarray, param_values=()) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty((n_exprs, pts.shape[0]), dtype=float)
         f(out, *np.ascontiguousarray(pts.T), *param_values)
+        if consts:
+            out[ck] = cv
         return out
 
     evaluate.program = f

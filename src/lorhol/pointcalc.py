@@ -479,23 +479,31 @@ class _FusedStages:
     two parts.  Evaluation: a call writes the points' coordinate rows
     and the program's block (rows 0..9 g, upper triangle, 10..49 dg,
     then the constraints, det g and the 40 Gamma rows) into the next
-    slice of one buffer and returns Gamma, unmasked.  Validity: valid()
-    is _block_valid over every block evaluated since the last rewind(),
-    masks() their per-row (ok, admissible), each (k, n).  Callers hold
-    the np.errstate."""
+    slice of one buffer and returns Gamma, unmasked; the block's
+    constant rows are written into every slice when the buffer is
+    built.  Validity: valid() is _block_valid over every block
+    evaluated since the last rewind(), masks() their per-row (ok,
+    admissible), each (k, n).  Callers hold the np.errstate."""
 
     def __init__(self, program, values: tuple, size: int, count: int,
                  n: int):
-        self.program, self.values, self.k = program, values, 0
+        self.program, self.k = program, 0
         self.vals = np.empty((count, size, n))
         self.cols = np.empty((count, DIM, n))
+        # the program leaves its constant rows alone: write them once
+        rows, consts = program.const_rows
+        self.vals[:, rows] = consts
+        # per slice: its coordinate rows, the program's arguments and
+        # its Gamma rows
+        self.slices = [(cols, (vals, *cols, *values), vals[-40:])
+                       for vals, cols in zip(self.vals, self.cols)]
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        vals, cols = self.vals[self.k], self.cols[self.k]
+        cols, args, gamma = self.slices[self.k]
         self.k += 1
         cols[...] = pts.T
-        self.program(vals, cols[0], cols[1], cols[2], cols[3], *self.values)
-        return vals[-40:].take(_GAMMA_ROWS, axis=0).T.reshape(
+        self.program(*args)
+        return gamma.take(_GAMMA_ROWS, axis=0).T.reshape(
             len(pts), DIM, DIM, DIM)
 
     def rewind(self) -> None:

@@ -282,15 +282,53 @@ class TestCompiledWrites:
             assert np.array_equal(got[1], got[3])
 
     def test_no_per_row_constant_writes(self):
-        # one store per computed row and one for the whole constant block
-        f = compile_program(self.MIXED, COORDS, tuple(sorted(self.ENV)))
-        prog = inspect.getclosurevars(f).nonlocals["f"]
+        # the computed rows come out of their ufunc calls, a coordinate's
+        # or a parameter's row takes one store, and the bare program
+        # never writes the constant rows: it lists them in const_rows
+        names = tuple(sorted(self.ENV))
+        prog = compile_program(self.MIXED, COORDS, names).program
         stores = [i for i in dis.get_instructions(prog)
                   if i.opname == "STORE_SUBSCR"]
-        assert len(stores) == 5
-        assert prog.__globals__["_ck"].tolist() == [0, 2, 4, 7]
-        assert prog.__globals__["_cv"][:, 0].tolist() == [0.0, 1 / 3, 0.0,
-                                                          -2.0]
+        assert len(stores) == 2
+        rows, values = prog.const_rows
+        assert rows.tolist() == [0, 2, 4, 7]
+        assert values[:, 0].tolist() == [0.0, 1 / 3, 0.0, -2.0]
+        out = np.full((len(self.MIXED), len(self.PTS)), np.nan)
+        prog(out, *self.PTS.T.copy(), *(self.ENV[n] for n in names))
+        assert np.isnan(out[rows]).all()
+        assert np.isfinite(np.delete(out, rows, axis=0)).all()
+
+    def test_row_node_read_by_later_nodes(self):
+        # a node is computed into its first row, copied into its second,
+        # and read from the first by the nodes after it
+        e = p("u*v + b0")
+        exprs = [e, p("(u*v + b0)*y"), e, p("exp(u*v + b0)"), coord("x")]
+        prog = compile_program(exprs, COORDS, tuple(sorted(self.ENV)))
+        stores = [i for i in dis.get_instructions(prog.program)
+                  if i.opname == "STORE_SUBSCR"]
+        assert len(stores) == 2  # the copy of e and the row of x
+        got = self.check(exprs, self.PTS)
+        assert got[0].tobytes() == got[2].tobytes()
+
+    @pytest.mark.parametrize("exponent", [2, -1, Fraction(1, 2), 3, -2,
+                                          Fraction(1, 3), Fraction(-5, 2)])
+    def test_power_rows_are_the_operator_bit_for_bit(self, exponent):
+        # a power of a row calls the ufunc that numpy's ** calls on an
+        # array (np.square for 2, np.reciprocal for -1, np.sqrt for 1/2,
+        # np.power otherwise), into its row
+        rng = np.random.default_rng(3)
+        u = np.concatenate([rng.normal(size=200), rng.normal(size=50) * 1e150,
+                            rng.normal(size=50) * 1e-160,
+                            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]])
+        pts = np.zeros((len(u), 4))
+        pts[:, 0] = u
+        literal = (exponent.numerator if exponent.denominator == 1
+                   else float(exponent))
+        e = pow_(coord("u"), exponent)
+        with np.errstate(all="ignore"):
+            got = compile_program([e, coord("v")], COORDS, ())(pts)
+            want = u ** literal
+        assert got[0].tobytes() == want.tobytes()
 
     def test_count_lines_counts_the_emitted_assignments(self):
         # the partner tests compare the sizes of programs by this count

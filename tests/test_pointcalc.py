@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -673,18 +675,48 @@ def test_christoffel_rows_equal_the_three_term_form(name, partner):
     # Gamma rows of the fused program are the three-term form's bit for
     # bit
     from helpers import three_term_christoffel_rows
-    from lorhol.pointcalc import _christoffel_kernel, _fused_program
+    from lorhol.pointcalc import (
+        _christoffel_kernel, _fused_program, _FusedStages,
+    )
     spec = _metric(name, partner)
-    pts = np.ascontiguousarray(sample_points(spec, 16, seed=5).T)
+    pts = sample_points(spec, 16, seed=5)
     three_term = three_term_christoffel_rows(spec.g, spec.coords)
     blocks = []
-    for program, values, size in (_christoffel_kernel(spec).args,
-                                  _fused_program(spec, three_term)):
-        vals = np.empty((size, 16))
-        program(vals, *pts, *values)
-        blocks.append(vals[-41:])
+    for kernel in (_christoffel_kernel(spec),
+                   partial(_FusedStages, *_fused_program(spec, three_term))):
+        stages = kernel(1, 16)
+        stages(pts)
+        blocks.append(stages.vals[0, -41:])
     assert np.isfinite(blocks[0]).all()
     assert blocks[0].tobytes() == blocks[1].tobytes()
+
+
+def test_stage_buffer_keeps_exact_constant_rows():
+    # the fused program leaves its constant rows (r9's zero Gamma rows
+    # among them) to the stage buffer, which writes them when it is
+    # built: after rewind() and in a buffer rebuilt for a smaller batch
+    # every slice is the evaluator's whole block, bit for bit
+    from helpers import fixture_spec
+    from lorhol.pointcalc import (
+        _christoffel_kernel, _christoffel_rows, _jet_program,
+    )
+    spec = fixture_spec("r9")
+    kernel = _christoffel_kernel(spec)
+    program, values, _ = kernel.args
+    assert len(program.const_rows[0]) > 10
+    evaluate = _jet_program(spec.g, spec.coords, spec.params.names(), 1,
+                            spec.constraints
+                            + _christoffel_rows(spec.g, spec.coords))[0]
+    pts = sample_points(spec, 20, seed=5)
+    want = evaluate(pts, values)
+    for n in (20, 7):
+        stages = kernel(3, n)
+        for _ in range(2):
+            stages.rewind()
+            for _ in range(3):
+                stages(pts[:n])
+            assert stages.vals.tobytes() == np.stack([want[:, :n]] * 3
+                                                     ).tobytes()
 
 
 @pytest.mark.parametrize("name", ["r9", "r11", "r14", "r9-b0"])
@@ -717,10 +749,10 @@ class TestBlockValidity:
         from lorhol.pointcalc import (
             _GAMMA_ROWS, _christoffel_kernel, _nondegenerate, _row_masks,
         )
-        program, values, size = _christoffel_kernel(spec).args
-        vals = np.empty((size, len(pts)))
+        stages = _christoffel_kernel(spec)(1, len(pts))
+        vals = stages.vals[0]
         with np.errstate(all="ignore"):
-            program(vals, *np.ascontiguousarray(pts.T), *values)
+            stages(pts)
             finite, admissible = _row_masks(vals[:-41], pts.T, 50)
             ok = finite & _nondegenerate(vals[-41],
                                          np.abs(vals[:10]).max(axis=0))

@@ -466,12 +466,14 @@ def _reference_pregeodesic(g_spec, gp_spec, trials, steps, horizon, seed,
         if not np.any(active):
             break
         scored += int(np.count_nonzero(active))
-        a_prime = acc(gamma_p - gamma, v) * -1.0
+        # A' = Gamma' v v - Gamma v v over the sizes of its two terms
+        gpvv, gvv = acc(gamma_p, v) * -1.0, acc(gamma, v) * -1.0
+        a_prime = gpvv - gvv
         wedge = (np.einsum("na,nb->nab", a_prime, v)
                  - np.einsum("na,nb->nab", a_prime, v).transpose(0, 2, 1))
         num = np.linalg.norm(wedge.reshape(trials, -1), axis=1) / np.sqrt(2.0)
-        den = (np.linalg.norm(a_prime, axis=1) * np.linalg.norm(v, axis=1)
-               + eps)
+        den = ((np.linalg.norm(gpvv, axis=1) + np.linalg.norm(gvv, axis=1))
+               * np.linalg.norm(v, axis=1) + eps)
         score = max(score, float(np.max(np.where(active, num / den, 0.0))))
         k1x, k1v = v, acc(gamma, v)
         g2, ok2 = christoffel(g_spec, x + 0.5 * h * k1x)
@@ -487,6 +489,21 @@ def _reference_pregeodesic(g_spec, gp_spec, trials, steps, horizon, seed,
         x = np.where(upd, x + (h / 6) * (k1x + 2 * k2x + 2 * k3x + k4x), x)
         v = np.where(upd, v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v), v)
     return score, sorted(truncated.items()), scored
+
+
+@pytest.mark.parametrize("name", ["r9", "r14"])
+def test_partner_score_is_not_rounding_noise_over_a_vanishing_a_prime(name):
+    # seed 1055 (the benchmark's pass 55 at --seed 1): at r9's worst
+    # partner step |A'| = 4e-11 against |Gamma v v| = 0.93, so a score
+    # over |A'| |v| read the rounding noise of A' as 1.1e-5 (r9) and
+    # 1.3e-5 (r14), above geodesic-check's default tolerance 1e-6
+    b = named_fixture(name)
+    partner = invert_pair(b.pair).partner
+    rep = pregeodesic_check(b.g, partner, trials=20, steps=125,
+                            horizon=0.125, seed=1055)
+    assert rep.score < 1e-12
+    assert (rep.score, rep.truncated, rep.scored) == \
+        _reference_pregeodesic(b.g, partner, 20, 125, 0.125, 1055)
 
 
 class TestFusedStage:
@@ -595,10 +612,11 @@ class TestBlockedSecondMetric:
         # whole-block test (v) and per-row masks (m, then a tuple of the
         # masks and the block's buffer); g' goes through
         # christoffel_batch, which is not spied here
-        from functools import partial
+        from functools import partial, wraps
         from lorhol import pointcalc
         program, values, size = pointcalc._christoffel_kernel(spec).args
 
+        @wraps(program)  # with its const_rows
         def counted(*args):
             events.append("p")
             return program(*args)

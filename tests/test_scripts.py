@@ -89,6 +89,24 @@ def test_geodesic_timing_prints_one_line_per_pair(capsys):
                             line), line
 
 
+def test_geodesic_sweep_scans_seeds_at_the_benchmark_shape(capsys):
+    # seed 1055 is the benchmark's pass 55 at --seed 1, where the r9 and
+    # r14 partner scores once read rounding noise over a vanishing A'
+    _script("geodesic_sweep").main(["--seeds", "1055", "1055"])
+    head, columns, *lines = capsys.readouterr().out.splitlines()
+    assert head == ("seeds 1055-1055: 20 trials x 125 steps, horizon "
+                    "0.125, fixtures r9 r11 r14")
+    assert columns.split() == ["kind", "worst", "seed", "fixture", "decades"]
+    rows = {kind: (float(score), int(seed), name, float(decades))
+            for kind, score, seed, name, decades in map(str.split, lines)}
+    assert list(rows) == ["self", "partner", "flat"]
+    assert rows["self"] == (0.0, 1055, "r9", float("inf"))
+    score, seed, _, decades = rows["partner"]
+    assert score < 1e-12 and decades > 6 and seed == 1055
+    score, _, _, decades = rows["flat"]
+    assert score > 1e-2 and decades > 4
+
+
 @pytest.mark.parametrize("argv", [["survey_fixtures.py", "--samples", "2"]]
                          + [[p.name, "--help"]
                             for p in sorted(SCRIPTS.glob("*.py"))])
