@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Per-row cost of the derivative stack, the step of frames_at that turns
-metric jets into g^-1, Gamma, R and, at orders 3 and 4, the packed R;e
-and R;e;f.
+the compiled block of metric jets into g^-1, Gamma, R and, at orders 3
+and 4, the packed R;e and R;e;f.
 
 For every listed fixture and the partner derived from its Sinyukov
 pair, at each metric derivative order and each row count, this
-evaluates the metric jets at that many sampled points once, then times
-pointcalc._riemann_derivative_stack on them alone: the best of
-``--repeat`` rounds of ``--number`` calls, printed in microseconds per
-row.  The jets are evaluated outside the timed region, so the numbers
-are the stack's own and do not include the compiled jet program.  Run
-it pinned to one core (``taskset -c 0``) for stable numbers.
+evaluates g and the block of metric jets at that many sampled points
+once, then times pointcalc._riemann_derivative_stack on them alone: the
+best of ``--repeat`` rounds of ``--number`` calls, printed in
+microseconds per row.  The block is evaluated outside the timed region,
+so the numbers are the stack's own and do not include the compiled jet
+program.  Run it pinned to one core (``taskset -c 0``) for stable
+numbers.
 
 Usage: python scripts/stack_timing.py [--fixtures r14 minkowski]
            [--orders 2 3 4] [--rows 1 8 32 128] [--repeat 10] [--number 5]
@@ -38,8 +39,9 @@ def specs(names):
 
 
 def us_per_row(spec, order: int, rows: int, repeat: int, number: int):
-    jets = _metric_jets(spec, sample_points(spec, rows, seed=4), order)[0]
-    run = lambda: _riemann_derivative_stack(jets)  # noqa: E731
+    g, block = _metric_jets(spec, sample_points(spec, rows, seed=4),
+                            order)[:2]
+    run = lambda: _riemann_derivative_stack(g, block, order)  # noqa: E731
     run()
     best = min(timeit.repeat(run, number=number, repeat=repeat)) / number
     return best / rows * 1e6

@@ -58,11 +58,11 @@ DIM = 4
 DEGENERACY_TOL = 1e-12
 # frames_at assembles _CHUNK * 4^(4 - order) rows per derivative stack.
 # The largest arrays through order k hold about 4^(k + 2) floats per
-# row: d^k g itself (256, 1 024, 4 096 at orders 2-4), and at order 4 the
-# gathered factors of d^3 Gamma and of d_e d_f R, 4 800 and 3 200; the
-# packed R;e and R;e;f hold 384 and 1 536 (the full ones 1 024 and 4 096).
-# So every chunk's arrays stay within about _CHUNK * 4^6 floats (256-300
-# kB)
+# row: at order 4 the gathered factors of d^3 Gamma and of d_e d_f R,
+# 4 800 and 3 200; the packed R;e and R;e;f hold 384 and 1 536 (the full
+# ones 1 024 and 4 096); the metric's jets stay in the compiled block,
+# 700 rows.  So every chunk's arrays stay within about _CHUNK * 4^6
+# floats (256-300 kB)
 _CHUNK = 8
 
 
@@ -187,49 +187,97 @@ def metric_spec(coords: Sequence[str],
 
 def _jet_levels(comps: tuple, coords: Sequence[str], order: int) -> list:
     """The symbolic jets of orders 0..order of an expression field: one
-    dict per order, keyed (field slots, sorted derivative slots).  Four
-    Exprs are a covector, a 4x4 tuple a symmetric (0,2) tensor (its upper
-    triangle is read).  differentiate memoises every derivative for the
-    process, so walking the levels again costs lookups only."""
-    if isinstance(comps[0], Expr):
-        level = {((a,), ()): comps[a] for a in range(DIM)}
-    else:
-        level = {((a, b), ()): comps[a][b]
-                 for a in range(DIM) for b in range(a, DIM)}
-    levels = [level]
-    for _ in range(order):
-        level = {(f, m + (c,)): differentiate(e, coords[c])
-                 for (f, m), e in level.items()
-                 for c in range(m[-1] if m else 0, DIM)}
-        levels.append(level)
+    dict per order, keyed (field slots, derivative slots), each sorted,
+    in _jet_layout's row order.  Four Exprs are a covector, a 4x4 tuple
+    a symmetric (0,2) tensor (its upper triangle is read).  differentiate
+    memoises every derivative for the process, so walking the levels
+    again costs lookups only."""
+    rank = 1 if isinstance(comps[0], Expr) else 2
+    levels = []
+    for keys, _ in _jet_layout(rank, order):
+        levels.append({(f, m): differentiate(levels[-1][f, m[:-1]],
+                                             coords[m[-1]]) if m
+                       else (comps[f[0]] if rank == 1 else comps[f[0]][f[1]])
+                       for f, m in keys})
     return levels
+
+
+# the index pairs b <= c in order; _LEVEL[k], the first row of order k
+# of a metric's jets in its compiled block (_jet_layout(2, .)): 0, 10,
+# 50, 150, 350, and 700 past order 4.  A Christoffel kernel's block is
+# the order-1 one, then the constraints, det g and the _GAMMA Gamma rows.
+_PAIRS = list(itertools.combinations_with_replacement(range(DIM), 2))
+_LEVEL = list(itertools.accumulate(
+    (len(_PAIRS) * math.comb(DIM + k - 1, k) for k in range(5)), initial=0))
+_GAMMA = DIM * len(_PAIRS)
+
+
+def _read_only(*tables) -> tuple:
+    """The cached tables, made read only: their every reader shares them."""
+    for t in tables:
+        if t is not None:
+            t.setflags(write=False)
+    return tables
+
+
+def _flat(*ix):
+    """The row-major position of index ix in a (4,) * len(ix) array; the
+    indices broadcast, and the first may run past 3."""
+    pos = 0
+    for i in ix:
+        pos = pos * DIM + i
+    return pos
+
+
+@lru_cache(maxsize=None)
+def _sorted_multi(k: int) -> dict:
+    """{sorted multi-index of length k: its position}."""
+    return {q: i for i, q in enumerate(
+        itertools.combinations_with_replacement(range(DIM), k))}
+
+
+@lru_cache(maxsize=None)
+def _sorted_at(k: int) -> np.ndarray:
+    """(4,) * k: the position of each multi-index's sorted form in
+    _sorted_multi(k)."""
+    multi = _sorted_multi(k)
+    at = np.array([multi[tuple(sorted(ix))]
+                   for ix in itertools.product(range(DIM), repeat=k)])
+    return _read_only(at.reshape((DIM,) * k))[0]
+
+
+@lru_cache(maxsize=None)
+def _jet_layout(rank: int, order: int) -> tuple:
+    """The rows of a compiled block of a covector's (rank 1) or symmetric
+    (0,2) tensor's (rank 2) jets: per order k in 0..order, (keys, index),
+    keys the entries (field slots, derivative slots), each sorted, in row
+    order, and index (4,) * (rank + k) the row of each entry of the full
+    order-k array.  _jet_levels orders its keys by it; _field_jets,
+    _metric_jets and the stack's tables (_level_tables) gather by it."""
+    fields, levels, start = list(_sorted_multi(rank)), [], 0
+    for k in range(order + 1):
+        multi = list(_sorted_multi(k))
+        index = (start + len(multi) * _sorted_at(rank)[(...,) + (None,) * k]
+                 + _sorted_at(k))
+        levels.append((tuple(itertools.product(fields, multi)),
+                       *_read_only(index)))
+        start += len(fields) * len(multi)
+    return tuple(levels)
 
 
 @lru_cache(maxsize=1024)
 def _jet_program(comps: tuple, coords: tuple, pnames: tuple, order: int,
                  extra: tuple = ()) -> tuple:
-    """(f, gathers) for a field's jets of orders 0..order.  One compiled
+    """(f, layout) for a field's jets of orders 0..order.  One compiled
     program f(points (n, 4), parameter values) returns an (n_exprs, n)
-    block: the jets' entries, sharing their subexpressions, then one row
-    per extra expression (a metric's domain constraints).  gathers holds
-    per order k the (index, shape) that scatters the block into the
-    order-k array, shape (n,) + (4,)*rank + (4,)*k with the derivative
-    indices trailing.  Parameter values are call-time arguments, so
+    block: the jets' entries, laid out by layout (_jet_layout), sharing
+    their subexpressions, then one row per extra expression (a metric's
+    domain constraints).  Parameter values are call-time arguments, so
     structurally equal fields share one program across parameter draws."""
-    exprs, gathers = [], []
-    for level in _jet_levels(comps, coords, order):
-        # a key's field and derivative slots are the array's axes
-        shape = (DIM,) * sum(map(len, next(iter(level))))
-        # index[flat position] = the expression filling it; the
-        # permutations cover every position
-        index = np.empty(DIM ** len(shape), dtype=np.intp)
-        for f, m in sorted(level):
-            for full in {p + q for p in itertools.permutations(f)
-                         for q in itertools.permutations(m)}:
-                index[np.ravel_multi_index(full, shape)] = len(exprs)
-            exprs.append(level[(f, m)])
-        gathers.append((index, shape))
-    return compile_program(exprs + list(extra), coords, pnames), gathers
+    exprs = [e for level in _jet_levels(comps, coords, order)
+             for e in level.values()]
+    layout = _jet_layout(1 if isinstance(comps[0], Expr) else 2, order)
+    return compile_program(exprs + list(extra), coords, pnames), layout
 
 
 def _values(spec: MetricSpec) -> tuple:
@@ -241,22 +289,20 @@ def _values(spec: MetricSpec) -> tuple:
 
 
 @lru_cache(maxsize=1024)
-def _metric_program(spec: MetricSpec, order: int) -> tuple:
-    """(f, gathers, values): the _jet_program of spec's metric through
-    ``order`` with spec.constraints riding along, and spec's parameter
-    values.  A per-spec memo, for _metric_jets runs on every chunk of
-    frames_at and every batch of sample_points: a lookup by spec (nodes
-    hash by identity) costs about a third of a _jet_program lookup plus
-    _values."""
+def _metric_program(spec: MetricSpec, order: int, rows: tuple = ()) -> tuple:
+    """(f, layout, values): the _jet_program of spec's metric through
+    ``order`` with spec.constraints and then ``rows`` riding along, and
+    spec's parameter values.  A per-spec memo, for _metric_jets runs on
+    every chunk of frames_at and every batch of sample_points: a lookup
+    by spec (nodes hash by identity) costs about a third of a
+    _jet_program lookup plus _values."""
     return (*_jet_program(spec.g, spec.coords, spec.params.names(), order,
-                          spec.constraints), _values(spec))
+                          spec.constraints + rows), _values(spec))
 
 
-# the index pairs b <= c in order, and the row of Gamma^a_bc among the
-# 40 Gamma rows (a, then b <= c) for each (a, b, c) in C order
-_PAIRS = [(b, c) for b in range(DIM) for c in range(b, DIM)]
-_GAMMA_ROWS = np.array([len(_PAIRS) * a + _PAIRS.index(tuple(sorted(bc)))
-                        for a, *bc in np.ndindex(DIM, DIM, DIM)])
+# the row of Gamma^a_bc among the _GAMMA rows for each (a, b, c) in C order
+_GAMMA_ROWS = (len(_PAIRS) * np.arange(DIM)[:, None, None]
+               + _sorted_at(2)).ravel()
 
 
 @lru_cache(maxsize=1024)
@@ -287,30 +333,17 @@ def _christoffel_rows(g: tuple, coords: tuple) -> tuple:
     return tuple(rows)
 
 
-def _fused_program(spec: MetricSpec, rows: tuple) -> tuple:
-    """(program, values, size): the bare program (exprdsl's
-    evaluate.program) of spec's order-1 jets with its constraints and
-    ``rows`` (det g and the 40 Gamma rows) riding along, spec's
-    parameter values, and the rows of the block it writes."""
-    f, _ = _jet_program(spec.g, spec.coords, spec.params.names(), 1,
-                        spec.constraints + rows)
-    # perfbench's tracer wraps the evaluators it sees compiled, keeping
-    # the evaluator as __wrapped__
-    program = getattr(f, "__wrapped__", f).program
-    return program, _values(spec), 50 + len(spec.constraints) + len(rows)
-
-
 def _field_jets(spec: MetricSpec, comps, points, order: int = 0) -> tuple:
     """The jets of orders 0..order at ``points`` of a covector or
     symmetric (0,2) expression field over spec's coordinates and
     parameter values (see _jet_levels for the layout of ``comps``)."""
     comps = tuple(c if isinstance(c, Expr) else tuple(c) for c in comps)
-    f, gathers = _jet_program(comps, spec.coords, spec.params.names(), order)
+    f, layout = _jet_program(comps, spec.coords, spec.params.names(), order)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     with np.errstate(all="ignore"):
         vals = f(pts, _values(spec))
-    return tuple(vals[index].T.reshape((len(pts),) + shape)
-                 for index, shape in gathers)
+    return tuple(vals[index.ravel()].T.reshape((len(pts),) + index.shape)
+                 for _, index in layout)
 
 
 def _diagnose_point(spec: MetricSpec, point, max_order: int = 2) -> None:
@@ -325,37 +358,35 @@ def _diagnose_point(spec: MetricSpec, point, max_order: int = 2) -> None:
 
 
 def _metric_jets(spec: MetricSpec, pts: np.ndarray, order: int):
-    """(jets, finite, admissible, valid) at points pts (n, 4) float: the
-    metric jets of orders 0..order; the rows where all of them are
-    finite; the rows with finite coordinates at which every domain
-    constraint evaluates finite and > 0; and the rows whose jets of
-    orders 0..min(order, 2) pass _valid_rows.  One compiled call
-    evaluates the jets and spec.constraints, and one np.errstate
-    silences its floating-point warnings and the determinant test's."""
-    f, gathers, values = _metric_program(spec, order)
+    """(g, block, finite, admissible, valid) at points pts (n, 4) float:
+    g (n, 4, 4); the compiled block (rows, n), the metric's jets of
+    orders 0..order (_jet_layout), then spec.constraints; the points
+    whose jets of orders 0..min(order, 2) are finite; the points with
+    finite coordinates at which every constraint evaluates finite and >
+    0; and the finite points whose g passes _nondegenerate, under one
+    np.errstate with the compiled call (an overflowing det or scale is
+    inf and decides as it would unmuted)."""
+    f, layout, values = _metric_program(spec, order)
+    _, index = layout[0]
     with np.errstate(all="ignore"):
         vals = f(pts, values)
-        jets = tuple(vals[index].T.reshape((len(pts),) + shape)
-                     for index, shape in gathers)
-        finite, admissible = _row_masks(vals, pts.T,
-                                        len(vals) - len(spec.constraints))
-        # the rows of vals are the jets' entries, so up to order 2 their
-        # finiteness is the one the determinant test needs
-        valid = _valid_rows(jets[:3], finite if order <= 2 else None)
-    return jets, finite, admissible, valid
+        g = vals[index.ravel()].T.reshape((len(pts),) + index.shape)
+        finite, admissible = _row_masks(vals[:_LEVEL[min(order, 2) + 1]],
+                                        vals[_LEVEL[order + 1]:], pts.T)
+        valid = finite & _nondegenerate(np.linalg.det(g),
+                                        np.max(np.abs(g), axis=(1, 2)))
+    return g, vals, finite, admissible, valid
 
 
-def _row_masks(vals: np.ndarray, cols: np.ndarray, m: int) -> tuple:
-    """(finite, admissible) of compiled blocks vals (..., rows, n) at
-    points with coordinate rows cols (..., 4, n), whose rows [:m] are
-    jet entries and the rest domain constraints: the points with finite
-    jets, and the points with finite coordinates at which every
+def _row_masks(jets: np.ndarray, cons: np.ndarray, cols: np.ndarray) -> tuple:
+    """(finite, admissible) of compiled blocks whose jet rows are jets
+    (..., m, n) and domain constraint rows cons (..., c, n), at points
+    with coordinate rows cols (..., 4, n): the points whose jets are all
+    finite, and the points with finite coordinates at which every
     constraint evaluates finite and > 0."""
-    finite = np.isfinite(vals)
     admissible = (np.isfinite(cols).all(axis=-2)
-                  & (finite[..., m:, :] & (vals[..., m:, :] > 0.0))
-                  .all(axis=-2))
-    return finite[..., :m, :].all(axis=-2), admissible
+                  & (np.isfinite(cons) & (cons > 0.0)).all(axis=-2))
+    return np.isfinite(jets).all(axis=-2), admissible
 
 
 def admissible_mask(spec: MetricSpec, points: np.ndarray) -> np.ndarray:
@@ -363,7 +394,7 @@ def admissible_mask(spec: MetricSpec, points: np.ndarray) -> np.ndarray:
     constraint evaluates finite and > 0; the constraints are evaluated
     in the compiled call that also evaluates g."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return _metric_jets(spec, pts, 0)[2]
+    return _metric_jets(spec, pts, 0)[3]
 
 
 def _inadmissible(point) -> AdmissibilityError:
@@ -404,34 +435,18 @@ def sample_points(spec: MetricSpec, n: int, seed: int = 7,
 # Batched assembly building blocks
 # ---------------------------------------------------------------------------
 
-def _valid_rows(jets, finite=None) -> np.ndarray:
-    """Rows of a batch of metric jets (g, dg, ...) that are all finite and
-    whose g passes the determinant test of frame_at.  ``finite`` is the
-    rows' finiteness if the caller has it already.  _metric_jets calls
-    it under np.errstate: rows that are not finite are masked by
-    ``finite``, and an overflowing det or scale is inf and decides as it
-    would unmuted."""
-    if finite is None:
-        n = len(jets[0])
-        finite = np.ones(n, dtype=bool)
-        for j in jets:
-            finite &= np.all(np.isfinite(j), axis=tuple(range(1, j.ndim)))
-    return finite & _nondegenerate(np.linalg.det(jets[0]),
-                                   np.max(np.abs(jets[0]), axis=(1, 2)))
-
-
 def _nondegenerate(det: np.ndarray, gmax: np.ndarray) -> np.ndarray:
     """The determinant test: |det g| > DEGENERACY_TOL * (max |g_ab|)^4."""
     return np.abs(det) > DEGENERACY_TOL * np.maximum(gmax, 1e-300) ** 4
 
 
-def _raise_invalid(spec: MetricSpec, point, jets) -> None:
-    """Raise for a point whose batch-of-one jets failed _valid_rows."""
-    if not all(np.all(np.isfinite(j)) for j in jets):
-        _diagnose_point(spec, point, max_order=len(jets) - 1)
-    det = float(np.linalg.det(jets[0][0]))
-    raise DegenerateMetricError(
-        f"det g = {det:.3e} at {np.asarray(point, float).tolist()}")
+def _raise_invalid(spec: MetricSpec, point, g, finite, order: int) -> None:
+    """Raise for a point that _metric_jets(spec, ., order) found not
+    valid, given its g and its finiteness there."""
+    if not finite:
+        _diagnose_point(spec, point, max_order=min(order, 2))
+    raise DegenerateMetricError(f"det g = {float(np.linalg.det(g)):.3e} at "
+                                f"{np.asarray(point, float).tolist()}")
 
 
 def christoffel_batch(spec: MetricSpec, points):
@@ -466,19 +481,27 @@ def _christoffel_block(kernel, pts: np.ndarray) -> tuple:
 def _christoffel_kernel(spec: MetricSpec):
     """spec's Christoffel kernel, a per-spec memo like _metric_program:
     kernel(count, n) gives the stages of one block, _FusedStages bound to
-    spec's _fused_program.  christoffel_batch runs one stage; the
-    geodesic loop runs four per RK4 step in one buffer, rewound for each
-    block of steps, and decides a block's validity once."""
+    the bare program (exprdsl's evaluate.program) of spec's order-1
+    block with det g and the Gamma rows, spec's parameter values and the
+    block's row count.
+    christoffel_batch runs one stage; the geodesic loop runs four per RK4
+    step in one buffer, rewound for each block of steps, and decides a
+    block's validity once."""
     rows = _christoffel_rows(spec.g, spec.coords)
-    return partial(_FusedStages, *_fused_program(spec, rows))
+    f, _, values = _metric_program(spec, 1, rows)
+    # perfbench's tracer wraps the evaluators it sees compiled, keeping
+    # the evaluator as __wrapped__
+    program = getattr(f, "__wrapped__", f).program
+    return partial(_FusedStages, program, values,
+                   _LEVEL[2] + len(spec.constraints) + len(rows))
 
 
 class _FusedStages:
     """The Christoffel stages of one block: up to ``count`` evaluations
-    of a metric's fused program (_fused_program) at n points each, in
-    two parts.  Evaluation: a call writes the points' coordinate rows
-    and the program's block (rows 0..9 g, upper triangle, 10..49 dg,
-    then the constraints, det g and the 40 Gamma rows) into the next
+    of a metric's fused program (_christoffel_kernel) at n points each,
+    in two parts.  Evaluation: a call writes the points' coordinate rows
+    and the program's block (_LEVEL: rows 0..9 g, upper triangle, 10..49
+    dg, then the constraints, det g and the 40 Gamma rows) into the next
     slice of one buffer and returns Gamma, unmasked; the block's
     constant rows are written into every slice when the buffer is
     built.  Validity: valid() is _block_valid over every block
@@ -495,7 +518,7 @@ class _FusedStages:
         self.vals[:, rows] = consts
         # per slice: its coordinate rows, the program's arguments and
         # its Gamma rows
-        self.slices = [(cols, (vals, *cols, *values), vals[-40:])
+        self.slices = [(cols, (vals, *cols, *values), vals[-_GAMMA:])
                        for vals, cols in zip(self.vals, self.cols)]
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
@@ -515,10 +538,11 @@ class _FusedStages:
 
     def masks(self) -> tuple:
         vals = self.vals[:self.k]
-        finite, admissible = _row_masks(vals[:, :-41], self.cols[:self.k],
-                                        50)
-        ok = finite & _nondegenerate(vals[:, -41],
-                                     np.abs(vals[:, :10]).max(axis=1))
+        finite, admissible = _row_masks(vals[:, :_LEVEL[2]],
+                                        vals[:, _LEVEL[2]:-_GAMMA - 1],
+                                        self.cols[:self.k])
+        ok = finite & _nondegenerate(vals[:, -_GAMMA - 1],
+                                     np.abs(vals[:, :_LEVEL[1]]).max(axis=1))
         return ok, admissible
 
 
@@ -536,13 +560,14 @@ def _block_valid(vals: np.ndarray, cols: np.ndarray) -> bool:
     is a numpy scalar, as in _nondegenerate: past max |g_ab| ~ 1e77 its
     fourth power is inf under the caller's np.errstate, and the blocks
     fail."""
-    m = vals.shape[1] - 41  # the end of the constraint rows
+    cons = vals[:, _LEVEL[2]:-_GAMMA - 1]
     if not (vals.shape[-1]
             and math.isfinite(np.vdot(vals, vals) + np.vdot(cols, cols))
-            and (m == 50 or np.minimum.reduce(vals[:, 50:m], None) > 0)):
+            and (not cons.size or np.minimum.reduce(cons, None) > 0)):
         return False
-    gmax = np.maximum(np.maximum.reduce(np.abs(vals[:, :10]), None), 1e-300)
-    dmin = np.minimum.reduce(np.abs(vals[:, -41]), None)
+    gmax = np.maximum(np.maximum.reduce(np.abs(vals[:, :_LEVEL[1]]), None),
+                      1e-300)
+    dmin = np.minimum.reduce(np.abs(vals[:, -_GAMMA - 1]), None)
     return bool(dmin / 2 > DEGENERACY_TOL * gmax ** 4)
 
 
@@ -552,7 +577,8 @@ def require_valid(spec: MetricSpec, points, ok) -> None:
     for a degenerate g."""
     if not np.all(ok):
         point = np.atleast_2d(np.asarray(points, float))[np.argmin(ok)]
-        _raise_invalid(spec, point, _metric_jets(spec, point[None, :], 1)[0])
+        g, _, finite, _, _ = _metric_jets(spec, point[None, :], 1)
+        _raise_invalid(spec, point, g[0], finite[0], 1)
 
 
 def eval_field_batch(spec: MetricSpec, comps, points) -> np.ndarray:
@@ -712,32 +738,12 @@ class PointFrame:
 # slots, in bivector.BASIS_PAIRS order, laid out ([e[, f],] a, b, cd).
 _SIX = [(c, d) for c in range(DIM) for d in range(c + 1, DIM)]
 _SIX_INDEX = tuple(np.array(ix) for ix in zip(*_SIX))
-_PAIR_AT = np.zeros((DIM, DIM), dtype=np.intp)  # the position of pair bc
-for _i, (_b, _c) in enumerate(_PAIRS):
-    _PAIR_AT[_b, _c] = _PAIR_AT[_c, _b] = _i
+_PAIR_AT = _sorted_at(2)  # the position of pair bc
 _ZERO = 0
 _PACKED = ("covR6", "cov2R6")  # the stack's packed R;e and R;e;f
 # where each level of the Gamma jets starts: 1, 41, 201, 601, 1401
-_OFF = list(itertools.accumulate(
-    (DIM * math.comb(DIM + k - 1, k) * len(_PAIRS) for k in range(4)),
-    initial=1))
+_OFF = [1 + DIM * start for start in _LEVEL]
 _AXIS = np.arange(DIM)
-
-
-@lru_cache(maxsize=None)
-def _sorted_multi(k: int) -> dict:
-    """{sorted derivative multi-index of length k: its position}."""
-    return {q: i for i, q in enumerate(
-        itertools.combinations_with_replacement(range(DIM), k))}
-
-
-def _flat(*ix):
-    """The row-major position of index ix in a (4,) * len(ix) array; the
-    indices broadcast, and the first may run past 3."""
-    pos = 0
-    for i in ix:
-        pos = pos * DIM + i
-    return pos
 
 
 # where d_f Gamma^a_em sits in a row's packed Gamma jets, laid out (e, f,
@@ -749,9 +755,8 @@ _DGAMMA_EF = np.fromfunction(
 
 def _jet_row(r: tuple, m):
     """The row (of 10 pairs bc) that holds d^r Gamma^m_bc in a row's
-    packed Gamma jets, counted from the first level; r is sorted."""
-    multi = _sorted_multi(len(r))
-    return (_OFF[len(r)] - _OFF[0]) // len(_PAIRS) + m * len(multi) + multi[r]
+    packed Gamma jets, laid out as a covector's jets (_jet_layout)."""
+    return _jet_layout(1, len(r))[-1][1][(m, *r)]
 
 
 def _leibniz(q: tuple, top: int):
@@ -777,25 +782,26 @@ def _level_tables(k: int) -> tuple:
             - sum over r strictly inside Q of
               times d^(Q-r) g_am d^r Gamma^m_bc,
 
-    Gamma itself at k = 0, where the sum is empty.  s holds the
-    positions of d^Q d_b g_ac, d^Q d_c g_ab and d^Q d_a g_bc in the flat
-    d^(k+1) g, laid out (a, Q, bc).  w holds the positions of d^(Q-r)
-    g_am in the flat dg, d2g, ... put one after the other, laid out (a,
-    Q) by the jet row (r, m) it multiplies, and times the Leibniz count
-    (0 where r is not in Q; None where all are 1)."""
+    Gamma itself at k = 0, where the sum is empty.  s holds the rows of
+    the metric's block (_jet_layout) that hold d^Q d_b g_ac, d^Q d_c g_ab
+    and d^Q d_a g_bc, laid out (a, Q, bc).  w holds the rows of d^(Q-r)
+    g_am, laid out (a, Q) by the jet row (r, m) it multiplies, and times
+    the Leibniz count (0 where r is not in Q, and w dg's first row there;
+    None where all are 1).  Each row is read from _jet_layout's index at
+    the entry's indices."""
     multi = _sorted_multi(k)
     rows = (_OFF[k] - _OFF[0]) // len(_PAIRS)
-    w = np.zeros((DIM, len(multi), rows), dtype=np.intp)
+    layout = [index for _, index in _jet_layout(2, k + 1)]
+    w = np.full((DIM, len(multi), rows), layout[1][0, 0, 0])
     times = np.zeros(w.shape)
-    start = np.cumsum([0] + [DIM ** (j + 2) for j in range(1, k)])
-    digits = [np.array(list(multi))[:, i, None] for i in range(k)]
-    a, (b, c) = _AXIS[:, None, None], np.array(_PAIRS).T
-    s = np.array([_flat(a, c, b, *digits), _flat(a, b, c, *digits),
-                  _flat(b, c, a, *digits)])
+    digits = tuple(np.array(list(multi)).T[..., None])  # Q, each (nq, 1)
+    a, (b, c), at = _AXIS[:, None, None], np.array(_PAIRS).T, layout[k + 1]
+    s = np.array([at[(a, c, b, *digits)], at[(a, b, c, *digits)],
+                  at[(b, c, a, *digits)]])
     for q, qi in multi.items():
         for col, rest, t in _leibniz(q, k):
-            w[:, qi][:, col] = start[len(rest) - 1] + _flat(
-                _AXIS[:, None], _AXIS, *rest)
+            w[:, qi][:, col] = layout[len(rest)][(_AXIS[:, None], _AXIS,
+                                                  *rest)]
             times[:, qi][:, col] = t
     times = None if (times == 1).all() else times
     return _read_only(s, w, times)
@@ -840,9 +846,7 @@ def _dm_tables(k: int) -> tuple:
          + _PAIR_AT.reshape(-1))
     lead = (_OFF[0] + len(_PAIRS) * _jet_row((), a)
             + _PAIR_AT[c, m]).reshape(DIM * DIM, DIM)
-    qi = np.array([multi[tuple(sorted(x))]
-                   for x in itertools.product(range(DIM), repeat=k)])
-    qi = qi.reshape((DIM,) * k + (1, 1, 1))
+    qi = _sorted_at(k)[..., None, None, None]
     a, b, (c, d) = _AXIS[:, None, None], _AXIS[:, None], _SIX_INDEX
     anti = np.array([_flat(qi, c, a, d, b), _flat(qi, d, a, c, b)]).reshape(
         (2,) + (DIM,) * k + (DIM * DIM, len(_SIX)))
@@ -850,14 +854,6 @@ def _dm_tables(k: int) -> tuple:
     times = None if (times == 1).all() else times.reshape(u.shape)
     top = top.reshape(len(multi), DIM * DIM, DIM * DIM)
     return _read_only(top, u, times, v, lead, last, anti)
-
-
-def _read_only(*tables) -> tuple:
-    """The cached tables, made read only: every stack shares them."""
-    for t in tables:
-        if t is not None:
-            t.setflags(write=False)
-    return tables
 
 
 def _unit_actions() -> tuple:
@@ -924,13 +920,15 @@ def _unpack(six: np.ndarray) -> np.ndarray:
     return full
 
 
-def _riemann_derivative_stack(jets) -> dict:
-    """Riemann and its covariant derivatives from batched metric jets
-    (g, dg, d2g[, d3g[, d4g]]): a dict with ginv, gamma and R (R^a_bcd,
-    unpacked), plus covR6 (R^a_bcd;e) from d3g and cov2R6 (R^a_bcd;e;f)
-    from d4g, packed: the pairs c < d only, laid out (n, e[, f], a, b,
-    cd), which _unpack turns into the full tensor.  frames_at calls it
-    on row chunks (_CHUNK).
+def _riemann_derivative_stack(g: np.ndarray, block: np.ndarray,
+                              order: int) -> dict:
+    """Riemann and its covariant derivatives from g (n, 4, 4) and a
+    compiled block (rows, n) of the metric's jets through ``order`` (2
+    to 4; _metric_jets gives both), read by row: a dict with ginv, gamma
+    and R (R^a_bcd, unpacked), plus covR6 (R^a_bcd;e) at order 3 and
+    cov2R6 (R^a_bcd;e;f) at order 4, packed: the pairs c < d only, laid
+    out (n, e[, f], a, b, cd), which _unpack turns into the full tensor.
+    frames_at calls it on row chunks (_CHUNK).
 
     The jets of Gamma need no derivative of g^ad: with s_abc = d_b g_ac
     + d_c g_ab - d_a g_bc, g_ad Gamma^d_bc = 1/2 s_abc, and
@@ -941,12 +939,13 @@ def _riemann_derivative_stack(jets) -> dict:
 
     each raised with one product by g^ad.  These jets stay packed, b <=
     c and Q sorted, and each level, Gamma itself the first, is one
-    product of gathered factors (_level_tables).  With M^a_bcd = d_c
-    Gamma^a_bd + Gamma^a_cm Gamma^m_bd, R^a_bcd = M^a_bcd - M^a_bdc, and
-    its partial derivatives are those of M: M, d_e M, and the symmetric
-    d_e d_f M on the 10 sorted pairs ef each come from gathered jets and
-    products of gathered factors (_dm).  Then, with A_x the connection
-    terms of x^a_m (_act: x on a, -x on b, and one 6x6 action on cd),
+    product of factors gathered from the block's rows (_level_tables).
+    With M^a_bcd = d_c Gamma^a_bd + Gamma^a_cm Gamma^m_bd, R^a_bcd =
+    M^a_bcd - M^a_bdc, and its partial derivatives are those of M: M,
+    d_e M, and the symmetric d_e d_f M on the 10 sorted pairs ef each
+    come from gathered jets and products of gathered factors (_dm).
+    Then, with A_x the connection terms of x^a_m (_act: x on a, -x on
+    b, and one 6x6 action on cd),
 
         R;e   = d_e R + A_{Gamma_e} R
         R;e;f = d_e d_f R + A_{d_f Gamma_e} R + A_{Gamma_e} d_f R
@@ -954,22 +953,21 @@ def _riemann_derivative_stack(jets) -> dict:
 
     where (Gamma_e)^a_m = Gamma^a_em.
     """
-    order = len(jets) - 1
-    n = len(jets[0])
-    ginv = np.linalg.inv(jets[0])
+    n = len(g)
+    ginv = np.linalg.inv(g)
+    # the block's jet rows, one point a row, contiguous for the gathers
+    metric = np.ascontiguousarray(block[:_LEVEL[order + 1]].T)
     jet = np.empty((n, _OFF[order]))
     jet[:, _ZERO] = 0.0
-    flat_g = np.concatenate([j.reshape(n, DIM ** j.ndim // DIM)
-                             for j in jets[1:order]], axis=1)
     for k in range(order):
         s_at, w_at, times = _level_tables(k)
         nq, rows = w_at.shape[1:]
-        part = jets[k + 1].reshape(n, DIM ** (k + 3))[:, s_at]
+        part = metric[:, s_at]
         low = part[:, 0] + part[:, 1]
         low -= part[:, 2]
         low *= 0.5
         if k:  # the Leibniz sum; level 0 has none
-            w = np.take(flat_g, w_at, axis=1)
+            w = np.take(metric, w_at, axis=1)
             if times is not None:
                 w *= times
             low -= (w.reshape(n, DIM * nq, rows)
@@ -1017,7 +1015,7 @@ def _signature_signs(eig: np.ndarray):
 
 def signature_at(spec: MetricSpec, point) -> tuple[int, ...]:
     """Sorted eigenvalue signs of g at the point; Lorentz iff (-1,1,1,1)."""
-    (g,), finite, admissible, _ = _metric_jets(
+    g, _, finite, admissible, _ = _metric_jets(
         spec, np.asarray(point, float)[None, :], 0)
     if not admissible[0]:
         raise _inadmissible(point)
@@ -1077,13 +1075,13 @@ def _frame_chunks(spec: MetricSpec, points, order: int):
     rows = _CHUNK * DIM ** (4 - order)
     for start in range(0, len(pts), rows):
         chunk = pts[start:start + rows]
-        jets, _, admissible, valid = _metric_jets(spec, chunk, order)
+        g, block, finite, admissible, valid = _metric_jets(spec, chunk, order)
         ok = admissible & valid
         # iteration stops at the first bad row, so the stack covers the
         # rows before it
         n = len(chunk) if ok.all() else int(np.argmin(ok))
-        stack = _riemann_derivative_stack(tuple(j[:n] for j in jets))
-        stack["g"] = jets[0][:n]
+        stack = _riemann_derivative_stack(g[:n], block[:, :n], order)
+        stack["g"] = g[:n]
         # _signature_signs for every row: with the eigenvalues ascending,
         # a row is Lorentz and no eigenvalue is near zero exactly when the
         # first is at most -bound and the second at least +bound
@@ -1102,8 +1100,7 @@ def _frame_chunks(spec: MetricSpec, points, order: int):
         if n < len(chunk):
             if not admissible[n]:
                 raise _inadmissible(chunk[n])
-            _raise_invalid(spec, chunk[n],
-                           tuple(j[n:n + 1] for j in jets[:3]))
+            _raise_invalid(spec, chunk[n], g[n], finite[n], order)
 
 
 def _frame(spec: MetricSpec, point, stack: dict, i: int) -> PointFrame:

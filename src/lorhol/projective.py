@@ -101,9 +101,10 @@ def check_pair_wellformed(pair: SinyukovPair, points) -> None:
     a_vals = eval_field_batch(spec, pair.a, pts)
     if not np.isfinite(a_vals).all():
         raise InversionError("a is not finite at a sample point")
-    if not _nondegenerate(np.linalg.det(a_vals),
-                          np.max(np.abs(a_vals), axis=(1, 2))).all():
-        raise InversionError("a is degenerate at a sample point")
+    with np.errstate(all="ignore"):  # past |a_ab| ~ 1e77, as for g
+        if not _nondegenerate(np.linalg.det(a_vals),
+                              np.max(np.abs(a_vals), axis=(1, 2))).all():
+            raise InversionError("a is degenerate at a sample point")
     _, dlam = _field_jets(spec, pair.lam_exprs(), pts, 1)
     curl = dlam - dlam.transpose(0, 2, 1)
     scale = max(1.0, float(np.max(np.abs(dlam))))
@@ -126,7 +127,7 @@ def sinyukov_residual(pair: SinyukovPair, points) -> float:
         raise InversionError("no admissible points supplied")
     a_vals, cov = cov_deriv_batch(spec, pair.a, pts)
     lam = eval_field_batch(spec, pair.lam_exprs(), pts)
-    g = _metric_jets(spec, pts, 0)[0][0]
+    g = _metric_jets(spec, pts, 0)[0]
     rhs = (np.einsum("nac,nb->nabc", g, lam)
            + np.einsum("nbc,na->nabc", g, lam))
     amax = max(float(np.max(np.abs(a_vals))), 1e-300)
@@ -248,8 +249,9 @@ def invert_pair(pair: SinyukovPair, points=None, seed: int = 7,
 
     # constant sign of det a / det g on the (connected) sample domain
     a0 = eval_field_batch(spec, pair.a, pts[:1])[0]
-    g0 = _metric_jets(spec, pts[:1], 0)[0][0][0]
-    s = 1.0 if np.linalg.det(a0) / np.linalg.det(g0) > 0 else -1.0
+    g0 = _metric_jets(spec, pts[:1], 0)[0][0]
+    with np.errstate(all="ignore"):  # det a may overflow to +-inf
+        s = 1.0 if np.linalg.det(a0) / np.linalg.det(g0) > 0 else -1.0
     sgn = const(int(s))
     sdeta = mul(sgn, deta)
 
@@ -335,7 +337,7 @@ def _can_vanish(b: Expr, params) -> bool:
 def _assert_aux_connection(spec, pair, psi_vals, pts):
     """nabla'' a = 0 for Gamma''^a_bc = Gamma^a_bc - psi^a g_bc."""
     a_vals, cov = cov_deriv_batch(spec, pair.a, pts)
-    g = _metric_jets(spec, pts, 0)[0][0]
+    g = _metric_jets(spec, pts, 0)[0]
     ginv = np.linalg.inv(g)
     psi_up = np.einsum("nab,nb->na", ginv, psi_vals)
     corr = (np.einsum("ne,nca,neb->nabc", psi_up, g, a_vals)
@@ -357,7 +359,7 @@ def lemma1_checks(g_spec: MetricSpec, pair: SinyukovPair, points):
     a_ae R^e_bcd + a_be R^e_acd.  Returns (c, res_a, res_b, res_c)."""
     pts = np.atleast_2d(np.asarray(points, float))
     lam_vals, cov_lam = cov_deriv_batch(g_spec, pair.lam_exprs(), pts)
-    g = _metric_jets(g_spec, pts, 0)[0][0]
+    g = _metric_jets(g_spec, pts, 0)[0]
     c_fit = (float(np.sum(cov_lam * g)) / float(np.sum(g * g)))
     res_a = float(np.max(np.abs(cov_lam - c_fit * g)))
     res_a /= max(1.0, float(np.max(np.abs(cov_lam))))

@@ -156,6 +156,52 @@ def narrowed(g):
                       g.sample_box, name=f"{g.name}-narrow")
 
 
+def reference_valid_rows(g, dg) -> np.ndarray:
+    """The rows of full metric jets g (n, 4, 4) and dg (n, 4, 4, 4), as
+    _field_jets gives them, that are finite and whose g passes the
+    determinant test of pointcalc: the frame validity test as it read
+    full arrays, kept as an oracle for the block-row test."""
+    from lorhol.pointcalc import _nondegenerate
+    with np.errstate(all="ignore"):
+        finite = (np.isfinite(g).all(axis=(1, 2))
+                  & np.isfinite(dg).all(axis=(1, 2, 3)))
+        return finite & _nondegenerate(np.linalg.det(g),
+                                       np.max(np.abs(g), axis=(1, 2)))
+
+
+def full_array_positions(k: int) -> tuple:
+    """(s, w): where the derivative stack's level-k gathers sit in full
+    metric jets, as it read them before it read the compiled block.  s
+    holds the flat positions of d^Q d_b g_ac, d^Q d_c g_ab and d^Q d_a
+    g_bc in d^(k+1) g, laid out (a, Q, bc); w those of d^(Q-r) g_am in
+    dg, d2g, ... put one after the other, laid out (a, Q) by the jet row
+    (r, m) it multiplies, 0 where r is not in Q.  The row-major formula
+    of those positions, kept apart from pointcalc's block layout as an
+    oracle for pointcalc._level_tables."""
+    from lorhol.pointcalc import _OFF, _PAIRS, _leibniz, _sorted_multi
+
+    def flat(*ix):
+        pos = 0
+        for i in ix:
+            pos = pos * 4 + i
+        return pos
+
+    axis = np.arange(4)
+    multi = _sorted_multi(k)
+    w = np.zeros((4, len(multi), (_OFF[k] - _OFF[0]) // len(_PAIRS)),
+                 dtype=np.intp)
+    start = np.cumsum([0] + [4 ** (j + 2) for j in range(1, k)])
+    digits = [np.array(list(multi))[:, i, None] for i in range(k)]
+    a, (b, c) = axis[:, None, None], np.array(_PAIRS).T
+    s = np.array([flat(a, c, b, *digits), flat(a, b, c, *digits),
+                  flat(b, c, a, *digits)])
+    for q, qi in multi.items():
+        for col, rest, _ in _leibniz(q, k):
+            w[:, qi][:, col] = start[len(rest) - 1] + flat(
+                axis[:, None], axis, *rest)
+    return s, w
+
+
 def reference_riemann_stack(jets) -> dict:
     """Gamma^a_bc, R^a_bcd, R^a_bcd;e and R^a_bcd;e;f from batched metric
     jets (g, dg, d2g, d3g[, d4g]) through explicit derivatives of g^ab up

@@ -317,6 +317,25 @@ class TestSinyukovAndPartner:
         assert res2.exit_code == 0
         assert rep2["max_diff"] < 1e-8
 
+    def test_a_past_the_overflow_is_one_error_line(self, runner, emitted,
+                                                   tmp_path):
+        # r9's a times 1e80: det a and the determinant test's threshold
+        # overflow, and a is degenerate; the user sees the error alone,
+        # and no numpy warning is raised on the way
+        files = emitted("r9")
+        with open(files["a"]) as fh:
+            pair = json.load(fh)
+        pair["a"] = [[f"1e80*({e})" for e in row] for row in pair["a"]]
+        big = tmp_path / "big-a.json"
+        big.write_text(json.dumps(pair))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = runner.invoke(main, ["derive-partner", "-m", files["g"],
+                                       "-a", str(big), "-o",
+                                       str(tmp_path / "partner.json")])
+        assert res.exit_code == 2
+        assert res.stderr == "error: a is degenerate at a sample point\n"
+
     def test_projective_check_auto_psi(self, runner, emitted, tmp_path):
         files = emitted("r9")
         partner = str(tmp_path / "partner.json")

@@ -541,9 +541,9 @@ def test_order2_survey_builds_one_stack_per_chunk(monkeypatch):
     stack = pointcalc._riemann_derivative_stack
     rows = []
 
-    def spy(jets):
-        rows.append(len(jets[0]))
-        return stack(jets)
+    def spy(g, block, order):
+        rows.append(len(g))
+        return stack(g, block, order)
 
     monkeypatch.setattr(pointcalc, "_riemann_derivative_stack", spy)
     rep = holonomy_survey(fixture_spec("r14"), samples=20, seed=1,
@@ -561,10 +561,13 @@ def test_packed_generators_match_the_full_tensors(which):
     from helpers import fixture_spec, reference_riemann_stack
     from lorhol.bivector import BASIS_INDEX
     from lorhol.holonomy import SPAN_TOL, _generators
-    from lorhol.pointcalc import _metric_jets, _riemann_derivative_stack
+    from lorhol.pointcalc import (
+        _field_jets, _metric_jets, _riemann_derivative_stack,
+    )
     spec = fixture_spec(*which)
-    jets = _metric_jets(spec, sample_points(spec, 4, seed=4), 4)[0]
-    got, full = _riemann_derivative_stack(jets), reference_riemann_stack(jets)
+    pts = sample_points(spec, 4, seed=4)
+    got = _riemann_derivative_stack(*_metric_jets(spec, pts, 4)[:2], 4)
+    full = reference_riemann_stack(_field_jets(spec, spec.g, pts, 4))
     for order in (1, 2):
         gens, kept = _generators([got[k] for k in ("R", "covR6", "cov2R6")
                                   [:order + 1]])

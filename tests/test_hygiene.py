@@ -1,6 +1,7 @@
 """Source hygiene, checked with the standard library's ast alone: every
 name a lorhol module imports is used there or exported in its
-``__all__``."""
+``__all__``, and every private name a module defines at its top level
+is read somewhere in the package."""
 import ast
 from pathlib import Path
 
@@ -46,3 +47,64 @@ def test_unused_import_check_sees_what_it_should():
            "__all__ = ['D']\n"
            "x: B = np.zeros(1)\n")
     assert unused_imports(src) == ["C (line 4)", "os (line 2)"]
+
+
+def dead_private_names(sources: dict) -> list[str]:
+    """The private names (one leading underscore) that the modules in
+    ``sources``, {module name: source}, define at their top level by
+    def, class or assignment, and that no module reads: as a name, by
+    ``from ... import`` or as an attribute of a module it imports."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = [n.id for t in (node.targets if isinstance(
+                    node, ast.Assign) else [node.target])
+                           for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                targets = []
+            for name in targets:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.setdefault(name, f"{module}: {name} "
+                                             f"(line {node.lineno})")
+        modules = {a.asname or a.name.split(".")[0] for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for a in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                read.add(node.attr)
+    return sorted(where for name, where in defined.items()
+                  if name not in read)
+
+
+def test_no_dead_private_names():
+    assert dead_private_names({p.stem: p.read_text()
+                               for p in sorted(SRC.glob("*.py"))}) == []
+
+
+def test_dead_name_check_sees_what_it_should():
+    a = ("import numpy as np\n"
+         "_dead = 1\n"
+         "_used, _unused = 2, 3\n"
+         "def _helper():\n"
+         "    return _used\n"
+         "class _Shadow:\n"
+         "    _attr = np.zeros(1)\n"
+         "_imported = _via_module = _via_other = 4\n"
+         "__version__ = '0'\n")
+    b = ("from . import a as m\n"
+         "from .a import _imported\n"
+         "x = m._via_module\n"
+         "y = x._Shadow + x._via_other\n")
+    assert dead_private_names({"a": a, "b": b}) == [
+        "a: _Shadow (line 6)", "a: _dead (line 2)", "a: _helper (line 4)",
+        "a: _unused (line 3)", "a: _via_other (line 8)"]

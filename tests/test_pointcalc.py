@@ -400,7 +400,7 @@ class TestChristoffelKernel:
                            constraints=["u"])
 
     def test_mask_flags_exactly_the_bad_rows(self):
-        from lorhol.pointcalc import _metric_jets, admissible_mask, \
+        from lorhol.pointcalc import _field_jets, admissible_mask, \
             christoffel_batch
         spec = self.spec()
         gamma, ok, _ = christoffel_batch(spec, self.PTS)
@@ -412,7 +412,7 @@ class TestChristoffelKernel:
         # on the rows with valid jets; the spec's program is fused, so
         # equal to 1e-14 of the largest entry
         good = self.PTS[ok]
-        g, dg = _metric_jets(spec, good, 1)[0]
+        g, dg = _field_jets(spec, spec.g, good, 1)
         ginv = np.linalg.inv(g)
         s = dg.transpose(0, 1, 3, 2) + dg - dg.transpose(0, 3, 1, 2)
         want = 0.5 * np.einsum("nad,ndbc->nabc", ginv, s)
@@ -580,9 +580,9 @@ class TestFramesAt:
         stack = pointcalc._riemann_derivative_stack
         rows = []
 
-        def spy(jets):
-            rows.append(len(jets[0]))
-            return stack(jets)
+        def spy(g, block, order):
+            rows.append(len(g))
+            return stack(g, block, order)
 
         monkeypatch.setattr(pointcalc, "_riemann_derivative_stack", spy)
         for order, chunk in ((4, pointcalc._CHUNK),
@@ -617,11 +617,14 @@ FIXTURES_AND_PARTNERS = ([(n, False) for n in FIXTURES]
 
 
 def _reference_christoffel(spec, pts):
-    """christoffel_batch with g inverted by numpy: the order-1 jets,
-    masks and determinant test (_metric_jets), then np.linalg.inv and one
-    einsum."""
-    from lorhol.pointcalc import _metric_jets
-    (g, dg), _, admissible, ok = _metric_jets(spec, pts, 1)
+    """christoffel_batch with g inverted by numpy: the full order-1 jets
+    (_field_jets), the validity test on them (reference_valid_rows) and
+    admissible_mask, then np.linalg.inv and one einsum."""
+    from helpers import reference_valid_rows
+    from lorhol.pointcalc import _field_jets, admissible_mask
+    g, dg = _field_jets(spec, spec.g, pts, 1)
+    ok = reference_valid_rows(g, dg)
+    admissible = admissible_mask(spec, pts)
     g[~ok] = np.eye(4)
     dg[~ok] = 0.0
     # s[n,d,b,c] = d_b g_dc + d_c g_db - d_d g_bc
@@ -676,14 +679,16 @@ def test_christoffel_rows_equal_the_three_term_form(name, partner):
     # bit
     from helpers import three_term_christoffel_rows
     from lorhol.pointcalc import (
-        _christoffel_kernel, _fused_program, _FusedStages,
+        _christoffel_kernel, _FusedStages, _metric_program,
     )
     spec = _metric(name, partner)
     pts = sample_points(spec, 16, seed=5)
     three_term = three_term_christoffel_rows(spec.g, spec.coords)
+    fused = _christoffel_kernel(spec)
+    f, _, values = _metric_program(spec, 1, three_term)
     blocks = []
-    for kernel in (_christoffel_kernel(spec),
-                   partial(_FusedStages, *_fused_program(spec, three_term))):
+    for kernel in (fused,
+                   partial(_FusedStages, f.program, values, fused.args[2])):
         stages = kernel(1, 16)
         stages(pts)
         blocks.append(stages.vals[0, -41:])
@@ -753,7 +758,7 @@ class TestBlockValidity:
         vals = stages.vals[0]
         with np.errstate(all="ignore"):
             stages(pts)
-            finite, admissible = _row_masks(vals[:-41], pts.T, 50)
+            finite, admissible = _row_masks(vals[:50], vals[50:-41], pts.T)
             ok = finite & _nondegenerate(vals[-41],
                                          np.abs(vals[:10]).max(axis=0))
         gamma = vals[-40:][_GAMMA_ROWS].T.reshape(len(pts), 4, 4, 4)
@@ -889,16 +894,42 @@ def test_derivative_stack_matches_reference(name, partner):
     # the Gamma-recursion stack against the explicit d^k g^ab formulas
     from helpers import fixture_spec, reference_riemann_stack
     from lorhol.pointcalc import (
-        _metric_jets, _riemann_derivative_stack, _unpack,
+        _field_jets, _metric_jets, _riemann_derivative_stack, _unpack,
     )
     spec = fixture_spec(name, partner)
-    jets = _metric_jets(spec, sample_points(spec, 16, seed=4), 4)[0]
-    got = _riemann_derivative_stack(jets)
+    pts = sample_points(spec, 16, seed=4)
+    got = _riemann_derivative_stack(*_metric_jets(spec, pts, 4)[:2], 4)
     got["covR"], got["cov2R"] = _unpack(got["covR6"]), _unpack(got["cov2R6"])
-    want = reference_riemann_stack(jets)
+    want = reference_riemann_stack(_field_jets(spec, spec.g, pts, 4))
     for key in ("gamma", "R", "covR", "cov2R"):
         scale = np.max(np.abs(want[key]))
         assert np.max(np.abs(got[key] - want[key])) <= 1e-13 * scale, key
+
+
+@pytest.mark.parametrize("name,partner", FIXTURES_AND_PARTNERS)
+def test_stack_rows_are_the_full_arrays_entries(name, partner):
+    # the layout oracle: the block rows that the stack's tables gather
+    # are, bit for bit, the entries of _field_jets' full arrays at the
+    # positions the stack read when it read full arrays (the row-major
+    # formula in helpers), padding included; the block comes from the
+    # metric's own _jet_program
+    from helpers import fixture_spec, full_array_positions
+    from lorhol.pointcalc import (
+        _LEVEL, _field_jets, _jet_layout, _level_tables, _metric_jets,
+    )
+    assert [int(index.min()) for _, index in _jet_layout(2, 4)] == _LEVEL[:5]
+    spec = fixture_spec(name, partner)
+    pts = sample_points(spec, 4, seed=4)
+    rows = _metric_jets(spec, pts, 4)[1].T
+    flat = [j.reshape(len(pts), -1) for j in _field_jets(spec, spec.g, pts,
+                                                         4)]
+    for k in range(4):
+        s_rows, w_rows, _ = _level_tables(k)
+        s_at, w_at = full_array_positions(k)
+        assert rows[:, s_rows].tobytes() == flat[k + 1][:, s_at].tobytes()
+        if k:  # level 0 has no Leibniz factors
+            lower = np.concatenate(flat[1:k + 1], axis=1)
+            assert rows[:, w_rows].tobytes() == lower[:, w_at].tobytes()
 
 
 def _frames_at_order_4(name, partner):
@@ -944,9 +975,9 @@ def test_packed_derivatives_are_unchanged_by_scaling_g(c):
     from lorhol.pointcalc import _metric_jets, _riemann_derivative_stack
     for name, partner in FIXTURES_AND_PARTNERS:
         spec = fixture_spec(name, partner)
-        jets = _metric_jets(spec, sample_points(spec, 4, seed=4), 4)[0]
-        got = _riemann_derivative_stack(jets)
-        scaled = _riemann_derivative_stack(tuple(c * j for j in jets))
+        g, block = _metric_jets(spec, sample_points(spec, 4, seed=4), 4)[:2]
+        got = _riemann_derivative_stack(g, block, 4)
+        scaled = _riemann_derivative_stack(c * g, c * block, 4)
         for key in ("covR6", "cov2R6"):
             assert (np.max(np.abs(scaled[key] - got[key]))
                     <= 1e-12 * np.max(np.abs(got[key]))), (name, key)
@@ -961,7 +992,7 @@ def test_stack_unpacks_a_full_tensor_when_read():
     )
     spec = fixture_spec("r14")
     stack = _riemann_derivative_stack(
-        _metric_jets(spec, sample_points(spec, 2, seed=4), 4)[0])
+        *_metric_jets(spec, sample_points(spec, 2, seed=4), 4)[:2], 4)
     assert "covR" not in stack and "cov2R" not in stack
     for key in ("covR", "cov2R"):
         six = stack[key + "6"]

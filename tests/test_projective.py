@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from helpers import fixture_spec, narrowed, raw_partner
 
-from lorhol.exprdsl import count_lines, eval_expr, parse_expr
+from lorhol.exprdsl import count_lines, eval_expr, mul, parse_expr
 from lorhol.fixtures import (
     FIXTURE_NAMES, fixture_minkowski, fixture_r9_r14, named_fixture,
 )
@@ -15,7 +15,8 @@ from lorhol.pointcalc import (
 )
 from lorhol import projective
 from lorhol.projective import (
-    _BLOCK_ROWS, InversionError, SinyukovPair, curvature_relation_residual, invert_pair,
+    _BLOCK_ROWS, InversionError, SinyukovPair, check_pair_wellformed,
+    curvature_relation_residual, invert_pair,
     lambda_from_trace, lemma1_checks, pregeodesic_check, projective_residual,
     psi_from_connections, sinyukov_residual, weyl_projective_at,
     weyl_projective_equal,
@@ -235,6 +236,34 @@ class TestInvertPair:
                                      waveband.pair.lam),
                         pts_for(waveband, 5))
 
+    def test_a_past_the_overflow_warns_nothing(self, appendix):
+        # r9's a times 1e80: det a and the threshold (max |a_ab|)^4
+        # overflow, and a reads degenerate, as g does past ~1e77
+        big = parse_expr("1e80", appendix.g.coords)
+        a = tuple(tuple(mul(big, e) for e in row) for row in appendix.pair.a)
+        pair = SinyukovPair(appendix.g, a, appendix.pair.lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for check in (check_pair_wellformed, invert_pair):
+                with pytest.raises(InversionError, match="a is degenerate"):
+                    check(pair, pts_for(appendix, 5))
+
+    def test_det_a_past_the_overflow_warns_nothing(self):
+        # a constant 4x4 Hadamard matrix times 1.1e77 on Minkowski space:
+        # (max |a_ab|)^4 stays finite, det a = 16 x 1.46e308 does not; a
+        # passes the determinant test, and det a / det g reads -inf, so
+        # the partner's row s det a / det g is the exact 16 x 1.1^4 e308
+        b = fixture_minkowski()
+        rows = ("1 1 1 1", "1 -1 1 -1", "1 1 -1 -1", "1 -1 -1 1")
+        a = tuple(tuple(parse_expr(f"{x}*1.1e77", b.g.coords)
+                        for x in row.split()) for row in rows)
+        pair = SinyukovPair(b.g, a, tuple(parse_expr("0", b.g.coords)
+                                          for _ in range(4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pp = invert_pair(pair, pts_for(b, 5))
+        assert pp.partner.constraints[0].value == 16 * 11 ** 4 * 10 ** 304
+
 
 class TestPsiFromConnections:
     def test_same_metric_zero(self):
@@ -430,18 +459,17 @@ class TestPregeodesic:
 def _reference_pregeodesic(g_spec, gp_spec, trials, steps, horizon, seed,
                            box=None):
     """The RK4 pre-geodesic loop with each Christoffel evaluation composed
-    from the separate pieces: metric jets, the validity test, the Gamma
-    kernel of christoffel_batch (fused or numeric, as for the spec), and
-    the standalone admissibility mask."""
+    from the separate pieces: the full metric jets (_field_jets), the
+    validity test on them (reference_valid_rows), the Gamma kernel of
+    christoffel_batch, and the standalone admissibility mask."""
+    from helpers import reference_valid_rows
     from lorhol.pointcalc import (
-        DIM, _metric_jets, _valid_rows, admissible_mask, christoffel_batch,
+        DIM, _field_jets, admissible_mask, christoffel_batch,
     )
 
     def christoffel(spec, pts):
         # the determinant test sees the rows outside the domain too
-        with np.errstate(all="ignore"):
-            g, dg = _metric_jets(spec, pts, 1)[0]
-            ok = _valid_rows((g, dg))
+        ok = reference_valid_rows(*_field_jets(spec, spec.g, pts, 1))
         gamma = np.where(ok[:, None, None, None],
                          christoffel_batch(spec, pts)[0], 0.0)
         return gamma, ok & admissible_mask(spec, pts)
