@@ -218,12 +218,12 @@ def from_six(v, frame: PointFrame) -> Bivector:
     return Bivector(antisym_from_six(v), frame)
 
 
-def hodge_dual(F: Bivector, orientation: float = 1.0) -> Bivector:
-    """*F with epsilon_{0123} = orientation * sqrt|det g| in the chart's
-    coordinate order.  Classification never depends on the orientation
-    sign (tested)."""
+def hodge_dual(F: Bivector) -> Bivector:
+    """*F with epsilon_{0123} = +sqrt|det g| in the chart's coordinate
+    order.  Classification never depends on that sign: the opposite
+    orientation's dual is -*F (tested)."""
     fr = F.frame
-    eps = orientation * np.sqrt(abs(fr.detg)) * _LC
+    eps = np.sqrt(abs(fr.detg)) * _LC
     dual_low = 0.5 * np.einsum("abcd,cd->ab", eps, F.comps)
     dual_up = fr.ginv @ dual_low @ fr.ginv.T
     return Bivector(dual_up, fr)
@@ -235,8 +235,8 @@ class BivectorClass:
     F^ab, with the classified F and the tol it was classified at.
 
     The blade of a simple F (_blade_from_svd) and the canonical pair of
-    a non-simple one (_canonical_pair) are built from F and tol the first
-    time they are read, and kept; they are None for the other tags.
+    a non-simple one (_canonical_pair) are built the first time they are
+    read, and kept; they are None for the other tags.
     """
 
     tag: str  # zero | simple-timelike | simple-spacelike | simple-null | non-simple
@@ -250,20 +250,21 @@ class BivectorClass:
 
     @property
     def blade(self) -> tuple[np.ndarray, np.ndarray] | None:
-        return self._once("_blade", _blade_from_svd) if self.simple else None
+        return (self._once("_blade", _blade_from_svd, self.bivector, self.tol)
+                if self.simple else None)
 
     @property
     def pair(self) -> tuple[Bivector, Bivector] | None:
-        return (self._once("_pair", _canonical_pair)
+        return (self._once("_pair", _canonical_pair, self.bivector)
                 if self.tag == "non-simple" else None)
 
-    def _once(self, key: str, build):
-        """build(F, tol), kept under key from its first read on; stored
+    def _once(self, key: str, build, *args):
+        """build(*args), kept under key from its first read on; stored
         with dict.setdefault, so every reader gets the value of whichever
         thread stored first."""
         got = self.__dict__.get(key)
         if got is None:
-            got = self.__dict__.setdefault(key, build(self.bivector, self.tol))
+            got = self.__dict__.setdefault(key, build(*args))
         return got
 
 
@@ -290,10 +291,10 @@ def _dual_split(F: Bivector) -> tuple[float, float, Bivector | None]:
     return a, b, (F * a - dual * b) * (1.0 / (a * a + b * b))
 
 
-def _canonical_pair(F: Bivector, tol: float) -> tuple[Bivector, Bivector]:
+def _canonical_pair(F: Bivector) -> tuple[Bivector, Bivector]:
     """(a G, F - a G) of _dual_split: the simple timelike and simple
     spacelike parts of a non-simple F, each the other's dual up to a
-    factor.  tol is BivectorClass's build argument and is not read."""
+    factor."""
     a, _, G = _dual_split(F)
     G = G * a
     return G, F - G
@@ -362,11 +363,11 @@ class CurvatureMap:
     margin: float  # smallest discarded singular-value ratio
 
 
-def curvature_map_matrix(frame: PointFrame, tol: float = SVD_TOL) -> CurvatureMap:
+def curvature_map_matrix(frame: PointFrame) -> CurvatureMap:
     ruu = np.einsum("be,aecd->abcd", frame.ginv, frame.riem_ud)
     m = 2.0 * to_six(ruu[BASIS_INDEX])
-    rank, u, s, _ = svd_rank(m, tol)
-    rng = canonical_span_basis(u[:, :rank].T, tol)
+    rank, u, s, _ = svd_rank(m, SVD_TOL)
+    rng = canonical_span_basis(u[:, :rank].T, SVD_TOL)
     margin = float(s[rank] / s[0]) if (s[0] > 0 and rank < 6) else 0.0
     return CurvatureMap(
         rank=rank,

@@ -28,6 +28,7 @@ import click
 import numpy as np
 
 from . import fixtures as fixture_mod
+from .bivector import SVD_TOL
 from .curvclass import ClassificationError, classify_curvature
 from .exprdsl import ExprError, to_string
 from .holonomy import SPAN_TOL, holonomy_survey
@@ -313,18 +314,17 @@ _out_opt = click.option("-o", "--out", default=None,
 @_point_opt
 @_samples_opt
 @_seed_opt
-@click.option("--svd-tol", default=1e-9, show_default=True)
 @_json_opt
 @_out_opt
 @_reports("classify")
-def classify(metric_path, point, samples, seed, svd_tol):
+def classify(metric_path, point, samples, seed):
     """Pointwise curvature class (A/B/C/D/O) of a metric."""
     spec = load_metric_file(metric_path)
     pts = _points_for(spec, point, samples, seed)
     per_point = []
     tags = set()
     for fr in frames_at(spec, pts):
-        rep = classify_curvature(fr, tol=svd_tol)
+        rep = classify_curvature(fr)
         entry = {"point": list(fr.point), "class": rep.tag,
                  "kernel_dim": len(rep.kernel), "range_dim": rep.range_dim,
                  "margin": rep.margin}
@@ -334,7 +334,7 @@ def classify(metric_path, point, samples, seed, svd_tol):
         per_point.append(entry)
     body = {"points": [list(p) for p in pts], "per_point": per_point,
             "classes_seen": sorted(tags)}
-    return {"svd_tol": svd_tol}, body, True
+    return {"svd_tol": SVD_TOL}, body, True
 
 
 @main.command()

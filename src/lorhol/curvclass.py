@@ -58,26 +58,25 @@ def riemann_is_zero(frame: PointFrame) -> bool:
     return float(np.max(np.abs(frame.riem_ud))) < 1e-10
 
 
-def kernel_vectors(frame: PointFrame, tol: float = SVD_TOL) -> np.ndarray:
+def kernel_vectors(frame: PointFrame) -> np.ndarray:
     """Canonical RREF basis (null_basis) of the solution space of
     R_{abcd} k^d = 0; the identity where R = 0."""
     a = frame.riem_dddd.reshape(64, 4)
     if not np.any(a):
         return np.eye(4)
-    return null_basis(a, tol)
+    return null_basis(a, SVD_TOL)
 
 
-def classify_curvature(frame: PointFrame,
-                       tol: float = SVD_TOL) -> CurvatureClassReport:
-    """Decide the curvature class at the frame's point.
+def classify_curvature(frame: PointFrame) -> CurvatureClassReport:
+    """Decide the curvature class at the frame's point, ranks at SVD_TOL.
 
     Raises ClassificationError when the kernel and range dimensions do not
     fit any class (a sign of tolerance trouble near class boundaries).
     """
-    cm = curvature_map_matrix(frame, tol)
+    cm = curvature_map_matrix(frame)
     if riemann_is_zero(frame):
         return CurvatureClassReport("O", np.eye(4), 0, [], cm.margin)
-    kern = kernel_vectors(frame, tol)
+    kern = kernel_vectors(frame)
     kdim = len(kern)
     if kdim == 2:
         if cm.rank != 1:
@@ -85,7 +84,7 @@ def classify_curvature(frame: PointFrame,
                 f"kernel dim 2 with curvature rank {cm.rank} (expected 1); "
                 f"margin {cm.margin:.2e}")
         f = cm.range_[0]
-        fc = classify_bivector(f, tol)
+        fc = classify_bivector(f, SVD_TOL)
         if not fc.simple:
             raise ClassificationError("class D range bivector is not simple")
         return CurvatureClassReport("D", kern, cm.rank, cm.range_, cm.margin,
@@ -98,7 +97,7 @@ def classify_curvature(frame: PointFrame,
                                     direction=kern[0])
     if kdim == 0:
         if cm.rank == 2:
-            got = _class_b_structure(cm, tol)
+            got = _class_b_structure(cm)
             if got is not None:
                 return CurvatureClassReport("B", kern, cm.rank, cm.range_,
                                             cm.margin, dual_pair=got)
@@ -107,28 +106,27 @@ def classify_curvature(frame: PointFrame,
         f"kernel dimension {kdim} fits no curvature class")
 
 
-def _class_b_structure(cm, tol):
+def _class_b_structure(cm):
     """Check that the 2-dim range is closed under *, and so spanned by
     its first bivector F and *F; return the (G, *G) of F's _dual_split
     if so, G simple timelike.  A simple-null F gives None: then every
     bivector of the plane is null, and none is timelike."""
     b1, b2 = cm.range_
-    span = canonical_span_basis([to_six(b1), to_six(b2)], tol)
+    span = canonical_span_basis([to_six(b1), to_six(b2)], SVD_TOL)
 
     def in_range(F):
-        aug = canonical_span_basis(
-            np.vstack([span, to_six(F)]), max(tol, 1e-8))
+        aug = canonical_span_basis(np.vstack([span, to_six(F)]), 1e-8)
         return len(aug) == 2
 
     if not (in_range(hodge_dual(b1)) and in_range(hodge_dual(b2))):
         return None
-    if classify_bivector(b1, max(tol, 1e-8)).tag == "simple-null":
+    if classify_bivector(b1, 1e-8).tag == "simple-null":
         return None
     _, _, G = _dual_split(b1)
     return G, hodge_dual(G)
 
 
-def solve_theorem1(frame: PointFrame, tol: float = SVD_TOL):
+def solve_theorem1(frame: PointFrame):
     """Solution space of h_ae R^e_bcd + h_be R^e_acd = 0 over symmetric h,
     solved on its 60 independent equations (see _SYM_WEIGHT).
 
@@ -137,18 +135,18 @@ def solve_theorem1(frame: PointFrame, tol: float = SVD_TOL):
     against the class (A:1, B:2, C:2, D:4) and membership of the
     canonical span is verified.
     """
-    report = classify_curvature(frame, tol)
+    report = classify_curvature(frame)
     # h X + (h X)^T, X = R^e_b[cd], for each unit h and c < d
     hx = np.einsum("iae,ebk->ikab", _sym_from_vec(np.eye(10)),
                    frame.riem_ud[:, :, BASIS_INDEX[0], BASIS_INDEX[1]])
     eqs = _sym_to_vec(hx + hx.swapaxes(-1, -2)) * _SYM_WEIGHT
-    basis = _sym_from_vec(null_basis(eqs.reshape(10, 60).T, tol))
+    basis = _sym_from_vec(null_basis(eqs.reshape(10, 60).T, SVD_TOL))
     expected = {"A": 1, "B": 2, "C": 2, "D": 4, "O": 10}[report.tag]
     if len(basis) != expected:
         raise ClassificationError(
             f"theorem-1 nullspace dim {len(basis)} but class {report.tag} "
             f"predicts {expected}")
-    _check_canonical_span(frame, report, basis, tol)
+    _check_canonical_span(frame, report, basis)
     return basis, report
 
 
@@ -165,7 +163,7 @@ def _sym_to_vec(h):
     return h[..., _SYM_INDEX[0], _SYM_INDEX[1]]
 
 
-def _check_canonical_span(frame, report, basis, tol):
+def _check_canonical_span(frame, report, basis):
     """Raise ClassificationError unless every solution lies in the
     class's canonical span; class D's eigen-plane, the blade of *F, is
     the kernel."""
@@ -186,10 +184,10 @@ def _check_canonical_span(frame, report, basis, tol):
         span_mats = [g, 0.5 * (sym + sym.T)]
     elif report.tag == "O":
         return
-    span = canonical_span_basis(_sym_to_vec(np.array(span_mats)), tol)
+    span = canonical_span_basis(_sym_to_vec(np.array(span_mats)), SVD_TOL)
     # the span with each solution below it, reduced as one stack
     aug = np.concatenate([np.broadcast_to(span, (len(basis),) + span.shape),
                           _sym_to_vec(basis)[:, None]], axis=1)
-    if np.any(_span_bases(aug, max(tol, 1e-7))[1].sum(axis=1) != len(span)):
+    if np.any(_span_bases(aug, 1e-7)[1].sum(axis=1) != len(span)):
         raise ClassificationError(f"theorem-1 solution escapes the "
                                   f"canonical class-{report.tag} span")

@@ -480,7 +480,7 @@ def _decide(bases, span: np.ndarray, pivoted: np.ndarray, brackets,
                                       "subalgebra")
     for i, f in sorted(alone, key=lambda t: t[0]):
         if f is not None:
-            g_t, h_s = _canonical_pair(Bivector(f, frames[i]), SPAN_TOL)
+            g_t, h_s = _canonical_pair(Bivector(f, frames[i]))
             omega[i] = float(np.sqrt(h_s.theta / -g_t.theta))
             continue
         got = _r9_r12_discriminant(span[i, pivoted[i]], brackets[i],
@@ -515,8 +515,7 @@ def _complete(rep: HolonomyAlgebraReport,
 # ---------------------------------------------------------------------------
 
 def holonomy_survey(spec: MetricSpec, samples: int = 32, seed: int = 7,
-                    derivative_order: int = 1,
-                    box=None) -> HolonomySurveyReport:
+                    derivative_order: int = 1) -> HolonomySurveyReport:
     """Identify the infinitesimal holonomy algebra over sampled points.
 
     Each point is closed and labelled in its own frame (the matrices at
@@ -536,7 +535,7 @@ def holonomy_survey(spec: MetricSpec, samples: int = 32, seed: int = 7,
     """
     if derivative_order not in (0, 1, 2):
         raise ValueError("derivative_order must be 0, 1 or 2")
-    pts = sample_points(spec, samples, seed=seed, box=box)
+    pts = sample_points(spec, samples, seed=seed)
     per_point = []
     best = None  # (decision, frame)
     for frames, stack in _frame_chunks(spec, pts, derivative_order + 2):

@@ -407,12 +407,11 @@ def check_admissible(spec: MetricSpec, point) -> None:
         raise _inadmissible(point)
 
 
-def sample_points(spec: MetricSpec, n: int, seed: int = 7,
-                  box=None) -> np.ndarray:
-    """Uniform admissible points from the sample box (rejection sampling)."""
+def sample_points(spec: MetricSpec, n: int, seed: int = 7) -> np.ndarray:
+    """Uniform admissible points from spec.sample_box (rejection sampling)."""
     if n < 1:
         raise MetricError(f"need at least one sample point, got {n}")
-    box = box or spec.sample_box
+    box = spec.sample_box
     if box is None:
         raise MetricError("no sample box declared")
     lo = np.array([b[0] for b in box])

@@ -91,7 +91,8 @@ def lambda_from_trace(pair: SinyukovPair) -> tuple[Expr, ...]:
 
 def check_pair_wellformed(pair: SinyukovPair, points) -> None:
     """a symmetric, finite and non-degenerate at the points (the
-    determinant test of pointcalc); lambda curl-free."""
+    determinant test of pointcalc); lambda curl-free against
+    max(max|lambda|, max|d lambda|, max|a| / max|g|), which scales with a."""
     spec = pair.base
     for i in range(4):
         for j in range(i):
@@ -105,9 +106,11 @@ def check_pair_wellformed(pair: SinyukovPair, points) -> None:
         if not _nondegenerate(np.linalg.det(a_vals),
                               np.max(np.abs(a_vals), axis=(1, 2))).all():
             raise InversionError("a is degenerate at a sample point")
-    _, dlam = _field_jets(spec, pair.lam_exprs(), pts, 1)
+    lam, dlam = _field_jets(spec, pair.lam_exprs(), pts, 1)
     curl = dlam - dlam.transpose(0, 2, 1)
-    scale = max(1.0, float(np.max(np.abs(dlam))))
+    g = _metric_jets(spec, pts, 0)[0]
+    scale = max(float(np.max(np.abs(lam))), float(np.max(np.abs(dlam))),
+                float(np.max(np.abs(a_vals)) / np.max(np.abs(g))))
     if not float(np.max(np.abs(curl))) <= 1e-9 * scale:
         raise InversionError("lambda is not a gradient (nonzero curl)")
 
@@ -219,7 +222,7 @@ def weyl_projective_equal(g_spec: MetricSpec, gp_spec: MetricSpec,
 # Pair inversion
 # ---------------------------------------------------------------------------
 
-def invert_pair(pair: SinyukovPair, points=None, seed: int = 7,
+def invert_pair(pair: SinyukovPair, points=None,
                 tol: float = 1e-8) -> ProjectivePair:
     """Invert (a, lambda) into (g', psi) symbolically.
 
@@ -237,7 +240,7 @@ def invert_pair(pair: SinyukovPair, points=None, seed: int = 7,
     """
     spec = pair.base
     if points is None:
-        points = sample_points(spec, 25, seed=seed)
+        points = sample_points(spec, 25)
     pts = np.atleast_2d(np.asarray(points, float))
     check_pair_wellformed(pair, pts)
     lam = pair.lam_exprs()
@@ -409,8 +412,7 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 def pregeodesic_check(g_spec: MetricSpec, gp_spec: MetricSpec,
                       trials: int = 20, steps: int = 2000,
-                      horizon: float = 2.0, seed: int = 7,
-                      box=None) -> GeodesicReport:
+                      horizon: float = 2.0, seed: int = 7) -> GeodesicReport:
     """Integrate geodesics of g (RK4, fixed step) and score how far the
     second connection's acceleration tilts away from the velocity.
 
@@ -450,7 +452,7 @@ def pregeodesic_check(g_spec: MetricSpec, gp_spec: MetricSpec,
         raise ValueError("horizon must be positive and finite")
     if horizon / steps <= np.finfo(float).tiny:
         raise ValueError("step size underflow: horizon/steps too small")
-    x = sample_points(g_spec, trials, seed=seed, box=box)
+    x = sample_points(g_spec, trials, seed=seed)
     rng = np.random.default_rng(seed + 1)
     v = rng.normal(size=(trials, DIM))
     v /= np.linalg.norm(v, axis=1, keepdims=True)

@@ -474,7 +474,7 @@ def decide_loop(basis, span, brackets, frame):
                  "simple-spacelike": "R4", "non-simple": "R5"}.get(
                      tag, "unrecognized")
         if label == "R5":
-            g_t, h_s = _canonical_pair(f, SPAN_TOL)
+            g_t, h_s = _canonical_pair(f)
             omega = float(np.sqrt(h_s.theta / -g_t.theta))
     elif dim in (2, 3):
         const = constant_directions_loop(basis, frame)
@@ -554,5 +554,5 @@ def solve_theorem1_loop(frame, report, tol=1e-9):
     if report.tag == "D":
         plane = _blade_from_svd(hodge_dual(report.simple_f), tol)
         report = replace(report, kernel=np.array(plane))
-    _check_canonical_span(frame, report, basis, tol)
+    _check_canonical_span(frame, report, basis)
     return basis, s

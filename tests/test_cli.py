@@ -1,10 +1,14 @@
 import hashlib
 import json
+import re
 import warnings
+from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
+from lorhol.bivector import SVD_TOL
 from lorhol.cli import main
 from lorhol.holonomy import SPAN_TOL
 
@@ -114,6 +118,40 @@ class TestClassify:
                                        "--samples", "4"])
         assert res.exit_code == 2, res.output
         assert res.output == f"error: {message}\n"
+
+    def test_svd_tol_is_fixed(self, runner, emitted):
+        # the kernel and range ranks are decided at SVD_TOL, which the
+        # report states and no option sets
+        files = emitted("r9")
+        res, report = run_json(runner, ["classify", "-m", files["g"],
+                                        "--samples", "2"])
+        assert res.exit_code == 0
+        assert report["tolerances"] == {"svd_tol": SVD_TOL}
+        res = runner.invoke(main, ["classify", "-m", files["g"],
+                                   "--svd-tol", "1e-6"])
+        assert res.exit_code == 2
+        assert "No such option '--svd-tol'" in res.stderr
+
+    def test_point_of_three_values_is_usage_error(self, runner, emitted):
+        files = emitted("r9")
+        res = runner.invoke(main, ["classify", "-m", files["g"],
+                                   "-p", "1,1,0.2"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == ("error: point must have 4 comma-separated "
+                              "values\n")
+
+    def test_unsupported_file_version_is_usage_error(self, runner, emitted,
+                                                     tmp_path):
+        data = json.loads(open(emitted("r9")["g"]).read())
+        data["version"] = 2
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(data))
+        res = runner.invoke(main, ["classify", "-m", str(path)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == (f"error: {path}: unsupported or missing file "
+                              "version\n")
 
     def test_missing_file_is_usage_error(self, runner):
         res = runner.invoke(main, ["classify", "-m", "no-such-file.json"])
@@ -304,6 +342,26 @@ class TestSinyukovAndPartner:
                                         "-a", files["a"], "--samples", "20"])
         assert res.exit_code == 0
         assert report["residual"] < 1e-9
+
+    def test_pair_file_binds_an_extra_parameter(self, runner, emitted,
+                                                tmp_path):
+        # the pair file's "parameters" are merged into the metric's: r9's
+        # a times k/2 with k = 2 is r9's own pair
+        files = emitted("r9")
+        pair = json.loads(open(files["a"]).read())
+        pair["a"] = [[f"k/2*({e})" for e in row] for row in pair["a"]]
+        pair["parameters"] = {"k": 2}
+        path = tmp_path / "k-a.json"
+        path.write_text(json.dumps(pair))
+        residuals = []
+        for a in (files["a"], str(path)):
+            res, report = run_json(runner, ["sinyukov-check", "-m",
+                                            files["g"], "-a", a,
+                                            "--samples", "8"])
+            assert res.exit_code == 0, res.output
+            residuals.append(report["residual"])
+        # k/2 is 1 exactly, so each product is r9's to the bit
+        assert residuals[1] == residuals[0] < 1e-13
 
     def test_derive_partner_matches_expected(self, runner, emitted,
                                              tmp_path):
@@ -637,3 +695,51 @@ class TestDeterminism:
             res, rep = run_json(runner, args + extra)
             assert res.exit_code == 2 and rep is None
             assert "not a valid integer" in res.output
+
+
+# a -x or --long flag, not the tail of a word such as r9-g.json
+_FLAG = re.compile(r"(?<![\w-])--?[A-Za-z][\w-]*")
+
+
+def readme_drift(section: str, group: click.Group) -> tuple[list, list]:
+    """(options of the group's commands that ``section`` names by none
+    of their spellings, ``--flags`` in ``section`` that no command
+    has), each sorted."""
+    def commands(g):
+        for cmd in g.commands.values():
+            yield from commands(cmd) if isinstance(cmd, click.Group) else [cmd]
+
+    named = set(_FLAG.findall(section))
+    spellings = [p.opts + p.secondary_opts for cmd in commands(group)
+                 for p in cmd.params if isinstance(p, click.Option)]
+    known = {s for opts in spellings for s in opts}
+    return (sorted({"/".join(opts) for opts in spellings
+                    if not named & set(opts)}),
+            sorted(f for f in named - known if f.startswith("--")))
+
+
+def test_readme_cli_section_names_every_option_and_no_other():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    assert readme_drift(section, main) == ([], [])
+
+
+def test_readme_drift_check_sees_what_it_should():
+    @click.group()
+    def group():
+        pass
+
+    @group.group()
+    def sub():
+        pass
+
+    @sub.command()
+    @click.option("-m", "--metric")
+    @click.option("--seed")
+    @click.option("--flag/--no-flag")
+    def leaf(metric, seed, flag):
+        pass
+
+    section = "`-m` and --no-flag, but r9-g.json and --svd-tol/--gone.\n"
+    assert readme_drift(section, group) == (["--seed"],
+                                            ["--gone", "--svd-tol"])

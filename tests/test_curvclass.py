@@ -136,7 +136,7 @@ class TestClassify:
                                   + np.einsum("ab,cd->abcd", fs, fs))
         cm = curvature_map_matrix(fr)
         assert cm.rank == 2
-        assert _class_b_structure(cm, 1e-9) is None
+        assert _class_b_structure(cm) is None
         assert classify_curvature(fr).tag == "C"
 
     @pytest.mark.parametrize("c", [1e-6, 1e6])

@@ -1,7 +1,8 @@
 """Source hygiene, checked with the standard library's ast alone: every
 name a lorhol module imports is used there or exported in its
-``__all__``, and every private name a module defines at its top level
-is read somewhere in the package."""
+``__all__``, every private name a module defines at its top level
+is read somewhere in the package, and every parameter of a function is
+read in its body."""
 import ast
 from pathlib import Path
 
@@ -108,3 +109,52 @@ def test_dead_name_check_sees_what_it_should():
     assert dead_private_names({"a": a, "b": b}) == [
         "a: _Shadow (line 6)", "a: _dead (line 2)", "a: _helper (line 4)",
         "a: _unused (line 3)", "a: _via_other (line 8)"]
+
+
+def unread_parameters(source: str) -> list[str]:
+    """The parameters of each function, method and lambda in ``source``
+    that its body never reads, nested functions included; ``self``,
+    ``cls`` and the parameters of dunder methods, whose signatures are
+    fixed by the protocol, are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        args = node.args
+        params = [a.arg for a in (args.posonlyargs + args.args
+                                  + args.kwonlyargs + [args.vararg,
+                                                       args.kwarg]) if a]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(node.lineno, f"{name}: {p} (line {node.lineno})")
+                  for p in params if p not in read | {"self", "cls"}]
+    return [where for _, where in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_unread_parameter_check_sees_what_it_should():
+    src = ("class A:\n"
+           "    def __setattr__(self, key, value):\n"
+           "        raise TypeError\n"
+           "    def method(self, used, unused):\n"
+           "        return used\n"
+           "    @classmethod\n"
+           "    def make(cls, x):\n"
+           "        return cls\n"
+           "def f(a, *args, b=1, **kw):\n"
+           "    def inner(c):\n"
+           "        return a + c\n"
+           "    return inner, args\n"
+           "g = lambda p, q: p\n")
+    assert unread_parameters(src) == [
+        "method: unused (line 4)", "make: x (line 7)", "f: b (line 9)",
+        "f: kw (line 9)", "<lambda>: q (line 13)"]

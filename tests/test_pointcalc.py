@@ -147,6 +147,21 @@ class TestSignature:
         assert signature_at(spec, (0, 0, 0, 0)) == (1, 1, 1, 1)
 
 
+class TestMetricSpecRows:
+    def test_full_symmetric_rows_equal_the_lower_triangle(self):
+        lower = [["u"], ["1", "0"], ["0", "0", "u^2"], ["0", "x", "0", "1"]]
+        full = [[lower[max(a, b)][min(a, b)] for b in range(4)]
+                for a in range(4)]
+        assert metric_spec(UVXY, full).g == metric_spec(UVXY, lower).g
+
+    def test_full_asymmetric_rows_are_an_error(self):
+        full = [["u", "1", "0", "0"], ["2", "0", "0", "0"],
+                ["0", "0", "u^2", "0"], ["0", "0", "0", "1"]]
+        with pytest.raises(MetricError,
+                           match=r"^asymmetric input at \(1,0\)$"):
+            metric_spec(UVXY, full)
+
+
 def frame_invariants(fr, tol=1e-9):
     r = fr.riem_dddd
     scale = max(1.0, np.max(np.abs(r)))

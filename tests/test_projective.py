@@ -1,11 +1,15 @@
+import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from helpers import fixture_spec, narrowed, raw_partner
 
-from lorhol.exprdsl import count_lines, eval_expr, mul, parse_expr
+from lorhol.exprdsl import (
+    add, const, coord, count_lines, eval_expr, mul, parse_expr,
+)
 from lorhol.fixtures import (
     FIXTURE_NAMES, fixture_minkowski, fixture_r9_r14, named_fixture,
 )
@@ -85,6 +89,12 @@ class TestSinyukovResidual:
                      for s in ("c*v + e1 + 1/10", "c*u", "0", "0"))
         pair2 = SinyukovPair(waveband.g, waveband.pair.a, lam2)
         assert sinyukov_residual(pair2, pts_for(waveband, 20)) > 1e-3
+
+    def test_no_admissible_point_is_an_error(self, appendix):
+        # r9 asks for u > 0
+        with pytest.raises(InversionError,
+                           match="^no admissible points supplied$"):
+            sinyukov_residual(appendix.pair, [[-1.0, 1.0, 0.0, 0.0]])
 
 
 class TestInvertPair:
@@ -264,6 +274,63 @@ class TestInvertPair:
             pp = invert_pair(pair, pts_for(b, 5))
         assert pp.partner.constraints[0].value == 16 * 11 ** 4 * 10 ** 304
 
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_every_pair_inverts_at_every_scale_of_a(self, name):
+        # the curl of lambda is judged against max(max|lambda|,
+        # max|d lambda|, max|a| / max|g|), which scales with a.  Against
+        # max(1, max|d lambda|), the traces of r9, r14 and r9-b0, whose
+        # d lambda is rounding noise, read as curled from a x 1e5 on.
+        # psi does not scale
+        pair = named_fixture(name).pair
+        pts = pts_for(named_fixture(name), 25)
+        want = eval_field_batch(pair.base, invert_pair(pair, pts).psi, pts)
+        for c in _SCALES:
+            pp = invert_pair(_scaled(pair, c), pts)
+            got = eval_field_batch(pair.base, pp.psi, pts)
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_a_curled_lambda_is_rejected_at_every_scale(self, name):
+        # against a floor of 1, a curl of 1e-10 passed, and only the
+        # later d chi = psi test caught the pair
+        pair = named_fixture(name).pair
+        for c in _SCALES:
+            with pytest.raises(InversionError) as err:
+                invert_pair(_scaled(pair, c, curl=True))
+            assert str(err.value) == "lambda is not a gradient (nonzero curl)"
+
+    def test_a_lambda_zero_up_to_rounding_is_a_gradient(self):
+        # xi = 0 makes r9's trace lambda zero, evaluated as rounding
+        # noise (max|lambda| 4e-15, max|curl| 9e-15): max|a| / max|g|,
+        # not lambda's own size, is what its curl is small against
+        b = fixture_r9_r14(b="1 + u^2", f="x*y", phi=1.5, xi=0.0)
+        for c in _SCALES:
+            invert_pair(_scaled(b.pair, c), pts_for(b, 10, seed=1))
+
+    def test_asymmetric_a_is_rejected(self, appendix):
+        a = [list(row) for row in appendix.pair.a]
+        a[0][1] = add(a[0][1], const(1))
+        pair = SinyukovPair(appendix.g, tuple(map(tuple, a)))
+        with pytest.raises(InversionError, match="^a must be symmetric$"):
+            check_pair_wellformed(pair, pts_for(appendix, 5))
+
+
+_SCALES = (Fraction(1, 10 ** 10), Fraction(1, 10 ** 5), 1, 10 ** 5, 10 ** 10)
+
+
+def _scaled(pair, c, curl=False):
+    """pair with a times c, and an explicit lambda times c (a trace
+    lambda scales with a); with curl, lambda times c plus c times the
+    fourth coordinate in its first entry, so that its curl is c."""
+    k = const(c)
+    a = tuple(tuple(mul(k, e) for e in row) for row in pair.a)
+    if pair.lam is None and not curl:
+        return SinyukovPair(pair.base, a)
+    lam = [mul(k, e) for e in pair.lam_exprs()]
+    if curl:
+        lam[0] = add(lam[0], mul(k, coord(pair.base.coords[3])))
+    return SinyukovPair(pair.base, a, tuple(lam))
+
 
 class TestPsiFromConnections:
     def test_same_metric_zero(self):
@@ -289,6 +356,15 @@ class TestPsiFromConnections:
                          sample_box=b.g.sample_box)
         psi = psi_from_connections(b.g, gp, pts_for(b, 5))
         assert np.max(np.abs(psi)) == 0.0
+
+    def test_metrics_on_other_coordinates_are_an_error(self, appendix):
+        # (u, v, x, y) against Minkowski's (t, x, y, z)
+        mink = fixture_minkowski().g
+        message = "^metrics must share coordinates$"
+        with pytest.raises(InversionError, match=message):
+            psi_from_connections(appendix.g, mink, pts_for(appendix, 2))
+        with pytest.raises(InversionError, match=message):
+            pregeodesic_check(appendix.g, mink)
 
 
 class TestProjectiveResidual:
@@ -435,8 +511,9 @@ class TestPregeodesic:
         # a box that lets trajectories escape the admissible domain
         b = fixture_r9_r14(b="1 + u^2", f="x*y", phi=1.0, xi=0.5)
         wide = ((0.5, 2.0), (0.05, 0.2), (-1.0, 1.0), (-1.0, 1.0))
-        rep = pregeodesic_check(b.g, b.g, trials=8, steps=300, horizon=3.0,
-                                seed=3, box=wide)
+        g = dataclasses.replace(b.g, sample_box=wide)
+        rep = pregeodesic_check(g, g, trials=8, steps=300, horizon=3.0,
+                                seed=3)
         assert rep.truncated  # at least one trial left v > 0
 
     def test_scored_pairs_counted(self, appendix):
@@ -456,8 +533,7 @@ class TestPregeodesic:
         assert rep.truncated == [(0, 0), (1, 0), (2, 0)]
 
 
-def _reference_pregeodesic(g_spec, gp_spec, trials, steps, horizon, seed,
-                           box=None):
+def _reference_pregeodesic(g_spec, gp_spec, trials, steps, horizon, seed):
     """The RK4 pre-geodesic loop with each Christoffel evaluation composed
     from the separate pieces: the full metric jets (_field_jets), the
     validity test on them (reference_valid_rows), the Gamma kernel of
@@ -477,7 +553,7 @@ def _reference_pregeodesic(g_spec, gp_spec, trials, steps, horizon, seed,
     def acc(gamma, vel):
         return -np.einsum("nabc,nb,nc->na", gamma, vel, vel)
 
-    x = sample_points(g_spec, trials, seed=seed, box=box)
+    x = sample_points(g_spec, trials, seed=seed)
     rng = np.random.default_rng(seed + 1)
     v = rng.normal(size=(trials, DIM))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -549,13 +625,14 @@ class TestFusedStage:
 
     def test_kernel_spec_matches_reference(self):
         from test_pointcalc import TestChristoffelKernel
-        spec = TestChristoffelKernel.spec()
         box = ((0.05, 0.5), (0.05, 0.5), (-0.3, 0.3), (-0.5, 0.5))
+        spec = dataclasses.replace(TestChristoffelKernel.spec(),
+                                   sample_box=box)
         rep = pregeodesic_check(spec, spec, trials=12, steps=200,
-                                horizon=2.0, seed=4, box=box)
+                                horizon=2.0, seed=4)
         assert 0 < len(rep.truncated) < 12
         assert (rep.score, rep.truncated, rep.scored) == \
-            _reference_pregeodesic(spec, spec, 12, 200, 2.0, 4, box=box)
+            _reference_pregeodesic(spec, spec, 12, 200, 2.0, 4)
 
     def test_waveband_self_scores_zero_like_reference(self, waveband):
         rep = pregeodesic_check(waveband.g, waveband.g, trials=20,
