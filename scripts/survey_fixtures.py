@@ -22,11 +22,11 @@ from lorhol.projective import (  # noqa: E402
 )
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--samples", type=int, default=24)
     ap.add_argument("--seed", type=int, default=7)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     header = (f"{'fixture':16s} {'class':6s} {'holonomy':9s} "
               f"{'sinyukov':>10s} {'projective':>11s} {'secs':>6s}")

@@ -9,13 +9,8 @@ from .pointcalc import (
     MetricSpec, PointFrame, cov_deriv_sym2_at, frame_at, frames_at,
     metric_spec, sample_points, signature_at,
 )
-from .bivector import (
-    Bivector, BivectorClass, classify_bivector, curvature_map_matrix,
-    hodge_dual,
-)
-from .curvclass import (
-    CurvatureClassReport, classify_curvature, kernel_vectors, solve_theorem1,
-)
+from .bivector import Bivector, BivectorClass, classify_bivector, hodge_dual
+from .curvclass import CurvatureClassReport, classify_curvature, solve_theorem1
 from .holonomy import (
     HolonomyAlgebraReport, close_algebra, constant_directions, holonomy_survey,
     identify_type, ihol_generators, lie_bracket, recurrent_directions,

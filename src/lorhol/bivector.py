@@ -1,4 +1,4 @@
-"""Bivectors at a point: duality, classification and the curvature maps.
+"""Bivectors at a point: duality and classification.
 
 A bivector is stored in type (2,0) position as an antisymmetric 4x4 array
 together with the PointFrame supplying the metric for index moves.  The
@@ -18,18 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pointcalc import PointFrame
+from .pointcalc import BASIS_INDEX, BASIS_PAIRS, PointFrame
 
 __all__ = [
-    "BASIS_PAIRS", "Bivector", "BivectorClass", "CurvatureMap",
-    "hodge_dual", "classify_bivector", "curvature_map_matrix",
-    "from_six", "to_six", "antisym_from_six", "BASIS_INDEX", "wedge",
-    "canonical_span_basis", "svd_rank", "null_basis", "SVD_TOL",
+    "BASIS_PAIRS", "Bivector", "BivectorClass", "hodge_dual",
+    "classify_bivector", "from_six", "to_six", "antisym_from_six",
+    "BASIS_INDEX", "wedge", "canonical_span_basis", "svd_rank",
+    "null_basis", "SVD_TOL",
 ]
 
-BASIS_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-# the same pairs as (rows, cols) index arrays, np.triu_indices(4, 1)
-BASIS_INDEX = tuple(np.array(ix) for ix in zip(*BASIS_PAIRS))
 SVD_TOL = 1e-9
 
 # Levi-Civita symbol, epsilon[0,1,2,3] = +1: the parity of each permutation
@@ -351,26 +348,3 @@ def _bivector_tags(comps: np.ndarray, g: np.ndarray,
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of the last axes, computed as a 1-D ``a @ b`` is."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-@dataclass
-class CurvatureMap:
-    """The curvature map f~ : F^{ab} -> R^{ab}_{cd} F^{cd}: its rank and
-    the canonical basis of its range."""
-
-    rank: int
-    range_: list[Bivector]
-    margin: float  # smallest discarded singular-value ratio
-
-
-def curvature_map_matrix(frame: PointFrame) -> CurvatureMap:
-    ruu = np.einsum("be,aecd->abcd", frame.ginv, frame.riem_ud)
-    m = 2.0 * to_six(ruu[BASIS_INDEX])
-    rank, u, s, _ = svd_rank(m, SVD_TOL)
-    rng = canonical_span_basis(u[:, :rank].T, SVD_TOL)
-    margin = float(s[rank] / s[0]) if (s[0] > 0 and rank < 6) else 0.0
-    return CurvatureMap(
-        rank=rank,
-        range_=[Bivector(w, frame) for w in antisym_from_six(rng)],
-        margin=margin,
-    )

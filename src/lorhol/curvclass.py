@@ -18,14 +18,14 @@ import numpy as np
 
 from .bivector import (
     BASIS_INDEX, SVD_TOL, Bivector, BivectorClass, _dual_split, _span_bases,
-    canonical_span_basis, classify_bivector, curvature_map_matrix,
-    hodge_dual, null_basis, to_six,
+    antisym_from_six, canonical_span_basis, classify_bivector, hodge_dual,
+    null_basis, svd_rank, to_six,
 )
 from .pointcalc import PointFrame
 
 __all__ = [
-    "CurvatureClassReport", "ClassificationError", "kernel_vectors",
-    "classify_curvature", "solve_theorem1", "riemann_is_zero",
+    "CurvatureClassReport", "ClassificationError", "classify_curvature",
+    "solve_theorem1",
 ]
 
 # the ten components h[a, b], a <= b, of a symmetric 4x4 tensor
@@ -43,75 +43,69 @@ class ClassificationError(Exception):
 class CurvatureClassReport:
     tag: str  # A | B | C | D | O
     kernel: np.ndarray  # (k, 4) RREF basis of {k : R_abcd k^d = 0}
-    range_dim: int
-    range_basis: list[Bivector]
-    margin: float
+    range_dim: int  # the curvature map's rank
+    range_basis: list[Bivector]  # canonical basis of its range
+    margin: float  # smallest discarded singular-value ratio of the map
     simple_f: Bivector | None = None  # class D
     f_class: BivectorClass | None = None  # class D
     direction: np.ndarray | None = None  # class C: the kernel row
     dual_pair: tuple[Bivector, Bivector] | None = None  # class B
 
 
-def riemann_is_zero(frame: PointFrame) -> bool:
-    """max|R^a_bcd| < 1e-10.  R^a_bcd does not change under g -> c g, so
-    neither does the answer."""
-    return float(np.max(np.abs(frame.riem_ud))) < 1e-10
-
-
-def kernel_vectors(frame: PointFrame) -> np.ndarray:
-    """Canonical RREF basis (null_basis) of the solution space of
-    R_{abcd} k^d = 0; the identity where R = 0."""
-    a = frame.riem_dddd.reshape(64, 4)
-    if not np.any(a):
-        return np.eye(4)
-    return null_basis(a, SVD_TOL)
-
-
 def classify_curvature(frame: PointFrame) -> CurvatureClassReport:
     """Decide the curvature class at the frame's point, ranks at SVD_TOL.
+
+    The report's range and margin are those of the curvature map F^ab ->
+    R^ab_cd F^cd, the 6x6 matrix 2 R^ab_cd over a < b, c < d.  Class O is
+    max|R^a_bcd| < 1e-10, which g -> c g leaves alone.
 
     Raises ClassificationError when the kernel and range dimensions do not
     fit any class (a sign of tolerance trouble near class boundaries).
     """
-    cm = curvature_map_matrix(frame)
-    if riemann_is_zero(frame):
-        return CurvatureClassReport("O", np.eye(4), 0, [], cm.margin)
-    kern = kernel_vectors(frame)
+    riem = frame.riem_ud
+    ruu = np.einsum("be,aecd->abcd", frame.ginv, riem)
+    rank, u, s, _ = svd_rank(2.0 * to_six(ruu[BASIS_INDEX]), SVD_TOL)
+    margin = float(s[rank] / s[0]) if (s[0] > 0 and rank < 6) else 0.0
+    if float(np.max(np.abs(riem))) < 1e-10:
+        return CurvatureClassReport("O", np.eye(4), 0, [], margin)
+    range_ = [Bivector(w, frame) for w in antisym_from_six(
+        canonical_span_basis(u[:, :rank].T, SVD_TOL))]
+    kern = null_basis(frame.riem_dddd.reshape(64, 4), SVD_TOL)
     kdim = len(kern)
     if kdim == 2:
-        if cm.rank != 1:
+        if rank != 1:
             raise ClassificationError(
-                f"kernel dim 2 with curvature rank {cm.rank} (expected 1); "
-                f"margin {cm.margin:.2e}")
-        f = cm.range_[0]
+                f"kernel dim 2 with curvature rank {rank} (expected 1); "
+                f"margin {margin:.2e}")
+        f = range_[0]
         fc = classify_bivector(f, SVD_TOL)
         if not fc.simple:
             raise ClassificationError("class D range bivector is not simple")
-        return CurvatureClassReport("D", kern, cm.rank, cm.range_, cm.margin,
+        return CurvatureClassReport("D", kern, rank, range_, margin,
                                     simple_f=f, f_class=fc)
     if kdim == 1:
-        if cm.rank not in (2, 3):
+        if rank not in (2, 3):
             raise ClassificationError(
-                f"kernel dim 1 with curvature rank {cm.rank} (expected 2 or 3)")
-        return CurvatureClassReport("C", kern, cm.rank, cm.range_, cm.margin,
+                f"kernel dim 1 with curvature rank {rank} (expected 2 or 3)")
+        return CurvatureClassReport("C", kern, rank, range_, margin,
                                     direction=kern[0])
     if kdim == 0:
-        if cm.rank == 2:
-            got = _class_b_structure(cm)
+        if rank == 2:
+            got = _class_b_structure(range_)
             if got is not None:
-                return CurvatureClassReport("B", kern, cm.rank, cm.range_,
-                                            cm.margin, dual_pair=got)
-        return CurvatureClassReport("A", kern, cm.rank, cm.range_, cm.margin)
+                return CurvatureClassReport("B", kern, rank, range_, margin,
+                                            dual_pair=got)
+        return CurvatureClassReport("A", kern, rank, range_, margin)
     raise ClassificationError(
         f"kernel dimension {kdim} fits no curvature class")
 
 
-def _class_b_structure(cm):
+def _class_b_structure(range_):
     """Check that the 2-dim range is closed under *, and so spanned by
     its first bivector F and *F; return the (G, *G) of F's _dual_split
     if so, G simple timelike.  A simple-null F gives None: then every
     bivector of the plane is null, and none is timelike."""
-    b1, b2 = cm.range_
+    b1, b2 = range_
     span = canonical_span_basis([to_six(b1), to_six(b2)], SVD_TOL)
 
     def in_range(F):

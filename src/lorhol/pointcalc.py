@@ -734,9 +734,11 @@ class PointFrame:
 # Gamma^a_bc, Q sorted and b <= c, sit in one flat array: the constant
 # 0, then level k = 0, 1, ... (|Q| = k), each laid out (a, Q, bc).  R,
 # R;e and R;e;f keep the pairs c < d of their antisymmetric (c, d)
-# slots, in bivector.BASIS_PAIRS order, laid out ([e[, f],] a, b, cd).
-_SIX = [(c, d) for c in range(DIM) for d in range(c + 1, DIM)]
-_SIX_INDEX = tuple(np.array(ix) for ix in zip(*_SIX))
+# slots, in BASIS_PAIRS order, laid out ([e[, f],] a, b, cd): the
+# bivector basis order, which bivector re-exports with BASIS_INDEX.
+BASIS_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# the same pairs as (rows, cols) index arrays, np.triu_indices(4, 1)
+BASIS_INDEX = tuple(np.array(ix) for ix in zip(*BASIS_PAIRS))
 _PAIR_AT = _sorted_at(2)  # the position of pair bc
 _ZERO = 0
 _PACKED = ("covR6", "cov2R6")  # the stack's packed R;e and R;e;f
@@ -846,9 +848,9 @@ def _dm_tables(k: int) -> tuple:
     lead = (_OFF[0] + len(_PAIRS) * _jet_row((), a)
             + _PAIR_AT[c, m]).reshape(DIM * DIM, DIM)
     qi = _sorted_at(k)[..., None, None, None]
-    a, b, (c, d) = _AXIS[:, None, None], _AXIS[:, None], _SIX_INDEX
+    a, b, (c, d) = _AXIS[:, None, None], _AXIS[:, None], BASIS_INDEX
     anti = np.array([_flat(qi, c, a, d, b), _flat(qi, d, a, c, b)]).reshape(
-        (2,) + (DIM,) * k + (DIM * DIM, len(_SIX)))
+        (2,) + (DIM,) * k + (DIM * DIM, len(BASIS_PAIRS)))
     u = u.reshape(len(multi) * DIM * DIM, rows)
     times = None if (times == 1).all() else times.reshape(u.shape)
     top = top.reshape(len(multi), DIM * DIM, DIM * DIM)
@@ -861,17 +863,18 @@ def _unit_actions() -> tuple:
     and (16, 36) to the transpose of its 6x6 action on the pairs cd,
     (K y)_cd = -x^m_c y_md - x^m_d y_cm."""
     on_ab = np.zeros((DIM,) * 6)  # (u, v, a, b, a', b')
-    on_cd = np.zeros((DIM, DIM, len(_SIX), len(_SIX)))  # (u, v, q, p)
+    six = len(BASIS_PAIRS)
+    on_cd = np.zeros((DIM, DIM, six, six))  # (u, v, q, p)
     for u, v, i in itertools.product(range(DIM), repeat=3):
         on_ab[u, v, u, i, v, i] += 1.0  # x^a_m y^m_b
         on_ab[u, v, i, v, i, u] -= 1.0  # -y^a_m x^m_b
-    for p, (c, d) in enumerate(_SIX):
+    for p, (c, d) in enumerate(BASIS_PAIRS):
         for m in range(DIM):
             # -x^m_c y_md and -x^m_d y_cm, with y_ij = -y_ji
             for x, (i, j) in ((c, (m, d)), (d, (c, m))):
                 if i != j:
-                    on_cd[m, x, _SIX.index((min(i, j), max(i, j))), p] -= (
-                        1.0 if i < j else -1.0)
+                    q = BASIS_PAIRS.index((min(i, j), max(i, j)))
+                    on_cd[m, x, q, p] -= 1.0 if i < j else -1.0
     return on_ab.reshape(DIM * DIM, -1), on_cd.reshape(DIM * DIM, -1)
 
 
@@ -887,7 +890,8 @@ def _act(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     flat = x.reshape(x.shape[:-2] + (DIM * DIM,))
     on_ab, on_cd = _ACTIONS
     out = (flat @ on_ab).reshape(x.shape[:-2] + (DIM * DIM,) * 2) @ y
-    out += y @ (flat @ on_cd).reshape(x.shape[:-2] + (len(_SIX),) * 2)
+    out += y @ (flat @ on_cd).reshape(x.shape[:-2]
+                                      + (len(BASIS_PAIRS),) * 2)
     return out
 
 
@@ -914,8 +918,8 @@ def _unpack(six: np.ndarray) -> np.ndarray:
     k = len(lead) - 1
     full = np.zeros(lead[:1] + (DIM,) * 4 + lead[1:])
     moved = six.transpose(0, k + 1, k + 2, k + 3, *range(1, k + 1))
-    full[:, :, :, _SIX_INDEX[0], _SIX_INDEX[1]] = moved
-    full[:, :, :, _SIX_INDEX[1], _SIX_INDEX[0]] = -moved
+    full[:, :, :, BASIS_INDEX[0], BASIS_INDEX[1]] = moved
+    full[:, :, :, BASIS_INDEX[1], BASIS_INDEX[0]] = -moved
     return full
 
 
@@ -980,13 +984,13 @@ def _riemann_derivative_stack(g: np.ndarray, block: np.ndarray,
         n, DIM, DIM, DIM)
     r6 = _dm(jet, 0)
     out = dict(ginv=ginv, gamma=gamma,
-               R=_unpack(r6.reshape(n, DIM, DIM, len(_SIX))))
+               R=_unpack(r6.reshape(n, DIM, DIM, len(BASIS_PAIRS))))
     if order < 3:
         return out
     gamma_e = gamma.transpose(0, 2, 1, 3)  # (Gamma_e)^a_m = Gamma^a_em
     dr = _dm(jet, 1)
     covr = dr + _act(gamma_e, r6[:, None])
-    out["covR6"] = covr.reshape(n, *(DIM,) * 3, len(_SIX))
+    out["covR6"] = covr.reshape(n, *(DIM,) * 3, len(BASIS_PAIRS))
     if order < 4:
         return out
     cov2r = _dm(jet, 2)
@@ -994,9 +998,9 @@ def _riemann_derivative_stack(g: np.ndarray, block: np.ndarray,
     cov2r += _act(gamma_e[:, :, None], dr[:, None])
     cov2r += _act(gamma_e[:, None], covr[:, :, None])
     cov2r -= (gamma.transpose(0, 3, 2, 1).reshape(n, DIM * DIM, DIM)
-              @ covr.reshape(n, DIM, DIM * DIM * len(_SIX))
+              @ covr.reshape(n, DIM, DIM * DIM * len(BASIS_PAIRS))
               ).reshape(cov2r.shape)
-    out["cov2R6"] = cov2r.reshape(n, *(DIM,) * 4, len(_SIX))
+    out["cov2R6"] = cov2r.reshape(n, *(DIM,) * 4, len(BASIS_PAIRS))
     return out
 
 

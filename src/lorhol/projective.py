@@ -140,11 +140,17 @@ def sinyukov_residual(pair: SinyukovPair, points) -> float:
     return residual
 
 
+def _require_shared_coords(g_spec: MetricSpec, gp_spec: MetricSpec):
+    """Raise InversionError unless both metrics use the same coordinates:
+    every two-metric function compares them point by point in one chart."""
+    if gp_spec.coords != g_spec.coords:
+        raise InversionError("metrics must share coordinates")
+
+
 def psi_from_connections(g_spec: MetricSpec, gp_spec: MetricSpec,
                          points) -> np.ndarray:
     """psi_b = (Gamma'^a_ba - Gamma^a_ba) / 5 at each point."""
-    if gp_spec.coords != g_spec.coords:
-        raise InversionError("metrics must share coordinates")
+    _require_shared_coords(g_spec, gp_spec)
     pts = np.atleast_2d(np.asarray(points, float))
     gamma, ok, _ = christoffel_batch(g_spec, pts)
     require_valid(g_spec, pts, ok)
@@ -157,6 +163,7 @@ def projective_residual(g_spec: MetricSpec, gp_spec: MetricSpec, psi,
                         points) -> float:
     """Residual of g'_ab;c = 2 g'_ab psi_c + g'_ac psi_b + g'_bc psi_a,
     the semicolon derivative taken with the connection of g."""
+    _require_shared_coords(g_spec, gp_spec)
     pts = np.atleast_2d(np.asarray(points, float))
     gp_vals, cov = cov_deriv_batch(g_spec, gp_spec.g, pts)
     if isinstance(psi, np.ndarray):
@@ -175,6 +182,7 @@ def curvature_relation_residual(g_spec: MetricSpec, gp_spec: MetricSpec,
     """Residuals of R'^a_bcd = R^a_bcd + delta^a_d psi_bc - delta^a_c psi_bd
     and its Ricci contraction R'_ab = R_ab - 3 psi_ab, where
     psi_ab = psi_a;b - psi_a psi_b."""
+    _require_shared_coords(g_spec, gp_spec)
     pts = np.atleast_2d(np.asarray(points, float))
     psi_vals, cov_psi = cov_deriv_batch(g_spec, tuple(psi), pts)
     psi_ab = cov_psi - np.einsum("na,nb->nab", psi_vals, psi_vals)
@@ -208,6 +216,7 @@ def weyl_projective_equal(g_spec: MetricSpec, gp_spec: MetricSpec,
                           points) -> float:
     """max-abs difference of the Weyl projective tensors of the two
     metrics over the points (equal when projectively related)."""
+    _require_shared_coords(g_spec, gp_spec)
     pts = np.atleast_2d(np.asarray(points, float))
     worst, scale = 0.0, 1.0
     for fr, fr_p in zip(frames_at(g_spec, pts), frames_at(gp_spec, pts)):
@@ -444,8 +453,7 @@ def pregeodesic_check(g_spec: MetricSpec, gp_spec: MetricSpec,
     step, bit for bit: no row's arithmetic depends on the batch size or
     on another row.
     """
-    if gp_spec.coords != g_spec.coords:
-        raise InversionError("metrics must share coordinates")
+    _require_shared_coords(g_spec, gp_spec)
     if trials < 1 or steps < 1:
         raise ValueError("trials and steps must be positive")
     if not (np.isfinite(horizon) and horizon > 0):

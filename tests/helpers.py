@@ -325,9 +325,9 @@ def span_basis_loop(vectors, tol=1e-9):
 
 
 def curvature_map_stack(frame, tol=1e-9):
-    """curvature_map_matrix as it was written, reducing its kernel and
-    range as one stack of two: the reference for the range-only
-    reduction.  Returns (rank, range bivectors, margin)."""
+    """The curvature map of classify_curvature as it was first written,
+    reducing its kernel and range as one stack of two: the reference for
+    the range-only reduction.  Returns (rank, range bivectors, margin)."""
     from lorhol.bivector import (
         BASIS_INDEX, Bivector, _span_bases, antisym_from_six, svd_rank,
         to_six,
@@ -505,9 +505,9 @@ def decide_loop(basis, span, brackets, frame):
 
 
 def kernel_vectors_gram_schmidt(frame, tol=1e-9):
-    """curvclass.kernel_vectors as it was written: the canonical null
-    basis orthonormalised row by row (Gram-Schmidt).  The reference for
-    the RREF kernel."""
+    """classify_curvature's kernel as it was first written: the
+    canonical null basis orthonormalised row by row (Gram-Schmidt).  The
+    reference for the RREF kernel."""
     from lorhol.bivector import null_basis
     a = frame.riem_dddd.reshape(64, 4)
     if not np.any(a):

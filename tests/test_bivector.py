@@ -9,10 +9,10 @@ from hypothesis.extra import numpy as hnp
 from lorhol.bivector import (
     BASIS_PAIRS, Bivector, _blade_from_svd, _canonical_pair, _dual_split,
     _span_bases,
-    antisym_from_six, canonical_span_basis, classify_bivector,
-    curvature_map_matrix, from_six, hodge_dual, null_basis, svd_rank, to_six,
-    wedge,
+    antisym_from_six, canonical_span_basis, classify_bivector, from_six,
+    hodge_dual, null_basis, svd_rank, to_six, wedge,
 )
+from lorhol.curvclass import classify_curvature
 from lorhol.fixtures import FIXTURE_NAMES
 from lorhol.pointcalc import PointFrame, frames_at, sample_points
 
@@ -247,18 +247,20 @@ class TestClassify:
 
 
 class TestCurvatureMap:
+    # the curvature map's rank, range and margin, as classify_curvature
+    # reports them
     def test_flat_rank_zero(self, frame):
-        cm = curvature_map_matrix(frame)
-        assert cm.rank == 0
-        assert cm.range_ == []
-        assert cm.margin == 0.0
+        rep = classify_curvature(frame)
+        assert rep.range_dim == 0
+        assert rep.range_basis == []
+        assert rep.margin == 0.0
 
     def test_class_d_rank_one(self):
         l, n, x, y = null_tetrad()
         fr = synthetic_class_d(biv_low(x, y))
-        cm = curvature_map_matrix(fr)
-        assert cm.rank == 1
-        got = to_six(cm.range_[0])
+        rep = classify_curvature(fr)
+        assert rep.range_dim == 1
+        got = to_six(rep.range_basis[0])
         want = to_six(wedge(x, y, fr))
         ratio = got[np.argmax(np.abs(want))] / want[np.argmax(np.abs(want))]
         assert np.max(np.abs(got - ratio * want)) < 1e-9
@@ -266,11 +268,11 @@ class TestCurvatureMap:
     def test_class_b_rank_two(self):
         l, n, x, y = null_tetrad()
         fr = synthetic_class_b(l, n, x, y)
-        cm = curvature_map_matrix(fr)
-        assert cm.rank == 2
+        rep = classify_curvature(fr)
+        assert rep.range_dim == 2
         span = canonical_span_basis([to_six(wedge(l, n, fr)),
                                      to_six(wedge(x, y, fr))])
-        got = canonical_span_basis([to_six(b) for b in cm.range_])
+        got = canonical_span_basis([to_six(b) for b in rep.range_basis])
         assert np.max(np.abs(span - got)) < 1e-9
 
     def test_range_members_skew_self_adjoint(self):
@@ -278,8 +280,7 @@ class TestCurvatureMap:
         lam = random_lorentz(rng)
         l, n, x, y = null_tetrad(lam)
         fr = synthetic_class_b(l, n, x, y, alpha=1.3, beta=-0.8)
-        cm = curvature_map_matrix(fr)
-        for b in cm.range_:
+        for b in classify_curvature(fr).range_basis:
             m = b.mixed
             resid = fr.g @ m + (fr.g @ m).T
             assert np.max(np.abs(resid)) < 1e-10 * max(1.0, b.norm())
@@ -300,10 +301,10 @@ class TestCurvatureMap:
                 scaled = fr if c == 1.0 else PointFrame.synthetic(
                     c * fr.g, c * fr.riem_dddd)
                 rank, range_, margin = curvature_map_stack(scaled)
-                cm = curvature_map_matrix(scaled)
-                assert (cm.rank, cm.margin) == (rank, margin)
-                assert len(cm.range_) == len(range_)
-                for got, want in zip(cm.range_, range_):
+                rep = classify_curvature(scaled)
+                assert (rep.range_dim, rep.margin) == (rank, margin)
+                assert len(rep.range_basis) == len(range_)
+                for got, want in zip(rep.range_basis, range_):
                     assert got.comps.tobytes() == want.comps.tobytes()
                 ranks.add(rank)
         assert {0, 1, 2} <= ranks

@@ -456,6 +456,21 @@ class TestSinyukovAndPartner:
         assert res.stdout == ""
         assert res.stderr == f"error: {message}\n"
 
+    @pytest.mark.parametrize("args", [
+        ["projective-check", "-a", "{a}"], ["weyl-projective"]])
+    def test_metrics_on_other_coordinates_are_usage_error(self, runner,
+                                                         emitted, args):
+        # r9's (u, v, x, y) against r10's (t, x, y, z): unchecked,
+        # projective-check leaks a KeyError from the compiler and
+        # weyl-projective compares the two charts point by point
+        files, other = emitted("r9"), emitted("r10")
+        res = runner.invoke(main, [*[a.format(**files) for a in args],
+                                   "-m", files["g"], "-M", other["g"],
+                                   "--samples", "4"])
+        assert res.exit_code == 2, res.output
+        assert res.stdout == ""
+        assert res.stderr == "error: metrics must share coordinates\n"
+
     def test_projective_check_fails_on_unrelated(self, runner, emitted,
                                                  tmp_path):
         files = emitted("r9")

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from lorhol.bivector import (
-    canonical_span_basis, classify_bivector, hodge_dual, to_six, wedge,
+    SVD_TOL, canonical_span_basis, classify_bivector, hodge_dual, null_basis,
+    to_six, wedge,
 )
 from lorhol.curvclass import (
-    ClassificationError, classify_curvature, kernel_vectors, solve_theorem1,
+    ClassificationError, classify_curvature, solve_theorem1,
 )
 from lorhol.pointcalc import (
     PointFrame, frame_at, frames_at, metric_spec, sample_points,
@@ -27,11 +28,23 @@ def appendix_metric(b="1 + u^2", f="x*y"):
                        sample_box=[(0.5, 2), (0.5, 2), (-1, 1), (-1, 1)])
 
 
+def _unit(i, j):
+    """The 4x4 array with a single 1 at (i, j)."""
+    out = np.zeros((4, 4))
+    out[i, j] = 1.0
+    return out
+
+
+def _blade(i, j):
+    """e_i ^ e_j as an antisymmetric 4x4 array."""
+    return _unit(i, j) - _unit(j, i)
+
+
 class TestKernelVectors:
     def test_class_d_kernel_spans_dual_blade(self):
         l, n, x, y = null_tetrad()
         fr = synthetic_class_d(biv_low(x, y))
-        kern = kernel_vectors(fr)
+        kern = classify_curvature(fr).kernel
         assert len(kern) == 2
         # kernel = blade of *F = span{l, n}
         for k in kern:
@@ -41,15 +54,14 @@ class TestKernelVectors:
     def test_class_b_kernel_trivial(self):
         l, n, x, y = null_tetrad()
         fr = synthetic_class_b(l, n, x, y)
-        assert len(kernel_vectors(fr)) == 0
+        assert len(classify_curvature(fr).kernel) == 0
 
     def test_flat_kernel_everything(self):
-        assert len(kernel_vectors(minkowski_frame())) == 4
+        assert len(classify_curvature(minkowski_frame()).kernel) == 4
 
     def test_kernel_is_the_canonical_null_basis(self):
         # an r11 point in a rotated, boosted basis, where the kernel is
         # no pair of coordinate directions
-        from lorhol.bivector import null_basis
         spec = fixture_spec("r11")
         fr = frame_at(spec, sample_points(spec, 1, seed=1)[0])
         lam = random_lorentz(np.random.default_rng(3))
@@ -128,16 +140,15 @@ class TestClassify:
         # Riem = F (x) F + *F (x) *F with F = l^x null: the range is
         # closed under * but holds no timelike bivector.  Both annihilate
         # l, so classify_curvature reads class C first
-        from lorhol.bivector import curvature_map_matrix
         from lorhol.curvclass import _class_b_structure
         l, n, x, y = null_tetrad(random_lorentz(np.random.default_rng(4)))
         f, fs = biv_low(l, x), biv_low(l, y)
         fr = PointFrame.synthetic(ETA, np.einsum("ab,cd->abcd", f, f)
                                   + np.einsum("ab,cd->abcd", fs, fs))
-        cm = curvature_map_matrix(fr)
-        assert cm.rank == 2
-        assert _class_b_structure(cm) is None
-        assert classify_curvature(fr).tag == "C"
+        rep = classify_curvature(fr)
+        assert rep.range_dim == 2
+        assert _class_b_structure(rep.range_basis) is None
+        assert rep.tag == "C"
 
     @pytest.mark.parametrize("c", [1e-6, 1e6])
     def test_flat_and_curved_under_metric_scale(self, c):
@@ -189,7 +200,7 @@ class TestClassify:
 
     def test_class_d_point_reduces_only_what_it_reads(self, monkeypatch):
         # two one-matrix reductions, the range of the curvature map and
-        # kernel_vectors' null basis; the blade of F waits for its reader
+        # the kernel's null basis; the blade of F waits for its reader
         from lorhol import bivector
         from helpers import fixture_spec
         spec = fixture_spec("r11")
@@ -215,6 +226,25 @@ class TestClassify:
         want = blade(rep.simple_f, 1e-9)
         assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
         assert rep.f_class.blade is got and blades == [1e-9]
+
+    @pytest.mark.parametrize("pieces, message", [
+        # R_abcd k^d = 0 for k in span{e_0, e_2} alone, where the map
+        # has rank 2
+        ([(_blade(0, 1), _unit(0, 1)), (_blade(2, 3), _unit(2, 3))],
+         "kernel dim 2 with curvature rank 2 (expected 1); margin 0.00e+00"),
+        # the range e_0^e_1 + e_2^e_3 of rank 1 is not simple
+        ([(_blade(0, 1) + _blade(2, 3), _blade(2, 3))],
+         "class D range bivector is not simple"),
+        # R_abcd k^d = 0 for every k with k^3 = 0
+        ([(_blade(0, 1), _unit(2, 3))],
+         "kernel dimension 3 fits no curvature class"),
+    ], ids=["rank-not-one", "f-not-simple", "kernel-dim-3"])
+    def test_kernel_and_range_that_fit_no_class_raise(self, pieces, message):
+        # R_abcd = sum of F_ab G_cd over the pieces (F, G)
+        riem = sum(np.einsum("ab,cd->abcd", f, g) for f, g in pieces)
+        with pytest.raises(ClassificationError) as err:
+            classify_curvature(PointFrame.synthetic(ETA, riem))
+        assert str(err.value) == message
 
 
 class TestTheorem1:
@@ -392,7 +422,8 @@ def test_rref_kernel_and_60_row_theorem1_match_the_former_steps():
         frames.append(PointFrame.synthetic(c * ETA, c * (riem + push)))
     raised = 0
     for fr in frames:
-        new, old = kernel_vectors(fr), kernel_vectors_gram_schmidt(fr)
+        new = null_basis(fr.riem_dddd.reshape(64, 4), SVD_TOL)
+        old = kernel_vectors_gram_schmidt(fr)
         assert len(new) == len(old)
         if len(new):  # the projectors onto the two spans
             proj = np.linalg.pinv(new) @ new

@@ -360,11 +360,16 @@ class TestPsiFromConnections:
     def test_metrics_on_other_coordinates_are_an_error(self, appendix):
         # (u, v, x, y) against Minkowski's (t, x, y, z)
         mink = fixture_minkowski().g
+        pts, psi = pts_for(appendix, 2), np.zeros((2, 4))
         message = "^metrics must share coordinates$"
-        with pytest.raises(InversionError, match=message):
-            psi_from_connections(appendix.g, mink, pts_for(appendix, 2))
-        with pytest.raises(InversionError, match=message):
-            pregeodesic_check(appendix.g, mink)
+        for check in (lambda: psi_from_connections(appendix.g, mink, pts),
+                      lambda: pregeodesic_check(appendix.g, mink),
+                      lambda: projective_residual(appendix.g, mink, psi, pts),
+                      lambda: curvature_relation_residual(appendix.g, mink,
+                                                          psi, pts),
+                      lambda: weyl_projective_equal(appendix.g, mink, pts)):
+            with pytest.raises(InversionError, match=message):
+                check()
 
 
 class TestProjectiveResidual:

@@ -107,6 +107,22 @@ def test_geodesic_sweep_scans_seeds_at_the_benchmark_shape(capsys):
     assert score > 1e-2 and decades > 4
 
 
+def test_survey_fixtures_rows_meet_each_fixtures_expectations(capsys):
+    from lorhol.fixtures import FIXTURE_NAMES, named_fixture
+    _script("survey_fixtures").main(["--samples", "2"])
+    head, _, *lines = capsys.readouterr().out.splitlines()
+    assert head.split() == ["fixture", "class", "holonomy", "sinyukov",
+                            "projective", "secs"]
+    assert [line.split()[0] for line in lines] == list(FIXTURE_NAMES)
+    for line in lines:
+        assert "(!)" not in line, line
+        name, tag, label, siny, proj, _ = line.split()
+        bundle = named_fixture(name)
+        assert tag == bundle.expected_class, line
+        assert label in bundle.expected_holonomy, line
+        assert float(siny) < 1e-8 and float(proj) < 1e-8, line
+
+
 @pytest.mark.parametrize("argv", [["survey_fixtures.py", "--samples", "2"]]
                          + [[p.name, "--help"]
                             for p in sorted(SCRIPTS.glob("*.py"))])
