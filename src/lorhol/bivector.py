@@ -226,6 +226,32 @@ def hodge_dual(F: Bivector) -> Bivector:
     return Bivector(dual_up, fr)
 
 
+class _OnFirstRead:
+    """A report field that is given, or else built by ``build(report)``
+    the first time it is read.  The value is kept under ``_<name>`` with
+    dict.setdefault, so every reader gets the value of whichever thread
+    stored first.  As a dataclass field's default it makes the field
+    optional, None standing for "build it when read"."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return None  # the field's default
+        got = report.__dict__.get(self.key)
+        if got is None:
+            got = report.__dict__.setdefault(self.key, self.build(report))
+        return got
+
+    def __set__(self, report, value):
+        if value is not None:
+            report.__dict__[self.key] = value
+
+
 @dataclass
 class BivectorClass:
     """Pointwise algebraic class of a bivector: its tag and theta = F_ab
@@ -241,28 +267,14 @@ class BivectorClass:
     bivector: Bivector = field(repr=False)
     tol: float = SVD_TOL
 
+    blade = _OnFirstRead(lambda c: _blade_from_svd(c.bivector, c.tol)
+                         if c.simple else None)
+    pair = _OnFirstRead(lambda c: _canonical_pair(c.bivector)
+                        if c.tag == "non-simple" else None)
+
     @property
     def simple(self) -> bool:
         return self.tag.startswith("simple")
-
-    @property
-    def blade(self) -> tuple[np.ndarray, np.ndarray] | None:
-        return (self._once("_blade", _blade_from_svd, self.bivector, self.tol)
-                if self.simple else None)
-
-    @property
-    def pair(self) -> tuple[Bivector, Bivector] | None:
-        return (self._once("_pair", _canonical_pair, self.bivector)
-                if self.tag == "non-simple" else None)
-
-    def _once(self, key: str, build, *args):
-        """build(*args), kept under key from its first read on; stored
-        with dict.setdefault, so every reader gets the value of whichever
-        thread stored first."""
-        got = self.__dict__.get(key)
-        if got is None:
-            got = self.__dict__.setdefault(key, build(*args))
-        return got
 
 
 def _blade_from_svd(F: Bivector, tol: float) -> tuple[np.ndarray, np.ndarray]:

@@ -326,7 +326,7 @@ def classify(metric_path, point, samples, seed):
     for fr in frames_at(spec, pts):
         rep = classify_curvature(fr)
         entry = {"point": list(fr.point), "class": rep.tag,
-                 "kernel_dim": len(rep.kernel), "range_dim": rep.range_dim,
+                 "kernel_dim": rep.kernel_dim, "range_dim": rep.range_dim,
                  "margin": rep.margin}
         if rep.tag == "D":
             entry["theta"] = rep.f_class.theta

@@ -12,14 +12,14 @@ the structure of the curvature-map range B_m:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bivector import (
-    BASIS_INDEX, SVD_TOL, Bivector, BivectorClass, _dual_split, _span_bases,
-    antisym_from_six, canonical_span_basis, classify_bivector, hodge_dual,
-    null_basis, svd_rank, to_six,
+    BASIS_INDEX, SVD_TOL, Bivector, BivectorClass, _dual_split, _OnFirstRead,
+    _span_bases, antisym_from_six, canonical_span_basis, classify_bivector,
+    hodge_dual, null_basis, svd_rank, to_six,
 )
 from .pointcalc import PointFrame
 
@@ -39,17 +39,40 @@ class ClassificationError(Exception):
     """Inconsistent kernel/range structure; usually tolerance trouble."""
 
 
+def _range_bivectors(rows, frame) -> list[Bivector]:
+    """The canonical basis of the span of six-component rows, as
+    bivectors at the frame's point."""
+    return [Bivector(w, frame) for w in antisym_from_six(
+        canonical_span_basis(rows, SVD_TOL))]
+
+
 @dataclass
 class CurvatureClassReport:
+    """The class at a point, decided from two SVD ranks: kernel_dim is 4
+    minus the rank of R_abcd k^d as a 64x4 system, range_dim the rank of
+    the curvature map.  kernel, range_basis and direction are built on
+    their first read, from the singular vectors kept in factors, as
+    null_basis and canonical_span_basis build them; class B's and class
+    D's tests read the range while classifying, and give it."""
+
     tag: str  # A | B | C | D | O
-    kernel: np.ndarray  # (k, 4) RREF basis of {k : R_abcd k^d = 0}
+    kernel_dim: int
     range_dim: int  # the curvature map's rank
-    range_basis: list[Bivector]  # canonical basis of its range
     margin: float  # smallest discarded singular-value ratio of the map
     simple_f: Bivector | None = None  # class D
     f_class: BivectorClass | None = None  # class D
-    direction: np.ndarray | None = None  # class C: the kernel row
     dual_pair: tuple[Bivector, Bivector] | None = None  # class B
+    # (k, 4) RREF basis of {k : R_abcd k^d = 0}
+    kernel: np.ndarray = _OnFirstRead(
+        lambda r: canonical_span_basis(r.factors[0], SVD_TOL))
+    # canonical basis of the curvature map's range
+    range_basis: list[Bivector] = _OnFirstRead(
+        lambda r: _range_bivectors(*r.factors[1:]))
+    # class C: the kernel row
+    direction: np.ndarray | None = _OnFirstRead(
+        lambda r: r.kernel[0] if r.tag == "C" else None)
+    # (vt[rank:] of the 64x4 system, u[:, :rank].T of the map, the frame)
+    factors: tuple = field(default=(), repr=False, compare=False)
 
 
 def classify_curvature(frame: PointFrame) -> CurvatureClassReport:
@@ -57,7 +80,9 @@ def classify_curvature(frame: PointFrame) -> CurvatureClassReport:
 
     The report's range and margin are those of the curvature map F^ab ->
     R^ab_cd F^cd, the 6x6 matrix 2 R^ab_cd over a < b, c < d.  Class O is
-    max|R^a_bcd| < 1e-10, which g -> c g leaves alone.
+    max|R^a_bcd| < 1e-10, which g -> c g leaves alone.  Only class B's
+    and class D's tests reduce the range to its canonical basis here;
+    no class reduces its kernel (see CurvatureClassReport).
 
     Raises ClassificationError when the kernel and range dimensions do not
     fit any class (a sign of tolerance trouble near class boundaries).
@@ -67,35 +92,35 @@ def classify_curvature(frame: PointFrame) -> CurvatureClassReport:
     rank, u, s, _ = svd_rank(2.0 * to_six(ruu[BASIS_INDEX]), SVD_TOL)
     margin = float(s[rank] / s[0]) if (s[0] > 0 and rank < 6) else 0.0
     if float(np.max(np.abs(riem))) < 1e-10:
-        return CurvatureClassReport("O", np.eye(4), 0, [], margin)
-    range_ = [Bivector(w, frame) for w in antisym_from_six(
-        canonical_span_basis(u[:, :rank].T, SVD_TOL))]
-    kern = null_basis(frame.riem_dddd.reshape(64, 4), SVD_TOL)
-    kdim = len(kern)
+        return CurvatureClassReport("O", 4, 0, margin, kernel=np.eye(4),
+                                    range_basis=[])
+    krank, _, _, vt = svd_rank(frame.riem_dddd.reshape(64, 4), SVD_TOL)
+    kdim = 4 - krank
+    factors = (vt[krank:], u[:, :rank].T, frame)
     if kdim == 2:
         if rank != 1:
             raise ClassificationError(
                 f"kernel dim 2 with curvature rank {rank} (expected 1); "
                 f"margin {margin:.2e}")
+        range_ = _range_bivectors(*factors[1:])
         f = range_[0]
         fc = classify_bivector(f, SVD_TOL)
         if not fc.simple:
             raise ClassificationError("class D range bivector is not simple")
-        return CurvatureClassReport("D", kern, rank, range_, margin,
-                                    simple_f=f, f_class=fc)
+        return CurvatureClassReport("D", kdim, rank, margin, simple_f=f,
+                                    f_class=fc, range_basis=range_,
+                                    factors=factors)
     if kdim == 1:
         if rank not in (2, 3):
             raise ClassificationError(
                 f"kernel dim 1 with curvature rank {rank} (expected 2 or 3)")
-        return CurvatureClassReport("C", kern, rank, range_, margin,
-                                    direction=kern[0])
+        return CurvatureClassReport("C", kdim, rank, margin, factors=factors)
     if kdim == 0:
-        if rank == 2:
-            got = _class_b_structure(range_)
-            if got is not None:
-                return CurvatureClassReport("B", kern, rank, range_, margin,
-                                            dual_pair=got)
-        return CurvatureClassReport("A", kern, rank, range_, margin)
+        range_ = _range_bivectors(*factors[1:]) if rank == 2 else None
+        pair = _class_b_structure(range_) if range_ else None
+        return CurvatureClassReport("A" if pair is None else "B", kdim, rank,
+                                    margin, dual_pair=pair,
+                                    range_basis=range_, factors=factors)
     raise ClassificationError(
         f"kernel dimension {kdim} fits no curvature class")
 

@@ -15,7 +15,8 @@ of the closed-form split F = a G + b *G of one element
 One closure (_close) and one decision (_decide), each of which takes a
 stack of points at once, serve every caller: a survey passes a frames_at
 chunk, identify_type a single point.  Only identify_type checks its
-basis (skew, then bracket-closed).
+basis (skew, then bracket-closed).  A report runs a probe that its label
+did not read only when that probe is read.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .bivector import (
     BASIS_INDEX, Bivector, _bivector_tags, _canonical_pair, _dual_split,
-    _null_bases, _rowdot, _span_bases, antisym_from_six,
+    _null_bases, _OnFirstRead, _rowdot, _span_bases, antisym_from_six,
     canonical_span_basis, to_six,
 )
 from .pointcalc import (
@@ -52,16 +53,33 @@ _BY_CONSTANT = {2: {"spacelike": "R6", "null": "R8"},
 
 @dataclass
 class HolonomyAlgebraReport:
-    """Identified (sub)algebra at a point or aggregated over a survey."""
+    """Identified (sub)algebra at a point or aggregated over a survey.
+
+    constant and recurrent, when not given, are built the first time
+    they are read, from the basis and the point's metric g: the one-point
+    calls of _constant_stack and _recurrent_stack.  A 6-dim algebra is
+    all of so(1,3), which leaves no line invariant: both read [] with no
+    probe run."""
 
     dimension: int
     basis: list[np.ndarray]  # skew-self-adjoint (1,1) matrices
     label: str  # R1..R15 or "unrecognized"
-    constant: list[tuple[np.ndarray, str]]  # annihilated directions + character
-    recurrent: list[np.ndarray]  # null eigen-directions, nonzero eigenvalue
+    # annihilated directions + character
+    constant: list[tuple[np.ndarray, str]] = _OnFirstRead(
+        lambda r: r._probe(_constant_stack))
+    # null eigen-directions, nonzero eigenvalue
+    recurrent: list[np.ndarray] = _OnFirstRead(
+        lambda r: r._probe(_recurrent_stack))
     omega: float | None = None  # R5 / R12 parameter (reported >= 0)
     realizable: bool = True  # False only for R5
     diagnostics: dict = field(default_factory=dict)
+    # the point's metric, which the probes read
+    g: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def _probe(self, stack) -> list:
+        if self.dimension == 6:
+            return []
+        return _one_point(stack, self.basis, self.g)
 
 
 @dataclass
@@ -236,8 +254,14 @@ def constant_directions(basis,
     """Common nullspace of all basis matrices, tagged by causal character;
     these integrate to covariantly constant vector fields.  The one-point
     call of _constant_stack."""
-    return _constant_stack(np.reshape(np.asarray(basis, float), (1, -1, 4, 4)),
-                           frame.g[None])[0]
+    return _one_point(_constant_stack, basis, frame.g)
+
+
+def _one_point(stack, basis, g: np.ndarray) -> list:
+    """A stacked probe (_constant_stack or _recurrent_stack) at one point:
+    its basis of (1,1) matrices and its metric g."""
+    return stack(np.reshape(np.asarray(basis, float), (1, -1, 4, 4)),
+                 g[None])[0]
 
 
 def _constant_stack(basis: np.ndarray, g: np.ndarray):
@@ -267,8 +291,7 @@ def recurrent_directions(basis, frame: PointFrame) -> list[np.ndarray]:
     combinations, then each is verified against every basis element.
     All surviving directions are null (skew-self-adjointness forces it).
     """
-    return _recurrent_stack(
-        np.reshape(np.asarray(basis, float), (1, -1, 4, 4)), frame.g[None])[0]
+    return _one_point(_recurrent_stack, basis, frame.g)
 
 
 def _recurrent_stack(basis: np.ndarray, g: np.ndarray):
@@ -391,7 +414,8 @@ def identify_type(basis, frame: PointFrame) -> HolonomyAlgebraReport:
     dimension is the span's rank.  The basis must be skew-self-adjoint
     and bracket-closed, tested on the one bracket block _decide reuses.
     Structure that fits no type is labelled "unrecognized" with
-    diagnostics instead of guessing."""
+    diagnostics instead of guessing.  The probes the label was not
+    decided on are built when read (see HolonomyAlgebraReport)."""
     basis = np.reshape(np.asarray(basis, float), (-1, 4, 4))
     six, sym = _to_six(basis, frame.g)
     if np.any(sym > SPAN_TOL):
@@ -409,7 +433,7 @@ def identify_type(basis, frame: PointFrame) -> HolonomyAlgebraReport:
                 diagnostics={"reason": "basis not bracket-closed",
                              "residual": resid})
     rep, = _decide([basis], span, pivoted, [brackets], [frame])
-    return _complete(rep, frame)
+    return rep
 
 
 _BY_TAG = {"simple-timelike": "R2", "simple-null": "R3",
@@ -427,7 +451,8 @@ def _decide(bases, span: np.ndarray, pivoted: np.ndarray, brackets,
     the bivector class at dimension 1, the constant directions at
     dimensions 2 and 3 (then the R9/R12 discriminant when there are
     none), the recurrent directions at dimension 4.  A probe the rule
-    did not read is left as None.  The points are grouped by dimension
+    did not read is not given: the report builds it from the basis and
+    the point's g when it is read.  The points are grouped by dimension
     and number of basis elements, so that each group's arrays have the
     shape a point has alone, and every group's probes are computed in
     one stacked call (_bivector_tags, _constant_stack, _recurrent_stack).
@@ -491,23 +516,8 @@ def _decide(bases, span: np.ndarray, pivoted: np.ndarray, brackets,
             diags[i]["reason"] = "dim-3 discriminant failed"
     return [HolonomyAlgebraReport(
         d, list(basis), label, c, r, w, realizable=(label != "R5"),
-        diagnostics=diag) for d, basis, label, c, r, w, diag in zip(
-            dims, bases, labels, const, recur, omega, diags)]
-
-
-def _complete(rep: HolonomyAlgebraReport,
-              frame: PointFrame) -> HolonomyAlgebraReport:
-    """Fill in the probes _decide left as None, with the one-point calls
-    of their stacked cores.  A 6-dim algebra is all of so(1,3), which
-    leaves no line invariant: both are empty, with no probe run."""
-    if rep.dimension == 6:
-        rep.constant, rep.recurrent = [], []
-        return rep
-    if rep.constant is None:
-        rep.constant = constant_directions(rep.basis, frame)
-    if rep.recurrent is None:
-        rep.recurrent = recurrent_directions(rep.basis, frame)
-    return rep
+        diagnostics=diag, g=gi) for d, basis, label, c, r, w, diag, gi in zip(
+            dims, bases, labels, const, recur, omega, diags, g)]
 
 
 # ---------------------------------------------------------------------------
@@ -530,14 +540,17 @@ def holonomy_survey(spec: MetricSpec, samples: int = 32, seed: int = 7,
     The representative is the first point of maximal dimension,
     preferring a recognised label, and its label is the survey's; only
     the representative carries constant and recurrent directions, omega
-    and diagnostics, as identify_type reports them at that point.
+    and diagnostics, as identify_type reports them at that point.  The
+    directions its label was not decided on are probed when read, so a
+    caller that reads only labels runs no probe past _decide's; the
+    representative keeps its point's g, and no frame or chunk stack.
     Disagreeing per-point labels are flagged.
     """
     if derivative_order not in (0, 1, 2):
         raise ValueError("derivative_order must be 0, 1 or 2")
     pts = sample_points(spec, samples, seed=seed)
     per_point = []
-    best = None  # (decision, frame)
+    best = None
     for frames, stack in _frame_chunks(spec, pts, derivative_order + 2):
         gens, _ = _generators([stack[k] for k in ("R", "covR6", "cov2R6")
                                [:derivative_order + 1]])
@@ -548,13 +561,10 @@ def holonomy_survey(spec: MetricSpec, samples: int = 32, seed: int = 7,
                        brackets, frames)
         for fr, rep in zip(frames, reps):
             per_point.append((fr.point, rep.label, rep.dimension))
-            if best is None or _better(rep, best[0]):
-                best = rep, fr
+            if best is None or _better(rep, best):
+                best = rep
     labels = {lab for _, lab, _ in per_point}
-    mixed = len(labels) > 1
-    representative = _complete(*best)
-    return HolonomySurveyReport(representative.label, representative,
-                                per_point, mixed)
+    return HolonomySurveyReport(best.label, best, per_point, len(labels) > 1)
 
 
 def _better(a: HolonomyAlgebraReport, b: HolonomyAlgebraReport) -> bool:

@@ -408,7 +408,8 @@ def check_admissible(spec: MetricSpec, point) -> None:
 
 
 def sample_points(spec: MetricSpec, n: int, seed: int = 7) -> np.ndarray:
-    """Uniform admissible points from spec.sample_box (rejection sampling)."""
+    """Uniform admissible points from spec.sample_box (rejection sampling,
+    in rounds of max(2n, 16) draws, at most 200 rounds)."""
     if n < 1:
         raise MetricError(f"need at least one sample point, got {n}")
     box = spec.sample_box
@@ -417,16 +418,18 @@ def sample_points(spec: MetricSpec, n: int, seed: int = 7) -> np.ndarray:
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
     rng = np.random.default_rng(seed)
+    draw = max(2 * n, 16)
     out = []
     for _ in range(200):
-        cand = rng.uniform(lo, hi, size=(max(2 * n, 16), DIM))
-        good = cand[admissible_mask(spec, cand)]
-        out.append(good)
+        cand = rng.uniform(lo, hi, size=(draw, DIM))
+        out.append(cand[admissible_mask(spec, cand)])
         if sum(len(g) for g in out) >= n:
             break
-    pts = np.concatenate(out) if out else np.empty((0, DIM))
+    pts = np.concatenate(out)
     if len(pts) < n:
-        raise AdmissibilityError("sample box contains no admissible points")
+        raise AdmissibilityError(
+            f"sample box gave {len(pts)} admissible points of the {n} asked "
+            f"for in {draw * len(out)} draws")
     return pts[:n]
 
 
@@ -1010,8 +1013,7 @@ def _riemann_derivative_stack(g: np.ndarray, block: np.ndarray,
 
 def _signature_signs(eig: np.ndarray):
     """Signs of g's eigenvalues, ascending as eigvalsh returns them."""
-    scale = max(1.0, float(np.max(np.abs(eig))))
-    if np.any(np.abs(eig) < 1e-10 * scale):
+    if np.any(np.abs(eig) <= 1e-10 * float(np.max(np.abs(eig)))):
         raise DegenerateMetricError("metric has a (near-)zero eigenvalue")
     return tuple(int(np.sign(v)) for v in eig)
 
@@ -1087,10 +1089,10 @@ def _frame_chunks(spec: MetricSpec, points, order: int):
         stack["g"] = g[:n]
         # _signature_signs for every row: with the eigenvalues ascending,
         # a row is Lorentz and no eigenvalue is near zero exactly when the
-        # first is at most -bound and the second at least +bound
+        # first is below -bound and the second above +bound
         eig = np.linalg.eigvalsh(stack["g"])
-        bound = 1e-10 * np.maximum(1.0, np.abs(eig).max(axis=1))
-        good = (eig[:, 0] <= -bound) & (eig[:, 1] >= bound)
+        bound = 1e-10 * np.abs(eig).max(axis=1)
+        good = (eig[:, 0] < -bound) & (eig[:, 1] > bound)
         lorentz = n if good.all() else int(np.argmin(good))
         if lorentz < n:
             stack = {k: v[:lorentz] for k, v in stack.items()}

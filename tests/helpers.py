@@ -79,6 +79,34 @@ def synthetic_class_b(l, n, x, y, alpha: float = 1.0,
     return PointFrame.synthetic(ETA, riem)
 
 
+def synthetic_class_c(l, x, y) -> PointFrame:
+    """Riem = F (x) F + *F (x) *F with F = l^x null: the range is closed
+    under *, both bivectors annihilate l, and the class is C."""
+    f, fs = biv_low(l, x), biv_low(l, y)
+    return PointFrame.synthetic(ETA, np.einsum("ab,cd->abcd", f, f)
+                                + np.einsum("ab,cd->abcd", fs, fs))
+
+
+@lru_cache(maxsize=None)
+def lazy_field_frames() -> tuple:
+    """The frames on which report fields built on first read are checked
+    against the eager calls they replace: two sample points of every
+    fixture and of every partner, a synthetic point of class B, C and D,
+    and each of them with g -> c g for c = 1e-6 and 1e6."""
+    from lorhol.fixtures import FIXTURE_NAMES
+    from lorhol.pointcalc import frames_at, sample_points
+    l, n, x, y = null_tetrad(random_lorentz(np.random.default_rng(5)))
+    frames = [synthetic_class_b(l, n, x, y, 0.7, -1.3),
+              synthetic_class_c(l, x, y),
+              synthetic_class_d(biv_low(x, y), 0.4)]
+    for name in FIXTURE_NAMES:
+        for partner in (False, True):
+            spec = fixture_spec(name, partner)
+            frames += frames_at(spec, sample_points(spec, 2, seed=3))
+    return tuple(PointFrame.synthetic(c * fr.g, c * fr.riem_dddd) if c
+                 else fr for fr in frames for c in (None, 1e-6, 1e6))
+
+
 @lru_cache(maxsize=None)
 def fixture_spec(name: str, partner: bool = False):
     """A shipped fixture's metric, or the partner derived from its pair."""
@@ -86,6 +114,18 @@ def fixture_spec(name: str, partner: bool = False):
     from lorhol.projective import invert_pair
     bundle = named_fixture(name)
     return invert_pair(bundle.pair).partner if partner else bundle.g
+
+
+@lru_cache(maxsize=None)
+def scaled_spec(name: str, c):
+    """A shipped fixture's metric times the exact constant c."""
+    from dataclasses import replace
+    from fractions import Fraction
+    from lorhol.exprdsl import const, mul
+    spec = fixture_spec(name)
+    k = const(Fraction(c))
+    return replace(spec, g=tuple(tuple(mul(k, e) for e in row)
+                                 for row in spec.g), name=f"{spec.name}*{c}")
 
 
 @lru_cache(maxsize=None)

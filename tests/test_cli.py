@@ -153,6 +153,19 @@ class TestClassify:
         assert res.stderr == (f"error: {path}: unsupported or missing file "
                               "version\n")
 
+    def test_too_few_admissible_points_is_one_error_line(self, runner,
+                                                        emitted, tmp_path):
+        data = json.loads(open(emitted("minkowski")["g"]).read())
+        data["constraints"] = ["0.000004 - x^2"]
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(data))
+        res = runner.invoke(main, ["classify", "-m", str(path),
+                                   "--samples", "64"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == ("error: sample box gave 50 admissible points "
+                              "of the 64 asked for in 25600 draws\n")
+
     def test_missing_file_is_usage_error(self, runner):
         res = runner.invoke(main, ["classify", "-m", "no-such-file.json"])
         assert res.exit_code == 2

@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from lorhol.bivector import (
-    SVD_TOL, canonical_span_basis, classify_bivector, hodge_dual, null_basis,
-    to_six, wedge,
+    BASIS_INDEX, SVD_TOL, Bivector, antisym_from_six, canonical_span_basis,
+    classify_bivector, hodge_dual, null_basis, svd_rank, to_six, wedge,
 )
 from lorhol.curvclass import (
     ClassificationError, classify_curvature, solve_theorem1,
@@ -13,8 +15,9 @@ from lorhol.pointcalc import (
 )
 
 from helpers import (
-    ETA, biv_low, fixture_spec, kernel_vectors_gram_schmidt, minkowski_frame,
-    null_tetrad, random_lorentz, solve_theorem1_loop, synthetic_class_b,
+    ETA, biv_low, fixture_spec, kernel_vectors_gram_schmidt,
+    lazy_field_frames, minkowski_frame, null_tetrad, random_lorentz,
+    scaled_spec, solve_theorem1_loop, synthetic_class_b, synthetic_class_c,
     synthetic_class_d,
 )
 
@@ -150,14 +153,27 @@ class TestClassify:
         assert _class_b_structure(rep.range_basis) is None
         assert rep.tag == "C"
 
-    @pytest.mark.parametrize("c", [1e-6, 1e6])
+    @pytest.mark.parametrize("c", [1e-12, 1e-6, 1e6, 1e12])
     def test_flat_and_curved_under_metric_scale(self, c):
         # g -> c g leaves R^a_bcd and so the class alone
         l, n, x, y = null_tetrad()
-        for fr in (minkowski_frame(), synthetic_class_d(biv_low(x, y))):
+        for fr in (minkowski_frame(), synthetic_class_d(biv_low(x, y)),
+                   synthetic_class_b(l, n, x, y)):
             scaled = PointFrame.synthetic(c * fr.g, c * fr.riem_dddd)
             assert (classify_curvature(scaled).tag
                     == classify_curvature(fr).tag)
+
+    @pytest.mark.parametrize("c", [Fraction(1, 10 ** 12), 10 ** 12],
+                             ids=["1e-12", "1e12"])
+    def test_fixture_classes_under_metric_scale(self, c):
+        # g -> c g of a fixture's spec: every eigenvalue of g scales by
+        # c, and the signature test with it
+        for name in ("r11", "r9", "r14"):
+            spec, scaled = fixture_spec(name), scaled_spec(name, c)
+            pts = sample_points(spec, 4, seed=2)
+            assert ([classify_curvature(fr).tag for fr in frames_at(spec, pts)]
+                    == [classify_curvature(fr).tag
+                        for fr in frames_at(scaled, pts)])
 
     def test_oracle_200_random_synthetic(self):
         # classes B and D under random Lorentz-transformed tetrads
@@ -199,8 +215,9 @@ class TestClassify:
         assert 0.0 <= rep.margin < 1e-9
 
     def test_class_d_point_reduces_only_what_it_reads(self, monkeypatch):
-        # two one-matrix reductions, the range of the curvature map and
-        # the kernel's null basis; the blade of F waits for its reader
+        # one one-matrix reduction, the range of the curvature map that
+        # the simple-F test reads; the kernel and the blade of F wait for
+        # their readers
         from lorhol import bivector
         from helpers import fixture_spec
         spec = fixture_spec("r11")
@@ -220,12 +237,45 @@ class TestClassify:
         monkeypatch.setattr(bivector, "_blade_from_svd", blade_spy)
         rep = classify_curvature(fr)
         assert rep.tag == "D"
-        assert (stacks, blades) == ([1, 1], [])
+        assert (stacks, blades) == ([1], [])
         got = rep.f_class.blade
         assert blades == [1e-9]
         want = blade(rep.simple_f, 1e-9)
         assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
         assert rep.f_class.blade is got and blades == [1e-9]
+
+    @pytest.mark.parametrize("case", ["A", "C"])
+    def test_class_a_and_c_points_reduce_nothing_until_read(self, case,
+                                                           monkeypatch):
+        # the class is fixed by the two ranks; the kernel, the range and
+        # class C's direction are reduced on their first read, once
+        from lorhol import bivector
+        if case == "A":  # rank 4: no class-B test
+            spec = fixture_spec("r14")
+            fr = frame_at(spec, sample_points(spec, 1, seed=1)[0])
+        else:
+            l, _, x, y = null_tetrad()
+            fr = synthetic_class_c(l, x, y)
+        span_bases = bivector._span_bases
+        stacks = []
+
+        def span_spy(stack, tol):
+            stacks.append(len(stack))
+            return span_bases(stack, tol)
+
+        monkeypatch.setattr(bivector, "_span_bases", span_spy)
+        rep = classify_curvature(fr)
+        assert rep.tag == case and stacks == []
+        kernel, range_ = rep.kernel, rep.range_basis
+        # class A's kernel is empty, and an empty span needs no reduction
+        reduced = [1, 1] if case == "C" else [1]
+        assert stacks == reduced
+        assert rep.kernel is kernel and rep.range_basis is range_
+        if case == "C":
+            assert rep.direction.tobytes() == kernel[0].tobytes()
+        else:
+            assert rep.direction is None
+        assert stacks == reduced
 
     @pytest.mark.parametrize("pieces, message", [
         # R_abcd k^d = 0 for k in span{e_0, e_2} alone, where the map
@@ -315,7 +365,8 @@ class TestTheorem1:
     def test_class_d_point_solves_60_rows_on_the_kernel_plane(
             self, monkeypatch):
         # the 60 independent equations, and class D's plane read from the
-        # kernel: no dual, no SVD blade
+        # kernel, which classify_curvature's factors give: no dual, no SVD
+        # blade, no second null basis of the 64x4 system
         from lorhol import bivector, curvclass
         spec = fixture_spec("r11")
         fr = frame_at(spec, sample_points(spec, 1, seed=1)[0])
@@ -343,7 +394,7 @@ class TestTheorem1:
         basis, rep = solve_theorem1(fr)
         assert rep.tag == "D" and len(basis) == 4
         assert calls == []
-        assert shapes == [(64, 4), (60, 10)]
+        assert shapes == [(60, 10)]
 
     def test_dimension_counts_oracle(self):
         rng = np.random.default_rng(17)
@@ -446,3 +497,32 @@ def test_rref_kernel_and_60_row_theorem1_match_the_former_steps():
         cond = s[0] / s[rank - 1] if rank else 1.0
         assert np.abs(got - want).max() <= 1e-12 * cond * np.abs(want).max()
     assert 0 < raised < 10  # near the boundaries, both outcomes occur
+
+
+def test_fields_built_on_first_read_equal_the_eager_calls():
+    # the kernel as null_basis of the 64x4 system, the range as the
+    # canonical basis of the map's leading left singular vectors, and
+    # class C's direction as the kernel row, bit for bit; each dimension
+    # is its basis's length
+    seen = set()
+    for fr in lazy_field_frames():
+        rep = classify_curvature(fr)
+        seen.add(rep.tag)
+        if rep.tag == "O":
+            kernel, range_ = np.eye(4), []
+        else:
+            ruu = np.einsum("be,aecd->abcd", fr.ginv, fr.riem_ud)
+            rank, u, _, _ = svd_rank(2.0 * to_six(ruu[BASIS_INDEX]), SVD_TOL)
+            kernel = null_basis(fr.riem_dddd.reshape(64, 4), SVD_TOL)
+            range_ = [Bivector(w, fr) for w in antisym_from_six(
+                canonical_span_basis(u[:, :rank].T, SVD_TOL))]
+        assert rep.kernel.tobytes() == kernel.tobytes()
+        assert ([b.comps.tobytes() for b in rep.range_basis]
+                == [b.comps.tobytes() for b in range_])
+        if rep.tag == "C":
+            assert rep.direction.tobytes() == kernel[0].tobytes()
+        else:
+            assert rep.direction is None
+        assert rep.kernel_dim == len(rep.kernel)
+        assert rep.range_dim == len(rep.range_basis)
+    assert seen == set("ABCDO")

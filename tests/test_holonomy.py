@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,7 +100,7 @@ class TestCloseAlgebra:
     def test_empty(self):
         assert close_algebra([], minkowski_frame()) == []
 
-    @pytest.mark.parametrize("c", [1e-9, 1.0, 1e9])
+    @pytest.mark.parametrize("c", [1e-12, 1e-9, 1.0, 1e9, 1e12])
     def test_metric_scale_leaves_closure_and_label(self, c):
         # g -> c g scales each table generator by c, so the closed
         # algebra and its label must not depend on c
@@ -380,6 +381,60 @@ class TestSurvey:
         chars = [ch for _, ch in rep.representative.constant]
         assert "null" in chars
 
+    @pytest.mark.parametrize("c", [Fraction(1, 10 ** 12), 10 ** 12],
+                             ids=["1e-12", "1e12"])
+    def test_fixture_labels_under_metric_scale(self, c):
+        # g -> c g of a fixture's spec: the same label at every point
+        from helpers import fixture_spec, scaled_spec
+        for name in ("r11", "r9", "r14"):
+            got, want = (holonomy_survey(s, samples=4, seed=2)
+                         for s in (scaled_spec(name, c), fixture_spec(name)))
+            assert [lab for _, lab, _ in got.per_point] == [
+                lab for _, lab, _ in want.per_point]
+            assert got.label == want.label
+
+    def test_representative_probes_wait_for_their_read(self, monkeypatch):
+        # the survey runs the probes _decide's rules read, and the
+        # representative runs the others when they are read, once each
+        from helpers import fixture_spec
+        from lorhol import holonomy
+        decide = holonomy._decide
+        calls = []
+
+        def spy(name):
+            real = getattr(holonomy, name)
+
+            def call(basis, g):
+                calls.append((name, deciding))
+                return real(basis, g)
+            monkeypatch.setattr(holonomy, name, call)
+
+        def decide_spy(*args):
+            nonlocal deciding
+            deciding = True
+            try:
+                return decide(*args)
+            finally:
+                deciding = False
+
+        deciding = False
+        spy("_constant_stack")
+        spy("_recurrent_stack")
+        monkeypatch.setattr(holonomy, "_decide", decide_spy)
+        for name, given in (("r14", "_recurrent_stack"),
+                            ("r11", "_constant_stack")):
+            calls.clear()
+            rep = holonomy_survey(fixture_spec(name), samples=16, seed=1)
+            assert set(calls) == {(given, True)}
+            calls.clear()
+            rep = rep.representative
+            constant, recurrent = rep.constant, rep.recurrent
+            assert calls == [(n, False) for n in ("_constant_stack",
+                                                  "_recurrent_stack")
+                             if n != given]
+            assert rep.constant is constant and rep.recurrent is recurrent
+            assert len(calls) == 1
+
 
 class TestOrderTwo:
     def test_order2_survey_matches_order1_on_appendix(self):
@@ -495,6 +550,13 @@ def test_partner_surveys_close_and_grow_with_order():
                     assert all(b >= a for a, b in zip(dims, now)), (
                         name, partner, seed, order, dims, now)
                 dims = now
+
+
+def _given(rep):
+    """The probe fields of a report that hold a value, read or given,
+    without building the others."""
+    return [k for k in ("constant", "recurrent")
+            if rep.__dict__.get("_" + k) is not None]
 
 
 def _report_bytes(rep):
@@ -666,7 +728,7 @@ def test_r15_survey_runs_no_probe(monkeypatch):
     from helpers import fixture_spec
     from lorhol import holonomy
     calls = []
-    for probe in ("constant_directions", "recurrent_directions"):
+    for probe in ("_constant_stack", "_recurrent_stack"):
         monkeypatch.setattr(holonomy, probe,
                             lambda *a, probe=probe: calls.append(probe))
     rep = holonomy_survey(fixture_spec("r11", True), samples=4, seed=1)
@@ -719,7 +781,7 @@ def test_stacked_decision_matches_each_point_alone():
         constant_directions_loop, decide_loop, recurrent_directions_loop,
     )
     from lorhol.bivector import _span_bases
-    from lorhol.holonomy import SPAN_TOL, _brackets, _complete, _decide, _to_six
+    from lorhol.holonomy import SPAN_TOL, _brackets, _decide, _to_six
     fr = minkowski_frame()
     rng = np.random.default_rng(24)
     cases = [("R1", [], fr)]
@@ -751,11 +813,43 @@ def test_stacked_decision_matches_each_point_alone():
         want = decide_loop(b, r, br, f)
         assert (rep.label, rep.dimension) == (want.label, want.dimension)
         assert rep.label == (label or "unrecognized")
-        assert (rep.constant is None, rep.recurrent is None) == (
-            want.constant is None, want.recurrent is None)
-        if want.constant is None:
+        # the probes the rule read are given; the others wait for a read
+        assert _given(rep) == _given(want)
+        if "constant" not in _given(want):
             want.constant = constant_directions_loop(b, f)
-        if want.recurrent is None:
+        if "recurrent" not in _given(want):
             want.recurrent = recurrent_directions_loop(b, f)
-        assert _report_bytes(_complete(rep, f)) == _report_bytes(want)
+        assert _report_bytes(rep) == _report_bytes(want)
     assert {rep.dimension for rep in got} == set(range(7))
+
+
+def test_probes_built_on_first_read_equal_the_eager_calls():
+    # at every frame of lazy_field_frames, the identified algebra of its
+    # curvature, and the representative of every fixture's and partner's
+    # survey: the probes a report builds when read are the one-point
+    # calls, bit for bit
+    from helpers import fixture_spec, lazy_field_frames
+    from lorhol.fixtures import FIXTURE_NAMES
+    cases = []
+    for fr in lazy_field_frames():
+        gens = ihol_generators(None, None, 0, frame=fr)
+        cases.append((identify_type(close_algebra(gens, fr), fr), fr))
+    for name in FIXTURE_NAMES:
+        for partner in (False, True):
+            spec = fixture_spec(name, partner)
+            survey = holonomy_survey(spec, samples=4, seed=3,
+                                     derivative_order=0)
+            rep = survey.representative
+            # the representative is the first point of its label and
+            # dimension
+            at = next(pt for pt, lab, dim in survey.per_point
+                      if (lab, dim) == (rep.label, rep.dimension))
+            cases.append((rep, frame_at(spec, at)))
+    for rep, fr in cases:
+        constant, recurrent = rep.constant, rep.recurrent
+        assert [(v.tobytes(), ch) for v, ch in constant] == [
+            (v.tobytes(), ch) for v, ch in
+            constant_directions(rep.basis, fr)]
+        assert [v.tobytes() for v in recurrent] == [
+            v.tobytes() for v in recurrent_directions(rep.basis, fr)]
+    assert {rep.dimension for rep, _ in cases} >= {0, 1, 3, 4, 6}

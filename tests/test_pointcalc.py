@@ -1,3 +1,4 @@
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -145,6 +146,23 @@ class TestSignature:
         spec = metric_spec(UVXY, [["1"], ["0", "1"], ["0", "0", "1"],
                                   ["0", "0", "0", "1"]])
         assert signature_at(spec, (0, 0, 0, 0)) == (1, 1, 1, 1)
+
+    @pytest.mark.parametrize("c", [Fraction(1, 10 ** 12), 10 ** 12],
+                             ids=["1e-12", "1e12"])
+    def test_metric_scale_leaves_the_signature(self, c):
+        # g -> c g scales every eigenvalue by c, and the zero-eigenvalue
+        # bound with the largest of them
+        from helpers import scaled_spec
+        spec = scaled_spec("r11", c)
+        for pt in sample_points(spec, 4, seed=2):
+            assert signature_at(spec, pt) == (-1, 1, 1, 1)
+
+    def test_zero_metric_has_zero_eigenvalues(self):
+        spec = metric_spec(UVXY, [["0"], ["0", "0"], ["0", "0", "0"],
+                                  ["0", "0", "0", "0"]])
+        with pytest.raises(DegenerateMetricError,
+                           match=r"^metric has a \(near-\)zero eigenvalue$"):
+            signature_at(spec, (0, 0, 0, 0))
 
 
 class TestMetricSpecRows:
@@ -618,6 +636,21 @@ class TestFramesAt:
         assert list(frames_at(spec, np.empty((0, 4)))) == []
         with pytest.raises(MetricError, match="4 coordinates"):
             next(frames_at(spec, np.ones((2, 3))))
+
+
+def test_sample_points_counts_what_it_found():
+    # 1 draw in 500 is admissible: 4 points come within the 200 rounds of
+    # 16 draws, 64 do not within 200 rounds of 128
+    spec = metric_spec(("t", "x", "y", "z"),
+                       [["-1"], ["0", "1"], ["0", "0", "1"],
+                        ["0", "0", "0", "1"]],
+                       constraints=["0.000004 - x^2"],
+                       sample_box=[(-1, 1)] * 4)
+    assert len(sample_points(spec, 4)) == 4
+    with pytest.raises(AdmissibilityError, match=(
+            r"^sample box gave 50 admissible points of the 64 asked for in "
+            r"25600 draws$")):
+        sample_points(spec, 64)
 
 
 @pytest.mark.parametrize("n", [0, -3])

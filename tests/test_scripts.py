@@ -66,6 +66,22 @@ def test_stack_timing_prints_one_line_per_fixture_and_order(capsys):
     assert re.fullmatch(r"minkowski 2 +[0-9]+\.[0-9]", line), line
 
 
+def test_survey_timing_prints_one_line_per_fixture_and_partner(capsys):
+    _script("survey_timing").main(["--fixtures", "minkowski", "r9",
+                                   "--orders", "0", "2", "--samples", "2",
+                                   "2", "--repeat", "1", "--number", "1"])
+    head, *lines = capsys.readouterr().out.splitlines()
+    assert head.split()[:4] == ["fixture", "classify", "holonomy-0",
+                                "holonomy-2"]
+    assert [line.split()[0] for line in lines] == [
+        "minkowski", "r9", "r9-partner"]
+    for line in lines:
+        # a partner's order-2 survey is not run
+        last = "-" if "partner" in line else r"[0-9]+\.[0-9]{2}"
+        assert re.fullmatch(r"[a-z0-9-]+ +[0-9]+\.[0-9] +[0-9]+\.[0-9]{2} +"
+                            + last, line), line
+
+
 def _script(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
