@@ -4,6 +4,7 @@ Metric-spec files are JSON:
 
     {
       "version": 1,
+      "name": "appendix",                      # absent or null: the stem
       "coordinates": ["u", "v", "x", "y"],
       "parameters": {"xi": 0.25},
       "metric": [["0"], ["1", "0"], ...],     # lower triangle or full 4x4
@@ -22,6 +23,7 @@ import functools
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -33,12 +35,13 @@ from .curvclass import ClassificationError, classify_curvature
 from .exprdsl import ExprError, to_string
 from .holonomy import SPAN_TOL, holonomy_survey
 from .pointcalc import (
-    MetricError, MetricSpec, frames_at, metric_spec, sample_points,
+    MetricError, MetricSpec, check_coords, frames_at, metric_spec,
+    parse_entry, sample_points, symmetric_components,
 )
 from .projective import (
-    InversionError, SinyukovPair, invert_pair, pregeodesic_check,
-    projective_residual, psi_from_connections, sinyukov_residual,
-    weyl_projective_equal, curvature_relation_residual,
+    GEODESIC_TOL, RESIDUAL_TOL, InversionError, SinyukovPair, invert_pair,
+    pregeodesic_check, projective_residual, psi_from_connections,
+    sinyukov_residual, weyl_projective_equal, curvature_relation_residual,
 )
 
 SCHEMA_VERSION = 1
@@ -91,6 +94,7 @@ def _string(x) -> bool:
 _ROWS = (_array(_array(_entry)), "an array of rows of strings or numbers")
 _PARAMETERS = (_object(_number), "an object of numbers or null")
 _METRIC_KEYS = {
+    "name": (lambda v: v is None or _string(v), "a string or null"),
     "coordinates": (_array(_string), "an array of strings"),
     "metric": _ROWS, "parameters": _PARAMETERS,
     "constraints": (_array(_entry), "an array of strings or numbers"),
@@ -117,24 +121,34 @@ def _load_json(path: str, schema: dict) -> dict:
     return data
 
 
+@contextmanager
+def _in_file(path: str):
+    """Name ``path`` in a MetricError or ExprError raised in the block,
+    which keeps its class."""
+    try:
+        yield
+    except (MetricError, ExprError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def load_metric_file(path: str) -> MetricSpec:
     data = _load_json(path, _METRIC_KEYS)
-    coords = data["coordinates"]
-    box = None
-    if data.get("sample_box"):
-        missing = [c for c in coords if c not in data["sample_box"]]
-        if missing:
-            raise MetricError(f"{path}: sample_box has no bounds for "
-                              f"coordinate {missing[0]!r}")
-        box = [tuple(data["sample_box"][c]) for c in coords]
-    try:
+    coords, box, name = (data["coordinates"], data.get("sample_box"),
+                         data.get("name"))
+    with _in_file(path):
+        check_coords(coords)
+        if box:
+            missing = [c for c in coords if c not in box]
+            if missing:
+                raise MetricError("sample_box has no bounds for "
+                                  f"coordinate {missing[0]!r}")
+            box = [tuple(box[c]) for c in coords]
         return metric_spec(coords, data["metric"],
                            params=data.get("parameters", {}),
                            constraints=data.get("constraints", ()),
                            sample_box=box,
-                           name=data.get("name", Path(path).stem))
-    except MetricError as exc:
-        raise MetricError(f"{path}: {exc}") from None
+                           name=Path(path).stem if name is None else name)
 
 
 def metric_to_json(spec: MetricSpec) -> dict:
@@ -154,25 +168,22 @@ def metric_to_json(spec: MetricSpec) -> dict:
 
 
 def load_pair_file(path: str, base: MetricSpec) -> SinyukovPair:
+    """The pair in ``path`` on ``base``, whose parameters the file's
+    own "parameters" extend or override."""
     data = _load_json(path, _PAIR_KEYS)
     spec = base
-    try:
+    lam_field = data.get("lambda", "trace")
+    with _in_file(path):
         if data.get("parameters"):
             spec = MetricSpec(base.coords, base.g,
                               base.params.merged(data["parameters"]),
                               base.constraints, base.sample_box, base.name)
-        helper = metric_spec(spec.coords, data["a"], spec.params,
-                             name="sinyukov-a")
-    except MetricError as exc:
-        raise MetricError(f"{path}: {exc}") from None
-    lam_field = data.get("lambda", "trace")
-    if lam_field == "trace":
-        lam = None
-    else:
-        from .exprdsl import parse_expr
-        lam = tuple(parse_expr(s, spec.coords, spec.params.names())
-                    for s in lam_field)
-    return SinyukovPair(spec, helper.g, lam)
+        names = spec.params.names()
+        a = symmetric_components("a", data["a"], spec.coords, names)
+        lam = None if lam_field == "trace" else tuple(
+            parse_entry(f"lambda[{k}]", e, spec.coords, names)
+            for k, e in enumerate(lam_field))
+    return SinyukovPair(spec, a, lam)
 
 
 def pair_to_json(pair: SinyukovPair) -> dict:
@@ -374,18 +385,17 @@ def holonomy(metric_path, samples, seed, order):
 @_pair_opt
 @_samples_opt
 @_seed_opt
-@click.option("--tol", default=1e-8, show_default=True)
 @_json_opt
 @_out_opt
 @_reports("sinyukov-check")
-def sinyukov_check(metric_path, pair_path, samples, seed, tol):
+def sinyukov_check(metric_path, pair_path, samples, seed):
     """Residual of Sinyukov's equation for a candidate (a, lambda)."""
     spec = load_metric_file(metric_path)
     pair = load_pair_file(pair_path, spec)
     pts = sample_points(spec, samples, seed=seed)
     residual = sinyukov_residual(pair, pts)
     body = {"residual": residual, "samples": samples}
-    return {"tol": tol}, body, residual < tol
+    return {"tol": RESIDUAL_TOL}, body, residual < RESIDUAL_TOL
 
 
 @main.command("derive-partner")
@@ -393,18 +403,17 @@ def sinyukov_check(metric_path, pair_path, samples, seed, tol):
 @_pair_opt
 @_samples_opt
 @_seed_opt
-@click.option("--tol", default=1e-8, show_default=True)
 @click.option("-o", "--out", "partner_path", required=True,
               help="path for the derived partner metric-spec file")
 @_json_opt
 @_reports("derive-partner")
-def derive_partner(metric_path, pair_path, samples, seed, tol, partner_path):
+def derive_partner(metric_path, pair_path, samples, seed, partner_path):
     """Invert (a, lambda) and write the projectively related metric g'."""
     spec = load_metric_file(metric_path)
     pair = load_pair_file(pair_path, spec)
     pts = sample_points(spec, samples, seed=seed)
     residual = sinyukov_residual(pair, pts)
-    pp = invert_pair(pair, pts, tol=tol)
+    pp = invert_pair(pair, pts)
     partner_json = metric_to_json(pp.partner)
     Path(partner_path).write_text(json.dumps(partner_json, sort_keys=True,
                                              indent=2) + "\n")
@@ -414,7 +423,7 @@ def derive_partner(metric_path, pair_path, samples, seed, tol, partner_path):
         "chi": to_string(pp.chi),
         "psi": [to_string(e) for e in pp.psi],
     }
-    return {"tol": tol}, body, residual < tol
+    return {"tol": RESIDUAL_TOL}, body, residual < RESIDUAL_TOL
 
 
 @main.command("projective-check")
@@ -427,12 +436,11 @@ def derive_partner(metric_path, pair_path, samples, seed, tol, partner_path):
               help="recover psi from the two connections pointwise")
 @_samples_opt
 @_seed_opt
-@click.option("--tol", default=1e-8, show_default=True)
 @_json_opt
 @_out_opt
 @_reports("projective-check")
 def projective_check(metric_path, metric2_path, pair_path, auto_psi, samples,
-                     seed, tol):
+                     seed):
     """Verify that two metrics are projectively related."""
     if auto_psi and pair_path:
         raise MetricError("need --auto-psi or -a/--sinyukov for psi, "
@@ -441,26 +449,29 @@ def projective_check(metric_path, metric2_path, pair_path, auto_psi, samples,
         raise MetricError("need --auto-psi or -a/--sinyukov for psi")
     spec = load_metric_file(metric_path)
     spec2 = load_metric_file(metric2_path)
+    if pair_path:
+        # g with the pair file's parameters bound, as psi reads them
+        pair = load_pair_file(pair_path, spec)
+        spec = pair.base
     pts = sample_points(spec, samples, seed=seed)
     body: dict = {"samples": samples}
     if auto_psi:
         psi = psi_from_connections(spec, spec2, pts)
         body["psi_source"] = "connections"
     else:
-        pair = load_pair_file(pair_path, spec)
-        psi = invert_pair(pair, pts, tol=tol).psi
+        psi = invert_pair(pair, pts).psi
         body["psi_source"] = "sinyukov-pair"
     res13 = projective_residual(spec, spec2, psi, pts)
     body["eq13_residual"] = res13
-    passed = res13 < tol
+    passed = res13 < RESIDUAL_TOL
     if not auto_psi:
         res14, res_ric = curvature_relation_residual(spec, spec2, psi,
                                                      pts[:min(len(pts), 20)])
         wdiff = weyl_projective_equal(spec, spec2, pts[:min(len(pts), 20)])
         body.update({"eq14_residual": res14, "ricci_residual": res_ric,
                      "weyl_projective_diff": wdiff})
-        passed = passed and max(res14, res_ric, wdiff) < tol
-    return {"tol": tol}, body, passed
+        passed = passed and max(res14, res_ric, wdiff) < RESIDUAL_TOL
+    return {"tol": RESIDUAL_TOL}, body, passed
 
 
 @main.command("weyl-projective")
@@ -468,17 +479,17 @@ def projective_check(metric_path, metric2_path, pair_path, auto_psi, samples,
 @_metric2_opt
 @_samples_opt
 @_seed_opt
-@click.option("--tol", default=1e-8, show_default=True)
 @_json_opt
 @_out_opt
 @_reports("weyl-projective")
-def weyl_projective(metric_path, metric2_path, samples, seed, tol):
+def weyl_projective(metric_path, metric2_path, samples, seed):
     """Compare the Weyl projective tensors of two metrics."""
     spec = load_metric_file(metric_path)
     spec2 = load_metric_file(metric2_path)
     pts = sample_points(spec, samples, seed=seed)
     diff = weyl_projective_equal(spec, spec2, pts)
-    return {"tol": tol}, {"max_diff": diff, "samples": samples}, diff < tol
+    return ({"tol": RESIDUAL_TOL}, {"max_diff": diff, "samples": samples},
+            diff < RESIDUAL_TOL)
 
 
 @main.command("geodesic-check")
@@ -491,12 +502,10 @@ def weyl_projective(metric_path, metric2_path, samples, seed, tol):
 @click.option("--horizon", default=2.0, show_default=True,
               type=click.FloatRange(min=0, min_open=True))
 @_seed_opt
-@click.option("--geo-tol", default=1e-6, show_default=True)
 @_json_opt
 @_out_opt
 @_reports("geodesic-check")
-def geodesic_check(metric_path, metric2_path, trials, steps, horizon, seed,
-                   geo_tol):
+def geodesic_check(metric_path, metric2_path, trials, steps, horizon, seed):
     """Score whether the second metric shares the first one's geodesic
     paths (pre-geodesic deviation along integrated trajectories)."""
     spec = load_metric_file(metric_path)
@@ -506,8 +515,8 @@ def geodesic_check(metric_path, metric2_path, trials, steps, horizon, seed,
     body = {"score": rep.score, "trials": trials, "steps": steps,
             "horizon": horizon,
             "truncated": [{"trial": t, "step": s} for t, s in rep.truncated]}
-    return ({"geo_tol": geo_tol}, body,
-            rep.scored > 0 and rep.score < geo_tol)
+    return ({"geo_tol": GEODESIC_TOL}, body,
+            rep.scored > 0 and rep.score < GEODESIC_TOL)
 
 
 @main.group()

@@ -41,9 +41,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .exprdsl import (
-    Const, Expr, ParamEnv, add, compile_program, differentiate, div,
-    eval_expr, free_symbols, mul, parse_expr, sub, sym_cofactor4, sym_det4,
-    sym_sum,
+    Const, Expr, ExprError, ParamEnv, add, compile_program, differentiate,
+    div, eval_expr, free_symbols, mul, parse_expr, sub, sym_cofactor4,
+    sym_det4, sym_sum,
 )
 
 __all__ = [
@@ -51,7 +51,7 @@ __all__ = [
     "SignatureError", "AdmissibilityError", "metric_spec", "frame_at",
     "frames_at", "signature_at", "cov_deriv_sym2_at", "sample_points",
     "christoffel_batch", "require_valid", "cov_deriv_batch",
-    "eval_field_batch",
+    "eval_field_batch", "check_coords", "parse_entry", "symmetric_components",
 ]
 
 DIM = 4
@@ -99,8 +99,7 @@ class MetricSpec:
     name: str = ""
 
     def __post_init__(self):
-        if len(self.coords) != DIM or len(set(self.coords)) != DIM:
-            raise MetricError("need 4 distinct coordinate names")
+        check_coords(self.coords)
         if len(self.g) != DIM or any(len(row) != DIM for row in self.g):
             raise MetricError("metric must be 4x4")
         shadowed = sorted(set(self.params.names()) & set(self.coords))
@@ -142,41 +141,67 @@ class MetricSpec:
                           self.constraints, self.sample_box, name)
 
 
-def metric_spec(coords: Sequence[str],
-                components: Sequence[Sequence],
-                params: Mapping[str, float] | ParamEnv | None = None,
-                constraints: Sequence = (),
-                sample_box=None,
-                name: str = "") -> MetricSpec:
-    """Build a MetricSpec from strings or Exprs.
+def check_coords(coords: Sequence[str]) -> None:
+    """Raise MetricError unless coords are 4 distinct names."""
+    if len(coords) != DIM or len(set(coords)) != DIM:
+        raise MetricError("need 4 distinct coordinate names")
 
-    ``components`` is either a full 4x4 matrix or a lower triangle
-    (rows of length 1..4); either way it is mirrored symmetrically.
-    """
-    env = params if isinstance(params, ParamEnv) else ParamEnv(params or {})
-    coords = tuple(coords)
 
-    def to_expr(x) -> Expr:
-        if isinstance(x, Expr):
-            return x
-        return parse_expr(str(x), coords, env.names())
+def parse_entry(where: str, x, coords: Sequence[str],
+                params: Sequence[str]) -> Expr:
+    """x as an Expr: x itself, or its str parsed against the coordinate
+    and parameter names.  An ExprError keeps its class and names
+    ``where``, the entry's place in its input (such as metric[2][1])."""
+    if isinstance(x, Expr):
+        return x
+    try:
+        return parse_expr(str(x), coords, params)
+    except ExprError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
 
+
+def symmetric_components(where: str, components: Sequence[Sequence],
+                         coords: Sequence[str], params: Sequence[str]) -> tuple:
+    """The symmetric 4x4 tuple of Exprs of ``components``, a full 4x4
+    matrix or a lower triangle (rows of length 1..4), mirrored either
+    way; entry i, j is parse_entry's where[i][j]."""
     rows = [list(r) for r in components]
+
+    def entry(a, b):
+        return parse_entry(f"{where}[{a}][{b}]", rows[a][b], coords, params)
+
     if [len(r) for r in rows] == [1, 2, 3, 4]:
         full = [[None] * DIM for _ in range(DIM)]
         for a in range(DIM):
             for b in range(a + 1):
-                full[a][b] = full[b][a] = to_expr(rows[a][b])
+                full[a][b] = full[b][a] = entry(a, b)
     elif [len(r) for r in rows] == [4, 4, 4, 4]:
-        full = [[to_expr(rows[a][b]) for b in range(DIM)] for a in range(DIM)]
+        full = [[entry(a, b) for b in range(DIM)] for a in range(DIM)]
         for a in range(DIM):
             for b in range(a):
                 if full[a][b] != full[b][a]:
                     raise MetricError(f"asymmetric input at ({a},{b})")
     else:
         raise MetricError("components must be a 4x4 matrix or lower triangle")
-    g = tuple(tuple(row) for row in full)
-    cons = tuple(to_expr(c) for c in constraints)
+    return tuple(tuple(row) for row in full)
+
+
+def metric_spec(coords: Sequence[str],
+                components: Sequence[Sequence],
+                params: Mapping[str, float] | ParamEnv | None = None,
+                constraints: Sequence = (),
+                sample_box=None,
+                name: str = "") -> MetricSpec:
+    """Build a MetricSpec from strings or Exprs: the coordinates are
+    checked first, then ``components`` (symmetric_components, entries
+    named metric[i][j]) and the constraints (constraints[k]) parsed."""
+    env = params if isinstance(params, ParamEnv) else ParamEnv(params or {})
+    coords = tuple(coords)
+    check_coords(coords)
+    g = symmetric_components("metric", components, coords, env.names())
+    cons = tuple(parse_entry(f"constraints[{k}]", c, coords, env.names())
+                 for k, c in enumerate(constraints))
     box = tuple(tuple(float(x) for x in b) for b in sample_box) if sample_box else None
     return MetricSpec(coords, g, env, cons, box, name)
 
@@ -594,14 +619,21 @@ def cov_deriv_batch(spec: MetricSpec, comps, points):
     derivative) with the derivative index trailing."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     t, dt = _field_jets(spec, comps, pts, 1)
+    return t, _covariant(spec, t, dt, pts)
+
+
+def _covariant(spec: MetricSpec, t: np.ndarray, dt: np.ndarray,
+               pts: np.ndarray) -> np.ndarray:
+    """The covariant derivative, with spec's connection at pts (n, 4),
+    of a covector or symmetric (0,2) field whose values and partial
+    derivatives there are t and dt (_field_jets, orders 0 and 1)."""
     gamma, ok, _ = christoffel_batch(spec, pts)
     require_valid(spec, pts, ok)
     if t.ndim == 2:
-        return t, dt - np.einsum("neab,ne->nab", gamma, t)
-    cov = (dt
-           - np.einsum("neca,neb->nabc", gamma, t)
-           - np.einsum("necb,nae->nabc", gamma, t))
-    return t, cov
+        return dt - np.einsum("neab,ne->nab", gamma, t)
+    return (dt
+            - np.einsum("neca,neb->nabc", gamma, t)
+            - np.einsum("necb,nae->nabc", gamma, t))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import re
@@ -11,6 +12,7 @@ from click.testing import CliRunner
 from lorhol.bivector import SVD_TOL
 from lorhol.cli import main
 from lorhol.holonomy import SPAN_TOL
+from lorhol.projective import GEODESIC_TOL, RESIDUAL_TOL
 
 
 @pytest.fixture
@@ -254,10 +256,73 @@ class TestClassify:
         assert res.output.startswith(f"error: {path}: ")
         assert key in res.output and "Traceback" not in res.output
 
+    @pytest.mark.parametrize("command", ["classify", "derive-partner"])
+    @pytest.mark.parametrize("name", [[1], {}, 3],
+                             ids=["list", "object", "number"])
+    def test_mistyped_name_is_named(self, runner, emitted, tmp_path,
+                                    command, name):
+        # a list or an object used to crash every command with a
+        # TypeError, and a number derive-partner
+        files = emitted("r9")
+        data = json.loads(open(files["g"]).read())
+        data["name"] = name
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        args = [command, "-m", str(path), "--samples", "2"]
+        if command == "derive-partner":
+            args += ["-a", files["a"], "-o", str(tmp_path / "partner.json")]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert res.output == (f"error: {path}: 'name' must be a string "
+                              "or null\n")
+
+    def test_null_name_reads_as_absent(self, runner, emitted, tmp_path):
+        files = emitted("r9")
+        data = json.loads(open(files["g"]).read())
+        data["name"] = None
+        path = tmp_path / "unnamed.json"
+        path.write_text(json.dumps(data))
+        partner = tmp_path / "partner.json"
+        res = runner.invoke(main, ["derive-partner", "-m", str(path), "-a",
+                                   files["a"], "-o", str(partner)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(partner.read_text())["name"] == "unnamed-partner"
+
+    @pytest.mark.parametrize("kind, edit, message", [
+        ("g", lambda d: d["metric"][2].__setitem__(1, "u +* v"),
+         "metric[2][1]: expected a value (offset 3)"),
+        ("g", lambda d: d["constraints"].__setitem__(0, "q"),
+         "constraints[0]: unknown identifier 'q' (offset 0)"),
+        ("g", lambda d: d.update(coordinates=["u", "v", "v", "y"]),
+         "need 4 distinct coordinate names"),
+        ("g", lambda d: d["coordinates"].append("z"),
+         "need 4 distinct coordinate names"),
+        ("a", lambda d: d["a"][3].__setitem__(2, "x +"),
+         "a[3][2]: expected a value (offset 3)"),
+        ("a", lambda d: d.update({"lambda": ["0", "q", "0", "0"]}),
+         "lambda[1]: unknown identifier 'q' (offset 0)"),
+    ], ids=["metric-entry", "constraint", "duplicate-coordinates",
+            "five-coordinates", "a-entry", "lambda-entry"])
+    def test_parse_error_names_file_and_entry(self, runner, emitted,
+                                              tmp_path, kind, edit, message):
+        # these used to print the parser's message alone, or, for five
+        # coordinates, the missing bound of the fifth
+        files = emitted("r9")
+        data = json.loads(open(files[kind]).read())
+        edit(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        args = (["classify", "-m", str(path)] if kind == "g" else
+                ["sinyukov-check", "-m", files["g"], "-a", str(path)])
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert res.output == f"error: {path}: {message}\n"
+
     @pytest.mark.parametrize("entry, message", [
         ("1e400*u", "constant out of float range in `1" + "0" * 400 + "`"),
+        # a parse error names the file and the entry
         ("(" * 199 + "u" + ")" * 199,
-         "nesting deeper than 100 levels (offset 100)"),
+         "{path}: metric[3][3]: nesting deeper than 100 levels (offset 100)"),
         ("u^(10^400)", "exponent out of float range in `u^1" + "0" * 400
          + "`"),
         # arithmetic on constants alone is compiled to read inf or nan,
@@ -277,7 +342,7 @@ class TestClassify:
         path.write_text(json.dumps(data))
         res = runner.invoke(main, ["classify", "-m", str(path)])
         assert res.exit_code == 2
-        assert res.output == f"error: {message}\n"
+        assert res.output == f"error: {message.format(path=path)}\n"
 
 
 class TestHolonomy:
@@ -375,6 +440,33 @@ class TestSinyukovAndPartner:
             residuals.append(report["residual"])
         # k/2 is 1 exactly, so each product is r9's to the bit
         assert residuals[1] == residuals[0] < 1e-13
+
+    @pytest.mark.parametrize("edit", [
+        lambda pair: {**pair, "parameters": {"xi": 0.5}},
+        lambda pair: {**pair, "parameters": {"k": 2},
+                      "a": [[f"k/2*({e})" for e in row]
+                            for row in pair["a"]]},
+    ], ids=["overridden-xi", "extra-k"])
+    def test_pair_parameters_reach_projective_check(self, runner, emitted,
+                                                    tmp_path, edit):
+        # the partner binds the pair file's parameters; projective-check
+        # used to evaluate it with g's (eq. 13 residual 0.27 for xi = 1/2)
+        # and, with -a, the pair's psi too (error: Param('k') for k)
+        files = emitted("r9")
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps(edit(json.loads(open(files["a"]).read()))))
+        partner = str(tmp_path / "partner.json")
+        res = runner.invoke(main, ["derive-partner", "-m", files["g"], "-a",
+                                   str(pair), "-o", partner])
+        assert res.exit_code == 0, res.output
+        for psi in (["--auto-psi"], ["-a", str(pair)]):
+            res, report = run_json(runner, ["projective-check", "-m",
+                                            files["g"], "-M", partner, *psi])
+            assert res.exit_code == 0, res.output
+            values = [v for k, v in report.items()
+                      if k.endswith(("_residual", "_diff"))]
+            assert len(values) == (1 if psi == ["--auto-psi"] else 4)
+            assert max(values) <= 1e-13
 
     def test_derive_partner_matches_expected(self, runner, emitted,
                                              tmp_path):
@@ -687,6 +779,30 @@ class TestReportEnvelope:
         assert line.startswith("error: ")
 
 
+class TestFixedThresholds:
+    """Each check decides at a fixed threshold, which its report states
+    and no option sets."""
+
+    @pytest.mark.parametrize("command, option, tolerances", [
+        ("sinyukov-check", "--tol", {"tol": RESIDUAL_TOL}),
+        ("derive-partner", "--tol", {"tol": RESIDUAL_TOL}),
+        ("projective-check", "--tol", {"tol": RESIDUAL_TOL}),
+        ("weyl-projective", "--tol", {"tol": RESIDUAL_TOL}),
+        ("geodesic-check", "--geo-tol", {"geo_tol": GEODESIC_TOL}),
+    ])
+    def test_report_states_the_threshold_no_option_sets(
+            self, runner, emitted, tmp_path, command, option, tolerances):
+        args, _, _ = ENVELOPE_CASES[command]
+        files = emitted("r9")
+        argv = [command, *(a.format(tmp=tmp_path, **files) for a in args)]
+        res, report = run_json(runner, argv)
+        assert res.exit_code == 0, res.output
+        assert report["tolerances"] == tolerances
+        res = runner.invoke(main, argv + [option, "1e-6"])
+        assert res.exit_code == 2
+        assert f"No such option '{option}'" in res.stderr
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
         ["classify", "--samples", "6"],
@@ -750,6 +866,51 @@ def test_readme_cli_section_names_every_option_and_no_other():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     assert readme_drift(section, main) == ([], [])
+
+
+def unexercised_options(sources: list[str], group: click.Group) -> list:
+    """The options of the group's commands that no string literal of
+    ``sources`` (test modules) spells, docstrings aside, read as
+    readme_drift reads a section."""
+    literals = []
+    for source in sources:
+        # ast.walk visits a body before its statements: each docstring
+        # is known before it is reached
+        tree, docs = ast.parse(source), set()
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                    and node.body and isinstance(node.body[0], ast.Expr)):
+                docs.add(id(node.body[0].value))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docs):
+                literals.append(node.value)
+    return readme_drift("\n".join(literals), group)[0]
+
+
+def test_every_option_is_passed_by_a_test():
+    tests = sorted(Path(__file__).resolve().parent.glob("*.py"))
+    assert unexercised_options([p.read_text() for p in tests], main) == []
+
+
+def test_unexercised_option_check_sees_what_it_should():
+    @click.group()
+    def group():
+        pass
+
+    @group.command()
+    @click.option("-q", "--quiet", is_flag=True)
+    @click.option("--alpha")
+    @click.option("--beta")
+    @click.option("--gamma/--no-gamma")
+    @click.option("--delta")
+    def leaf(quiet, alpha, beta, gamma, delta):
+        pass
+
+    source = ('def test_x():\n'
+              '    """--beta, in a docstring"""\n'
+              '    run(["leaf", "-q", f"--alpha={1}", "--no-gamma"])\n'
+              '    # --delta, in a comment\n')
+    assert unexercised_options([source], group) == ["--beta", "--delta"]
 
 
 def test_readme_drift_check_sees_what_it_should():

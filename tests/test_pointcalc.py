@@ -4,7 +4,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from lorhol.exprdsl import DomainError, parse_expr
+from lorhol.exprdsl import (
+    DomainError, ParseError, UnknownIdentifierError, parse_expr,
+)
 from lorhol.pointcalc import (
     AdmissibilityError, DegenerateMetricError, MetricError, SignatureError,
     cov_deriv_sym2_at, frame_at, metric_spec, sample_points, signature_at,
@@ -178,6 +180,26 @@ class TestMetricSpecRows:
         with pytest.raises(MetricError,
                            match=r"^asymmetric input at \(1,0\)$"):
             metric_spec(UVXY, full)
+
+    def test_parse_errors_keep_their_class_and_name_the_entry(self):
+        rows = [["-1"], ["0", "1"], ["0", "u +* v", "1"], ["0", "0", "0", "1"]]
+        with pytest.raises(ParseError, match=r"^metric\[2\]\[1\]: expected "
+                                             r"a value \(offset 3\)$"):
+            metric_spec(UVXY, rows)
+        rows[2][1] = "0"
+        with pytest.raises(UnknownIdentifierError,
+                           match=r"^constraints\[1\]: unknown identifier "
+                                 r"'q' \(offset 0\)$"):
+            metric_spec(UVXY, rows, constraints=["v", "q"])
+
+    def test_coordinates_are_checked_before_the_entries(self):
+        # v twice: x in an entry is no longer declared, and used to be
+        # what the error named
+        with pytest.raises(MetricError,
+                           match=r"^need 4 distinct coordinate names$"):
+            metric_spec(("u", "v", "v", "y"), [["-1"], ["0", "1"],
+                                               ["0", "0", "x"],
+                                               ["0", "0", "0", "1"]])
 
 
 def frame_invariants(fr, tol=1e-9):

@@ -8,7 +8,7 @@ import pytest
 from helpers import fixture_spec, narrowed, raw_partner
 
 from lorhol.exprdsl import (
-    add, const, coord, count_lines, eval_expr, mul, parse_expr,
+    add, const, coord, count_lines, differentiate, eval_expr, mul, parse_expr,
 )
 from lorhol.fixtures import (
     FIXTURE_NAMES, fixture_minkowski, fixture_r9_r14, named_fixture,
@@ -19,8 +19,8 @@ from lorhol.pointcalc import (
 )
 from lorhol import projective
 from lorhol.projective import (
-    _BLOCK_ROWS, InversionError, SinyukovPair, check_pair_wellformed,
-    curvature_relation_residual, invert_pair,
+    _BLOCK_ROWS, GEODESIC_TOL, RESIDUAL_TOL, InversionError, SinyukovPair,
+    check_pair_wellformed, curvature_relation_residual, invert_pair,
     lambda_from_trace, lemma1_checks, pregeodesic_check, projective_residual,
     psi_from_connections, sinyukov_residual, weyl_projective_at,
     weyl_projective_equal,
@@ -392,6 +392,58 @@ class TestProjectiveResidual:
         psi_bad = (add(pp.psi[0], const("1/10")),) + pp.psi[1:]
         assert projective_residual(appendix.g, pp.partner, psi_bad,
                                    pts) > 1e-3
+
+    def test_partner_is_evaluated_with_its_own_parameters(self, appendix):
+        # r9's pair on g with xi = 1/2: its partner binds xi = 1/2, and
+        # eq. 13 used to evaluate it with g's xi = 1/4 (residual 0.27)
+        g = appendix.g
+        base = dataclasses.replace(g, params=g.params.merged({"xi": 0.5}))
+        pts = pts_for(appendix, 10)
+        partner = invert_pair(SinyukovPair(base, appendix.pair.a), pts).partner
+        assert partner.params["xi"] == 0.5 and g.params["xi"] == 0.25
+        psi = psi_from_connections(g, partner, pts)
+        assert projective_residual(g, partner, psi, pts) < 1e-13
+
+
+class TestFixedThresholds:
+    """The pass thresholds sit far from every value the checks read:
+    projectively related pairs pass at least five decades below them,
+    unrelated metrics in one chart fail above 0.1."""
+
+    @pytest.mark.parametrize("name", ["r9", "r11", "r13"])
+    def test_fixtures_and_partners_pass_five_decades_below(self, name):
+        bundle = named_fixture(name)
+        g = bundle.g
+        pts = sample_points(g, 8, seed=1)
+        pp = invert_pair(bundle.pair, pts)
+        gp = pp.partner
+        dchi = eval_field_batch(g, [differentiate(pp.chi, c)
+                                    for c in g.coords], pts)
+        psi = eval_field_batch(g, pp.psi, pts)
+        residuals = [
+            sinyukov_residual(bundle.pair, pts),
+            float(np.max(np.abs(dchi - psi))) / max(1.0, np.max(np.abs(psi))),
+            projective_residual(g, gp, psi_from_connections(g, gp, pts), pts),
+            projective_residual(g, gp, pp.psi, pts),
+            *curvature_relation_residual(g, gp, pp.psi, pts),
+            weyl_projective_equal(g, gp, pts)]
+        assert max(residuals) < 1e-5 * RESIDUAL_TOL
+        score = pregeodesic_check(g, gp, trials=4, steps=50, horizon=0.5,
+                                  seed=1).score
+        assert score < 1e-5 * GEODESIC_TOL
+
+    @pytest.mark.parametrize("first, second", [
+        ("r9", "r14"), ("r14", "r9"), ("r9", "r9-b0")])
+    def test_unrelated_metrics_fail_above_a_tenth(self, first, second):
+        # the first fixture against the second one's derived partner
+        g, gp = fixture_spec(first), fixture_spec(second, partner=True)
+        pts = sample_points(g, 8, seed=1)
+        values = [
+            weyl_projective_equal(g, gp, pts),
+            projective_residual(g, gp, psi_from_connections(g, gp, pts), pts),
+            pregeodesic_check(g, gp, trials=4, steps=50, horizon=0.5,
+                              seed=1).score]
+        assert min(values) > 0.1
 
 
 class TestCurvatureRelation:
